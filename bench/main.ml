@@ -8,7 +8,7 @@
      dune exec bench/main.exe -- --programs 20 --mean-classes 80
      dune exec bench/main.exe -- --skip-micro | --skip-tables
 
-   Absolute times are on a simulated clock (see Experiment.default_cost);
+   Absolute times are on a simulated clock (see Lbr_frontend.Run);
    the paper's shapes — who wins, by what factor, where the curves sit —
    are the reproduction target.  EXPERIMENTS.md records paper-vs-measured
    for every entry printed here. *)

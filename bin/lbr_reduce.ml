@@ -304,7 +304,7 @@ let reduce_via_frontend ~frontend_id ~path ~strategy ~require ~output ~trace ~jo
   let reduce () =
     if speculate then
       Lbr_runtime.Pool.with_pool ~jobs (fun pool ->
-          Lbr_frontend.Run.reduce_text ~hooks ~pool ~speculate packed ~text ~spec:require)
+          Lbr_frontend.Run.reduce_text ~hooks ~speculate:pool packed ~text ~spec:require)
     else Lbr_frontend.Run.reduce_text ~hooks packed ~text ~spec:require
   in
   match reduce () with
@@ -438,34 +438,22 @@ let reduce_cmd =
           let improvements = List.assoc instance.instance_id partial in
           (* Under --trace, route predicate runs through a per-instance
              runtime oracle purely so the timeline shows oracle.attempt /
-             oracle.memo events.  retries = 0 and Crash_raises make it
-             behaviourally transparent — the predicate memo above this hook
-             already deduplicates, so the oracle only ever sees fresh keys
-             and the reduction stays byte-identical to the untraced run. *)
+             oracle.memo events.  The default config (no retries,
+             Crash_raises) makes it behaviourally transparent — the
+             predicate memo above this hook already deduplicates, so the
+             oracle only ever sees fresh keys and the reduction stays
+             byte-identical to the untraced run. *)
           let evaluate =
             match trace with
             | None -> None
             | Some _ ->
-                let current : (unit -> bool) ref = ref (fun () -> false) in
-                let oracle =
-                  Lbr_runtime.Oracle.make
-                    ~config:
-                      {
-                        Lbr_runtime.Oracle.default_config with
-                        crash_policy = Lbr_runtime.Oracle.Crash_raises;
-                        retries = 0;
-                      }
-                    ~name:instance.instance_id
-                    (fun _ -> !current ())
-                in
+                let oracle = Lbr_runtime.Oracle.make ~name:instance.instance_id () in
                 Some
                   (fun ~key thunk ->
-                    current := thunk;
-                    Lbr_harness.Experiment.Fresh
-                      (Lbr_runtime.Oracle.run oracle (Lbr_server.Runner.key_assignment key)))
+                    Lbr_frontend.Run.Fresh (Lbr_runtime.Oracle.run oracle ~key thunk))
           in
           {
-            Lbr_harness.Experiment.should_stop =
+            Lbr_frontend.Run.should_stop =
               Some (fun () -> Lbr_server.Shutdown.requested shutdown);
             on_improvement =
               Some
@@ -487,7 +475,7 @@ let reduce_cmd =
         let results =
           match run_corpus () with
           | results -> results
-          | exception Lbr_harness.Experiment.Cancelled ->
+          | exception Lbr_frontend.Run.Cancelled ->
               Lbr_server.Shutdown.on_drain shutdown (fun () ->
                   Printf.eprintf "interrupted by SIG%s; partial progress:\n"
                     (Option.value ~default:"?" (Lbr_server.Shutdown.signal_name shutdown));

@@ -303,8 +303,8 @@ let run_one t w j =
       match result with
       | Ok (_, stats, pool_bytes) ->
           Metrics.add t.m_hits stats.Wire.replayed_runs;
-          Metrics.add t.m_misses
-            (max 0 (stats.Wire.predicate_runs - stats.Wire.replayed_runs));
+          (* Fresh verdicts: every oracle execution that was not a retry. *)
+          Metrics.add t.m_misses (stats.Wire.tool_executions - stats.Wire.oracle_retries);
           locked t (fun () -> finalize t j (Done (stats, pool_bytes)))
       | Error (`Job_failed reason) ->
           locked t (fun () ->

@@ -21,7 +21,7 @@
       predicate cannot evaluate.
     - {b Monotone predicate}: on constraint-satisfying sub-inputs, if the
       bridged predicate holds on [φ] it holds on every valid [φ' ⊇ φ].
-      {!Run.reduce} relies on this exactly as GBR does.
+      {!Run} relies on this exactly as GBR does.
     - {b Serializer totality}: {!S.parse} returns [Error] on malformed
       bytes — never raises — and [parse (print x)] succeeds for every [x]
       produced by [parse] or {!S.prepare}.
@@ -59,7 +59,9 @@ module type S = sig
       results.  For textual domains this is the concrete syntax. *)
 
   val items : input -> int
-  (** Number of reducible items; the first axis of progress reporting. *)
+  (** The size in the domain's natural unit; the first axis of progress
+      reporting.  [dimacs] and [fj] count their reducible items; [jvm]
+      counts classes, the unit every JVM report uses. *)
 
   val bytes : input -> int
   (** Size in (estimated) bytes; the second axis, and the input to the

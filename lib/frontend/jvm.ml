@@ -9,7 +9,7 @@ let extensions = [ ".lbrc" ]
 
 let parse = Serialize.of_bytes
 let print = Serialize.to_bytes
-let items = Size.items
+let items = Size.classes
 let bytes = Size.bytes
 
 let derive vpool pool =
@@ -36,7 +36,7 @@ let rec includes_sorted ~baseline messages =
       else if c > 0 then includes_sorted ~baseline ms
       else false
 
-let predicate (_ : ctx) pool ~spec =
+let tool_predicate pool ~spec =
   let tool =
     match spec with
     | "" -> (
@@ -60,3 +60,5 @@ let predicate (_ : ctx) pool ~spec =
       | [] -> Error (Printf.sprintf "tool %s is not buggy on this pool" tool.Lbr_decompiler.Tool.name)
       | baseline ->
           Ok (fun sub -> includes_sorted ~baseline (Lbr_decompiler.Tool.errors tool sub)))
+
+let predicate (_ : ctx) = tool_predicate

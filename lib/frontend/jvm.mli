@@ -5,10 +5,13 @@
     {!Lbr_jvm.Jvars}, the dependency model to {!Lbr_jvm.Constraints}, the
     reducer to {!Lbr_jvm.Reducer.prepare}, sizes to {!Lbr_jvm.Size} and
     the serializer to {!Lbr_jvm.Serialize} (LBRC container bytes).  The
-    delegation is pure — {!Lbr_harness.Experiment} routes its item
-    derivation and constraint generation through this module and produces
-    byte-identical reductions to the pre-frontend code, which the test
-    suite pins on the reference workload.
+    delegation is pure — {!Lbr_harness.Experiment} reduces through this
+    module and produces byte-identical reductions to the pre-frontend
+    code, which the test suite pins on the reference workload.
+
+    [items] counts classes ({!Lbr_jvm.Size.classes}), the unit every JVM
+    report uses: the harness timeline (Figure 9's class series), daemon
+    progress and the [classes0]/[classes1] result fields.
 
     The predicate spec is a simulated-decompiler name
     ({!Lbr_decompiler.Tool}); [""] picks the first tool that is buggy on
@@ -19,4 +22,10 @@ include Frontend.S with type input = Lbr_jvm.Classpool.t and type ctx = Lbr_jvm.
 
 val includes_sorted : baseline:string list -> string list -> bool
 (** Sorted-list inclusion: is every baseline message present?  The error
-    comparison used by the predicate bridge (and by the harness). *)
+    comparison used by the predicate bridge. *)
+
+val tool_predicate :
+  Lbr_jvm.Classpool.t -> spec:string -> (Lbr_jvm.Classpool.t -> bool, string) result
+(** The predicate bridge itself, which needs no inventory: [predicate ctx]
+    is [tool_predicate] for every [ctx].  For views of a pool with their
+    own inventory (J-Reduce's class granularity). *)

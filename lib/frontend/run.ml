@@ -35,27 +35,32 @@ type outcome = {
    would have produced. *)
 type spec_payload = { sp_ok : bool; sp_items : int; sp_bytes : int }
 
-let reduce_input (type i c) ?(hooks = default_hooks) ?pool ?(speculate = false)
+(* The one driver.  [search] is the strategy: [`Gbr pool] runs GBR,
+   pipelined on [pool] when given; [`Closures build] runs binary reduction
+   over the closures [build] derives from the constraints.  Both see the
+   same items, the same instrumented predicate and the same validation
+   run. *)
+let drive (type i c) ~hooks ~search
     (module F : Frontend.S with type ctx = c and type input = i) (input : i) ~spec =
   let vpool = Var.Pool.create () in
+  let fail fmt = Printf.ksprintf (fun m -> Error (F.id ^ ": " ^ m)) fmt in
   match F.derive vpool input with
-  | Error m -> Error (Printf.sprintf "%s: derivation failed: %s" F.id m)
+  | Error m -> fail "derivation failed: %s" m
   | Ok ctx -> (
       match F.constraints ctx input with
-      | Error m -> Error (Printf.sprintf "%s: constraint generation failed: %s" F.id m)
+      | Error m -> fail "constraint generation failed: %s" m
       | Ok cnf -> (
           match F.predicate ctx input ~spec with
-          | Error m -> Error (Printf.sprintf "%s: %s" F.id m)
+          | Error m -> fail "%s" m
           | Ok check ->
               let apply = F.prepare ctx input in
               let speculation =
-                match pool with
-                | Some p when speculate ->
-                    (* Workers get their own prepared applier (and check) —
-                       [F.prepare]'s result is domain-local state for the
-                       JVM frontend.  The check closure from [F.predicate]
-                       is pure, so sharing it is fine; building per-domain
-                       appliers through DLS keeps the rest isolated. *)
+                match search with
+                | `Gbr (Some p) ->
+                    (* Workers get their own prepared applier — [F.prepare]'s
+                       result is domain-local state for the JVM frontend.
+                       The check closure from [F.predicate] is pure, so
+                       sharing it is fine. *)
                     let applier = Domain.DLS.new_key (fun () -> F.prepare ctx input) in
                     let compute phi =
                       let sub = (Domain.DLS.get applier) phi in
@@ -80,11 +85,29 @@ let reduce_input (type i c) ?(hooks = default_hooks) ?pool ?(speculate = false)
                          ?should_launch ?verdict_hint
                          ~max_inflight:(2 * Lbr_runtime.Pool.jobs p)
                          compute)
-                | _ -> None
+                | `Gbr None | `Closures _ -> None
               in
-              (* The same instrumented black box as the harness driver: a
-                 simulated clock charged per run, an improvement timeline
-                 on (bytes, items), and the scheduler's hook surface. *)
+              let reduce (problem : Lbr.Problem.t) =
+                match search with
+                | `Gbr _ -> (
+                    match
+                      Lbr.Gbr.reduce ?speculate:speculation problem
+                        ~order:(Lbr_sat.Order.by_creation vpool)
+                    with
+                    | Ok (result, stats) -> Some (result, stats.predicate_runs)
+                    | Error (`Unsat | `Predicate_inconsistent | `Invariant_violation _) -> None)
+                | `Closures build -> (
+                    let base, closures = build vpool cnf in
+                    match
+                      Lbr_baselines.Binary_reduction.reduce ~closures ~base
+                        ~predicate:problem.predicate
+                    with
+                    | Ok (result, stats) -> Some (result, stats.predicate_runs)
+                    | Error `Predicate_inconsistent -> None)
+              in
+              (* The instrumented black box: a simulated clock charged per
+                 run, an improvement timeline on (bytes, items), and the
+                 scheduler's hook surface. *)
               let clock = ref 0.0 in
               let best = ref (max_int, max_int) in
               let improvements = ref [] in
@@ -92,25 +115,25 @@ let reduce_input (type i c) ?(hooks = default_hooks) ?pool ?(speculate = false)
               (* All observable accounting happens here, on the demand
                  path, whether the verdict came from a speculative worker
                  or was computed inline — byte-identical either way. *)
-              let settle ~ok ~items ~bytes ~charge ~key =
-                clock := !clock +. charge;
+              let settle phi ~bytes ~items ok =
+                clock := !clock +. (1.0 +. (4e-4 *. float_of_int bytes));
                 let ok =
                   match hooks.evaluate with
                   | None -> ok ()
                   | Some evaluate -> (
-                      match evaluate ~key ok with
+                      match evaluate ~key:(Assignment.digest_hex phi) ok with
                       | Fresh ok -> ok
                       | Replayed ok ->
                           incr replayed;
                           ok)
                 in
                 if ok then begin
-                  let c = items () and b = bytes () in
+                  let c = items () in
                   let bc, bb = !best in
-                  if b < bb || (b = bb && c < bc) then begin
-                    best := (min bc c, min bb b);
-                    improvements := (!clock, c, b) :: !improvements;
-                    match hooks.on_improvement with Some f -> f !clock c b | None -> ()
+                  if bytes < bb || (bytes = bb && c < bc) then begin
+                    best := (min bc c, min bb bytes);
+                    improvements := (!clock, c, bytes) :: !improvements;
+                    match hooks.on_improvement with Some f -> f !clock c bytes | None -> ()
                   end
                 end;
                 ok
@@ -119,54 +142,33 @@ let reduce_input (type i c) ?(hooks = default_hooks) ?pool ?(speculate = false)
                 (match hooks.should_stop with
                 | Some stop when stop () -> raise Cancelled
                 | _ -> ());
-                let key = Assignment.digest_hex phi in
-                match
-                  match speculation with
-                  | Some sp -> Lbr.Speculate.demand sp phi
-                  | None -> None
-                with
-                | Some payload ->
-                    settle
-                      ~ok:(fun () -> payload.sp_ok)
-                      ~items:(fun () -> payload.sp_items)
-                      ~bytes:(fun () -> payload.sp_bytes)
-                      ~charge:(1.0 +. (4e-4 *. float_of_int payload.sp_bytes))
-                      ~key
+                match Option.bind speculation (fun sp -> Lbr.Speculate.demand sp phi) with
+                | Some p ->
+                    settle phi ~bytes:p.sp_bytes ~items:(fun () -> p.sp_items) (fun () -> p.sp_ok)
                 | None ->
                     let sub = apply phi in
-                    settle
-                      ~ok:(fun () -> check sub)
+                    settle phi ~bytes:(F.bytes sub)
                       ~items:(fun () -> F.items sub)
-                      ~bytes:(fun () -> F.bytes sub)
-                      ~charge:(1.0 +. (4e-4 *. float_of_int (F.bytes sub)))
-                      ~key
+                      (fun () -> check sub)
               in
               let predicate = Lbr.Predicate.make ~name:F.id black_box in
+              let universe = F.universe ctx in
               let problem =
-                Lbr.Problem.make ~pool:vpool ~universe:(F.universe ctx) ~constraints:cnf
-                  ~predicate
+                Lbr.Problem.make ~pool:vpool ~universe ~constraints:cnf ~predicate
               in
               let t0 = Unix.gettimeofday () in
-              Fun.protect
-                ~finally:(fun () ->
-                  match speculation with
-                  | Some sp -> Lbr.Speculate.drain sp
-                  | None -> ())
+              Fun.protect ~finally:(fun () -> Option.iter Lbr.Speculate.drain speculation)
               @@ fun () ->
-              (* Validation runs the predicate once on the full input; the
-                 memo makes GBR's own full-input query free, so the clock
-                 stays identical to an unvalidated run. *)
+              (* Validation runs the predicate once on the full input, and
+                 that run is charged like any other; the memo makes a
+                 strategy's own full-input query free. *)
               match Lbr.Problem.validate problem with
-              | Error m -> Error (Printf.sprintf "%s: invalid problem: %s" F.id m)
+              | Error m -> fail "invalid problem: %s" m
               | Ok () ->
                   let result, runs, ok =
-                    match
-                      Lbr.Gbr.reduce ?speculate:speculation problem
-                        ~order:(Lbr_sat.Order.by_creation vpool)
-                    with
-                    | Ok (result, stats) -> (result, stats.predicate_runs, true)
-                    | Error (`Unsat | `Predicate_inconsistent | `Invariant_violation _) ->
-                        (F.universe ctx, Lbr.Predicate.runs predicate, false)
+                    match reduce problem with
+                    | Some (result, runs) -> (result, runs, true)
+                    | None -> (universe, Lbr.Predicate.runs predicate, false)
                   in
                   let wall_time = Unix.gettimeofday () -. t0 in
                   let final = apply result in
@@ -186,10 +188,16 @@ let reduce_input (type i c) ?(hooks = default_hooks) ?pool ?(speculate = false)
                       },
                       final )))
 
-let reduce_text ?hooks ?pool ?speculate (Frontend.Packed (module F)) ~text ~spec =
+let reduce_input ?(hooks = default_hooks) ?speculate frontend input ~spec =
+  drive ~hooks ~search:(`Gbr speculate) frontend input ~spec
+
+let reduce_closures ?(hooks = default_hooks) frontend input ~spec build =
+  drive ~hooks ~search:(`Closures build) frontend input ~spec
+
+let reduce_text ?hooks ?speculate (Frontend.Packed (module F)) ~text ~spec =
   match F.parse text with
   | Error m -> Error (Printf.sprintf "%s: unparsable input: %s" F.id m)
   | Ok input -> (
-      match reduce_input ?hooks ?pool ?speculate (module F) input ~spec with
+      match reduce_input ?hooks ?speculate (module F) input ~spec with
       | Error _ as e -> e
       | Ok (outcome, final) -> Ok (outcome, F.print final))

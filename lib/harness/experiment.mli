@@ -1,11 +1,16 @@
 (** Running the four reduction strategies on corpus instances.
 
-    Time is reported on a documented simulated clock: every underlying
-    predicate execution (decompile + recompile of the candidate sub-pool)
-    costs [base + rate × bytes] simulated seconds, mimicking the paper's
-    setup where each cycle took tens of seconds on real decompilers.  Wall
-    clock is recorded separately (our simulated tools are fast; the paper's
-    were the bottleneck). *)
+    Every strategy goes through {!Lbr_frontend.Run} on the
+    {!Lbr_frontend.Jvm} frontend, so all four share one instrumented
+    predicate and one cost model: every predicate execution (decompile +
+    recompile of the candidate sub-pool) costs [1 + 4e-4 × bytes]
+    simulated seconds, mimicking the paper's setup where each cycle took
+    tens of seconds on real decompilers, and each reduction is charged one
+    validation run on the full pool.  GBR is {!Lbr_frontend.Run.reduce_input};
+    J-Reduce and the lossy encodings are binary reductions over closures
+    ({!Lbr_frontend.Run.reduce_closures}) built here.  Wall clock is
+    recorded separately (our simulated tools are fast; the paper's were the
+    bottleneck). *)
 
 open Lbr_jvm
 
@@ -34,72 +39,41 @@ type outcome = {
   lines1 : int;
   timeline : (float * int * int) list;
       (** (simulated time, best classes, best bytes) at each improvement,
-          oldest first; implicitly starts at (0, classes0, bytes0) *)
+          oldest first; the first point is the validation run's
+          (sim, classes0, bytes0) *)
 }
 
-val default_cost : Classpool.t -> float
-(** [1.0 + 4e-4 × bytes] simulated seconds per decompile+recompile. *)
+val reduce :
+  ?hooks:Lbr_frontend.Run.hooks ->
+  ?speculate:Lbr_runtime.Pool.t ->
+  strategy ->
+  Classpool.t ->
+  spec:string ->
+  (Lbr_frontend.Run.outcome * Classpool.t, string) result
+(** Reduce one pool with one strategy against the tool [spec] names ([""]
+    is the first buggy tool, as in {!Lbr_frontend.Jvm}): the frontend-level
+    outcome and the reduced pool.  This is what the server runs for
+    J-Reduce and lossy jobs.  [~speculate] applies to GBR only. *)
 
-exception Cancelled
-(** Raised out of a run when [hooks.should_stop] returns [true]. *)
-
-type evaluation = Fresh of bool | Replayed of bool
-(** How a hooked predicate evaluation was answered: by actually running the
-    tool ([Fresh]) or from a replayed/memoized source ([Replayed]). *)
-
-type hooks = {
-  on_improvement : (float -> int -> int -> unit) option;
-      (** called with (simulated time, classes, bytes) at every timeline
-          improvement — how the server streams progress *)
-  should_stop : (unit -> bool) option;
-      (** polled before every predicate run; [true] raises {!Cancelled} *)
-  evaluate : (key:string -> (unit -> bool) -> evaluation) option;
-      (** full interception of the tool run.  [key] is the hex digest of the
-          candidate sub-pool's serialized bytes (stable across processes, so
-          it can key a write-ahead journal); the thunk performs the real
-          decompile+recompile check.  The simulated clock has already been
-          charged when this is called, so replaying a memoized result keeps
-          [sim_time] — and hence the whole outcome — identical to a cold
-          run. *)
-  peek : (key:string -> bool option) option;
-      (** non-executing verdict lookup (e.g. into a replay journal), used
-          to gate speculative launches: an assignment whose verdict is
-          already known is never executed speculatively, so speculation
-          adds no fresh executions to a replayed workload *)
-}
-
-val default_hooks : hooks
-(** All fields [None]: exactly the unhooked behaviour. *)
-
-val run : ?cost:(Classpool.t -> float) -> strategy -> Corpus.instance -> outcome
+val run : strategy -> Corpus.instance -> outcome
 
 val run_with :
-  ?cost:(Classpool.t -> float) ->
-  ?hooks:hooks ->
+  ?hooks:Lbr_frontend.Run.hooks ->
   ?speculate:Lbr_runtime.Pool.t ->
   strategy ->
   Corpus.instance ->
   outcome * Classpool.t
-(** Like {!run} but also returns the final reduced pool (what the server
-    serializes back to the client), and threads [hooks] through the
-    driver.  [run] is [fst ∘ run_with ~hooks:default_hooks].
+(** Like {!run} but also returns the final reduced pool, and threads
+    [hooks] through the driver.  The instance's tool is resolved by name.
 
     [~speculate] (GBR only; the baselines ignore it) pipelines the
     reduction loop over the given worker pool via {!Lbr.Speculate}: probes
     and next-iteration builds for both branches of each pending verdict
     run speculatively, with the losing branch cancelled when the verdict
     lands.  Every outcome field except [wall_time] is byte-identical to
-    the sequential run.  Requires a deterministic [cost] function and a
-    fault-free tool (speculative workers execute the tool directly; with
-    {!Lbr_decompiler.Tool.Faults} injection the shared fault schedule's
-    draw order — hence byte-identity — is no longer guaranteed). *)
+    the sequential run. *)
 
-val run_corpus :
-  ?cost:(Classpool.t -> float) ->
-  ?jobs:int ->
-  strategy ->
-  Corpus.instance list ->
-  outcome list
+val run_corpus : ?jobs:int -> strategy -> Corpus.instance list -> outcome list
 (** Run one strategy over a list of instances, fanning them across a
     [Lbr_runtime.Pool] of [jobs] worker domains ([jobs] defaults to [1],
     which is exactly the sequential [List.map] over {!run}).  Outcomes come
@@ -109,17 +83,16 @@ val run_corpus :
     pure in their keys). *)
 
 val run_corpus_full :
-  ?cost:(Classpool.t -> float) ->
   ?jobs:int ->
-  ?hooks:(Corpus.instance -> hooks) ->
+  ?hooks:(Corpus.instance -> Lbr_frontend.Run.hooks) ->
   ?speculate:Lbr_runtime.Pool.t ->
   strategy ->
   Corpus.instance list ->
   (outcome * Classpool.t) list
 (** [run_corpus] that also returns each instance's final reduced pool and
     lets the caller attach per-instance hooks (the CLI uses [should_stop]
-    for graceful SIGINT/SIGTERM drain).  A {!Cancelled} raised by any
-    instance propagates after in-flight instances finish.  [~speculate]
-    is threaded to {!run_with} per instance — pair it with [jobs = 1]
-    (intra-instance parallelism from the speculation pool replaces
-    cross-instance fan-out). *)
+    for graceful SIGINT/SIGTERM drain).  A {!Lbr_frontend.Run.Cancelled}
+    raised by any instance propagates after in-flight instances finish.
+    [~speculate] is threaded to {!run_with} per instance — pair it with
+    [jobs = 1] (intra-instance parallelism from the speculation pool
+    replaces cross-instance fan-out). *)

@@ -150,6 +150,7 @@ module Packed = struct
     mutable conflict : bool;
     mutable units : int array;  (* stack of clauses pending unit propagation *)
     mutable units_len : int;
+    root_units : int array;  (* the input's unit clauses *)
   }
 
   let num_vars t = t.nvars
@@ -218,6 +219,11 @@ module Packed = struct
           c.pos)
       clause_arr;
     let free = Array.init nclauses (fun ci -> cstart.(ci + 1) - cstart.(ci)) in
+    (* [Cnf.make] never stores an empty clause (the formula is flagged
+       unsat instead), so length-1 clauses are exactly the input units. *)
+    let root_units =
+      Array.of_list (List.filter (fun ci -> free.(ci) = 1) (List.init nclauses Fun.id))
+    in
     let t =
       {
         nvars;
@@ -236,11 +242,11 @@ module Packed = struct
         conflict = cnf.unsat;
         units = Array.make 16 0;
         units_len = 0;
+        root_units;
       }
     in
-    (* Input unit clauses seed the propagation queue.  [Cnf.make] never
-       stores an empty clause (the formula is flagged unsat instead). *)
-    Array.iteri (fun ci f -> if f = 1 then push_unit t ci) free;
+    (* Input unit clauses seed the propagation queue. *)
+    Array.iter (push_unit t) root_units;
     t
 
   let assign t v b =
@@ -280,7 +286,11 @@ module Packed = struct
         sat_occ;
       Array.iter (fun ci -> t.free.(ci) <- t.free.(ci) + 1) fal_occ
     done;
+    (* Pending propagations are dropped, but an input unit clause the undo
+       made unsatisfied again must be re-queued, or the next propagation
+       would treat its variable as free. *)
     t.units_len <- 0;
+    Array.iter (fun ci -> if t.satcnt.(ci) = 0 then push_unit t ci) t.root_units;
     t.conflict <- t.root_unsat
 
   let propagate t =

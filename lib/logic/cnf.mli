@@ -91,7 +91,8 @@ module Packed : sig
 
   val undo_to : t -> int -> unit
   (** Unassign every variable above the mark, clear any pending unit
-      propagations, and reset the conflict flag. *)
+      propagations, re-queue the input's unit clauses that are no longer
+      satisfied, and reset the conflict flag. *)
 
   val conflicted : t -> bool
   (** Whether some clause has all literals false under the current

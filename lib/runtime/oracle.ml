@@ -1,5 +1,3 @@
-open Lbr_logic
-
 type crash_policy = Crash_fails | Crash_passes | Crash_raises
 
 type config = {
@@ -21,14 +19,8 @@ let default_config =
 
 exception Crashed of { oracle : string; attempts : int; reason : string }
 
-module AMap = Map.Make (struct
-  type t = Assignment.t
-
-  let compare = Assignment.compare
-end)
-
-(* An input currently being executed by a leader: concurrent queries for
-   the same input wait on [done_cond] instead of launching a duplicate
+(* A key currently being executed by a leader: concurrent queries for
+   the same key wait on [done_cond] instead of launching a duplicate
    black-box run.  [settled] flips exactly once, under the oracle mutex,
    when the leader finishes (successfully or not). *)
 type inflight = { mutable settled : bool; done_cond : Condition.t }
@@ -36,10 +28,9 @@ type inflight = { mutable settled : bool; done_cond : Condition.t }
 type t = {
   name : string;
   config : config;
-  black_box : Assignment.t -> bool;
   mutex : Mutex.t;
-  mutable memo : bool AMap.t;
-  mutable inflight : inflight AMap.t;
+  memo : (string, bool) Hashtbl.t;
+  inflight : (string, inflight) Hashtbl.t;
   mutable queries : int;
   mutable executions : int;
   mutable memo_hits : int;
@@ -48,15 +39,14 @@ type t = {
   mutable crashes : int;
 }
 
-let make ?(config = default_config) ?(name = "oracle") black_box =
+let make ?(config = default_config) ?(name = "oracle") () =
   if config.retries < 0 then invalid_arg "Oracle.make: retries must be >= 0";
   {
     name;
     config;
-    black_box;
     mutex = Mutex.create ();
-    memo = AMap.empty;
-    inflight = AMap.empty;
+    memo = Hashtbl.create 64;
+    inflight = Hashtbl.create 4;
     queries = 0;
     executions = 0;
     memo_hits = 0;
@@ -64,9 +54,6 @@ let make ?(config = default_config) ?(name = "oracle") black_box =
     timeouts = 0;
     crashes = 0;
   }
-
-let of_predicate ?config predicate =
-  make ?config ~name:(Lbr.Predicate.name predicate) (Lbr.Predicate.run predicate)
 
 let name t = t.name
 
@@ -98,7 +85,7 @@ let m_attempt_latency =
    [`Transient] worth retrying and [`Crash] not.  [attempt_no] is 1 for
    the first try; the trace span records it plus how the attempt was
    classified. *)
-let attempt t input ~attempt_no =
+let attempt t black_box ~attempt_no =
   locked t (fun () -> t.executions <- t.executions + 1);
   Lbr_obs.Metrics.incr (Lazy.force m_executions);
   let classification = ref "ok" in
@@ -116,7 +103,7 @@ let attempt t input ~attempt_no =
     Lbr_obs.Metrics.observe (Lazy.force m_attempt_latency) (Unix.gettimeofday () -. t0);
     r
   in
-  match t.black_box input with
+  match black_box () with
   | outcome -> (
       let elapsed = Unix.gettimeofday () -. t0 in
       match t.config.timeout with
@@ -138,9 +125,9 @@ let attempt t input ~attempt_no =
       classification := "crash";
       finish (Error (`Crash, "crash: " ^ Printexc.to_string e))
 
-let run t input =
+let run t ~key black_box =
   (* Memo lookup and in-flight arbitration under one lock: a second
-     concurrent query for an input already executing waits for the leader
+     concurrent query for a key already executing waits for the leader
      to settle, then re-reads the memo — so N racing domains cost one
      black-box execution, not N.  If the leader raised instead of
      memoizing (Crash_raises), the longest waiter takes over as the new
@@ -149,12 +136,12 @@ let run t input =
     Mutex.lock t.mutex;
     t.queries <- t.queries + 1;
     let rec decide () =
-      match AMap.find_opt input t.memo with
+      match Hashtbl.find_opt t.memo key with
       | Some outcome ->
           t.memo_hits <- t.memo_hits + 1;
           `Memo outcome
       | None -> (
-          match AMap.find_opt input t.inflight with
+          match Hashtbl.find_opt t.inflight key with
           | Some cell ->
               while not cell.settled do
                 Condition.wait cell.done_cond t.mutex
@@ -162,7 +149,7 @@ let run t input =
               decide ()
           | None ->
               let cell = { settled = false; done_cond = Condition.create () } in
-              t.inflight <- AMap.add input cell t.inflight;
+              Hashtbl.replace t.inflight key cell;
               `Leader cell)
     in
     let role = decide () in
@@ -186,11 +173,11 @@ let run t input =
           locked t (fun () ->
               cell.settled <- true;
               Condition.broadcast cell.done_cond;
-              t.inflight <- AMap.remove input t.inflight))
+              Hashtbl.remove t.inflight key))
       @@ fun () ->
       let max_attempts = t.config.retries + 1 in
       let rec go k =
-        match attempt t input ~attempt_no:k with
+        match attempt t black_box ~attempt_no:k with
         | Ok outcome -> Ok (outcome, k)
         | Error (`Transient, _reason) when k < max_attempts ->
             if t.config.backoff > 0.0 then
@@ -201,7 +188,7 @@ let run t input =
         | Error ((`Transient | `Crash), reason) -> Error (reason, k)
       in
       let memoize outcome =
-        locked t (fun () -> t.memo <- AMap.add input outcome t.memo);
+        locked t (fun () -> Hashtbl.replace t.memo key outcome);
         outcome
       in
       (match go 1 with
@@ -223,7 +210,7 @@ let crashes t = locked t (fun () -> t.crashes)
 
 let reset t =
   locked t (fun () ->
-      t.memo <- AMap.empty;
+      Hashtbl.reset t.memo;
       t.queries <- 0;
       t.executions <- 0;
       t.memo_hits <- 0;

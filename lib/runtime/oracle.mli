@@ -2,10 +2,12 @@
 
     [Lbr.Predicate] assumes the black box always returns; real tools
     (decompiler + compiler pipelines) are flaky — they crash, hang, or
-    fail transiently under load.  An oracle wraps a black box with:
+    fail transiently under load.  An oracle wraps black-box runs with:
 
-    - a thread-safe memo table, so concurrent reducers sharing one oracle
-      never pay for a repeated input;
+    - a thread-safe memo table keyed by the caller's digest of the input
+      (the daemon passes the candidate assignment's hex digest — the same
+      key its journal and the cluster cache use), so concurrent reducers
+      sharing one oracle never pay for a repeated input;
     - retry with exponential backoff for failures classified as transient
       by [config.transient] (and for advisory timeouts);
     - crash classification: once retries are exhausted, or on a
@@ -21,7 +23,7 @@
 
     Concurrency contract: {!run} may be called from any number of domains.
     Counters are mutex-guarded and exact.  Concurrent queries for the same
-    uncached input are deduplicated in flight: the first caller becomes the
+    uncached key are deduplicated in flight: the first caller becomes the
     leader and executes the black box (with retries); the others block until
     the leader settles, then re-read the memo — each waiter still counts as
     a query, and a waiter answered from the leader's memoized result counts
@@ -29,8 +31,6 @@
     ([Crash_raises]), one waiter takes over as the new leader, so a
     transiently-crashing input costs one full retry ladder per waking
     caller, never duplicate concurrent executions. *)
-
-open Lbr_logic
 
 type crash_policy =
   | Crash_fails  (** a crashed run counts as "bug not reproduced" *)
@@ -54,22 +54,18 @@ exception Crashed of { oracle : string; attempts : int; reason : string }
 
 type t
 
-val make : ?config:config -> ?name:string -> (Assignment.t -> bool) -> t
-(** Wrap a raw black box. *)
-
-val of_predicate : ?config:config -> Lbr.Predicate.t -> t
-(** Layer an oracle over an instrumented predicate: the predicate keeps
-    counting underlying executions, the oracle adds resilience on top.
-    (Both layers memoize; the predicate's table only ever sees inputs the
-    oracle retried past its own cache, so the double bookkeeping is
-    harmless.) *)
+val make : ?config:config -> ?name:string -> unit -> t
+(** A fresh oracle with an empty memo. *)
 
 val name : t -> string
 
-val run : t -> Assignment.t -> bool
-(** Evaluate with memoization, retry, and crash classification.  Outcomes
-    produced by crash classification ([Crash_fails] / [Crash_passes]) are
-    memoized too: a deterministic black box would crash again. *)
+val run : t -> key:string -> (unit -> bool) -> bool
+(** [run t ~key black_box] answers [key] from the memo, or runs
+    [black_box] with retry and crash classification and memoizes the
+    outcome under [key].  The caller guarantees that equal keys name equal
+    inputs.  Outcomes produced by crash classification ([Crash_fails] /
+    [Crash_passes]) are memoized too: a deterministic black box would
+    crash again. *)
 
 val queries : t -> int
 (** Total {!run} calls. *)
@@ -86,7 +82,7 @@ val timeouts : t -> int
 (** Attempts whose wall-clock time exceeded [config.timeout]. *)
 
 val crashes : t -> int
-(** Inputs whose outcome came from crash classification. *)
+(** Keys whose outcome came from crash classification. *)
 
 val reset : t -> unit
 (** Clear the memo table and all counters. *)

@@ -181,7 +181,7 @@ let run_job t job =
     match t.runner ctx job.spec with
     | Ok (stats, pool_bytes) -> Done (stats, pool_bytes)
     | Error reason -> Failed reason
-    | exception Lbr_harness.Experiment.Cancelled -> Cancelled
+    | exception Lbr_frontend.Run.Cancelled -> Cancelled
     | exception exn -> Failed (Printexc.to_string exn)
   in
   (match t.journal with

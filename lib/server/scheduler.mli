@@ -49,7 +49,7 @@ type runner_ctx = {
 
 type runner = runner_ctx -> Wire.spec -> (Wire.stats * string, string) result
 (** Executes one job; [Ok (stats, reduced_pool_bytes)] or [Error reason].
-    Raising [Lbr_harness.Experiment.Cancelled] ends the job as
+    Raising [Lbr_frontend.Run.Cancelled] ends the job as
     {!Cancelled}; any other exception as {!Failed}.  The production runner
     is {!Runner.reduce}; tests inject stubs. *)
 

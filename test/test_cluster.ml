@@ -400,10 +400,9 @@ let test_cluster_warm_cache_resubmission () =
       Alcotest.(check int) "cold run replays nothing" 0 stats.Wire.replayed_runs);
   check_done id2 (fun (stats : Wire.stats) bytes ->
       Alcotest.(check string) "warm run byte-identical" ref_bytes bytes;
-      Alcotest.(check int) "warm run replays every verdict" stats.Wire.predicate_runs
-        stats.Wire.replayed_runs;
-      Alcotest.(check bool) "warm run executed nothing fresh" true
-        (stats.Wire.replayed_runs > 0));
+      Alcotest.(check int) "warm run replays every verdict, validation included"
+        (stats.Wire.predicate_runs + 1) stats.Wire.replayed_runs;
+      Alcotest.(check int) "warm run executed nothing fresh" 0 stats.Wire.tool_executions);
   Alcotest.(check bool) "cluster cache hits counted" true
     (counter_value "lbr_cluster_cache_hits_total" - hits0 > 0);
   backend.Server.b_drain ();

@@ -390,7 +390,7 @@ let test_speculate_byte_identical () =
         (fun jobs ->
           Lbr_runtime.Pool.with_pool ~jobs @@ fun pool ->
           let o, printed =
-            ok_exn "speculative" (Run.reduce_text ~pool ~speculate:true packed ~text ~spec)
+            ok_exn "speculative" (Run.reduce_text ~speculate:pool packed ~text ~spec)
           in
           let ctx f = Printf.sprintf "%s jobs=%d: %s" fe jobs f in
           Alcotest.(check string) (ctx "byte-identical output") seq_printed printed;
@@ -448,8 +448,7 @@ let test_speculate_replay_launches_nothing () =
   ( Lbr_runtime.Pool.with_pool ~jobs:2 @@ fun pool ->
     let o, printed =
       ok_exn "replayed run"
-        (Run.reduce_text ~hooks:replay_hooks ~pool ~speculate:true packed ~text:php_text
-           ~spec:"")
+        (Run.reduce_text ~hooks:replay_hooks ~speculate:pool packed ~text:php_text ~spec:"")
     in
     Alcotest.(check string) "byte-identical output" seq_printed printed;
     Alcotest.(check int) "no fresh executions on replay" 0 !fresh;

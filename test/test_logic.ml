@@ -323,6 +323,26 @@ let test_packed_unsat_formula () =
   Alcotest.(check bool) "second solve: still unsat" true
     (Cnf.Packed.solve p ~assume_true:[] ~assume_false:[] = None)
 
+(* Found by packed-prop under QCHECK_SEED=880563440: after the first
+   solve's [undo_to], the input unit clause [-6] must still propagate, or
+   the second solve branches on variable 5 as if it were free and returns
+   a different model. *)
+let test_packed_units_survive_solve () =
+  match Dimacs.of_string "p cnf 6 5\n-3 -6 0\n-1 5 0\n5 6 0\n2 3 0\n-6 0\n" with
+  | Error m -> Alcotest.failf "dimacs: %s" m
+  | Ok cnf ->
+      let p = Cnf.Packed.make cnf in
+      let solve () = Cnf.Packed.solve p ~assume_true:[] ~assume_false:[] in
+      let first = solve () in
+      let second = solve () in
+      let model = function
+        | Some m -> Assignment.to_list m
+        | None -> Alcotest.fail "satisfiable formula reported unsat"
+      in
+      Alcotest.(check (list int)) "second solve, same model" (model first) (model second);
+      Alcotest.(check bool) "model satisfies the formula" true
+        (Cnf.holds cnf (Option.get second))
+
 let test_cnf_num_clauses_cached () =
   let a = Cnf.make [ Clause.edge 0 1; Clause.unit_pos 2 ] in
   let b = Cnf.add_clause a (Clause.edge 2 3) in
@@ -402,6 +422,7 @@ let () =
         [
           Alcotest.test_case "counters and undo" `Quick test_packed_counters;
           Alcotest.test_case "unsat survives restore" `Quick test_packed_unsat_formula;
+          Alcotest.test_case "input units survive solve" `Quick test_packed_units_survive_solve;
           Alcotest.test_case "num_clauses cached" `Quick test_cnf_num_clauses_cached;
         ] );
       qsuite "packed-prop"

@@ -70,23 +70,28 @@ let test_parallel_counter_updates () =
 
 let assignment_of_int n = Assignment.of_list [ n ]
 
+(* Query [oracle] the way the daemon does: keyed on the input's digest,
+   with the black box applied to the input as the thunk. *)
+let query oracle box input =
+  Oracle.run oracle ~key:(Assignment.digest_hex input) (fun () -> box input)
+
 let test_oracle_memo_and_counters () =
   let executions = ref 0 in
-  let oracle =
-    Oracle.make ~name:"parity" (fun a ->
-        incr executions;
-        Assignment.cardinal a mod 2 = 0)
+  let oracle = Oracle.make ~name:"parity" () in
+  let parity a =
+    incr executions;
+    Assignment.cardinal a mod 2 = 0
   in
   let input = Assignment.of_list [ 1; 2 ] in
-  Alcotest.(check bool) "first run" true (Oracle.run oracle input);
-  Alcotest.(check bool) "second run (memoized)" true (Oracle.run oracle input);
+  Alcotest.(check bool) "first run" true (query oracle parity input);
+  Alcotest.(check bool) "second run (memoized)" true (query oracle parity input);
   Alcotest.(check int) "one underlying execution" 1 !executions;
   Alcotest.(check int) "executions counter" 1 (Oracle.executions oracle);
   Alcotest.(check int) "two queries" 2 (Oracle.queries oracle);
   Alcotest.(check int) "one memo hit" 1 (Oracle.memo_hits oracle);
   Oracle.reset oracle;
   Alcotest.(check int) "reset clears queries" 0 (Oracle.queries oracle);
-  Alcotest.(check bool) "runs again after reset" true (Oracle.run oracle input);
+  Alcotest.(check bool) "runs again after reset" true (query oracle parity input);
   Alcotest.(check int) "re-executed after reset" 2 !executions
 
 let transient_filter = function Lbr_decompiler.Tool.Transient_failure _ -> true | _ -> false
@@ -97,19 +102,19 @@ let test_oracle_retry_recovers () =
   let config =
     { Oracle.default_config with retries = 2; transient = transient_filter }
   in
-  let oracle =
-    Oracle.make ~config ~name:"flaky" (fun a ->
-        let k = try Hashtbl.find attempts a with Not_found -> 0 in
-        Hashtbl.replace attempts a (k + 1);
-        if k = 0 then raise (Lbr_decompiler.Tool.Transient_failure "first attempt fails");
-        Assignment.cardinal a mod 2 = 0)
+  let oracle = Oracle.make ~config ~name:"flaky" () in
+  let flaky a =
+    let k = try Hashtbl.find attempts a with Not_found -> 0 in
+    Hashtbl.replace attempts a (k + 1);
+    if k = 0 then raise (Lbr_decompiler.Tool.Transient_failure "first attempt fails");
+    Assignment.cardinal a mod 2 = 0
   in
   List.iter
     (fun n ->
       Alcotest.(check bool)
         (Printf.sprintf "input %d recovered" n)
         (Assignment.cardinal (assignment_of_int n) mod 2 = 0)
-        (Oracle.run oracle (assignment_of_int n)))
+        (query oracle flaky (assignment_of_int n)))
     [ 1; 2; 3 ];
   Alcotest.(check int) "one retry per input" 3 (Oracle.retries_used oracle);
   Alcotest.(check int) "two attempts per input" 6 (Oracle.executions oracle);
@@ -119,21 +124,23 @@ let crashing_box _ = raise (Lbr_decompiler.Tool.Tool_crash "simulated segfault")
 
 let test_oracle_crash_policy_fails () =
   let config = { Oracle.default_config with crash_policy = Oracle.Crash_fails } in
-  let oracle = Oracle.make ~config ~name:"crashy" crashing_box in
-  Alcotest.(check bool) "crash maps to false" false (Oracle.run oracle (assignment_of_int 1));
+  let oracle = Oracle.make ~config ~name:"crashy" () in
+  Alcotest.(check bool) "crash maps to false" false
+    (query oracle crashing_box (assignment_of_int 1));
   Alcotest.(check int) "crash counted" 1 (Oracle.crashes oracle);
   (* the mapped outcome is memoized: no second execution *)
-  Alcotest.(check bool) "memoized" false (Oracle.run oracle (assignment_of_int 1));
+  Alcotest.(check bool) "memoized" false (query oracle crashing_box (assignment_of_int 1));
   Alcotest.(check int) "single execution" 1 (Oracle.executions oracle)
 
 let test_oracle_crash_policy_passes () =
   let config = { Oracle.default_config with crash_policy = Oracle.Crash_passes } in
-  let oracle = Oracle.make ~config ~name:"crashy" crashing_box in
-  Alcotest.(check bool) "crash maps to true" true (Oracle.run oracle (assignment_of_int 1))
+  let oracle = Oracle.make ~config ~name:"crashy" () in
+  Alcotest.(check bool) "crash maps to true" true
+    (query oracle crashing_box (assignment_of_int 1))
 
 let test_oracle_crash_policy_raises () =
-  let oracle = Oracle.make ~name:"crashy" crashing_box in
-  (match Oracle.run oracle (assignment_of_int 1) with
+  let oracle = Oracle.make ~name:"crashy" () in
+  (match query oracle crashing_box (assignment_of_int 1) with
   | (_ : bool) -> Alcotest.fail "expected Oracle.Crashed"
   | exception Oracle.Crashed { oracle = name; attempts; reason } ->
       Alcotest.(check string) "oracle name" "crashy" name;
@@ -153,12 +160,10 @@ let test_oracle_transient_exhaustion_classified () =
       crash_policy = Oracle.Crash_fails;
     }
   in
-  let oracle =
-    Oracle.make ~config ~name:"always-flaky" (fun _ ->
-        raise (Lbr_decompiler.Tool.Transient_failure "still failing"))
-  in
+  let oracle = Oracle.make ~config ~name:"always-flaky" () in
   Alcotest.(check bool) "exhaustion maps to false" false
-    (Oracle.run oracle (assignment_of_int 1));
+    (Oracle.run oracle ~key:"k" (fun () ->
+         raise (Lbr_decompiler.Tool.Transient_failure "still failing")));
   Alcotest.(check int) "three attempts" 3 (Oracle.executions oracle);
   Alcotest.(check int) "two retries" 2 (Oracle.retries_used oracle);
   Alcotest.(check int) "one crash classified" 1 (Oracle.crashes oracle)
@@ -175,22 +180,23 @@ let test_oracle_advisory_timeout () =
       crash_policy = Oracle.Crash_fails;
     }
   in
-  let oracle = Oracle.make ~config ~name:"slow" (fun _ -> true) in
-  Alcotest.(check bool) "timeout maps to false" false (Oracle.run oracle (assignment_of_int 1));
+  let oracle = Oracle.make ~config ~name:"slow" () in
+  Alcotest.(check bool) "timeout maps to false" false (Oracle.run oracle ~key:"k" (fun () -> true));
   Alcotest.(check int) "both attempts timed out" 2 (Oracle.timeouts oracle);
   Alcotest.(check int) "one retry" 1 (Oracle.retries_used oracle);
   Alcotest.(check int) "classified as crash" 1 (Oracle.crashes oracle)
 
-let test_oracle_of_predicate_layers () =
-  let predicate =
-    Lbr.Predicate.make ~name:"layered" (fun a -> Assignment.cardinal a mod 2 = 0)
-  in
-  let oracle = Oracle.of_predicate predicate in
-  Alcotest.(check string) "name inherited" "layered" (Oracle.name oracle);
-  Alcotest.(check bool) "runs through" false (Oracle.run oracle (assignment_of_int 3));
-  Alcotest.(check bool) "memo hit on oracle layer" false
-    (Oracle.run oracle (assignment_of_int 3));
-  Alcotest.(check int) "predicate saw one execution" 1 (Lbr.Predicate.runs predicate)
+(* The key alone decides memo hits: a second query under a known key is
+   answered without running its thunk, whatever the thunk would say. *)
+let test_oracle_memo_keyed_on_digest () =
+  let oracle = Oracle.make ~name:"keyed" () in
+  Alcotest.(check string) "name" "keyed" (Oracle.name oracle);
+  Alcotest.(check bool) "first key runs" false (Oracle.run oracle ~key:"a" (fun () -> false));
+  Alcotest.(check bool) "same key, memoized verdict" false
+    (Oracle.run oracle ~key:"a" (fun () -> Alcotest.fail "thunk ran on a memo hit"));
+  Alcotest.(check bool) "other key runs" true (Oracle.run oracle ~key:"b" (fun () -> true));
+  Alcotest.(check int) "two executions" 2 (Oracle.executions oracle);
+  Alcotest.(check int) "one memo hit" 1 (Oracle.memo_hits oracle)
 
 (* In-flight dedup: concurrent queries for one uncached input must cost a
    single black-box execution.  The leader's black box blocks until the
@@ -200,18 +206,17 @@ let test_oracle_of_predicate_layers () =
    assertions are scheduling-independent. *)
 let test_oracle_inflight_dedup () =
   let executing = Atomic.make false and release = Atomic.make false in
-  let oracle =
-    Oracle.make ~name:"dedup" (fun _ ->
-        Atomic.set executing true;
-        while not (Atomic.get release) do
-          Unix.sleepf 0.001
-        done;
-        true)
+  let oracle = Oracle.make ~name:"dedup" () in
+  let blocking () =
+    Atomic.set executing true;
+    while not (Atomic.get release) do
+      Unix.sleepf 0.001
+    done;
+    true
   in
-  let input = Assignment.of_list [ 1; 2; 3 ] in
   Pool.with_pool ~jobs:4 (fun pool ->
       let futures =
-        List.init 4 (fun _ -> Pool.submit pool (fun () -> Oracle.run oracle input))
+        List.init 4 (fun _ -> Pool.submit pool (fun () -> Oracle.run oracle ~key:"k" blocking))
       in
       while not (Atomic.get executing) do
         Unix.sleepf 0.001
@@ -229,24 +234,23 @@ let test_oracle_inflight_dedup () =
 let test_oracle_inflight_leader_crash_takeover () =
   let calls = Atomic.make 0 in
   let executing = Atomic.make false and release = Atomic.make false in
-  let oracle =
-    Oracle.make ~name:"takeover" (fun _ ->
-        if Atomic.fetch_and_add calls 1 = 0 then begin
-          Atomic.set executing true;
-          while not (Atomic.get release) do
-            Unix.sleepf 0.001
-          done;
-          raise (Lbr_decompiler.Tool.Tool_crash "leader dies")
-        end
-        else true)
+  let oracle = Oracle.make ~name:"takeover" () in
+  let leader_dies () =
+    if Atomic.fetch_and_add calls 1 = 0 then begin
+      Atomic.set executing true;
+      while not (Atomic.get release) do
+        Unix.sleepf 0.001
+      done;
+      raise (Lbr_decompiler.Tool.Tool_crash "leader dies")
+    end
+    else true
   in
-  let input = assignment_of_int 7 in
   let outcomes =
     Pool.with_pool ~jobs:2 (fun pool ->
         let futures =
           List.init 2 (fun _ ->
               Pool.submit pool (fun () ->
-                  match Oracle.run oracle input with
+                  match Oracle.run oracle ~key:"k" leader_dies with
                   | b -> `Ok b
                   | exception Oracle.Crashed _ -> `Crashed))
         in
@@ -261,7 +265,8 @@ let test_oracle_inflight_leader_crash_takeover () =
   Alcotest.(check int) "one crash" 1 (Oracle.crashes oracle);
   Alcotest.(check bool) "one caller saw the crash" true (List.mem `Crashed outcomes);
   Alcotest.(check bool) "one caller got the verdict" true (List.mem (`Ok true) outcomes);
-  Alcotest.(check bool) "takeover memoized the verdict" true (Oracle.run oracle input)
+  Alcotest.(check bool) "takeover memoized the verdict" true
+    (Oracle.run oracle ~key:"k" (fun () -> Alcotest.fail "memoized verdict re-ran"))
 
 (* ------------------------------------------------------------------ *)
 (* Fault injection through the simulated decompiler                   *)
@@ -284,17 +289,15 @@ let test_faulty_tool_oracle_recovers () =
   in
   (* The oracle's black box compares a (here: fixed) candidate's errors
      against the clean baseline; flaky runs raise and must be retried. *)
-  let oracle =
-    Oracle.make ~config ~name:"faulty-cfr" (fun _ ->
-        Lbr_decompiler.Tool.errors faulty pool = clean_errors)
-  in
-  (* distinct inputs so the memo does not absorb the repetitions *)
+  let oracle = Oracle.make ~config ~name:"faulty-cfr" () in
+  (* distinct keys so the memo does not absorb the repetitions *)
   List.iter
     (fun n ->
       Alcotest.(check bool)
         (Printf.sprintf "call %d recovered the clean outcome" n)
         true
-        (Oracle.run oracle (assignment_of_int n)))
+        (Oracle.run oracle ~key:(string_of_int n) (fun () ->
+             Lbr_decompiler.Tool.errors faulty pool = clean_errors)))
     (List.init 20 Fun.id);
   Alcotest.(check bool) "the schedule did inject flakiness" true
     (Lbr_decompiler.Tool.Faults.injected_flaky faults > 0);
@@ -307,11 +310,8 @@ let test_faulty_tool_crash_policies () =
     let faults = Lbr_decompiler.Tool.Faults.make ~crash_rate:1.0 ~seed:3 () in
     let faulty = Lbr_decompiler.Tool.with_faults faults Lbr_decompiler.Tool.procyon_sim in
     let config = { Oracle.default_config with crash_policy = policy } in
-    let oracle =
-      Oracle.make ~config ~name:"crashing-procyon" (fun _ ->
-          Lbr_decompiler.Tool.errors faulty pool <> [])
-    in
-    Oracle.run oracle (assignment_of_int 0)
+    let oracle = Oracle.make ~config ~name:"crashing-procyon" () in
+    Oracle.run oracle ~key:"0" (fun () -> Lbr_decompiler.Tool.errors faulty pool <> [])
   in
   Alcotest.(check bool) "Crash_fails" false (run_with Oracle.Crash_fails);
   Alcotest.(check bool) "Crash_passes" true (run_with Oracle.Crash_passes);
@@ -435,7 +435,7 @@ let () =
           Alcotest.test_case "transient exhaustion" `Quick
             test_oracle_transient_exhaustion_classified;
           Alcotest.test_case "advisory timeout" `Quick test_oracle_advisory_timeout;
-          Alcotest.test_case "layers over Predicate" `Quick test_oracle_of_predicate_layers;
+          Alcotest.test_case "memo is keyed on the digest" `Quick test_oracle_memo_keyed_on_digest;
           Alcotest.test_case "in-flight dedup" `Quick test_oracle_inflight_dedup;
           Alcotest.test_case "leader crash takeover" `Quick
             test_oracle_inflight_leader_crash_takeover;

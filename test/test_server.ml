@@ -257,18 +257,37 @@ let prop_wire_decode_never_raises =
     (fun data ->
       match Wire.decode_payload data with Ok _ | Error _ -> true)
 
+let payload_of msg =
+  let frame = Wire.encode msg in
+  String.sub frame 4 (String.length frame - 4)
+
+(* Cut sample message [i]'s payload at [cut]‰ of its length (strictly
+   short of the whole).  The prefix must decode to [Error], or to a
+   message whose own encoding is exactly the prefix: a cut just before a
+   message's trailing optional fields (a [Verdict]'s trace context) leaves
+   a valid, shorter message. *)
+let truncated_sample (i, cut) =
+  let payload = payload_of (List.nth sample_messages i) in
+  String.sub payload 0 (cut * (String.length payload - 1) / 1000)
+
 let prop_wire_truncation_rejected =
   QCheck.Test.make ~count:300 ~name:"truncated payloads decode to Error or valid prefix"
     QCheck.(pair (int_bound (List.length sample_messages - 1)) (int_bound 1000))
-    (fun (i, cut) ->
-      let msg = List.nth sample_messages i in
-      let frame = Wire.encode msg in
-      let payload = String.sub frame 4 (String.length frame - 4) in
-      let keep = cut * (String.length payload - 1) / 1000 in
-      let truncated = String.sub payload 0 keep in
+    (fun case ->
+      let truncated = truncated_sample case in
       match Wire.decode_payload truncated with
-      | Ok _ -> false (* a strict prefix can never be a whole message *)
+      | Ok m' -> payload_of m' = truncated
       | Error _ -> true)
+
+(* Found by wire-prop under QCHECK_SEED=806480512: a traced Verdict cut
+   just before its context fields is a whole, context-free Verdict. *)
+let test_wire_truncated_verdict_is_valid_prefix () =
+  let truncated = truncated_sample (8, 579) in
+  match Wire.decode_payload truncated with
+  | Ok (Wire.Verdict { ctx = None; _ } as m) ->
+      Alcotest.(check string) "re-encodes to exactly the cut bytes" truncated (payload_of m)
+  | Ok _ -> Alcotest.fail "the cut decoded to some other message"
+  | Error m -> Alcotest.failf "the cut no longer lands on a field boundary: %s" m
 
 let prop_wire_bitflip_never_raises =
   QCheck.Test.make ~count:300 ~name:"bit-flipped payloads never raise"
@@ -527,7 +546,7 @@ let trivial_stats =
 let gated_runner gate started (ctx : Scheduler.runner_ctx) (_ : Wire.spec) =
   Atomic.incr started;
   while not (Atomic.get gate) do
-    if ctx.should_stop () then raise Lbr_harness.Experiment.Cancelled;
+    if ctx.should_stop () then raise Lbr_frontend.Run.Cancelled;
     Thread.delay 0.002
   done;
   Ok (trivial_stats, ctx.job_id)
@@ -783,13 +802,13 @@ let test_hooks_passthrough_identical () =
   let keys = ref 0 in
   let hooks =
     {
-      Lbr_harness.Experiment.default_hooks with
+      Lbr_frontend.Run.default_hooks with
       evaluate =
         Some
           (fun ~key thunk ->
             Alcotest.(check int) "digest key length" 32 (String.length key);
             incr keys;
-            Lbr_harness.Experiment.Fresh (thunk ()));
+            Lbr_frontend.Run.Fresh (thunk ()));
     }
   in
   let outcome, final =
@@ -797,9 +816,95 @@ let test_hooks_passthrough_identical () =
   in
   Alcotest.(check string) "hooked run is byte-identical" reference
     (Lbr_jvm.Serialize.to_bytes final);
-  Alcotest.(check int) "every predicate run passed through the hook" outcome.predicate_runs
-    !keys;
+  Alcotest.(check int) "every predicate run and the validation run passed through the hook"
+    (outcome.predicate_runs + 1) !keys;
   Alcotest.(check int) "pass-through replays nothing" 0 outcome.replayed_runs
+
+(* ------------------------------------------------------------------ *)
+(* Runner accounting: one verdict path for every frontend and strategy  *)
+
+(* The pigeonhole core also reduced in the frontend suite. *)
+let php_cnf =
+  "c lbr keep 1\np cnf 8 11\n1 2 0\n3 4 0\n5 6 0\n-1 -3 0\n-1 -5 0\n-3 -5 0\n-2 -4 0\n\
+   -2 -6 0\n-4 -6 0\n7 8 0\n-7 8 0\n"
+
+let dimacs_spec =
+  { (spec_of_seed ~classes:6 1) with Wire.frontend = "dimacs"; pool_bytes = php_cnf }
+
+(* A runner context over an in-memory journal: [record] appends every
+   fresh verdict to [journal]; [replay] answers what an earlier run wrote. *)
+let runner_ctx ?(should_stop = fun () -> false) ~replay journal =
+  {
+    Scheduler.job_id = "runner-test";
+    should_stop;
+    progress = (fun _ _ _ -> ());
+    replay;
+    record = (fun ~key ~ok ~latency:_ ~retries:_ -> journal := (key, ok) :: !journal);
+  }
+
+let runner_ok ctx spec =
+  match Runner.reduce ctx spec with Ok r -> r | Error m -> Alcotest.failf "runner: %s" m
+
+(* A cold run executes the tool exactly once per journaled verdict — the
+   validation run included — and replaying that journal reproduces the
+   output byte for byte without executing anything. *)
+let check_fresh_then_replayed label spec =
+  let ctx f = Printf.sprintf "%s: %s" label f in
+  let journal = ref [] in
+  let cold, cold_out = runner_ok (runner_ctx ~replay:(Hashtbl.create 1) journal) spec in
+  Alcotest.(check int) (ctx "tool_executions = fresh verdicts journaled")
+    (List.length !journal) cold.Wire.tool_executions;
+  Alcotest.(check int) (ctx "cold run replays nothing") 0 cold.Wire.replayed_runs;
+  let replay = Hashtbl.create 64 in
+  List.iter (fun (key, ok) -> Hashtbl.replace replay key ok) !journal;
+  let rejournal = ref [] in
+  let warm, warm_out = runner_ok (runner_ctx ~replay rejournal) spec in
+  Alcotest.(check string) (ctx "replay byte-identical") cold_out warm_out;
+  Alcotest.(check int) (ctx "replay executes nothing") 0 warm.Wire.tool_executions;
+  Alcotest.(check int) (ctx "replay journals nothing") 0 (List.length !rejournal);
+  Alcotest.(check int) (ctx "every verdict replayed") cold.Wire.tool_executions
+    warm.Wire.replayed_runs;
+  Alcotest.(check int) (ctx "same predicate runs") cold.Wire.predicate_runs
+    warm.Wire.predicate_runs;
+  Alcotest.(check (float 1e-9)) (ctx "same simulated time") cold.Wire.sim_time warm.Wire.sim_time
+
+let test_runner_gbr_executions_match_journal () =
+  check_fresh_then_replayed "jvm" (spec_of_seed ~classes:16 21);
+  check_fresh_then_replayed "dimacs" dimacs_spec
+
+let baselines = Lbr_harness.Experiment.[ Jreduce; Lossy_first; Lossy_last ]
+
+let test_runner_baselines_replay () =
+  List.iter
+    (fun strategy ->
+      let spec = spec_of_seed ~classes:16 ~strategy 21 in
+      check_fresh_then_replayed (Lbr_harness.Experiment.strategy_name strategy) spec;
+      let _, reference = reference_run ~classes:16 ~strategy 21 in
+      let _, out = runner_ok (runner_ctx ~replay:(Hashtbl.create 1) (ref [])) spec in
+      Alcotest.(check string) "runner matches the harness" reference out)
+    baselines
+
+(* [should_stop] firing partway through a baseline ends the job as
+   Cancelled, exactly as it does for GBR. *)
+let test_runner_baseline_cancelled () =
+  List.iter
+    (fun strategy ->
+      let polls = Atomic.make 0 in
+      let runner (ctx : Scheduler.runner_ctx) spec =
+        Runner.reduce { ctx with should_stop = (fun () -> Atomic.fetch_and_add polls 1 >= 3) } spec
+      in
+      let sched = Scheduler.create ~runner ~jobs:1 ~queue_depth:2 () in
+      (match Scheduler.submit sched (spec_of_seed ~classes:16 ~strategy 21) with
+      | Error _ -> Alcotest.fail "submission rejected"
+      | Ok id -> (
+          match Scheduler.await sched id with
+          | Scheduler.Cancelled -> ()
+          | _ ->
+              Alcotest.failf "%s: not cancelled"
+                (Lbr_harness.Experiment.strategy_name strategy)));
+      Alcotest.(check bool) "stopped mid-run" true (Atomic.get polls > 3);
+      Scheduler.shutdown sched)
+    baselines
 
 (* ------------------------------------------------------------------ *)
 (* Socket server end to end                                            *)
@@ -1039,7 +1144,7 @@ let test_server_v3_verdict_stream () =
           | Error m -> Alcotest.failf "submit: %s" m
           | Ok (_, stats, _) ->
               Alcotest.(check int) "one Verdict per fresh evaluation"
-                stats.Wire.predicate_runs !verdicts;
+                stats.Wire.tool_executions !verdicts;
               Alcotest.(check bool) "evaluations happened" true (!verdicts > 0)))
 
 (* Submit_seeded is v3 vocabulary; on a v2 connection it is a protocol
@@ -1195,6 +1300,8 @@ let () =
           Alcotest.test_case "empty frame" `Quick test_wire_empty_frame_is_malformed;
           Alcotest.test_case "spec string roundtrip" `Quick test_spec_string_roundtrip;
           Alcotest.test_case "tcp roundtrip + clean close" `Quick test_wire_tcp_roundtrip;
+          Alcotest.test_case "truncated traced Verdict is a valid prefix" `Quick
+            test_wire_truncated_verdict_is_valid_prefix;
         ] );
       qsuite "wire-prop"
         [ prop_wire_decode_never_raises; prop_wire_truncation_rejected;
@@ -1229,6 +1336,12 @@ let () =
             test_journal_replay_resumes_with_fewer_executions;
           Alcotest.test_case "pass-through hooks change nothing" `Quick
             test_hooks_passthrough_identical;
+          Alcotest.test_case "gbr executions match the journal" `Quick
+            test_runner_gbr_executions_match_journal;
+          Alcotest.test_case "baselines replay with no executions" `Quick
+            test_runner_baselines_replay;
+          Alcotest.test_case "should_stop cancels a baseline" `Quick
+            test_runner_baseline_cancelled;
         ] );
       ( "socket",
         [
