@@ -142,6 +142,12 @@ let run_with ?hooks ?speculate strategy (instance : Corpus.instance) =
         ("strategy", Lbr_obs.Trace.Str (strategy_name strategy));
       ])
   @@ fun () ->
+  (* The predicate is resolved from the tool's name, so a variant of a
+     built-in tool (e.g. one with injected faults) would be swapped for the
+     clean tool; refuse it instead. *)
+  if not (List.memq instance.tool Lbr_decompiler.Tool.all) then
+    invalid_arg
+      ("Experiment.run_with: " ^ instance.tool.name ^ " is not one of Tool.all");
   let pool = instance.benchmark.pool in
   match reduce ?hooks ?speculate strategy pool ~spec:instance.tool.name with
   | Error m -> invalid_arg ("Experiment.run_with: " ^ m)

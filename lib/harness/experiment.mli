@@ -64,7 +64,13 @@ val run_with :
   Corpus.instance ->
   outcome * Classpool.t
 (** Like {!run} but also returns the final reduced pool, and threads
-    [hooks] through the driver.  The instance's tool is resolved by name.
+    [hooks] through the driver.  The predicate is built by
+    {!Lbr_frontend.Jvm.tool_predicate} from the instance's tool name, which
+    recomputes the baseline errors; [instance.baseline_errors] is not read.
+    Raises [Invalid_argument] if [instance.tool] is not physically one of
+    {!Lbr_decompiler.Tool.all}: a {!Lbr_decompiler.Tool.with_faults}
+    variant or a custom tool would otherwise be silently replaced by the
+    built-in tool of the same name.
 
     [~speculate] (GBR only; the baselines ignore it) pipelines the
     reduction loop over the given worker pool via {!Lbr.Speculate}: probes

@@ -150,7 +150,6 @@ module Packed = struct
     mutable conflict : bool;
     mutable units : int array;  (* stack of clauses pending unit propagation *)
     mutable units_len : int;
-    root_units : int array;  (* the input's unit clauses *)
   }
 
   let num_vars t = t.nvars
@@ -219,11 +218,6 @@ module Packed = struct
           c.pos)
       clause_arr;
     let free = Array.init nclauses (fun ci -> cstart.(ci + 1) - cstart.(ci)) in
-    (* [Cnf.make] never stores an empty clause (the formula is flagged
-       unsat instead), so length-1 clauses are exactly the input units. *)
-    let root_units =
-      Array.of_list (List.filter (fun ci -> free.(ci) = 1) (List.init nclauses Fun.id))
-    in
     let t =
       {
         nvars;
@@ -242,12 +236,15 @@ module Packed = struct
         conflict = cnf.unsat;
         units = Array.make 16 0;
         units_len = 0;
-        root_units;
       }
     in
     (* Input unit clauses seed the propagation queue. *)
-    Array.iter (push_unit t) root_units;
+    Array.iteri (fun ci n -> if n = 1 then push_unit t ci) free;
     t
+
+  (* [Cnf.make] never stores an empty clause (the formula is flagged unsat
+     instead), so length-1 clauses are exactly the input units. *)
+  let is_input_unit t ci = t.cstart.(ci + 1) - t.cstart.(ci) = 1
 
   let assign t v b =
     Bytes.unsafe_set t.value v (if b then '\001' else '\002');
@@ -270,7 +267,21 @@ module Packed = struct
         end)
       fal_occ
 
+  (* Pending propagations are dropped, except input unit clauses: those hold
+     at every trail position, so one still queued, or one the undo leaves
+     unsatisfied again, must stay queued or the next propagation would
+     treat its variable as free.  The work is proportional to the queue
+     and the undone trail, never to the number of input units. *)
   let undo_to t m =
+    let kept = ref 0 in
+    for i = 0 to t.units_len - 1 do
+      let ci = t.units.(i) in
+      if is_input_unit t ci then begin
+        t.units.(!kept) <- ci;
+        incr kept
+      end
+    done;
+    t.units_len <- !kept;
     while t.trail_len > m do
       t.trail_len <- t.trail_len - 1;
       let v = t.trail.(t.trail_len) in
@@ -282,15 +293,17 @@ module Packed = struct
         (fun ci ->
           t.free.(ci) <- t.free.(ci) + 1;
           t.satcnt.(ci) <- t.satcnt.(ci) - 1;
-          if t.satcnt.(ci) = 0 then t.active <- t.active + 1)
+          if t.satcnt.(ci) = 0 then begin
+            t.active <- t.active + 1;
+            if is_input_unit t ci then push_unit t ci
+          end)
         sat_occ;
-      Array.iter (fun ci -> t.free.(ci) <- t.free.(ci) + 1) fal_occ
+      Array.iter
+        (fun ci ->
+          t.free.(ci) <- t.free.(ci) + 1;
+          if t.satcnt.(ci) = 0 && is_input_unit t ci then push_unit t ci)
+        fal_occ
     done;
-    (* Pending propagations are dropped, but an input unit clause the undo
-       made unsatisfied again must be re-queued, or the next propagation
-       would treat its variable as free. *)
-    t.units_len <- 0;
-    Array.iter (fun ci -> if t.satcnt.(ci) = 0 then push_unit t ci) t.root_units;
     t.conflict <- t.root_unsat
 
   let propagate t =

@@ -91,8 +91,10 @@ module Packed : sig
 
   val undo_to : t -> int -> unit
   (** Unassign every variable above the mark, clear any pending unit
-      propagations, re-queue the input's unit clauses that are no longer
-      satisfied, and reset the conflict flag. *)
+      propagations except the input's unit clauses (those still queued,
+      and those the undo leaves unsatisfied, stay queued), and reset the
+      conflict flag.  Costs time proportional to the pending queue and
+      the undone trail. *)
 
   val conflicted : t -> bool
   (** Whether some clause has all literals false under the current

@@ -353,6 +353,27 @@ let test_jvm_gbr_byte_identical () =
     (Lbr_jvm.Serialize.to_bytes final_direct)
     (Lbr_jvm.Serialize.to_bytes final_refactored)
 
+(* The harness resolves the predicate from the tool's name, so a tool that
+   is not one of [Tool.all] must be refused rather than silently replaced. *)
+let test_jvm_rejects_variant_tool () =
+  let pool, tool, baseline = pinned_instance () in
+  let faulty =
+    Lbr_decompiler.Tool.with_faults
+      (Lbr_decompiler.Tool.Faults.make ~flaky_rate:0.5 ~seed:1 ())
+      tool
+  in
+  let instance =
+    {
+      Lbr_harness.Corpus.instance_id = "faulty";
+      benchmark = { bench_id = "faulty"; seed = 7; pool };
+      tool = faulty;
+      baseline_errors = baseline;
+    }
+  in
+  match Lbr_harness.Experiment.run_with Gbr instance with
+  | _ -> Alcotest.fail "a with_faults tool was accepted"
+  | exception Invalid_argument _ -> ()
+
 let test_jvm_predicate_bridge () =
   let pool, tool, _ = pinned_instance () in
   let vpool = Var.Pool.create () in
@@ -546,6 +567,8 @@ let () =
           Alcotest.test_case "constraints identical to pre-refactor" `Quick
             test_jvm_constraints_equivalent;
           Alcotest.test_case "full GBR byte-identical" `Quick test_jvm_gbr_byte_identical;
+          Alcotest.test_case "harness refuses a variant tool" `Quick
+            test_jvm_rejects_variant_tool;
           Alcotest.test_case "predicate bridge" `Quick test_jvm_predicate_bridge;
         ] );
       ( "speculate",

@@ -343,6 +343,19 @@ let test_packed_units_survive_solve () =
       Alcotest.(check bool) "model satisfies the formula" true
         (Cnf.holds cnf (Option.get second))
 
+(* Both ways an input unit can be pending across an undo: never popped
+   (unit 0, still queued from [make]) and falsified then unassigned
+   (unit 1). *)
+let test_packed_units_survive_undo () =
+  let p = Cnf.Packed.make (Cnf.make [ Clause.unit_pos 0; Clause.unit_pos 1 ]) in
+  let m = Cnf.Packed.mark p in
+  Cnf.Packed.assign p 1 false;
+  Alcotest.(check bool) "falsified unit conflicts" true (Cnf.Packed.conflicted p);
+  Cnf.Packed.undo_to p m;
+  Alcotest.(check bool) "propagates after undo" true (Cnf.Packed.propagate p);
+  Alcotest.(check bool) "queued unit applied" true (Cnf.Packed.value p 0 = `True);
+  Alcotest.(check bool) "falsified unit re-queued" true (Cnf.Packed.value p 1 = `True)
+
 let test_cnf_num_clauses_cached () =
   let a = Cnf.make [ Clause.edge 0 1; Clause.unit_pos 2 ] in
   let b = Cnf.add_clause a (Clause.edge 2 3) in
@@ -423,6 +436,7 @@ let () =
           Alcotest.test_case "counters and undo" `Quick test_packed_counters;
           Alcotest.test_case "unsat survives restore" `Quick test_packed_unsat_formula;
           Alcotest.test_case "input units survive solve" `Quick test_packed_units_survive_solve;
+          Alcotest.test_case "input units survive undo" `Quick test_packed_units_survive_undo;
           Alcotest.test_case "num_clauses cached" `Quick test_cnf_num_clauses_cached;
         ] );
       qsuite "packed-prop"
