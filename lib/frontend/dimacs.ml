@@ -20,6 +20,26 @@ exception Bad of string
 
 let failf fmt = Printf.ksprintf (fun m -> raise (Bad m)) fmt
 
+(* DIMACS numbers are plain decimals.  [int_of_string] would also read
+   0x1F, 0o7, 0b1, 1_0 and +3, so: [nat] takes digits only, [literal] an
+   optional '-' before them but not "-0", which is no literal and must not
+   end a clause. *)
+let rec digits s i acc =
+  if i = String.length s then Some acc
+  else
+    match s.[i] with
+    | '0' .. '9' as c ->
+        let d = Char.code c - Char.code '0' in
+        if acc > (max_int - d) / 10 then None else digits s (i + 1) ((acc * 10) + d)
+    | _ -> None
+
+let nat s = if s = "" then None else digits s 0 0
+
+let literal s =
+  if String.length s > 1 && s.[0] = '-' then
+    match digits s 1 0 with Some 0 | None -> None | Some n -> Some (-n)
+  else nat s
+
 let parse text =
   let header = ref None in
   let clauses = ref [] in
@@ -29,11 +49,11 @@ let parse text =
   let directive line words =
     match words with
     | [ "keep"; i ] -> (
-        match int_of_string_opt i with
+        match nat i with
         | Some i when i >= 1 -> keeps := i :: !keeps
         | _ -> failf "line %d: bad clause index %S in 'c lbr keep'" line i)
     | [ "implies"; i; j ] -> (
-        match (int_of_string_opt i, int_of_string_opt j) with
+        match (nat i, nat j) with
         | Some i, Some j when i >= 1 && j >= 1 -> implications := (i, j) :: !implications
         | _ -> failf "line %d: bad clause indices in 'c lbr implies'" line)
     | w :: _ -> failf "line %d: unknown 'c lbr' directive %S (expected keep or implies)" line w
@@ -54,8 +74,8 @@ let parse text =
           failf "line %d: header after clause data" line_no;
         match rest with
         | [ "cnf"; nv; nc ] -> (
-            match (int_of_string_opt nv, int_of_string_opt nc) with
-            | Some nv, Some nc when nv >= 0 && nc >= 0 -> header := Some (nv, nc)
+            match (nat nv, nat nc) with
+            | Some nv, Some nc -> header := Some (nv, nc)
             | _ -> failf "line %d: malformed header counts (p cnf %s %s)" line_no nv nc)
         | _ -> failf "line %d: malformed DIMACS header (expected p cnf <vars> <clauses>)" line_no)
     | toks ->
@@ -66,7 +86,7 @@ let parse text =
         in
         List.iter
           (fun tok ->
-            match int_of_string_opt tok with
+            match literal tok with
             | None -> failf "line %d: bad literal %S" line_no tok
             | Some 0 ->
                 clauses := Array.of_list (List.rev !pending) :: !clauses;
@@ -125,7 +145,22 @@ let print t =
   Buffer.contents buf
 
 let items t = Array.length t.clauses
-let bytes t = String.length (print t)
+
+(* Characters in the decimal rendering of [n], sign included. *)
+let dec_len n =
+  let rec go n len = if n > -10 then len else go (n / 10) (len + 1) in
+  if n < 0 then go n 2 else go (-n) 1
+
+(* [String.length (print t)], counted line by line without printing:
+   "p cnf V C\n", "c lbr keep I\n", "c lbr implies I J\n", and each
+   literal plus its space before a clause's "0\n". *)
+let bytes t =
+  let n = 8 + dec_len t.num_vars + dec_len (Array.length t.clauses) in
+  let n = List.fold_left (fun n i -> n + 12 + dec_len i) n t.keeps in
+  let n = List.fold_left (fun n (i, j) -> n + 16 + dec_len i + dec_len j) n t.implications in
+  Array.fold_left
+    (fun n c -> Array.fold_left (fun n l -> n + dec_len l + 1) (n + 2) c)
+    n t.clauses
 
 (* ------------------------------------------------------------------ *)
 (* Inventory and constraints: one selector variable per clause.        *)
@@ -159,10 +194,10 @@ let prepare (ctx : ctx) t =
         remap.(i + 1) <- !next
       end
     done;
-    let clauses =
-      Array.of_list
-        (List.filteri (fun i _ -> remap.(i + 1) <> 0) (Array.to_list t.clauses))
-    in
+    let clauses = Array.make !next [||] in
+    for i = 0 to n - 1 do
+      if remap.(i + 1) <> 0 then clauses.(remap.(i + 1) - 1) <- t.clauses.(i)
+    done;
     (* R_I guarantees kept directives survive: unit_pos keeps the clause a
        'keep' names, and the edge keeps an implication's target whenever
        its source is in.  An implication whose source was dropped is
@@ -181,19 +216,11 @@ let prepare (ctx : ctx) t =
    Monotone by construction — adding clauses to an unsatisfiable formula
    keeps it unsatisfiable. *)
 
-let formula_of t =
-  Cnf.make
-    (Array.to_list t.clauses
-    |> List.filter_map (fun lits ->
-           let neg = ref [] and pos = ref [] in
-           Array.iter
-             (fun l -> if l < 0 then neg := (-l - 1) :: !neg else pos := (l - 1) :: !pos)
-             lits;
-           Clause.make ~neg:!neg ~pos:!pos))
+let satisfiable t = Cnf.Packed.satisfiable (Cnf.Packed.of_dimacs t.clauses)
 
 let predicate (_ : ctx) t ~spec =
   if spec <> "" then
     Error (Printf.sprintf "the dimacs frontend takes no predicate spec (got %S)" spec)
-  else if Lbr_sat.Solver.satisfiable (formula_of t) then
+  else if satisfiable t then
     Error "input formula is satisfiable; the dimacs predicate preserves unsatisfiability"
-  else Ok (fun sub -> not (Lbr_sat.Solver.satisfiable (formula_of sub)))
+  else Ok (fun sub -> not (satisfiable sub))

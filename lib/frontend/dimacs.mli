@@ -14,9 +14,10 @@
 
     The parser/printer round-trips: {!S.parse} of {!S.print} returns the
     same value, including directives and the literal order inside clauses.
-    Malformed input — bad headers, literals out of range, clause-count
-    mismatches, unknown [c lbr] directives, unterminated clauses — returns
-    [Error], never raises.  Plain comments and blank lines are accepted
+    Malformed input — bad headers, literals out of range, numbers that are
+    not plain decimals (an optional [-] and digits; [-0] is no literal),
+    clause-count mismatches, unknown [c lbr] directives, unterminated
+    clauses — returns [Error], never raises.  Plain comments and blank lines are accepted
     anywhere and are not preserved (printing is canonical: header,
     directives, clauses). *)
 

@@ -121,24 +121,21 @@ let pp pool ppf t =
       t.clauses
 
 (* ================================================================== *)
-(* Packed representation: every literal of every clause in one flat int
-   array, with per-variable occurrence lists.  Conditioning assigns a
-   variable and updates per-clause counters; an explicit trail makes undo
-   O(assignments) instead of rebuilding the clause list, so DPLL search,
-   greedy minimization, and model counting all share one index build. *)
+(* Packed representation: one literal array per clause and one occurrence
+   array per literal.  Conditioning assigns a variable and updates
+   per-clause counters; an explicit trail makes undo O(assignments)
+   instead of rebuilding the clause list, so DPLL search, greedy
+   minimization, and model counting all share one index build. *)
 
 module Packed = struct
   type t = {
     nvars : int;
     nclauses : int;
-    (* Clause [ci]'s literals are [lits.(cstart.(ci)) ..
-       lits.(cstart.(ci+1) - 1)], negatives first, each side in increasing
-       variable order.  A literal encodes variable [lit lsr 1]; the low bit
-       is 1 for a negative occurrence. *)
-    lits : int array;
-    cstart : int array;
-    occ_pos : int array array;
-    occ_neg : int array array;
+    (* Literals are DIMACS-style: [v + 1] for variable [v], [-(v + 1)] for
+       its negation. *)
+    lits : int array array;  (* per clause *)
+    (* [occ.(code l)]: the clauses containing literal [l], ascending. *)
+    occ : int array array;
     (* Mutable conditioning state. *)
     value : Bytes.t;  (* '\000' unassigned, '\001' true, '\002' false *)
     free : int array;  (* per clause: unassigned literals *)
@@ -146,11 +143,16 @@ module Packed = struct
     trail : int array;  (* assigned variables, in order *)
     mutable trail_len : int;
     mutable active : int;  (* clauses with no true literal yet *)
-    root_unsat : bool;  (* formula was flagged unsat before packing *)
+    root_unsat : bool;  (* formula was unsatisfiable before packing *)
     mutable conflict : bool;
     mutable units : int array;  (* stack of clauses pending unit propagation *)
     mutable units_len : int;
   }
+
+  let var l = if l > 0 then l - 1 else -l - 1
+
+  (* [2v] for [v]'s positive literal, [2v + 1] for its negation. *)
+  let code l = if l > 0 then (l - 1) lsl 1 else ((-l - 1) lsl 1) lor 1
 
   let num_vars t = t.nvars
   let num_clauses t = t.nclauses
@@ -175,97 +177,115 @@ module Packed = struct
     t.units.(t.units_len) <- ci;
     t.units_len <- t.units_len + 1
 
-  let make cnf =
-    let clause_arr = Array.of_list cnf.clauses in
-    let nclauses = Array.length clause_arr in
-    let nvars = max_var cnf + 1 in
-    let cstart = Array.make (nclauses + 1) 0 in
-    Array.iteri
-      (fun ci c -> cstart.(ci + 1) <- cstart.(ci) + Clause.num_literals c)
-      clause_arr;
-    let lits = Array.make cstart.(nclauses) 0 in
-    let pos_count = Array.make nvars 0 and neg_count = Array.make nvars 0 in
-    Array.iteri
-      (fun ci (c : Clause.t) ->
-        let k = ref cstart.(ci) in
-        Array.iter
-          (fun v ->
-            lits.(!k) <- (v lsl 1) lor 1;
-            incr k;
-            neg_count.(v) <- neg_count.(v) + 1)
-          c.neg;
-        Array.iter
-          (fun v ->
-            lits.(!k) <- v lsl 1;
-            incr k;
-            pos_count.(v) <- pos_count.(v) + 1)
-          c.pos)
-      clause_arr;
-    let occ_pos = Array.init nvars (fun v -> Array.make pos_count.(v) 0) in
-    let occ_neg = Array.init nvars (fun v -> Array.make neg_count.(v) 0) in
-    let pos_fill = Array.make nvars 0 and neg_fill = Array.make nvars 0 in
-    Array.iteri
-      (fun ci (c : Clause.t) ->
-        Array.iter
-          (fun v ->
-            occ_neg.(v).(neg_fill.(v)) <- ci;
-            neg_fill.(v) <- neg_fill.(v) + 1)
-          c.neg;
-        Array.iter
-          (fun v ->
-            occ_pos.(v).(pos_fill.(v)) <- ci;
-            pos_fill.(v) <- pos_fill.(v) + 1)
-          c.pos)
-      clause_arr;
-    let free = Array.init nclauses (fun ci -> cstart.(ci + 1) - cstart.(ci)) in
+  (* The one index builder behind both entry points.  No clause is empty;
+     per-variable state is sized by the largest variable that occurs.
+     Every array is per clause, per literal or per variable, so a small
+     formula is packed in the minor heap. *)
+  let index clauses ~root_unsat =
+    let nclauses = Array.length clauses in
+    let nvars = ref 0 in
+    for ci = 0 to nclauses - 1 do
+      let c = clauses.(ci) in
+      for j = 0 to Array.length c - 1 do
+        if c.(j) = 0 then invalid_arg "Cnf.Packed: literal 0";
+        if var c.(j) >= !nvars then nvars := var c.(j) + 1
+      done
+    done;
+    let nvars = !nvars in
+    (* Count each literal's occurrences, then fill back to front so every
+       occurrence array comes out in ascending clause order. *)
+    let count = Array.make (2 * nvars) 0 in
+    for ci = 0 to nclauses - 1 do
+      let c = clauses.(ci) in
+      for j = 0 to Array.length c - 1 do
+        let l = code c.(j) in
+        count.(l) <- count.(l) + 1
+      done
+    done;
+    let occ = Array.map (fun n -> Array.make n 0) count in
+    for ci = nclauses - 1 downto 0 do
+      let c = clauses.(ci) in
+      for j = 0 to Array.length c - 1 do
+        let l = code c.(j) in
+        count.(l) <- count.(l) - 1;
+        occ.(l).(count.(l)) <- ci
+      done
+    done;
+    let free = Array.map Array.length clauses in
     let t =
       {
         nvars;
         nclauses;
-        lits;
-        cstart;
-        occ_pos;
-        occ_neg;
+        lits = clauses;
+        occ;
         value = Bytes.make nvars '\000';
         free;
         satcnt = Array.make nclauses 0;
         trail = Array.make nvars 0;
         trail_len = 0;
         active = nclauses;
-        root_unsat = cnf.unsat;
-        conflict = cnf.unsat;
+        root_unsat;
+        conflict = root_unsat;
         units = Array.make 16 0;
         units_len = 0;
       }
     in
     (* Input unit clauses seed the propagation queue. *)
-    Array.iteri (fun ci n -> if n = 1 then push_unit t ci) free;
+    for ci = 0 to nclauses - 1 do
+      if free.(ci) = 1 then push_unit t ci
+    done;
     t
 
-  (* [Cnf.make] never stores an empty clause (the formula is flagged unsat
-     instead), so length-1 clauses are exactly the input units. *)
-  let is_input_unit t ci = t.cstart.(ci + 1) - t.cstart.(ci) = 1
+  (* Negatives first per clause, each side in increasing variable order —
+     the order [search]'s branching, and so the models it returns, rely
+     on. *)
+  let make cnf =
+    let pack ({ neg; pos } : Clause.t) =
+      let nn = Array.length neg in
+      let lits = Array.make (nn + Array.length pos) 0 in
+      Array.iteri (fun j v -> lits.(j) <- -(v + 1)) neg;
+      Array.iteri (fun j v -> lits.(nn + j) <- v + 1) pos;
+      lits
+    in
+    index (Array.of_list (List.map pack cnf.clauses)) ~root_unsat:cnf.unsat
 
+  (* The arrays are used as given.  A repeated literal counts twice in
+     [free] and [satcnt], and a clause holding [x] and [¬x] is satisfied by
+     either value of [x], so satisfiability is that of the normalised
+     formula.  An empty clause makes the formula a root conflict with no
+     clauses, as [Cnf.make] would. *)
+  let of_dimacs clauses =
+    if Array.exists (fun c -> Array.length c = 0) clauses then index [||] ~root_unsat:true
+    else index clauses ~root_unsat:false
+
+  (* No packed clause is empty, so length-1 clauses are exactly the input
+     units. *)
+  let is_input_unit t ci = Array.length t.lits.(ci) = 1
+
+  (* Plain [for] loops over the occurrence arrays: an assignment, and its
+     undo, allocate nothing.  True occurrences are counted before false
+     ones, so a clause holding both [x] and [¬x] is never seen as falsified
+     or unit by its own variable. *)
   let assign t v b =
     Bytes.unsafe_set t.value v (if b then '\001' else '\002');
     t.trail.(t.trail_len) <- v;
     t.trail_len <- t.trail_len + 1;
-    let sat_occ = if b then t.occ_pos.(v) else t.occ_neg.(v) in
-    let fal_occ = if b then t.occ_neg.(v) else t.occ_pos.(v) in
-    Array.iter
-      (fun ci ->
-        t.free.(ci) <- t.free.(ci) - 1;
-        t.satcnt.(ci) <- t.satcnt.(ci) + 1;
-        if t.satcnt.(ci) = 1 then t.active <- t.active - 1)
-      sat_occ;
-    Array.iter
-      (fun ci ->
-        t.free.(ci) <- t.free.(ci) - 1;
-        if t.satcnt.(ci) = 0 then begin
-          if t.free.(ci) = 0 then t.conflict <- true
-          else if t.free.(ci) = 1 then push_unit t ci
-        end)
-      fal_occ
+    let sat = if b then v lsl 1 else (v lsl 1) lor 1 in
+    let sat_occ = t.occ.(sat) and fal_occ = t.occ.(sat lxor 1) in
+    for k = 0 to Array.length sat_occ - 1 do
+      let ci = sat_occ.(k) in
+      t.free.(ci) <- t.free.(ci) - 1;
+      t.satcnt.(ci) <- t.satcnt.(ci) + 1;
+      if t.satcnt.(ci) = 1 then t.active <- t.active - 1
+    done;
+    for k = 0 to Array.length fal_occ - 1 do
+      let ci = fal_occ.(k) in
+      t.free.(ci) <- t.free.(ci) - 1;
+      if t.satcnt.(ci) = 0 then begin
+        if t.free.(ci) = 0 then t.conflict <- true
+        else if t.free.(ci) = 1 then push_unit t ci
+      end
+    done
 
   (* Pending propagations are dropped, except input unit clauses: those hold
      at every trail position, so one still queued, or one the undo leaves
@@ -285,24 +305,23 @@ module Packed = struct
     while t.trail_len > m do
       t.trail_len <- t.trail_len - 1;
       let v = t.trail.(t.trail_len) in
-      let b = Bytes.unsafe_get t.value v = '\001' in
+      let sat = if Bytes.unsafe_get t.value v = '\001' then v lsl 1 else (v lsl 1) lor 1 in
+      let sat_occ = t.occ.(sat) and fal_occ = t.occ.(sat lxor 1) in
       Bytes.unsafe_set t.value v '\000';
-      let sat_occ = if b then t.occ_pos.(v) else t.occ_neg.(v) in
-      let fal_occ = if b then t.occ_neg.(v) else t.occ_pos.(v) in
-      Array.iter
-        (fun ci ->
-          t.free.(ci) <- t.free.(ci) + 1;
-          t.satcnt.(ci) <- t.satcnt.(ci) - 1;
-          if t.satcnt.(ci) = 0 then begin
-            t.active <- t.active + 1;
-            if is_input_unit t ci then push_unit t ci
-          end)
-        sat_occ;
-      Array.iter
-        (fun ci ->
-          t.free.(ci) <- t.free.(ci) + 1;
-          if t.satcnt.(ci) = 0 && is_input_unit t ci then push_unit t ci)
-        fal_occ
+      for k = 0 to Array.length sat_occ - 1 do
+        let ci = sat_occ.(k) in
+        t.free.(ci) <- t.free.(ci) + 1;
+        t.satcnt.(ci) <- t.satcnt.(ci) - 1;
+        if t.satcnt.(ci) = 0 then begin
+          t.active <- t.active + 1;
+          if is_input_unit t ci then push_unit t ci
+        end
+      done;
+      for k = 0 to Array.length fal_occ - 1 do
+        let ci = fal_occ.(k) in
+        t.free.(ci) <- t.free.(ci) + 1;
+        if t.satcnt.(ci) = 0 && is_input_unit t ci then push_unit t ci
+      done
     done;
     t.conflict <- t.root_unsat
 
@@ -313,51 +332,77 @@ module Packed = struct
       (* The clause may have been satisfied (or further shortened into a
          conflict) since it was queued; re-check before acting. *)
       if t.satcnt.(ci) = 0 && t.free.(ci) = 1 then begin
-        let lit = ref (-1) in
-        for k = t.cstart.(ci) to t.cstart.(ci + 1) - 1 do
-          let l = t.lits.(k) in
-          if Bytes.unsafe_get t.value (l lsr 1) = '\000' then lit := l
+        let c = t.lits.(ci) in
+        let lit = ref 0 in
+        for k = 0 to Array.length c - 1 do
+          if Bytes.unsafe_get t.value (var c.(k)) = '\000' then lit := c.(k)
         done;
-        assign t (!lit lsr 1) (!lit land 1 = 0)
+        assign t (var !lit) (!lit > 0)
       end
     done;
     not t.conflict
 
-  (* DPLL search over the packed state.  Mirrors the previous list-based
-     solver's heuristic: branch on the first literal of the first
-     still-active clause (negatives stored first), false before true, which
-     biases found models towards small true-sets.  On success the satisfying
-     assignments are left on the trail for the caller to read and undo. *)
-  let rec search t =
+  let first_active t =
+    let ci = ref 0 in
+    while t.satcnt.(!ci) > 0 do
+      incr ci
+    done;
+    !ci
+
+  (* The lowest-index active clause with the fewest unassigned literals.
+     Called only with the unit queue drained, so no active clause has
+     fewer than two and the scan stops at the first such. *)
+  let shortest_active t =
+    let best = ref (-1) and best_free = ref max_int in
+    let ci = ref 0 in
+    while !best_free > 2 && !ci < t.nclauses do
+      if t.satcnt.(!ci) = 0 && t.free.(!ci) < !best_free then begin
+        best := !ci;
+        best_free := t.free.(!ci)
+      end;
+      incr ci
+    done;
+    !best
+
+  (* The one DPLL body.  [shortest] picks the clause to branch on: the
+     first active clause for [search], whose false-first models the MSA
+     fallback and progression observe (the same heuristic as the original
+     list-based solver, so those models are unchanged); a shortest active
+     clause for [satisfiable], where only the verdict is read.  The branch
+     variable is the clause's first unassigned literal, tried false first
+     either way.  On success the satisfying assignments are left on the
+     trail for the caller to read and undo. *)
+  let rec dpll ~shortest t =
     propagate t
     && (t.active = 0
        ||
-       let ci = ref 0 in
-       while t.satcnt.(!ci) > 0 do
-         incr ci
+       let ci = if shortest then shortest_active t else first_active t in
+       let c = t.lits.(ci) in
+       let k = ref 0 in
+       while Bytes.unsafe_get t.value (var c.(!k)) <> '\000' do
+         incr k
        done;
-       let v = ref (-1) in
-       (try
-          for k = t.cstart.(!ci) to t.cstart.(!ci + 1) - 1 do
-            let l = t.lits.(k) in
-            if Bytes.unsafe_get t.value (l lsr 1) = '\000' then begin
-              v := l lsr 1;
-              raise Exit
-            end
-          done
-        with Exit -> ());
+       let v = var c.(!k) in
        let m = t.trail_len in
-       assign t !v false;
-       if search t then true
-       else begin
-         undo_to t m;
-         assign t !v true;
-         if search t then true
-         else begin
-           undo_to t m;
-           false
-         end
-       end)
+       assign t v false;
+       dpll ~shortest t
+       || begin
+            undo_to t m;
+            assign t v true;
+            dpll ~shortest t
+            || begin
+                 undo_to t m;
+                 false
+               end
+          end)
+
+  let search t = dpll ~shortest:false t
+
+  let satisfiable t =
+    let m = t.trail_len in
+    let sat = dpll ~shortest:true t in
+    undo_to t m;
+    sat
 
   let model t =
     let bits = Sys.int_size in
@@ -399,16 +444,18 @@ module Packed = struct
   let clause_is_active t ci = t.satcnt.(ci) = 0
 
   let clause_unassigned_vars t ci =
+    let c = t.lits.(ci) in
     let acc = ref [] in
-    for k = t.cstart.(ci + 1) - 1 downto t.cstart.(ci) do
-      let v = t.lits.(k) lsr 1 in
+    for k = Array.length c - 1 downto 0 do
+      let v = var c.(k) in
       if Bytes.unsafe_get t.value v = '\000' then acc := v :: !acc
     done;
     !acc
 
   let iter_clause_unassigned t ci f =
-    for k = t.cstart.(ci) to t.cstart.(ci + 1) - 1 do
-      let v = t.lits.(k) lsr 1 in
+    let c = t.lits.(ci) in
+    for k = 0 to Array.length c - 1 do
+      let v = var c.(k) in
       if Bytes.unsafe_get t.value v = '\000' then f v
     done
 end

@@ -67,18 +67,29 @@ val pp : Var.Pool.t -> Format.formatter -> t -> unit
 
 (** Packed, mutable view of a formula for search-heavy algorithms.
 
-    All literals live in one flat int array with per-variable occurrence
-    lists; conditioning assigns a variable and bumps per-clause counters
+    Each clause is an int array of literals, with an occurrence array per
+    literal; conditioning assigns a variable and bumps per-clause counters
     instead of rebuilding clause lists, and an explicit trail makes undo
-    proportional to the number of assignments.  One [Packed.make] amortises
-    the index build across an entire DPLL search, greedy minimization, or
-    model count. *)
+    proportional to the number of assignments; assigning and undoing
+    allocate nothing.  One
+    [Packed.make] amortises the index build across an entire DPLL search,
+    greedy minimization, or model count. *)
 module Packed : sig
   type cnf := t
   type t
 
   val make : cnf -> t
   (** Build the packed index.  O(total literals). *)
+
+  val of_dimacs : int array array -> t
+  (** Pack clauses given as DIMACS literal arrays (variable [v] written
+      [v + 1], negated [-(v + 1)]; no [0]) without building a {!cnf}.  The
+      arrays are used in place, not copied: do not mutate them while the
+      result is in use.  Repeated literals and clauses holding [x] and
+      [¬x] are kept as written; satisfiability is that of the normalised
+      formula.  An empty clause packs as a root conflict.  Per-variable
+      state is sized by the largest variable that occurs.  Raises
+      [Invalid_argument] on a [0] literal. *)
 
   val num_vars : t -> int
   (** One past the largest variable occurring in the formula.  Variables
@@ -114,10 +125,17 @@ module Packed : sig
   (** Drain the unit-propagation queue; [false] iff a conflict was hit. *)
 
   val search : t -> bool
-  (** DPLL search from the current assignment.  On [true] the satisfying
-      assignments remain on the trail (read them via {!value} or {!model},
-      then {!undo_to}); on [false] the state is left partially wound and the
-      caller must {!undo_to} its mark. *)
+  (** DPLL search from the current assignment, branching on the first
+      unassigned literal of the first active clause, false first.  On
+      [true] the satisfying assignments remain on the trail (read them via
+      {!value} or {!model}, then {!undo_to}); on [false] the state is left
+      partially wound and the caller must {!undo_to} its mark. *)
+
+  val satisfiable : t -> bool
+  (** Whether the formula is satisfiable under the current assignment; the
+      state is restored before returning.  Only the verdict is observable,
+      so the search branches on a shortest active clause instead of
+      {!search}'s first one. *)
 
   val model : t -> Assignment.t
   (** The set of variables currently assigned true. *)
@@ -134,10 +152,11 @@ module Packed : sig
       assignment. *)
 
   val clause_unassigned_vars : t -> int -> Var.t list
-  (** The unassigned variables of clause [ci], ascending. *)
+  (** The unassigned variables of clause [ci], in clause order (for {!make}:
+      the negated ones ascending, then the positive ones ascending). *)
 
   val iter_clause_unassigned : t -> int -> (Var.t -> unit) -> unit
-  (** Apply [f] to each unassigned variable of clause [ci], ascending —
+  (** Apply [f] to each unassigned variable of clause [ci], in clause order —
       {!clause_unassigned_vars} without building the list, for callers that
       fold the variables into reused scratch state. *)
 end

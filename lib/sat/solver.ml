@@ -4,7 +4,7 @@ let solve cnf =
   let p = Cnf.Packed.make cnf in
   Cnf.Packed.solve p ~assume_true:[] ~assume_false:[]
 
-let satisfiable cnf = Option.is_some (solve cnf)
+let satisfiable cnf = Cnf.Packed.satisfiable (Cnf.Packed.make cnf)
 
 let solve_with cnf ~required =
   let p = Cnf.Packed.make cnf in

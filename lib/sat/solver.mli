@@ -12,6 +12,8 @@ val solve : Cnf.t -> Assignment.t option
     variables; unmentioned variables are false), or [None] if unsatisfiable. *)
 
 val satisfiable : Cnf.t -> bool
+(** [Option.is_some (solve cnf)], without a model: the search branches on a
+    shortest active clause instead (see {!Cnf.Packed.satisfiable}). *)
 
 val solve_with : Cnf.t -> required:Assignment.t -> Assignment.t option
 (** A model that sets all of [required] to true, or [None]. *)

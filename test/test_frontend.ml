@@ -111,15 +111,32 @@ let test_dimacs_malformed () =
   rejects "clause count mismatch (many)" "p cnf 2 1\n1 0\n2 0\n";
   rejects "unknown directive" "c lbr frobnicate 1\np cnf 1 1\n1 0\n";
   rejects "keep out of range" "c lbr keep 9\np cnf 1 1\n1 0\n";
-  rejects "implies out of range" "c lbr implies 1 9\np cnf 1 1\n1 0\n"
+  rejects "implies out of range" "c lbr implies 1 9\np cnf 1 1\n1 0\n";
+  (* Only an optional '-' and decimal digits are numbers: OCaml's
+     int_of_string spellings are not, wherever a number is expected. *)
+  List.iter
+    (fun tok -> rejects ("literal " ^ tok) (Printf.sprintf "p cnf 40 1\n%s 0\n" tok))
+    [ "0x1F"; "0o7"; "0b1"; "1_0"; "+3"; "-"; "99999999999999999999999" ];
+  List.iter
+    (fun one ->
+      rejects ("literal " ^ one) (Printf.sprintf "p cnf 1 1\n%s 0\n" one);
+      rejects ("header variables " ^ one) (Printf.sprintf "p cnf %s 1\n1 0\n" one);
+      rejects ("header clauses " ^ one) (Printf.sprintf "p cnf 1 %s\n1 0\n" one);
+      rejects ("keep index " ^ one) (Printf.sprintf "c lbr keep %s\np cnf 1 1\n1 0\n" one);
+      rejects ("implies index " ^ one)
+        (Printf.sprintf "c lbr implies 1 %s\np cnf 1 1\n1 0\n" one))
+    [ "0x1"; "0o1"; "0b1"; "0_1"; "+1" ];
+  (* "-0" is not a literal, so it cannot end the clause "1" here *)
+  rejects "negative zero literal" "p cnf 2 2\n1 -0 2 0\n"
 
 (* Random instances rendered with noise (comments, blank lines, clauses
    split across lines) must round-trip structurally. *)
 let dimacs_gen =
   QCheck.Gen.(
-    let* nv = int_range 1 8 in
+    let* nv = oneof [ int_range 1 8; int_range 10 5000 ] in
     let lit = map (fun (v, s) -> if s then v else -v) (pair (int_range 1 nv) bool) in
-    let* clauses = list_size (int_range 1 12) (list_size (int_range 1 4) lit) in
+    (* a zero-length clause is the empty clause *)
+    let* clauses = list_size (int_range 1 12) (list_size (int_range 0 4) lit) in
     let nc = List.length clauses in
     let* keeps = list_size (int_bound 2) (int_range 1 nc) in
     let* implications = list_size (int_bound 2) (pair (int_range 1 nc) (int_range 1 nc)) in
@@ -158,6 +175,57 @@ let prop_dimacs_roundtrip =
           | Error m -> QCheck.Test.fail_reportf "reparse: %s" m
           | Ok t2 -> Dimacs.print t = Dimacs.print t2)
 
+(* [bytes] counts what [print] would write, for parsed inputs and for the
+   sub-formulas [prepare] builds from them. *)
+let prop_dimacs_bytes =
+  QCheck.Test.make ~count:300 ~name:"bytes = String.length print, before and after prepare"
+    (QCheck.make QCheck.Gen.(pair dimacs_gen (list_repeat 12 bool)))
+    (fun ((_, _, _, _, text), mask) ->
+      let t = ok_exn "parse" (Dimacs.parse text) in
+      let ctx = ok_exn "derive" (Dimacs.derive (Var.Pool.create ()) t) in
+      let phi =
+        Assignment.to_list (Dimacs.universe ctx)
+        |> List.filteri (fun i _ -> List.nth mask i)
+        |> Assignment.of_list
+      in
+      let sized t = Dimacs.bytes t = String.length (Dimacs.print t) in
+      sized t && sized (Dimacs.prepare ctx t phi))
+
+(* The predicate's check, taken from an UNSAT input: true iff [sub] is
+   unsatisfiable. *)
+let dimacs_check =
+  lazy
+    (let t = ok_exn "parse" (Dimacs.parse php_text) in
+     let ctx = ok_exn "derive" (Dimacs.derive (Var.Pool.create ()) t) in
+     ok_exn "predicate" (Dimacs.predicate ctx t ~spec:""))
+
+(* Small formulas over variables 1..4 (so repeated literals and x ∨ ¬x are
+   common) with unit and empty clauses, under a header that may declare
+   far more variables than occur. *)
+let small_dimacs_gen =
+  QCheck.Gen.(
+    let lit = map (fun (v, s) -> if s then v else -v) (pair (int_range 1 4) bool) in
+    let clause =
+      frequency [ (1, return []); (3, map (fun l -> [ l ]) lit); (8, list_size (int_range 2 5) lit) ]
+    in
+    let* clauses = list_size (int_range 0 10) clause in
+    let+ num_vars = oneof [ return 4; int_range 5 1_000_000 ] in
+    { Dimacs.num_vars; clauses = Array.of_list (List.map Array.of_list clauses); keeps = []; implications = [] })
+
+let brute_force_sat (t : Dimacs.t) =
+  let holds mask l = (mask land (1 lsl (abs l - 1)) <> 0) = (l > 0) in
+  List.exists
+    (fun mask -> Array.for_all (Array.exists (holds mask)) t.clauses)
+    (List.init 16 Fun.id)
+
+let prop_dimacs_verdict =
+  QCheck.Test.make ~count:500 ~name:"check = brute force = the normalised formula"
+    (QCheck.make ~print:Dimacs.print small_dimacs_gen)
+    (fun t ->
+      let unsat = (Lazy.force dimacs_check) t in
+      unsat = not (brute_force_sat t)
+      && unsat = not (Lbr_sat.Solver.satisfiable (cnf_of_dimacs t)))
+
 (* ------------------------------------------------------------------ *)
 (* DIMACS: reduction                                                   *)
 
@@ -176,6 +244,28 @@ let test_dimacs_reduce () =
   (* the 9-clause pigeonhole core is minimally unsatisfiable, so only the
      satisfiable tail can go *)
   Alcotest.(check int) "reduced to the core" 9 (Array.length reduced.Dimacs.clauses)
+
+(* Per-variable state is sized by the variables that occur, not by the
+   header: a check of this input allocates a few dozen words.  Words are
+   counted with [Gc.counters] because an array sized by the header would
+   be allocated in the major heap, which [Gc.minor_words] does not see. *)
+let test_dimacs_oversized_header () =
+  let text = "p cnf 100000000 2\n1 0\n-1 0\n" in
+  let packed = ok_exn "find" (Registry.find "dimacs") in
+  let outcome, printed = ok_exn "reduce" (Run.reduce_text packed ~text ~spec:"") in
+  Alcotest.(check bool) "reduction succeeded" true outcome.Run.ok;
+  Alcotest.(check string) "both clauses are the core" text printed;
+  let t = ok_exn "parse" (Dimacs.parse text) in
+  let check = Lazy.force dimacs_check in
+  let allocated () =
+    let minor, promoted, major = Gc.counters () in
+    minor +. major -. promoted
+  in
+  let before = allocated () in
+  let unsat = check t in
+  let words = allocated () -. before in
+  Alcotest.(check bool) "unsatisfiable" true unsat;
+  if words > 500. then Alcotest.failf "one check allocated %.0f words" words
 
 let test_dimacs_rejects_spec_and_sat () =
   let packed = ok_exn "find" (Registry.find "dimacs") in
@@ -549,8 +639,9 @@ let () =
           Alcotest.test_case "reduce pigeonhole to its core" `Quick test_dimacs_reduce;
           Alcotest.test_case "spec and SAT inputs rejected" `Quick
             test_dimacs_rejects_spec_and_sat;
+          Alcotest.test_case "oversized header" `Quick test_dimacs_oversized_header;
         ] );
-      qsuite "dimacs-prop" [ prop_dimacs_roundtrip ];
+      qsuite "dimacs-prop" [ prop_dimacs_roundtrip; prop_dimacs_bytes; prop_dimacs_verdict ];
       ( "fj",
         [
           Alcotest.test_case "print is a parse fixed point" `Quick test_fj_roundtrip;

@@ -56,6 +56,12 @@ let prop_solver_agrees_with_naive =
       | None, None -> true
       | Some _, None | None, Some _ -> false)
 
+let prop_satisfiable_agrees_with_solve =
+  QCheck.Test.make ~count:500 ~name:"Solver.satisfiable = Option.is_some Solver.solve"
+    (* Fewer variables make unsatisfiable draws common. *)
+    (QCheck.make QCheck.Gen.(int_range 2 7 >>= random_cnf_gen))
+    (fun cnf -> Solver.satisfiable cnf = Option.is_some (Solver.solve cnf))
+
 let prop_solve_with_required =
   QCheck.Test.make ~count:200 ~name:"Solver.solve_with respects required"
     (QCheck.make QCheck.Gen.(pair (random_cnf_gen 6) (int_bound 5)))
@@ -623,7 +629,12 @@ let () =
   Alcotest.run "lbr_sat"
     [
       qsuite "solver"
-        [ prop_solver_agrees_with_naive; prop_solve_with_required; prop_minimize_subset ];
+        [
+          prop_solver_agrees_with_naive;
+          prop_satisfiable_agrees_with_solve;
+          prop_solve_with_required;
+          prop_minimize_subset;
+        ];
       qsuite "msa-prop"
         [
           prop_msa_satisfies;
