@@ -658,7 +658,7 @@ let coordinate_cmd =
       non_empty & opt_all cluster_addr []
       & info [ "worker" ] ~docv:"ADDR"
           ~doc:"Address of a worker daemon (repeatable).  Every worker is pinged at startup \
-                and must speak protocol v3.")
+                and must speak the same protocol version.")
   in
   let lanes_arg =
     Arg.(
@@ -1094,7 +1094,7 @@ let top_cmd =
               print_string s.metrics_text))
   in
   (* Rebuild what the live Stats reply derives from in-memory metrics out
-     of the journal's v2 verdict lines instead. *)
+     of the journal's runner verdict lines instead. *)
   let offline dir =
     if not (Sys.file_exists dir && Sys.is_directory dir) then begin
       prerr_endline ("lbr-reduce top: " ^ dir ^ ": not a journal directory");
@@ -1128,7 +1128,7 @@ let top_cmd =
                 Printf.printf "  %-16s %d verdicts (%d fail, %d oracle retries)" id
                   (List.length verdicts) !fails !retries;
                 if !timed = 0 then
-                  (* v1 journal lines carry no latency *)
+                  (* mirrored journal lines carry no latency *)
                   print_endline "  latency: n/a"
                 else
                   Printf.printf "  latency p50/p90/p99: %.3fs / %.3fs / %.3fs\n"
@@ -1182,7 +1182,7 @@ let trace_dump_cmd =
        ~doc:
          "Capture a live daemon's span rings into a binary .tdump file — the e2e harness \
           dumps every worker before killing one, so the victim's spans survive into the \
-          merged trace.  Requires a daemon with tracing enabled (--trace) and protocol v5.")
+          merged trace.  Requires a daemon with tracing enabled (--trace).")
     Term.(const run $ socket_arg $ out_arg)
 
 let trace_merge_cmd =
@@ -1343,7 +1343,7 @@ let report_cmd =
       |> List.sort compare
     in
     (* Verdict latency quantiles and cache hit rates, from the journal's
-       v2 verdict lines — the ground truth that survives any crash. *)
+       runner verdict lines — the ground truth that survives any crash. *)
     let journal = Lbr_server.Journal.open_dir dir in
     let jobs, latency, verdict_count, fail_count =
       Fun.protect

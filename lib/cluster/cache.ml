@@ -8,9 +8,9 @@ let job_key (spec : Lbr_server.Wire.spec) =
   (* Only the verdict-relevant content: which frontend interprets the
      payload, what tool/spec is asked, how crashes count, and the exact
      pool bytes.  Strategy and priority steer the search, not any single
-     verdict, so sharing across them is safe and wanted.  The frontend
-     joined the key in wire v4; caches persisted before that simply miss
-     (the old keys hash as frontend "jvm" did not exist), never collide. *)
+     verdict, so sharing across them is safe and wanted.  The key hashes
+     these fields, not the spec's wire bytes, so it does not depend on
+     the frame layout. *)
   let b = Buffer.create (String.length spec.pool_bytes + 32) in
   Buffer.add_string b spec.frontend;
   Buffer.add_char b '\x00';

@@ -383,13 +383,7 @@ let ping_worker addr =
   match Client.connect (Addr.to_string addr) with
   | Error m ->
       failwith (Printf.sprintf "worker %s unreachable: %s" (Addr.to_string addr) m)
-  | Ok c ->
-      let v = Client.negotiated_version c in
-      Client.close c;
-      if v < 3 then
-        failwith
-          (Printf.sprintf "worker %s speaks protocol v%d; the cluster needs v3"
-             (Addr.to_string addr) v)
+  | Ok c -> Client.close c
 
 let next_id t =
   t.seq <- t.seq + 1;
@@ -560,7 +554,9 @@ let create (config : config) =
         List.fold_left
           (fun n (id, spec_bytes) ->
             match Wire.spec_of_string spec_bytes with
-            | Error _ -> n
+            | Error reason ->
+                Journal.mark_failed jr ~id ~reason:("corrupt journaled spec: " ^ reason);
+                n
             | Ok spec ->
                 let key = Cache.job_key spec in
                 Hashtbl.iter
@@ -614,11 +610,11 @@ let submit t ~on_event ~seeds spec =
       let key = Cache.job_key spec in
       (* Distributed trace identity: keep the client's trace id when it
          sent one (the trace started there), mint one when tracing is
-         live here, stay context-free otherwise so untraced journals are
-         byte-identical to v4.  Either way the parent span forwarded to
-         workers is a fresh coordinator-side job span id — worker spans
-         parent under the coordinator, and the client's own parent (if
-         any) stays visible on its side of the trace. *)
+         live here, stay context-free otherwise.  Either way the parent
+         span forwarded to workers is a fresh coordinator-side job span
+         id — worker spans parent under the coordinator, and the
+         client's own parent (if any) stays visible on its side of the
+         trace. *)
       let ctx =
         match spec.Wire.trace_ctx with
         | Some c ->

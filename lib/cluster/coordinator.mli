@@ -18,7 +18,7 @@
     {2 Failover}
 
     Workers journal every predicate evaluation before streaming it back
-    as a v3 [Verdict] frame; the coordinator mirrors each verdict into
+    as a [Verdict] frame; the coordinator mirrors each verdict into
     the shared {!Cache} (and its own journal) as it arrives.  When a
     worker dies mid-job — connection refused, reset, or EOF without a
     terminal frame — its queued jobs are redistributed and the in-flight
@@ -32,8 +32,8 @@
 
     When tracing is live (or the submitting client shipped a trace
     context), every job gets a context whose parent span is a fresh
-    coordinator-side {e job span id}, forwarded to workers in the v5
-    spec.  Worker-side spans then carry that id as [ctx.parent]; the
+    coordinator-side {e job span id}, forwarded to workers in the spec.
+    Worker-side spans then carry that id as [ctx.parent]; the
     coordinator records one [coordinator.job] span per job (admission →
     terminal state, with the job span id as its [span_id] arg — the
     cross-node merge key), plus [cluster.steal] and [cluster.failover]
@@ -69,8 +69,10 @@ type t
 
 val create : config -> t
 (** Registers (pings) every worker — raises [Failure] if one is
-    unreachable or negotiates protocol < 3 — recovers journaled pending
-    jobs, and starts the pump threads. *)
+    unreachable or refuses the handshake — recovers journaled pending
+    jobs, and starts the pump threads.  A journaled spec that no longer
+    decodes is marked failed ("corrupt journaled spec: …") instead of
+    re-admitted. *)
 
 val backend : t -> Lbr_server.Server.backend
 (** Plug into {!Lbr_server.Server.start_backend}.  Its [b_drain] waits for

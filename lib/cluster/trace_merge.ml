@@ -42,14 +42,14 @@ let fetch addr =
       let t1 = Unix.gettimeofday () in
       Client.close c;
       Result.map
-        (fun (d : Client.trace_dump) ->
+        (fun (d : Wire.trace_dump) ->
           {
-            nd_node = d.td_node;
-            nd_epoch = d.td_epoch;
-            nd_server_now = d.td_server_now;
+            nd_node = d.node;
+            nd_epoch = d.epoch;
+            nd_server_now = d.server_now;
             nd_client_mid = (t0 +. t1) /. 2.;
-            nd_dropped = d.td_dropped;
-            nd_events = d.td_events;
+            nd_dropped = d.dropped;
+            nd_events = d.events;
           })
         result
 

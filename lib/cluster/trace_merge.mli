@@ -9,7 +9,7 @@
     span id as [ctx.parent].
 
     Dumps can come from two sources: {!fetch} pulls a live daemon over
-    the v5 [Trace_dump_request], and {!read_file} loads a [.tdump]
+    [Trace_dump_request], and {!read_file} loads a [.tdump]
     capture written earlier by {!write_file} (the e2e harness dumps each
     worker {e before} killing one, so the victim's spans survive into
     the merged trace).  Dumps sharing a node name collapse into one
@@ -26,13 +26,13 @@ type node_dump = {
 
 val fetch : string -> (node_dump, string) result
 (** Pull a live daemon's span rings; the address string is parsed by
-    {!Lbr_server.Addr.parse}.  Requires a v5 server. *)
+    {!Lbr_server.Addr.parse}. *)
 
 val skew : node_dump -> float
 (** Estimated clock offset: add to node-clock times to get dumper time. *)
 
 val to_string : node_dump -> string
-(** Binary [.tdump] form ("LBRTD1" magic; events in wire-v5 encoding). *)
+(** Binary [.tdump] form ("LBRTD1" magic; events in the wire encoding). *)
 
 val of_string : string -> (node_dump, string) result
 (** Total: [Ok] or [Error], never an exception. *)

@@ -43,7 +43,7 @@ val start : ?capacity:int -> unit -> unit
 val stop : unit -> unit
 
 (** The trace context a job carries across every process boundary: minted
-    once per job, shipped in wire v5 frames, and installed (via
+    once per job, shipped in wire frames, and installed (via
     {!with_context}) around the code that runs the job so every span it
     records — on whichever node — names the same trace and the same
     parent span. *)

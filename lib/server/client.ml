@@ -1,10 +1,8 @@
-type t = { fd : Unix.file_descr; mutable version : int }
+type t = { fd : Unix.file_descr }
 
 type progress = { sim_time : float; classes : int; bytes : int }
 
-let negotiated_version t = t.version
-
-let connect ?(version = Wire.protocol_version) addr_string =
+let connect addr_string =
   match Addr.parse addr_string with
   | Error m -> Error m
   | Ok addr -> (
@@ -12,10 +10,10 @@ let connect ?(version = Wire.protocol_version) addr_string =
       | Error m -> Error m
       | Ok fd -> (
           match
-            Wire.write_message fd (Wire.Hello version);
+            Wire.write_message fd (Wire.Hello Wire.protocol_version);
             Wire.read_message fd
           with
-          | Ok (Wire.Hello_ok v) -> Ok { fd; version = v }
+          | Ok (Wire.Hello_ok _) -> Ok { fd }
           | Ok (Wire.Protocol_error m) ->
               (try Unix.close fd with Unix.Unix_error _ -> ());
               Error ("server refused handshake: " ^ m)
@@ -49,27 +47,7 @@ let read_or_conn t =
 let submit_ex t ?(on_progress = fun (_ : progress) -> ())
     ?(on_verdict = fun ~key:(_ : string) ~ok:(_ : bool) -> ())
     ?(on_accepted = fun (_ : string) -> ()) ?(seeds = []) spec =
-  (* Non-JVM frontends are v4 vocabulary; unlike seeds there is no safe
-     fallback — an old daemon would misread the payload as a class pool —
-     so refuse locally with a clear message instead of submitting. *)
-  if spec.Wire.frontend <> "jvm" && t.version < 4 then
-    Error
-      (`Conn
-         (Printf.sprintf
-            "frontend %S requires protocol version 4 (server negotiated %d)"
-            spec.Wire.frontend t.version))
-  else
-  (* A pre-v5 daemon cannot decode the trailing trace context; strip it so
-     the encoded frame is exactly what that vintage expects.  The job loses
-     distributed attribution, never correctness. *)
-  let spec = if t.version < 5 then { spec with Wire.trace_ctx = None } else spec in
-  let request =
-    (* Seeded submission is v3 vocabulary; on an older negotiated version
-       the seeds cannot be expressed — fall back to a plain Submit (the
-       verdicts are then merely re-paid, never wrong). *)
-    if seeds <> [] && t.version >= 3 then Wire.Submit_seeded { spec; seeds }
-    else Wire.Submit spec
-  in
+  let request = if seeds = [] then Wire.Submit spec else Wire.Submit_seeded { spec; seeds } in
   match Wire.write_message t.fd request with
   | exception Unix.Unix_error (e, _, _) -> Error (`Conn (Unix.error_message e))
   | () -> (
@@ -113,79 +91,34 @@ let submit t ?on_progress ?on_verdict ?on_accepted ?seeds spec =
   | Error (`Job_failed reason) -> Error ("job failed: " ^ reason)
   | Error (`Conn m) -> Error m
 
-let read_or_error t =
-  match read_or_conn t with Ok _ as ok -> ok | Error (`Conn m) -> Error m
-
-let stats t =
-  if t.version < 2 then Error "server is too old for stats (protocol < 2)"
-  else
-    match Wire.write_message t.fd Wire.Stats_request with
-    | exception Unix.Unix_error (e, _, _) -> Error (Unix.error_message e)
-    | () ->
-        let rec wait () =
-          match read_or_error t with
-          | Error _ as e -> e
-          | Ok (Wire.Stats_reply s) -> Ok s
-          | Ok (Wire.Protocol_error m) -> Error ("protocol error: " ^ m)
-          | Ok _ -> wait ()  (* frames for jobs on a shared connection *)
-        in
-        wait ()
-
-type trace_dump = {
-  td_node : string;
-  td_epoch : float;
-  td_server_now : float;
-  td_dropped : int;
-  td_events : Lbr_obs.Trace.event list;
-}
-
-let trace_dump t =
-  if t.version < 5 then Error "server is too old for trace dumps (protocol < 5)"
-  else
-    match Wire.write_message t.fd Wire.Trace_dump_request with
-    | exception Unix.Unix_error (e, _, _) -> Error (Unix.error_message e)
-    | () ->
-        let rec wait () =
-          match read_or_error t with
-          | Error _ as e -> e
-          | Ok (Wire.Trace_dump_reply { node; epoch; server_now; dropped; events }) ->
-              Ok
-                {
-                  td_node = node;
-                  td_epoch = epoch;
-                  td_server_now = server_now;
-                  td_dropped = dropped;
-                  td_events = events;
-                }
-          | Ok (Wire.Protocol_error m) -> Error ("protocol error: " ^ m)
-          | Ok _ -> wait ()
-        in
-        wait ()
-
-let metrics_dump t =
-  if t.version < 5 then Error "server is too old for metrics dumps (protocol < 5)"
-  else
-    match Wire.write_message t.fd Wire.Metrics_dump_request with
-    | exception Unix.Unix_error (e, _, _) -> Error (Unix.error_message e)
-    | () ->
-        let rec wait () =
-          match read_or_error t with
-          | Error _ as e -> e
-          | Ok (Wire.Metrics_dump_reply { node; dump }) -> Ok (node, dump)
-          | Ok (Wire.Protocol_error m) -> Error ("protocol error: " ^ m)
-          | Ok _ -> wait ()
-        in
-        wait ()
-
-let cancel t job_id =
-  match Wire.write_message t.fd (Wire.Cancel job_id) with
+(* Write one request and wait for the first frame [reply] accepts,
+   skipping frames for jobs on a shared connection. *)
+let request t msg reply =
+  match Wire.write_message t.fd msg with
   | exception Unix.Unix_error (e, _, _) -> Error (Unix.error_message e)
   | () ->
       let rec wait () =
-        match read_or_error t with
-        | Error _ as e -> e
-        | Ok (Wire.Cancel_ok { job_id = id; found }) when id = job_id -> Ok found
+        match read_or_conn t with
+        | Error (`Conn m) -> Error m
         | Ok (Wire.Protocol_error m) -> Error ("protocol error: " ^ m)
-        | Ok _ -> wait ()
+        | Ok msg -> ( match reply msg with Some v -> Ok v | None -> wait ())
       in
       wait ()
+
+let stats t =
+  request t Wire.Stats_request (function Wire.Stats_reply s -> Some s | _ -> None)
+
+let trace_dump t =
+  request t Wire.Trace_dump_request (function
+    | Wire.Trace_dump_reply d -> Some d
+    | _ -> None)
+
+let metrics_dump t =
+  request t Wire.Metrics_dump_request (function
+    | Wire.Metrics_dump_reply { node; dump } -> Some (node, dump)
+    | _ -> None)
+
+let cancel t job_id =
+  request t (Wire.Cancel job_id) (function
+    | Wire.Cancel_ok { job_id = id; found } when id = job_id -> Some found
+    | _ -> None)

@@ -4,21 +4,17 @@
 
     One connection, synchronous usage: {!connect} performs the
     [Hello]/[Hello_ok] handshake, {!submit} sends one job and blocks —
-    streaming [Progress] (and, on v3 connections, [Verdict]) frames to
-    the callbacks — until its terminal [Result] or [Job_failed] frame
-    arrives. *)
+    streaming [Progress] and [Verdict] frames to the callbacks — until
+    its terminal [Result] or [Job_failed] frame arrives. *)
 
 type t
 
 type progress = { sim_time : float; classes : int; bytes : int }
 
-val connect : ?version:int -> string -> (t, string) result
-(** Connect to a daemon and negotiate the protocol version.  The address
-    is parsed by {!Addr.parse}: a Unix socket path or a TCP [host:port].
-    [version] caps what the client offers (default
-    {!Wire.protocol_version}) — tests use it to act as an old client. *)
-
-val negotiated_version : t -> int
+val connect : string -> (t, string) result
+(** Connect to a daemon and perform the handshake; a daemon speaking any
+    other {!Wire.protocol_version} refuses it.  The address is parsed by
+    {!Addr.parse}: a Unix socket path or a TCP [host:port]. *)
 
 type submit_error =
   [ `Rejected of string * float  (** backpressure: reason, retry-after *)
@@ -52,10 +48,9 @@ val submit :
 
     [on_accepted] fires with the server-side job id as soon as admission
     is confirmed — the handle a caller needs to {!cancel} from another
-    connection.  [on_verdict] fires per fresh predicate evaluation
-    (v3 servers only).  [seeds] ships already-paid verdicts with the
-    submission ([Submit_seeded], v3); on a v2 connection they are
-    silently dropped and the work is re-paid. *)
+    connection.  [on_verdict] fires per fresh predicate evaluation.
+    [seeds] ships already-paid verdicts with the submission
+    ([Submit_seeded]). *)
 
 val cancel : t -> string -> (bool, string) result
 (** Ask the server to cancel a job; [Ok found] echoes whether the server
@@ -63,24 +58,15 @@ val cancel : t -> string -> (bool, string) result
 
 val stats : t -> (Wire.daemon_stats, string) result
 (** One live introspection snapshot (queue depth, per-job best-so-far,
-    oracle memo hit rate, Prometheus metrics text).  Requires negotiated
-    protocol version ≥ 2. *)
+    oracle memo hit rate, Prometheus metrics text). *)
 
-type trace_dump = {
-  td_node : string;  (** the daemon's lane label (its bound address) *)
-  td_epoch : float;  (** absolute second its trace [ts = 0] maps to *)
-  td_server_now : float;  (** its wall clock when the dump was taken *)
-  td_dropped : int;
-  td_events : Lbr_obs.Trace.event list;
-}
-
-val trace_dump : t -> (trace_dump, string) result
-(** Pull the daemon's span rings ([Trace_dump_request], v5).  Capture
-    [Trace.now]-style timestamps around the call and compare them with
-    [td_server_now] to estimate clock skew. *)
+val trace_dump : t -> (Wire.trace_dump, string) result
+(** Pull the daemon's span rings ([Trace_dump_request]).  Capture
+    wall-clock timestamps around the call and compare them with
+    [server_now] to estimate clock skew. *)
 
 val metrics_dump : t -> (string * Lbr_obs.Metrics.dump, string) result
-(** Pull the daemon's metric registry ([Metrics_dump_request], v5) —
+(** Pull the daemon's metric registry ([Metrics_dump_request]) —
     [(node, dump)], mergeable with {!Lbr_obs.Metrics.merge_dumps}. *)
 
 val close : t -> unit

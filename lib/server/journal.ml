@@ -62,12 +62,13 @@ let log_channel t id =
       Hashtbl.replace t.logs id oc;
       oc
 
-(* Verdict line formats, distinguished by field count so old journals
-   replay unchanged under new code:
-     v1:  "<32-hex-digest> 0|1"
-     v2:  "<32-hex-digest> 0|1 <latency-microseconds> <retries>"
-   Both keep the verdict at byte 33, so every reader branches on the same
-   offset. *)
+(* Two verdict line shapes, distinguished by field count:
+     runner line:    "<32-hex-digest> 0|1 <latency-microseconds> <retries>"
+     mirrored line:  "<32-hex-digest> 0|1"
+   A daemon's runner measured the evaluation and writes the first; the
+   coordinator mirrors a worker's Verdict frame, which carries no
+   latency, and writes the second.  Both keep the verdict at byte 33, so
+   every reader branches on the same offset. *)
 let append_pred t ~id ~key ?latency ?(retries = 0) ok =
   Mutex.lock t.mutex;
   Fun.protect
@@ -143,9 +144,10 @@ let pending t =
                | exception Sys_error _ -> None
              else None)
 
-(* A verdict line of either version: 34 bytes exactly (v1) or a v2 line
-   whose latency/retry tail starts right after the verdict.  Torn last
-   lines of a crashed daemon match neither shape and are skipped. *)
+(* A verdict line of either shape: 34 bytes exactly (mirrored) or a
+   runner line whose latency/retry tail starts right after the verdict.
+   Torn last lines of a crashed daemon match neither shape and are
+   skipped. *)
 let parse_verdict_line line =
   let len = String.length line in
   if len >= 34 && line.[32] = ' ' && (len = 34 || line.[34] = ' ') then

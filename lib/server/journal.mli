@@ -7,13 +7,16 @@
                                   tmp+rename, so it is present iff whole)
     <root>/<job-id>/preds.log   — one line per completed predicate
                                   evaluation, appended and flushed before
-                                  the result is used.  Two line versions:
-                                    v1: "<32-hex-digest> 0|1\n"
-                                    v2: "<32-hex-digest> 0|1 <us> <retries>\n"
+                                  the result is used.  Two line shapes:
+                                    runner:   "<32-hex-digest> 0|1 <us> <retries>\n"
+                                    mirrored: "<32-hex-digest> 0|1\n"
+                                  A daemon's runner writes the first,
                                   where <us> is the evaluation's wall
                                   latency in microseconds and <retries>
                                   how many extra oracle attempts it took.
-                                  Old (v1) journals replay unchanged.
+                                  The coordinator writes the second when
+                                  it mirrors a worker's Verdict frame,
+                                  which carries no latency.
     <root>/<job-id>/counters    — phase timing counters of the run
                                   (one "name calls seconds minor_words"
                                   line per phase), written at completion
@@ -45,10 +48,9 @@ val append_pred :
   t -> id:string -> key:string -> ?latency:float -> ?retries:int -> bool -> unit
 (** Append one completed predicate evaluation and flush it to the OS —
     after this returns, a [kill -9] cannot lose the entry.  With
-    [latency] (seconds; [retries] defaults to 0) the v2 line format is
+    [latency] (seconds; [retries] defaults to 0) the runner line is
     written, letting [lbr-reduce top --journal] reconstruct latency
-    histograms post-mortem; without it the v1 format, byte-identical to
-    what older daemons wrote. *)
+    histograms post-mortem; without it the mirrored line. *)
 
 val record_counters : t -> id:string -> contents:string -> unit
 (** Write the job's [counters] file (atomic tmp+rename): the per-job phase
@@ -66,13 +68,13 @@ val pending : t -> (string * string) list
 
 val replay : t -> id:string -> (string, bool) Hashtbl.t
 (** The completed predicate evaluations of a job, keyed by digest.
-    Malformed lines are skipped; v1 and v2 lines both count. *)
+    Malformed lines are skipped; runner and mirrored lines both count. *)
 
 type verdict = {
   v_key : string;
   v_ok : bool;
-  v_latency : float option;  (** seconds; [None] on v1 lines *)
-  v_retries : int option;  (** [None] on v1 lines *)
+  v_latency : float option;  (** seconds; [None] on mirrored lines *)
+  v_retries : int option;  (** [None] on mirrored lines *)
 }
 
 val verdicts : t -> id:string -> verdict list

@@ -245,9 +245,8 @@ let retry_after t = 1.0 +. (float_of_int t.queued_count /. float_of_int (Pool.jo
 
 let submit t ?(on_event = fun (_ : string) (_ : event) -> ()) ?(seeds = []) spec =
   (* First admitting node mints the job's trace context (the coordinator
-     did it already for delegated jobs).  Only when tracing is live: the
-     context is journaled with the spec, and untraced daemons must keep
-     producing byte-identical journals to v4. *)
+     did it already for delegated jobs).  Only when tracing is live: an
+     untraced job records no spans for a context to parent. *)
   let spec =
     if spec.Wire.trace_ctx = None && Lbr_obs.Trace.enabled () then
       { spec with Wire.trace_ctx = Some (Lbr_obs.Trace.Context.mint ()) }

@@ -34,7 +34,7 @@ type event =
           configured, already WAL-ed) — the feed for the cluster-wide
           verdict cache.  Replayed verdicts do not re-emit.  [ctx] is the
           job's trace context (minted at admission when tracing is live),
-          echoed so the wire layer can stamp v5 [Verdict] frames. *)
+          echoed so the wire layer can stamp [Verdict] frames. *)
   | Finished of status
 
 type runner_ctx = {
@@ -91,7 +91,9 @@ val await : t -> string -> status
 val recover : t -> int
 (** Re-admit journaled jobs with no terminal marker (in admission order,
     exempt from the queue-depth bound — they were admitted once already).
-    Returns how many were resumed.  No-op without a journal. *)
+    Returns how many were resumed; a spec that no longer decodes is
+    marked failed ("corrupt journaled spec: …") instead.  No-op without a
+    journal. *)
 
 val queued : t -> int
 val running : t -> int

@@ -1,8 +1,8 @@
 (* The daemon front end is split from what it fronts: a [backend] is
    anything that can admit, cancel and introspect jobs — the scheduler
    (lbr-serve) or the cluster coordinator (lbr-reduce coordinate).  The
-   accept loop, per-connection protocol, version gating and lifecycle
-   are identical for both. *)
+   accept loop, per-connection protocol and lifecycle are identical for
+   both. *)
 
 type backend = {
   b_submit :
@@ -112,28 +112,18 @@ let handle_connection t fd =
     send (Wire.Protocol_error reason);
     forget_conn t fd
   in
-  (* Version negotiation first: anything else is a protocol error. *)
+  (* The handshake first: anything else is a protocol error. *)
   match Wire.read_message fd with
   | Error `Closed -> forget_conn t fd
   | Error (`Malformed m) -> fatal ("malformed hello: " ^ m)
-  | Ok (Wire.Hello v) when v >= 1 ->
-      let version = min v Wire.protocol_version in
-      send (Wire.Hello_ok version);
-      (* Frames a peer of this vintage cannot decode must never reach it:
-         Verdict is v3-only, so on older connections it is dropped here,
-         not at the call sites. *)
+  | Ok (Wire.Hello v) when v = Wire.protocol_version ->
+      send (Wire.Hello_ok v);
       let on_event job_id (ev : Scheduler.event) =
         match ev with
         | Scheduler.Started -> ()
         | Scheduler.Progress { sim_time; classes; bytes } ->
             send (Wire.Progress { job_id; sim_time; classes; bytes })
-        | Scheduler.Evaluated { key; ok; ctx } ->
-            (* The trace context rides the verdict only on v5 peers; older
-               ones get the exact v3/v4 bytes. *)
-            if version >= 3 then
-              send
-                (Wire.Verdict
-                   { job_id; key; ok; ctx = (if version >= 5 then ctx else None) })
+        | Scheduler.Evaluated { key; ok; ctx } -> send (Wire.Verdict { job_id; key; ok; ctx })
         | Scheduler.Finished (Scheduler.Done (stats, pool_bytes)) ->
             send (Wire.Result { job_id; stats; pool_bytes })
         | Scheduler.Finished (Scheduler.Failed reason) ->
@@ -208,14 +198,9 @@ let handle_connection t fd =
         match Wire.read_message fd with
         | Error `Closed -> forget_conn t fd
         | Error (`Malformed m) -> fatal ("malformed frame: " ^ m)
-        | Ok ((Wire.Submit spec | Wire.Submit_seeded { spec; _ }))
-          when spec.Wire.frontend <> "jvm" && version < 4 ->
-            fatal "non-jvm frontends require protocol version 4"
         | Ok (Wire.Submit spec) ->
             admit spec [];
             loop ()
-        | Ok (Wire.Submit_seeded _) when version < 3 ->
-            fatal "Submit_seeded requires protocol version 3"
         | Ok (Wire.Submit_seeded { spec; seeds }) ->
             admit spec seeds;
             loop ()
@@ -225,13 +210,11 @@ let handle_connection t fd =
         | Ok Wire.Stats_request ->
             send (Wire.Stats_reply (t.backend.b_stats ()));
             loop ()
-        | Ok (Wire.Trace_dump_request | Wire.Metrics_dump_request) when version < 5 ->
-            fatal "observability dumps require protocol version 5"
         | Ok Wire.Trace_dump_request ->
             send
               (Wire.Trace_dump_reply
                  {
-                   node = Addr.to_string (bound_addr t);
+                   Wire.node = Addr.to_string (bound_addr t);
                    epoch = Lbr_obs.Trace.epoch_seconds ();
                    server_now = Unix.gettimeofday ();
                    dropped = Lbr_obs.Trace.dropped ();
@@ -251,7 +234,9 @@ let handle_connection t fd =
       in
       loop ()
   | Ok (Wire.Hello v) ->
-      fatal (Printf.sprintf "unsupported protocol version %d" v)
+      fatal
+        (Printf.sprintf "unsupported protocol version %d (this server speaks %d)" v
+           Wire.protocol_version)
   | Ok _ -> fatal "expected hello"
 
 (* ------------------------------------------------------------------ *)

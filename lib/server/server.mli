@@ -8,12 +8,11 @@
     open with [Hello]; after the [Hello_ok] reply the client may pipeline
     [Submit]/[Submit_seeded] and [Cancel] frames.  Replies and streamed
     job events share the connection under a per-connection write lock.
-    The negotiated version gates what the server sends: [Verdict] frames
-    (v3) are dropped, not sent, on v1/v2 connections, so old clients
-    interoperate with a v3 daemon unchanged.  A malformed frame gets a
-    [Protocol_error] reply and the connection is closed; a clean EOF just
-    closes it (outstanding jobs keep running — results for them are
-    dropped, which is fine because they are journaled).
+    A [Hello] carrying any version other than {!Wire.protocol_version}
+    gets a [Protocol_error] naming both versions, as does a malformed
+    frame, and the connection is closed; a clean EOF just closes it
+    (outstanding jobs keep running — results for them are dropped, which
+    is fine because they are journaled).
 
     Lifecycle: {!start} binds the listener (recovering journaled jobs
     first), {!stop} stops admitting, drains in-flight jobs — every

@@ -1,24 +1,7 @@
-(* v1: handshake, submit/cancel, progress/result streams.
-   v2: adds Stats_request/Stats_reply (live daemon introspection).
-   v3: adds Submit_seeded (submission with pre-paid verdicts) and the
-       streamed Verdict frame — the cluster coordinator's vocabulary.
-       The framing itself is transport-agnostic; v3 daemons listen on
-       TCP as well as Unix sockets (see Addr).
-   v4: adds the spec's frontend tag, encoded as an optional trailing
-       str16 at the very end of Submit/Submit_seeded payloads (and of
-       the journal's spec records), written only when the frontend is
-       not "jvm" — so every JVM frame is byte-identical to v3 and v3
-       journals replay unchanged.
-   v5: distributed observability.  Submit/Submit_seeded may carry a
-       per-job trace context, encoded as two more trailing str16s after
-       the (then always written) frontend tag; Verdict may carry the
-       same context as two trailing str16s.  Both are written only when
-       a context exists, so context-free v5 frames are byte-identical
-       to v4 and a v5 client talking to a ≤v4 server simply strips the
-       context.  Adds Trace_dump_request/_reply (the node's span ring +
-       clocks, for `trace-merge`) and Metrics_dump_request/_reply (the
-       node's metric registry snapshot, for federation). *)
-let protocol_version = 5
+(* Frame layouts are documented in wire.mli.  Every field is always
+   written; any layout change bumps [protocol_version], and the
+   handshake refuses a peer on any other version. *)
+let protocol_version = 6
 let max_frame = 64 * 1024 * 1024
 
 type priority = Normal | High
@@ -65,6 +48,14 @@ type daemon_stats = {
   metrics_text : string;
 }
 
+type trace_dump = {
+  node : string;
+  epoch : float;
+  server_now : float;
+  dropped : int;
+  events : Lbr_obs.Trace.event list;
+}
+
 type message =
   | Hello of int
   | Hello_ok of int
@@ -87,13 +78,7 @@ type message =
       ctx : Lbr_obs.Trace.Context.t option;
     }
   | Trace_dump_request
-  | Trace_dump_reply of {
-      node : string;
-      epoch : float;
-      server_now : float;
-      dropped : int;
-      events : Lbr_obs.Trace.event list;
-    }
+  | Trace_dump_reply of trace_dump
   | Metrics_dump_request
   | Metrics_dump_reply of { node : string; dump : Lbr_obs.Metrics.dump }
 
@@ -187,12 +172,12 @@ let strategy_code : Lbr_harness.Experiment.strategy -> int = function
   | Lossy_last -> 2
   | Gbr -> 3
 
-let strategy_of_code : int -> Lbr_harness.Experiment.strategy option = function
-  | 0 -> Some Jreduce
-  | 1 -> Some Lossy_first
-  | 2 -> Some Lossy_last
-  | 3 -> Some Gbr
-  | _ -> None
+let strategy_of_code : int -> Lbr_harness.Experiment.strategy = function
+  | 0 -> Jreduce
+  | 1 -> Lossy_first
+  | 2 -> Lossy_last
+  | 3 -> Gbr
+  | n -> fail "bad strategy %d" n
 
 let priority_code = function Normal -> 0 | High -> 1
 
@@ -213,7 +198,23 @@ let crash_policy_of_code : int -> Lbr_runtime.Oracle.crash_policy = function
   | n -> fail "bad crash policy %d" n
 
 (* ------------------------------------------------------------------ *)
-(* Spec — shared by the Submit frame and the journal                   *)
+(* Trace context — shared by the spec and the Verdict frame            *)
+
+let w_ctx b = function
+  | None -> w_bool b false
+  | Some { Lbr_obs.Trace.Context.trace_id; parent_span } ->
+      w_bool b true;
+      w_str16 b trace_id;
+      w_str16 b parent_span
+
+let r_ctx r =
+  if r_bool r then
+    let trace_id = r_str16 r in
+    Some { Lbr_obs.Trace.Context.trace_id; parent_span = r_str16 r }
+  else None
+
+(* ------------------------------------------------------------------ *)
+(* Spec — shared by the Submit frames and the journal                  *)
 
 let w_spec b spec =
   w_str16 b spec.tool;
@@ -221,74 +222,30 @@ let w_spec b spec =
   w_u8 b (priority_code spec.priority);
   w_u8 b (crash_policy_code spec.crash_policy);
   w_u16 b spec.retries;
-  w_bytes32 b spec.pool_bytes
+  w_bytes32 b spec.pool_bytes;
+  w_str16 b spec.frontend;
+  w_ctx b spec.trace_ctx
 
 let r_spec r =
   let tool = r_str16 r in
-  let strategy =
-    let c = r_u8 r in
-    match strategy_of_code c with Some s -> s | None -> fail "bad strategy %d" c
-  in
+  let strategy = strategy_of_code (r_u8 r) in
   let priority = priority_of_code (r_u8 r) in
   let crash_policy = crash_policy_of_code (r_u8 r) in
   let retries = r_u16 r in
   let pool_bytes = r_bytes32 r in
-  {
-    tool;
-    strategy;
-    priority;
-    crash_policy;
-    retries;
-    pool_bytes;
-    frontend = "jvm";
-    trace_ctx = None;
-  }
-
-(* Optional spec fields ride as trailing str16s at the very END of the
-   payload (after seeds in Submit_seeded), in one of three shapes:
-
-     (none)                          — v3: JVM, no context
-     frontend                        — v4: non-JVM, no context
-     frontend trace_id parent_span   — v5: any frontend, with context
-
-   Absent fields fill in their defaults, so v3 peers and journals
-   produce exactly the zero-trailer bytes for the JVM path, v4 peers the
-   one-string shape, and a context-free v5 frame is byte-identical to
-   v4.  When a context is present the frontend is always written (even
-   "jvm") so the decoder can tell the shapes apart by count alone. *)
-let w_spec_trailer b spec =
-  match spec.trace_ctx with
-  | None -> if spec.frontend <> "jvm" then w_str16 b spec.frontend
-  | Some { Lbr_obs.Trace.Context.trace_id; parent_span } ->
-      w_str16 b spec.frontend;
-      w_str16 b trace_id;
-      w_str16 b parent_span
-
-let r_spec_trailer r spec =
-  let rec strs acc =
-    if r.pos < String.length r.data then strs (r_str16 r :: acc) else List.rev acc
-  in
-  match strs [] with
-  | [] -> spec
-  | [ frontend ] -> { spec with frontend }
-  | [ frontend; trace_id; parent_span ] ->
-      {
-        spec with
-        frontend;
-        trace_ctx = Some { Lbr_obs.Trace.Context.trace_id; parent_span };
-      }
-  | l -> fail "bad spec trailer (%d trailing strings)" (List.length l)
+  let frontend = r_str16 r in
+  let trace_ctx = r_ctx r in
+  { tool; strategy; priority; crash_policy; retries; pool_bytes; frontend; trace_ctx }
 
 let spec_to_string spec =
   let b = Buffer.create (String.length spec.pool_bytes + 32) in
   w_spec b spec;
-  w_spec_trailer b spec;
   Buffer.contents b
 
 let spec_of_string data =
   let r = { data; pos = 0 } in
   match
-    let spec = r_spec_trailer r (r_spec r) in
+    let spec = r_spec r in
     r_end r;
     spec
   with
@@ -341,7 +298,7 @@ let r_stats r =
   }
 
 (* ------------------------------------------------------------------ *)
-(* Daemon stats (v2)                                                   *)
+(* Daemon stats                                                        *)
 
 let w_job_stat b js =
   w_str16 b js.js_id;
@@ -389,7 +346,7 @@ let r_daemon_stats r =
   { queued_jobs; running_jobs; job_stats; oracle_queries; oracle_memo_hits; uptime; metrics_text }
 
 (* ------------------------------------------------------------------ *)
-(* Seed tables (v3) — pre-paid verdicts shipped with a submission       *)
+(* Seed tables — pre-paid verdicts shipped with a submission           *)
 
 let w_seeds b seeds =
   let n = List.length seeds in
@@ -411,7 +368,7 @@ let r_seeds r =
       (key, ok))
 
 (* ------------------------------------------------------------------ *)
-(* Trace events (v5) — the Trace_dump_reply payload                     *)
+(* Trace events — the Trace_dump_reply payload                        *)
 
 let w_i64 b v =
   let bits = Int64.of_int v in
@@ -529,22 +486,15 @@ let encode_payload msg =
   w_u8 b (kind_of msg);
   (match msg with
   | Hello v | Hello_ok v -> w_u16 b v
-  | Submit spec ->
-      w_spec b spec;
-      w_spec_trailer b spec
+  | Submit spec -> w_spec b spec
   | Submit_seeded { spec; seeds } ->
       w_spec b spec;
-      w_seeds b seeds;
-      w_spec_trailer b spec
+      w_seeds b seeds
   | Verdict { job_id; key; ok; ctx } ->
       w_str16 b job_id;
       w_str16 b key;
       w_bool b ok;
-      (match ctx with
-      | None -> ()
-      | Some { Lbr_obs.Trace.Context.trace_id; parent_span } ->
-          w_str16 b trace_id;
-          w_str16 b parent_span)
+      w_ctx b ctx
   | Accepted id | Cancel id -> w_str16 b id
   | Rejected { reason; retry_after } ->
       w_str16 b reason;
@@ -568,12 +518,12 @@ let encode_payload msg =
   | Stats_request -> ()
   | Stats_reply s -> w_daemon_stats b s
   | Trace_dump_request -> ()
-  | Trace_dump_reply { node; epoch; server_now; dropped; events } ->
-      w_str16 b node;
-      w_f64 b epoch;
-      w_f64 b server_now;
-      w_u32 b dropped;
-      w_trace_events b events
+  | Trace_dump_reply d ->
+      w_str16 b d.node;
+      w_f64 b d.epoch;
+      w_f64 b d.server_now;
+      w_u32 b d.dropped;
+      w_trace_events b d.events
   | Metrics_dump_request -> ()
   | Metrics_dump_reply { node; dump } ->
       w_str16 b node;
@@ -594,7 +544,7 @@ let decode_payload data =
       match r_u8 r with
       | 0x01 -> Hello (r_u16 r)
       | 0x81 -> Hello_ok (r_u16 r)
-      | 0x02 -> Submit (r_spec_trailer r (r_spec r))
+      | 0x02 -> Submit (r_spec r)
       | 0x82 -> Accepted (r_str16 r)
       | 0x03 -> Cancel (r_str16 r)
       | 0x83 ->
@@ -620,21 +570,12 @@ let decode_payload data =
       | 0x89 -> Stats_reply (r_daemon_stats r)
       | 0x05 ->
           let spec = r_spec r in
-          let seeds = r_seeds r in
-          Submit_seeded { spec = r_spec_trailer r spec; seeds }
+          Submit_seeded { spec; seeds = r_seeds r }
       | 0x8A ->
           let job_id = r_str16 r in
           let key = r_str16 r in
           let ok = r_bool r in
-          let ctx =
-            if r.pos < String.length r.data then begin
-              let trace_id = r_str16 r in
-              let parent_span = r_str16 r in
-              Some { Lbr_obs.Trace.Context.trace_id; parent_span }
-            end
-            else None
-          in
-          Verdict { job_id; key; ok; ctx }
+          Verdict { job_id; key; ok; ctx = r_ctx r }
       | 0x06 -> Trace_dump_request
       | 0x8B ->
           let node = r_str16 r in

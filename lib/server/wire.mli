@@ -1,7 +1,7 @@
 (** The reduction service's wire protocol.
 
     Length-prefixed binary frames over a stream socket — a Unix domain
-    socket or, since v3, a TCP connection (see {!Addr}); the framing is
+    socket or a TCP connection (see {!Addr}); the framing is
     byte-identical on both transports.  Every integer is big-endian,
     matching [Lbr_jvm.Serialize]'s conventions (the LBRC pool container
     is the payload of submissions and results).
@@ -12,15 +12,23 @@
     str16    := len(u16) bytes
     bytes32  := len(u32) bytes
     f64      := IEEE-754 bits, 8 bytes big-endian
+    bool     := u8, 0 or 1
+    ctx      := 0(u8)                             — no trace context
+              | 1(u8) trace_id:str16 parent_span:str16
+    spec     := tool:str16 strategy:u8 priority:u8 crash_policy:u8
+                retries:u16 pool:bytes32 frontend:str16 trace_ctx:ctx
     v}
 
-    A connection starts with version negotiation: the client sends
-    [Hello v] (the highest protocol version it speaks) and the server
-    answers [Hello_ok (min v protocol_version)] — or [Protocol_error] and
-    closes if the versions share no common ground.  After that the client
-    may pipeline [Submit] and [Cancel] requests; the server interleaves
-    [Accepted]/[Rejected]/[Cancel_ok] replies with streamed [Progress]
-    events and a terminal [Result]/[Job_failed] per job.
+    Every field of every frame is always written: a payload decodes by
+    its layout alone, never by how many bytes remain.
+
+    A connection starts with the handshake: the client sends
+    [Hello protocol_version] and the server answers [Hello_ok] with the
+    same version — or [Protocol_error] and closes if the versions
+    differ.  After that the client may pipeline requests; the server
+    interleaves [Accepted]/[Rejected]/[Cancel_ok] replies with streamed
+    [Progress] and [Verdict] events and a terminal [Result]/[Job_failed]
+    per job.
 
     Decoding is total: malformed bytes (bad magic kind, truncated body,
     oversized length, trailing garbage) come back as [Error _] — never an
@@ -28,23 +36,8 @@
     clients. *)
 
 val protocol_version : int
-(** Currently [5].  v2 added [Stats_request]/[Stats_reply]; v3 added
-    [Submit_seeded]/[Verdict] (the cluster coordinator's vocabulary) and
-    TCP listeners; v4 added the spec's [frontend] tag, an optional
-    trailing str16 at the very end of [Submit]/[Submit_seeded] payloads
-    written only for non-JVM frontends — JVM frames are byte-identical
-    to v3, and v3 journals replay with [frontend = "jvm"].  v5 adds
-    distributed observability: [Submit]/[Submit_seeded] may end with a
-    trace context (then the frontend tag is always written, followed by
-    trace id and parent span id), [Verdict] may end with the same
-    context, and [Trace_dump_request]/[Metrics_dump_request] pull a
-    node's span ring and metric registry.  Every optional v5 field is
-    written only when present, so context-free v5 frames are
-    byte-identical to v4.  A peer on an older version negotiates down
-    during the handshake and simply never sends — or receives — the
-    newer frames: a v5 daemon strips contexts on < 5 connections,
-    rejects non-JVM submissions on < 4, and gates [Verdict] streaming
-    on ≥ 3, so old clients interoperate unchanged. *)
+(** Currently [6].  Both ends of a connection must speak exactly this
+    version. *)
 
 val max_frame : int
 (** Hard ceiling on a frame payload (64 MiB); larger lengths are rejected
@@ -64,12 +57,11 @@ type spec = {
           JVM frontend, the frontend's own text format otherwise *)
   frontend : string;
       (** which {!Lbr_frontend.Registry} frontend interprets
-          [pool_bytes]; ["jvm"] is the v3-compatible default.  For
-          non-JVM frontends [tool] carries the frontend's predicate
+          [pool_bytes].  For non-JVM frontends [tool] carries the frontend's predicate
           spec, and the result's [stats.classes0]/[classes1] carry the
           frontend's item counts. *)
   trace_ctx : Lbr_obs.Trace.Context.t option;
-      (** v5: the job's distributed trace context.  Minted by whichever
+      (** the job's distributed trace context.  Minted by whichever
           node admits the job first (coordinator or scheduler), carried
           with the spec everywhere it goes — wire, journal, failover
           reseeds — and installed around the runner so every span the
@@ -110,12 +102,22 @@ type daemon_stats = {
   metrics_text : string;  (** Prometheus text-format metric snapshot *)
 }
 
+type trace_dump = {
+  node : string;  (** the daemon's lane label (its bound address) *)
+  epoch : float;  (** absolute second its trace [ts = 0] maps to *)
+  server_now : float;
+      (** its wall clock when the dump was taken — the merger pairs this
+          with its own request/reply timestamps to estimate clock skew *)
+  dropped : int;
+  events : Lbr_obs.Trace.event list;
+}
+
 type message =
-  | Hello of int  (** client → server: highest version the client speaks *)
-  | Hello_ok of int  (** server → client: negotiated version *)
+  | Hello of int  (** client → server: the client's protocol version *)
+  | Hello_ok of int  (** server → client: the same version, accepted *)
   | Submit of spec
   | Submit_seeded of { spec : spec; seeds : (string * bool) list }
-      (** v3, client → server: submit plus pre-paid predicate verdicts
+      (** client → server: submit plus pre-paid predicate verdicts
           (digest key, outcome) that seed the job's replay table — the
           coordinator's failover and shared-cache path.  Replayed
           verdicts count in [stats.replayed_runs], not tool executions. *)
@@ -128,35 +130,24 @@ type message =
   | Result of { job_id : string; stats : stats; pool_bytes : string }
   | Job_failed of { job_id : string; reason : string }
   | Protocol_error of string
-  | Stats_request  (** v2, client → server: live introspection snapshot *)
-  | Stats_reply of daemon_stats  (** v2, server → client *)
+  | Stats_request  (** client → server: live introspection snapshot *)
+  | Stats_reply of daemon_stats
   | Verdict of {
       job_id : string;
       key : string;
       ok : bool;
       ctx : Lbr_obs.Trace.Context.t option;
     }
-      (** v3, server → client, only on connections that negotiated ≥ 3:
-          one frame per {e fresh} predicate evaluation, emitted after the
-          verdict is journaled.  The coordinator folds these into the
-          cluster-wide verdict cache as they happen, so a job's paid
-          executions survive its worker.  [ctx] (v5, trailing, written
-          only when present and the connection negotiated ≥ 5) echoes
-          the job's trace context so the receiver can attribute the
+      (** server → client: one frame per {e fresh} predicate evaluation,
+          emitted after the verdict is journaled.  The coordinator folds
+          these into the cluster-wide verdict cache as they happen, so a
+          job's paid executions survive its worker.  [ctx] echoes the
+          job's trace context so the receiver can attribute the
           evaluation to the right distributed trace. *)
-  | Trace_dump_request
-      (** v5, client → server: ask for the node's span rings. *)
-  | Trace_dump_reply of {
-      node : string;  (** the daemon's self-chosen lane label *)
-      epoch : float;  (** absolute second its trace [ts = 0] maps to *)
-      server_now : float;  (** its wall clock when the dump was taken —
-          the merger pairs this with its own request/reply timestamps to
-          estimate clock skew *)
-      dropped : int;
-      events : Lbr_obs.Trace.event list;
-    }
+  | Trace_dump_request  (** client → server: ask for the node's span rings. *)
+  | Trace_dump_reply of trace_dump
   | Metrics_dump_request
-      (** v5, client → server: ask for the node's metric registry. *)
+      (** client → server: ask for the node's metric registry. *)
   | Metrics_dump_reply of { node : string; dump : Lbr_obs.Metrics.dump }
       (** The registry snapshot the coordinator's federation loop merges
           ({!Lbr_obs.Metrics.merge_dumps}). *)
@@ -187,9 +178,6 @@ val spec_to_string : spec -> string
     reused by the journal to persist accepted jobs. *)
 
 val spec_of_string : string -> (spec, string) result
-
-val strategy_code : Lbr_harness.Experiment.strategy -> int
-val strategy_of_code : int -> Lbr_harness.Experiment.strategy option
 
 val trace_events_to_string : Lbr_obs.Trace.event list -> string
 (** Standalone trace-event-list serialization — byte-identical to the

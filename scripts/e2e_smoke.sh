@@ -68,7 +68,7 @@ echo "OK: journal recorded the job and its terminal marker"
 
 # ---------------------------------------------------------------------
 # Non-JVM frontends: reduce the checked-in DIMACS and FJ examples both
-# one-shot and through the daemon (wire v4 frontend tag); the daemon
+# one-shot and through the daemon (the spec's frontend tag); the daemon
 # result must be byte-identical and strictly smaller than the input.
 
 CNF_IN=examples/data/php.cnf
@@ -124,7 +124,7 @@ echo "OK: daemon drained and exited cleanly on SIGTERM"
 # ---------------------------------------------------------------------
 # Cluster: coordinator + two TCP workers, kill -9 one worker mid-job.
 # Everything runs traced: worker spans parent under the coordinator's
-# per-job span (wire v5 context propagation), and the coordinator
+# per-job span (trace context carried in the spec), and the coordinator
 # federates the workers' metric registries.
 
 "$BIN" serve --socket 127.0.0.1:0 --jobs 1 --queue-depth 8 --trace "$WORK/w1-trace.json" \

@@ -611,6 +611,45 @@ let test_cluster_failover_byte_identical () =
   Server.stop w0;
   Server.stop w1
 
+(* A journaled spec cut just before its [frontend] field — the layout of
+   a journal written before every spec field was always present.  The
+   coordinator marks the job failed instead of re-admitting it, so it is
+   not pending on the next restart either. *)
+let test_cluster_recover_marks_corrupt_spec_failed () =
+  let w = start_worker () in
+  let journal_dir = fresh_dir "corruptspec" in
+  let spec = spec_of_seed ~classes:6 1 in
+  let bytes = Wire.spec_to_string spec in
+  (* drop the frontend str16 and the absent-context byte *)
+  let cut = String.length bytes - (2 + String.length spec.Wire.frontend + 1) in
+  let j = Journal.open_dir journal_dir in
+  Journal.record_job j ~id:"job-000001" ~spec:(String.sub bytes 0 cut);
+  Journal.close j;
+  let coordinator =
+    Coordinator.create
+      {
+        Coordinator.workers = [ Server.bound_addr w ];
+        lanes = 1;
+        queue_depth = 8;
+        cache_path = None;
+        journal_dir = Some journal_dir;
+        poll_interval = 0.;
+      }
+  in
+  Alcotest.(check int) "nothing recovered" 0 (Coordinator.recovered coordinator);
+  (Coordinator.backend coordinator).Server.b_drain ();
+  Server.stop w;
+  let j = Journal.open_dir journal_dir in
+  Alcotest.(check (list (pair string string))) "no longer pending" [] (Journal.pending j);
+  Journal.close j;
+  let reason =
+    In_channel.with_open_bin
+      (Filename.concat (Filename.concat journal_dir "job-000001") "failed")
+      In_channel.input_all
+  in
+  Alcotest.(check bool) "failed marker names the corrupt spec" true
+    (String.starts_with ~prefix:"corrupt journaled spec: " reason)
+
 (* ------------------------------------------------------------------ *)
 (* Dead cluster: a submission with no live workers must still complete
    the protocol — Accepted, then a terminal Job_failed — instead of the
@@ -866,6 +905,8 @@ let () =
             test_cluster_warm_cache_resubmission;
           Alcotest.test_case "failover after kill: byte-identical, fewer executions" `Slow
             test_cluster_failover_byte_identical;
+          Alcotest.test_case "corrupt journaled spec marked failed" `Quick
+            test_cluster_recover_marks_corrupt_spec_failed;
           Alcotest.test_case "dead cluster: Accepted then Job_failed, never a hang" `Quick
             test_cluster_no_live_workers_fails_cleanly;
           Alcotest.test_case "federated metrics merge to the exact sum" `Quick

@@ -1,7 +1,7 @@
 (* Tests for the pluggable frontend subsystem: the DIMACS and FJ
    frontends (parse/print round-trips, reduction validity), the registry,
    the refactored JVM path's equivalence with the pre-refactor pipeline,
-   and the wire protocol's v4 frontend tag. *)
+   and the wire protocol's frontend tag. *)
 
 open Lbr_logic
 module Frontend = Lbr_frontend.Frontend
@@ -568,7 +568,7 @@ let test_speculate_replay_launches_nothing () =
     (spec_launched ())
 
 (* ------------------------------------------------------------------ *)
-(* Wire v4: the frontend tag                                           *)
+(* Wire: the frontend tag                                              *)
 
 let wire_spec frontend =
   {
@@ -584,41 +584,21 @@ let wire_spec frontend =
 
 let test_wire_frontend_tag () =
   let module Wire = Lbr_server.Wire in
-  (* jvm frames carry no tag: payload is byte-identical to v3 *)
-  let jvm = wire_spec "jvm" in
-  let strip_frame s = String.sub s 4 (String.length s - 4) in
-  let jvm_bytes = strip_frame (Wire.encode (Wire.Submit jvm)) in
-  let tagged_bytes = strip_frame (Wire.encode (Wire.Submit (wire_spec "dimacs"))) in
-  Alcotest.(check int) "tag costs len16 + bytes"
-    (String.length jvm_bytes + 2 + String.length "dimacs")
-    (String.length tagged_bytes);
-  (* round-trips *)
   let roundtrip msg =
-    match Wire.decode_payload (strip_frame (Wire.encode msg)) with
-    | Ok m -> m
-    | Error m -> Alcotest.failf "decode: %s" m
+    let frame = Wire.encode msg in
+    Wire.decode_payload (String.sub frame 4 (String.length frame - 4))
   in
-  (match roundtrip (Wire.Submit (wire_spec "fj")) with
-  | Wire.Submit spec -> Alcotest.(check string) "submit tag survives" "fj" spec.Wire.frontend
-  | _ -> Alcotest.fail "wrong message");
-  (match roundtrip (Wire.Submit_seeded { spec = wire_spec "dimacs"; seeds = [ ("k", true) ] })
-   with
-  | Wire.Submit_seeded { spec; seeds } ->
-      Alcotest.(check string) "seeded tag survives" "dimacs" spec.Wire.frontend;
-      Alcotest.(check int) "seeds survive" 1 (List.length seeds)
-  | _ -> Alcotest.fail "wrong message");
-  (* a v3 frame (no tag) decodes with the jvm default *)
-  (match roundtrip (Wire.Submit jvm) with
-  | Wire.Submit spec -> Alcotest.(check string) "v3 default" "jvm" spec.Wire.frontend
-  | _ -> Alcotest.fail "wrong message");
-  (* journal spec records round-trip the tag too *)
-  let spec = wire_spec "fj" in
-  (match Wire.spec_of_string (Wire.spec_to_string spec) with
-  | Ok s -> Alcotest.(check string) "journal tag survives" "fj" s.Wire.frontend
-  | Error m -> Alcotest.failf "spec_of_string: %s" m);
-  match Wire.spec_of_string (Wire.spec_to_string jvm) with
-  | Ok s -> Alcotest.(check string) "journal jvm default" "jvm" s.Wire.frontend
-  | Error m -> Alcotest.failf "spec_of_string: %s" m
+  List.iter
+    (fun frontend ->
+      let spec = wire_spec frontend in
+      List.iter
+        (fun msg ->
+          Alcotest.(check bool) (frontend ^ " frame round-trips") true (roundtrip msg = Ok msg))
+        [ Wire.Submit spec; Wire.Submit_seeded { spec; seeds = [ ("k", true) ] } ];
+      (* journal spec records carry the tag too *)
+      Alcotest.(check bool) (frontend ^ " journal spec round-trips") true
+        (Wire.spec_of_string (Wire.spec_to_string spec) = Ok spec))
+    [ "jvm"; "dimacs"; "fj" ]
 
 let test_cache_key_frontend () =
   let a = Lbr_cluster.Cache.job_key (wire_spec "jvm") in

@@ -190,13 +190,15 @@ let check_message_equal what (a : Wire.message) (b : Wire.message) =
   (* structural equality is fine: messages are immutable data *)
   Alcotest.(check bool) what true (a = b)
 
+(* a frame with its length prefix stripped *)
+let payload_of msg =
+  let frame = Wire.encode msg in
+  String.sub frame 4 (String.length frame - 4)
+
 let test_wire_roundtrip () =
   List.iter
     (fun msg ->
-      let frame = Wire.encode msg in
-      (* strip the length prefix to get the payload back *)
-      let payload = String.sub frame 4 (String.length frame - 4) in
-      match Wire.decode_payload payload with
+      match Wire.decode_payload (payload_of msg) with
       | Ok decoded -> check_message_equal "roundtrip" msg decoded
       | Error m -> Alcotest.failf "decode failed: %s" m)
     sample_messages
@@ -257,62 +259,40 @@ let prop_wire_decode_never_raises =
     (fun data ->
       match Wire.decode_payload data with Ok _ | Error _ -> true)
 
-let payload_of msg =
-  let frame = Wire.encode msg in
-  String.sub frame 4 (String.length frame - 4)
-
-(* Cut sample message [i]'s payload at [cut]‰ of its length (strictly
-   short of the whole).  The prefix must decode to [Error], or to a
-   message whose own encoding is exactly the prefix: a cut just before a
-   message's trailing optional fields (a [Verdict]'s trace context) leaves
-   a valid, shorter message. *)
-let truncated_sample (i, cut) =
-  let payload = payload_of (List.nth sample_messages i) in
-  String.sub payload 0 (cut * (String.length payload - 1) / 1000)
-
+(* Every field is always written, so no strict prefix of a payload is
+   itself a message: each one must decode to [Error]. *)
 let prop_wire_truncation_rejected =
-  QCheck.Test.make ~count:300 ~name:"truncated payloads decode to Error or valid prefix"
-    QCheck.(pair (int_bound (List.length sample_messages - 1)) (int_bound 1000))
-    (fun case ->
-      let truncated = truncated_sample case in
-      match Wire.decode_payload truncated with
-      | Ok m' -> payload_of m' = truncated
-      | Error _ -> true)
+  QCheck.Test.make ~count:300 ~name:"truncated payloads decode to Error only"
+    QCheck.(int_bound (List.length sample_messages - 1))
+    (fun i ->
+      let payload = payload_of (List.nth sample_messages i) in
+      List.for_all
+        (fun n -> Result.is_error (Wire.decode_payload (String.sub payload 0 n)))
+        (List.init (String.length payload) Fun.id))
 
-(* Found by wire-prop under QCHECK_SEED=806480512: a traced Verdict cut
-   just before its context fields is a whole, context-free Verdict. *)
-let test_wire_truncated_verdict_is_valid_prefix () =
-  let truncated = truncated_sample (8, 579) in
-  match Wire.decode_payload truncated with
-  | Ok (Wire.Verdict { ctx = None; _ } as m) ->
-      Alcotest.(check string) "re-encodes to exactly the cut bytes" truncated (payload_of m)
-  | Ok _ -> Alcotest.fail "the cut decoded to some other message"
-  | Error m -> Alcotest.failf "the cut no longer lands on a field boundary: %s" m
+(* A traced Verdict cut just before its context fields (at 579‰ of its
+   payload): the cut that once decoded as a whole, context-free Verdict. *)
+let test_wire_truncated_verdict_is_error () =
+  let payload = payload_of (List.nth sample_messages 8) in
+  let cut = 579 * (String.length payload - 1) / 1000 in
+  match Wire.decode_payload (String.sub payload 0 cut) with
+  | Error _ -> ()
+  | Ok _ -> Alcotest.fail "a cut Verdict decoded to a message"
 
 let prop_wire_bitflip_never_raises =
   QCheck.Test.make ~count:300 ~name:"bit-flipped payloads never raise"
     QCheck.(pair (int_bound (List.length sample_messages - 1)) (pair small_nat (int_bound 7)))
     (fun (i, (pos, bit)) ->
-      let msg = List.nth sample_messages i in
-      let frame = Wire.encode msg in
-      let payload = Bytes.of_string (String.sub frame 4 (String.length frame - 4)) in
+      let payload = Bytes.of_string (payload_of (List.nth sample_messages i)) in
       let pos = pos mod Bytes.length payload in
       Bytes.set payload pos
         (Char.chr (Char.code (Bytes.get payload pos) lxor (1 lsl bit)));
       match Wire.decode_payload (Bytes.to_string payload) with Ok _ | Error _ -> true)
 
-(* ------------------------------------------------------------------ *)
-(* Wire v5 <-> v4 interop
-
-   The v5 context fields ride as trailing optional strings, so a v4
-   peer's bytes are, by construction, exactly the v5 encoding with the
-   context stripped.  Pin that construction: stripping the context
-   yields a strict prefix of the v5 frame, the v5 decoder reads those
-   v4 bytes back as a context-free spec, and contexts round-trip when
-   present. *)
-
-let interop_spec_gen =
-  (* one shared pool: the generator varies only the v5-relevant fields *)
+(* Every frontend, with and without a trace context, on every frame that
+   carries one. *)
+let ctx_spec_gen =
+  (* one shared pool: the generator varies only the frontend and ctx *)
   let base = spec_of_seed ~classes:6 1 in
   QCheck.Gen.(
     map2
@@ -327,24 +307,9 @@ let interop_spec_gen =
               })
             int int)))
 
-let payload_of msg =
-  let frame = Wire.encode msg in
-  String.sub frame 4 (String.length frame - 4)
-
-let prop_wire_v4_bytes_decode_identically =
-  QCheck.Test.make ~count:100 ~name:"v4 frames are the ctx-stripped v5 frames"
-    (QCheck.make interop_spec_gen)
-    (fun spec ->
-      let v4_spec = { spec with Wire.trace_ctx = None } in
-      let v4 = payload_of (Wire.Submit v4_spec) in
-      let v5 = payload_of (Wire.Submit spec) in
-      String.length v4 <= String.length v5
-      && String.sub v5 0 (String.length v4) = v4
-      && Wire.decode_payload v4 = Ok (Wire.Submit v4_spec))
-
 let prop_wire_ctx_roundtrip =
-  QCheck.Test.make ~count:100 ~name:"v5 contexts round-trip on every ctx'd frame"
-    (QCheck.make interop_spec_gen)
+  QCheck.Test.make ~count:100 ~name:"contexts round-trip on every ctx'd frame"
+    (QCheck.make ctx_spec_gen)
     (fun spec ->
       [
         Wire.Submit spec;
@@ -478,11 +443,11 @@ let test_journal_tolerates_torn_line () =
   Alcotest.(check int) "max job number" 7 (Journal.max_job_number j);
   Journal.close j
 
-let test_journal_v2_latency_retries () =
-  let dir = fresh_dir "v2" in
+let test_journal_line_shapes () =
+  let dir = fresh_dir "lines" in
   let j = Journal.open_dir dir in
   Journal.record_job j ~id:"job-000003" ~spec:"S";
-  (* mixed vintages in one log: a v1 line (no latency) among v2 lines *)
+  (* both shapes in one log: a mirrored line (no latency) among runner lines *)
   Journal.append_pred j ~id:"job-000003" ~key:(String.make 32 'a') true;
   Journal.append_pred j ~id:"job-000003" ~key:(String.make 32 'b') ~latency:0.25 ~retries:2
     false;
@@ -490,20 +455,20 @@ let test_journal_v2_latency_retries () =
   Journal.close j;
   let j = Journal.open_dir dir in
   let table = Journal.replay j ~id:"job-000003" in
-  Alcotest.(check int) "all three vintages replay" 3 (Hashtbl.length table);
-  Alcotest.(check (option bool)) "v2 verdict readable" (Some false)
+  Alcotest.(check int) "all three lines replay" 3 (Hashtbl.length table);
+  Alcotest.(check (option bool)) "runner verdict readable" (Some false)
     (Hashtbl.find_opt table (String.make 32 'b'));
   (match Journal.verdicts j ~id:"job-000003" with
   | [ a; b; c ] ->
-      Alcotest.(check bool) "v1 line has no latency" true (a.Journal.v_latency = None);
-      Alcotest.(check (option int)) "v1 line has no retries" None a.Journal.v_retries;
+      Alcotest.(check bool) "mirrored line has no latency" true (a.Journal.v_latency = None);
+      Alcotest.(check (option int)) "mirrored line has no retries" None a.Journal.v_retries;
       (match b.Journal.v_latency with
-      | Some l -> Alcotest.(check (float 1e-9)) "v2 latency survives (us precision)" 0.25 l
-      | None -> Alcotest.fail "v2 line lost its latency");
-      Alcotest.(check (option int)) "v2 retries survive" (Some 2) b.Journal.v_retries;
+      | Some l -> Alcotest.(check (float 1e-9)) "runner latency survives (us precision)" 0.25 l
+      | None -> Alcotest.fail "runner line lost its latency");
+      Alcotest.(check (option int)) "runner retries survive" (Some 2) b.Journal.v_retries;
       (match c.Journal.v_latency with
       | Some l -> Alcotest.(check (float 1e-12)) "1us latency survives" 1e-6 l
-      | None -> Alcotest.fail "v2 line lost its 1us latency");
+      | None -> Alcotest.fail "runner line lost its 1us latency");
       Alcotest.(check bool) "append order preserved" true (a.Journal.v_ok && c.Journal.v_ok)
   | vs -> Alcotest.failf "expected 3 verdicts, got %d" (List.length vs));
   Alcotest.(check (list string)) "jobs lists the journaled job" [ "job-000003" ]
@@ -780,6 +745,31 @@ let test_journal_replay_resumes_with_fewer_executions () =
   Alcotest.(check bool) "resumed run reaches done" true
     (Sys.file_exists (Filename.concat (Filename.concat dir2 id1) "done"))
 
+(* A spec record cut just before its [frontend] field — the layout of a
+   journal written before every spec field was always present.  Recovery
+   marks the job failed instead of re-admitting it, so it is not pending
+   on the next restart either. *)
+let test_recover_marks_corrupt_spec_failed () =
+  let dir = fresh_dir "corrupt" in
+  let j = Journal.open_dir dir in
+  let spec = spec_of_seed ~classes:6 1 in
+  let bytes = Wire.spec_to_string spec in
+  (* drop the frontend str16 and the absent-context byte *)
+  let cut = String.length bytes - (2 + String.length spec.Wire.frontend + 1) in
+  Journal.record_job j ~id:"job-000001" ~spec:(String.sub bytes 0 cut);
+  let sched = Scheduler.create ~runner:Runner.reduce ~jobs:1 ~queue_depth:2 ~journal:j () in
+  Alcotest.(check int) "nothing recovered" 0 (Scheduler.recover sched);
+  Scheduler.shutdown sched;
+  Alcotest.(check (list (pair string string))) "no longer pending" [] (Journal.pending j);
+  Journal.close j;
+  let reason =
+    In_channel.with_open_bin
+      (Filename.concat (Filename.concat dir "job-000001") "failed")
+      In_channel.input_all
+  in
+  Alcotest.(check bool) "failed marker names the corrupt spec" true
+    (String.starts_with ~prefix:"corrupt journaled spec: " reason)
+
 (* run_with with a pass-through evaluate hook must change nothing *)
 let test_hooks_passthrough_identical () =
   let _, reference = reference_run ~classes:16 21 in
@@ -1005,8 +995,6 @@ let test_server_top_stats () =
       (match Client.connect socket with
       | Error m -> Alcotest.failf "stats connect: %s" m
       | Ok stats_client ->
-          Alcotest.(check int) "current protocol negotiated" Wire.protocol_version
-            (Client.negotiated_version stats_client);
           let saw_three = ref false and saw_best = ref false in
           let deadline = Unix.gettimeofday () +. 30. in
           while (not (!saw_three && !saw_best)) && Unix.gettimeofday () < deadline do
@@ -1086,7 +1074,7 @@ let test_server_rejects_malformed_frame () =
           Wire.write_message fd (Wire.Hello Wire.protocol_version);
           (match Wire.read_message fd with
           | Ok (Wire.Hello_ok v) ->
-              Alcotest.(check int) "negotiated version" Wire.protocol_version v
+              Alcotest.(check int) "handshake echoes the version" Wire.protocol_version v
           | _ -> Alcotest.fail "handshake failed");
           let garbage = "\x00\x00\x00\x03\xfe\xfe\xfe" in
           ignore (Unix.write_substring fd garbage 0 (String.length garbage) : int);
@@ -1096,36 +1084,33 @@ let test_server_rejects_malformed_frame () =
           Unix.close fd;
           Client.close client)
 
-(* A v2 client (pre-cluster vintage) against a v3 daemon: handshake
-   negotiates down to 2, the submission runs, the result is byte-identical
-   — and no v3 [Verdict] frames leak onto the connection. *)
-let test_server_v2_client_interop () =
-  with_server "v2compat" (fun socket _server ->
-      let seed = 21 in
-      let _, ref_bytes = reference_run ~classes:16 seed in
-      match Client.connect ~version:2 socket with
-      | Error m -> Alcotest.failf "v2 connect: %s" m
-      | Ok client ->
-          Alcotest.(check int) "negotiated down to 2" 2
-            (Client.negotiated_version client);
-          let verdicts = ref 0 in
-          let result =
-            Client.submit client
-              ~on_verdict:(fun ~key:_ ~ok:_ -> incr verdicts)
-              (spec_of_seed ~classes:16 seed)
-          in
-          Client.close client;
-          (match result with
-          | Error m -> Alcotest.failf "v2 submit: %s" m
-          | Ok (_, _, bytes) ->
-              Alcotest.(check string) "v2 result byte-identical" ref_bytes bytes;
-              Alcotest.(check int) "no Verdict frames on a v2 connection" 0
-                !verdicts))
+(* The handshake is an exact match: a peer one version behind or ahead
+   gets a [Protocol_error] naming both versions, and the connection
+   closes before any other frame is read. *)
+let test_server_refuses_other_versions () =
+  with_server "versions" (fun socket _server ->
+      List.iter
+        (fun v ->
+          let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+          Unix.connect fd (Unix.ADDR_UNIX socket);
+          Wire.write_message fd (Wire.Hello v);
+          (match Wire.read_message fd with
+          | Ok (Wire.Protocol_error m) ->
+              Alcotest.(check string) "error names both versions"
+                (Printf.sprintf "unsupported protocol version %d (this server speaks %d)" v
+                   Wire.protocol_version)
+                m
+          | _ -> Alcotest.failf "expected Protocol_error for Hello %d" v);
+          (match Wire.read_message fd with
+          | Error `Closed -> ()
+          | _ -> Alcotest.failf "expected close after refusing Hello %d" v);
+          Unix.close fd)
+        [ Wire.protocol_version - 1; Wire.protocol_version + 1 ])
 
-(* The flip side: a v3 connection streams one Verdict frame per fresh
-   predicate evaluation, in executed order. *)
-let test_server_v3_verdict_stream () =
-  with_server "v3verdicts" (fun socket _server ->
+(* A connection streams one Verdict frame per fresh predicate
+   evaluation, in executed order. *)
+let test_server_verdict_stream () =
+  with_server "verdicts" (fun socket _server ->
       let seed = 21 in
       match Client.connect socket with
       | Error m -> Alcotest.failf "connect: %s" m
@@ -1147,25 +1132,7 @@ let test_server_v3_verdict_stream () =
                 stats.Wire.tool_executions !verdicts;
               Alcotest.(check bool) "evaluations happened" true (!verdicts > 0)))
 
-(* Submit_seeded is v3 vocabulary; on a v2 connection it is a protocol
-   error, not a silently mis-parsed frame. *)
-let test_server_seeded_submit_rejected_on_v2 () =
-  with_server "seededv2" (fun socket _server ->
-      let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-      Unix.connect fd (Unix.ADDR_UNIX socket);
-      Wire.write_message fd (Wire.Hello 2);
-      (match Wire.read_message fd with
-      | Ok (Wire.Hello_ok 2) -> ()
-      | _ -> Alcotest.fail "expected Hello_ok 2");
-      Wire.write_message fd
-        (Wire.Submit_seeded
-           { spec = spec_of_seed ~classes:6 1; seeds = [ (String.make 32 'a', true) ] });
-      (match Wire.read_message fd with
-      | Ok (Wire.Protocol_error _) -> ()
-      | _ -> Alcotest.fail "expected Protocol_error for Submit_seeded on v2");
-      Unix.close fd)
-
-(* A v5 connection can pull the daemon's span rings and metric registry;
+(* A connection can pull the daemon's span rings and metric registry;
    the server and the test share a process, so enabling tracing here
    makes the server's own job spans visible in the dump. *)
 let test_server_observability_dumps () =
@@ -1177,7 +1144,6 @@ let test_server_observability_dumps () =
           match Client.connect socket with
           | Error m -> Alcotest.failf "connect: %s" m
           | Ok client ->
-              Alcotest.(check int) "negotiated v5" 5 (Client.negotiated_version client);
               (match Client.submit client (spec_of_seed ~classes:16 21) with
               | Error m -> Alcotest.failf "submit: %s" m
               | Ok _ -> ());
@@ -1185,31 +1151,15 @@ let test_server_observability_dumps () =
               | Error m -> Alcotest.failf "trace_dump: %s" m
               | Ok d ->
                   Alcotest.(check bool) "node label present" true
-                    (String.length d.Client.td_node > 0);
-                  Alcotest.(check bool) "epoch is set" true (d.Client.td_epoch > 0.);
-                  Alcotest.(check bool) "job spans recorded" true (d.Client.td_events <> []));
+                    (String.length d.Wire.node > 0);
+                  Alcotest.(check bool) "epoch is set" true (d.Wire.epoch > 0.);
+                  Alcotest.(check bool) "job spans recorded" true (d.Wire.events <> []));
               (match Client.metrics_dump client with
               | Error m -> Alcotest.failf "metrics_dump: %s" m
               | Ok (node, dump) ->
                   Alcotest.(check bool) "node label present" true (String.length node > 0);
                   Alcotest.(check bool) "registry snapshot non-empty" true (dump <> []));
               Client.close client))
-
-(* Dump requests are v5 vocabulary; a v4 peer gets a protocol error, not
-   a mis-parsed frame. *)
-let test_server_dumps_rejected_on_v4 () =
-  with_server "dumpv4" (fun socket _server ->
-      let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-      Unix.connect fd (Unix.ADDR_UNIX socket);
-      Wire.write_message fd (Wire.Hello 4);
-      (match Wire.read_message fd with
-      | Ok (Wire.Hello_ok 4) -> ()
-      | _ -> Alcotest.fail "expected Hello_ok 4");
-      Wire.write_message fd Wire.Trace_dump_request;
-      (match Wire.read_message fd with
-      | Ok (Wire.Protocol_error _) -> ()
-      | _ -> Alcotest.fail "expected Protocol_error for Trace_dump_request on v4");
-      Unix.close fd)
 
 let test_server_cancel_over_socket () =
   (* queue_depth 1 and jobs 1: park a long job, cancel it over the wire *)
@@ -1300,23 +1250,21 @@ let () =
           Alcotest.test_case "empty frame" `Quick test_wire_empty_frame_is_malformed;
           Alcotest.test_case "spec string roundtrip" `Quick test_spec_string_roundtrip;
           Alcotest.test_case "tcp roundtrip + clean close" `Quick test_wire_tcp_roundtrip;
-          Alcotest.test_case "truncated traced Verdict is a valid prefix" `Quick
-            test_wire_truncated_verdict_is_valid_prefix;
+          Alcotest.test_case "traced Verdict cut is an Error" `Quick
+            test_wire_truncated_verdict_is_error;
         ] );
       qsuite "wire-prop"
         [ prop_wire_decode_never_raises; prop_wire_truncation_rejected;
           prop_wire_bitflip_never_raises; prop_wire_tcp_truncation_rejected;
-          prop_wire_tcp_bitflip_never_raises ];
-      qsuite "wire-v5-interop"
-        [ prop_wire_v4_bytes_decode_identically; prop_wire_ctx_roundtrip ];
+          prop_wire_tcp_bitflip_never_raises; prop_wire_ctx_roundtrip ];
       ( "journal",
         [
           Alcotest.test_case "record, replay, terminal markers" `Quick
             test_journal_record_and_replay;
           Alcotest.test_case "torn trailing line is skipped" `Quick
             test_journal_tolerates_torn_line;
-          Alcotest.test_case "v2 verdict lines: latency + retries" `Quick
-            test_journal_v2_latency_retries;
+          Alcotest.test_case "mirrored and runner lines" `Quick
+            test_journal_line_shapes;
           Alcotest.test_case "unsafe job ids rejected" `Quick test_journal_rejects_unsafe_ids;
         ] );
       ( "scheduler",
@@ -1343,6 +1291,11 @@ let () =
           Alcotest.test_case "should_stop cancels a baseline" `Quick
             test_runner_baseline_cancelled;
         ] );
+      ( "journal-recover",
+        [
+          Alcotest.test_case "corrupt journaled spec marked failed" `Quick
+            test_recover_marks_corrupt_spec_failed;
+        ] );
       ( "socket",
         [
           Alcotest.test_case "submit matches in-process run" `Slow
@@ -1354,16 +1307,12 @@ let () =
           Alcotest.test_case "hello required" `Quick test_server_rejects_bad_hello;
           Alcotest.test_case "malformed frame gets Protocol_error" `Quick
             test_server_rejects_malformed_frame;
-          Alcotest.test_case "v2 client interoperates with v3 daemon" `Slow
-            test_server_v2_client_interop;
+          Alcotest.test_case "other protocol versions refused" `Quick
+            test_server_refuses_other_versions;
           Alcotest.test_case "v3 connection streams Verdict frames" `Slow
-            test_server_v3_verdict_stream;
-          Alcotest.test_case "Submit_seeded rejected on v2" `Quick
-            test_server_seeded_submit_rejected_on_v2;
+            test_server_verdict_stream;
           Alcotest.test_case "v5 trace + metrics dumps over the socket" `Slow
             test_server_observability_dumps;
-          Alcotest.test_case "dump requests rejected on v4" `Quick
-            test_server_dumps_rejected_on_v4;
           Alcotest.test_case "cancel over the socket" `Slow test_server_cancel_over_socket;
           Alcotest.test_case "draining rejects submissions" `Quick
             test_server_draining_rejects_submissions;
