@@ -436,33 +436,15 @@ let reduce_cmd =
         in
         let hooks (instance : Lbr_harness.Corpus.instance) =
           let improvements = List.assoc instance.instance_id partial in
-          (* Under --trace, route predicate runs through a per-instance
-             runtime oracle purely so the timeline shows oracle.attempt /
-             oracle.memo events.  The default config (no retries,
-             Crash_raises) makes it behaviourally transparent — the
-             predicate memo above this hook already deduplicates, so the
-             oracle only ever sees fresh keys and the reduction stays
-             byte-identical to the untraced run. *)
-          let evaluate =
-            match trace with
-            | None -> None
-            | Some _ ->
-                let oracle = Lbr_runtime.Oracle.make ~name:instance.instance_id () in
-                Some
-                  (fun ~key thunk ->
-                    Lbr_frontend.Run.Fresh (Lbr_runtime.Oracle.run oracle ~key thunk))
-          in
           {
-            Lbr_frontend.Run.should_stop =
-              Some (fun () -> Lbr_server.Shutdown.requested shutdown);
+            Lbr_frontend.Run.default_hooks with
+            should_stop = Some (fun () -> Lbr_server.Shutdown.requested shutdown);
             on_improvement =
               Some
                 (fun sim_time cls bytes ->
                   Mutex.lock partial_mutex;
                   improvements := (sim_time, cls, bytes) :: !improvements;
                   Mutex.unlock partial_mutex);
-            evaluate;
-            peek = None;
           }
         in
         let run_corpus () =
@@ -963,6 +945,15 @@ let submit_cmd =
 (* ------------------------------------------------------------------ *)
 (* Live (and post-mortem) daemon introspection                          *)
 
+(* How a daemon's predicate verdicts were paid for, from its counters:
+   fresh ones are oracle executions that were not retries (the
+   coordinator's cache-miss formula), replayed ones came from a job's
+   replay table.  [counter] reads a counter by name. *)
+let verdict_counts counter =
+  let count name = Option.value ~default:0. (counter name) in
+  ( count "lbr_oracle_executions_total" -. count "lbr_oracle_retries_total",
+    count "lbr_replayed_verdicts_total" )
+
 let top_cmd =
   let journal_arg =
     Arg.(
@@ -1032,16 +1023,17 @@ let top_cmd =
           (if total = 0. then 0. else 100. *. hits /. total)
     | _ -> ()
   in
-  (* Speculation counters: local on a worker, under the federated
-     [worker="cluster"] label on a coordinator — prefer the cluster view
-     when both exist. *)
-  let spec_section text =
+  (* Verdict and speculation counters: local on a worker, under the
+     federated [worker="cluster"] label on a coordinator — prefer the
+     cluster view when both exist. *)
+  let counter_view text =
     let samples = prom_samples text in
-    let value name =
+    fun name ->
       match List.assoc_opt (name ^ "{worker=\"cluster\"}") samples with
       | Some _ as v -> v
       | None -> List.assoc_opt name samples
-    in
+  in
+  let spec_section value =
     match value "lbr_spec_launched_total" with
     | None -> ()
     | Some launched ->
@@ -1069,14 +1061,11 @@ let top_cmd =
         | Ok (s : Lbr_server.Wire.daemon_stats) ->
             Printf.printf "daemon: up %.0fs   queued: %d   running: %d\n" s.uptime
               s.queued_jobs s.running_jobs;
-            let hit_rate =
-              if s.oracle_queries = 0 then 0.
-              else 100. *. float_of_int s.oracle_memo_hits /. float_of_int s.oracle_queries
-            in
-            Printf.printf "oracle: %d queries, %d memo hits (%.1f%% hit rate)\n"
-              s.oracle_queries s.oracle_memo_hits hit_rate;
+            let counter = counter_view s.metrics_text in
+            let fresh, replayed = verdict_counts counter in
+            Printf.printf "verdicts: %.0f fresh, %.0f replayed\n" fresh replayed;
             cluster_section s.metrics_text;
-            spec_section s.metrics_text;
+            spec_section counter;
             (match s.job_stats with
             | [] -> print_endline "no jobs in flight"
             | jobs ->
@@ -1150,7 +1139,7 @@ let top_cmd =
     (Cmd.info "top"
        ~doc:
          "Introspect a running `lbr-reduce serve' daemon: queue depth, running jobs with \
-          best-so-far sizes, oracle memo hit rate and (with --metrics) the Prometheus \
+          best-so-far sizes, fresh and replayed verdict counts and (with --metrics) the Prometheus \
           metric snapshot.  With --journal DIR, reconstruct predicate-latency statistics \
           from a dead daemon's journal instead.")
     Term.(const run $ socket_arg $ journal_arg $ metrics_arg)
@@ -1456,7 +1445,7 @@ let report_cmd =
           (fun (file, node, reason, time, spans, transitions, metric_lines) ->
             Printf.printf "\nflight %s: node %s, reason %s, at %.3f\n" file node reason
               time;
-            (* Cache and memo effectiveness straight from the recorded
+            (* Verdict counts and cache effectiveness straight from the recorded
                metric rows. *)
             let counter name =
               List.find_map
@@ -1466,10 +1455,9 @@ let report_cmd =
                   | _ -> None)
                 metric_lines
             in
-            (match (counter "lbr_oracle_queries_total", counter "lbr_oracle_memo_hits_total") with
-            | Some q_, Some h when q_ > 0. ->
-                Printf.printf "  oracle: %.0f queries, %.0f memo hits (%.1f%% hit rate)\n"
-                  q_ h (100. *. h /. q_)
+            (match verdict_counts counter with
+            | fresh, replayed when fresh +. replayed > 0. ->
+                Printf.printf "  verdicts: %.0f fresh, %.0f replayed\n" fresh replayed
             | _ -> ());
             (match (counter "lbr_cluster_cache_hits_total", counter "lbr_cluster_cache_misses_total") with
             | Some h, Some m when h +. m > 0. ->
@@ -1531,7 +1519,7 @@ let report_cmd =
        ~doc:
          "Render a post-mortem report from a daemon's journal directory: flight-recorder \
           dumps (last spans and job state transitions before death), verdict latency \
-          quantiles from the journal, and cache/memo hit rates.")
+          quantiles from the journal, verdict counts and the cluster cache hit rate.")
     Term.(const run $ journal_arg $ json_arg)
 
 (* ------------------------------------------------------------------ *)

@@ -46,7 +46,6 @@ let () =
       Printf.printf "GBR with order (c,b,a): %s   (suboptimal: {b} is smaller)\n"
         (show pool result)
   | Error _ -> print_endline "GBR failed");
-  Lbr.Predicate.reset predicate;
   (match Lbr.Gbr.reduce problem ~order:(Order.of_list [ b; c; a ]) with
   | Ok (result, _) ->
       Printf.printf "GBR with order (b,c,a): %s\n" (show pool result)

@@ -6,11 +6,11 @@ let is_hex32 s =
 
 let job_key (spec : Lbr_server.Wire.spec) =
   (* Only the verdict-relevant content: which frontend interprets the
-     payload, what tool/spec is asked, how crashes count, and the exact
-     pool bytes.  Strategy and priority steer the search, not any single
-     verdict, so sharing across them is safe and wanted.  The key hashes
-     these fields, not the spec's wire bytes, so it does not depend on
-     the frame layout. *)
+     payload, what tool/spec is asked, how crashes count and how often a
+     transient failure is retried, and the exact pool bytes.  Strategy
+     and priority steer the search, not any single verdict, so sharing
+     across them is safe and wanted.  The key hashes these fields, not
+     the spec's wire bytes, so it does not depend on the frame layout. *)
   let b = Buffer.create (String.length spec.pool_bytes + 32) in
   Buffer.add_string b spec.frontend;
   Buffer.add_char b '\x00';

@@ -1,14 +1,14 @@
 (** The cluster-wide, content-addressed verdict cache.
 
-    GBR's dominant cost is black-box predicate execution; the journal
-    (PR 3) already guarantees one {e job} never re-pays an execution
+    GBR's dominant cost is black-box predicate execution; the daemon's
+    journal already guarantees one {e job} never re-pays an execution
     across a crash.  This cache lifts that guarantee to the cluster: a
     verdict is addressed purely by {e content} — the digest of the job's
-    substance (tool, crash policy, retries, pool bytes) plus the digest
-    of the assignment evaluated — so {e any} job on {e any} worker that
-    asks the same question gets the answer for free.  The strategy is
-    deliberately not part of the key: GBR, ddmin and the lossy modes all
-    ask the same kind of question of the same tool, and sharing across
+    substance (frontend, tool, crash policy, retries, pool bytes) plus the
+    digest of the assignment evaluated — so {e any} job on {e any} worker
+    that asks the same question gets the answer for free.  The strategy is
+    deliberately not part of the key: GBR, J-Reduce and the lossy modes
+    all ask the same kind of question of the same tool, and sharing across
     them is the point.
 
     Persistence is an append-only log of
@@ -27,9 +27,9 @@ val create : ?path:string -> unit -> t
     unreadable, or its parent cannot take the log. *)
 
 val job_key : Lbr_server.Wire.spec -> string
-(** 32-hex digest of the spec's verdict-relevant content: tool, crash
-    policy, retries and pool bytes — {e not} strategy or priority, which
-    cannot change a verdict. *)
+(** 32-hex digest of the spec's verdict-relevant content: frontend, tool,
+    crash policy, retries and pool bytes — {e not} strategy, priority or
+    trace context, which cannot change a verdict. *)
 
 val find : t -> job:string -> key:string -> bool option
 

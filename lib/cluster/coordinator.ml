@@ -703,11 +703,6 @@ let stats t =
         Wire.queued_jobs = t.queued;
         running_jobs = t.running;
         job_stats;
-        (* For a coordinator the "oracle" is the cluster cache: queries =
-           every predicate verdict observed, memo hits = the cached ones. *)
-        oracle_queries =
-          Metrics.counter_value t.m_hits + Metrics.counter_value t.m_misses;
-        oracle_memo_hits = Metrics.counter_value t.m_hits;
         uptime = Unix.gettimeofday () -. t.started_at;
         metrics_text =
           (* Local registry first, then each worker's last-pulled dump

@@ -9,25 +9,14 @@ end)
 type t = {
   name : string;
   black_box : Assignment.t -> bool;
-  memoize : bool;
   mutex : Mutex.t;
   mutable memo : bool AMap.t;
   mutable runs : int;
   mutable queries : int;
-  mutable observers : (Assignment.t -> bool -> unit) list;
 }
 
-let make ?(name = "predicate") ?(memoize = true) black_box =
-  {
-    name;
-    black_box;
-    memoize;
-    mutex = Mutex.create ();
-    memo = AMap.empty;
-    runs = 0;
-    queries = 0;
-    observers = [];
-  }
+let make ?(name = "predicate") black_box =
+  { name; black_box; mutex = Mutex.create (); memo = AMap.empty; runs = 0; queries = 0 }
 
 let name t = t.name
 
@@ -45,43 +34,26 @@ let latency_hist =
 let execute t input =
   locked t (fun () -> t.runs <- t.runs + 1);
   let t0 = Lbr_obs.Trace.now () in
-  let outcome =
-    Fun.protect
-      ~finally:(fun () ->
-        let t1 = Lbr_obs.Trace.now () in
-        Lbr_obs.Trace.span_between "core.predicate" ~start:t0 ~finish:t1;
-        Lbr_obs.Metrics.observe (Lazy.force latency_hist) (t1 -. t0))
-      (fun () -> Perf.time "core.predicate" (fun () -> t.black_box input))
-  in
-  let observers = locked t (fun () -> t.observers) in
-  List.iter (fun observe -> observe input outcome) observers;
-  outcome
+  Fun.protect
+    ~finally:(fun () ->
+      let t1 = Lbr_obs.Trace.now () in
+      Lbr_obs.Trace.span_between "core.predicate" ~start:t0 ~finish:t1;
+      Lbr_obs.Metrics.observe (Lazy.force latency_hist) (t1 -. t0))
+    (fun () -> Perf.time "core.predicate" (fun () -> t.black_box input))
 
 let run t input =
   let cached =
     locked t (fun () ->
         t.queries <- t.queries + 1;
-        if not t.memoize then None
-        else
-          match AMap.find_opt input t.memo with
-          | Some outcome -> Some outcome
-          | None -> None)
+        AMap.find_opt input t.memo)
   in
   match cached with
   | Some outcome -> outcome
   | None ->
       let outcome = execute t input in
-      if t.memoize then locked t (fun () -> t.memo <- AMap.add input outcome t.memo);
+      locked t (fun () -> t.memo <- AMap.add input outcome t.memo);
       outcome
 
 let runs t = locked t (fun () -> t.runs)
 
 let queries t = locked t (fun () -> t.queries)
-
-let reset t =
-  locked t (fun () ->
-      t.memo <- AMap.empty;
-      t.runs <- 0;
-      t.queries <- 0)
-
-let on_check t observe = locked t (fun () -> t.observers <- observe :: t.observers)

@@ -2,29 +2,28 @@
 
     The paper's [𝒫] can only be invoked, never inspected; everything the
     algorithms learn about it comes from running it.  This wrapper counts
-    executions (the evaluation's main cost metric), optionally memoizes them
-    (re-running a decompiler on an input already tried is wasted work), and
-    lets observers tap each check — which is how the harness reconstructs
-    the reduction-over-time curves of Figure 8b.
+    executions (the evaluation's main cost metric) and memoizes them:
+    re-running a decompiler on an input already tried is wasted work.
+    This memo is the one verdict cache of a reduction; verdicts known
+    from outside it (a journal, cluster seeds) are answered inside the
+    black box, by [Lbr_frontend.Run].
 
     {2 Thread-safety contract}
 
     All operations may be called concurrently from multiple domains.  The
-    memo table, counters, and observer list are guarded by one mutex per
-    predicate; counters are exact (no lost updates).  The black box itself
-    runs {e outside} the lock, so concurrent runs proceed in parallel —
-    with the consequence that two domains racing on the same uncached
-    input may both execute the black box (both executions are counted by
-    {!runs}; the memo keeps one of the identical results).  Observers are
-    invoked outside the lock, after the execution, on the executing
-    domain; an observer shared between domains must do its own locking. *)
+    memo table and counters are guarded by one mutex per predicate;
+    counters are exact (no lost updates).  The black box itself runs
+    {e outside} the lock, so concurrent runs proceed in parallel — with
+    the consequence that two domains racing on the same uncached input may
+    both execute the black box (both executions are counted by {!runs};
+    the memo keeps one of the identical results). *)
 
 open Lbr_logic
 
 type t
 
-val make : ?name:string -> ?memoize:bool -> (Assignment.t -> bool) -> t
-(** [make f] wraps the black box [f].  [memoize] defaults to [true]. *)
+val make : ?name:string -> (Assignment.t -> bool) -> t
+(** [make f] wraps the black box [f]. *)
 
 val name : t -> string
 
@@ -36,10 +35,3 @@ val runs : t -> int
 
 val queries : t -> int
 (** Number of {!run} calls, including memoized hits. *)
-
-val reset : t -> unit
-(** Clear counters and memo table. *)
-
-val on_check : t -> (Assignment.t -> bool -> unit) -> unit
-(** Register an observer invoked after every underlying execution (not on
-    memo hits) with the tested set and the outcome. *)

@@ -1,16 +1,14 @@
 open Lbr_logic
 
-type evaluation = Fresh of bool | Replayed of bool
-
 type hooks = {
   on_improvement : (float -> int -> int -> unit) option;
   should_stop : (unit -> bool) option;
-  evaluate : (key:string -> (unit -> bool) -> evaluation) option;
-  peek : (key:string -> bool option) option;
+  replay : (key:string -> bool option) option;
+  execute : (key:string -> (unit -> bool) -> bool) option;
 }
 
 let default_hooks =
-  { on_improvement = None; should_stop = None; evaluate = None; peek = None }
+  { on_improvement = None; should_stop = None; replay = None; execute = None }
 
 exception Cancelled
 
@@ -72,11 +70,11 @@ let drive (type i c) ~hooks ~search
                          it only prefetches branches replay will take: a
                          fully replayed workload launches nothing, so
                          speculation adds no fresh executions to it. *)
-                      match hooks.peek with
+                      match hooks.replay with
                       | None -> (None, None)
-                      | Some peek ->
-                          let peek phi = peek ~key:(Assignment.digest_hex phi) in
-                          (Some (fun phi -> peek phi = None), Some peek)
+                      | Some replay ->
+                          let known phi = replay ~key:(Assignment.digest_hex phi) in
+                          (Some (fun phi -> known phi = None), Some known)
                     in
                     Some
                       (Lbr.Speculate.create
@@ -117,15 +115,20 @@ let drive (type i c) ~hooks ~search
                  or was computed inline — byte-identical either way. *)
               let settle phi ~bytes ~items ok =
                 clock := !clock +. (1.0 +. (4e-4 *. float_of_int bytes));
+                (* The one lookup of an already-known verdict: a replayed
+                   verdict never reaches [execute], so it never runs the
+                   tool. *)
                 let ok =
-                  match hooks.evaluate with
-                  | None -> ok ()
-                  | Some evaluate -> (
-                      match evaluate ~key:(Assignment.digest_hex phi) ok with
-                      | Fresh ok -> ok
-                      | Replayed ok ->
+                  match (hooks.replay, hooks.execute) with
+                  | None, None -> ok ()
+                  | replay, execute -> (
+                      let key = Assignment.digest_hex phi in
+                      match Option.bind replay (fun replay -> replay ~key) with
+                      | Some ok ->
                           incr replayed;
-                          ok)
+                          ok
+                      | None -> (
+                          match execute with Some execute -> execute ~key ok | None -> ok ()))
                 in
                 if ok then begin
                   let c = items () in

@@ -4,22 +4,23 @@
     GBR, and the harness's J-Reduce and lossy baselines through
     {!reduce_closures} — runs against the same black box.  It charges a
     simulated clock [1 + 4e-4 × bytes] seconds per predicate run, records
-    an improvement timeline on (bytes, items), memoizes verdicts keyed by
-    the candidate assignment's digest, and speaks the hook surface the
-    server's scheduler uses — so journal replay, verdict streaming and
+    an improvement timeline on (bytes, items), and speaks the hook surface
+    the server's scheduler uses — so journal replay, verdict streaming and
     cancellation work unchanged for every frontend and strategy.
+
+    One verdict path: a strategy's query is answered by the
+    [Lbr.Predicate] memo of this reduction, or else by [hooks.replay] (a
+    verdict already known, keyed by the candidate assignment's digest),
+    or else by running the check, wrapped by [hooks.execute].  The replay
+    lookup happens once, here, so a replayed verdict never runs the tool.
 
     Before the strategy starts, the problem is validated
     ({!Lbr.Problem.validate}), which runs the predicate once on the full
-    input.  That run is charged to [sim_time] (and journaled through
-    [hooks.evaluate]) but not counted in [predicate_runs], which is the
-    strategy's own count. *)
+    input.  That run is charged to [sim_time] (and passes through the
+    hooks) but not counted in [predicate_runs], which is the strategy's
+    own count. *)
 
 open Lbr_logic
-
-type evaluation = Fresh of bool | Replayed of bool
-(** How a hooked predicate evaluation was answered: by actually running the
-    check ([Fresh]) or from a replayed/memoized source ([Replayed]). *)
 
 type hooks = {
   on_improvement : (float -> int -> int -> unit) option;
@@ -27,18 +28,20 @@ type hooks = {
           server streams progress *)
   should_stop : (unit -> bool) option;
       (** polled before every predicate run; [true] raises {!Cancelled} *)
-  evaluate : (key:string -> (unit -> bool) -> evaluation) option;
-      (** interception of the black-box run; [key] is the candidate
-          assignment's hex digest, stable across processes (it names
-          journal entries); the thunk performs the real check.  The
-          simulated clock has already been charged when this is called, so
-          replaying a memoized result keeps [sim_time] — and hence the
-          whole outcome — identical to a cold run. *)
-  peek : (key:string -> bool option) option;
-      (** non-executing verdict lookup (e.g. into a replay journal), used
-          to gate speculative launches: an assignment whose verdict is
-          already known is never executed speculatively, so speculation
-          adds no fresh executions to a replayed workload *)
+  replay : (key:string -> bool option) option;
+      (** a verdict already known (e.g. from a replay journal) for the
+          candidate assignment whose hex digest is [key] — stable across
+          processes, it names journal entries.  A [Some] answer counts in
+          [replayed_runs] and skips the check.  Speculation consults it
+          too: an assignment whose verdict is known is never executed
+          speculatively, so speculation adds no fresh executions to a
+          replayed workload.  On the demand path the simulated clock has
+          already been charged when this is called, so a replayed run
+          keeps [sim_time] — and hence the whole outcome — identical to a
+          cold run. *)
+  execute : (key:string -> (unit -> bool) -> bool) option;
+      (** wraps a fresh check, called only when [replay] has no answer;
+          the thunk performs the real check *)
 }
 
 val default_hooks : hooks
@@ -54,8 +57,8 @@ type outcome = {
   wall_time : float;
   predicate_runs : int;
   replayed_runs : int;
-      (** evaluations answered by [hooks.evaluate] returning [Replayed];
-          always 0 without hooks *)
+      (** predicate runs answered by [hooks.replay]; always 0 without
+          hooks *)
   items0 : int;
   items1 : int;
   bytes0 : int;

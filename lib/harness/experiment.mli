@@ -27,8 +27,8 @@ type outcome = {
   wall_time : float;
   predicate_runs : int;
   replayed_runs : int;
-      (** predicate runs answered by [hooks.evaluate] returning [Replayed]
-          (e.g. the server's journal replay); always 0 without hooks *)
+      (** predicate runs answered by [hooks.replay] (e.g. the server's
+          journal replay); always 0 without hooks *)
   classes0 : int;
   classes1 : int;
   bytes0 : int;

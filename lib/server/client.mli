@@ -58,7 +58,7 @@ val cancel : t -> string -> (bool, string) result
 
 val stats : t -> (Wire.daemon_stats, string) result
 (** One live introspection snapshot (queue depth, per-job best-so-far,
-    oracle memo hit rate, Prometheus metrics text). *)
+    Prometheus metrics text). *)
 
 val trace_dump : t -> (Wire.trace_dump, string) result
 (** Pull the daemon's span rings ([Trace_dump_request]).  Capture

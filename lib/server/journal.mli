@@ -27,7 +27,7 @@
 
     A daemon killed mid-reduction leaves a job directory with a [spec]
     and a partial [preds.log] but no terminal marker; {!pending} finds
-    exactly those on restart and {!replay} rebuilds the memo that lets
+    exactly those on restart and {!replay} rebuilds the table that lets
     the resumed run skip every predicate execution it already paid for.
     A torn final line in [preds.log] (the crash happened mid-append) is
     ignored, not fatal. *)

@@ -2,34 +2,43 @@ module Experiment = Lbr_harness.Experiment
 module Oracle = Lbr_runtime.Oracle
 module Run = Lbr_frontend.Run
 
+(* Process-wide, like the oracle's counters: with
+   [lbr_oracle_executions_total] it tells how a daemon's verdicts were
+   paid for. *)
+let m_replayed =
+  lazy
+    (Lbr_obs.Metrics.counter ~help:"Predicate verdicts answered from a job's replay table."
+       "lbr_replayed_verdicts_total")
+
 let reduce (ctx : Scheduler.runner_ctx) (spec : Wire.spec) =
   let config =
     {
-      Oracle.default_config with
-      crash_policy = spec.crash_policy;
+      Oracle.crash_policy = spec.crash_policy;
       retries = spec.retries;
       transient = (function Lbr_decompiler.Tool.Transient_failure _ -> true | _ -> false);
     }
   in
   let oracle = Oracle.make ~config ~name:ctx.job_id () in
-  let evaluate ~key thunk =
-    match Hashtbl.find_opt ctx.replay key with
-    | Some cached -> Run.Replayed cached
-    | None ->
-        let retries0 = Oracle.retries_used oracle in
-        let t0 = Unix.gettimeofday () in
-        let ok = Oracle.run oracle ~key thunk in
-        ctx.record ~key ~ok
-          ~latency:(Unix.gettimeofday () -. t0)
-          ~retries:(Oracle.retries_used oracle - retries0);
-        Run.Fresh ok
+  let replay ~key =
+    let known = Hashtbl.find_opt ctx.replay key in
+    if Option.is_some known then Lbr_obs.Metrics.incr (Lazy.force m_replayed);
+    known
+  in
+  let execute ~key thunk =
+    let retries0 = Oracle.retries_used oracle in
+    let t0 = Unix.gettimeofday () in
+    let ok = Oracle.run oracle thunk in
+    ctx.record ~key ~ok
+      ~latency:(Unix.gettimeofday () -. t0)
+      ~retries:(Oracle.retries_used oracle - retries0);
+    ok
   in
   let hooks =
     {
       Run.on_improvement = Some ctx.progress;
       should_stop = Some ctx.should_stop;
-      evaluate = Some evaluate;
-      peek = Some (fun ~key -> Hashtbl.find_opt ctx.replay key);
+      replay = Some replay;
+      execute = Some execute;
     }
   in
   let frontend = if spec.frontend = "" then "jvm" else spec.frontend in

@@ -5,21 +5,19 @@
     ([""] is [jvm]); J-Reduce and lossy jobs, which exist for [jvm] only,
     go through {!Lbr_harness.Experiment.reduce}.  Both are driven with the
     same hooks, wired to the scheduler context: [should_stop] polls the
-    job's cancel flag, [on_improvement] streams progress, and [evaluate]
-    routes every predicate run — the validation run included — through
-
-    - the journal replay table first (a resumed job answers already-paid
-      evaluations without touching the tool, counted as [replayed_runs]),
-    - then a per-job [Lbr_runtime.Oracle] carrying the spec's crash policy
-      and retry budget, keyed on the candidate assignment's hex digest —
-      the same key the journal and the cluster cache use,
-
-    and records each fresh result in the WAL before it is used.  The
-    result's [tool_executions], [oracle_retries] and [oracle_crashes] are
-    the oracle's counters, so a fully replayed job reports zero
+    job's cancel flag, [on_improvement] streams progress, [replay] answers
+    from the job's replay table (the journal of a resumed job, or the
+    coordinator's seeds) without touching the tool — each answer counted
+    in [replayed_runs] and in the process-wide
+    [lbr_replayed_verdicts_total] counter — and [execute] runs every other
+    predicate run, the validation run included, through a per-job
+    [Lbr_runtime.Oracle] carrying the spec's crash policy and retry
+    budget, then records the fresh result in the WAL before it is used.
+    The result's [tool_executions], [oracle_retries] and [oracle_crashes]
+    are the oracle's counters, so a fully replayed job reports zero
     executions.
 
-    Invariant: the simulated clock is charged before [evaluate], so a
+    Invariant: the simulated clock is charged before [replay], so a
     replayed run produces the same [sim_time] — and hence byte-identical
     reduced outputs and identical non-wall-time stats — as a cold run. *)
 

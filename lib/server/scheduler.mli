@@ -41,7 +41,9 @@ type runner_ctx = {
   job_id : string;
   should_stop : unit -> bool;  (** true once the job is cancelled *)
   progress : float -> int -> int -> unit;  (** (sim_time, classes, bytes) *)
-  replay : (string, bool) Hashtbl.t;  (** journal replay memo; empty when cold *)
+  replay : (string, bool) Hashtbl.t;
+      (** verdicts already paid for — the journal's on resume, the
+          coordinator's seeds on failover; empty when cold *)
   record : key:string -> ok:bool -> latency:float -> retries:int -> unit;
       (** WAL a completed predicate evaluation: digest, verdict, wall
           latency (seconds) and extra oracle attempts it took *)

@@ -51,13 +51,12 @@ let bound_addr t =
   | Addr.Unix_path _ as a -> a
   | Addr.Tcp (host, _) -> Addr.Tcp (host, Addr.bound_port t.listen_fd)
 
-(* One consistent introspection snapshot: scheduler view under its lock,
-   process-wide oracle counters and the full metric registry rendered as
-   Prometheus text.  Built entirely from state the event stream already
-   maintains — nothing reaches into running jobs. *)
+(* One consistent introspection snapshot: scheduler view under its lock
+   and the full metric registry rendered as Prometheus text.  Built
+   entirely from state the event stream already maintains — nothing
+   reaches into running jobs. *)
 let scheduler_stats scheduler started_at () =
   let jobs = Scheduler.snapshot scheduler in
-  let value name = Option.value ~default:0 (Lbr_obs.Metrics.find_counter_value name) in
   {
     Wire.queued_jobs = List.length (List.filter (fun j -> not j.Scheduler.info_running) jobs);
     running_jobs = List.length (List.filter (fun j -> j.Scheduler.info_running) jobs);
@@ -66,8 +65,6 @@ let scheduler_stats scheduler started_at () =
         (fun (j : Scheduler.job_info) ->
           { Wire.js_id = j.info_id; js_running = j.info_running; js_best = j.info_best })
         jobs;
-    oracle_queries = value "lbr_oracle_queries_total";
-    oracle_memo_hits = value "lbr_oracle_memo_hits_total";
     uptime = Unix.gettimeofday () -. started_at;
     metrics_text = Lbr_obs.Metrics.render_prometheus ();
   }

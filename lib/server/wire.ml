@@ -1,7 +1,7 @@
 (* Frame layouts are documented in wire.mli.  Every field is always
    written; any layout change bumps [protocol_version], and the
    handshake refuses a peer on any other version. *)
-let protocol_version = 6
+let protocol_version = 7
 let max_frame = 64 * 1024 * 1024
 
 type priority = Normal | High
@@ -42,8 +42,6 @@ type daemon_stats = {
   queued_jobs : int;
   running_jobs : int;
   job_stats : job_stat list;
-  oracle_queries : int;
-  oracle_memo_hits : int;
   uptime : float;
   metrics_text : string;
 }
@@ -329,8 +327,6 @@ let w_daemon_stats b s =
   w_u32 b s.running_jobs;
   w_u16 b (List.length s.job_stats);
   List.iter (w_job_stat b) s.job_stats;
-  w_u32 b s.oracle_queries;
-  w_u32 b s.oracle_memo_hits;
   w_f64 b s.uptime;
   w_bytes32 b s.metrics_text
 
@@ -339,11 +335,9 @@ let r_daemon_stats r =
   let running_jobs = r_u32 r in
   let n = r_u16 r in
   let job_stats = List.init n (fun _ -> r_job_stat r) in
-  let oracle_queries = r_u32 r in
-  let oracle_memo_hits = r_u32 r in
   let uptime = r_f64 r in
   let metrics_text = r_bytes32 r in
-  { queued_jobs; running_jobs; job_stats; oracle_queries; oracle_memo_hits; uptime; metrics_text }
+  { queued_jobs; running_jobs; job_stats; uptime; metrics_text }
 
 (* ------------------------------------------------------------------ *)
 (* Seed tables — pre-paid verdicts shipped with a submission           *)

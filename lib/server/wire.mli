@@ -96,8 +96,6 @@ type daemon_stats = {
   queued_jobs : int;
   running_jobs : int;
   job_stats : job_stat list;  (** every non-terminal job, id order *)
-  oracle_queries : int;  (** process-wide, across all jobs so far *)
-  oracle_memo_hits : int;
   uptime : float;  (** seconds since the daemon started *)
   metrics_text : string;  (** Prometheus text-format metric snapshot *)
 }

@@ -15,7 +15,9 @@
 #   7. start two TCP workers and a coordinator fronting them,
 #   8. submit a job through the coordinator, kill -9 a worker mid-job,
 #   9. check the result is byte-identical to a sequential run, that `top`
-#      reports cluster health, and that the coordinator drains cleanly.
+#      reports cluster health, that the surviving worker replayed the
+#      verdicts the coordinator seeded it with, and that the coordinator
+#      drains cleanly.
 #
 # Usage: scripts/e2e_smoke.sh  (after `dune build`; override BIN to point
 # at the lbr_reduce executable if it lives elsewhere, TRACE_OUT to keep
@@ -213,6 +215,13 @@ echo "OK: cluster result (worker killed mid-job) is byte-identical to a sequenti
 grep -q '^cluster:' "$WORK/top.out" || { echo "top lacks cluster health"; cat "$WORK/top.out"; exit 1; }
 grep -q '^cluster cache:' "$WORK/top.out" || { echo "top lacks cluster cache stats"; cat "$WORK/top.out"; exit 1; }
 echo "OK: top reports cluster worker and verdict-cache health"
+
+# The survivor re-ran the job seeded with the verdicts the victim had
+# streamed before it died, so it answered those without running the tool.
+"$BIN" top --socket "$SURVIVOR_ADDR" > "$WORK/top-survivor.out"
+grep -Eq '^verdicts: [0-9]+ fresh, [1-9][0-9]* replayed$' "$WORK/top-survivor.out" \
+  || { echo "surviving worker replayed no verdicts"; cat "$WORK/top-survivor.out"; exit 1; }
+echo "OK: the surviving worker replayed the coordinator's seeds"
 
 test -s "$COORD_JOURNAL"/job-000001/preds.log || { echo "coordinator journal mirrored no verdicts"; exit 1; }
 test -s "$WORK/verdicts.cache" || { echo "verdict cache file is empty"; exit 1; }

@@ -132,10 +132,17 @@ let test_cache_job_key_content_addressing () =
     (Cache.job_key { spec with strategy = Lbr_harness.Experiment.Jreduce });
   Alcotest.(check string) "priority does not change the key" k
     (Cache.job_key { spec with priority = Wire.High });
-  Alcotest.(check bool) "pool bytes change the key" true
-    (k <> Cache.job_key { spec with pool_bytes = spec.pool_bytes ^ "x" });
-  Alcotest.(check bool) "crash policy changes the key" true
-    (k <> Cache.job_key { spec with crash_policy = Lbr_runtime.Oracle.Crash_fails })
+  Alcotest.(check string) "trace context does not change the key" k
+    (Cache.job_key
+       { spec with trace_ctx = Some { Lbr_obs.Trace.Context.trace_id = "t"; parent_span = "p" } });
+  let changes what spec' =
+    Alcotest.(check bool) (what ^ " changes the key") true (k <> Cache.job_key spec')
+  in
+  changes "pool bytes" { spec with pool_bytes = spec.pool_bytes ^ "x" };
+  changes "crash policy" { spec with crash_policy = Lbr_runtime.Oracle.Crash_fails };
+  changes "frontend" { spec with frontend = "dimacs" };
+  changes "tool" { spec with tool = "cfr" };
+  changes "retries" { spec with retries = 1 }
 
 (* hit => identical to recompute: modelled against a reference Hashtbl
    holding the first-stored verdict per (job, key) pair *)
@@ -246,15 +253,7 @@ let start_worker () =
 (* Work stealing, against stub workers whose job duration we control    *)
 
 let zero_stats =
-  {
-    Wire.queued_jobs = 0;
-    running_jobs = 0;
-    job_stats = [];
-    oracle_queries = 0;
-    oracle_memo_hits = 0;
-    uptime = 0.;
-    metrics_text = "";
-  }
+  { Wire.queued_jobs = 0; running_jobs = 0; job_stats = []; uptime = 0.; metrics_text = "" }
 
 let stub_result_stats =
   {

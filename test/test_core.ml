@@ -13,22 +13,12 @@ let universe_n n = Assignment.of_list (List.init n Fun.id)
 (* Predicate                                                           *)
 
 let test_predicate_memoization () =
-  let p = Lbr.Predicate.make ~memoize:true (fun s -> Assignment.mem 0 s) in
+  let p = Lbr.Predicate.make (fun s -> Assignment.mem 0 s) in
   let a = Assignment.of_list [ 0; 1 ] in
   Alcotest.(check bool) "first" true (Lbr.Predicate.run p a);
   Alcotest.(check bool) "second" true (Lbr.Predicate.run p a);
   Alcotest.(check int) "one execution" 1 (Lbr.Predicate.runs p);
-  Alcotest.(check int) "two queries" 2 (Lbr.Predicate.queries p);
-  Lbr.Predicate.reset p;
-  Alcotest.(check int) "reset" 0 (Lbr.Predicate.runs p)
-
-let test_predicate_observer () =
-  let p = Lbr.Predicate.make ~memoize:false (fun s -> Assignment.is_empty s) in
-  let seen = ref 0 in
-  Lbr.Predicate.on_check p (fun _ _ -> incr seen);
-  ignore (Lbr.Predicate.run p Assignment.empty);
-  ignore (Lbr.Predicate.run p (Assignment.singleton 3));
-  Alcotest.(check int) "observer fired per execution" 2 !seen
+  Alcotest.(check int) "two queries" 2 (Lbr.Predicate.queries p)
 
 (* ------------------------------------------------------------------ *)
 (* Progression: INV-PRO and the shape guarantees                       *)
@@ -580,7 +570,6 @@ let () =
       ( "predicate",
         [
           Alcotest.test_case "memoization" `Quick test_predicate_memoization;
-          Alcotest.test_case "observer" `Quick test_predicate_observer;
         ] );
       qsuite "progression" [ prop_progression_invariants ];
       qsuite "gbr-prop"

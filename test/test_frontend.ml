@@ -529,12 +529,12 @@ let test_speculate_replay_launches_nothing () =
   let record_hooks =
     {
       Run.default_hooks with
-      evaluate =
+      execute =
         Some
           (fun ~key thunk ->
             let ok = thunk () in
             Hashtbl.replace journal key ok;
-            Run.Fresh ok);
+            ok);
     }
   in
   let _, seq_printed =
@@ -544,15 +544,13 @@ let test_speculate_replay_launches_nothing () =
   let replay_hooks =
     {
       Run.default_hooks with
-      evaluate =
+      replay = Some (fun ~key -> Hashtbl.find_opt journal key);
+      execute =
         Some
           (fun ~key thunk ->
-            match Hashtbl.find_opt journal key with
-            | Some ok -> Run.Replayed ok
-            | None ->
-                incr fresh;
-                Run.Fresh (thunk ()));
-      peek = Some (fun ~key -> Hashtbl.find_opt journal key);
+            if Hashtbl.mem journal key then Alcotest.failf "execute saw replayed key %s" key;
+            incr fresh;
+            thunk ());
     }
   in
   let before = spec_launched () in

@@ -70,12 +70,11 @@ let test_parallel_counter_updates () =
 
 let assignment_of_int n = Assignment.of_list [ n ]
 
-(* Query [oracle] the way the daemon does: keyed on the input's digest,
-   with the black box applied to the input as the thunk. *)
-let query oracle box input =
-  Oracle.run oracle ~key:(Assignment.digest_hex input) (fun () -> box input)
+let query oracle box input = Oracle.run oracle (fun () -> box input)
 
-let test_oracle_memo_and_counters () =
+(* An oracle remembers nothing: the memo is [Lbr.Predicate]'s, one level
+   up, so a repeated input executes again. *)
+let test_oracle_counters () =
   let executions = ref 0 in
   let oracle = Oracle.make ~name:"parity" () in
   let parity a =
@@ -84,15 +83,11 @@ let test_oracle_memo_and_counters () =
   in
   let input = Assignment.of_list [ 1; 2 ] in
   Alcotest.(check bool) "first run" true (query oracle parity input);
-  Alcotest.(check bool) "second run (memoized)" true (query oracle parity input);
-  Alcotest.(check int) "one underlying execution" 1 !executions;
-  Alcotest.(check int) "executions counter" 1 (Oracle.executions oracle);
-  Alcotest.(check int) "two queries" 2 (Oracle.queries oracle);
-  Alcotest.(check int) "one memo hit" 1 (Oracle.memo_hits oracle);
-  Oracle.reset oracle;
-  Alcotest.(check int) "reset clears queries" 0 (Oracle.queries oracle);
-  Alcotest.(check bool) "runs again after reset" true (query oracle parity input);
-  Alcotest.(check int) "re-executed after reset" 2 !executions
+  Alcotest.(check bool) "second run" true (query oracle parity input);
+  Alcotest.(check int) "two underlying executions" 2 !executions;
+  Alcotest.(check int) "executions counter" 2 (Oracle.executions oracle);
+  Alcotest.(check int) "no retries" 0 (Oracle.retries_used oracle);
+  Alcotest.(check int) "no crashes" 0 (Oracle.crashes oracle)
 
 let transient_filter = function Lbr_decompiler.Tool.Transient_failure _ -> true | _ -> false
 
@@ -128,8 +123,6 @@ let test_oracle_crash_policy_fails () =
   Alcotest.(check bool) "crash maps to false" false
     (query oracle crashing_box (assignment_of_int 1));
   Alcotest.(check int) "crash counted" 1 (Oracle.crashes oracle);
-  (* the mapped outcome is memoized: no second execution *)
-  Alcotest.(check bool) "memoized" false (query oracle crashing_box (assignment_of_int 1));
   Alcotest.(check int) "single execution" 1 (Oracle.executions oracle)
 
 let test_oracle_crash_policy_passes () =
@@ -153,120 +146,15 @@ let test_oracle_transient_exhaustion_classified () =
   (* A failure that stays transient runs out of retries and is then
      classified by the crash policy like any other crash. *)
   let config =
-    {
-      Oracle.default_config with
-      retries = 2;
-      transient = transient_filter;
-      crash_policy = Oracle.Crash_fails;
-    }
+    { Oracle.retries = 2; transient = transient_filter; crash_policy = Oracle.Crash_fails }
   in
   let oracle = Oracle.make ~config ~name:"always-flaky" () in
   Alcotest.(check bool) "exhaustion maps to false" false
-    (Oracle.run oracle ~key:"k" (fun () ->
+    (Oracle.run oracle (fun () ->
          raise (Lbr_decompiler.Tool.Transient_failure "still failing")));
   Alcotest.(check int) "three attempts" 3 (Oracle.executions oracle);
   Alcotest.(check int) "two retries" 2 (Oracle.retries_used oracle);
   Alcotest.(check int) "one crash classified" 1 (Oracle.crashes oracle)
-
-let test_oracle_advisory_timeout () =
-  (* A negative budget makes every attempt "too slow" without sleeping:
-     the timeout is advisory (measured after the fact), so this exercises
-     exactly the production path. *)
-  let config =
-    {
-      Oracle.default_config with
-      timeout = Some (-1.0);
-      retries = 1;
-      crash_policy = Oracle.Crash_fails;
-    }
-  in
-  let oracle = Oracle.make ~config ~name:"slow" () in
-  Alcotest.(check bool) "timeout maps to false" false (Oracle.run oracle ~key:"k" (fun () -> true));
-  Alcotest.(check int) "both attempts timed out" 2 (Oracle.timeouts oracle);
-  Alcotest.(check int) "one retry" 1 (Oracle.retries_used oracle);
-  Alcotest.(check int) "classified as crash" 1 (Oracle.crashes oracle)
-
-(* The key alone decides memo hits: a second query under a known key is
-   answered without running its thunk, whatever the thunk would say. *)
-let test_oracle_memo_keyed_on_digest () =
-  let oracle = Oracle.make ~name:"keyed" () in
-  Alcotest.(check string) "name" "keyed" (Oracle.name oracle);
-  Alcotest.(check bool) "first key runs" false (Oracle.run oracle ~key:"a" (fun () -> false));
-  Alcotest.(check bool) "same key, memoized verdict" false
-    (Oracle.run oracle ~key:"a" (fun () -> Alcotest.fail "thunk ran on a memo hit"));
-  Alcotest.(check bool) "other key runs" true (Oracle.run oracle ~key:"b" (fun () -> true));
-  Alcotest.(check int) "two executions" 2 (Oracle.executions oracle);
-  Alcotest.(check int) "one memo hit" 1 (Oracle.memo_hits oracle)
-
-(* In-flight dedup: concurrent queries for one uncached input must cost a
-   single black-box execution.  The leader's black box blocks until the
-   test releases it, so the other queries demonstrably arrive while it is
-   still running; the counters are the same even if a straggler arrives
-   after the leader settled (it then scores a plain memo hit), so the
-   assertions are scheduling-independent. *)
-let test_oracle_inflight_dedup () =
-  let executing = Atomic.make false and release = Atomic.make false in
-  let oracle = Oracle.make ~name:"dedup" () in
-  let blocking () =
-    Atomic.set executing true;
-    while not (Atomic.get release) do
-      Unix.sleepf 0.001
-    done;
-    true
-  in
-  Pool.with_pool ~jobs:4 (fun pool ->
-      let futures =
-        List.init 4 (fun _ -> Pool.submit pool (fun () -> Oracle.run oracle ~key:"k" blocking))
-      in
-      while not (Atomic.get executing) do
-        Unix.sleepf 0.001
-      done;
-      (* let the other three queries pile up behind the leader *)
-      Unix.sleepf 0.02;
-      Atomic.set release true;
-      List.iter (fun f -> Alcotest.(check bool) "verdict" true (Pool.await f)) futures);
-  Alcotest.(check int) "one black-box execution" 1 (Oracle.executions oracle);
-  Alcotest.(check int) "four queries" 4 (Oracle.queries oracle);
-  Alcotest.(check int) "three memo hits" 3 (Oracle.memo_hits oracle)
-
-(* A leader that raises (Crash_raises memoizes nothing) must not strand
-   its waiters: one of them takes over as the new leader and executes. *)
-let test_oracle_inflight_leader_crash_takeover () =
-  let calls = Atomic.make 0 in
-  let executing = Atomic.make false and release = Atomic.make false in
-  let oracle = Oracle.make ~name:"takeover" () in
-  let leader_dies () =
-    if Atomic.fetch_and_add calls 1 = 0 then begin
-      Atomic.set executing true;
-      while not (Atomic.get release) do
-        Unix.sleepf 0.001
-      done;
-      raise (Lbr_decompiler.Tool.Tool_crash "leader dies")
-    end
-    else true
-  in
-  let outcomes =
-    Pool.with_pool ~jobs:2 (fun pool ->
-        let futures =
-          List.init 2 (fun _ ->
-              Pool.submit pool (fun () ->
-                  match Oracle.run oracle ~key:"k" leader_dies with
-                  | b -> `Ok b
-                  | exception Oracle.Crashed _ -> `Crashed))
-        in
-        while not (Atomic.get executing) do
-          Unix.sleepf 0.001
-        done;
-        Unix.sleepf 0.02;
-        Atomic.set release true;
-        List.map Pool.await futures)
-  in
-  Alcotest.(check int) "two executions (the takeover reruns)" 2 (Oracle.executions oracle);
-  Alcotest.(check int) "one crash" 1 (Oracle.crashes oracle);
-  Alcotest.(check bool) "one caller saw the crash" true (List.mem `Crashed outcomes);
-  Alcotest.(check bool) "one caller got the verdict" true (List.mem (`Ok true) outcomes);
-  Alcotest.(check bool) "takeover memoized the verdict" true
-    (Oracle.run oracle ~key:"k" (fun () -> Alcotest.fail "memoized verdict re-ran"))
 
 (* ------------------------------------------------------------------ *)
 (* Fault injection through the simulated decompiler                   *)
@@ -280,23 +168,17 @@ let test_faulty_tool_oracle_recovers () =
   let faults = Lbr_decompiler.Tool.Faults.make ~flaky_rate:0.3 ~seed:11 () in
   let faulty = Lbr_decompiler.Tool.with_faults faults tool in
   let config =
-    {
-      Oracle.default_config with
-      retries = 5;
-      transient = transient_filter;
-      crash_policy = Oracle.Crash_raises;
-    }
+    { Oracle.retries = 5; transient = transient_filter; crash_policy = Oracle.Crash_raises }
   in
   (* The oracle's black box compares a (here: fixed) candidate's errors
      against the clean baseline; flaky runs raise and must be retried. *)
   let oracle = Oracle.make ~config ~name:"faulty-cfr" () in
-  (* distinct keys so the memo does not absorb the repetitions *)
   List.iter
     (fun n ->
       Alcotest.(check bool)
         (Printf.sprintf "call %d recovered the clean outcome" n)
         true
-        (Oracle.run oracle ~key:(string_of_int n) (fun () ->
+        (Oracle.run oracle (fun () ->
              Lbr_decompiler.Tool.errors faulty pool = clean_errors)))
     (List.init 20 Fun.id);
   Alcotest.(check bool) "the schedule did inject flakiness" true
@@ -311,7 +193,7 @@ let test_faulty_tool_crash_policies () =
     let faulty = Lbr_decompiler.Tool.with_faults faults Lbr_decompiler.Tool.procyon_sim in
     let config = { Oracle.default_config with crash_policy = policy } in
     let oracle = Oracle.make ~config ~name:"crashing-procyon" () in
-    Oracle.run oracle ~key:"0" (fun () -> Lbr_decompiler.Tool.errors faulty pool <> [])
+    Oracle.run oracle (fun () -> Lbr_decompiler.Tool.errors faulty pool <> [])
   in
   Alcotest.(check bool) "Crash_fails" false (run_with Oracle.Crash_fails);
   Alcotest.(check bool) "Crash_passes" true (run_with Oracle.Crash_passes);
@@ -427,18 +309,13 @@ let () =
         ] );
       ( "oracle",
         [
-          Alcotest.test_case "memo and counters" `Quick test_oracle_memo_and_counters;
+          Alcotest.test_case "counters" `Quick test_oracle_counters;
           Alcotest.test_case "retry recovers transients" `Quick test_oracle_retry_recovers;
           Alcotest.test_case "crash policy: fail" `Quick test_oracle_crash_policy_fails;
           Alcotest.test_case "crash policy: pass" `Quick test_oracle_crash_policy_passes;
           Alcotest.test_case "crash policy: raise" `Quick test_oracle_crash_policy_raises;
           Alcotest.test_case "transient exhaustion" `Quick
             test_oracle_transient_exhaustion_classified;
-          Alcotest.test_case "advisory timeout" `Quick test_oracle_advisory_timeout;
-          Alcotest.test_case "memo is keyed on the digest" `Quick test_oracle_memo_keyed_on_digest;
-          Alcotest.test_case "in-flight dedup" `Quick test_oracle_inflight_dedup;
-          Alcotest.test_case "leader crash takeover" `Quick
-            test_oracle_inflight_leader_crash_takeover;
         ] );
       ( "faults",
         [

@@ -176,10 +176,8 @@ let sample_messages =
             { Wire.js_id = "job-000001"; js_running = true; js_best = Some (12.5, 9, 4210) };
             { Wire.js_id = "job-000002"; js_running = false; js_best = None };
           ];
-        oracle_queries = 321;
-        oracle_memo_hits = 45;
         uptime = 98.5;
-        metrics_text = "# TYPE lbr_oracle_queries_total counter\nlbr_oracle_queries_total 321\n";
+        metrics_text = "# TYPE lbr_replayed_verdicts_total counter\nlbr_replayed_verdicts_total 45\n";
       };
   ]
 
@@ -691,6 +689,27 @@ let read_lines path =
   in
   go []
 
+let with_server ?(jobs = 2) ?(queue_depth = 8) ?journal_dir label f =
+  let socket_path =
+    Filename.concat (Filename.get_temp_dir_name ())
+      (Printf.sprintf "lbr-test-%d-%s.sock" (Unix.getpid ()) label)
+  in
+  if Sys.file_exists socket_path then Sys.remove socket_path;
+  let server =
+    Server.start { Server.listen = Addr.Unix_path socket_path; jobs; queue_depth; journal_dir }
+  in
+  Fun.protect ~finally:(fun () -> Server.stop server) (fun () -> f socket_path server)
+
+(* A counter's value in a daemon's Prometheus snapshot; 0 when absent. *)
+let counter_in metrics_text name =
+  List.find_map
+    (fun line ->
+      match String.split_on_char ' ' line with
+      | [ n; v ] when n = name -> int_of_string_opt v
+      | _ -> None)
+    (String.split_on_char '\n' metrics_text)
+  |> Option.value ~default:0
+
 let test_journal_replay_resumes_with_fewer_executions () =
   (* Cold run, journaled. *)
   let dir1 = fresh_dir "cold" in
@@ -724,24 +743,37 @@ let test_journal_replay_resumes_with_fewer_executions () =
           ~key:(String.sub line 0 32)
           (line.[33] = '1'))
     cold_log;
-  (* Restart: recover must re-admit exactly this job and finish it with
-     strictly fewer tool executions, same everything else. *)
-  let sched2 =
-    Scheduler.create ~runner:Runner.reduce ~jobs:1 ~queue_depth:2 ~journal:j2 ()
-  in
-  Alcotest.(check int) "one job recovered" 1 (Scheduler.recover sched2);
-  let warm_stats, warm_bytes = await_done sched2 id1 in
-  Scheduler.shutdown sched2;
   Journal.close j2;
-  Alcotest.(check string) "resumed pool is byte-identical" cold_bytes warm_bytes;
-  Alcotest.(check int) "same predicate runs" cold_stats.Wire.predicate_runs
-    warm_stats.Wire.predicate_runs;
-  Alcotest.(check (float 1e-9)) "same simulated time" cold_stats.Wire.sim_time
-    warm_stats.Wire.sim_time;
-  Alcotest.(check int) "replayed exactly the journaled prefix" prefix_len
-    warm_stats.Wire.replayed_runs;
-  Alcotest.(check bool) "strictly fewer tool executions" true
-    (warm_stats.Wire.tool_executions < cold_stats.Wire.tool_executions);
+  (* Restart a daemon on it: recovery must re-admit exactly this job and
+     finish it with strictly fewer tool executions, same everything else,
+     and the daemon's replayed-verdict counter must grow by exactly the
+     job's replayed runs. *)
+  let replayed0 =
+    Option.value ~default:0 (Lbr_obs.Metrics.find_counter_value "lbr_replayed_verdicts_total")
+  in
+  with_server ~jobs:1 ~journal_dir:dir2 "resume" (fun socket server ->
+      Alcotest.(check int) "one job recovered" 1 (Server.recovered server);
+      let warm_stats, warm_bytes = await_done (Server.scheduler server) id1 in
+      Alcotest.(check string) "resumed pool is byte-identical" cold_bytes warm_bytes;
+      Alcotest.(check int) "same predicate runs" cold_stats.Wire.predicate_runs
+        warm_stats.Wire.predicate_runs;
+      Alcotest.(check (float 1e-9)) "same simulated time" cold_stats.Wire.sim_time
+        warm_stats.Wire.sim_time;
+      Alcotest.(check int) "replayed exactly the journaled prefix" prefix_len
+        warm_stats.Wire.replayed_runs;
+      Alcotest.(check bool) "strictly fewer tool executions" true
+        (warm_stats.Wire.tool_executions < cold_stats.Wire.tool_executions);
+      match Client.connect socket with
+      | Error m -> Alcotest.failf "stats connect: %s" m
+      | Ok client ->
+          let stats = Client.stats client in
+          Client.close client;
+          (match stats with
+          | Error m -> Alcotest.failf "stats: %s" m
+          | Ok s ->
+              Alcotest.(check int) "daemon reports the job's replayed verdicts"
+                warm_stats.Wire.replayed_runs
+                (counter_in s.Wire.metrics_text "lbr_replayed_verdicts_total" - replayed0)));
   Alcotest.(check bool) "resumed run reaches done" true
     (Sys.file_exists (Filename.concat (Filename.concat dir2 id1) "done"))
 
@@ -770,7 +802,7 @@ let test_recover_marks_corrupt_spec_failed () =
   Alcotest.(check bool) "failed marker names the corrupt spec" true
     (String.starts_with ~prefix:"corrupt journaled spec: " reason)
 
-(* run_with with a pass-through evaluate hook must change nothing *)
+(* run_with with a pass-through execute hook must change nothing *)
 let test_hooks_passthrough_identical () =
   let _, reference = reference_run ~classes:16 21 in
   let pool =
@@ -793,12 +825,12 @@ let test_hooks_passthrough_identical () =
   let hooks =
     {
       Lbr_frontend.Run.default_hooks with
-      evaluate =
+      execute =
         Some
           (fun ~key thunk ->
             Alcotest.(check int) "digest key length" 32 (String.length key);
             incr keys;
-            Lbr_frontend.Run.Fresh (thunk ()));
+            thunk ());
     }
   in
   let outcome, final =
@@ -898,17 +930,6 @@ let test_runner_baseline_cancelled () =
 
 (* ------------------------------------------------------------------ *)
 (* Socket server end to end                                            *)
-
-let with_server ?(jobs = 2) ?(queue_depth = 8) ?journal_dir label f =
-  let socket_path =
-    Filename.concat (Filename.get_temp_dir_name ())
-      (Printf.sprintf "lbr-test-%d-%s.sock" (Unix.getpid ()) label)
-  in
-  if Sys.file_exists socket_path then Sys.remove socket_path;
-  let server =
-    Server.start { Server.listen = Addr.Unix_path socket_path; jobs; queue_depth; journal_dir }
-  in
-  Fun.protect ~finally:(fun () -> Server.stop server) (fun () -> f socket_path server)
 
 let test_server_submit_matches_in_process () =
   with_server "match" (fun socket _server ->
@@ -1036,10 +1057,8 @@ let test_server_top_stats () =
           (match !final with
           | None -> Alcotest.fail "jobs still in flight after results delivered"
           | Some s ->
-              Alcotest.(check bool) "oracle queries counted" true (s.Wire.oracle_queries > 0);
-              Alcotest.(check bool) "memo hit rate well-formed" true
-                (s.Wire.oracle_memo_hits >= 0
-                && s.Wire.oracle_memo_hits <= s.Wire.oracle_queries);
+              Alcotest.(check bool) "fresh verdicts counted" true
+                (counter_in s.Wire.metrics_text "lbr_oracle_executions_total" > 0);
               Alcotest.(check bool) "prometheus snapshot present" true
                 (String.length s.Wire.metrics_text > 0);
               Alcotest.(check bool) "uptime positive" true (s.Wire.uptime > 0.));
@@ -1302,7 +1321,7 @@ let () =
             test_server_submit_matches_in_process;
           Alcotest.test_case "3 concurrent clients, jobs=4, byte-identical" `Slow
             test_server_three_concurrent_clients_jobs4;
-          Alcotest.test_case "live stats: queue depth, best-so-far, memo rate" `Slow
+          Alcotest.test_case "live stats: queue depth, best-so-far, verdicts" `Slow
             test_server_top_stats;
           Alcotest.test_case "hello required" `Quick test_server_rejects_bad_hello;
           Alcotest.test_case "malformed frame gets Protocol_error" `Quick
