@@ -645,7 +645,9 @@ let coordinate_cmd =
   let lanes_arg =
     Arg.(
       value & opt pos_int 1
-      & info [ "lanes" ] ~docv:"N" ~doc:"Concurrent delegated jobs per worker.")
+      & info [ "lanes" ] ~docv:"N"
+          ~doc:"Concurrent delegated jobs per worker: the coordinator runs up to N jobs per \
+                worker at once, each on the live worker with the fewest delegated jobs.")
   in
   let queue_depth_arg =
     Arg.(
@@ -708,8 +710,9 @@ let coordinate_cmd =
     in
     let server =
       try
-        Lbr_server.Server.start_backend ~listen
-          (Lbr_cluster.Coordinator.backend coordinator)
+        Lbr_server.Server.serve
+          ~metrics_text:(fun () -> Lbr_cluster.Coordinator.metrics_text coordinator)
+          ~listen (Lbr_cluster.Coordinator.scheduler coordinator)
       with Failure m | Sys_error m ->
         prerr_endline ("lbr-coordinate: " ^ m);
         exit 1
@@ -718,20 +721,10 @@ let coordinate_cmd =
       match prometheus with
       | None -> None
       | Some port -> (
-          let render () =
-            let per_worker, merged = Lbr_cluster.Coordinator.federated coordinator in
-            String.concat ""
-              ((Lbr_obs.Metrics.render_prometheus ()
-               :: List.map
-                    (fun (lbl, d) ->
-                      Lbr_obs.Metrics.render_prometheus_dump ~label:("worker", lbl) d)
-                    per_worker)
-              @ [
-                  Lbr_obs.Metrics.render_prometheus_dump
-                    ~label:("worker", "cluster") merged;
-                ])
-          in
-          match Lbr_obs.Exporter.start ~port render with
+          match
+            Lbr_obs.Exporter.start ~port (fun () ->
+                Lbr_cluster.Coordinator.metrics_text coordinator)
+          with
           | e ->
               Printf.printf
                 "lbr-coordinate: federated metrics on http://127.0.0.1:%d/metrics\n%!"
@@ -761,6 +754,7 @@ let coordinate_cmd =
           | Some s -> "SIG" ^ s
           | None -> "stop request");
         Lbr_server.Server.stop server;
+        Lbr_cluster.Coordinator.close coordinator;
         Option.iter Lbr_obs.Exporter.stop exporter;
         write_trace trace;
         ignore (Lbr_obs.Flight.dump ~reason:"drain" : string option);
@@ -774,9 +768,9 @@ let coordinate_cmd =
     (Cmd.info "coordinate"
        ~doc:
          "Run the cluster coordinator: front N `lbr-reduce serve' worker daemons behind one \
-          service address, sharding submitted jobs with work stealing, sharing a \
-          content-addressed verdict cache, and failing jobs over (seeded with their paid \
-          verdicts) when a worker dies.")
+          service address, dispatching submitted jobs in priority order to whichever worker \
+          has a free lane, sharing a content-addressed verdict cache, and failing jobs over \
+          (seeded with their paid verdicts) when a worker dies.")
     Term.(
       const run $ listen_arg $ workers_arg $ lanes_arg $ queue_depth_arg $ cache_arg
       $ journal_arg $ poll_interval_arg $ trace_arg $ prometheus_arg)
@@ -985,36 +979,19 @@ let top_cmd =
     in
     List.filter_map sample (String.split_on_char '\n' text)
   in
-  (* Cluster health lives in the Prometheus text (per-worker queue-depth
-     gauges, cache hit/miss counters); surface it without requiring
-     --metrics when the daemon is a coordinator. *)
+  (* Cluster health lives in the Prometheus text (live workers, the
+     scheduler's queue depth, cache hit/miss counters); surface it
+     without requiring --metrics when the daemon is a coordinator. *)
   let cluster_section text =
     let samples = prom_samples text in
     let value name = List.assoc_opt name samples in
-    let depth_of (name, v) =
-      let prefix = "lbr_cluster_w" and suffix = "_queue_depth" in
-      if
-        String.starts_with ~prefix name
-        && String.ends_with ~suffix name
-        && String.length name > String.length prefix + String.length suffix
-      then
-        Some
-          ( String.sub name (String.length prefix)
-              (String.length name - String.length prefix - String.length suffix),
-            v )
-      else None
-    in
-    let depths = List.filter_map depth_of samples in
-    (match (value "lbr_cluster_workers_alive", depths) with
-    | None, [] -> ()
-    | alive, depths ->
-        Printf.printf "cluster: %s worker(s) alive; queue depth %s\n"
-          (match alive with Some a -> string_of_int (int_of_float a) | None -> "?")
-          (match depths with
-          | [] -> "-"
-          | _ ->
-              String.concat " "
-                (List.map (fun (i, v) -> Printf.sprintf "w%s=%d" i (int_of_float v)) depths)));
+    (match value "lbr_cluster_workers_alive" with
+    | None -> ()
+    | Some alive ->
+        Printf.printf "cluster: %d worker(s) alive; queue depth %s\n" (int_of_float alive)
+          (match value "lbr_queue_depth" with
+          | Some d -> string_of_int (int_of_float d)
+          | None -> "-"));
     match (value "lbr_cluster_cache_hits_total", value "lbr_cluster_cache_misses_total") with
     | Some hits, Some misses ->
         let total = hits +. misses in

@@ -1,58 +1,68 @@
 (** The cluster coordinator: one reduction service fronting N worker
     daemons.
 
-    The coordinator speaks the same wire protocol as a single daemon — it
-    plugs into {!Lbr_server.Server.start_backend}, so [lbr-reduce submit]
-    and [lbr-reduce top] work against it unchanged — but instead of
-    running jobs on local domains it delegates each to a worker daemon
-    over a per-job client connection.
+    The coordinator is a {!Lbr_server.Scheduler} whose runner delegates
+    each job to a worker daemon over a per-job client connection.  It
+    speaks the same wire protocol as a single daemon — it is served by
+    {!Lbr_server.Server.serve}, so [lbr-reduce submit] and
+    [lbr-reduce top] work against it unchanged — and admission,
+    priority, backpressure, journaling, recovery, cancel, stats and drain
+    are the scheduler's.
 
-    {2 Sharding and stealing}
+    {2 Lanes}
 
-    Admitted jobs are sharded round-robin across the live workers'
-    queues.  Each worker is driven by [lanes] pump threads; when a pump's
-    own queue drains it steals the {e oldest} job from the {e longest}
-    live peer queue, so a cluster is never idle while any queue is
-    non-empty.
+    The scheduler runs [lanes × workers] jobs at once, on system threads
+    rather than domains since they only wait on sockets.  Each claims the
+    live worker with the fewest delegated jobs once that worker has fewer
+    than [lanes]; while every live worker is full it waits.  A free lane
+    pulls the next job off the one priority queue, so a wedged worker
+    holds up only the lanes it occupies.
 
     {2 Failover}
 
     Workers journal every predicate evaluation before streaming it back
-    as a [Verdict] frame; the coordinator mirrors each verdict into
-    the shared {!Cache} (and its own journal) as it arrives.  When a
-    worker dies mid-job — connection refused, reset, or EOF without a
-    terminal frame — its queued jobs are redistributed and the in-flight
-    job is resubmitted to a survivor {e seeded} with every cached verdict
-    for that job's content digest.  The runner replays those seeds
-    instead of re-executing, so the retried run is byte-identical to an
+    as a [Verdict] frame; the runner mirrors each verdict into the shared
+    {!Cache} and, through the scheduler's [record], its own journal as it
+    arrives.  When a worker dies mid-job — connection refused, reset, or
+    EOF without a terminal frame — it is marked dead and the job is
+    resubmitted to a survivor {e seeded} with every cached verdict for
+    that job's content digest.  The runner replays those seeds instead of
+    re-executing, so the retried run is byte-identical to an
     uninterrupted one and strictly cheaper than starting over.  A job
-    that outlives as many failovers as there are workers is failed.
+    that outlives as many failovers as there are workers is failed, as
+    is one that finds no live worker.  A worker's [Rejected] is
+    backpressure, not death: the runner waits its retry-after hint
+    (clamped to 0.05–1 s) and tries again.
+
+    {2 Cancel}
+
+    Once a worker accepts a delegated job, the runner registers its
+    remote cancel as the job's [on_cancel] hook; a cancel that arrived
+    during the handoff runs it as soon as the remote id is known.
 
     {2 Tracing}
 
-    When tracing is live (or the submitting client shipped a trace
-    context), every job gets a context whose parent span is a fresh
-    coordinator-side {e job span id}, forwarded to workers in the spec.
+    When the job has a trace context (the client's, or minted at
+    admission when tracing is live), the runner forwards a fresh
+    coordinator-side {e job span id} to workers as the parent span.
     Worker-side spans then carry that id as [ctx.parent]; the
-    coordinator records one [coordinator.job] span per job (admission →
-    terminal state, with the job span id as its [span_id] arg — the
-    cross-node merge key), plus [cluster.steal] and [cluster.failover]
-    edges for jobs that moved between workers.
+    coordinator records one [coordinator.job] span per job (runner start
+    → terminal state, with the job span id as its [span_id] arg — the
+    cross-node merge key), plus a [cluster.failover] edge per worker
+    death.
 
     {2 Introspection}
 
-    Queue depths are exported per worker as [lbr_cluster_w<i>_queue_depth]
-    gauges, plus [lbr_cluster_cache_{hits,misses}_total],
-    [lbr_cluster_{steals,failovers}_total] and the jobs/alive/entries
-    family, all in the process Metrics registry (and thus in the
-    Prometheus text [lbr-reduce top] renders).  A federation thread
-    additionally pulls each worker's whole registry every
-    [poll_interval] seconds, maintaining
-    [lbr_cluster_w<i>_heartbeat_age_seconds] gauges and the
+    Besides the scheduler's [lbr_jobs_*] and [lbr_queue_depth], the
+    process Metrics registry carries [lbr_cluster_cache_{hits,misses}_total],
+    [lbr_cluster_failovers_total], [lbr_cluster_workers_alive] and
+    [lbr_cluster_cache_entries].  A federation thread additionally pulls
+    each worker's whole registry every [poll_interval] seconds,
+    maintaining [lbr_cluster_w<i>_heartbeat_age_seconds] gauges and the
     [lbr_cluster_spec_waste_ratio] gauge (cancelled / launched
-    speculations, cluster-wide); the coordinator's [metrics_text]
-    concatenates its local registry, each worker's dump under a
-    [worker="wN"] label, and the exact merge under [worker="cluster"]. *)
+    speculations, cluster-wide); {!metrics_text} concatenates the local
+    registry, each worker's dump under a [worker="wN"] label, and the
+    exact merge under [worker="cluster"]. *)
 
 type config = {
   workers : Lbr_server.Addr.t list;  (** at least one; pinged at {!create} *)
@@ -69,21 +79,27 @@ type t
 
 val create : config -> t
 (** Registers (pings) every worker — raises [Failure] if one is
-    unreachable or refuses the handshake — recovers journaled pending
-    jobs, and starts the pump threads.  A journaled spec that no longer
-    decodes is marked failed ("corrupt journaled spec: …") instead of
-    re-admitted. *)
+    unreachable or refuses the handshake — builds the scheduler and
+    recovers its journal ({!Lbr_server.Scheduler.recover}: a journaled
+    spec that no longer decodes is marked failed), and starts the
+    federation thread. *)
 
-val backend : t -> Lbr_server.Server.backend
-(** Plug into {!Lbr_server.Server.start_backend}.  Its [b_drain] waits for
-    every admitted job to reach a terminal state, then stops the pumps and
-    closes cache + journal. *)
+val scheduler : t -> Lbr_server.Scheduler.t
+(** Submit, cancel and inspect jobs here, or serve it with
+    {!Lbr_server.Server.serve}. *)
+
+val metrics_text : t -> string
+(** The federated Prometheus text described above — what [Stats_reply]
+    and the [--prometheus-listen] endpoint carry. *)
+
+val close : t -> unit
+(** {!Lbr_server.Scheduler.shutdown} (every admitted job reaches a
+    terminal state), then stop the federation thread and close the cache
+    and journal.  Call once, after the front end (if any) has stopped. *)
 
 val recovered : t -> int
 (** Journaled in-flight jobs {!create} re-admitted (their already-paid
-    verdicts were folded into the cache first). *)
-
-val cache : t -> Cache.t
+    verdicts warm the cache when they run). *)
 
 val poll_workers : t -> unit
 (** One synchronous federation sweep (what the background thread runs

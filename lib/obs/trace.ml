@@ -81,6 +81,16 @@ let set_bit bit on =
   in
   go ()
 
+(* Span durations feed a metrics histogram so `bench --json` and the
+   Prometheus dump can summarize where traced time went without parsing
+   the trace itself.  Only touched while tracing is enabled, and
+   forced by [start]: domains racing to force a lazy would raise
+   [Lazy.Undefined]. *)
+let span_hist =
+  lazy
+    (Metrics.histogram ~help:"Traced span durations (tracing enabled only)."
+       ~lo:1e-6 ~growth:4.0 ~buckets:24 "lbr_span_duration_seconds")
+
 let start ?(capacity = default_capacity) () =
   if capacity < 1 then invalid_arg "Trace.start: capacity must be >= 1";
   Mutex.lock registry_mutex;
@@ -94,6 +104,7 @@ let start ?(capacity = default_capacity) () =
   Mutex.unlock registry_mutex;
   Atomic.set ring_capacity capacity;
   Atomic.set epoch (Unix.gettimeofday ());
+  ignore (Lazy.force span_hist);
   set_bit trace_bit true
 
 let stop () = set_bit trace_bit false
@@ -108,20 +119,21 @@ module Context = struct
 
   (* Ids are 16 hex chars: a process-unique seed hashed with a counter.
      Uniqueness across a cluster comes from pid + wall clock in the seed;
-     no global coordination needed. *)
+     no global coordination needed.  Computed at startup, not lazily: any
+     domain may mint an id, and domains racing to force a lazy would
+     raise [Lazy.Undefined]. *)
   let seed =
-    lazy
-      (Digest.to_hex
-         (Digest.string
-            (Printf.sprintf "%d.%.9f.%d" (Unix.getpid ()) (Unix.gettimeofday ())
-               (Hashtbl.hash Sys.executable_name))))
+    Digest.to_hex
+      (Digest.string
+         (Printf.sprintf "%d.%.9f.%d" (Unix.getpid ()) (Unix.gettimeofday ())
+            (Hashtbl.hash Sys.executable_name)))
 
   let counter = Atomic.make 0
 
   let fresh_span_id () =
     let n = Atomic.fetch_and_add counter 1 in
     String.sub
-      (Digest.to_hex (Digest.string (Printf.sprintf "%s-%d" (Lazy.force seed) n)))
+      (Digest.to_hex (Digest.string (Printf.sprintf "%s-%d" seed n)))
       0 16
 
   let mint () = { trace_id = fresh_span_id (); parent_span = fresh_span_id () }
@@ -152,14 +164,6 @@ let ctx_args () =
   | None -> []
   | Some { Context.trace_id; parent_span } ->
       [ ("ctx.trace", Str trace_id); ("ctx.parent", Str parent_span) ]
-
-(* Span durations feed a metrics histogram so `bench --json` and the
-   Prometheus dump can summarize where traced time went without parsing
-   the trace itself.  Only touched while tracing is enabled. *)
-let span_hist =
-  lazy
-    (Metrics.histogram ~help:"Traced span durations (tracing enabled only)."
-       ~lo:1e-6 ~growth:4.0 ~buckets:24 "lbr_span_duration_seconds")
 
 let record ?args name ~t0 ~t1 ~ph =
   let s = Atomic.get state in

@@ -4,7 +4,7 @@ type t = {
   has_work : Condition.t;  (* signaled on enqueue and on shutdown *)
   queue : (unit -> unit) Queue.t;
   mutable stopping : bool;
-  mutable workers : unit Domain.t list;
+  mutable workers : (unit -> unit) list;  (* each joins one worker *)
 }
 
 type 'a state = Pending | Done of 'a | Failed of exn * Printexc.raw_backtrace
@@ -30,7 +30,7 @@ let rec worker_loop pool =
     worker_loop pool
   end
 
-let create ~jobs () =
+let create ?(threads = false) ~jobs () =
   if jobs < 1 then invalid_arg "Pool.create: jobs must be >= 1";
   let pool =
     {
@@ -42,7 +42,14 @@ let create ~jobs () =
       workers = [];
     }
   in
-  pool.workers <- List.init jobs (fun _ -> Domain.spawn (fun () -> worker_loop pool));
+  pool.workers <-
+    List.init jobs (fun _ ->
+        if threads then
+          let th = Thread.create worker_loop pool in
+          fun () -> Thread.join th
+        else
+          let d = Domain.spawn (fun () -> worker_loop pool) in
+          fun () -> Domain.join d);
   pool
 
 let jobs pool = pool.jobs
@@ -97,7 +104,7 @@ let shutdown pool =
   pool.workers <- [];
   Condition.broadcast pool.has_work;
   Mutex.unlock pool.mutex;
-  List.iter Domain.join workers
+  List.iter (fun join -> join ()) workers
 
 let with_pool ~jobs f =
   let pool = create ~jobs () in

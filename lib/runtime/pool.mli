@@ -16,10 +16,13 @@ type t
 
 type 'a future
 
-val create : jobs:int -> unit -> t
+val create : ?threads:bool -> jobs:int -> unit -> t
 (** Spawn [jobs] worker domains ([jobs >= 1]; [Invalid_argument]
     otherwise).  The workers idle on a condition variable until work
-    arrives. *)
+    arrives.  With [~threads:true] the workers are system threads of the
+    calling domain instead: for tasks that mostly wait on I/O, which
+    gain nothing from parallel domains and would pay for every extra
+    domain at each stop-the-world collection. *)
 
 val jobs : t -> int
 (** Pool size as given to {!create}. *)

@@ -20,6 +20,7 @@
     <root>/<job-id>/counters    — phase timing counters of the run
                                   (one "name calls seconds minor_words"
                                   line per phase), written at completion
+                                  when the run timed any phase
     <root>/<job-id>/done        — terminal marker (empty)
     <root>/<job-id>/cancelled   — terminal marker (empty)
     <root>/<job-id>/failed      — terminal marker (first line: reason)

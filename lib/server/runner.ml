@@ -28,9 +28,10 @@ let reduce (ctx : Scheduler.runner_ctx) (spec : Wire.spec) =
     let retries0 = Oracle.retries_used oracle in
     let t0 = Unix.gettimeofday () in
     let ok = Oracle.run oracle thunk in
-    ctx.record ~key ~ok
+    ctx.record ~key
       ~latency:(Unix.gettimeofday () -. t0)
-      ~retries:(Oracle.retries_used oracle - retries0);
+      ~retries:(Oracle.retries_used oracle - retries0)
+      ok;
     ok
   in
   let hooks =

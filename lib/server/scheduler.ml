@@ -16,9 +16,10 @@ type event =
 type runner_ctx = {
   job_id : string;
   should_stop : unit -> bool;
+  on_cancel : (unit -> unit) -> unit;
   progress : float -> int -> int -> unit;
   replay : (string, bool) Hashtbl.t;
-  record : key:string -> ok:bool -> latency:float -> retries:int -> unit;
+  record : key:string -> ?latency:float -> ?retries:int -> bool -> unit;
 }
 
 type runner = runner_ctx -> Wire.spec -> (Wire.stats * string, string) result
@@ -35,6 +36,7 @@ type job = {
      (sim_time, classes, bytes) — mirrored here (under the scheduler
      lock) so a Stats snapshot never has to ask the job itself. *)
   mutable best : (float * int * int) option;
+  mutable cancel_hook : unit -> unit;  (* the runner's [on_cancel]; under the lock *)
 }
 
 type job_info = {
@@ -52,34 +54,32 @@ type t = {
   queue_depth : int;
   high : job Queue.t;
   normal : job Queue.t;
-  table : (string, job) Hashtbl.t;
+  table : (string, job) Hashtbl.t;  (* queued and running jobs *)
+  finished : (string, status) Hashtbl.t;
+      (* terminal states, for [status]/[await]: a finished job's spec,
+         replay table and event handler are garbage *)
   mutable next_id : int;
   mutable queued_count : int;
   mutable running_count : int;  (* includes jobs being finalized *)
   mutable draining : bool;
   mutable shut : bool;
+  (* Scheduler metrics: queue/running gauges track every transition
+     under the scheduler lock; histograms record queue wait (admission →
+     claim) and submitted pool sizes.  Registered by [create], not
+     lazily: pool domains would race to force a lazy, and the loser
+     raises [Lazy.Undefined]. *)
+  m_submitted : Lbr_obs.Metrics.counter;
+  m_rejected : Lbr_obs.Metrics.counter;
+  m_done : Lbr_obs.Metrics.counter;
+  m_failed : Lbr_obs.Metrics.counter;
+  m_cancelled : Lbr_obs.Metrics.counter;
+  m_queue_depth : Lbr_obs.Metrics.gauge;
+  m_running : Lbr_obs.Metrics.gauge;
+  m_queue_wait : Lbr_obs.Metrics.histogram;
+  m_job_bytes : Lbr_obs.Metrics.histogram;
 }
 
-(* Scheduler metrics: queue/running gauges track every transition under
-   the scheduler lock; histograms record queue wait (admission → claim)
-   and submitted pool sizes. *)
-let m_submitted = lazy (Lbr_obs.Metrics.counter ~help:"Jobs admitted." "lbr_jobs_submitted_total")
-let m_rejected = lazy (Lbr_obs.Metrics.counter ~help:"Jobs rejected by backpressure." "lbr_jobs_rejected_total")
-let m_done = lazy (Lbr_obs.Metrics.counter ~help:"Jobs completed successfully." "lbr_jobs_done_total")
-let m_failed = lazy (Lbr_obs.Metrics.counter ~help:"Jobs that failed." "lbr_jobs_failed_total")
-let m_cancelled = lazy (Lbr_obs.Metrics.counter ~help:"Jobs cancelled." "lbr_jobs_cancelled_total")
-let m_queue_depth = lazy (Lbr_obs.Metrics.gauge ~help:"Jobs waiting in the queue." "lbr_queue_depth")
-let m_running = lazy (Lbr_obs.Metrics.gauge ~help:"Jobs currently running." "lbr_running_jobs")
-
-let m_queue_wait =
-  lazy (Lbr_obs.Metrics.histogram ~help:"Seconds between admission and dispatch." "lbr_queue_wait_seconds")
-
-let m_job_bytes =
-  lazy
-    (Lbr_obs.Metrics.histogram ~help:"Submitted pool size in bytes." ~lo:64. ~growth:4.0
-       ~buckets:16 "lbr_job_pool_bytes")
-
-let create ~runner ~jobs ~queue_depth ?journal () =
+let create ?threads ~runner ~jobs ~queue_depth ?journal () =
   if jobs < 1 then invalid_arg "Scheduler.create: jobs must be >= 1";
   if queue_depth < 1 then invalid_arg "Scheduler.create: queue_depth must be >= 1";
   let next_id =
@@ -88,18 +88,33 @@ let create ~runner ~jobs ~queue_depth ?journal () =
   {
     mutex = Mutex.create ();
     cond = Condition.create ();
-    pool = Pool.create ~jobs ();
+    pool = Pool.create ?threads ~jobs ();
     runner;
     journal;
     queue_depth;
     high = Queue.create ();
     normal = Queue.create ();
     table = Hashtbl.create 64;
+    finished = Hashtbl.create 64;
     next_id;
     queued_count = 0;
     running_count = 0;
     draining = false;
     shut = false;
+    m_submitted = Lbr_obs.Metrics.counter ~help:"Jobs admitted." "lbr_jobs_submitted_total";
+    m_rejected =
+      Lbr_obs.Metrics.counter ~help:"Jobs rejected by backpressure." "lbr_jobs_rejected_total";
+    m_done = Lbr_obs.Metrics.counter ~help:"Jobs completed successfully." "lbr_jobs_done_total";
+    m_failed = Lbr_obs.Metrics.counter ~help:"Jobs that failed." "lbr_jobs_failed_total";
+    m_cancelled = Lbr_obs.Metrics.counter ~help:"Jobs cancelled." "lbr_jobs_cancelled_total";
+    m_queue_depth = Lbr_obs.Metrics.gauge ~help:"Jobs waiting in the queue." "lbr_queue_depth";
+    m_running = Lbr_obs.Metrics.gauge ~help:"Jobs currently running." "lbr_running_jobs";
+    m_queue_wait =
+      Lbr_obs.Metrics.histogram ~help:"Seconds between admission and dispatch."
+        "lbr_queue_wait_seconds";
+    m_job_bytes =
+      Lbr_obs.Metrics.histogram ~help:"Submitted pool size in bytes." ~lo:64. ~growth:4.0
+        ~buckets:16 "lbr_job_pool_bytes";
   }
 
 let locked t f =
@@ -131,15 +146,18 @@ let finalize t job status =
       | Running -> "running");
   (try job.on_event (Finished status) with _ -> ());
   (match status with
-  | Done _ -> Lbr_obs.Metrics.incr (Lazy.force m_done)
-  | Failed _ -> Lbr_obs.Metrics.incr (Lazy.force m_failed)
-  | Cancelled -> Lbr_obs.Metrics.incr (Lazy.force m_cancelled)
+  | Done _ -> Lbr_obs.Metrics.incr t.m_done
+  | Failed _ -> Lbr_obs.Metrics.incr t.m_failed
+  | Cancelled -> Lbr_obs.Metrics.incr t.m_cancelled
   | Queued | Running -> ());
   locked t (fun () ->
-      job.state <- status;
+      Hashtbl.remove t.table job.id;
+      Hashtbl.replace t.finished job.id status;
       t.running_count <- t.running_count - 1;
-      Lbr_obs.Metrics.set_gauge (Lazy.force m_running) (float_of_int t.running_count);
+      Lbr_obs.Metrics.set_gauge t.m_running (float_of_int t.running_count);
       Condition.broadcast t.cond)
+
+let run_hook hook = try hook () with _ -> ()
 
 let run_job t job =
   job.on_event Started;
@@ -147,6 +165,18 @@ let run_job t job =
     {
       job_id = job.id;
       should_stop = (fun () -> Atomic.get job.cancel_requested);
+      on_cancel =
+        (fun hook ->
+          (* Registration and [cancel] meet under the lock, so a cancel
+             that races the registration reaches the hook exactly once:
+             either [cancel] finds it stored, or it runs here. *)
+          let cancelled =
+            locked t (fun () ->
+                let cancelled = Atomic.get job.cancel_requested in
+                if not cancelled then job.cancel_hook <- hook;
+                cancelled)
+          in
+          if cancelled then run_hook hook);
       progress =
         (fun sim_time classes bytes ->
           (* Mirror the improvement for Stats snapshots before forwarding
@@ -156,18 +186,20 @@ let run_job t job =
           job.on_event (Progress { sim_time; classes; bytes }));
       replay = job.replay_table;
       record =
-        (fun ~key ~ok ~latency ~retries ->
+        (fun ~key ?latency ?retries ok ->
           (* WAL first, then stream: a Verdict frame must never name an
              evaluation the journal could still lose. *)
           (match t.journal with
-          | Some j -> Journal.append_pred j ~id:job.id ~key ~latency ~retries ok
+          | Some j -> Journal.append_pred j ~id:job.id ~key ?latency ?retries ok
           | None -> ());
           try job.on_event (Evaluated { key; ok; ctx = job.spec.Wire.trace_ctx })
           with _ -> ());
     }
   in
   (* A job runs as one pool task on one domain, so the domain-local counter
-     delta is exactly this job's phase timing. *)
+     delta is exactly this job's phase timing.  (Jobs on [~threads:true]
+     share a domain, but that runner — the coordinator's — times no
+     phases, and an empty delta writes no file.) *)
   let counters_before = Lbr_harness.Counters.snapshot_local () in
   let status =
     (* The job's trace context is installed for the whole run: every span
@@ -191,8 +223,9 @@ let run_job t job =
         Lbr_harness.Counters.since ~before:counters_before
           ~after:(Lbr_harness.Counters.snapshot_local ())
       in
-      Journal.record_counters j ~id:job.id
-        ~contents:(Lbr_harness.Counters.serialize rows));
+      if rows <> [] then
+        Journal.record_counters j ~id:job.id
+          ~contents:(Lbr_harness.Counters.serialize rows));
   finalize t job status
 
 (* One dispatch token is pool-submitted per admission; each token claims
@@ -213,8 +246,8 @@ let rec dispatch t () =
         let job = Queue.pop q in
         t.queued_count <- t.queued_count - 1;
         t.running_count <- t.running_count + 1;
-        Lbr_obs.Metrics.set_gauge (Lazy.force m_queue_depth) (float_of_int t.queued_count);
-        Lbr_obs.Metrics.set_gauge (Lazy.force m_running) (float_of_int t.running_count);
+        Lbr_obs.Metrics.set_gauge t.m_queue_depth (float_of_int t.queued_count);
+        Lbr_obs.Metrics.set_gauge t.m_running (float_of_int t.running_count);
         if Atomic.get job.cancel_requested then Some (job, `Discard)
         else begin
           job.state <- Running;
@@ -229,7 +262,7 @@ let rec dispatch t () =
   | Some (job, `Run) ->
       let claimed_at = Lbr_obs.Trace.now () in
       Lbr_obs.Flight.transition ~job:job.id ~state:"running";
-      Lbr_obs.Metrics.observe (Lazy.force m_queue_wait) (claimed_at -. job.submitted_at);
+      Lbr_obs.Metrics.observe t.m_queue_wait (claimed_at -. job.submitted_at);
       Lbr_obs.Trace.span_between "scheduler.queue-wait" ~start:job.submitted_at
         ~finish:claimed_at
         ~args:(fun () -> [ ("job", Lbr_obs.Trace.Str job.id) ]);
@@ -239,7 +272,7 @@ let enqueue_locked t job =
   Hashtbl.replace t.table job.id job;
   Queue.push job (match job.spec.Wire.priority with High -> t.high | Normal -> t.normal);
   t.queued_count <- t.queued_count + 1;
-  Lbr_obs.Metrics.set_gauge (Lazy.force m_queue_depth) (float_of_int t.queued_count)
+  Lbr_obs.Metrics.set_gauge t.m_queue_depth (float_of_int t.queued_count)
 
 let retry_after t = 1.0 +. (float_of_int t.queued_count /. float_of_int (Pool.jobs t.pool))
 
@@ -256,7 +289,7 @@ let submit t ?(on_event = fun (_ : string) (_ : event) -> ()) ?(seeds = []) spec
     locked t (fun () ->
         if t.draining || t.shut then Error `Draining
         else if t.queued_count >= t.queue_depth then begin
-          Lbr_obs.Metrics.incr (Lazy.force m_rejected);
+          Lbr_obs.Metrics.incr t.m_rejected;
           Error (`Queue_full (retry_after t))
         end
         else begin
@@ -277,10 +310,11 @@ let submit t ?(on_event = fun (_ : string) (_ : event) -> ()) ?(seeds = []) spec
               submitted_at = Lbr_obs.Trace.now ();
               state = Queued;
               best = None;
+              cancel_hook = ignore;
             }
           in
-          Lbr_obs.Metrics.incr (Lazy.force m_submitted);
-          Lbr_obs.Metrics.observe (Lazy.force m_job_bytes)
+          Lbr_obs.Metrics.incr t.m_submitted;
+          Lbr_obs.Metrics.observe t.m_job_bytes
             (float_of_int (String.length spec.Wire.pool_bytes));
           (* WAL before the job becomes claimable: the spec must be on
              disk (and its journal directory exist, for [append_pred])
@@ -300,17 +334,24 @@ let submit t ?(on_event = fun (_ : string) (_ : event) -> ()) ?(seeds = []) spec
       Ok id
 
 let cancel t id =
+  let hook =
+    locked t (fun () ->
+        Option.map
+          (fun job ->
+            Atomic.set job.cancel_requested true;
+            job.cancel_hook)
+          (Hashtbl.find_opt t.table id))
+  in
+  (* Outside the lock: a hook may do network I/O (the coordinator's
+     remote cancel). *)
+  Option.iter run_hook hook;
+  Option.is_some hook
+
+let status t id =
   locked t (fun () ->
       match Hashtbl.find_opt t.table id with
-      | None -> false
-      | Some job -> (
-          match job.state with
-          | Queued | Running ->
-              Atomic.set job.cancel_requested true;
-              true
-          | Done _ | Failed _ | Cancelled -> false))
-
-let status t id = locked t (fun () -> Option.map (fun j -> j.state) (Hashtbl.find_opt t.table id))
+      | Some job -> Some job.state
+      | None -> Hashtbl.find_opt t.finished id)
 
 let await t id =
   Mutex.lock t.mutex;
@@ -318,14 +359,13 @@ let await t id =
     ~finally:(fun () -> Mutex.unlock t.mutex)
     (fun () ->
       let rec loop () =
-        match Hashtbl.find_opt t.table id with
-        | None -> invalid_arg ("Scheduler.await: unknown job " ^ id)
-        | Some job -> (
-            match job.state with
-            | Queued | Running ->
-                Condition.wait t.cond t.mutex;
-                loop ()
-            | (Done _ | Failed _ | Cancelled) as s -> s)
+        match Hashtbl.find_opt t.finished id with
+        | Some s -> s
+        | None ->
+            if not (Hashtbl.mem t.table id) then
+              invalid_arg ("Scheduler.await: unknown job " ^ id);
+            Condition.wait t.cond t.mutex;
+            loop ()
       in
       loop ())
 
@@ -352,6 +392,7 @@ let recover t =
                     submitted_at = Lbr_obs.Trace.now ();
                     state = Queued;
                     best = None;
+                    cancel_hook = ignore;
                   }
                 in
                 Some job)
@@ -370,15 +411,7 @@ let snapshot t =
   locked t (fun () ->
       Hashtbl.fold
         (fun _ job acc ->
-          match job.state with
-          | Queued | Running ->
-              {
-                info_id = job.id;
-                info_running = (job.state = Running);
-                info_best = job.best;
-              }
-              :: acc
-          | Done _ | Failed _ | Cancelled -> acc)
+          { info_id = job.id; info_running = job.state = Running; info_best = job.best } :: acc)
         t.table [])
   |> List.sort (fun a b -> String.compare a.info_id b.info_id)
 

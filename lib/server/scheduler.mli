@@ -40,13 +40,22 @@ type event =
 type runner_ctx = {
   job_id : string;
   should_stop : unit -> bool;  (** true once the job is cancelled *)
+  on_cancel : (unit -> unit) -> unit;
+      (** register the thunk {!cancel} runs (outside the scheduler lock),
+          replacing any earlier one; if the job is already cancelled it
+          runs at once instead.  Either way a cancel reaches the latest
+          hook.  Runners that stop only at [should_stop] never call it;
+          the coordinator's remote runner registers the remote cancel of
+          its delegated job. *)
   progress : float -> int -> int -> unit;  (** (sim_time, classes, bytes) *)
   replay : (string, bool) Hashtbl.t;
       (** verdicts already paid for — the journal's on resume, the
           coordinator's seeds on failover; empty when cold *)
-  record : key:string -> ok:bool -> latency:float -> retries:int -> unit;
-      (** WAL a completed predicate evaluation: digest, verdict, wall
-          latency (seconds) and extra oracle attempts it took *)
+  record : key:string -> ?latency:float -> ?retries:int -> bool -> unit;
+      (** WAL a completed predicate evaluation and stream it as
+          {!Evaluated}: digest, verdict and, when this process measured
+          it, wall latency (seconds) and extra oracle attempts.  Without
+          them the journal gets {!Journal.append_pred}'s mirrored line. *)
 }
 
 type runner = runner_ctx -> Wire.spec -> (Wire.stats * string, string) result
@@ -58,9 +67,17 @@ type runner = runner_ctx -> Wire.spec -> (Wire.stats * string, string) result
 type t
 
 val create :
-  runner:runner -> jobs:int -> queue_depth:int -> ?journal:Journal.t -> unit -> t
+  ?threads:bool ->
+  runner:runner ->
+  jobs:int ->
+  queue_depth:int ->
+  ?journal:Journal.t ->
+  unit ->
+  t
 (** [jobs >= 1] worker domains, [queue_depth >= 1] waiting slots
-    ([Invalid_argument] otherwise). *)
+    ([Invalid_argument] otherwise).  [~threads:true] runs the jobs on
+    system threads instead ({!Lbr_runtime.Pool.create}): for a runner
+    that only waits on I/O, like the coordinator's. *)
 
 val submit :
   t ->
@@ -84,7 +101,8 @@ val submit :
 val cancel : t -> string -> bool
 (** Request cancellation.  [true] if the job was queued or running; a
     queued job is discarded before it starts, a running job stops at its
-    next predicate-run boundary. *)
+    next predicate-run boundary, and the runner's [on_cancel] hook (if
+    it registered one) runs on the calling thread. *)
 
 val status : t -> string -> status option
 val await : t -> string -> status

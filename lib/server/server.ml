@@ -1,19 +1,8 @@
-(* The daemon front end is split from what it fronts: a [backend] is
-   anything that can admit, cancel and introspect jobs — the scheduler
-   (lbr-serve) or the cluster coordinator (lbr-reduce coordinate).  The
-   accept loop, per-connection protocol and lifecycle are identical for
-   both. *)
-
-type backend = {
-  b_submit :
-    on_event:(string -> Scheduler.event -> unit) ->
-    seeds:(string * bool) list ->
-    Wire.spec ->
-    (string, [ `Queue_full of float | `Draining ]) result;
-  b_cancel : string -> bool;
-  b_stats : unit -> Wire.daemon_stats;
-  b_drain : unit -> unit;
-}
+(* The daemon front end serves one {!Scheduler}: the daemon's
+   (lbr-reduce serve) with the local runner, or the cluster coordinator's
+   (lbr-reduce coordinate) with its remote one.  The accept loop,
+   per-connection protocol and lifecycle are identical for both; only the
+   Prometheus text in [Stats_reply] differs, and the caller renders it. *)
 
 type config = {
   listen : Addr.t;
@@ -22,26 +11,28 @@ type config = {
   journal_dir : string option;
 }
 
+type conn = {
+  fd : Unix.file_descr;
+  write_mutex : Mutex.t;
+  mutable closed : bool;  (* under [write_mutex] *)
+}
+
 type t = {
   listen_addr : Addr.t;
-  backend : backend;
-  scheduler : Scheduler.t option;  (* Some for scheduler-backed daemons *)
-  journal : Journal.t option;
+  scheduler : Scheduler.t;
+  metrics_text : unit -> string;
+  journal : Journal.t option;  (* owned: closed by [stop] *)
   listen_fd : Unix.file_descr;
   recovered : int;
   started_at : float;
   stop_flag : bool Atomic.t;
   stopped : bool Atomic.t;
   conns_mutex : Mutex.t;
-  mutable conns : Unix.file_descr list;  (* live connection fds *)
+  mutable conns : conn list;  (* live connections *)
   mutable accept_thread : Thread.t option;
 }
 
-let scheduler t =
-  match t.scheduler with
-  | Some s -> s
-  | None -> invalid_arg "Server.scheduler: backend-served daemon has no scheduler"
-
+let scheduler t = t.scheduler
 let recovered t = t.recovered
 
 (* The address the kernel actually bound — differs from the configured
@@ -52,11 +43,10 @@ let bound_addr t =
   | Addr.Tcp (host, _) -> Addr.Tcp (host, Addr.bound_port t.listen_fd)
 
 (* One consistent introspection snapshot: scheduler view under its lock
-   and the full metric registry rendered as Prometheus text.  Built
-   entirely from state the event stream already maintains — nothing
-   reaches into running jobs. *)
-let scheduler_stats scheduler started_at () =
-  let jobs = Scheduler.snapshot scheduler in
+   and the metric text.  Built entirely from state the event stream
+   already maintains — nothing reaches into running jobs. *)
+let stats t =
+  let jobs = Scheduler.snapshot t.scheduler in
   {
     Wire.queued_jobs = List.length (List.filter (fun j -> not j.Scheduler.info_running) jobs);
     running_jobs = List.length (List.filter (fun j -> j.Scheduler.info_running) jobs);
@@ -65,53 +55,50 @@ let scheduler_stats scheduler started_at () =
         (fun (j : Scheduler.job_info) ->
           { Wire.js_id = j.info_id; js_running = j.info_running; js_best = j.info_best })
         jobs;
-    uptime = Unix.gettimeofday () -. started_at;
-    metrics_text = Lbr_obs.Metrics.render_prometheus ();
+    uptime = Unix.gettimeofday () -. t.started_at;
+    metrics_text = t.metrics_text ();
   }
 
 (* ------------------------------------------------------------------ *)
 (* Connection bookkeeping                                              *)
 
-let register_conn t fd =
-  Mutex.lock t.conns_mutex;
-  t.conns <- fd :: t.conns;
-  Mutex.unlock t.conns_mutex
+(* A connection's fd is closed only by its handler thread, after its
+   last read, and under the write lock: [stop] and [abort] just shut it
+   down, which wakes that read.  Job events can outlive the connection
+   (a job keeps running when its client goes away), so [send] checks
+   [closed] under the same lock — a late frame is dropped instead of
+   landing on whatever socket has reused the fd number. *)
+let hang_up c = try Unix.shutdown c.fd Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ()
 
-(* Whoever removes the fd from the registry closes it — exactly once,
-   whether that is the handler thread (peer closed / protocol error) or
-   {!stop} sweeping all live connections. *)
-let forget_conn t fd =
-  Mutex.lock t.conns_mutex;
-  let present = List.memq fd t.conns in
-  if present then t.conns <- List.filter (fun fd' -> fd' != fd) t.conns;
-  Mutex.unlock t.conns_mutex;
-  if present then begin
-    (try Unix.shutdown fd Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ());
-    try Unix.close fd with Unix.Unix_error _ -> ()
-  end
+let send c msg =
+  Mutex.protect c.write_mutex (fun () ->
+      if not c.closed then
+        try Wire.write_message c.fd msg with Unix.Unix_error _ | Sys_error _ -> ())
+
+let close_conn t c =
+  Mutex.protect t.conns_mutex (fun () -> t.conns <- List.filter (fun c' -> c' != c) t.conns);
+  Mutex.protect c.write_mutex (fun () ->
+      if not c.closed then begin
+        c.closed <- true;
+        hang_up c;
+        try Unix.close c.fd with Unix.Unix_error _ -> ()
+      end)
 
 (* ------------------------------------------------------------------ *)
 (* Per-connection protocol                                             *)
 
 (* All frames on one connection — synchronous replies from this thread,
    streamed job events from worker domains — go through [send], serialized
-   by a per-connection mutex.  A write failure (peer gone) is swallowed;
-   the read loop will see the close. *)
-let handle_connection t fd =
-  let write_mutex = Mutex.create () in
-  let send msg =
-    Mutex.lock write_mutex;
-    Fun.protect
-      ~finally:(fun () -> Mutex.unlock write_mutex)
-      (fun () -> try Wire.write_message fd msg with Unix.Unix_error _ | Sys_error _ -> ())
-  in
-  let fatal reason =
-    send (Wire.Protocol_error reason);
-    forget_conn t fd
-  in
+   by the connection's write lock.  A write failure (peer gone) is
+   swallowed; the read loop will see the close.  Returning ends the
+   connection (the caller closes it). *)
+let handle_connection t c =
+  let fd = c.fd in
+  let send = send c in
+  let fatal reason = send (Wire.Protocol_error reason) in
   (* The handshake first: anything else is a protocol error. *)
   match Wire.read_message fd with
-  | Error `Closed -> forget_conn t fd
+  | Error `Closed -> ()
   | Error (`Malformed m) -> fatal ("malformed hello: " ^ m)
   | Ok (Wire.Hello v) when v = Wire.protocol_version ->
       send (Wire.Hello_ok v);
@@ -131,59 +118,32 @@ let handle_connection t fd =
       in
       let admit spec seeds =
         (* The admission reply must reach the wire before any event
-           frame for the new job: a worker can run a small job to
+           frame for the new job: a pool domain can run a small job to
            completion before this thread regains the CPU, and its
-           [Result] would otherwise overtake [Accepted].  Events for
-           the new job are therefore parked behind a per-admission gate
-           that opens only once the reply is written.  The write lock
-           is deliberately NOT held across [b_submit]: backends deliver
-           events under their own locks, so holding it here orders the
-           two locks against each other — and a backend that finalizes
-           synchronously from submission (the coordinator with no live
-           workers) would relock [write_mutex] on this very thread.
-           Such same-thread deliveries are buffered and flushed, in
-           order, right after the reply. *)
+           [Result] would otherwise overtake [Accepted].  Events for the
+           new job therefore wait behind a per-admission gate that opens
+           once the reply is written.  [Scheduler.submit] never delivers
+           an event on the submitting thread, so nothing can wait on the
+           gate from here. *)
         let gate = Mutex.create () in
         let gate_cond = Condition.create () in
         let replied = ref false in
-        let parked = ref [] in  (* same-thread events, reversed *)
-        let submitter = Thread.id (Thread.self ()) in
         let gated_on_event job_id ev =
-          let deliver =
-            Mutex.lock gate;
-            Fun.protect
-              ~finally:(fun () -> Mutex.unlock gate)
-              (fun () ->
-                if !replied then true
-                else if Thread.id (Thread.self ()) = submitter then begin
-                  parked := (job_id, ev) :: !parked;
-                  false
-                end
-                else begin
-                  while not !replied do
-                    Condition.wait gate_cond gate
-                  done;
-                  true
-                end)
-          in
-          if deliver then on_event job_id ev
+          Mutex.protect gate (fun () ->
+              while not !replied do
+                Condition.wait gate_cond gate
+              done);
+          on_event job_id ev
         in
         Fun.protect
           ~finally:(fun () ->
-            (* Flush while holding the gate so a concurrent waiter
-               cannot overtake a parked (necessarily terminal) event;
-               open it even if [b_submit] raised, or waiters leak. *)
-            Mutex.lock gate;
-            Fun.protect
-              ~finally:(fun () -> Mutex.unlock gate)
-              (fun () ->
-                List.iter (fun (job_id, ev) -> on_event job_id ev) (List.rev !parked);
-                parked := [];
+            (* open it even if [submit] raised, or waiters leak *)
+            Mutex.protect gate (fun () ->
                 replied := true;
                 Condition.broadcast gate_cond))
           (fun () ->
             let reply =
-              match t.backend.b_submit ~on_event:gated_on_event ~seeds spec with
+              match Scheduler.submit t.scheduler ~on_event:gated_on_event ~seeds spec with
               | Ok id -> Wire.Accepted id
               | Error (`Queue_full retry_after) ->
                   Wire.Rejected { reason = "queue full"; retry_after }
@@ -193,7 +153,7 @@ let handle_connection t fd =
       in
       let rec loop () =
         match Wire.read_message fd with
-        | Error `Closed -> forget_conn t fd
+        | Error `Closed -> ()
         | Error (`Malformed m) -> fatal ("malformed frame: " ^ m)
         | Ok (Wire.Submit spec) ->
             admit spec [];
@@ -202,10 +162,10 @@ let handle_connection t fd =
             admit spec seeds;
             loop ()
         | Ok (Wire.Cancel job_id) ->
-            send (Wire.Cancel_ok { job_id; found = t.backend.b_cancel job_id });
+            send (Wire.Cancel_ok { job_id; found = Scheduler.cancel t.scheduler job_id });
             loop ()
         | Ok Wire.Stats_request ->
-            send (Wire.Stats_reply (t.backend.b_stats ()));
+            send (Wire.Stats_reply (stats t));
             loop ()
         | Ok Wire.Trace_dump_request ->
             send
@@ -247,11 +207,13 @@ let accept_loop t =
       | _ :: _, _, _ -> (
           match Unix.accept t.listen_fd with
           | fd, _ ->
-              register_conn t fd;
+              let c = { fd; write_mutex = Mutex.create (); closed = false } in
+              Mutex.protect t.conns_mutex (fun () -> t.conns <- c :: t.conns);
               ignore
                 (Thread.create
                    (fun () ->
-                     try handle_connection t fd with _ -> forget_conn t fd)
+                     (try handle_connection t c with _ -> ());
+                     close_conn t c)
                    ()
                   : Thread.t)
           | exception Unix.Unix_error ((Unix.EINTR | Unix.EAGAIN), _, _) -> ())
@@ -263,7 +225,8 @@ let accept_loop t =
 
 (* ------------------------------------------------------------------ *)
 
-let start_backend ?scheduler ?journal ?(recovered = 0) ~listen backend =
+let listen_on ?journal ?(recovered = 0) ?(metrics_text = Lbr_obs.Metrics.render_prometheus)
+    ~listen scheduler =
   (* A client closing mid-write must not kill the daemon. *)
   (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore
    with Invalid_argument _ | Sys_error _ -> ());
@@ -271,8 +234,8 @@ let start_backend ?scheduler ?journal ?(recovered = 0) ~listen backend =
   let t =
     {
       listen_addr = listen;
-      backend;
       scheduler;
+      metrics_text;
       journal;
       listen_fd;
       recovered;
@@ -287,6 +250,8 @@ let start_backend ?scheduler ?journal ?(recovered = 0) ~listen backend =
   t.accept_thread <- Some (Thread.create (fun () -> accept_loop t) ());
   t
 
+let serve ?metrics_text ~listen scheduler = listen_on ?metrics_text ~listen scheduler
+
 let start config =
   let journal = Option.map Journal.open_dir config.journal_dir in
   let scheduler =
@@ -294,33 +259,14 @@ let start config =
       ~queue_depth:config.queue_depth ?journal ()
   in
   let recovered = Scheduler.recover scheduler in
-  let started_at = Unix.gettimeofday () in
-  let backend =
-    {
-      b_submit =
-        (fun ~on_event ~seeds spec -> Scheduler.submit scheduler ~on_event ~seeds spec);
-      b_cancel = Scheduler.cancel scheduler;
-      b_stats = scheduler_stats scheduler started_at;
-      b_drain = (fun () -> Scheduler.shutdown scheduler);
-    }
-  in
-  match start_backend ~scheduler ?journal ~recovered ~listen:config.listen backend with
+  match listen_on ?journal ~recovered ~listen:config.listen scheduler with
   | t -> t
   | exception e ->
       Scheduler.shutdown scheduler;
       (match journal with Some j -> Journal.close j | None -> ());
       raise e
 
-let close_all_conns t =
-  Mutex.lock t.conns_mutex;
-  let conns = t.conns in
-  t.conns <- [];
-  Mutex.unlock t.conns_mutex;
-  List.iter
-    (fun fd ->
-      (try Unix.shutdown fd Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ());
-      try Unix.close fd with Unix.Unix_error _ -> ())
-    conns
+let hang_up_all t = List.iter hang_up (Mutex.protect t.conns_mutex (fun () -> t.conns))
 
 let unlink_unix_path t =
   match t.listen_addr with
@@ -336,15 +282,15 @@ let stop t =
     unlink_unix_path t;
     (* Every in-flight job finishes and its terminal frame is written
        (finalize delivers events before drain can observe completion). *)
-    t.backend.b_drain ();
-    close_all_conns t;
+    Scheduler.shutdown t.scheduler;
+    hang_up_all t;
     match t.journal with Some j -> Journal.close j | None -> ()
   end
 
 (* The opposite of a graceful [stop]: drop everything on the floor, the
    way kill -9 would.  Jobs already running on worker domains keep
    running detached (domains cannot be killed from OCaml) — their event
-   frames land on closed sockets and are swallowed — but no new frame
+   frames are dropped (see [send]) — but no new frame
    leaves this daemon and no drain happens.  Tests use this to exercise
    the coordinator's failover without forking a process to kill. *)
 let abort t =
@@ -353,7 +299,7 @@ let abort t =
     (match t.accept_thread with Some th -> Thread.join th | None -> ());
     (try Unix.close t.listen_fd with Unix.Unix_error _ -> ());
     unlink_unix_path t;
-    close_all_conns t
+    hang_up_all t
   end
 
 let run ?shutdown config =

@@ -1,7 +1,7 @@
 (** The daemon front end: an accept loop + per-connection wire protocol
-    over a {!Addr} listener (Unix socket or TCP), serving any [backend] —
-    the {!Scheduler} for [lbr-reduce serve], the cluster coordinator for
-    [lbr-reduce coordinate].
+    over a {!Addr} listener (Unix socket or TCP), serving one
+    {!Scheduler} — with the local runner for [lbr-reduce serve], with the
+    cluster coordinator's remote runner for [lbr-reduce coordinate].
 
     One accept loop (a thread polling with [select] so it can notice a
     stop request), one handler thread per connection.  A connection must
@@ -17,22 +17,11 @@
     Lifecycle: {!start} binds the listener (recovering journaled jobs
     first), {!stop} stops admitting, drains in-flight jobs — every
     accepted job reaches a terminal state and its Result frame is written
-    — then closes every socket.  {!run} is the blocking CLI entry: it
+    — then shuts every connection down (each handler thread closes its
+    own fd, so a late job event never reaches a socket that reused the
+    number).  {!run} is the blocking CLI entry: it
     serves until the {!Shutdown} flag fires, then performs the same
     drain. *)
-
-type backend = {
-  b_submit :
-    on_event:(string -> Scheduler.event -> unit) ->
-    seeds:(string * bool) list ->
-    Wire.spec ->
-    (string, [ `Queue_full of float | `Draining ]) result;
-      (** must not invoke [on_event] synchronously (the wire layer holds
-          the connection's write lock across admission) *)
-  b_cancel : string -> bool;
-  b_stats : unit -> Wire.daemon_stats;
-  b_drain : unit -> unit;  (** stop admitting; block until in-flight work is done *)
-}
 
 type config = {
   listen : Addr.t;
@@ -50,22 +39,16 @@ val start : config -> t
     a probe connect and replaced; a TCP port in use is never "replaced" —
     see {!Addr.listen}). *)
 
-val start_backend :
-  ?scheduler:Scheduler.t ->
-  ?journal:Journal.t ->
-  ?recovered:int ->
-  listen:Addr.t ->
-  backend ->
-  t
-(** Serve an arbitrary backend (the coordinator).  The optional scheduler
-    and journal are only adopted for introspection/cleanup; the backend
-    owns the real work. *)
+val serve : ?metrics_text:(unit -> string) -> listen:Addr.t -> Scheduler.t -> t
+(** Serve an already-built scheduler (the coordinator's).
+    [metrics_text] renders the Prometheus text of [Stats_reply]
+    (default: this process's registry).  {!stop} drains the scheduler
+    but closes nothing the caller opened. *)
 
 val recovered : t -> int
 (** How many journaled in-flight jobs {!start} resumed. *)
 
 val scheduler : t -> Scheduler.t
-(** Raises [Invalid_argument] on a backend-served daemon without one. *)
 
 val bound_addr : t -> Addr.t
 (** The listening address with the kernel-chosen port filled in — what to

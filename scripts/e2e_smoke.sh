@@ -186,11 +186,12 @@ done
 "$BIN" trace-dump --socket "$W2_ADDR" -o "$WORK/w2.tdump" > /dev/null
 echo "OK: captured pre-kill trace dumps of both workers"
 
-# kill -9 the worker holding the job.  Which worker that is depends on a
-# work-stealing race at startup, but the pre-kill trace dumps already
-# tell us: only the busy worker's span ring carries ctx.parent-annotated
-# job spans.  (Sniffing coordinator TCP connections no longer works: the
-# metrics-federation poller dials every worker twice a second.)
+# kill -9 the worker holding the job.  Which worker that is is the
+# coordinator's lane choice, not something this script should assume,
+# but the pre-kill trace dumps tell us: only the busy worker's span ring
+# carries ctx.parent-annotated job spans.  (Sniffing coordinator TCP
+# connections does not work: the metrics-federation poller dials every
+# worker twice a second.)
 W1_CTX=$(grep -ac 'ctx.parent' "$WORK/w1.tdump" || true)
 W2_CTX=$(grep -ac 'ctx.parent' "$WORK/w2.tdump" || true)
 if [ "$W1_CTX" -eq "$W2_CTX" ]; then

@@ -1,8 +1,9 @@
 (* Tests for the cluster layer: the content-addressed verdict cache
    (lookup semantics, disk persistence, qcheck properties), and the
    coordinator end to end against real worker daemons on loopback TCP —
-   work stealing with stub workers, warm-cache resubmission, and the
-   kill-a-worker-mid-job failover acceptance scenario. *)
+   lane dispatch, priority and cancel with stub workers, warm-cache
+   resubmission, and the kill-a-worker-mid-job failover acceptance
+   scenario. *)
 
 open Lbr_server
 module Cache = Lbr_cluster.Cache
@@ -194,13 +195,14 @@ let prop_cache_survives_restart =
 (* ------------------------------------------------------------------ *)
 (* Coordinator plumbing helpers                                        *)
 
-(* Collect per-job terminal states delivered through a backend's event
+(* Collect per-job terminal states delivered through a scheduler's event
    stream, with a blocking wait. *)
 type collector = {
   c_mutex : Mutex.t;
   c_cond : Condition.t;
   c_done : (string, Scheduler.status) Hashtbl.t;
   c_verdicts : int Atomic.t;
+  c_progress : int Atomic.t;
 }
 
 let collector () =
@@ -209,11 +211,13 @@ let collector () =
     c_cond = Condition.create ();
     c_done = Hashtbl.create 8;
     c_verdicts = Atomic.make 0;
+    c_progress = Atomic.make 0;
   }
 
 let collect col id (ev : Scheduler.event) =
   match ev with
   | Scheduler.Evaluated _ -> Atomic.incr col.c_verdicts
+  | Scheduler.Progress _ -> Atomic.incr col.c_progress
   | Scheduler.Finished ((Scheduler.Done _ | Scheduler.Failed _ | Scheduler.Cancelled) as st)
     ->
       Mutex.lock col.c_mutex;
@@ -234,11 +238,33 @@ let await_done ?(timeout = 120.) col n =
   Mutex.unlock col.c_mutex;
   if finished < n then Alcotest.failf "only %d of %d jobs finished in time" finished n
 
-let submit_ok backend col spec =
-  match backend.Server.b_submit ~on_event:(collect col) ~seeds:[] spec with
+let finished col id = Mutex.protect col.c_mutex (fun () -> Hashtbl.find_opt col.c_done id)
+
+(* Poll [cond] for up to [timeout] seconds. *)
+let wait_until ?(timeout = 30.) what cond =
+  let deadline = Unix.gettimeofday () +. timeout in
+  while (not (cond ())) && Unix.gettimeofday () < deadline do
+    Thread.delay 0.005
+  done;
+  if not (cond ()) then Alcotest.failf "timed out waiting until %s" what
+
+let submit_ok coordinator col spec =
+  match Scheduler.submit (Coordinator.scheduler coordinator) ~on_event:(collect col) spec with
   | Ok id -> id
   | Error `Draining -> Alcotest.fail "coordinator draining"
   | Error (`Queue_full _) -> Alcotest.fail "coordinator queue full"
+
+let coordinator ?(lanes = 1) ?(queue_depth = 8) ?journal_dir ?cache_path workers =
+  Coordinator.create
+    { Coordinator.workers; lanes; queue_depth; cache_path; journal_dir; poll_interval = 0. }
+
+let status_name = function
+  | Some (Scheduler.Done _) -> "done"
+  | Some (Scheduler.Failed m) -> "failed: " ^ m
+  | Some Scheduler.Cancelled -> "cancelled"
+  | Some Scheduler.Queued -> "queued"
+  | Some Scheduler.Running -> "running"
+  | None -> "missing"
 
 let start_worker () =
   Server.start
@@ -250,10 +276,8 @@ let start_worker () =
     }
 
 (* ------------------------------------------------------------------ *)
-(* Work stealing, against stub workers whose job duration we control    *)
-
-let zero_stats =
-  { Wire.queued_jobs = 0; running_jobs = 0; job_stats = []; uptime = 0.; metrics_text = "" }
+(* Lanes, priority and cancel, against stub workers whose job duration
+   we control                                                          *)
 
 let stub_result_stats =
   {
@@ -271,97 +295,120 @@ let stub_result_stats =
     bytes1 = 1;
   }
 
-(* A wire-complete worker daemon whose "reduction" echoes the pool back.
-   Jobs whose spec carries [retries = 99] block until [gate] opens —
-   the knob the stealing test uses to wedge one worker. *)
-let stub_worker gate =
-  let seq = ref 0 in
-  let backend =
-    {
-      Server.b_submit =
-        (fun ~on_event ~seeds:_ spec ->
-          incr seq;
-          let id = Printf.sprintf "job-%06d" !seq in
-          ignore
-            (Thread.create
-               (fun () ->
-                 Thread.delay 0.01;
-                 if spec.Wire.retries = 99 then begin
-                   let m, c, open_ = gate in
-                   Mutex.lock m;
-                   while not !open_ do
-                     Condition.wait c m
-                   done;
-                   Mutex.unlock m
-                 end;
-                 on_event id
-                   (Scheduler.Finished (Scheduler.Done (stub_result_stats, spec.Wire.pool_bytes))))
-               ());
-          Ok id);
-      b_cancel = (fun _ -> false);
-      b_stats = (fun () -> zero_stats);
-      b_drain = (fun () -> ());
-    }
-  in
-  Server.start_backend ~listen:(Addr.Tcp ("127.0.0.1", 0)) backend
+let blocking_retries = 99
 
-let test_cluster_work_stealing () =
-  let gate = (Mutex.create (), Condition.create (), ref false) in
-  let w0 = stub_worker gate and w1 = stub_worker gate in
-  let steals0 = counter_value "lbr_cluster_steals_total" in
-  let coordinator =
-    Coordinator.create
-      {
-        Coordinator.workers = [ Server.bound_addr w0; Server.bound_addr w1 ];
-        lanes = 1;
-        queue_depth = 16;
-        cache_path = None;
-        journal_dir = None;
-        poll_interval = 0.;
-      }
+(* A worker daemon — a [Server] over a one-domain [Scheduler] — whose
+   "reduction" reports one improvement and echoes the pool back.  Jobs
+   whose spec carries [retries = blocking_retries] block until [gate]
+   opens or they are cancelled: the knob the tests use to wedge a worker.
+   [seen ()] lists the (worker-side id, pool) of every job the worker
+   started, in start order. *)
+let stub_worker gate =
+  let seen_mutex = Mutex.create () and seen = ref [] in
+  let runner (ctx : Scheduler.runner_ctx) (spec : Wire.spec) =
+    Mutex.protect seen_mutex (fun () -> seen := (ctx.job_id, spec.Wire.pool_bytes) :: !seen);
+    ctx.progress 0. 1 (String.length spec.Wire.pool_bytes);
+    Thread.delay 0.01;
+    if spec.Wire.retries = blocking_retries then
+      while not (Atomic.get gate || ctx.should_stop ()) do
+        Thread.delay 0.002
+      done;
+    if ctx.should_stop () then raise Lbr_frontend.Run.Cancelled;
+    Ok (stub_result_stats, spec.Wire.pool_bytes)
   in
-  let backend = Coordinator.backend coordinator in
+  let server =
+    Server.serve ~listen:(Addr.Tcp ("127.0.0.1", 0))
+      (Scheduler.create ~runner ~jobs:1 ~queue_depth:8 ())
+  in
+  (server, fun () -> Mutex.protect seen_mutex (fun () -> List.rev !seen))
+
+let blocking_spec seed = { (spec_of_seed ~classes:6 seed) with retries = blocking_retries }
+
+let test_cluster_wedged_worker () =
+  let gate = Atomic.make false in
+  let w0, _ = stub_worker gate and w1, _ = stub_worker gate in
+  let coordinator =
+    coordinator ~queue_depth:16 [ Server.bound_addr w0; Server.bound_addr w1 ]
+  in
   let col = collector () in
-  (* Round-robin puts the blocking job and one fast job on w0; w1 must
-     finish its own two and steal w0's queued fast job. *)
-  let blocked = submit_ok backend col { (spec_of_seed ~classes:6 1) with retries = 99 } in
-  let fast = List.init 3 (fun i -> submit_ok backend col (spec_of_seed ~classes:6 (2 + i))) in
+  (* The blocking job wedges whichever worker runs it; the other
+     worker's lane must carry all three fast jobs meanwhile. *)
+  let blocked = submit_ok coordinator col (blocking_spec 1) in
+  let fast = List.init 3 (fun i -> submit_ok coordinator col (spec_of_seed ~classes:6 (2 + i))) in
   await_done ~timeout:30. col 3;
-  Alcotest.(check bool) "steals happened" true
-    (counter_value "lbr_cluster_steals_total" - steals0 >= 1);
+  Alcotest.(check (list string)) "all fast jobs finished while the blocked one is wedged"
+    [ "done"; "done"; "done"; "missing" ]
+    (List.map (fun id -> status_name (finished col id)) (fast @ [ blocked ]));
   (* open the gate; the wedged job finishes too *)
-  let m, c, open_ = gate in
-  Mutex.lock m;
-  open_ := true;
-  Condition.broadcast c;
-  Mutex.unlock m;
+  Atomic.set gate true;
   await_done ~timeout:30. col 4;
   List.iter
     (fun id ->
-      match Hashtbl.find_opt col.c_done id with
+      match finished col id with
       | Some (Scheduler.Done (_, bytes)) ->
           Alcotest.(check bool) (id ^ " echoes its pool") true (String.length bytes > 0)
-      | other ->
-          Alcotest.failf "%s: unexpected terminal state %s" id
-            (match other with
-            | Some (Scheduler.Failed m) -> "failed: " ^ m
-            | Some Scheduler.Cancelled -> "cancelled"
-            | _ -> "missing"))
+      | other -> Alcotest.failf "%s: unexpected terminal state %s" id (status_name other))
     (blocked :: fast);
-  (* queue-depth gauges are registered and rendered *)
+  (* the scheduler's queue-depth gauge and cluster health are rendered *)
   let prom = Lbr_obs.Metrics.render_prometheus () in
   let contains s sub =
     let n = String.length s and m = String.length sub in
     let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
     go 0
   in
-  Alcotest.(check bool) "w0 queue-depth gauge exported" true
-    (contains prom "lbr_cluster_w0_queue_depth");
-  Alcotest.(check bool) "w1 queue-depth gauge exported" true
-    (contains prom "lbr_cluster_w1_queue_depth");
-  backend.Server.b_drain ();
+  Alcotest.(check bool) "queue-depth gauge exported" true (contains prom "lbr_queue_depth");
+  Alcotest.(check bool) "live-worker gauge exported" true
+    (contains prom "lbr_cluster_workers_alive");
+  Coordinator.close coordinator;
   Server.stop w0;
   Server.stop w1
+
+(* One single-lane worker, wedged: the jobs queued behind it leave the
+   coordinator's queue by priority, not by arrival. *)
+let test_cluster_high_priority_first () =
+  let gate = Atomic.make false in
+  let w, seen = stub_worker gate in
+  let coordinator = coordinator ~queue_depth:16 [ Server.bound_addr w ] in
+  let col = collector () in
+  let label = Hashtbl.create 4 in
+  let submit name spec =
+    Hashtbl.replace label spec.Wire.pool_bytes name;
+    ignore (submit_ok coordinator col spec : string)
+  in
+  submit "blocked" (blocking_spec 1);
+  wait_until "the worker is wedged" (fun () -> List.length (seen ()) = 1);
+  submit "normal-1" (spec_of_seed ~classes:6 2);
+  submit "normal-2" (spec_of_seed ~classes:6 3);
+  submit "high" { (spec_of_seed ~classes:6 4) with priority = Wire.High };
+  Atomic.set gate true;
+  await_done ~timeout:30. col 4;
+  Alcotest.(check (list string)) "the High job is dispatched first"
+    [ "blocked"; "high"; "normal-1"; "normal-2" ]
+    (List.map (fun (_, pool) -> Hashtbl.find label pool) (seen ()));
+  Coordinator.close coordinator;
+  Server.stop w
+
+(* A job cancelled while queued at the coordinator never reaches a
+   worker. *)
+let test_cluster_cancel_queued () =
+  let gate = Atomic.make false in
+  let w, seen = stub_worker gate in
+  let coordinator = coordinator [ Server.bound_addr w ] in
+  let col = collector () in
+  let blocked = submit_ok coordinator col (blocking_spec 1) in
+  wait_until "the worker is wedged" (fun () -> List.length (seen ()) = 1);
+  let queued = submit_ok coordinator col (spec_of_seed ~classes:6 2) in
+  Alcotest.(check bool) "cancel finds the queued job" true
+    (Scheduler.cancel (Coordinator.scheduler coordinator) queued);
+  Atomic.set gate true;
+  await_done ~timeout:30. col 2;
+  Alcotest.(check string) "the queued job ends cancelled" "cancelled"
+    (status_name (finished col queued));
+  Alcotest.(check string) "the wedged job still completes" "done"
+    (status_name (finished col blocked));
+  Alcotest.(check int) "the worker never saw the cancelled job" 1 (List.length (seen ()));
+  Coordinator.close coordinator;
+  Server.stop w
 
 (* ------------------------------------------------------------------ *)
 (* Warm cache: an identical resubmission replays every verdict          *)
@@ -370,23 +417,12 @@ let test_cluster_warm_cache_resubmission () =
   let seed = 21 in
   let _, ref_bytes = reference_run ~classes:16 seed in
   let w = start_worker () in
-  let coordinator =
-    Coordinator.create
-      {
-        Coordinator.workers = [ Server.bound_addr w ];
-        lanes = 1;
-        queue_depth = 8;
-        cache_path = None;
-        journal_dir = None;
-        poll_interval = 0.;
-      }
-  in
-  let backend = Coordinator.backend coordinator in
+  let coordinator = coordinator [ Server.bound_addr w ] in
   let col = collector () in
-  let id1 = submit_ok backend col (spec_of_seed ~classes:16 seed) in
+  let id1 = submit_ok coordinator col (spec_of_seed ~classes:16 seed) in
   await_done col 1;
   let hits0 = counter_value "lbr_cluster_cache_hits_total" in
-  let id2 = submit_ok backend col (spec_of_seed ~classes:16 seed) in
+  let id2 = submit_ok coordinator col (spec_of_seed ~classes:16 seed) in
   await_done col 2;
   let check_done id f =
     match Hashtbl.find_opt col.c_done id with
@@ -404,7 +440,7 @@ let test_cluster_warm_cache_resubmission () =
       Alcotest.(check int) "warm run executed nothing fresh" 0 stats.Wire.tool_executions);
   Alcotest.(check bool) "cluster cache hits counted" true
     (counter_value "lbr_cluster_cache_hits_total" - hits0 > 0);
-  backend.Server.b_drain ();
+  Coordinator.close coordinator;
   Server.stop w
 
 (* ------------------------------------------------------------------ *)
@@ -429,9 +465,10 @@ let really_write fd buf off len =
   in
   go off len
 
-(* A one-shot kill switch shared by the proxies below: whichever proxy
-   streams the Nth Verdict frame severs ITS worker's connections, exactly
-   once cluster-wide.  [t_victim] records which worker died. *)
+(* A one-shot kill switch shared by the failover test's proxies:
+   whichever proxy streams the Nth Verdict frame severs ITS worker's
+   connections, exactly once cluster-wide.  [t_victim] records which
+   worker died. *)
 type trigger = {
   t_threshold : int;
   t_seen : int Atomic.t;      (* verdict frames forwarded, cluster-wide *)
@@ -448,16 +485,28 @@ let trigger threshold =
   }
 
 let verdict_tag = 0x8A  (* Wire.kind_of (Verdict _) *)
+let accepted_tag = 0x82  (* Wire.kind_of (Accepted _) *)
 
-(* A frame-level TCP proxy in front of a worker, simulating kill -9 at a
-   deterministic point.  The simulated oracle is so fast — and work
-   stealing makes placement so racy — that killing a worker from the
-   outside on a timer can land before the job starts or after it ends.
-   Instead the proxy itself watches the worker's frames and severs the
-   link the moment it would forward the trigger's Nth Verdict frame:
-   mid-job by construction, on whichever worker actually runs the job,
-   and the terminal Result frame can never slip through. *)
-let proxy_worker trig ~id upstream =
+(* Sever on the trigger's Nth Verdict frame, cluster-wide. *)
+let kill_on_verdict trig ~id tag =
+  let kill =
+    tag = verdict_tag
+    && Atomic.fetch_and_add trig.t_seen 1 + 1 >= trig.t_threshold
+    && Atomic.compare_and_set trig.t_fired false true
+  in
+  if kill then Atomic.set trig.t_victim id;
+  kill
+
+(* A frame-level TCP proxy in front of a worker.  [on_frame tag] sees the
+   kind byte of every worker -> coordinator frame before it is forwarded;
+   it may block (holding the frame back) and returns [true] to sever the
+   link instead, simulating kill -9 at a deterministic point.  The
+   simulated oracle is so fast that killing a worker from the outside on
+   a timer can land before the job starts or after it ends; severing on
+   the trigger's Nth Verdict frame is mid-job by construction, on
+   whichever worker actually runs the job, and the terminal Result frame
+   can never slip through. *)
+let proxy_worker ~on_frame upstream =
   let upstream_sa =
     match upstream with
     | Addr.Tcp (host, port) -> Unix.ADDR_INET (Unix.inet_addr_of_string host, port)
@@ -482,17 +531,15 @@ let proxy_worker trig ~id upstream =
   in
   (* shutdown, not close: a close from this thread neither wakes a peer
      thread blocked in read(2) on the same socket nor sends the FIN while
-     that read still holds a reference — shutdown does both at once *)
+     that read still holds a reference — shutdown does both at once (and
+     stops the listener).  Nor does it free the fd numbers, which the
+     copy threads below still use after the link is cut: a closed number
+     can already name the coordinator's retry connection. *)
   let hangup fd = try Unix.shutdown fd Unix.SHUTDOWN_ALL with _ -> () in
   let sever () =
     if not (Atomic.exchange severed true) then begin
       Mutex.lock fds_mutex;
-      List.iter
-        (fun fd ->
-          hangup fd;
-          try Unix.close fd with _ -> ())
-        !fds;
-      fds := [];
+      List.iter hangup !fds;
       Mutex.unlock fds_mutex
     end
   in
@@ -518,16 +565,7 @@ let proxy_worker trig ~id upstream =
          let len = Int32.to_int (Bytes.get_int32_be hdr 0) in
          let payload = Bytes.create len in
          really_read src payload 0 len;
-         let kill =
-           len > 0
-           && Char.code (Bytes.get payload 0) = verdict_tag
-           && Atomic.fetch_and_add trig.t_seen 1 + 1 >= trig.t_threshold
-           && Atomic.compare_and_set trig.t_fired false true
-         in
-         if kill then begin
-           Atomic.set trig.t_victim id;
-           sever ()
-         end
+         if len > 0 && on_frame (Char.code (Bytes.get payload 0)) then sever ()
          else begin
            really_write dst hdr 0 4;
            really_write dst payload 0 len
@@ -557,29 +595,21 @@ let test_cluster_failover_byte_identical () =
   let seed = 21 in
   let ref_outcome, ref_bytes = reference_run ~classes:64 seed in
   let w0 = start_worker () and w1 = start_worker () in
-  (* both workers sit behind killer proxies: work stealing makes the
-     job's placement racy, so whichever worker ends up streaming the 5th
-     verdict is the one that dies *)
+  (* both workers sit behind killer proxies, so whichever worker ends up
+     streaming the 5th verdict is the one that dies *)
   let trig = trigger 5 in
-  let p0 = proxy_worker trig ~id:0 (Server.bound_addr w0) in
-  let p1 = proxy_worker trig ~id:1 (Server.bound_addr w1) in
+  let p0 = proxy_worker ~on_frame:(kill_on_verdict trig ~id:0) (Server.bound_addr w0) in
+  let p1 = proxy_worker ~on_frame:(kill_on_verdict trig ~id:1) (Server.bound_addr w1) in
   let journal_dir = fresh_dir "coordjournal" in
   let coordinator =
-    Coordinator.create
-      {
-        Coordinator.workers = [ p0; p1 ];
-        lanes = 1;
-        queue_depth = 8;
-        cache_path = Some (Filename.concat journal_dir "verdicts.cache");
-        journal_dir = Some journal_dir;
-        poll_interval = 0.;
-      }
+    coordinator ~journal_dir
+      ~cache_path:(Filename.concat journal_dir "verdicts.cache")
+      [ p0; p1 ]
   in
-  let backend = Coordinator.backend coordinator in
   let col = collector () in
   let hits0 = counter_value "lbr_cluster_cache_hits_total" in
   let failovers0 = counter_value "lbr_cluster_failovers_total" in
-  let id = submit_ok backend col (spec_of_seed ~classes:64 seed) in
+  let id = submit_ok coordinator col (spec_of_seed ~classes:64 seed) in
   await_done col 1;
   Alcotest.(check bool) "a worker was killed mid-job" true (Atomic.get trig.t_fired);
   (match Hashtbl.find_opt col.c_done id with
@@ -604,11 +634,47 @@ let test_cluster_failover_byte_identical () =
   Journal.close journal;
   Alcotest.(check bool) "coordinator journal holds mirrored verdicts" true
     (List.length mirrored > 0);
-  backend.Server.b_drain ();
+  Coordinator.close coordinator;
   (* the killed link's worker process is still alive and finishes its
      orphaned job on its own, so both daemons stop gracefully *)
   Server.stop w0;
   Server.stop w1
+
+(* Cancel a delegated job mid-run.  After the worker's Accepted the
+   coordinator knows the remote id and cancels it at once; before it
+   (the worker's Accepted held back in a proxy) the cancel is parked
+   until the remote id arrives.  Either way both sides end Cancelled. *)
+let test_cluster_cancel_running ~hold_accepted () =
+  let gate = Atomic.make false in
+  let w, seen = stub_worker gate in
+  let hold = Atomic.make hold_accepted in
+  let on_frame tag =
+    if tag = accepted_tag then
+      while Atomic.get hold do
+        Thread.delay 0.002
+      done;
+    false
+  in
+  let coordinator = coordinator [ proxy_worker ~on_frame (Server.bound_addr w) ] in
+  let sched = Coordinator.scheduler coordinator in
+  let col = collector () in
+  let id = submit_ok coordinator col (blocking_spec 1) in
+  wait_until "the worker runs the job" (fun () -> List.length (seen ()) = 1);
+  if not hold_accepted then
+    (* the stub's first Progress frame follows its Accepted *)
+    wait_until "the coordinator relays progress" (fun () -> Atomic.get col.c_progress > 0);
+  Alcotest.(check string) "the coordinator's job is running" "running"
+    (status_name (Scheduler.status sched id));
+  Alcotest.(check bool) "cancel finds the running job" true (Scheduler.cancel sched id);
+  Atomic.set hold false;
+  await_done ~timeout:30. col 1;
+  let remote_id, _ = List.hd (seen ()) in
+  Alcotest.(check string) "the worker's job ends cancelled" "cancelled"
+    (status_name (Some (Scheduler.await (Server.scheduler w) remote_id)));
+  Alcotest.(check string) "the coordinator's job ends cancelled" "cancelled"
+    (status_name (finished col id));
+  Coordinator.close coordinator;
+  Server.stop w
 
 (* A journaled spec cut just before its [frontend] field — the layout of
    a journal written before every spec field was always present.  The
@@ -624,19 +690,9 @@ let test_cluster_recover_marks_corrupt_spec_failed () =
   let j = Journal.open_dir journal_dir in
   Journal.record_job j ~id:"job-000001" ~spec:(String.sub bytes 0 cut);
   Journal.close j;
-  let coordinator =
-    Coordinator.create
-      {
-        Coordinator.workers = [ Server.bound_addr w ];
-        lanes = 1;
-        queue_depth = 8;
-        cache_path = None;
-        journal_dir = Some journal_dir;
-        poll_interval = 0.;
-      }
-  in
+  let coordinator = coordinator ~journal_dir [ Server.bound_addr w ] in
   Alcotest.(check int) "nothing recovered" 0 (Coordinator.recovered coordinator);
-  (Coordinator.backend coordinator).Server.b_drain ();
+  Coordinator.close coordinator;
   Server.stop w;
   let j = Journal.open_dir journal_dir in
   Alcotest.(check (list (pair string string))) "no longer pending" [] (Journal.pending j);
@@ -651,31 +707,21 @@ let test_cluster_recover_marks_corrupt_spec_failed () =
 
 (* ------------------------------------------------------------------ *)
 (* Dead cluster: a submission with no live workers must still complete
-   the protocol — Accepted, then a terminal Job_failed — instead of the
-   coordinator's synchronous finalize relocking the connection's write
-   mutex and leaving the client waiting forever.  Also pins table
-   pruning: terminal jobs leave the coordinator's stats snapshot. *)
+   the protocol — Accepted, then a terminal Job_failed — instead of
+   leaving the client waiting forever.  Also pins table pruning:
+   terminal jobs leave the coordinator's stats snapshot. *)
 
 let test_cluster_no_live_workers_fails_cleanly () =
   let w = start_worker () in
-  let coordinator =
-    Coordinator.create
-      {
-        Coordinator.workers = [ Server.bound_addr w ];
-        lanes = 1;
-        queue_depth = 8;
-        cache_path = None;
-        journal_dir = None;
-        poll_interval = 0.;
-      }
+  let coordinator = coordinator [ Server.bound_addr w ] in
+  let front =
+    Server.serve ~listen:(Addr.Tcp ("127.0.0.1", 0)) (Coordinator.scheduler coordinator)
   in
-  let backend = Coordinator.backend coordinator in
-  let front = Server.start_backend ~listen:(Addr.Tcp ("127.0.0.1", 0)) backend in
   (* kill -9 the only worker, then let a first submission discover the
      death (bounded connect retries, then failover gives up) *)
   Server.abort w;
   let col = collector () in
-  let id1 = submit_ok backend col (spec_of_seed ~classes:6 1) in
+  let id1 = submit_ok coordinator col (spec_of_seed ~classes:6 1) in
   await_done ~timeout:30. col 1;
   (match Hashtbl.find_opt col.c_done id1 with
   | Some (Scheduler.Failed _) -> ()
@@ -698,11 +744,16 @@ let test_cluster_no_live_workers_fails_cleanly () =
       | Error (`Conn m) -> Alcotest.failf "connection died instead of Job_failed: %s" m);
       Alcotest.(check bool) "Accepted preceded the terminal frame" true
         (!accepted <> None);
+      let stats =
+        match Client.stats c with
+        | Ok stats -> stats
+        | Error m -> Alcotest.failf "stats from coordinator front end: %s" m
+      in
+      Alcotest.(check (list string)) "terminal jobs are pruned from stats" []
+        (List.map (fun js -> js.Wire.js_id) stats.Wire.job_stats);
       Client.close c);
-  let stats = backend.Server.b_stats () in
-  Alcotest.(check (list string)) "terminal jobs are pruned from stats" []
-    (List.map (fun js -> js.Wire.js_id) stats.Wire.job_stats);
-  Server.stop front
+  Server.stop front;
+  Coordinator.close coordinator
 
 (* ------------------------------------------------------------------ *)
 (* Trace merging: .tdump codec and cross-node flow arrows               *)
@@ -820,22 +871,13 @@ let test_trace_merge_flow_arrows () =
    the full pull-decode-merge path; the sum identity holds whatever the
    registries contain. *)
 let test_cluster_federated_metrics_sum () =
-  let gate = (Mutex.create (), Condition.create (), ref true) in
-  let w0 = stub_worker gate and w1 = stub_worker gate in
+  let gate = Atomic.make true in
+  let w0, _ = stub_worker gate and w1, _ = stub_worker gate in
   let coordinator =
-    Coordinator.create
-      {
-        Coordinator.workers = [ Server.bound_addr w0; Server.bound_addr w1 ];
-        lanes = 1;
-        queue_depth = 16;
-        cache_path = None;
-        journal_dir = None;
-        poll_interval = 0.;
-      }
+    coordinator ~queue_depth:16 [ Server.bound_addr w0; Server.bound_addr w1 ]
   in
-  let backend = Coordinator.backend coordinator in
   let col = collector () in
-  let _ids = List.init 2 (fun i -> submit_ok backend col (spec_of_seed ~classes:6 (1 + i))) in
+  let _ids = List.init 2 (fun i -> submit_ok coordinator col (spec_of_seed ~classes:6 (1 + i))) in
   await_done ~timeout:30. col 2;
   (* poll_interval 0 disables the background loop; pull synchronously *)
   Coordinator.poll_workers coordinator;
@@ -864,14 +906,13 @@ let test_cluster_federated_metrics_sum () =
   Alcotest.(check bool) "counters were compared" true (!checked > 0);
   Alcotest.(check bool) "some counter is non-zero" true (!nonzero > 0);
   (* per-worker heartbeat gauges got refreshed by the poll *)
-  let prom = backend.Server.b_stats () in
   Alcotest.(check bool) "federated prometheus text has worker labels" true
-    (let s = prom.Wire.metrics_text in
+    (let s = Coordinator.metrics_text coordinator in
      let n = String.length s and m = String.length "{worker=\"cluster\"}" in
      let sub = "{worker=\"cluster\"}" in
      let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
      go 0);
-  backend.Server.b_drain ();
+  Coordinator.close coordinator;
   Server.stop w0;
   Server.stop w1
 
@@ -898,8 +939,16 @@ let () =
         ] );
       ( "coordinator",
         [
-          Alcotest.test_case "work stealing drains the wedged worker's queue" `Slow
-            test_cluster_work_stealing;
+          Alcotest.test_case "a wedged worker does not hold up other work" `Slow
+            test_cluster_wedged_worker;
+          Alcotest.test_case "High job queued behind Normals dispatches first" `Quick
+            test_cluster_high_priority_first;
+          Alcotest.test_case "cancel queued: the worker never sees it" `Quick
+            test_cluster_cancel_queued;
+          Alcotest.test_case "cancel running, after the worker's Accepted" `Quick
+            (test_cluster_cancel_running ~hold_accepted:false);
+          Alcotest.test_case "cancel running, before the worker's Accepted" `Quick
+            (test_cluster_cancel_running ~hold_accepted:true);
           Alcotest.test_case "warm cache: resubmission replays everything" `Slow
             test_cluster_warm_cache_resubmission;
           Alcotest.test_case "failover after kill: byte-identical, fewer executions" `Slow

@@ -859,9 +859,10 @@ let runner_ctx ?(should_stop = fun () -> false) ~replay journal =
   {
     Scheduler.job_id = "runner-test";
     should_stop;
+    on_cancel = ignore;
     progress = (fun _ _ _ -> ());
     replay;
-    record = (fun ~key ~ok ~latency:_ ~retries:_ -> journal := (key, ok) :: !journal);
+    record = (fun ~key ?latency:_ ?retries:_ ok -> journal := (key, ok) :: !journal);
   }
 
 let runner_ok ctx spec =
@@ -1180,6 +1181,51 @@ let test_server_observability_dumps () =
                   Alcotest.(check bool) "registry snapshot non-empty" true (dump <> []));
               Client.close client))
 
+(* A job outlives the connection that submitted it.  Its late Result
+   must be dropped, not written to whatever socket has reused the closed
+   fd number — here the next connection, accepted right after. *)
+let test_server_late_events_stay_off_new_connections () =
+  let gate = Atomic.make false and started = Atomic.make 0 in
+  let sched =
+    Scheduler.create ~runner:(gated_runner gate started) ~jobs:1 ~queue_depth:4 ()
+  in
+  let server = Server.serve ~listen:(Addr.Tcp ("127.0.0.1", 0)) sched in
+  Fun.protect ~finally:(fun () ->
+      Atomic.set gate true;
+      Server.stop server)
+  @@ fun () ->
+  let open_conn () =
+    match Addr.connect (Server.bound_addr server) with
+    | Error m -> Alcotest.failf "connect: %s" m
+    | Ok fd -> (
+        Wire.write_message fd (Wire.Hello Wire.protocol_version);
+        match Wire.read_message fd with
+        | Ok (Wire.Hello_ok _) -> fd
+        | _ -> Alcotest.fail "handshake")
+  in
+  let fd1 = open_conn () in
+  Wire.write_message fd1 (Wire.Submit (Lazy.force tiny_spec));
+  let id =
+    match Wire.read_message fd1 with
+    | Ok (Wire.Accepted id) -> id
+    | _ -> Alcotest.fail "submission not accepted"
+  in
+  while Atomic.get started < 1 do
+    Thread.delay 0.002
+  done;
+  Unix.close fd1;
+  (* let the server's handler see the EOF and close its end *)
+  Thread.delay 0.2;
+  let fd2 = open_conn () in
+  Atomic.set gate true;
+  ignore (Scheduler.await sched id : Scheduler.status);
+  Wire.write_message fd2 Wire.Stats_request;
+  (match Wire.read_message fd2 with
+  | Ok (Wire.Stats_reply _) -> ()
+  | Ok _ -> Alcotest.fail "a frame for the closed connection's job reached a new connection"
+  | Error _ -> Alcotest.fail "no stats reply");
+  Unix.close fd2
+
 let test_server_cancel_over_socket () =
   (* queue_depth 1 and jobs 1: park a long job, cancel it over the wire *)
   with_server ~jobs:1 "cancel" (fun socket server ->
@@ -1333,6 +1379,8 @@ let () =
           Alcotest.test_case "v5 trace + metrics dumps over the socket" `Slow
             test_server_observability_dumps;
           Alcotest.test_case "cancel over the socket" `Slow test_server_cancel_over_socket;
+          Alcotest.test_case "late job events stay off new connections" `Quick
+            test_server_late_events_stay_off_new_connections;
           Alcotest.test_case "draining rejects submissions" `Quick
             test_server_draining_rejects_submissions;
         ] );
