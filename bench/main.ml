@@ -169,7 +169,7 @@ let run_corpus options =
   (* Corpus generation exercises the same instrumented phases as the runs
      (baseline error computation, sanity reductions), so the counter window
      for the strategy tables opens here, after the corpus is built. *)
-  let counters_before = Counters.aggregate () in
+  let counters_before = Perf.aggregate () in
   let outcomes =
     List.map
       (fun strategy ->
@@ -828,7 +828,7 @@ let write_json path options strategies frontend_rows micro_rows counter_rows met
      generation excluded — see the capture site in the main driver). *)
   p "  \"counters\": [";
   List.iteri
-    (fun i (r : Counters.row) ->
+    (fun i (r : Perf.row) ->
       p
         "%s\n    { \"name\": \"%s\", \"calls\": %d, \"seconds\": %s, \
          \"minor_words\": %s }"
@@ -870,14 +870,14 @@ let () =
        would hide improvements: faster code does more quota iterations,
        keeping phase seconds constant).  Corpus generation is excluded by
        the [since] delta for the same reason: it is setup, not workload. *)
-    counter_rows := Counters.since ~before:counters_before ~after:(Counters.aggregate ())
+    counter_rows := Perf.since ~before:counters_before ~after:(Perf.aggregate ())
   end;
   let frontend_rows = if options.run_tables then run_frontends () else [] in
   let micro_rows = if options.run_micro then micro () else [] in
-  if not options.run_tables then counter_rows := Counters.aggregate ();
+  if not options.run_tables then counter_rows := Perf.aggregate ();
   let counter_rows = !counter_rows in
   header "Phase counters (tables phase, all domains)";
-  print_string (Counters.report counter_rows);
+  print_string (Perf.report counter_rows);
   let metric_rows = Lbr_obs.Metrics.rows () in
   (match options.json_path with
   | Some path ->

@@ -2,9 +2,9 @@
 
    Subcommands:
      example   — run the paper's Figure 1 example end to end
-     reduce    — generate a benchmark, pick a buggy decompiler, reduce
+     reduce    — reduce a workload file (or a generated pool) in-process
      serve     — reduction-as-a-service daemon on a Unix socket
-     submit    — send a pool to a running daemon and collect the result
+     submit    — send a workload to a running daemon and collect the result
      stats     — corpus statistics (the §5 'Statistics' table)
      export    — dump a benchmark's pool (binary), model (DIMACS) and source
      tools     — list the simulated decompilers and their bug patterns *)
@@ -49,24 +49,22 @@ let classes_arg =
 
 let strategy_arg =
   let strategies =
-    [
-      ("gbr", Lbr_harness.Experiment.Gbr);
-      ("jreduce", Lbr_harness.Experiment.Jreduce);
-      ("lossy-first", Lbr_harness.Experiment.Lossy_first);
-      ("lossy-last", Lbr_harness.Experiment.Lossy_last);
-    ]
+    Lbr_frontend.Run.
+      [
+        ("gbr", Gbr);
+        ("jreduce", Jreduce);
+        ("lossy-first", Lossy_first);
+        ("lossy-last", Lossy_last);
+      ]
   in
   Arg.(
     value
-    & opt (enum strategies) Lbr_harness.Experiment.Gbr
-    & info [ "strategy" ] ~docv:"STRATEGY" ~doc:"One of gbr, jreduce, lossy-first, lossy-last.")
-
-let tool_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "tool" ] ~docv:"TOOL"
-        ~doc:"Decompiler to reduce against (default: first buggy one).")
+    & opt (enum strategies) Lbr_frontend.Run.Gbr
+    & info [ "strategy" ] ~docv:"STRATEGY"
+        ~doc:
+          "One of gbr, jreduce, lossy-first, lossy-last, on every frontend.  jreduce needs \
+           graph constraints (jvm reduces at class granularity; dimacs qualifies, fj does \
+           not).")
 
 (* Frontends are validated at argument-parse time: a typo'd --frontend
    should be a cmdliner error listing the known ones, not a failure after
@@ -96,18 +94,20 @@ let input_arg =
     & pos 0 (some file) None
     & info [] ~docv:"INPUT"
         ~doc:
-          "Workload file for a non-jvm frontend (e.g. a .cnf or .fj file).  The jvm \
-           frontend generates its workload from --seed/--classes instead.")
+          "Workload file: an LBRC class pool (.lbrc, jvm), a DIMACS CNF (.cnf) or a \
+           Featherweight Java program (.fj).  Without it, jvm generates a benchmark pool \
+           from --seed/--classes.")
 
 let require_arg =
   Arg.(
     value & opt string ""
     & info [ "require" ] ~docv:"SPEC"
         ~doc:
-          "Frontend predicate spec.  For fj: a substring the reduced program must \
-           still contain (the failure marker); empty preserves typechecking only.  \
-           dimacs accepts no spec — the preserved property is unsatisfiability.  \
-           jvm uses --tool instead.")
+          "Frontend predicate spec.  For jvm: the simulated decompiler to reduce against \
+           (see `lbr-reduce tools'); empty picks the first one that is buggy on the input.  \
+           For fj: a substring the reduced program must still contain (the failure \
+           marker); empty preserves typechecking only.  dimacs accepts no spec — the \
+           preserved property is unsatisfiability.")
 
 (* Resolve the effective frontend from the explicit flag and the input
    path's extension, rejecting mismatches before anything is read: a
@@ -145,6 +145,30 @@ let read_text_file path =
   with
   | data -> Ok data
   | exception Sys_error m -> Error m
+
+(* The workload bytes to reduce: INPUT when given, else (jvm only) a
+   generated benchmark pool. *)
+let read_workload ~frontend_id ~input ~seed ~classes =
+  match input with
+  | Some path -> read_text_file path
+  | None when frontend_id = "jvm" ->
+      Ok
+        (Lbr_jvm.Serialize.to_bytes
+           (Lbr_workload.Generator.generate ~seed (Lbr_workload.Generator.njr_profile ~classes)))
+  | None -> Error (Printf.sprintf "frontend %s needs an INPUT file" frontend_id)
+
+(* What --output writes: the decompiled source of a reduced jvm pool, the
+   frontend's own text otherwise. *)
+let readable ~frontend_id printed =
+  if frontend_id <> "jvm" then printed
+  else
+    match Lbr_jvm.Serialize.of_bytes printed with
+    | Ok pool -> Lbr_decompiler.Source.decompile pool
+    | Error m -> failwith ("undecodable reduced pool: " ^ m)
+
+let write_file file data =
+  let oc = open_out_bin file in
+  Fun.protect ~finally:(fun () -> close_out oc) (fun () -> output_string oc data)
 
 (* Output paths are validated at argument-parse time, not at first write:
    a reduction can run for minutes before anything is written, and
@@ -234,7 +258,10 @@ let output_arg =
   Arg.(
     value
     & opt (some writable_file) None
-    & info [ "output"; "o" ] ~docv:"FILE" ~doc:"Write the reduced decompiled source to FILE.")
+    & info [ "output"; "o" ] ~docv:"FILE"
+        ~doc:
+          "Write the reduced workload in readable form to FILE: the decompiled source for \
+           jvm, the frontend's own text otherwise.")
 
 (* A [--jobs 0] or [--jobs -3] should die in argument parsing with a
    cmdliner-formatted error, not reach the domain pool. *)
@@ -252,10 +279,8 @@ let jobs_arg =
     value & opt pos_int 1
     & info [ "jobs"; "j" ] ~docv:"N"
         ~doc:
-          "Worker domains (a positive integer).  With N > 1, reduce against $(i,every) buggy \
-           decompiler, fanning the instances across N domains; the default 1 keeps today's \
-           sequential behaviour (first buggy decompiler only).  With $(b,--speculate), the N \
-           domains instead pipeline a single reduction from within.")
+          "Worker domains (a positive integer): the jobs $(b,serve) runs at once, or the \
+           domains $(b,reduce --speculate) pipelines its one reduction on.")
 
 let speculate_arg =
   Arg.(
@@ -265,242 +290,92 @@ let speculate_arg =
           "Speculative predicate pipelining: while each predicate verdict is pending, run \
            the probes both branches would need next on the $(b,--jobs) worker domains, \
            cancelling the losing branch when the verdict lands.  The reduced output is \
-           byte-identical to the sequential run; only wall clock changes.  Applies to the \
-           first (sequentially-selected) instance; combine with $(b,--jobs) N >= 2.")
-
-(* One-shot reduction of a non-jvm workload file: parse, reduce with GBR,
-   print (or write) the reduced artifact in the frontend's own format.
-   Shares the jvm path's graceful-shutdown behaviour: ^C stops at the next
-   predicate-run boundary and exits 128+signal. *)
-let reduce_via_frontend ~frontend_id ~path ~strategy ~require ~output ~trace ~jobs
-    ~speculate =
-  (match strategy with
-  | Lbr_harness.Experiment.Gbr -> ()
-  | _ ->
-      Printf.eprintf "lbr-reduce: frontend %s only supports --strategy gbr\n" frontend_id;
-      exit 2);
-  let packed =
-    match Lbr_frontend.Registry.find frontend_id with
-    | Ok p -> p
-    | Error m ->
-        prerr_endline ("lbr-reduce: " ^ m);
-        exit 2
-  in
-  let text =
-    match read_text_file path with
-    | Ok text -> text
-    | Error m ->
-        prerr_endline ("lbr-reduce: " ^ m);
-        exit 1
-  in
-  if trace <> None then Lbr_obs.Trace.start ();
-  let shutdown = Lbr_server.Shutdown.install () in
-  let hooks =
-    {
-      Lbr_frontend.Run.default_hooks with
-      should_stop = Some (fun () -> Lbr_server.Shutdown.requested shutdown);
-    }
-  in
-  let reduce () =
-    if speculate then
-      Lbr_runtime.Pool.with_pool ~jobs (fun pool ->
-          Lbr_frontend.Run.reduce_text ~hooks ~speculate:pool packed ~text ~spec:require)
-    else Lbr_frontend.Run.reduce_text ~hooks packed ~text ~spec:require
-  in
-  match reduce () with
-  | exception Lbr_frontend.Run.Cancelled ->
-      Lbr_server.Shutdown.on_drain shutdown (fun () ->
-          Printf.eprintf "interrupted by SIG%s\n"
-            (Option.value ~default:"?" (Lbr_server.Shutdown.signal_name shutdown));
-          write_trace trace);
-      Lbr_server.Shutdown.run_drain shutdown;
-      exit (match Lbr_server.Shutdown.signal_name shutdown with Some "TERM" -> 143 | _ -> 130)
-  | Error m ->
-      prerr_endline ("lbr-reduce: " ^ m);
-      exit 1
-  | Ok (o, printed) ->
-      Printf.printf
-        "gbr [%s %s]: %d -> %d items (%.1f%%), %d -> %d bytes (%.1f%%), %d predicate runs, \
-         %.0fs simulated%s\n"
-        frontend_id (Filename.basename path) o.items0 o.items1
-        (100. *. float_of_int o.items1 /. float_of_int (max 1 o.items0))
-        o.bytes0 o.bytes1
-        (100. *. float_of_int o.bytes1 /. float_of_int (max 1 o.bytes0))
-        o.predicate_runs o.sim_time
-        (if o.ok then "" else " [NOT REPRODUCED]");
-      (match output with
-      | Some file ->
-          let oc = open_out_bin file in
-          output_string oc printed;
-          close_out oc;
-          Printf.printf "reduced %s workload written to %s\n" frontend_id file
-      | None ->
-          print_newline ();
-          print_string printed);
-      write_trace trace
+           byte-identical to the sequential run; only wall clock changes.  Applies to gbr; \
+           combine with $(b,--jobs) N >= 2.")
 
 let reduce_cmd =
-  let run seed classes strategy tool jobs output output_pool trace frontend input require
+  let run seed classes strategy jobs output output_pool trace frontend input require
       speculate =
-    match resolve_frontend ~frontend ~input with
-    | Error m ->
-        prerr_endline ("lbr-reduce: " ^ m);
-        exit 2
-    | Ok "jvm" when input <> None ->
-        prerr_endline
-          "lbr-reduce: the jvm frontend reduces generated benchmarks (--seed/--classes); \
-           submit an exported pool to a daemon with `lbr-reduce submit --pool' instead of \
-           passing INPUT";
-        exit 2
-    | Ok id when id <> "jvm" ->
-        let path =
-          match input with
-          | Some path -> path
-          | None ->
-              Printf.eprintf
-                "lbr-reduce: frontend %s needs an INPUT file to reduce\n" id;
-              exit 2
-        in
-        reduce_via_frontend ~frontend_id:id ~path ~strategy ~require ~output ~trace ~jobs
-          ~speculate
-    | Ok _jvm ->
-    if require <> "" then begin
-      prerr_endline "lbr-reduce: --require applies to non-jvm frontends; use --tool";
-      exit 2
-    end;
+    let die code m =
+      prerr_endline ("lbr-reduce: " ^ m);
+      exit code
+    in
+    let frontend_id =
+      match resolve_frontend ~frontend ~input with Ok id -> id | Error m -> die 2 m
+    in
+    let packed =
+      match Lbr_frontend.Registry.find_for ~strategy frontend_id with
+      | Ok p -> p
+      | Error m -> die 2 m
+    in
+    let text =
+      match read_workload ~frontend_id ~input ~seed ~classes with
+      | Ok text -> text
+      | Error m -> die 2 m
+    in
     if trace <> None then Lbr_obs.Trace.start ();
-    let pool =
-      Lbr_workload.Generator.generate ~seed (Lbr_workload.Generator.njr_profile ~classes)
+    (* Graceful ^C / SIGTERM: stop at the next predicate-run boundary,
+       report the best sub-input reached so far, and exit with the
+       conventional 128+signal status.  Shares the Shutdown drain plumbing
+       with the serve daemon. *)
+    let shutdown = Lbr_server.Shutdown.install () in
+    let best = ref None in
+    let hooks =
+      {
+        Lbr_frontend.Run.default_hooks with
+        should_stop = Some (fun () -> Lbr_server.Shutdown.requested shutdown);
+        on_improvement = Some (fun sim_time items bytes -> best := Some (sim_time, items, bytes));
+      }
     in
-    let tools =
-      match tool with
-      | None -> Lbr_decompiler.Tool.all
-      | Some name -> (
-          match
-            List.find_opt
-              (fun (t : Lbr_decompiler.Tool.t) -> t.name = name)
-              Lbr_decompiler.Tool.all
-          with
-          | Some t -> [ t ]
-          | None ->
-              prerr_endline ("unknown tool " ^ name ^ "; see `lbr-reduce tools'");
-              exit 2)
+    let reduce () =
+      if speculate then
+        Lbr_runtime.Pool.with_pool ~jobs (fun pool ->
+            Lbr_frontend.Run.reduce_text ~hooks ~strategy ~speculate:pool packed ~text
+              ~spec:require)
+      else Lbr_frontend.Run.reduce_text ~hooks ~strategy packed ~text ~spec:require
     in
-    let buggy =
-      List.filter_map
-        (fun t ->
-          match Lbr_decompiler.Tool.errors t pool with
-          | [] -> None
-          | errors -> Some (t, errors))
-        tools
-    in
-    match buggy with
-    | [] ->
-        print_endline "no decompiler is buggy on this program; try another --seed";
-        exit 0
-    | (tool, baseline) :: _ ->
-        (* --speculate spends the worker domains inside one reduction, so
-           instance selection stays the sequential one (first buggy tool)
-           and the output is comparable byte-for-byte. *)
-        let selected =
-          if jobs > 1 && not speculate then buggy else [ (tool, baseline) ]
-        in
-        let instances =
-          List.map
-            (fun ((t : Lbr_decompiler.Tool.t), errors) ->
-              {
-                Lbr_harness.Corpus.instance_id = Printf.sprintf "seed%d/%s" seed t.name;
-                benchmark = { bench_id = Printf.sprintf "seed%d" seed; seed; pool };
-                tool = t;
-                baseline_errors = errors;
-              })
-            selected
-        in
-        List.iter
-          (fun (instance : Lbr_harness.Corpus.instance) ->
-            Printf.printf "program: %d classes, %d bytes; %s produces %d errors\n"
-              (Lbr_jvm.Size.classes pool) (Lbr_jvm.Size.bytes pool)
-              instance.tool.Lbr_decompiler.Tool.name
-              (List.length instance.baseline_errors))
-          instances;
-        (* Graceful ^C / SIGTERM: stop at the next predicate-run boundary,
-           flush whatever timeline the interrupted run accumulated, and
-           exit with the conventional 128+signal status.  Shares the
-           Shutdown drain plumbing with the serve daemon. *)
-        let shutdown = Lbr_server.Shutdown.install () in
-        let partial_mutex = Mutex.create () in
-        let partial : (string * (float * int * int) list ref) list =
-          List.map
-            (fun (i : Lbr_harness.Corpus.instance) -> (i.instance_id, ref []))
-            instances
-        in
-        let hooks (instance : Lbr_harness.Corpus.instance) =
-          let improvements = List.assoc instance.instance_id partial in
-          {
-            Lbr_frontend.Run.default_hooks with
-            should_stop = Some (fun () -> Lbr_server.Shutdown.requested shutdown);
-            on_improvement =
-              Some
-                (fun sim_time cls bytes ->
-                  Mutex.lock partial_mutex;
-                  improvements := (sim_time, cls, bytes) :: !improvements;
-                  Mutex.unlock partial_mutex);
-          }
-        in
-        let run_corpus () =
-          if speculate then
-            Lbr_runtime.Pool.with_pool ~jobs (fun pool ->
-                Lbr_harness.Experiment.run_corpus_full ~jobs:1 ~hooks ~speculate:pool
-                  strategy instances)
-          else Lbr_harness.Experiment.run_corpus_full ~jobs ~hooks strategy instances
-        in
-        let results =
-          match run_corpus () with
-          | results -> results
-          | exception Lbr_frontend.Run.Cancelled ->
-              Lbr_server.Shutdown.on_drain shutdown (fun () ->
-                  Printf.eprintf "interrupted by SIG%s; partial progress:\n"
-                    (Option.value ~default:"?" (Lbr_server.Shutdown.signal_name shutdown));
-                  List.iter
-                    (fun (id, improvements) ->
-                      match !improvements with
-                      | [] -> Printf.eprintf "  %s: no improvement reached yet\n" id
-                      | (sim_time, cls, bytes) :: _ ->
-                          Printf.eprintf "  %s: best so far %d classes, %d bytes at %.0fs\n" id
-                            cls bytes sim_time)
-                    partial;
-                  write_trace trace);
-              Lbr_server.Shutdown.run_drain shutdown;
-              exit (match Lbr_server.Shutdown.signal_name shutdown with
-                    | Some "TERM" -> 143
-                    | _ -> 130)
-        in
-        List.iter
-          (fun ((o : Lbr_harness.Experiment.outcome), _final) ->
-            Printf.printf
-              "%s%s: %d -> %d classes (%.1f%%), %d -> %d bytes (%.1f%%), %d tool runs, %.0fs \
-               simulated\n"
-              (Lbr_harness.Experiment.strategy_name strategy)
-              (if jobs > 1 && not speculate then " [" ^ o.instance_id ^ "]" else "")
-              o.classes0 o.classes1
-              (100. *. float_of_int o.classes1 /. float_of_int o.classes0)
-              o.bytes0 o.bytes1
-              (100. *. float_of_int o.bytes1 /. float_of_int o.bytes0)
-              o.predicate_runs o.sim_time)
-          results;
-        let first_final = match results with (_, final) :: _ -> Some final | [] -> None in
-        (match (output, first_final) with
-        | Some file, Some reduced ->
-            let oc = open_out file in
-            output_string oc (Lbr_decompiler.Source.decompile reduced);
-            close_out oc;
-            Printf.printf "reduced decompiled source written to %s\n" file
-        | _ -> ());
-        (match (output_pool, first_final) with
-        | Some file, Some reduced ->
-            Lbr_jvm.Serialize.write_file file reduced;
-            Printf.printf "reduced pool written to %s\n" file
-        | _ -> ());
+    match reduce () with
+    | exception Lbr_frontend.Run.Cancelled ->
+        Lbr_server.Shutdown.on_drain shutdown (fun () ->
+            Printf.eprintf "interrupted by SIG%s; %s\n"
+              (Option.value ~default:"?" (Lbr_server.Shutdown.signal_name shutdown))
+              (match !best with
+              | None -> "no improvement reached yet"
+              | Some (sim_time, items, bytes) ->
+                  Printf.sprintf "best so far %d items, %d bytes at %.0fs simulated" items
+                    bytes sim_time);
+            write_trace trace);
+        Lbr_server.Shutdown.run_drain shutdown;
+        exit (match Lbr_server.Shutdown.signal_name shutdown with Some "TERM" -> 143 | _ -> 130)
+    | Error m -> die 1 m
+    | Ok (o, printed) ->
+        Printf.printf
+          "%s [%s %s]: %d -> %d items (%.1f%%), %d -> %d bytes (%.1f%%), %d predicate runs, \
+           %.0fs simulated%s\n"
+          (Lbr_frontend.Run.strategy_name strategy)
+          frontend_id
+          (match input with
+          | Some path -> Filename.basename path
+          | None -> Printf.sprintf "seed %d" seed)
+          o.items0 o.items1
+          (100. *. float_of_int o.items1 /. float_of_int (max 1 o.items0))
+          o.bytes0 o.bytes1
+          (100. *. float_of_int o.bytes1 /. float_of_int (max 1 o.bytes0))
+          o.predicate_runs o.sim_time
+          (if o.ok then "" else " [NOT REPRODUCED]");
+        (match output_pool with
+        | Some file ->
+            write_file file printed;
+            Printf.printf "reduced %s workload written to %s\n" frontend_id file
+        | None -> ());
+        (match output with
+        | Some file ->
+            write_file file (readable ~frontend_id printed);
+            Printf.printf "reduced %s workload (readable) written to %s\n" frontend_id file
+        | None when output_pool = None ->
+            print_newline ();
+            print_string (readable ~frontend_id printed)
+        | None -> ());
         write_trace trace
   in
   let output_pool_arg =
@@ -508,16 +383,18 @@ let reduce_cmd =
       value
       & opt (some writable_file) None
       & info [ "output-pool" ] ~docv:"FILE"
-          ~doc:"Write the reduced class pool (LBRC binary) of the first instance to FILE.")
+          ~doc:
+            "Write the reduced workload in its input format (LBRC binary for jvm) to FILE.")
   in
   Cmd.v
     (Cmd.info "reduce"
        ~doc:
-         "Reduce a workload: generate a benchmark program and reduce it against a buggy \
-          decompiler (jvm, the default), or reduce a DIMACS CNF / Featherweight Java file \
-          passed as INPUT (--frontend dimacs|fj).")
+         "Reduce a workload in-process with one strategy: an INPUT file (an LBRC pool, a \
+          DIMACS CNF or a Featherweight Java program), or a generated benchmark pool \
+          (--seed/--classes) when jvm has no INPUT.  Prints a summary, then the reduced \
+          workload unless --output or --output-pool is given.")
     Term.(
-      const run $ seed_arg $ classes_arg $ strategy_arg $ tool_arg $ jobs_arg $ output_arg
+      const run $ seed_arg $ classes_arg $ strategy_arg $ jobs_arg $ output_arg
       $ output_pool_arg $ trace_arg $ frontend_arg $ input_arg $ require_arg
       $ speculate_arg)
 
@@ -776,14 +653,6 @@ let coordinate_cmd =
       $ journal_arg $ poll_interval_arg $ trace_arg $ prometheus_arg)
 
 let submit_cmd =
-  let pool_file_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "pool" ] ~docv:"FILE"
-          ~doc:"LBRC pool file to submit (e.g. from `lbr-reduce export --pool').  Without it, a \
-                benchmark is generated from --seed/--classes.")
-  in
   let priority_arg =
     Arg.(
       value
@@ -797,69 +666,23 @@ let submit_cmd =
       & info [ "retries" ] ~docv:"N"
           ~doc:"Oracle retries for transient tool failures on the server.")
   in
-  let run socket pool_file seed classes strategy tool priority retries output output_pool
-      frontend input require =
-    let frontend_id =
-      match resolve_frontend ~frontend ~input with
-      | Ok id -> id
-      | Error m ->
-          prerr_endline ("lbr-reduce submit: " ^ m);
-          exit 2
+  let run socket seed classes strategy priority retries output output_pool frontend input
+      require =
+    let die m =
+      prerr_endline ("lbr-reduce submit: " ^ m);
+      exit 2
     in
-    (match (frontend_id, input, pool_file) with
-    | "jvm", Some _, _ ->
-        prerr_endline
-          "lbr-reduce submit: jvm submissions take --pool (an LBRC file) or \
-           --seed/--classes, not a positional INPUT";
-        exit 2
-    | "jvm", None, _ -> ()
-    | id, None, _ ->
-        Printf.eprintf "lbr-reduce submit: frontend %s needs an INPUT file to submit\n" id;
-        exit 2
-    | id, Some _, Some _ ->
-        Printf.eprintf "lbr-reduce submit: --pool applies to the jvm frontend; pass the \
-                        %s workload as INPUT only\n" id;
-        exit 2
-    | _, Some _, None -> ());
-    (match (frontend_id, strategy) with
-    | "jvm", _ | _, Lbr_harness.Experiment.Gbr -> ()
-    | id, _ ->
-        Printf.eprintf "lbr-reduce submit: frontend %s only supports --strategy gbr\n" id;
-        exit 2);
-    (match (frontend_id, tool, require) with
-    | "jvm", _, "" -> ()
-    | "jvm", _, _ ->
-        prerr_endline "lbr-reduce submit: --require applies to non-jvm frontends; use --tool";
-        exit 2
-    | _, Some _, _ ->
-        prerr_endline "lbr-reduce submit: --tool applies to the jvm frontend; use --require";
-        exit 2
-    | _, None, _ -> ());
+    let frontend_id =
+      match resolve_frontend ~frontend ~input with Ok id -> id | Error m -> die m
+    in
     let pool_bytes =
-      match frontend_id with
-      | "jvm" -> (
-          match pool_file with
-          | Some file -> (
-              match read_text_file file with
-              | Ok data -> data
-              | Error m ->
-                  prerr_endline ("lbr-reduce submit: " ^ m);
-                  exit 1)
-          | None ->
-              Lbr_jvm.Serialize.to_bytes
-                (Lbr_workload.Generator.generate ~seed
-                   (Lbr_workload.Generator.njr_profile ~classes)))
-      | _ -> (
-          match read_text_file (Option.get input) with
-          | Ok data -> data
-          | Error m ->
-              prerr_endline ("lbr-reduce submit: " ^ m);
-              exit 1)
+      match read_workload ~frontend_id ~input ~seed ~classes with
+      | Ok data -> data
+      | Error m -> die m
     in
     let spec =
       {
-        Lbr_server.Wire.tool =
-          (if frontend_id = "jvm" then Option.value ~default:"" tool else require);
+        Lbr_server.Wire.tool = require;
         strategy;
         priority;
         crash_policy = Lbr_runtime.Oracle.Crash_raises;
@@ -886,55 +709,41 @@ let submit_cmd =
         | Ok (job_id, stats, reduced_bytes) ->
             Lbr_server.Client.close client;
             Printf.printf
-              "%s: %d -> %d %s, %d -> %d bytes, %d predicate runs (%d replayed), %.0fs \
+              "%s: %d -> %d items, %d -> %d bytes, %d predicate runs (%d replayed), %.0fs \
                simulated%s\n"
-              job_id stats.classes0 stats.classes1
-              (if frontend_id = "jvm" then "classes" else "items")
-              stats.bytes0 stats.bytes1
+              job_id stats.classes0 stats.classes1 stats.bytes0 stats.bytes1
               stats.predicate_runs stats.replayed_runs stats.sim_time
               (if stats.ok then "" else " [NOT REPRODUCED]");
             (match output_pool with
             | None -> ()
             | Some file ->
-                let oc = open_out_bin file in
-                output_string oc reduced_bytes;
-                close_out oc;
-                Printf.printf "reduced %s written to %s\n"
-                  (if frontend_id = "jvm" then "pool" else frontend_id ^ " workload")
-                  file);
-            (match output with
+                write_file file reduced_bytes;
+                Printf.printf "reduced %s workload written to %s\n" frontend_id file);
+            match output with
             | None -> ()
-            | Some file when frontend_id <> "jvm" ->
-                (* non-jvm results are already the frontend's own text *)
-                let oc = open_out_bin file in
-                output_string oc reduced_bytes;
-                close_out oc;
-                Printf.printf "reduced %s workload written to %s\n" frontend_id file
-            | Some file -> (
-                match Lbr_jvm.Serialize.of_bytes reduced_bytes with
-                | Error m -> prerr_endline ("undecodable reduced pool: " ^ m)
-                | Ok reduced ->
-                    let oc = open_out file in
-                    output_string oc (Lbr_decompiler.Source.decompile reduced);
-                    close_out oc;
-                    Printf.printf "reduced decompiled source written to %s\n" file)))
+            | Some file ->
+                write_file file (readable ~frontend_id reduced_bytes);
+                Printf.printf "reduced %s workload (readable) written to %s\n" frontend_id
+                  file)
   in
   let output_pool_arg =
     Arg.(
       value
       & opt (some string) None
-      & info [ "output-pool" ] ~docv:"FILE" ~doc:"Write the reduced pool (LBRC binary) to FILE.")
+      & info [ "output-pool" ] ~docv:"FILE"
+          ~doc:
+            "Write the reduced workload in its input format (LBRC binary for jvm) to FILE.")
   in
   Cmd.v
     (Cmd.info "submit"
        ~doc:
-         "Submit a workload to a running `lbr-reduce serve' daemon and wait for the result: \
-          a class pool (jvm, the default) or a DIMACS CNF / Featherweight Java file passed \
-          as INPUT (--frontend dimacs|fj).")
+         "Submit a workload to a running `lbr-reduce serve' daemon (or a coordinator) and \
+          wait for the result: an INPUT file (an LBRC pool, a DIMACS CNF or a \
+          Featherweight Java program), or a generated benchmark pool (--seed/--classes) \
+          when jvm has no INPUT.")
     Term.(
-      const run $ socket_arg $ pool_file_arg $ seed_arg $ classes_arg $ strategy_arg $ tool_arg
-      $ priority_arg $ retries_arg $ output_arg $ output_pool_arg $ frontend_arg $ input_arg
-      $ require_arg)
+      const run $ socket_arg $ seed_arg $ classes_arg $ strategy_arg $ priority_arg
+      $ retries_arg $ output_arg $ output_pool_arg $ frontend_arg $ input_arg $ require_arg)
 
 (* ------------------------------------------------------------------ *)
 (* Live (and post-mortem) daemon introspection                          *)

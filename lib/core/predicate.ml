@@ -24,10 +24,11 @@ let locked t f =
   Mutex.lock t.mutex;
   Fun.protect ~finally:(fun () -> Mutex.unlock t.mutex) f
 
+(* Registered eagerly: domains racing to force a lazy would raise
+   [Lazy.Undefined] in the loser. *)
 let latency_hist =
-  lazy
-    (Lbr_obs.Metrics.histogram ~help:"Black-box predicate execution latency."
-       "lbr_predicate_latency_seconds")
+  Lbr_obs.Metrics.histogram ~help:"Black-box predicate execution latency."
+    "lbr_predicate_latency_seconds"
 
 (* The black box runs outside the lock: holding it would serialize every
    concurrent caller on the slowest predicate execution. *)
@@ -38,7 +39,7 @@ let execute t input =
     ~finally:(fun () ->
       let t1 = Lbr_obs.Trace.now () in
       Lbr_obs.Trace.span_between "core.predicate" ~start:t0 ~finish:t1;
-      Lbr_obs.Metrics.observe (Lazy.force latency_hist) (t1 -. t0))
+      Lbr_obs.Metrics.observe latency_hist (t1 -. t0))
     (fun () -> Perf.time "core.predicate" (fun () -> t.black_box input))
 
 let run t input =

@@ -50,14 +50,18 @@ type 'a t = {
   mutable finalized : bool;
 }
 
+(* Registered eagerly: domains racing to force a lazy would raise
+   [Lazy.Undefined] in the loser. *)
 let m_launched =
-  lazy (Lbr_obs.Metrics.counter "lbr_spec_launched_total" ~help:"Speculative predicate launches")
+  Lbr_obs.Metrics.counter "lbr_spec_launched_total" ~help:"Speculative predicate launches"
 
 let m_committed =
-  lazy (Lbr_obs.Metrics.counter "lbr_spec_committed_total" ~help:"Speculative verdicts consumed by the demand path")
+  Lbr_obs.Metrics.counter "lbr_spec_committed_total"
+    ~help:"Speculative verdicts consumed by the demand path"
 
 let m_cancelled =
-  lazy (Lbr_obs.Metrics.counter "lbr_spec_cancelled_total" ~help:"Speculative launches cancelled before running")
+  Lbr_obs.Metrics.counter "lbr_spec_cancelled_total"
+    ~help:"Speculative launches cancelled before running"
 
 let create ~spawn ?should_launch ?verdict_hint ?(max_inflight = 4) compute =
   if max_inflight < 1 then invalid_arg "Speculate.create: max_inflight < 1";
@@ -130,7 +134,7 @@ let prefetch t phi =
     | None -> ()
     | Some cell ->
         Perf.add "spec.launched" 1;
-        Lbr_obs.Metrics.incr (Lazy.force m_launched);
+        Lbr_obs.Metrics.incr m_launched;
         Lbr_obs.Trace.instant "spec.launch";
         t.spawn (worker t (Lbr_obs.Trace.current_context ()) cell)
   end
@@ -150,7 +154,7 @@ let note_cancelled n =
   if n > 0 then begin
     Perf.add "spec.cancelled" n;
     for _ = 1 to n do
-      Lbr_obs.Metrics.incr (Lazy.force m_cancelled)
+      Lbr_obs.Metrics.incr m_cancelled
     done
   end
 
@@ -196,7 +200,7 @@ let demand t phi =
   match result with
   | Some (`Hit v) ->
       Perf.add "spec.committed" 1;
-      Lbr_obs.Metrics.incr (Lazy.force m_committed);
+      Lbr_obs.Metrics.incr m_committed;
       Lbr_obs.Trace.instant "spec.commit";
       Some v
   | Some `Missed ->

@@ -5,9 +5,11 @@
     {!Lbr_jvm.Jvars}, the dependency model to {!Lbr_jvm.Constraints}, the
     reducer to {!Lbr_jvm.Reducer.prepare}, sizes to {!Lbr_jvm.Size} and
     the serializer to {!Lbr_jvm.Serialize} (LBRC container bytes).  The
-    delegation is pure — {!Lbr_harness.Experiment} reduces through this
-    module and produces byte-identical reductions to the pre-frontend
-    code, which the test suite pins on the reference workload.
+    delegation is pure — the corpus harness, the CLI and the daemon reduce
+    through this module (J-Reduce through {!Jvm_classes}, its
+    class-granularity view) and produce byte-identical reductions to the
+    pre-frontend code, which the test suite pins on the reference
+    workload.
 
     [items] counts classes ({!Lbr_jvm.Size.classes}), the unit every JVM
     report uses: the harness timeline (Figure 9's class series), daemon
@@ -28,4 +30,4 @@ val tool_predicate :
   Lbr_jvm.Classpool.t -> spec:string -> (Lbr_jvm.Classpool.t -> bool, string) result
 (** The predicate bridge itself, which needs no inventory: [predicate ctx]
     is [tool_predicate] for every [ctx].  For views of a pool with their
-    own inventory (J-Reduce's class granularity). *)
+    own inventory ({!Jvm_classes}). *)

@@ -12,6 +12,13 @@ let find id =
   | None ->
       Error (Printf.sprintf "unknown frontend %S (known frontends: %s)" id (describe ()))
 
+(* The one rule that picks a search view other than the frontend itself:
+   J-Reduce reduces a JVM pool at class granularity. *)
+let find_for ~strategy id =
+  let id = if id = "" then Jvm.id else id in
+  if id = Jvm.id && strategy = Run.Jreduce then Ok (Frontend.Packed (module Jvm_classes))
+  else find id
+
 let for_path path =
   let ext = Filename.extension path in
   match

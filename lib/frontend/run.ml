@@ -12,6 +12,16 @@ let default_hooks =
 
 exception Cancelled
 
+type strategy = Gbr | Jreduce | Lossy_first | Lossy_last
+
+let strategy_name = function
+  | Jreduce -> "j-reduce"
+  | Lossy_first -> "lossy-first"
+  | Lossy_last -> "lossy-last"
+  | Gbr -> "gbr"
+
+let all_strategies = [ Jreduce; Lossy_first; Lossy_last; Gbr ]
+
 type outcome = {
   frontend : string;
   ok : bool;
@@ -33,12 +43,30 @@ type outcome = {
    would have produced. *)
 type spec_payload = { sp_ok : bool; sp_items : int; sp_bytes : int }
 
-(* The one driver.  [search] is the strategy: [`Gbr pool] runs GBR,
-   pipelined on [pool] when given; [`Closures build] runs binary reduction
-   over the closures [build] derives from the constraints.  Both see the
-   same items, the same instrumented predicate and the same validation
-   run. *)
-let drive (type i c) ~hooks ~search
+(* The search a strategy runs over constraints [cnf]: GBR, or binary
+   reduction over a dependency graph — the constraints themselves for
+   J-Reduce, their lossy encoding (§4.3) otherwise.  On an all-graph CNF
+   the encoding is the identity, so [pick] is moot there. *)
+let search_of strategy ~speculate cnf =
+  let graph cnf = `Graph (Lbr.Lossy.to_graph cnf) in
+  match strategy with
+  | Gbr -> Ok (`Gbr speculate)
+  | Jreduce -> (
+      match graph cnf with
+      | g -> Ok g
+      | exception Invalid_argument _ ->
+          Error
+            "j-reduce needs graph constraints (every clause a unit or an implication x => \
+             y); use gbr or a lossy strategy")
+  | Lossy_first | Lossy_last -> (
+      let pick = if strategy = Lossy_first then Lbr.Lossy.First_first else Last_last in
+      match graph (Lbr.Lossy.encode cnf ~pick) with
+      | g -> Ok g
+      | exception Invalid_argument m -> Error (strategy_name strategy ^ ": " ^ m))
+
+(* The one driver.  Every search sees the same items, the same
+   instrumented predicate and the same validation run. *)
+let drive (type i c) ~hooks ~strategy ~speculate
     (module F : Frontend.S with type ctx = c and type input = i) (input : i) ~spec =
   let vpool = Var.Pool.create () in
   let fail fmt = Printf.ksprintf (fun m -> Error (F.id ^ ": " ^ m)) fmt in
@@ -48,9 +76,13 @@ let drive (type i c) ~hooks ~search
       match F.constraints ctx input with
       | Error m -> fail "constraint generation failed: %s" m
       | Ok cnf -> (
-          match F.predicate ctx input ~spec with
+          let bridged =
+            Result.bind (search_of strategy ~speculate cnf) (fun search ->
+                Result.map (fun check -> (search, check)) (F.predicate ctx input ~spec))
+          in
+          match bridged with
           | Error m -> fail "%s" m
-          | Ok check ->
+          | Ok (search, check) ->
               let apply = F.prepare ctx input in
               let speculation =
                 match search with
@@ -83,7 +115,7 @@ let drive (type i c) ~hooks ~search
                          ?should_launch ?verdict_hint
                          ~max_inflight:(2 * Lbr_runtime.Pool.jobs p)
                          compute)
-                | `Gbr None | `Closures _ -> None
+                | `Gbr None | `Graph _ -> None
               in
               let reduce (problem : Lbr.Problem.t) =
                 match search with
@@ -94,8 +126,11 @@ let drive (type i c) ~hooks ~search
                     with
                     | Ok (result, stats) -> Some (result, stats.predicate_runs)
                     | Error (`Unsat | `Predicate_inconsistent | `Invariant_violation _) -> None)
-                | `Closures build -> (
-                    let base, closures = build vpool cnf in
+                | `Graph (edges, required) -> (
+                    let base, closures =
+                      Lbr_baselines.Binary_reduction.Graph_encoding.closures
+                        ~num_vars:(Var.Pool.size vpool) ~edges ~required
+                    in
                     match
                       Lbr_baselines.Binary_reduction.reduce ~closures ~base
                         ~predicate:problem.predicate
@@ -191,16 +226,13 @@ let drive (type i c) ~hooks ~search
                       },
                       final )))
 
-let reduce_input ?(hooks = default_hooks) ?speculate frontend input ~spec =
-  drive ~hooks ~search:(`Gbr speculate) frontend input ~spec
+let reduce_input ?(hooks = default_hooks) ?(strategy = Gbr) ?speculate frontend input ~spec =
+  drive ~hooks ~strategy ~speculate frontend input ~spec
 
-let reduce_closures ?(hooks = default_hooks) frontend input ~spec build =
-  drive ~hooks ~search:(`Closures build) frontend input ~spec
-
-let reduce_text ?hooks ?speculate (Frontend.Packed (module F)) ~text ~spec =
+let reduce_text ?hooks ?strategy ?speculate (Frontend.Packed (module F)) ~text ~spec =
   match F.parse text with
   | Error m -> Error (Printf.sprintf "%s: unparsable input: %s" F.id m)
   | Ok input -> (
-      match reduce_input ?hooks ?speculate (module F) input ~spec with
+      match reduce_input ?hooks ?strategy ?speculate (module F) input ~spec with
       | Error _ as e -> e
       | Ok (outcome, final) -> Ok (outcome, F.print final))

@@ -1,8 +1,8 @@
 (** The reduction driver, over any {!Frontend.S}.
 
-    This is the only code that instruments a predicate: every strategy —
-    GBR, and the harness's J-Reduce and lossy baselines through
-    {!reduce_closures} — runs against the same black box.  It charges a
+    This is the only code that instruments a predicate: every {!strategy}
+    — GBR, J-Reduce and the two lossy baselines — runs against the same
+    black box, on every frontend.  It charges a
     simulated clock [1 + 4e-4 × bytes] seconds per predicate run, records
     an improvement timeline on (bytes, items), and speaks the hook surface
     the server's scheduler uses — so journal replay, verdict streaming and
@@ -19,8 +19,6 @@
     input.  That run is charged to [sim_time] (and passes through the
     hooks) but not counted in [predicate_runs], which is the strategy's
     own count. *)
-
-open Lbr_logic
 
 type hooks = {
   on_improvement : (float -> int -> int -> unit) option;
@@ -50,6 +48,23 @@ val default_hooks : hooks
 exception Cancelled
 (** Raised out of a run when [hooks.should_stop] returns [true]. *)
 
+type strategy =
+  | Gbr  (** generalized binary reduction over the constraints (§4) *)
+  | Jreduce
+      (** J-Reduce: binary reduction ({!Lbr_baselines.Binary_reduction})
+          over the frontend's constraints read as a dependency graph; a
+          frontend with a non-graph clause gets [Error] *)
+  | Lossy_first
+      (** binary reduction over the lossy graph encoding (§4.3) that keeps
+          each non-graph clause's first premise and first head *)
+  | Lossy_last  (** the same, keeping the last premise and last head *)
+
+val strategy_name : strategy -> string
+(** [gbr], [j-reduce], [lossy-first], [lossy-last]. *)
+
+val all_strategies : strategy list
+(** Report order: the three baselines, then GBR. *)
+
 type outcome = {
   frontend : string;
   ok : bool;
@@ -70,41 +85,32 @@ type outcome = {
 
 val reduce_input :
   ?hooks:hooks ->
+  ?strategy:strategy ->
   ?speculate:Lbr_runtime.Pool.t ->
   (module Frontend.S with type ctx = 'c and type input = 'i) ->
   'i ->
   spec:string ->
   (outcome * 'i, string) result
-(** Derive, generate constraints, validate the problem and run GBR in the
-    creation order.  [Error] on malformed inputs, unsatisfiable-by-
-    construction problems, or a failing full-input predicate; a mid-flight
-    GBR failure (e.g. an inconsistent predicate) returns [Ok] with
-    [ok = false] and the original input.
+(** Derive, generate constraints, validate the problem and run the
+    [strategy] (default {!Gbr}) in the creation order.  [Error] on
+    malformed inputs, unsatisfiable-by-construction problems, constraints
+    the strategy cannot search (J-Reduce on a non-graph clause, a lossy
+    encoding of a purely negative clause), or a failing full-input
+    predicate; a mid-flight failure (e.g. an inconsistent predicate)
+    returns [Ok] with [ok = false] and the original input.
 
-    [~speculate] turns on speculative predicate pipelining over the given
-    worker pool ({!Lbr.Speculate}): while each predicate verdict is
-    pending, the assignments GBR would demand next on either branch are
-    computed on idle workers, and the loser is cancelled when the verdict
-    lands.  Results, statistics, the simulated clock and the improvement
-    timeline are byte-identical to the sequential run; only wall-clock
-    changes.  Requires the predicate check to be pure (every built-in
-    frontend's is). *)
-
-val reduce_closures :
-  ?hooks:hooks ->
-  (module Frontend.S with type ctx = 'c and type input = 'i) ->
-  'i ->
-  spec:string ->
-  (Var.Pool.t -> Cnf.t -> Assignment.t * Assignment.t list) ->
-  (outcome * 'i, string) result
-(** {!reduce_input} with binary reduction ({!Lbr_baselines.Binary_reduction})
-    in place of GBR: the builder turns the variable pool and the frontend's
-    constraints into [(base, closures)], any union of which with [base] is
-    a valid sub-input — how J-Reduce and the lossy encodings see an input.
-    Validation and the instrumented predicate are {!reduce_input}'s. *)
+    [~speculate] applies to GBR only: it turns on speculative predicate
+    pipelining over the given worker pool ({!Lbr.Speculate}): while each
+    predicate verdict is pending, the assignments GBR would demand next on
+    either branch are computed on idle workers, and the loser is
+    cancelled when the verdict lands.  Results, statistics, the simulated
+    clock and the improvement timeline are byte-identical to the
+    sequential run; only wall-clock changes.  Requires the predicate check
+    to be pure (every built-in frontend's is). *)
 
 val reduce_text :
   ?hooks:hooks ->
+  ?strategy:strategy ->
   ?speculate:Lbr_runtime.Pool.t ->
   Frontend.packed ->
   text:string ->

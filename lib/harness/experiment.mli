@@ -1,20 +1,19 @@
 (** Running the four reduction strategies on corpus instances.
 
-    Every strategy goes through {!Lbr_frontend.Run} on the
-    {!Lbr_frontend.Jvm} frontend, so all four share one instrumented
-    predicate and one cost model: every predicate execution (decompile +
-    recompile of the candidate sub-pool) costs [1 + 4e-4 × bytes]
-    simulated seconds, mimicking the paper's setup where each cycle took
-    tens of seconds on real decompilers, and each reduction is charged one
-    validation run on the full pool.  GBR is {!Lbr_frontend.Run.reduce_input};
-    J-Reduce and the lossy encodings are binary reductions over closures
-    ({!Lbr_frontend.Run.reduce_closures}) built here.  Wall clock is
+    The strategies are {!Lbr_frontend.Run}'s, so all four share one
+    instrumented predicate and one cost model: every predicate execution
+    (decompile + recompile of the candidate sub-pool) costs
+    [1 + 4e-4 × bytes] simulated seconds, mimicking the paper's setup where
+    each cycle took tens of seconds on real decompilers, and each reduction
+    is charged one validation run on the full pool.  GBR and the lossy
+    encodings reduce through {!Lbr_frontend.Jvm}; J-Reduce through
+    {!Lbr_frontend.Jvm_classes}, the class-granularity view.  Wall clock is
     recorded separately (our simulated tools are fast; the paper's were the
     bottleneck). *)
 
 open Lbr_jvm
 
-type strategy = Jreduce | Lossy_first | Lossy_last | Gbr
+type strategy = Lbr_frontend.Run.strategy = Gbr | Jreduce | Lossy_first | Lossy_last
 
 val strategy_name : strategy -> string
 val all_strategies : strategy list
@@ -42,18 +41,6 @@ type outcome = {
           oldest first; the first point is the validation run's
           (sim, classes0, bytes0) *)
 }
-
-val reduce :
-  ?hooks:Lbr_frontend.Run.hooks ->
-  ?speculate:Lbr_runtime.Pool.t ->
-  strategy ->
-  Classpool.t ->
-  spec:string ->
-  (Lbr_frontend.Run.outcome * Classpool.t, string) result
-(** Reduce one pool with one strategy against the tool [spec] names ([""]
-    is the first buggy tool, as in {!Lbr_frontend.Jvm}): the frontend-level
-    outcome and the reduced pool.  This is what the server runs for
-    J-Reduce and lossy jobs.  [~speculate] applies to GBR only. *)
 
 val run : strategy -> Corpus.instance -> outcome
 
@@ -90,15 +77,11 @@ val run_corpus : ?jobs:int -> strategy -> Corpus.instance list -> outcome list
 
 val run_corpus_full :
   ?jobs:int ->
-  ?hooks:(Corpus.instance -> Lbr_frontend.Run.hooks) ->
   ?speculate:Lbr_runtime.Pool.t ->
   strategy ->
   Corpus.instance list ->
   (outcome * Classpool.t) list
-(** [run_corpus] that also returns each instance's final reduced pool and
-    lets the caller attach per-instance hooks (the CLI uses [should_stop]
-    for graceful SIGINT/SIGTERM drain).  A {!Lbr_frontend.Run.Cancelled}
-    raised by any instance propagates after in-flight instances finish.
+(** [run_corpus] that also returns each instance's final reduced pool.
     [~speculate] is threaded to {!run_with} per instance — pair it with
     [jobs = 1] (intra-instance parallelism from the speculation pool
     replaces cross-instance fan-out). *)

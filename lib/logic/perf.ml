@@ -97,3 +97,24 @@ let reset () =
   let tables = !registry in
   Mutex.unlock registry_mutex;
   List.iter Hashtbl.reset tables
+
+let report rows =
+  let b = Buffer.create 256 in
+  Buffer.add_string b
+    (Printf.sprintf "%-28s %10s %12s %16s\n" "phase" "calls" "seconds" "minor words");
+  List.iter
+    (fun (r : row) ->
+      Buffer.add_string b
+        (Printf.sprintf "%-28s %10d %12.4f %16.0f\n" r.name r.calls r.seconds
+           r.minor_words))
+    rows;
+  Buffer.contents b
+
+(* One phase per line, space-separated: grep/awk-friendly and stable, for
+   the serve journal. *)
+let serialize rows =
+  String.concat ""
+    (List.map
+       (fun (r : row) ->
+         Printf.sprintf "%s %d %.6f %.0f\n" r.name r.calls r.seconds r.minor_words)
+       rows)

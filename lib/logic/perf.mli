@@ -5,7 +5,7 @@
     domain-local tables so instrumented hot paths never contend on a lock.
     The reduction core tags its phases ([sat.engine-create],
     [sat.engine-propagate], [sat.engine-narrow], [sat.engine-add-clause],
-    [core.predicate]); the harness surfaces the totals in [bench --json] and
+    [core.predicate]); {!report} and {!serialize} surface the totals in the bench output and
     the serve journal.
 
     Phases are assumed non-overlapping: nesting {!time} calls double-counts
@@ -46,3 +46,11 @@ val since : before:row list -> after:row list -> row list
 val reset : unit -> unit
 (** Zero every table (all domains).  Same quiescence caveat as
     {!aggregate}. *)
+
+val report : row list -> string
+(** Human-readable table (phase, calls, seconds, minor words), for the
+    bench output. *)
+
+val serialize : row list -> string
+(** One [name calls seconds minor_words] line per phase, for the serve
+    journal's per-job [counters] file. *)

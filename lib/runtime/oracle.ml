@@ -25,17 +25,17 @@ let locked t f =
 
 (* Process-wide oracle metrics: oracles are short-lived (one per job in
    the daemon), so counts are only meaningful aggregated across
-   instances. *)
+   instances.  Registered eagerly: worker domains racing to force a lazy
+   would raise [Lazy.Undefined] in the loser. *)
 let m_executions =
-  lazy (Lbr_obs.Metrics.counter ~help:"Black-box attempts, including retries." "lbr_oracle_executions_total")
+  Lbr_obs.Metrics.counter ~help:"Black-box attempts, including retries." "lbr_oracle_executions_total"
 
-let m_retries = lazy (Lbr_obs.Metrics.counter ~help:"Retried attempts." "lbr_oracle_retries_total")
-let m_crashes = lazy (Lbr_obs.Metrics.counter ~help:"Runs whose every attempt failed." "lbr_oracle_crashes_total")
+let m_retries = Lbr_obs.Metrics.counter ~help:"Retried attempts." "lbr_oracle_retries_total"
+let m_crashes = Lbr_obs.Metrics.counter ~help:"Runs whose every attempt failed." "lbr_oracle_crashes_total"
 
 let m_attempt_latency =
-  lazy
-    (Lbr_obs.Metrics.histogram ~help:"Oracle black-box attempt latency."
-       "lbr_oracle_attempt_latency_seconds")
+  Lbr_obs.Metrics.histogram ~help:"Oracle black-box attempt latency."
+    "lbr_oracle_attempt_latency_seconds"
 
 (* One attempt.  [Ok b] is a usable outcome; [Error reason] is a failed
    attempt with [`Transient] worth retrying and [`Crash] not.
@@ -43,7 +43,7 @@ let m_attempt_latency =
    how the attempt was classified. *)
 let attempt t black_box ~attempt_no =
   locked t (fun () -> t.executions <- t.executions + 1);
-  Lbr_obs.Metrics.incr (Lazy.force m_executions);
+  Lbr_obs.Metrics.incr m_executions;
   let classification = ref "ok" in
   Lbr_obs.Trace.with_span "oracle.attempt"
     ~args:(fun () ->
@@ -56,7 +56,7 @@ let attempt t black_box ~attempt_no =
   @@ fun () ->
   let t0 = Unix.gettimeofday () in
   let finish r =
-    Lbr_obs.Metrics.observe (Lazy.force m_attempt_latency) (Unix.gettimeofday () -. t0);
+    Lbr_obs.Metrics.observe m_attempt_latency (Unix.gettimeofday () -. t0);
     r
   in
   match black_box () with
@@ -77,11 +77,11 @@ let run t black_box =
     | Ok outcome -> outcome
     | Error (`Transient, _reason) when k < max_attempts ->
         locked t (fun () -> t.retries_used <- t.retries_used + 1);
-        Lbr_obs.Metrics.incr (Lazy.force m_retries);
+        Lbr_obs.Metrics.incr m_retries;
         go (k + 1)
     | Error ((`Transient | `Crash), reason) -> (
         locked t (fun () -> t.crashes <- t.crashes + 1);
-        Lbr_obs.Metrics.incr (Lazy.force m_crashes);
+        Lbr_obs.Metrics.incr m_crashes;
         match t.config.crash_policy with
         | Crash_fails -> false
         | Crash_passes -> true

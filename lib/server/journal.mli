@@ -55,7 +55,7 @@ val append_pred :
 
 val record_counters : t -> id:string -> contents:string -> unit
 (** Write the job's [counters] file (atomic tmp+rename): the per-job phase
-    timing delta ({!Lbr_harness.Counters.serialize} lines), written when the
+    timing delta ({!Lbr_logic.Perf.serialize} lines), written when the
     job finishes running, before its terminal marker. *)
 
 val mark_done : t -> id:string -> unit

@@ -1,14 +1,13 @@
-module Experiment = Lbr_harness.Experiment
 module Oracle = Lbr_runtime.Oracle
 module Run = Lbr_frontend.Run
 
 (* Process-wide, like the oracle's counters: with
    [lbr_oracle_executions_total] it tells how a daemon's verdicts were
-   paid for. *)
+   paid for.  Registered eagerly: worker domains racing to force a lazy
+   would raise [Lazy.Undefined] in the loser. *)
 let m_replayed =
-  lazy
-    (Lbr_obs.Metrics.counter ~help:"Predicate verdicts answered from a job's replay table."
-       "lbr_replayed_verdicts_total")
+  Lbr_obs.Metrics.counter ~help:"Predicate verdicts answered from a job's replay table."
+    "lbr_replayed_verdicts_total"
 
 let reduce (ctx : Scheduler.runner_ctx) (spec : Wire.spec) =
   let config =
@@ -21,7 +20,7 @@ let reduce (ctx : Scheduler.runner_ctx) (spec : Wire.spec) =
   let oracle = Oracle.make ~config ~name:ctx.job_id () in
   let replay ~key =
     let known = Hashtbl.find_opt ctx.replay key in
-    if Option.is_some known then Lbr_obs.Metrics.incr (Lazy.force m_replayed);
+    if Option.is_some known then Lbr_obs.Metrics.incr m_replayed;
     known
   in
   let execute ~key thunk =
@@ -42,20 +41,11 @@ let reduce (ctx : Scheduler.runner_ctx) (spec : Wire.spec) =
       execute = Some execute;
     }
   in
-  let frontend = if spec.frontend = "" then "jvm" else spec.frontend in
   let reduced =
-    match (Lbr_frontend.Registry.find frontend, spec.strategy) with
-    | (Error _ as e), _ -> e
-    | Ok packed, Experiment.Gbr ->
-        Run.reduce_text ~hooks packed ~text:spec.pool_bytes ~spec:spec.tool
-    | Ok _, strategy when frontend = "jvm" -> (
-        match Lbr_jvm.Serialize.of_bytes spec.pool_bytes with
-        | Error m -> Error ("jvm: unparsable input: " ^ m)
-        | Ok pool ->
-            Experiment.reduce ~hooks strategy pool ~spec:spec.tool
-            |> Result.map (fun (outcome, final) -> (outcome, Lbr_jvm.Serialize.to_bytes final)))
-    | Ok _, _ ->
-        Error (Printf.sprintf "frontend %S only supports the gbr strategy" spec.frontend)
+    Result.bind (Lbr_frontend.Registry.find_for ~strategy:spec.strategy spec.frontend)
+      (fun frontend ->
+        Run.reduce_text ~hooks ~strategy:spec.strategy frontend ~text:spec.pool_bytes
+          ~spec:spec.tool)
   in
   Result.map
     (fun ((outcome : Run.outcome), printed) ->

@@ -1,10 +1,9 @@
 (** The production job runner: executes one wire-submitted reduction.
 
-    One path for every frontend and strategy.  GBR jobs go through
-    {!Lbr_frontend.Run.reduce_text} with the frontend the spec names
-    ([""] is [jvm]); J-Reduce and lossy jobs, which exist for [jvm] only,
-    go through {!Lbr_harness.Experiment.reduce}.  Both are driven with the
-    same hooks, wired to the scheduler context: [should_stop] polls the
+    One path for every frontend and strategy: the spec's (frontend,
+    strategy) pair is resolved by {!Lbr_frontend.Registry.find_for}
+    ([""] is [jvm]) and reduced by {!Lbr_frontend.Run.reduce_text}, with
+    hooks wired to the scheduler context: [should_stop] polls the
     job's cancel flag, [on_improvement] streams progress, [replay] answers
     from the job's replay table (the journal of a resumed job, or the
     coordinator's seeds) without touching the tool — each answer counted
@@ -28,8 +27,9 @@ val reduce : Scheduler.runner_ctx -> Wire.spec -> (Wire.stats * string, string) 
     the frontend's item counts, which for [jvm] are classes.
 
     [Error _] on an unknown frontend, an unparsable payload, an invalid
-    predicate spec, an input that does not reproduce the failure, or a
-    non-GBR strategy on a frontend other than [jvm].  Raises
+    predicate spec, an input that does not reproduce the failure, or
+    constraints the strategy cannot search (J-Reduce on a frontend with a
+    non-graph clause).  Raises
     {!Lbr_frontend.Run.Cancelled} when the context's [should_stop] fires,
     and [Lbr_runtime.Oracle.Crashed] under the [Crash_raises] policy — the
     scheduler maps both to terminal job states. *)

@@ -200,7 +200,7 @@ let run_job t job =
      delta is exactly this job's phase timing.  (Jobs on [~threads:true]
      share a domain, but that runner — the coordinator's — times no
      phases, and an empty delta writes no file.) *)
-  let counters_before = Lbr_harness.Counters.snapshot_local () in
+  let counters_before = Lbr_logic.Perf.snapshot_local () in
   let status =
     (* The job's trace context is installed for the whole run: every span
        the runner (and anything it calls — oracle, frontends, speculative
@@ -220,12 +220,12 @@ let run_job t job =
   | None -> ()
   | Some j ->
       let rows =
-        Lbr_harness.Counters.since ~before:counters_before
-          ~after:(Lbr_harness.Counters.snapshot_local ())
+        Lbr_logic.Perf.since ~before:counters_before
+          ~after:(Lbr_logic.Perf.snapshot_local ())
       in
       if rows <> [] then
         Journal.record_counters j ~id:job.id
-          ~contents:(Lbr_harness.Counters.serialize rows));
+          ~contents:(Lbr_logic.Perf.serialize rows));
   finalize t job status
 
 (* One dispatch token is pool-submitted per admission; each token claims

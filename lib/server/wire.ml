@@ -8,7 +8,7 @@ type priority = Normal | High
 
 type spec = {
   tool : string;
-  strategy : Lbr_harness.Experiment.strategy;
+  strategy : Lbr_frontend.Run.strategy;
   priority : priority;
   crash_policy : Lbr_runtime.Oracle.crash_policy;
   retries : int;
@@ -164,13 +164,13 @@ let r_end r = if r.pos <> String.length r.data then fail "trailing garbage at %d
 (* ------------------------------------------------------------------ *)
 (* Enums                                                               *)
 
-let strategy_code : Lbr_harness.Experiment.strategy -> int = function
+let strategy_code : Lbr_frontend.Run.strategy -> int = function
   | Jreduce -> 0
   | Lossy_first -> 1
   | Lossy_last -> 2
   | Gbr -> 3
 
-let strategy_of_code : int -> Lbr_harness.Experiment.strategy = function
+let strategy_of_code : int -> Lbr_frontend.Run.strategy = function
   | 0 -> Jreduce
   | 1 -> Lossy_first
   | 2 -> Lossy_last

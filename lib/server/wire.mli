@@ -47,7 +47,9 @@ type priority = Normal | High
 
 type spec = {
   tool : string;  (** decompiler name; [""] = first buggy one server-side *)
-  strategy : Lbr_harness.Experiment.strategy;
+  strategy : Lbr_frontend.Run.strategy;
+      (** the search the runner drives; every strategy runs on every
+          frontend that can express it ({!Lbr_frontend.Run.strategy}) *)
   priority : priority;
   crash_policy : Lbr_runtime.Oracle.crash_policy;
       (** how the job's oracle classifies tool crashes *)

@@ -9,7 +9,8 @@
 #   5. reduce the checked-in DIMACS and FJ examples through the one-shot
 #      CLI and through the daemon; each daemon result must be
 #      byte-identical to the one-shot result and strictly smaller than
-#      the input,
+#      the input; likewise an exported pool file, a lossy DIMACS
+#      reduction and a J-Reduce pool reduction,
 #   6. SIGTERM the daemon and require a clean drain + zero exit,
 # then of the cluster service:
 #   7. start two TCP workers and a coordinator fronting them,
@@ -109,6 +110,29 @@ cmp "$WORK/php.spec.cnf" "$WORK/php.oneshot.cnf"
   --output "$WORK/figure1.spec.fj" > /dev/null
 cmp "$WORK/figure1.spec.fj" "$WORK/figure1.oneshot.fj"
 echo "OK: --speculate --jobs 2 is byte-identical to sequential on jvm, dimacs and fj"
+
+# ---------------------------------------------------------------------
+# JVM is an ordinary frontend: an exported pool is an INPUT like any
+# other, and every strategy runs one-shot and through the daemon alike.
+
+"$BIN" export --seed 1 --classes 30 --pool "$WORK/P.lbrc" > /dev/null
+"$BIN" reduce "$WORK/P.lbrc" --output-pool "$WORK/P.inproc.lbrc" > /dev/null
+cmp "$WORK/P.inproc.lbrc" "$WORK/inproc.lbrc"
+echo "OK: reducing an exported pool file is byte-identical to reducing the generated pool"
+
+"$BIN" reduce "$CNF_IN" --strategy lossy-first --output-pool "$WORK/php.lossy.oneshot.cnf" \
+  > /dev/null
+"$BIN" submit --socket "$SOCK" "$CNF_IN" --strategy lossy-first \
+  --output-pool "$WORK/php.lossy.daemon.cnf" > /dev/null
+cmp "$WORK/php.lossy.oneshot.cnf" "$WORK/php.lossy.daemon.cnf"
+echo "OK: DIMACS lossy-first daemon reduction is byte-identical to the one-shot run"
+
+"$BIN" reduce "$WORK/P.lbrc" --strategy jreduce --output-pool "$WORK/P.jreduce.oneshot.lbrc" \
+  > /dev/null
+"$BIN" submit --socket "$SOCK" "$WORK/P.lbrc" --strategy jreduce \
+  --output-pool "$WORK/P.jreduce.daemon.lbrc" > /dev/null
+cmp "$WORK/P.jreduce.oneshot.lbrc" "$WORK/P.jreduce.daemon.lbrc"
+echo "OK: JVM j-reduce daemon reduction of a pool file is byte-identical to the one-shot run"
 
 # Keep the reduced frontend outputs (e.g. as CI artifacts) when asked to.
 if [ -n "${FRONTEND_OUT:-}" ]; then

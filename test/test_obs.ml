@@ -1,4 +1,4 @@
-(* Tests for Lbr_obs (tracing + metrics) and the Counters.since delta
+(* Tests for Lbr_obs (tracing + metrics) and the Perf.since delta
    semantics it leans on.
 
    Trace and the metric registry are process-global; every trace test
@@ -357,13 +357,13 @@ let test_quantile_empty_nan () =
   Alcotest.(check bool) "nan on empty" true (Float.is_nan (Histogram.quantile h 0.5))
 
 (* ------------------------------------------------------------------ *)
-(* Counters.since: keyed on name, tolerant of after-only phases        *)
+(* Perf.since: keyed on name, tolerant of after-only phases            *)
 
 let row name calls seconds minor_words =
-  { Lbr_harness.Counters.name; calls; seconds; minor_words }
+  { Lbr_logic.Perf.name; calls; seconds; minor_words }
 
 let check_rows msg expected actual =
-  let pp fmt (r : Lbr_harness.Counters.row) =
+  let pp fmt (r : Lbr_logic.Perf.row) =
     Format.fprintf fmt "%s/%d/%.3f/%.0f" r.name r.calls r.seconds r.minor_words
   in
   let row_t = Alcotest.testable pp ( = ) in
@@ -375,7 +375,7 @@ let test_since_keys_on_name () =
   let after = [ row "a" 4 2.0 16.; row "b" 2 1.0 10. ] in
   check_rows "delta keyed by name"
     [ row "a" 3 1.5 12. ]
-    (Lbr_harness.Counters.since ~before ~after)
+    (Lbr_logic.Perf.since ~before ~after)
 
 let test_since_after_only_phase () =
   (* a phase first seen after the snapshot (fresh domain mid-task) is
@@ -384,7 +384,7 @@ let test_since_after_only_phase () =
   let after = [ row "a" 1 0.5 4.; row "fresh" 5 2.5 20. ] in
   check_rows "after-only phase kept"
     [ row "fresh" 5 2.5 20. ]
-    (Lbr_harness.Counters.since ~before ~after)
+    (Lbr_logic.Perf.since ~before ~after)
 
 (* ------------------------------------------------------------------ *)
 (* Metrics federation: dump codec + exact merge                        *)

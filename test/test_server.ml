@@ -853,6 +853,23 @@ let php_cnf =
 let dimacs_spec =
   { (spec_of_seed ~classes:6 1) with Wire.frontend = "dimacs"; pool_bytes = php_cnf }
 
+(* Figure 1, required to keep the call [a.m()]: fj constraints include
+   non-graph clauses, and both lossy encodings need several runs here. *)
+let fj_spec =
+  {
+    (spec_of_seed ~classes:6 1) with
+    Wire.frontend = "fj";
+    tool = "a.m()";
+    pool_bytes = Lbr_fji.Pretty.program_to_string (Lbr_fji.Example.model ()).program;
+  }
+
+(* What [Runner.reduce] should print for a non-jvm [spec]: the in-process
+   driver on the same bytes. *)
+let in_process (spec : Wire.spec) =
+  Lbr_frontend.Run.reduce_text ~strategy:spec.strategy
+    (Result.get_ok (Lbr_frontend.Registry.find spec.frontend))
+    ~text:spec.pool_bytes ~spec:spec.tool
+
 (* A runner context over an in-memory journal: [record] appends every
    fresh verdict to [journal]; [replay] answers what an earlier run wrote. *)
 let runner_ctx ?(should_stop = fun () -> false) ~replay journal =
@@ -897,37 +914,73 @@ let test_runner_gbr_executions_match_journal () =
 
 let baselines = Lbr_harness.Experiment.[ Jreduce; Lossy_first; Lossy_last ]
 
+(* Every baseline job the runner accepts: jvm and dimacs for all three,
+   fj for the two lossy encodings (its constraints are not a graph). *)
+let baseline_specs () =
+  List.concat_map
+    (fun strategy ->
+      let name = Lbr_harness.Experiment.strategy_name strategy in
+      [
+        ("jvm " ^ name, spec_of_seed ~classes:16 ~strategy 21);
+        ("dimacs " ^ name, { dimacs_spec with Wire.strategy });
+      ]
+      @ if strategy = Jreduce then [] else [ ("fj " ^ name, { fj_spec with Wire.strategy }) ])
+    baselines
+
 let test_runner_baselines_replay () =
   List.iter
-    (fun strategy ->
-      let spec = spec_of_seed ~classes:16 ~strategy 21 in
-      check_fresh_then_replayed (Lbr_harness.Experiment.strategy_name strategy) spec;
-      let _, reference = reference_run ~classes:16 ~strategy 21 in
+    (fun (label, (spec : Wire.spec)) ->
+      check_fresh_then_replayed label spec;
       let _, out = runner_ok (runner_ctx ~replay:(Hashtbl.create 1) (ref [])) spec in
-      Alcotest.(check string) "runner matches the harness" reference out)
-    baselines
+      if spec.frontend = "jvm" then begin
+        let _, reference = reference_run ~classes:16 ~strategy:spec.strategy 21 in
+        Alcotest.(check string) "runner matches the harness" reference out
+      end
+      else
+        match in_process spec with
+        | Ok (_, printed) -> Alcotest.(check string) (label ^ ": runner matches Run") printed out
+        | Error m -> Alcotest.failf "%s: in-process run failed: %s" label m)
+    (baseline_specs ())
 
 (* [should_stop] firing partway through a baseline ends the job as
    Cancelled, exactly as it does for GBR. *)
 let test_runner_baseline_cancelled () =
   List.iter
-    (fun strategy ->
+    (fun (label, spec) ->
       let polls = Atomic.make 0 in
       let runner (ctx : Scheduler.runner_ctx) spec =
         Runner.reduce { ctx with should_stop = (fun () -> Atomic.fetch_and_add polls 1 >= 3) } spec
       in
       let sched = Scheduler.create ~runner ~jobs:1 ~queue_depth:2 () in
-      (match Scheduler.submit sched (spec_of_seed ~classes:16 ~strategy 21) with
+      (match Scheduler.submit sched spec with
       | Error _ -> Alcotest.fail "submission rejected"
       | Ok id -> (
           match Scheduler.await sched id with
           | Scheduler.Cancelled -> ()
-          | _ ->
-              Alcotest.failf "%s: not cancelled"
-                (Lbr_harness.Experiment.strategy_name strategy)));
-      Alcotest.(check bool) "stopped mid-run" true (Atomic.get polls > 3);
+          | _ -> Alcotest.failf "%s: not cancelled" label));
+      Alcotest.(check bool) (label ^ ": stopped mid-run") true (Atomic.get polls > 3);
       Scheduler.shutdown sched)
-    baselines
+    (baseline_specs ())
+
+(* J-Reduce searches a dependency graph; fj's constraints are not one, so
+   the job fails up front, with the driver's own message. *)
+let test_runner_jreduce_needs_graph () =
+  let spec = { fj_spec with Wire.strategy = Lbr_harness.Experiment.Jreduce } in
+  let expected =
+    match in_process spec with
+    | Error m -> m
+    | Ok _ -> Alcotest.fail "j-reduce accepted fj's non-graph constraints"
+  in
+  Alcotest.(check bool) "message names the graph requirement" true
+    (String.starts_with ~prefix:"fj: j-reduce needs graph constraints" expected);
+  let sched = Scheduler.create ~runner:Runner.reduce ~jobs:1 ~queue_depth:2 () in
+  (match Scheduler.submit sched spec with
+  | Error _ -> Alcotest.fail "submission rejected"
+  | Ok id -> (
+      match Scheduler.await sched id with
+      | Scheduler.Failed reason -> Alcotest.(check string) "runner error is Run's" expected reason
+      | _ -> Alcotest.fail "j-reduce on fj did not fail"));
+  Scheduler.shutdown sched
 
 (* ------------------------------------------------------------------ *)
 (* Socket server end to end                                            *)
@@ -1355,6 +1408,8 @@ let () =
             test_runner_baselines_replay;
           Alcotest.test_case "should_stop cancels a baseline" `Quick
             test_runner_baseline_cancelled;
+          Alcotest.test_case "j-reduce on fj fails: constraints are not a graph" `Quick
+            test_runner_jreduce_needs_graph;
         ] );
       ( "journal-recover",
         [
