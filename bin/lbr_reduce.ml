@@ -546,9 +546,10 @@ let coordinate_cmd =
       value
       & opt (some writable_dir) None
       & info [ "journal" ] ~docv:"DIR"
-          ~doc:"Coordinator write-ahead journal: admitted jobs and mirrored worker verdicts. \
-                A restarted coordinator resubmits unfinished jobs seeded with their paid \
-                verdicts.")
+          ~doc:"Coordinator write-ahead journal: admitted jobs and terminal markers.  Without \
+                --cache, the verdict cache persists to DIR/verdicts.cache.  A restarted \
+                coordinator resubmits unfinished jobs seeded with their paid verdicts from \
+                the cache.")
   in
   let poll_interval_arg =
     Arg.(
@@ -758,15 +759,6 @@ let verdict_counts counter =
     count "lbr_replayed_verdicts_total" )
 
 let top_cmd =
-  let journal_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "journal" ] ~docv:"DIR"
-          ~doc:"Post-mortem mode: instead of querying a live daemon, reconstruct per-job \
-                predicate-latency statistics from a (possibly dead) daemon's journal \
-                directory.")
-  in
   let metrics_arg =
     Arg.(
       value & flag
@@ -868,67 +860,13 @@ let top_cmd =
               print_newline ();
               print_string s.metrics_text))
   in
-  (* Rebuild what the live Stats reply derives from in-memory metrics out
-     of the journal's runner verdict lines instead. *)
-  let offline dir =
-    if not (Sys.file_exists dir && Sys.is_directory dir) then begin
-      prerr_endline ("lbr-reduce top: " ^ dir ^ ": not a journal directory");
-      exit 1
-    end;
-    let journal = Lbr_server.Journal.open_dir dir in
-    Fun.protect
-      ~finally:(fun () -> Lbr_server.Journal.close journal)
-      (fun () ->
-        match Lbr_server.Journal.jobs journal with
-        | [] -> Printf.printf "journal %s: no jobs recorded\n" dir
-        | jobs ->
-            Printf.printf "journal %s: %d job%s\n" dir (List.length jobs)
-              (if List.length jobs = 1 then "" else "s");
-            let total = ref (Lbr_obs.Metrics.Histogram.create ()) in
-            List.iter
-              (fun id ->
-                let verdicts = Lbr_server.Journal.verdicts journal ~id in
-                let hist = Lbr_obs.Metrics.Histogram.create () in
-                let fails = ref 0 and retries = ref 0 and timed = ref 0 in
-                List.iter
-                  (fun (v : Lbr_server.Journal.verdict) ->
-                    if not v.v_ok then incr fails;
-                    retries := !retries + Option.value ~default:0 v.v_retries;
-                    match v.v_latency with
-                    | Some l ->
-                        incr timed;
-                        Lbr_obs.Metrics.Histogram.observe hist l
-                    | None -> ())
-                  verdicts;
-                Printf.printf "  %-16s %d verdicts (%d fail, %d oracle retries)" id
-                  (List.length verdicts) !fails !retries;
-                if !timed = 0 then
-                  (* mirrored journal lines carry no latency *)
-                  print_endline "  latency: n/a"
-                else
-                  Printf.printf "  latency p50/p90/p99: %.3fs / %.3fs / %.3fs\n"
-                    (Lbr_obs.Metrics.Histogram.quantile hist 0.5)
-                    (Lbr_obs.Metrics.Histogram.quantile hist 0.9)
-                    (Lbr_obs.Metrics.Histogram.quantile hist 0.99);
-                total := Lbr_obs.Metrics.Histogram.merge !total hist)
-              jobs;
-            if Lbr_obs.Metrics.Histogram.count !total > 0 then
-              Printf.printf "overall latency: %d timed verdicts, p50 %.3fs, p99 %.3fs\n"
-                (Lbr_obs.Metrics.Histogram.count !total)
-                (Lbr_obs.Metrics.Histogram.quantile !total 0.5)
-                (Lbr_obs.Metrics.Histogram.quantile !total 0.99))
-  in
-  let run socket journal metrics =
-    match journal with None -> online socket metrics | Some dir -> offline dir
-  in
   Cmd.v
     (Cmd.info "top"
        ~doc:
          "Introspect a running `lbr-reduce serve' daemon: queue depth, running jobs with \
           best-so-far sizes, fresh and replayed verdict counts and (with --metrics) the Prometheus \
-          metric snapshot.  With --journal DIR, reconstruct predicate-latency statistics \
-          from a dead daemon's journal instead.")
-    Term.(const run $ socket_arg $ journal_arg $ metrics_arg)
+          metric snapshot.  For a dead daemon's journal, see `lbr-reduce report'.")
+    Term.(const online $ socket_arg $ metrics_arg)
 
 (* ------------------------------------------------------------------ *)
 (* Distributed trace capture and merging                               *)
@@ -1117,27 +1055,34 @@ let report_cmd =
              String.starts_with ~prefix:"flight-" f && Filename.check_suffix f ".json")
       |> List.sort compare
     in
-    (* Verdict latency quantiles and cache hit rates, from the journal's
-       runner verdict lines — the ground truth that survives any crash. *)
+    (* Per-job verdict counts and latency quantiles, from the journal's
+       verdict lines — the ground truth that survives any crash. *)
     let journal = Lbr_server.Journal.open_dir dir in
-    let jobs, latency, verdict_count, fail_count =
+    let per_job =
       Fun.protect
         ~finally:(fun () -> Lbr_server.Journal.close journal)
         (fun () ->
-          let jobs = Lbr_server.Journal.jobs journal in
-          let hist = Lbr_obs.Metrics.Histogram.create () in
-          let count = ref 0 and fails = ref 0 in
-          List.iter
+          List.map
             (fun id ->
+              let verdicts = Lbr_server.Journal.verdicts journal ~id in
+              let hist = Lbr_obs.Metrics.Histogram.create () in
+              let fails = ref 0 and retries = ref 0 in
               List.iter
                 (fun (v : Lbr_server.Journal.verdict) ->
-                  incr count;
                   if not v.v_ok then incr fails;
-                  Option.iter (Lbr_obs.Metrics.Histogram.observe hist) v.v_latency)
-                (Lbr_server.Journal.verdicts journal ~id))
-            jobs;
-          (jobs, hist, !count, !fails))
+                  retries := !retries + v.v_retries;
+                  Lbr_obs.Metrics.Histogram.observe hist v.v_latency)
+                verdicts;
+              (id, hist, !fails, !retries))
+            (Lbr_server.Journal.jobs journal))
     in
+    let latency =
+      List.fold_left
+        (fun acc (_, hist, _, _) -> Lbr_obs.Metrics.Histogram.merge acc hist)
+        (Lbr_obs.Metrics.Histogram.create ()) per_job
+    in
+    let verdict_count = Lbr_obs.Metrics.Histogram.count latency in
+    let fail_count = List.fold_left (fun n (_, _, fails, _) -> n + fails) 0 per_job in
     (* Each flight dump: header + span/transition lines. *)
     let parse_dump file =
       let path = Filename.concat dir file in
@@ -1191,16 +1136,26 @@ let report_cmd =
        List.rev !metric_lines)
     in
     let dumps = List.map parse_dump flights in
-    let q p =
-      let v = Lbr_obs.Metrics.Histogram.quantile latency p in
+    let q hist p =
+      let v = Lbr_obs.Metrics.Histogram.quantile hist p in
       if Float.is_finite v then v else 0.
     in
+    let jobs = List.length per_job in
     if json then begin
       Printf.printf "{\"journal\":\"%s\",\"jobs\":%d,\"verdicts\":%d,\"failedVerdicts\":%d,"
-        (Lbr_obs.Trace.json_escape dir) (List.length jobs) verdict_count fail_count;
+        (Lbr_obs.Trace.json_escape dir) jobs verdict_count fail_count;
       Printf.printf "\"latency\":{\"count\":%d,\"p50\":%.6f,\"p90\":%.6f,\"p99\":%.6f},"
-        (Lbr_obs.Metrics.Histogram.count latency)
-        (q 0.5) (q 0.9) (q 0.99);
+        verdict_count (q latency 0.5) (q latency 0.9) (q latency 0.99);
+      Printf.printf "\"perJob\":[%s],"
+        (String.concat ","
+           (List.map
+              (fun (id, hist, fails, retries) ->
+                Printf.sprintf
+                  "{\"id\":\"%s\",\"verdicts\":%d,\"failedVerdicts\":%d,\"oracleRetries\":%d,\"latency\":{\"p50\":%.6f,\"p90\":%.6f,\"p99\":%.6f}}"
+                  (Lbr_obs.Trace.json_escape id)
+                  (Lbr_obs.Metrics.Histogram.count hist)
+                  fails retries (q hist 0.5) (q hist 0.9) (q hist 0.99))
+              per_job));
       Printf.printf "\"flights\":[";
       List.iteri
         (fun i (file, node, reason, time, spans, transitions, metric_lines) ->
@@ -1218,13 +1173,21 @@ let report_cmd =
       print_string "]}\n"
     end
     else begin
-      Printf.printf "journal %s: %d job%s, %d verdicts (%d failed)\n" dir
-        (List.length jobs)
-        (if List.length jobs = 1 then "" else "s")
+      Printf.printf "journal %s: %d job%s, %d verdicts (%d failed)\n" dir jobs
+        (if jobs = 1 then "" else "s")
         verdict_count fail_count;
-      if Lbr_obs.Metrics.Histogram.count latency > 0 then
-        Printf.printf "verdict latency p50/p90/p99: %.3fs / %.3fs / %.3fs\n" (q 0.5)
-          (q 0.9) (q 0.99);
+      if verdict_count > 0 then
+        Printf.printf "verdict latency p50/p90/p99: %.3fs / %.3fs / %.3fs\n" (q latency 0.5)
+          (q latency 0.9) (q latency 0.99);
+      List.iter
+        (fun (id, hist, fails, retries) ->
+          let n = Lbr_obs.Metrics.Histogram.count hist in
+          Printf.printf "  %-16s %d verdicts (%d fail, %d oracle retries)" id n fails retries;
+          if n = 0 then print_endline "  latency: n/a"
+          else
+            Printf.printf "  latency p50/p90/p99: %.3fs / %.3fs / %.3fs\n" (q hist 0.5)
+              (q hist 0.9) (q hist 0.99))
+        per_job;
       if dumps = [] then print_endline "no flight-recorder dumps found"
       else
         List.iter
@@ -1305,7 +1268,8 @@ let report_cmd =
        ~doc:
          "Render a post-mortem report from a daemon's journal directory: flight-recorder \
           dumps (last spans and job state transitions before death), verdict latency \
-          quantiles from the journal, verdict counts and the cluster cache hit rate.")
+          quantiles from the journal, one line per job (verdicts, fails, oracle retries, \
+          latency), verdict counts and the cluster cache hit rate.")
     Term.(const run $ journal_arg $ json_arg)
 
 (* ------------------------------------------------------------------ *)

@@ -29,8 +29,7 @@ type t = {
   mutex : Mutex.t;
   table : (string * string, bool) Hashtbl.t;  (* (job, assignment) digests *)
   by_job : (string, string list) Hashtbl.t;   (* job digest -> assignment digests *)
-  mutable oc : out_channel option;
-  mutable closed : bool;
+  mutable log : Lbr_server.Append_log.t option;  (* [None] in memory or once closed *)
 }
 
 let locked t f =
@@ -46,62 +45,23 @@ let remember t ~job ~key ok =
   end
   else false
 
+(* A line that does not parse in full is skipped, never fatal. *)
 let load t path =
-  let ic = open_in path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () ->
-      try
-        while true do
-          let line = input_line ic in
-          (* A torn trailing line from a crash mid-append is expected; any
-             line that does not parse in full is skipped, never fatal. *)
-          match String.split_on_char ' ' line with
-          | [ job; key; v ] when is_hex32 job && is_hex32 key ->
-              let ok =
-                match v with "1" -> Some true | "0" -> Some false | _ -> None
-              in
-              Option.iter (fun ok -> ignore (remember t ~job ~key ok)) ok
-          | _ -> ()
-        done
-      with End_of_file -> ())
+  Lbr_server.Append_log.fold path ~init:() ~f:(fun () line ->
+      match String.split_on_char ' ' line with
+      | [ job; key; ("0" | "1") as v ] when is_hex32 job && is_hex32 key ->
+          ignore (remember t ~job ~key (v = "1"))
+      | _ -> ())
 
 let create ?path () =
   let t =
-    {
-      mutex = Mutex.create ();
-      table = Hashtbl.create 4096;
-      by_job = Hashtbl.create 64;
-      oc = None;
-      closed = false;
-    }
+    { mutex = Mutex.create (); table = Hashtbl.create 4096; by_job = Hashtbl.create 64; log = None }
   in
-  (match path with
-  | None -> ()
-  | Some path ->
-      let torn_tail =
-        (* A crash mid-append can leave the log without a final newline;
-           appending straight after it would corrupt the next entry too.
-           Seal the torn line first — load already skips it. *)
-        Sys.file_exists path
-        &&
-        let ic = open_in_bin path in
-        Fun.protect
-          ~finally:(fun () -> close_in_noerr ic)
-          (fun () ->
-            let len = in_channel_length ic in
-            len > 0
-            &&
-            (seek_in ic (len - 1);
-             input_char ic <> '\n'))
-      in
-      if Sys.file_exists path then load t path;
-      let oc = open_out_gen [ Open_append; Open_creat ] 0o644 path in
-      if torn_tail then begin
-        output_char oc '\n';
-        flush oc
-      end;
-      t.oc <- Some oc);
+  Option.iter
+    (fun path ->
+      load t path;
+      t.log <- Some (Lbr_server.Append_log.open_ path))
+    path;
   t
 
 let find t ~job ~key = locked t (fun () -> Hashtbl.find_opt t.table (job, key))
@@ -109,12 +69,11 @@ let find t ~job ~key = locked t (fun () -> Hashtbl.find_opt t.table (job, key))
 let store t ~job ~key ok =
   locked t (fun () ->
       if remember t ~job ~key ok then
-        match t.oc with
-        | None -> ()
-        | Some oc ->
-            output_string oc
-              (Printf.sprintf "%s %s %c\n" job key (if ok then '1' else '0'));
-            flush oc)
+        Option.iter
+          (fun log ->
+            Lbr_server.Append_log.append log
+              (Printf.sprintf "%s %s %c" job key (if ok then '1' else '0')))
+          t.log)
 
 let seeds t ~job =
   locked t (fun () ->
@@ -127,8 +86,5 @@ let entries t = locked t (fun () -> Hashtbl.length t.table)
 
 let close t =
   locked t (fun () ->
-      if not t.closed then begin
-        t.closed <- true;
-        Option.iter close_out_noerr t.oc;
-        t.oc <- None
-      end)
+      Option.iter Lbr_server.Append_log.close t.log;
+      t.log <- None)

@@ -11,11 +11,14 @@
     all ask the same kind of question of the same tool, and sharing across
     them is the point.
 
-    Persistence is an append-only log of
+    Persistence is an {!Lbr_server.Append_log} of
     [<32-hex job> <32-hex assignment> 0|1] lines, flushed to the OS per
     entry like the journal's [preds.log] — a kill -9'd coordinator
-    restarts with every verdict it ever saw.  Malformed (torn) trailing
-    lines are skipped on load, not fatal.
+    restarts with every verdict it ever saw.  A torn last line is
+    skipped on load and cut off before the next append; any other
+    malformed line is skipped, not fatal.  A coordinator with a journal
+    but no explicit path keeps this log at [<journal>/verdicts.cache]:
+    it is the only place a coordinator records verdicts.
 
     Thread-safe; every operation takes the cache's internal lock. *)
 

@@ -139,12 +139,10 @@ let delegate f (ctx : Scheduler.runner_ctx) ~job w spec =
       Client.submit_ex c ~seeds:(Cache.seeds f.vcache ~job)
         ~on_progress:(fun (p : Client.progress) -> ctx.progress p.sim_time p.classes p.bytes)
         ~on_verdict:(fun ~key ~ok ->
-          (* Mirror the worker's WAL before anything downstream can
-             observe the verdict: cache first (failover seeds come from
-             here), then our own journal and the event stream. *)
+          (* The one place a coordinator records a paid verdict: failover
+             and restart seeds come from here. *)
           Cache.store f.vcache ~job ~key ok;
-          set_entries f;
-          ctx.record ~key ok)
+          set_entries f)
         ~on_accepted:(fun remote_id -> ctx.on_cancel (fun () -> remote_cancel w remote_id))
         spec
 
@@ -196,8 +194,9 @@ let run_remote f (ctx : Scheduler.runner_ctx) ~job ~attempts spec =
 
 let runner f (ctx : Scheduler.runner_ctx) (spec : Wire.spec) =
   let job = Cache.job_key spec in
-  (* Journal-recovered verdicts and client seeds warm the shared cache:
-     any worker that later runs this content digest replays them. *)
+  (* Client seeds warm the shared cache: any worker that later runs this
+     content digest replays them.  (A recovered job's paid verdicts are
+     in the cache already.) *)
   Hashtbl.iter (fun key ok -> Cache.store f.vcache ~job ~key ok) ctx.replay;
   set_entries f;
   (* The job span: a fresh coordinator-side span id forwarded to workers
@@ -346,13 +345,22 @@ let create (config : config) =
              w_last_poll = Unix.gettimeofday ();
            })
   in
+  let journal = Option.map Journal.open_dir config.journal_dir in
+  (* A journaled coordinator keeps its verdicts next to its jobs unless
+     told otherwise: a restart then seeds recovered jobs from them. *)
+  let cache_path =
+    match (config.cache_path, journal) with
+    | (Some _ as path), _ -> path
+    | None, Some j -> Some (Filename.concat (Journal.dir j) "verdicts.cache")
+    | None, None -> None
+  in
   let fleet =
     {
       mutex = Mutex.create ();
       lane_free = Condition.create ();
       workers;
       lanes = config.lanes;
-      vcache = Cache.create ?path:config.cache_path ();
+      vcache = Cache.create ?path:cache_path ();
       m_failovers = Metrics.counter ~help:"in-flight jobs resubmitted after a worker death" "lbr_cluster_failovers_total";
       m_hits = Metrics.counter ~help:"predicate verdicts answered by the cluster cache" "lbr_cluster_cache_hits_total";
       m_misses = Metrics.counter ~help:"predicate verdicts that had to execute" "lbr_cluster_cache_misses_total";
@@ -362,7 +370,6 @@ let create (config : config) =
   in
   Metrics.set_gauge fleet.g_alive (float_of_int (Array.length workers));
   set_entries fleet;
-  let journal = Option.map Journal.open_dir config.journal_dir in
   (* One dispatch lane per worker slot: a free lane pulls the next job
      off the scheduler's priority queue.  Lanes only wait on sockets, so
      they are threads: as domains they cost ~10% job latency on a 2-vCPU

@@ -21,9 +21,14 @@
     {2 Failover}
 
     Workers journal every predicate evaluation before streaming it back
-    as a [Verdict] frame; the runner mirrors each verdict into the shared
-    {!Cache} and, through the scheduler's [record], its own journal as it
-    arrives.  When a worker dies mid-job — connection refused, reset, or
+    as a [Verdict] frame; the runner stores each verdict in the shared
+    {!Cache} as it arrives, and nowhere else: the coordinator's journal
+    holds admitted specs, terminal markers and flight dumps, never a
+    [preds.log], and the coordinator relays no [Verdict] frames to its
+    own clients.  With a journal but no [cache_path], the cache persists
+    to [<journal_dir>/verdicts.cache], so a restarted coordinator's
+    recovered jobs are seeded from every verdict it was streamed before
+    the crash.  When a worker dies mid-job — connection refused, reset, or
     EOF without a terminal frame — it is marked dead and the job is
     resubmitted to a survivor {e seeded} with every cached verdict for
     that job's content digest.  The runner replays those seeds instead of
@@ -68,7 +73,9 @@ type config = {
   workers : Lbr_server.Addr.t list;  (** at least one; pinged at {!create} *)
   lanes : int;  (** concurrent delegated jobs per worker (>= 1) *)
   queue_depth : int;  (** cluster-wide cap on queued jobs (backpressure) *)
-  cache_path : string option;  (** persist the verdict cache here *)
+  cache_path : string option;
+      (** persist the verdict cache here; [None] with a [journal_dir]
+          means [<journal_dir>/verdicts.cache] *)
   journal_dir : string option;  (** coordinator WAL + restart recovery *)
   poll_interval : float;
       (** seconds between federation sweeps; [<= 0] disables the
@@ -99,7 +106,7 @@ val close : t -> unit
 
 val recovered : t -> int
 (** Journaled in-flight jobs {!create} re-admitted (their already-paid
-    verdicts warm the cache when they run). *)
+    verdicts are in the persisted cache, and seed them when they run). *)
 
 val poll_workers : t -> unit
 (** One synchronous federation sweep (what the background thread runs

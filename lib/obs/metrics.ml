@@ -178,61 +178,12 @@ let sorted_entries () =
   in
   List.sort (fun (a, _, _) (b, _, _) -> String.compare a b) entries
 
-let rows () =
-  List.map
-    (fun (name, _, m) ->
-      match m with
-      | Counter c -> Counter_row { name; value = counter_value c }
-      | Gauge g -> Gauge_row { name; value = gauge_value g }
-      | Hist h ->
-          let s = histogram_state h in
-          Histogram_row
-            {
-              name;
-              count = Histogram.count s;
-              sum = Histogram.sum s;
-              p50 = Histogram.quantile s 0.5;
-              p90 = Histogram.quantile s 0.9;
-              p99 = Histogram.quantile s 0.99;
-            })
-    (sorted_entries ())
-
 (* Prometheus floats: %g gives "1e-06", "0.00032768", "+Inf" handled
    explicitly. *)
 let prom_float v =
   if v = infinity then "+Inf"
   else if v = neg_infinity then "-Inf"
   else Printf.sprintf "%g" v
-
-let render_prometheus () =
-  let buf = Buffer.create 1024 in
-  List.iter
-    (fun (name, help, m) ->
-      if help <> "" then Buffer.add_string buf (Printf.sprintf "# HELP %s %s\n" name help);
-      match m with
-      | Counter c ->
-          Buffer.add_string buf (Printf.sprintf "# TYPE %s counter\n" name);
-          Buffer.add_string buf (Printf.sprintf "%s %d\n" name (counter_value c))
-      | Gauge g ->
-          Buffer.add_string buf (Printf.sprintf "# TYPE %s gauge\n" name);
-          Buffer.add_string buf (Printf.sprintf "%s %s\n" name (prom_float (gauge_value g)))
-      | Hist h ->
-          let s = histogram_state h in
-          let le = Histogram.upper_bounds s in
-          let counts = Histogram.bucket_counts s in
-          Buffer.add_string buf (Printf.sprintf "# TYPE %s histogram\n" name);
-          let acc = ref 0 in
-          Array.iteri
-            (fun i bound ->
-              acc := !acc + counts.(i);
-              Buffer.add_string buf
-                (Printf.sprintf "%s_bucket{le=\"%s\"} %d\n" name (prom_float bound) !acc))
-            le;
-          Buffer.add_string buf
-            (Printf.sprintf "%s_sum %s\n" name (prom_float (Histogram.sum s)));
-          Buffer.add_string buf (Printf.sprintf "%s_count %d\n" name (Histogram.count s)))
-    (sorted_entries ());
-  Buffer.contents buf
 
 let reset_all () =
   let entries = sorted_entries () in
@@ -496,3 +447,8 @@ let render_prometheus_dump ?label d =
           Buffer.add_string buf (Printf.sprintf "%s_count%s %d\n" name lbl (Histogram.count s)))
     d;
   Buffer.contents buf
+
+(* The live registry renders through its own dump: one renderer, and the
+   histogram rebuilt from a dump has the live one's buckets. *)
+let rows () = rows_of_dump (dump ())
+let render_prometheus () = render_prometheus_dump (dump ())

@@ -95,10 +95,12 @@ type row =
       p99 : float;
     }
 
+(** [rows_of_dump (dump ())]. *)
 val rows : unit -> row list
 
 (** Prometheus text exposition format (counters, gauges, histograms with
-    cumulative [le] buckets, [_sum], [_count]). *)
+    cumulative [le] buckets, [_sum], [_count]):
+    [render_prometheus_dump (dump ())]. *)
 val render_prometheus : unit -> string
 
 (** Zero every registered metric (registrations survive).  Test helper. *)

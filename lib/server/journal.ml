@@ -1,7 +1,7 @@
 type t = {
   root : string;
   mutex : Mutex.t;
-  logs : (string, out_channel) Hashtbl.t;  (* open preds.log handles *)
+  logs : (string, Append_log.t) Hashtbl.t;  (* open preds.log handles *)
 }
 
 let mkdir_p path =
@@ -52,46 +52,29 @@ let record_job t ~id ~spec =
       mkdir_p (job_dir t id);
       write_file_atomic (spec_file t id) spec)
 
-let log_channel t id =
+let log t id =
   match Hashtbl.find_opt t.logs id with
-  | Some oc -> oc
+  | Some log -> log
   | None ->
-      let oc =
-        open_out_gen [ Open_append; Open_creat; Open_binary ] 0o644 (preds_file t id)
-      in
-      Hashtbl.replace t.logs id oc;
-      oc
+      let log = Append_log.open_ (preds_file t id) in
+      Hashtbl.replace t.logs id log;
+      log
 
-(* Two verdict line shapes, distinguished by field count:
-     runner line:    "<32-hex-digest> 0|1 <latency-microseconds> <retries>"
-     mirrored line:  "<32-hex-digest> 0|1"
-   A daemon's runner measured the evaluation and writes the first; the
-   coordinator mirrors a worker's Verdict frame, which carries no
-   latency, and writes the second.  Both keep the verdict at byte 33, so
-   every reader branches on the same offset. *)
-let append_pred t ~id ~key ?latency ?(retries = 0) ok =
+(* The verdict line: "<32-hex-digest> 0|1 <latency-microseconds> <retries>". *)
+let append_pred t ~id ~key ~latency ~retries ok =
   Mutex.lock t.mutex;
   Fun.protect
     ~finally:(fun () -> Mutex.unlock t.mutex)
     (fun () ->
-      let oc = log_channel t id in
-      output_string oc key;
-      output_char oc ' ';
-      output_char oc (if ok then '1' else '0');
-      (match latency with
-      | None -> ()
-      | Some seconds ->
-          let us = int_of_float (Float.max 0. (seconds *. 1e6) +. 0.5) in
-          output_string oc (Printf.sprintf " %d %d" us retries));
-      output_char oc '\n';
-      (* flush to the OS: survives kill -9 (though not power loss) *)
-      flush oc)
+      let us = int_of_float (Float.max 0. (latency *. 1e6) +. 0.5) in
+      Append_log.append (log t id)
+        (Printf.sprintf "%s %c %d %d" key (if ok then '1' else '0') us retries))
 
 let close_log_locked t id =
   match Hashtbl.find_opt t.logs id with
-  | Some oc ->
+  | Some log ->
       Hashtbl.remove t.logs id;
-      close_out_noerr oc
+      Append_log.close log
   | None -> ()
 
 let mark t ~id ~marker ~contents =
@@ -144,62 +127,34 @@ let pending t =
                | exception Sys_error _ -> None
              else None)
 
-(* A verdict line of either shape: 34 bytes exactly (mirrored) or a
-   runner line whose latency/retry tail starts right after the verdict.
-   Torn last lines of a crashed daemon match neither shape and are
-   skipped. *)
-let parse_verdict_line line =
-  let len = String.length line in
-  if len >= 34 && line.[32] = ' ' && (len = 34 || line.[34] = ' ') then
-    match line.[33] with
-    | ('0' | '1') as v -> (
-        let key = String.sub line 0 32 in
-        let ok = v = '1' in
-        if len = 34 then Some (key, ok, None)
-        else
-          match String.split_on_char ' ' (String.sub line 35 (len - 35)) with
-          | [ us; retries ] -> (
-              match (int_of_string_opt us, int_of_string_opt retries) with
-              | Some us, Some retries when us >= 0 && retries >= 0 ->
-                  Some (key, ok, Some (float_of_int us *. 1e-6, retries))
-              | _ -> None)
-          | _ -> None)
-    | _ -> None
-  else None
+type verdict = { v_key : string; v_ok : bool; v_latency : float; v_retries : int }
 
-let fold_verdict_lines t ~id ~init ~f =
-  match open_in_bin (preds_file t id) with
-  | exception Sys_error _ -> init
-  | ic ->
-      let acc = ref init in
-      (try
-         while true do
-           match parse_verdict_line (input_line ic) with
-           | Some v -> acc := f !acc v
-           | None -> ()
-         done
-       with End_of_file -> ());
-      close_in_noerr ic;
-      !acc
+let parse_verdict_line line =
+  match String.split_on_char ' ' line with
+  | [ key; ("0" | "1") as v; us; retries ] when String.length key = 32 -> (
+      match (int_of_string_opt us, int_of_string_opt retries) with
+      | Some us, Some retries when us >= 0 && retries >= 0 ->
+          Some
+            {
+              v_key = key;
+              v_ok = v = "1";
+              v_latency = float_of_int us *. 1e-6;
+              v_retries = retries;
+            }
+      | _ -> None)
+  | _ -> None
+
+(* Malformed lines are skipped; a torn last line never reaches here. *)
+let fold_verdicts t ~id ~init ~f =
+  Append_log.fold (preds_file t id) ~init ~f:(fun acc line ->
+      match parse_verdict_line line with Some v -> f acc v | None -> acc)
 
 let replay t ~id =
   let table = Hashtbl.create 256 in
-  fold_verdict_lines t ~id ~init:() ~f:(fun () (key, ok, _) ->
-      Hashtbl.replace table key ok);
+  fold_verdicts t ~id ~init:() ~f:(fun () v -> Hashtbl.replace table v.v_key v.v_ok);
   table
 
-type verdict = { v_key : string; v_ok : bool; v_latency : float option; v_retries : int option }
-
-let verdicts t ~id =
-  fold_verdict_lines t ~id ~init:[] ~f:(fun acc (key, ok, extra) ->
-      {
-        v_key = key;
-        v_ok = ok;
-        v_latency = Option.map fst extra;
-        v_retries = Option.map snd extra;
-      }
-      :: acc)
-  |> List.rev
+let verdicts t ~id = List.rev (fold_verdicts t ~id ~init:[] ~f:(fun acc v -> v :: acc))
 
 let jobs t =
   Sys.readdir t.root |> Array.to_list |> List.sort String.compare
@@ -226,5 +181,5 @@ let close t =
   Fun.protect
     ~finally:(fun () -> Mutex.unlock t.mutex)
     (fun () ->
-      Hashtbl.iter (fun _ oc -> close_out_noerr oc) t.logs;
+      Hashtbl.iter (fun _ log -> Append_log.close log) t.logs;
       Hashtbl.reset t.logs)

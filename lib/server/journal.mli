@@ -7,16 +7,15 @@
                                   tmp+rename, so it is present iff whole)
     <root>/<job-id>/preds.log   — one line per completed predicate
                                   evaluation, appended and flushed before
-                                  the result is used.  Two line shapes:
-                                    runner:   "<32-hex-digest> 0|1 <us> <retries>\n"
-                                    mirrored: "<32-hex-digest> 0|1\n"
-                                  A daemon's runner writes the first,
+                                  the result is used ({!Append_log}):
+                                    "<32-hex-digest> 0|1 <us> <retries>\n"
                                   where <us> is the evaluation's wall
                                   latency in microseconds and <retries>
                                   how many extra oracle attempts it took.
-                                  The coordinator writes the second when
-                                  it mirrors a worker's Verdict frame,
-                                  which carries no latency.
+                                  Only a process that ran the tool writes
+                                  one: a daemon's runner.  A coordinator
+                                  keeps the verdicts its workers stream
+                                  in its verdict cache instead.
     <root>/<job-id>/counters    — phase timing counters of the run
                                   (one "name calls seconds minor_words"
                                   line per phase), written at completion
@@ -31,7 +30,8 @@
     exactly those on restart and {!replay} rebuilds the table that lets
     the resumed run skip every predicate execution it already paid for.
     A torn final line in [preds.log] (the crash happened mid-append) is
-    ignored, not fatal. *)
+    ignored by every reader and cut off before the restarted daemon
+    appends again, so the next verdict lands on a line of its own. *)
 
 type t
 
@@ -46,12 +46,12 @@ val record_job : t -> id:string -> spec:string -> unit
     and renamed, so a crash can never leave a torn spec. *)
 
 val append_pred :
-  t -> id:string -> key:string -> ?latency:float -> ?retries:int -> bool -> unit
-(** Append one completed predicate evaluation and flush it to the OS —
-    after this returns, a [kill -9] cannot lose the entry.  With
-    [latency] (seconds; [retries] defaults to 0) the runner line is
-    written, letting [lbr-reduce top --journal] reconstruct latency
-    histograms post-mortem; without it the mirrored line. *)
+  t -> id:string -> key:string -> latency:float -> retries:int -> bool -> unit
+(** Append one completed predicate evaluation — its digest, verdict, wall
+    [latency] (seconds, kept to the microsecond) and extra oracle
+    attempts — and flush it to the OS: after this returns, a [kill -9]
+    cannot lose the entry.  [lbr-reduce report --journal] rebuilds
+    latency histograms from these lines post-mortem. *)
 
 val record_counters : t -> id:string -> contents:string -> unit
 (** Write the job's [counters] file (atomic tmp+rename): the per-job phase
@@ -69,13 +69,13 @@ val pending : t -> (string * string) list
 
 val replay : t -> id:string -> (string, bool) Hashtbl.t
 (** The completed predicate evaluations of a job, keyed by digest.
-    Malformed lines are skipped; runner and mirrored lines both count. *)
+    Malformed lines are skipped. *)
 
 type verdict = {
   v_key : string;
   v_ok : bool;
-  v_latency : float option;  (** seconds; [None] on mirrored lines *)
-  v_retries : int option;  (** [None] on mirrored lines *)
+  v_latency : float;  (** seconds *)
+  v_retries : int;  (** extra oracle attempts *)
 }
 
 val verdicts : t -> id:string -> verdict list

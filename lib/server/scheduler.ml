@@ -19,7 +19,7 @@ type runner_ctx = {
   on_cancel : (unit -> unit) -> unit;
   progress : float -> int -> int -> unit;
   replay : (string, bool) Hashtbl.t;
-  record : key:string -> ?latency:float -> ?retries:int -> bool -> unit;
+  record : key:string -> latency:float -> retries:int -> bool -> unit;
 }
 
 type runner = runner_ctx -> Wire.spec -> (Wire.stats * string, string) result
@@ -186,11 +186,11 @@ let run_job t job =
           job.on_event (Progress { sim_time; classes; bytes }));
       replay = job.replay_table;
       record =
-        (fun ~key ?latency ?retries ok ->
+        (fun ~key ~latency ~retries ok ->
           (* WAL first, then stream: a Verdict frame must never name an
              evaluation the journal could still lose. *)
           (match t.journal with
-          | Some j -> Journal.append_pred j ~id:job.id ~key ?latency ?retries ok
+          | Some j -> Journal.append_pred j ~id:job.id ~key ~latency ~retries ok
           | None -> ());
           try job.on_event (Evaluated { key; ok; ctx = job.spec.Wire.trace_ctx })
           with _ -> ());

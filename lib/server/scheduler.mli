@@ -51,11 +51,13 @@ type runner_ctx = {
   replay : (string, bool) Hashtbl.t;
       (** verdicts already paid for — the journal's on resume, the
           coordinator's seeds on failover; empty when cold *)
-  record : key:string -> ?latency:float -> ?retries:int -> bool -> unit;
-      (** WAL a completed predicate evaluation and stream it as
-          {!Evaluated}: digest, verdict and, when this process measured
-          it, wall latency (seconds) and extra oracle attempts.  Without
-          them the journal gets {!Journal.append_pred}'s mirrored line. *)
+  record : key:string -> latency:float -> retries:int -> bool -> unit;
+      (** WAL a completed predicate evaluation ({!Journal.append_pred})
+          and stream it as {!Evaluated}: digest, verdict, wall latency
+          (seconds) and extra oracle attempts.  Only a runner that ran
+          the tool calls it; the coordinator's remote runner does not,
+          so a coordinator journals no verdicts and emits no
+          {!Evaluated}. *)
 }
 
 type runner = runner_ctx -> Wire.spec -> (Wire.stats * string, string) result

@@ -301,12 +301,3 @@ let abort t =
     unlink_unix_path t;
     hang_up_all t
   end
-
-let run ?shutdown config =
-  let shutdown = match shutdown with Some s -> s | None -> Shutdown.install () in
-  let t = start config in
-  Shutdown.on_drain shutdown (fun () -> stop t);
-  while not (Shutdown.requested shutdown) do
-    Thread.delay 0.1
-  done;
-  Shutdown.run_drain shutdown

@@ -19,9 +19,7 @@
     accepted job reaches a terminal state and its Result frame is written
     — then shuts every connection down (each handler thread closes its
     own fd, so a late job event never reaches a socket that reused the
-    number).  {!run} is the blocking CLI entry: it
-    serves until the {!Shutdown} flag fires, then performs the same
-    drain. *)
+    number). *)
 
 type config = {
   listen : Addr.t;
@@ -62,7 +60,3 @@ val abort : t -> unit
     with no drain and no terminal frames.  In-flight jobs keep running
     detached on their domains; their events go nowhere.  For failover
     tests — production shutdown is {!stop}. *)
-
-val run : ?shutdown:Shutdown.t -> config -> unit
-(** [start], then block until SIGINT/SIGTERM (or [Shutdown.request] on the
-    provided handle), then {!stop}. *)

@@ -139,11 +139,13 @@ type message =
       ctx : Lbr_obs.Trace.Context.t option;
     }
       (** server → client: one frame per {e fresh} predicate evaluation,
-          emitted after the verdict is journaled.  The coordinator folds
-          these into the cluster-wide verdict cache as they happen, so a
-          job's paid executions survive its worker.  [ctx] echoes the
-          job's trace context so the receiver can attribute the
-          evaluation to the right distributed trace. *)
+          emitted after the verdict is journaled.  Only the node that ran
+          the tool streams them — a worker daemon — and the coordinator
+          is their only consumer: it folds them into the cluster-wide
+          verdict cache as they happen, so a job's paid executions
+          survive its worker, and relays none to its own clients.
+          [ctx] echoes the job's trace context so the receiver can
+          attribute the evaluation to the right distributed trace. *)
   | Trace_dump_request  (** client → server: ask for the node's span rings. *)
   | Trace_dump_reply of trace_dump
   | Metrics_dump_request

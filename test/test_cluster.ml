@@ -609,7 +609,8 @@ let test_cluster_failover_byte_identical () =
   let col = collector () in
   let hits0 = counter_value "lbr_cluster_cache_hits_total" in
   let failovers0 = counter_value "lbr_cluster_failovers_total" in
-  let id = submit_ok coordinator col (spec_of_seed ~classes:64 seed) in
+  let spec = spec_of_seed ~classes:64 seed in
+  let id = submit_ok coordinator col spec in
   await_done col 1;
   Alcotest.(check bool) "a worker was killed mid-job" true (Atomic.get trig.t_fired);
   (match Hashtbl.find_opt col.c_done id with
@@ -628,17 +629,59 @@ let test_cluster_failover_byte_identical () =
     (counter_value "lbr_cluster_failovers_total" - failovers0 >= 1);
   Alcotest.(check bool) "cache hits counted" true
     (counter_value "lbr_cluster_cache_hits_total" - hits0 > 0);
-  (* the coordinator journal mirrored the worker's verdicts *)
-  let journal = Journal.open_dir journal_dir in
-  let mirrored = Journal.verdicts journal ~id in
-  Journal.close journal;
-  Alcotest.(check bool) "coordinator journal holds mirrored verdicts" true
-    (List.length mirrored > 0);
+  (* the coordinator recorded the worker's verdicts once: in its cache *)
+  let job = Cache.job_key spec in
+  let cached =
+    Append_log.fold (Filename.concat journal_dir "verdicts.cache") ~init:0 ~f:(fun n line ->
+        if String.starts_with ~prefix:(job ^ " ") line then n + 1 else n)
+  in
+  Alcotest.(check bool) "the cache file holds the job's verdicts" true (cached > 0);
+  Alcotest.(check bool) "the coordinator journal has no preds.log" false
+    (Sys.file_exists (Filename.concat (Filename.concat journal_dir id) "preds.log"));
   Coordinator.close coordinator;
   (* the killed link's worker process is still alive and finishes its
      orphaned job on its own, so both daemons stop gracefully *)
   Server.stop w0;
   Server.stop w1
+
+(* A coordinator restarted on its journal alone, with no cache path: the
+   verdicts its workers streamed before the crash are in
+   [<journal>/verdicts.cache], and they seed the recovered job, which
+   finishes byte-identical without paying for them again. *)
+let test_cluster_restart_replays_journal_cache () =
+  let seed = 21 in
+  let ref_outcome, ref_bytes = reference_run ~classes:16 seed in
+  let spec = spec_of_seed ~classes:16 seed in
+  let w = start_worker () in
+  (* Pay for the job's verdicts once, through a coordinator with a cache. *)
+  let paid = Filename.concat (fresh_dir "paidcache") "verdicts.cache" in
+  let c0 = coordinator ~cache_path:paid [ Server.bound_addr w ] in
+  let col = collector () in
+  ignore (submit_ok c0 col spec : string);
+  await_done col 1;
+  Coordinator.close c0;
+  (* The crash state: the job journaled with no terminal marker, and the
+     first half of its verdicts in the journal's cache file. *)
+  let journal_dir = fresh_dir "restart" in
+  let j = Journal.open_dir journal_dir in
+  Journal.record_job j ~id:"job-000001" ~spec:(Wire.spec_to_string spec);
+  Journal.close j;
+  let lines = List.rev (Append_log.fold paid ~init:[] ~f:(fun acc l -> l :: acc)) in
+  let log = Append_log.open_ (Filename.concat journal_dir "verdicts.cache") in
+  List.iteri (fun i l -> if 2 * i < List.length lines then Append_log.append log l) lines;
+  Append_log.close log;
+  let coordinator = coordinator ~journal_dir [ Server.bound_addr w ] in
+  Alcotest.(check int) "one job recovered" 1 (Coordinator.recovered coordinator);
+  (match Scheduler.await (Coordinator.scheduler coordinator) "job-000001" with
+  | Scheduler.Done (stats, bytes) ->
+      Alcotest.(check string) "recovered result byte-identical to reference" ref_bytes bytes;
+      Alcotest.(check int) "same total predicate runs as an uninterrupted run"
+        ref_outcome.Lbr_harness.Experiment.predicate_runs stats.Wire.predicate_runs;
+      Alcotest.(check bool) "the journal's cache seeded the recovered job" true
+        (stats.Wire.replayed_runs > 0)
+  | st -> Alcotest.failf "recovered job ended %s" (status_name (Some st)));
+  Coordinator.close coordinator;
+  Server.stop w
 
 (* Cancel a delegated job mid-run.  After the worker's Accepted the
    coordinator knows the remote id and cancels it at once; before it
@@ -953,6 +996,8 @@ let () =
             test_cluster_warm_cache_resubmission;
           Alcotest.test_case "failover after kill: byte-identical, fewer executions" `Slow
             test_cluster_failover_byte_identical;
+          Alcotest.test_case "restart replays the journal's verdict cache" `Slow
+            test_cluster_restart_replays_journal_cache;
           Alcotest.test_case "corrupt journaled spec marked failed" `Quick
             test_cluster_recover_marks_corrupt_spec_failed;
           Alcotest.test_case "dead cluster: Accepted then Job_failed, never a hang" `Quick

@@ -400,13 +400,62 @@ let prop_wire_tcp_bitflip_never_raises =
       verdict)
 
 (* ------------------------------------------------------------------ *)
+(* Append log                                                          *)
+
+(* Lines of any length up to a few chunks of [Append_log]'s backward
+   scan, never containing the separator. *)
+let gen_log_line =
+  QCheck.Gen.(
+    map
+      (String.map (fun c -> if c = '\n' then ' ' else c))
+      (string_size ~gen:char (frequency [ (9, 0 -- 40); (1, 4000 -- 9000) ])))
+
+(* kill -9 mid-append: write [lines], cut the file at any byte of its
+   last line (its newline excluded, so the line is torn), reopen and
+   append [more].  The log then holds exactly the lines before the cut,
+   then [more] — the fragment is neither yielded nor glued to a new line. *)
+let prop_append_log_torn_tail =
+  let dir = lazy (fresh_dir "append-log") in
+  let case = ref 0 in
+  QCheck.Test.make ~count:200 ~name:"torn tail is dropped, later appends survive"
+    QCheck.(
+      make
+        ~print:Print.(triple (list string) int (list string))
+        Gen.(
+          triple
+            (list_size (1 -- 20) gen_log_line)
+            nat
+            (list_size (0 -- 5) gen_log_line)))
+    (fun (lines, cut, more) ->
+      incr case;
+      let path = Filename.concat (Lazy.force dir) (Printf.sprintf "log-%d" !case) in
+      let write path lines =
+        let log = Append_log.open_ path in
+        List.iter (Append_log.append log) lines;
+        Append_log.close log
+      in
+      write path lines;
+      let whole = List.filteri (fun i _ -> i < List.length lines - 1) lines in
+      let last = List.nth lines (List.length lines - 1) in
+      let start = List.fold_left (fun n l -> n + String.length l + 1) 0 whole in
+      Unix.truncate path (start + (cut mod (String.length last + 1)));
+      let read () = List.rev (Append_log.fold path ~init:[] ~f:(fun acc l -> l :: acc)) in
+      let before = read () in
+      write path more;
+      let after = read () in
+      Sys.remove path;
+      before = whole && after = whole @ more)
+
+(* ------------------------------------------------------------------ *)
 (* Journal                                                             *)
 
 let test_journal_record_and_replay () =
   let j = Journal.open_dir (fresh_dir "journal") in
   Journal.record_job j ~id:"job-000001" ~spec:"SPEC BYTES";
-  Journal.append_pred j ~id:"job-000001" ~key:(String.make 32 'a') true;
-  Journal.append_pred j ~id:"job-000001" ~key:(String.make 32 'b') false;
+  Journal.append_pred j ~id:"job-000001" ~key:(String.make 32 'a') ~latency:0.001 ~retries:0
+    true;
+  Journal.append_pred j ~id:"job-000001" ~key:(String.make 32 'b') ~latency:0.001 ~retries:0
+    false;
   Alcotest.(check (list (pair string string)))
     "pending sees the job"
     [ ("job-000001", "SPEC BYTES") ]
@@ -426,7 +475,8 @@ let test_journal_tolerates_torn_line () =
   let dir = fresh_dir "torn" in
   let j = Journal.open_dir dir in
   Journal.record_job j ~id:"job-000007" ~spec:"S";
-  Journal.append_pred j ~id:"job-000007" ~key:(String.make 32 '1') true;
+  Journal.append_pred j ~id:"job-000007" ~key:(String.make 32 '1') ~latency:0.001 ~retries:0
+    true;
   Journal.close j;
   (* simulate a crash mid-append: a torn trailing line *)
   let oc =
@@ -441,15 +491,44 @@ let test_journal_tolerates_torn_line () =
   Alcotest.(check int) "max job number" 7 (Journal.max_job_number j);
   Journal.close j
 
-let test_journal_line_shapes () =
+(* A daemon killed mid-append leaves a torn fragment after its last whole
+   verdict.  The restarted daemon must cut it off before appending, or
+   its first new verdict is glued to the fragment and lost. *)
+let test_journal_append_after_torn_tail () =
+  let dir = fresh_dir "torn-append" in
+  let j = Journal.open_dir dir in
+  Journal.record_job j ~id:"job-000002" ~spec:"S";
+  Journal.append_pred j ~id:"job-000002" ~key:(String.make 32 'a') ~latency:0.001 ~retries:0
+    true;
+  Journal.close j;
+  let log = Filename.concat (Filename.concat dir "job-000002") "preds.log" in
+  let whole = In_channel.with_open_bin log In_channel.input_all in
+  (* the second verdict's line, cut mid-append *)
+  Out_channel.with_open_gen [ Open_append; Open_binary ] 0o644 log (fun oc ->
+      output_string oc (String.make 32 'b' ^ " 0 12"));
+  let j = Journal.open_dir dir in
+  Journal.append_pred j ~id:"job-000002" ~key:(String.make 32 'c') ~latency:0.002 ~retries:1
+    false;
+  let table = Journal.replay j ~id:"job-000002" in
+  Journal.close j;
+  Alcotest.(check (list (pair string bool)))
+    "both whole verdicts replay"
+    [ (String.make 32 'a', true); (String.make 32 'c', false) ]
+    (List.sort compare (List.of_seq (Hashtbl.to_seq table)));
+  Alcotest.(check string) "the torn fragment is cut, not sealed"
+    (whole ^ String.make 32 'c' ^ " 0 2000 1\n")
+    (In_channel.with_open_bin log In_channel.input_all)
+
+let test_journal_line_shape () =
   let dir = fresh_dir "lines" in
   let j = Journal.open_dir dir in
   Journal.record_job j ~id:"job-000003" ~spec:"S";
-  (* both shapes in one log: a mirrored line (no latency) among runner lines *)
-  Journal.append_pred j ~id:"job-000003" ~key:(String.make 32 'a') true;
+  Journal.append_pred j ~id:"job-000003" ~key:(String.make 32 'a') ~latency:0.5 ~retries:0
+    true;
   Journal.append_pred j ~id:"job-000003" ~key:(String.make 32 'b') ~latency:0.25 ~retries:2
     false;
-  Journal.append_pred j ~id:"job-000003" ~key:(String.make 32 'c') ~latency:1e-6 true;
+  Journal.append_pred j ~id:"job-000003" ~key:(String.make 32 'c') ~latency:1e-6 ~retries:0
+    true;
   Journal.close j;
   let j = Journal.open_dir dir in
   let table = Journal.replay j ~id:"job-000003" in
@@ -458,15 +537,10 @@ let test_journal_line_shapes () =
     (Hashtbl.find_opt table (String.make 32 'b'));
   (match Journal.verdicts j ~id:"job-000003" with
   | [ a; b; c ] ->
-      Alcotest.(check bool) "mirrored line has no latency" true (a.Journal.v_latency = None);
-      Alcotest.(check (option int)) "mirrored line has no retries" None a.Journal.v_retries;
-      (match b.Journal.v_latency with
-      | Some l -> Alcotest.(check (float 1e-9)) "runner latency survives (us precision)" 0.25 l
-      | None -> Alcotest.fail "runner line lost its latency");
-      Alcotest.(check (option int)) "runner retries survive" (Some 2) b.Journal.v_retries;
-      (match c.Journal.v_latency with
-      | Some l -> Alcotest.(check (float 1e-12)) "1us latency survives" 1e-6 l
-      | None -> Alcotest.fail "runner line lost its 1us latency");
+      Alcotest.(check (float 1e-9)) "runner latency survives (us precision)" 0.25
+        b.Journal.v_latency;
+      Alcotest.(check int) "runner retries survive" 2 b.Journal.v_retries;
+      Alcotest.(check (float 1e-12)) "1us latency survives" 1e-6 c.Journal.v_latency;
       Alcotest.(check bool) "append order preserved" true (a.Journal.v_ok && c.Journal.v_ok)
   | vs -> Alcotest.failf "expected 3 verdicts, got %d" (List.length vs));
   Alcotest.(check (list string)) "jobs lists the journaled job" [ "job-000003" ]
@@ -741,6 +815,7 @@ let test_journal_replay_resumes_with_fewer_executions () =
       if i < prefix_len then
         Journal.append_pred j2 ~id:id1
           ~key:(String.sub line 0 32)
+          ~latency:0. ~retries:0
           (line.[33] = '1'))
     cold_log;
   Journal.close j2;
@@ -879,7 +954,7 @@ let runner_ctx ?(should_stop = fun () -> false) ~replay journal =
     on_cancel = ignore;
     progress = (fun _ _ _ -> ());
     replay;
-    record = (fun ~key ?latency:_ ?retries:_ ok -> journal := (key, ok) :: !journal);
+    record = (fun ~key ~latency:_ ~retries:_ ok -> journal := (key, ok) :: !journal);
   }
 
 let runner_ok ctx spec =
@@ -1375,14 +1450,16 @@ let () =
         [ prop_wire_decode_never_raises; prop_wire_truncation_rejected;
           prop_wire_bitflip_never_raises; prop_wire_tcp_truncation_rejected;
           prop_wire_tcp_bitflip_never_raises; prop_wire_ctx_roundtrip ];
+      qsuite "append-log-prop" [ prop_append_log_torn_tail ];
       ( "journal",
         [
           Alcotest.test_case "record, replay, terminal markers" `Quick
             test_journal_record_and_replay;
           Alcotest.test_case "torn trailing line is skipped" `Quick
             test_journal_tolerates_torn_line;
-          Alcotest.test_case "mirrored and runner lines" `Quick
-            test_journal_line_shapes;
+          Alcotest.test_case "torn tail, then append: both verdicts replay" `Quick
+            test_journal_append_after_torn_tail;
+          Alcotest.test_case "one verdict line shape" `Quick test_journal_line_shape;
           Alcotest.test_case "unsafe job ids rejected" `Quick test_journal_rejects_unsafe_ids;
         ] );
       ( "scheduler",
