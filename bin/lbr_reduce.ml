@@ -801,28 +801,15 @@ let top_cmd =
           (if total = 0. then 0. else 100. *. hits /. total)
     | _ -> ()
   in
-  (* Verdict and speculation counters: local on a worker, under the
-     federated [worker="cluster"] label on a coordinator — prefer the
-     cluster view when both exist. *)
+  (* Verdict counters: local on a worker, under the federated
+     [worker="cluster"] label on a coordinator — prefer the cluster view
+     when both exist. *)
   let counter_view text =
     let samples = prom_samples text in
     fun name ->
       match List.assoc_opt (name ^ "{worker=\"cluster\"}") samples with
       | Some _ as v -> v
       | None -> List.assoc_opt name samples
-  in
-  let spec_section value =
-    match value "lbr_spec_launched_total" with
-    | None -> ()
-    | Some launched ->
-        let count n = int_of_float (Option.value ~default:0. (value n)) in
-        let committed = count "lbr_spec_committed_total" in
-        let cancelled = count "lbr_spec_cancelled_total" in
-        Printf.printf
-          "speculation: %d launched, %d committed, %d cancelled (%.1f%% wasted)\n"
-          (int_of_float launched) committed cancelled
-          (if launched = 0. then 0.
-           else 100. *. float_of_int cancelled /. launched)
   in
   let online socket metrics =
     match Lbr_server.Client.connect (Lbr_server.Addr.to_string socket) with
@@ -843,7 +830,6 @@ let top_cmd =
             let fresh, replayed = verdict_counts counter in
             Printf.printf "verdicts: %.0f fresh, %.0f replayed\n" fresh replayed;
             cluster_section s.metrics_text;
-            spec_section counter;
             (match s.job_stats with
             | [] -> print_endline "no jobs in flight"
             | jobs ->

@@ -16,12 +16,12 @@ let job_key (spec : Lbr_server.Wire.spec) =
   Buffer.add_char b '\x00';
   Buffer.add_string b spec.tool;
   Buffer.add_char b '\x00';
-  Buffer.add_uint8 b
+  Lbr_codec.Codec.w_u8 b
     (match spec.crash_policy with
     | Lbr_runtime.Oracle.Crash_fails -> 0
     | Crash_passes -> 1
     | Crash_raises -> 2);
-  Buffer.add_uint16_be b spec.retries;
+  Lbr_codec.Codec.w_u16 b spec.retries;
   Buffer.add_string b spec.pool_bytes;
   Digest.to_hex (Digest.string (Buffer.contents b))
 

@@ -51,7 +51,6 @@ type t = {
   fed_dumps : Metrics.dump option array;  (* last pull, indexed by worker id *)
   fed_stop : bool Atomic.t;
   mutable fed_thread : Thread.t option;
-  g_waste : Metrics.gauge;
 }
 
 let scheduler t = t.scheduler
@@ -269,8 +268,7 @@ let metrics_text t =
     @ [ Metrics.render_prometheus_dump ~label:("worker", "cluster") merged ])
 
 (* One federation sweep: pull every live worker's registry over
-   [Metrics_dump_request], refresh heartbeat-age gauges, and recompute
-   the cluster-wide speculation waste ratio from the merged view.  All
+   [Metrics_dump_request] and refresh heartbeat-age gauges.  All
    network I/O happens outside the lock; a failed pull leaves the
    previous dump in place (and the heartbeat age growing). *)
 let poll_workers t =
@@ -291,17 +289,7 @@ let poll_workers t =
   let now = Unix.gettimeofday () in
   Array.iter
     (fun w -> Metrics.set_gauge w.w_hb_gauge (now -. w.w_last_poll))
-    t.fleet.workers;
-  let _, merged = federated t in
-  let cval name =
-    match Metrics.find_in_dump merged name with
-    | Some (Metrics.D_counter n) -> n
-    | _ -> 0
-  in
-  let launched = cval "lbr_spec_launched_total" in
-  let cancelled = cval "lbr_spec_cancelled_total" in
-  if launched > 0 then
-    Metrics.set_gauge t.g_waste (float_of_int cancelled /. float_of_int launched)
+    t.fleet.workers
 
 let fed_loop t () =
   while not (Atomic.get t.fed_stop) do
@@ -390,7 +378,6 @@ let create (config : config) =
       fed_dumps = Array.make (Array.length workers) None;
       fed_stop = Atomic.make false;
       fed_thread = None;
-      g_waste = Metrics.gauge ~help:"cluster-wide speculation waste: cancelled launches / all launches" "lbr_cluster_spec_waste_ratio";
     }
   in
   if config.poll_interval > 0. then

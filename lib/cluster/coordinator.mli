@@ -63,11 +63,10 @@
     [lbr_cluster_failovers_total], [lbr_cluster_workers_alive] and
     [lbr_cluster_cache_entries].  A federation thread additionally pulls
     each worker's whole registry every [poll_interval] seconds,
-    maintaining [lbr_cluster_w<i>_heartbeat_age_seconds] gauges and the
-    [lbr_cluster_spec_waste_ratio] gauge (cancelled / launched
-    speculations, cluster-wide); {!metrics_text} concatenates the local
-    registry, each worker's dump under a [worker="wN"] label, and the
-    exact merge under [worker="cluster"]. *)
+    maintaining [lbr_cluster_w<i>_heartbeat_age_seconds] gauges;
+    {!metrics_text} concatenates the local registry, each worker's dump
+    under a [worker="wN"] label, and the exact merge under
+    [worker="cluster"]. *)
 
 type config = {
   workers : Lbr_server.Addr.t list;  (** at least one; pinged at {!create} *)
@@ -111,9 +110,8 @@ val recovered : t -> int
 val poll_workers : t -> unit
 (** One synchronous federation sweep (what the background thread runs
     every [poll_interval] seconds) — pull each live worker's metric
-    registry, refresh heartbeat-age gauges, recompute the speculation
-    waste ratio.  Exposed so tests and one-shot tools get a
-    deterministic view without sleeping. *)
+    registry and refresh heartbeat-age gauges.  Exposed so tests and
+    one-shot tools get a deterministic view without sleeping. *)
 
 val federated : t -> (string * Lbr_obs.Metrics.dump) list * Lbr_obs.Metrics.dump
 (** [(per_worker, merged)]: each worker's last-pulled registry dump under

@@ -58,19 +58,8 @@ let fetch addr =
 
 let magic = "LBRTD1"
 
-let w_u32 b n =
-  Buffer.add_uint8 b ((n lsr 24) land 0xff);
-  Buffer.add_uint8 b ((n lsr 16) land 0xff);
-  Buffer.add_uint8 b ((n lsr 8) land 0xff);
-  Buffer.add_uint8 b (n land 0xff)
-
-let w_f64 b v = Buffer.add_int64_be b (Int64.bits_of_float v)
-
-let w_str16 b s =
-  Buffer.add_uint16_be b (String.length s);
-  Buffer.add_string b s
-
 let to_string d =
+  let open Lbr_codec.Codec in
   let b = Buffer.create 4096 in
   Buffer.add_string b magic;
   w_str16 b d.nd_node;
@@ -78,61 +67,20 @@ let to_string d =
   w_f64 b d.nd_server_now;
   w_f64 b d.nd_client_mid;
   w_u32 b d.nd_dropped;
-  Buffer.add_string b (Wire.trace_events_to_string d.nd_events);
+  Wire.w_trace_events b d.nd_events;
   Buffer.contents b
 
 let of_string data =
-  let pos = ref 0 in
-  let len = String.length data in
-  let need n what =
-    if !pos + n > len then Error (Printf.sprintf "truncated .tdump (%s)" what)
-    else Ok ()
-  in
-  let ( let* ) = Result.bind in
-  let* () = need (String.length magic) "magic" in
-  if String.sub data 0 (String.length magic) <> magic then
-    Error "not a .tdump file (bad magic)"
-  else begin
-    pos := String.length magic;
-    let u8 () =
-      let n = Char.code data.[!pos] in
-      pos := !pos + 1;
-      n
-    in
-    let* () = need 2 "node length" in
-    (* force left-to-right byte order: OCaml evaluates operator operands
-       right to left, so inlining the u8 calls would swap the bytes *)
-    let u16 () =
-      let hi = u8 () in
-      let lo = u8 () in
-      (hi lsl 8) lor lo
-    in
-    let u32 () =
-      let hi = u16 () in
-      let lo = u16 () in
-      (hi lsl 16) lor lo
-    in
-    let node_len = u16 () in
-    let* () = need node_len "node" in
-    let nd_node = String.sub data !pos node_len in
-    pos := !pos + node_len;
-    let f64 () =
-      let bits = ref 0L in
-      for _ = 1 to 8 do
-        bits := Int64.logor (Int64.shift_left !bits 8) (Int64.of_int (u8 ()))
-      done;
-      Int64.float_of_bits !bits
-    in
-    let* () = need 28 "header" in
-    let nd_epoch = f64 () in
-    let nd_server_now = f64 () in
-    let nd_client_mid = f64 () in
-    let nd_dropped = u32 () in
-    let* nd_events =
-      Wire.trace_events_of_string (String.sub data !pos (len - !pos))
-    in
-    Ok { nd_node; nd_epoch; nd_server_now; nd_client_mid; nd_dropped; nd_events }
-  end
+  let open Lbr_codec.Codec in
+  read data (fun r ->
+      r_magic r magic;
+      let nd_node = r_str16 r in
+      let nd_epoch = r_f64 r in
+      let nd_server_now = r_f64 r in
+      let nd_client_mid = r_f64 r in
+      let nd_dropped = r_u32 r in
+      let nd_events = Wire.r_trace_events r in
+      { nd_node; nd_epoch; nd_server_now; nd_client_mid; nd_dropped; nd_events })
 
 let write_file path d =
   let oc = open_out_bin path in

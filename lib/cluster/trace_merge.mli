@@ -32,7 +32,8 @@ val skew : node_dump -> float
 (** Estimated clock offset: add to node-clock times to get dumper time. *)
 
 val to_string : node_dump -> string
-(** Binary [.tdump] form ("LBRTD1" magic; events in the wire encoding). *)
+(** Binary [.tdump] form: "LBRTD1" magic, a header in
+    {!Lbr_codec.Codec} primitives, then the events in the wire encoding. *)
 
 val of_string : string -> (node_dump, string) result
 (** Total: [Ok] or [Error], never an exception. *)

@@ -1,55 +1,14 @@
 open Classfile
+open Lbr_codec.Codec
 
 let magic = "LBRC"
 let version = 1
 
-(* ------------------------------------------------------------------ *)
-(* Writer primitives                                                   *)
-
-type writer = { buf : Buffer.t }
-
-let w_u8 w n =
-  assert (n >= 0 && n < 0x100);
-  Buffer.add_char w.buf (Char.chr n)
-
-let w_u16 w n =
-  if n < 0 || n > 0xFFFF then invalid_arg "Serialize: u16 overflow";
-  Buffer.add_char w.buf (Char.chr (n lsr 8));
-  Buffer.add_char w.buf (Char.chr (n land 0xFF))
-
-let w_list w f xs =
-  w_u16 w (List.length xs);
+let w_list b f xs =
+  w_u16 b (List.length xs);
   List.iter f xs
 
-(* ------------------------------------------------------------------ *)
-(* Reader primitives                                                   *)
-
-type reader = { data : string; mutable pos : int }
-
-exception Malformed of string
-
-let fail fmt = Printf.ksprintf (fun m -> raise (Malformed m)) fmt
-
-let r_u8 r =
-  if r.pos >= String.length r.data then fail "truncated (u8 at %d)" r.pos;
-  let n = Char.code r.data.[r.pos] in
-  r.pos <- r.pos + 1;
-  n
-
-let r_u16 r =
-  let hi = r_u8 r in
-  let lo = r_u8 r in
-  (hi lsl 8) lor lo
-
-let r_bytes r n =
-  if r.pos + n > String.length r.data then fail "truncated (%d bytes at %d)" n r.pos;
-  let s = String.sub r.data r.pos n in
-  r.pos <- r.pos + n;
-  s
-
-let r_list r f =
-  let n = r_u16 r in
-  List.init n (fun _ -> f r)
+let r_list r f = List.init (r_count r (r_u16 r)) (fun _ -> f r)
 
 (* ------------------------------------------------------------------ *)
 (* Per-class string table                                              *)
@@ -94,7 +53,7 @@ let rec w_jtype w tab = function
       w_jtype w tab t
 
 (* The server feeds this reader attacker-shaped bytes straight off a
-   socket, so every access must fail with [Malformed], never raise
+   socket, so every access must fail through [Codec.fail], never raise
    anything else: string indices are bounds-checked and array-type
    nesting is depth-capped (the writer never emits anywhere near this
    depth; unchecked recursion would let a tag-6 run overflow the stack). *)
@@ -200,11 +159,7 @@ let w_class w (c : cls) =
   let tab = Strtab.create () in
   collect_class_strings tab c;
   (* string table *)
-  w_list w
-    (fun s ->
-      w_u16 w (String.length s);
-      Buffer.add_string w.buf s)
-    (Strtab.to_list tab);
+  w_list w (w_str16 w) (Strtab.to_list tab);
   let str x = w_u16 w (Strtab.intern tab x) in
   str c.name;
   str c.super;
@@ -233,12 +188,7 @@ let w_class w (c : cls) =
   w_list w str c.inner_classes
 
 let r_class r =
-  let strings =
-    r_list r (fun r ->
-        let len = r_u16 r in
-        r_bytes r len)
-    |> Array.of_list
-  in
+  let strings = Array.of_list (r_list r r_str16) in
   let str () = r_string r strings in
   let name = str () in
   let super = str () in
@@ -292,40 +242,27 @@ let r_class r =
 (* Entry points                                                        *)
 
 let class_to_bytes c =
-  let w = { buf = Buffer.create 512 } in
-  w_class w c;
-  Buffer.contents w.buf
+  let b = Buffer.create 512 in
+  w_class b c;
+  Buffer.contents b
 
-let class_of_bytes data =
-  match r_class { data; pos = 0 } with
-  | c -> Ok c
-  | exception Malformed m -> Error m
-  | exception Invalid_argument m -> Error m
+let class_of_bytes data = read data r_class
 
 let to_bytes pool =
-  let w = { buf = Buffer.create 4096 } in
-  Buffer.add_string w.buf magic;
-  w_u16 w version;
-  let classes = Classpool.classes pool in
-  w_u16 w (List.length classes);
-  List.iter (w_class w) classes;
-  Buffer.contents w.buf
+  let b = Buffer.create 4096 in
+  Buffer.add_string b magic;
+  w_u16 b version;
+  w_list b (w_class b) (Classpool.classes pool);
+  Buffer.contents b
 
 let of_bytes data =
-  let r = { data; pos = 0 } in
-  match
-    let m = r_bytes r 4 in
-    if m <> magic then fail "bad magic %S" m;
-    let v = r_u16 r in
-    if v <> version then fail "unsupported version %d" v;
-    let count = r_u16 r in
-    let classes = List.init count (fun _ -> r_class r) in
-    if r.pos <> String.length data then fail "trailing garbage at %d" r.pos;
-    Classpool.of_classes classes
-  with
-  | pool -> Ok pool
-  | exception Malformed m -> Error m
-  | exception Invalid_argument m -> Error m
+  read data (fun r ->
+      r_magic r magic;
+      let v = r_u16 r in
+      if v <> version then fail "unsupported version %d" v;
+      match Classpool.of_classes (r_list r r_class) with
+      | pool -> pool
+      | exception Invalid_argument m -> fail "%s" m)
 
 let serialized_size pool = String.length (to_bytes pool)
 

@@ -13,9 +13,13 @@ module Histogram = struct
     growth : float;
   }
 
+  let layout_ok ~lo ~growth ~buckets =
+    Float.is_finite lo && Float.is_finite growth && lo > 0. && growth > 1. && buckets >= 2
+
   let create ?(lo = 1e-6) ?(growth = 2.0) ?(buckets = 32) () =
-    if not (lo > 0. && growth > 1. && buckets >= 2) then
-      invalid_arg "Metrics.Histogram.create: need lo > 0, growth > 1, buckets >= 2";
+    if not (layout_ok ~lo ~growth ~buckets) then
+      invalid_arg
+        "Metrics.Histogram.create: need finite lo > 0 and growth > 1, buckets >= 2";
     let le =
       Array.init buckets (fun i ->
           if i = buckets - 1 then infinity else lo *. (growth ** float_of_int i))
@@ -229,26 +233,17 @@ let dump () =
     (sorted_entries ())
 
 (* Wire form: "LBRM1", then n(u32) entries of
-   name str16 | help str16 | tag u8 | payload (all big-endian).  Kept
+   name str16 | help str16 | tag u8 | payload (Codec primitives).  Kept
    here (not in the server's Wire module) because the codec is the
    federation payload on every transport, including files. *)
 
 let dump_magic = "LBRM1"
 
-let w_u8 b v = Buffer.add_uint8 b (v land 0xff)
-let w_u16 b v = Buffer.add_uint16_be b (v land 0xffff)
-let w_i64 b v = Buffer.add_int64_be b (Int64.of_int v)
-let w_f64 b v = Buffer.add_int64_be b (Int64.bits_of_float v)
-
-let w_str16 b s =
-  if String.length s > 0xffff then invalid_arg "Metrics.encode_dump: string too long";
-  w_u16 b (String.length s);
-  Buffer.add_string b s
-
 let encode_dump d =
+  let open Lbr_codec.Codec in
   let b = Buffer.create 1024 in
   Buffer.add_string b dump_magic;
-  Buffer.add_int32_be b (Int32.of_int (List.length d));
+  w_u32 b (List.length d);
   List.iter
     (fun (name, help, v) ->
       w_str16 b name;
@@ -265,86 +260,37 @@ let encode_dump d =
           w_f64 b d_lo;
           w_f64 b d_growth;
           w_u16 b (Array.length d_counts);
-          Array.iter (fun c -> w_i64 b c) d_counts;
+          Array.iter (w_i64 b) d_counts;
           w_f64 b d_sum)
     d;
   Buffer.contents b
 
-exception Malformed_dump of string
-
+(* A dump comes off the wire from another node: every histogram it
+   carries must have a layout {!Histogram.create} accepts, or rendering
+   it would raise. *)
 let decode_dump s =
-  let pos = ref 0 in
-  let need n =
-    if !pos + n > String.length s then raise (Malformed_dump "truncated dump")
-  in
-  let r_u8 () =
-    need 1;
-    let v = Char.code s.[!pos] in
-    pos := !pos + 1;
-    v
-  in
-  let r_u16 () =
-    need 2;
-    let v = String.get_uint16_be s !pos in
-    pos := !pos + 2;
-    v
-  in
-  let r_u32 () =
-    need 4;
-    let v = Int32.to_int (String.get_int32_be s !pos) land 0xffffffff in
-    pos := !pos + 4;
-    v
-  in
-  let r_i64 () =
-    need 8;
-    let v = Int64.to_int (String.get_int64_be s !pos) in
-    pos := !pos + 8;
-    v
-  in
-  let r_f64 () =
-    need 8;
-    let v = Int64.float_of_bits (String.get_int64_be s !pos) in
-    pos := !pos + 8;
-    v
-  in
-  let r_str16 () =
-    let n = r_u16 () in
-    need n;
-    let v = String.sub s !pos n in
-    pos := !pos + n;
-    v
-  in
-  try
-    need (String.length dump_magic);
-    if String.sub s 0 (String.length dump_magic) <> dump_magic then
-      raise (Malformed_dump "bad dump magic");
-    pos := String.length dump_magic;
-    let n = r_u32 () in
-    if n > 1_000_000 then raise (Malformed_dump "implausible entry count");
-    let entries =
-      List.init n (fun _ ->
-          let name = r_str16 () in
-          let help = r_str16 () in
+  let open Lbr_codec.Codec in
+  read s (fun r ->
+      r_magic r dump_magic;
+      List.init (r_count r (r_u32 r)) (fun _ ->
+          let name = r_str16 r in
+          let help = r_str16 r in
           let v =
-            match r_u8 () with
-            | 0 -> D_counter (r_i64 ())
-            | 1 -> D_gauge (r_f64 ())
+            match r_u8 r with
+            | 0 -> D_counter (r_i64 r)
+            | 1 -> D_gauge (r_f64 r)
             | 2 ->
-                let d_lo = r_f64 () in
-                let d_growth = r_f64 () in
-                let buckets = r_u16 () in
-                let d_counts = Array.init buckets (fun _ -> r_i64 ()) in
-                let d_sum = r_f64 () in
+                let d_lo = r_f64 r in
+                let d_growth = r_f64 r in
+                let d_counts = Array.init (r_u16 r) (fun _ -> r_i64 r) in
+                let d_sum = r_f64 r in
+                let buckets = Array.length d_counts in
+                if not (Histogram.layout_ok ~lo:d_lo ~growth:d_growth ~buckets) then
+                  fail "histogram %S has an invalid bucket layout" name;
                 D_hist { d_lo; d_growth; d_counts; d_sum }
-            | t -> raise (Malformed_dump (Printf.sprintf "unknown metric tag %d" t))
+            | t -> fail "unknown metric tag %d" t
           in
-          (name, help, v))
-    in
-    if !pos <> String.length s then raise (Malformed_dump "trailing garbage in dump");
-    Ok entries
-  with
-  | Malformed_dump m -> Error m
-  | _ -> Error "malformed metrics dump"
+          (name, help, v)))
 
 let merge_values a b =
   match (a, b) with

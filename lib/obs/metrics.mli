@@ -22,8 +22,8 @@ module Histogram : sig
       bucket upper bounds are [lo, lo*growth, lo*growth^2, ...] with the
       last bucket extending to [+inf].  Defaults: [lo = 1e-6],
       [growth = 2.0], [buckets = 32] — with seconds as the unit this
-      spans 1µs to ~35min.  Raises [Invalid_argument] unless [lo > 0],
-      [growth > 1] and [buckets >= 2]. *)
+      spans 1µs to ~35min.  Raises [Invalid_argument] unless [lo] and
+      [growth] are finite, [lo > 0], [growth > 1] and [buckets >= 2]. *)
   val create : ?lo:float -> ?growth:float -> ?buckets:int -> unit -> t
 
   val observe : t -> float -> unit
@@ -127,10 +127,14 @@ type dump = (string * string * dumped) list
 (** Snapshot every registered metric. *)
 val dump : unit -> dump
 
-(** Compact binary form ("LBRM1" magic, big-endian). *)
+(** Compact binary form: "LBRM1" magic, then the entries in
+    [Lbr_codec.Codec] primitives. *)
 val encode_dump : dump -> string
 
-(** Total: any input yields [Ok] or [Error], never an exception. *)
+(** Total: any input yields [Ok] or [Error], never an exception.  A
+    histogram whose layout {!Histogram.create} would refuse is an
+    [Error], so every [Ok] dump renders with {!rows_of_dump} and
+    {!render_prometheus_dump}. *)
 val decode_dump : string -> (dump, string) result
 
 val merge_dumps : dump list -> dump

@@ -1,6 +1,8 @@
 (* Frame layouts are documented in wire.mli.  Every field is always
    written; any layout change bumps [protocol_version], and the
    handshake refuses a peer on any other version. *)
+open Lbr_codec.Codec
+
 let protocol_version = 7
 let max_frame = 64 * 1024 * 1024
 
@@ -81,87 +83,6 @@ type message =
   | Metrics_dump_reply of { node : string; dump : Lbr_obs.Metrics.dump }
 
 (* ------------------------------------------------------------------ *)
-(* Writer primitives                                                   *)
-
-let w_u8 b n = Buffer.add_char b (Char.chr (n land 0xFF))
-
-let w_u16 b n =
-  if n < 0 || n > 0xFFFF then invalid_arg "Wire: u16 overflow";
-  w_u8 b (n lsr 8);
-  w_u8 b n
-
-let w_u32 b n =
-  if n < 0 || n > 0xFFFFFFFF then invalid_arg "Wire: u32 overflow";
-  w_u8 b (n lsr 24);
-  w_u8 b (n lsr 16);
-  w_u8 b (n lsr 8);
-  w_u8 b n
-
-let w_f64 b f =
-  let bits = Int64.bits_of_float f in
-  for i = 7 downto 0 do
-    w_u8 b (Int64.to_int (Int64.shift_right_logical bits (i * 8)))
-  done
-
-let w_str16 b s =
-  if String.length s > 0xFFFF then invalid_arg "Wire: string too long";
-  w_u16 b (String.length s);
-  Buffer.add_string b s
-
-let w_bytes32 b s =
-  w_u32 b (String.length s);
-  Buffer.add_string b s
-
-let w_bool b v = w_u8 b (if v then 1 else 0)
-
-(* ------------------------------------------------------------------ *)
-(* Reader primitives — total, they only raise the local [Malformed]    *)
-
-type reader = { data : string; mutable pos : int }
-
-exception Malformed of string
-
-let fail fmt = Printf.ksprintf (fun m -> raise (Malformed m)) fmt
-
-let r_u8 r =
-  if r.pos >= String.length r.data then fail "truncated (u8 at %d)" r.pos;
-  let n = Char.code r.data.[r.pos] in
-  r.pos <- r.pos + 1;
-  n
-
-let r_u16 r =
-  let hi = r_u8 r in
-  (hi lsl 8) lor r_u8 r
-
-let r_u32 r =
-  let hi = r_u16 r in
-  (hi lsl 16) lor r_u16 r
-
-let r_f64 r =
-  let bits = ref 0L in
-  for _ = 1 to 8 do
-    bits := Int64.logor (Int64.shift_left !bits 8) (Int64.of_int (r_u8 r))
-  done;
-  Int64.float_of_bits !bits
-
-let r_bytes r n =
-  if n < 0 || r.pos + n > String.length r.data then fail "truncated (%d bytes at %d)" n r.pos;
-  let s = String.sub r.data r.pos n in
-  r.pos <- r.pos + n;
-  s
-
-let r_str16 r = r_bytes r (r_u16 r)
-
-let r_bytes32 r =
-  let n = r_u32 r in
-  if n > max_frame then fail "bytes32 length %d exceeds frame limit" n;
-  r_bytes r n
-
-let r_bool r = match r_u8 r with 0 -> false | 1 -> true | n -> fail "bad bool %d" n
-
-let r_end r = if r.pos <> String.length r.data then fail "trailing garbage at %d" r.pos
-
-(* ------------------------------------------------------------------ *)
 (* Enums                                                               *)
 
 let strategy_code : Lbr_frontend.Run.strategy -> int = function
@@ -240,15 +161,7 @@ let spec_to_string spec =
   w_spec b spec;
   Buffer.contents b
 
-let spec_of_string data =
-  let r = { data; pos = 0 } in
-  match
-    let spec = r_spec r in
-    r_end r;
-    spec
-  with
-  | spec -> Ok spec
-  | exception Malformed m -> Error m
+let spec_of_string data = read data r_spec
 
 (* ------------------------------------------------------------------ *)
 (* Stats                                                               *)
@@ -343,9 +256,7 @@ let r_daemon_stats r =
 (* Seed tables — pre-paid verdicts shipped with a submission           *)
 
 let w_seeds b seeds =
-  let n = List.length seeds in
-  if n > 0xFFFFFFFF then invalid_arg "Wire: too many seeds";
-  w_u32 b n;
+  w_u32 b (List.length seeds);
   List.iter
     (fun (key, ok) ->
       w_str16 b key;
@@ -353,29 +264,13 @@ let w_seeds b seeds =
     seeds
 
 let r_seeds r =
-  let n = r_u32 r in
-  (* each seed is at least 3 bytes on the wire; bound before allocating *)
-  if n > String.length r.data then fail "seed count %d exceeds frame" n;
-  List.init n (fun _ ->
+  List.init (r_count r (r_u32 r)) (fun _ ->
       let key = r_str16 r in
       let ok = r_bool r in
       (key, ok))
 
 (* ------------------------------------------------------------------ *)
 (* Trace events — the Trace_dump_reply payload                        *)
-
-let w_i64 b v =
-  let bits = Int64.of_int v in
-  for i = 7 downto 0 do
-    w_u8 b (Int64.to_int (Int64.shift_right_logical bits (i * 8)))
-  done
-
-let r_i64 r =
-  let bits = ref 0L in
-  for _ = 1 to 8 do
-    bits := Int64.logor (Int64.shift_left !bits 8) (Int64.of_int (r_u8 r))
-  done;
-  Int64.to_int !bits
 
 let w_trace_arg b : Lbr_obs.Trace.arg -> unit = function
   | Str s ->
@@ -430,26 +325,7 @@ let w_trace_events b events =
   w_u32 b (List.length events);
   List.iter (w_trace_event b) events
 
-let r_trace_events r =
-  let n = r_u32 r in
-  (* each event is at least ~25 bytes on the wire; bound before allocating *)
-  if n > String.length r.data then fail "event count %d exceeds frame" n;
-  List.init n (fun _ -> r_trace_event r)
-
-(* Standalone event-list serialization — the same bytes as inside a
-   [Trace_dump_reply], reused by trace-merge's .tdump files. *)
-let trace_events_to_string events =
-  let b = Buffer.create 4096 in
-  w_trace_events b events;
-  Buffer.contents b
-
-let trace_events_of_string data =
-  let r = { data; pos = 0 } in
-  match r_trace_events r with
-  | events ->
-      if r.pos <> String.length data then Error "trailing garbage after events"
-      else Ok events
-  | exception Malformed m -> Error m
+let r_trace_events r = List.init (r_count r (r_u32 r)) (fun _ -> r_trace_event r)
 
 (* ------------------------------------------------------------------ *)
 (* Messages                                                            *)
@@ -532,9 +408,7 @@ let encode msg =
   Buffer.contents b
 
 let decode_payload data =
-  let r = { data; pos = 0 } in
-  match
-    let msg =
+  read data (fun r ->
       match r_u8 r with
       | 0x01 -> Hello (r_u16 r)
       | 0x81 -> Hello_ok (r_u16 r)
@@ -587,13 +461,7 @@ let decode_payload data =
             | Error m -> fail "bad metrics dump: %s" m
           in
           Metrics_dump_reply { node; dump }
-      | k -> fail "unknown message kind 0x%02x" k
-    in
-    r_end r;
-    msg
-  with
-  | msg -> Ok msg
-  | exception Malformed m -> Error m
+      | k -> fail "unknown message kind 0x%02x" k)
 
 (* ------------------------------------------------------------------ *)
 (* Socket IO                                                           *)
@@ -629,19 +497,15 @@ let read_message fd =
   | `Closed -> Error `Closed
   | `Short -> Error (`Malformed "truncated length prefix")
   | `Ok header -> (
-      let len =
-        (Char.code header.[0] lsl 24)
-        lor (Char.code header.[1] lsl 16)
-        lor (Char.code header.[2] lsl 8)
-        lor Char.code header.[3]
-      in
-      if len = 0 then Error (`Malformed "empty frame")
-      else if len > max_frame then
-        Error (`Malformed (Printf.sprintf "frame of %d bytes exceeds %d limit" len max_frame))
-      else
-        match read_exact fd len with
-        | `Closed | `Short -> Error (`Malformed "truncated frame body")
-        | `Ok payload -> (
-            match decode_payload payload with
-            | Ok msg -> Ok msg
-            | Error m -> Error (`Malformed m)))
+      match read header r_u32 with
+      | Error m -> Error (`Malformed m)
+      | Ok 0 -> Error (`Malformed "empty frame")
+      | Ok len when len > max_frame ->
+          Error (`Malformed (Printf.sprintf "frame of %d bytes exceeds %d limit" len max_frame))
+      | Ok len -> (
+          match read_exact fd len with
+          | `Closed | `Short -> Error (`Malformed "truncated frame body")
+          | `Ok payload -> (
+              match decode_payload payload with
+              | Ok msg -> Ok msg
+              | Error m -> Error (`Malformed m))))

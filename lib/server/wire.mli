@@ -2,17 +2,14 @@
 
     Length-prefixed binary frames over a stream socket — a Unix domain
     socket or a TCP connection (see {!Addr}); the framing is
-    byte-identical on both transports.  Every integer is big-endian,
-    matching [Lbr_jvm.Serialize]'s conventions (the LBRC pool container
-    is the payload of submissions and results).
+    byte-identical on both transports.  Every field is an
+    {!Lbr_codec.Codec} primitive ([u8 u16 u32 i64 f64 bool str16
+    bytes32], big-endian), as in the LBRC pool container that is the
+    payload of submissions and results.
 
     {v
     frame    := len(u32) payload                  — len = |payload|, ≤ 64 MiB
     payload  := kind(u8) body
-    str16    := len(u16) bytes
-    bytes32  := len(u32) bytes
-    f64      := IEEE-754 bits, 8 bytes big-endian
-    bool     := u8, 0 or 1
     ctx      := 0(u8)                             — no trace context
               | 1(u8) trace_id:str16 parent_span:str16
     spec     := tool:str16 strategy:u8 priority:u8 crash_policy:u8
@@ -30,13 +27,14 @@
     [Progress] and [Verdict] events and a terminal [Result]/[Job_failed]
     per job.
 
-    Decoding is total: malformed bytes (bad magic kind, truncated body,
-    oversized length, trailing garbage) come back as [Error _] — never an
-    exception — because the daemon reads these frames from untrusted
-    clients. *)
+    Decoding is total: malformed bytes (unknown kind, truncated body,
+    oversized length or count, trailing garbage) come back as
+    [Error _] — never an exception — because the daemon reads these
+    frames from untrusted clients; every read goes through
+    {!Lbr_codec.Codec.read}. *)
 
 val protocol_version : int
-(** Currently [6].  Both ends of a connection must speak exactly this
+(** Currently [7].  Both ends of a connection must speak exactly this
     version. *)
 
 val max_frame : int
@@ -181,10 +179,9 @@ val spec_to_string : spec -> string
 
 val spec_of_string : string -> (spec, string) result
 
-val trace_events_to_string : Lbr_obs.Trace.event list -> string
-(** Standalone trace-event-list serialization — byte-identical to the
-    events section of a [Trace_dump_reply] payload.  Reused by
-    [trace-merge]'s .tdump capture files. *)
+val w_trace_events : Buffer.t -> Lbr_obs.Trace.event list -> unit
+(** The events section of a [Trace_dump_reply] payload, on its own.
+    Reused by [trace-merge]'s .tdump capture files. *)
 
-val trace_events_of_string : string -> (Lbr_obs.Trace.event list, string) result
-(** Total: [Ok] or [Error], never an exception. *)
+val r_trace_events : Lbr_codec.Codec.reader -> Lbr_obs.Trace.event list
+(** Reads what {!w_trace_events} wrote, inside a {!Lbr_codec.Codec.read}. *)

@@ -408,7 +408,7 @@ let dumped_gen =
               { d_lo = lo; d_growth = growth; d_counts = Array.of_list counts; d_sum = sum })
           (pair
              (pair (float_range 1e-6 1.) (float_range 1.1 4.))
-             (pair (list_size (int_range 1 8) (int_range 0 1000)) (float_range 0. 1e6)));
+             (pair (list_size (int_range 2 8) (int_range 0 1000)) (float_range 0. 1e6)));
       ])
 
 let dump_gen =
@@ -433,8 +433,26 @@ let prop_dump_decode_total =
           Bytes.to_string b
         end
       in
-      (match Metrics.decode_dump trunc with Ok _ | Error _ -> true)
-      && (match Metrics.decode_dump flipped with Ok _ | Error _ -> true))
+      (* an accepted dump must also render: the coordinator shows it *)
+      let total s =
+        match Metrics.decode_dump s with
+        | Ok d ->
+            ignore (Metrics.rows_of_dump d);
+            ignore (Metrics.render_prometheus_dump d);
+            true
+        | Error _ -> true
+      in
+      total trunc && total flipped)
+
+(* A worker's dump whose histogram layout Histogram.create refuses
+   (here d_lo = 0) must be rejected at decode, not raise at render. *)
+let test_decode_dump_rejects_bad_layout () =
+  let bad =
+    [ ("h", "", Metrics.D_hist { d_lo = 0.; d_growth = 2.0; d_counts = [| 1; 2 |]; d_sum = 1. }) ]
+  in
+  match Metrics.decode_dump (Metrics.encode_dump bad) with
+  | Error _ -> ()
+  | Ok _ -> Alcotest.fail "a histogram with d_lo = 0 decoded"
 
 (* The federation invariant the coordinator's [top --metrics] view rests
    on: merged counters/gauges are exact sums, histograms merge
@@ -561,6 +579,8 @@ let () =
           test_merge_dumps_pin
         :: Alcotest.test_case "prometheus exporter serves over HTTP" `Quick
              test_exporter_http
+        :: Alcotest.test_case "decode_dump rejects an invalid histogram layout" `Quick
+             test_decode_dump_rejects_bad_layout
         :: qsuite [ prop_dump_roundtrip; prop_dump_decode_total ] );
       ( "counters",
         [

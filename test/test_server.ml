@@ -250,6 +250,115 @@ let test_wire_empty_frame_is_malformed () =
   Unix.close a;
   Unix.close b
 
+(* ------------------------------------------------------------------ *)
+(* Format pins: the exact bytes of every binary format the system writes
+   (wire frames, journaled specs, metric dumps, .tdump captures, LBRC
+   pools, verdict-cache keys), as MD5 digests.  Files and peers written
+   by an earlier build must stay readable, so any change here is a
+   format change and needs a version bump. *)
+
+let pinned_node_dump =
+  {
+    Lbr_cluster.Trace_merge.nd_node = "127.0.0.1:7101";
+    nd_epoch = 1754700000.125;
+    nd_server_now = 1754700012.5;
+    nd_client_mid = 1754700012.625;
+    nd_dropped = 2;
+    nd_events =
+      [
+        {
+          Lbr_obs.Trace.ev_name = "coordinator.job";
+          ev_ph = 'X';
+          ev_ts = 120.5;
+          ev_dur = 880.25;
+          ev_tid = 1;
+          ev_args =
+            [
+              ("span_id", Lbr_obs.Trace.Str "0123456789abcdef");
+              ("attempts", Lbr_obs.Trace.Int (-3));
+              ("waste", Lbr_obs.Trace.Float 0.25);
+              ("hot", Lbr_obs.Trace.Bool false);
+            ];
+        };
+        {
+          Lbr_obs.Trace.ev_name = "core.predicate";
+          ev_ph = 'i';
+          ev_ts = 130.;
+          ev_dur = 0.;
+          ev_tid = 0;
+          ev_args = [];
+        };
+      ];
+  }
+
+let pinned_dump =
+  let open Lbr_obs.Metrics in
+  [
+    ("gauge_x", "g", D_gauge 1.5);
+    ("hist_y", "h", D_hist { d_lo = 0.01; d_growth = 2.0; d_counts = [| 1; 2; 0 |]; d_sum = 3.5 });
+    ("jobs_total", "j", D_counter 3);
+    ("only_first", "o", D_counter 7);
+  ]
+
+let pinned_formats () =
+  let spec =
+    { (spec_of_seed ~classes:10 ~priority:Wire.High 3) with Wire.trace_ctx = some_ctx }
+  in
+  let key_spec =
+    {
+      (spec_of_seed ~classes:6 1) with
+      Wire.crash_policy = Lbr_runtime.Oracle.Crash_passes;
+      retries = 3;
+    }
+  in
+  List.mapi (fun i msg -> (Printf.sprintf "Wire.encode sample %d" i, Wire.encode msg)) sample_messages
+  @ [
+      ("Wire.spec_to_string", Wire.spec_to_string spec);
+      ("Metrics.encode_dump", Lbr_obs.Metrics.encode_dump pinned_dump);
+      ("Trace_merge.to_string", Lbr_cluster.Trace_merge.to_string pinned_node_dump);
+      ( "Serialize.to_bytes",
+        Lbr_jvm.Serialize.to_bytes
+          (Lbr_workload.Generator.generate ~seed:1
+             { Lbr_workload.Generator.default_profile with classes = 12 }) );
+    ]
+  |> List.map (fun (what, bytes) -> (what, Digest.to_hex (Digest.string bytes)))
+  |> fun digests -> digests @ [ ("Cache.job_key", Lbr_cluster.Cache.job_key key_spec) ]
+
+let test_formats_pinned () =
+  let expected =
+    [
+      ("Wire.encode sample 0", "929691b4a8bdf137e5af64d278e7ffb9");
+      ("Wire.encode sample 1", "3f08c2d15ac2dfec96f66bb7f29d83bc");
+      ("Wire.encode sample 2", "5c6c11bc24384725b02156c63dfac017");
+      ("Wire.encode sample 3", "e827160db3f821097934bf66b42d3a61");
+      ("Wire.encode sample 4", "a0108b8457b02f14353a68b0da11534f");
+      ("Wire.encode sample 5", "87fde49802db21cadcb0ec1fac46e4ca");
+      ("Wire.encode sample 6", "fd425a9a7d27f311a65bb6848634859c");
+      ("Wire.encode sample 7", "a48b7561aa7fb9e9fac702584594d962");
+      ("Wire.encode sample 8", "a090adcb9c6c8d96ad60277c0bce9e4b");
+      ("Wire.encode sample 9", "e7d2211a96a4f0dd34b102d5c25afd44");
+      ("Wire.encode sample 10", "acb96efd9e53c80c69169dcdf4b9e85b");
+      ("Wire.encode sample 11", "5bd6c5407dac22df5c620bd4c3f79eb6");
+      ("Wire.encode sample 12", "9a4bce6482fa065d2206e663f688c01b");
+      ("Wire.encode sample 13", "301859b261518e8fcd3522fec8163c1c");
+      ("Wire.encode sample 14", "86c03c037bfbd602c4a82d7b5482ef83");
+      ("Wire.encode sample 15", "3d0b3e6016c032807a7bd41220cc4e98");
+      ("Wire.encode sample 16", "28083ae72a752d0d668582bbc5cc7284");
+      ("Wire.encode sample 17", "9e853fd6b863deb3cab9c7e60fbe52af");
+      ("Wire.encode sample 18", "477104f5b4928b1d05f835ce9e0468d7");
+      ("Wire.encode sample 19", "04951bf33a2d1ffa5eb6d1acbe01b011");
+      ("Wire.encode sample 20", "388fa592fa59461a201dd8014e9c7fba");
+      ("Wire.encode sample 21", "051293ae44cefb561b4c63a2370c0f0b");
+      ("Wire.encode sample 22", "a14dabc5c4c523e1d13a1150634e8c83");
+      ("Wire.spec_to_string", "8175a01082a09a7e0ba08eb8730e50ec");
+      ("Metrics.encode_dump", "34a61edd5a2a0337f82c6e614c9baaa5");
+      ("Trace_merge.to_string", "ba3e92e5d0f5800c850e92a5c2c1f3f7");
+      ("Serialize.to_bytes", "016b88bb44c671fbe06ecf91fcf8f5a2");
+      ("Cache.job_key", "c9c273b12244b7f639b5db6944bb0de1");
+    ]
+  in
+  Alcotest.(check (list (pair string string))) "format digests" expected (pinned_formats ())
+
 (* decode_payload must be total on adversarial input *)
 let prop_wire_decode_never_raises =
   QCheck.Test.make ~count:500 ~name:"decode_payload never raises on random bytes"
@@ -1445,6 +1554,8 @@ let () =
           Alcotest.test_case "tcp roundtrip + clean close" `Quick test_wire_tcp_roundtrip;
           Alcotest.test_case "traced Verdict cut is an Error" `Quick
             test_wire_truncated_verdict_is_error;
+          Alcotest.test_case "formats are byte-identical (pinned digests)" `Quick
+            test_formats_pinned;
         ] );
       qsuite "wire-prop"
         [ prop_wire_decode_never_raises; prop_wire_truncation_rejected;
