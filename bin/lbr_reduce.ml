@@ -421,6 +421,73 @@ let socket_arg =
         ~doc:"Daemon address: a Unix socket path (or unix:PATH) or a TCP host:port, \
               e.g. 127.0.0.1:7199 (port 0 lets the kernel pick when serving).")
 
+(* What [serve] and [coordinate] hand the daemon lifecycle once their
+   node is up. *)
+type daemon = {
+  server : Lbr_server.Server.t;
+  metrics_text : unit -> string;  (* what --prometheus-listen serves *)
+  details : string;  (* the listening line after the bound address *)
+  resumed : int;  (* journaled jobs picked up again at startup *)
+  close : unit -> unit;  (* drain step after the server stops *)
+}
+
+(* The lifecycle both daemons share: tracing, the flight recorder,
+   [start] (a startup error exits 1), the Prometheus exporter, the
+   listening line, then on SIGINT/SIGTERM a drain that stops the node and
+   the exporter, writes the trace and dumps the flight recorder. *)
+let run_daemon ~name ~journal_dir ~trace ~prometheus ~metrics_label ~resumed_verb
+    ~draining start =
+  let prefix = "lbr-" ^ name in
+  let die m =
+    prerr_endline (prefix ^ ": " ^ m);
+    exit 1
+  in
+  if trace <> None then Lbr_obs.Trace.start ();
+  (* The flight recorder needs somewhere durable to drop its dump; the
+     journal directory is exactly that.  No journal, no recorder. *)
+  Option.iter (fun dir -> Lbr_obs.Flight.arm ~node:name ~dir ()) journal_dir;
+  let shutdown = Lbr_server.Shutdown.install () in
+  let d =
+    try start () with
+    | Failure m | Sys_error m -> die m
+    | Unix.Unix_error (e, _, _) -> die (Unix.error_message e)
+  in
+  let exporter =
+    Option.map
+      (fun port ->
+        match Lbr_obs.Exporter.start ~port d.metrics_text with
+        | e ->
+            Printf.printf "%s: %s on http://127.0.0.1:%d/metrics\n%!" prefix metrics_label
+              (Lbr_obs.Exporter.port e);
+            e
+        | exception (Failure m | Sys_error m) -> die ("--prometheus-listen: " ^ m)
+        | exception Unix.Unix_error (e, _, _) ->
+            die ("--prometheus-listen: " ^ Unix.error_message e))
+      prometheus
+  in
+  Printf.printf "%s: listening on %s%s\n%!" prefix
+    (Lbr_server.Addr.to_string (Lbr_server.Server.bound_addr d.server))
+    d.details;
+  if d.resumed > 0 then
+    Printf.printf "%s: %s %d journaled job%s\n%!" prefix resumed_verb d.resumed
+      (if d.resumed = 1 then "" else "s");
+  Lbr_server.Shutdown.on_drain shutdown (fun () ->
+      Printf.printf "%s: %s received, draining %s jobs...\n%!" prefix
+        (match Lbr_server.Shutdown.signal_name shutdown with
+        | Some s -> "SIG" ^ s
+        | None -> "stop request")
+        draining;
+      Lbr_server.Server.stop d.server;
+      d.close ();
+      Option.iter Lbr_obs.Exporter.stop exporter;
+      write_trace trace;
+      ignore (Lbr_obs.Flight.dump ~reason:"drain" : string option);
+      print_endline (prefix ^ ": drained, bye"));
+  while not (Lbr_server.Shutdown.requested shutdown) do
+    Thread.delay 0.1
+  done;
+  Lbr_server.Shutdown.run_drain shutdown
+
 let serve_cmd =
   let queue_depth_arg =
     Arg.(
@@ -439,60 +506,23 @@ let serve_cmd =
                 replaying paid-for predicate results.")
   in
   let run socket jobs queue_depth journal_dir trace prometheus =
-    if trace <> None then Lbr_obs.Trace.start ();
-    (* The flight recorder needs somewhere durable to drop its dump; the
-       journal directory is exactly that.  No journal, no recorder. *)
-    (match journal_dir with
-    | Some dir -> Lbr_obs.Flight.arm ~node:"serve" ~dir ()
-    | None -> ());
-    let shutdown = Lbr_server.Shutdown.install () in
-    let server =
-      try
-        Lbr_server.Server.start
-          { Lbr_server.Server.listen = socket; jobs; queue_depth; journal_dir }
-      with Failure m | Sys_error m ->
-        prerr_endline ("lbr-serve: " ^ m);
-        exit 1
-    in
-    let exporter =
-      match prometheus with
-      | None -> None
-      | Some port -> (
-          match Lbr_obs.Exporter.start ~port Lbr_obs.Metrics.render_prometheus with
-          | e ->
-              Printf.printf "lbr-serve: metrics on http://127.0.0.1:%d/metrics\n%!"
-                (Lbr_obs.Exporter.port e);
-              Some e
-          | exception (Failure m | Sys_error m) ->
-              prerr_endline ("lbr-serve: --prometheus-listen: " ^ m);
-              exit 1
-          | exception Unix.Unix_error (e, _, _) ->
-              prerr_endline ("lbr-serve: --prometheus-listen: " ^ Unix.error_message e);
-              exit 1)
-    in
-    Printf.printf "lbr-serve: listening on %s (%d worker%s, queue depth %d%s)\n%!"
-      (Lbr_server.Addr.to_string (Lbr_server.Server.bound_addr server))
-      jobs
-      (if jobs = 1 then "" else "s")
-      queue_depth
-      (match journal_dir with Some d -> ", journal " ^ d | None -> "");
-    (match Lbr_server.Server.recovered server with
-    | 0 -> ()
-    | n -> Printf.printf "lbr-serve: resumed %d journaled job%s\n%!" n (if n = 1 then "" else "s"));
-    Lbr_server.Shutdown.on_drain shutdown (fun () ->
-        Printf.printf "lbr-serve: %s received, draining in-flight jobs...\n%!"
-          (match Lbr_server.Shutdown.signal_name shutdown with
-          | Some s -> "SIG" ^ s
-          | None -> "stop request");
-        Lbr_server.Server.stop server;
-        Option.iter Lbr_obs.Exporter.stop exporter;
-        write_trace trace;
-        ignore (Lbr_obs.Flight.dump ~reason:"drain" : string option);
-        print_endline "lbr-serve: drained, bye");
-    while not (Lbr_server.Shutdown.requested shutdown) do
-      Thread.delay 0.1
-    done;
-    Lbr_server.Shutdown.run_drain shutdown
+    run_daemon ~name:"serve" ~journal_dir ~trace ~prometheus ~metrics_label:"metrics"
+      ~resumed_verb:"resumed" ~draining:"in-flight" (fun () ->
+        let server =
+          Lbr_server.Server.start
+            { Lbr_server.Server.listen = socket; jobs; queue_depth; journal_dir }
+        in
+        {
+          server;
+          metrics_text = Lbr_obs.Metrics.render_prometheus;
+          details =
+            Printf.sprintf " (%d worker%s, queue depth %d%s)" jobs
+              (if jobs = 1 then "" else "s")
+              queue_depth
+              (match journal_dir with Some d -> ", journal " ^ d | None -> "");
+          resumed = Lbr_server.Server.recovered server;
+          close = ignore;
+        })
   in
   Cmd.v
     (Cmd.info "serve"
@@ -561,86 +591,33 @@ let coordinate_cmd =
   in
   let run listen workers lanes queue_depth cache_path journal_dir poll_interval trace
       prometheus =
-    if trace <> None then Lbr_obs.Trace.start ();
-    (match journal_dir with
-    | Some dir -> Lbr_obs.Flight.arm ~node:"coordinate" ~dir ()
-    | None -> ());
-    let shutdown = Lbr_server.Shutdown.install () in
-    let coordinator =
-      match
-        Lbr_cluster.Coordinator.create
-          {
-            Lbr_cluster.Coordinator.workers;
-            lanes;
-            queue_depth;
-            cache_path;
-            journal_dir;
-            poll_interval;
-          }
-      with
-      | c -> c
-      | exception (Failure m | Sys_error m) ->
-          prerr_endline ("lbr-coordinate: " ^ m);
-          exit 1
-      | exception Unix.Unix_error (e, _, _) ->
-          prerr_endline ("lbr-coordinate: " ^ Unix.error_message e);
-          exit 1
-    in
-    let server =
-      try
-        Lbr_server.Server.serve
-          ~metrics_text:(fun () -> Lbr_cluster.Coordinator.metrics_text coordinator)
-          ~listen (Lbr_cluster.Coordinator.scheduler coordinator)
-      with Failure m | Sys_error m ->
-        prerr_endline ("lbr-coordinate: " ^ m);
-        exit 1
-    in
-    let exporter =
-      match prometheus with
-      | None -> None
-      | Some port -> (
-          match
-            Lbr_obs.Exporter.start ~port (fun () ->
-                Lbr_cluster.Coordinator.metrics_text coordinator)
-          with
-          | e ->
-              Printf.printf
-                "lbr-coordinate: federated metrics on http://127.0.0.1:%d/metrics\n%!"
-                (Lbr_obs.Exporter.port e);
-              Some e
-          | exception (Failure m | Sys_error m) ->
-              prerr_endline ("lbr-coordinate: --prometheus-listen: " ^ m);
-              exit 1
-          | exception Unix.Unix_error (e, _, _) ->
-              prerr_endline
-                ("lbr-coordinate: --prometheus-listen: " ^ Unix.error_message e);
-              exit 1)
-    in
-    Printf.printf "lbr-coordinate: listening on %s, %d worker%s (%s)\n%!"
-      (Lbr_server.Addr.to_string (Lbr_server.Server.bound_addr server))
-      (List.length workers)
-      (if List.length workers = 1 then "" else "s")
-      (String.concat ", " (List.map Lbr_server.Addr.to_string workers));
-    (match Lbr_cluster.Coordinator.recovered coordinator with
-    | 0 -> ()
-    | n ->
-        Printf.printf "lbr-coordinate: resubmitted %d journaled job%s\n%!" n
-          (if n = 1 then "" else "s"));
-    Lbr_server.Shutdown.on_drain shutdown (fun () ->
-        Printf.printf "lbr-coordinate: %s received, draining delegated jobs...\n%!"
-          (match Lbr_server.Shutdown.signal_name shutdown with
-          | Some s -> "SIG" ^ s
-          | None -> "stop request");
-        Lbr_server.Server.stop server;
-        Lbr_cluster.Coordinator.close coordinator;
-        Option.iter Lbr_obs.Exporter.stop exporter;
-        write_trace trace;
-        ignore (Lbr_obs.Flight.dump ~reason:"drain" : string option);
-        print_endline "lbr-coordinate: drained, bye");
-    while not (Lbr_server.Shutdown.requested shutdown) do
-      Thread.delay 0.1
-    done;
-    Lbr_server.Shutdown.run_drain shutdown
+    run_daemon ~name:"coordinate" ~journal_dir ~trace ~prometheus
+      ~metrics_label:"federated metrics" ~resumed_verb:"resubmitted" ~draining:"delegated"
+      (fun () ->
+        let coordinator =
+          Lbr_cluster.Coordinator.create
+            {
+              Lbr_cluster.Coordinator.workers;
+              lanes;
+              queue_depth;
+              cache_path;
+              journal_dir;
+              poll_interval;
+            }
+        in
+        let metrics_text () = Lbr_cluster.Coordinator.metrics_text coordinator in
+        {
+          server =
+            Lbr_server.Server.serve ~metrics_text ~listen
+              (Lbr_cluster.Coordinator.scheduler coordinator);
+          metrics_text;
+          details =
+            Printf.sprintf ", %d worker%s (%s)" (List.length workers)
+              (if List.length workers = 1 then "" else "s")
+              (String.concat ", " (List.map Lbr_server.Addr.to_string workers));
+          resumed = Lbr_cluster.Coordinator.recovered coordinator;
+          close = (fun () -> Lbr_cluster.Coordinator.close coordinator);
+        })
   in
   Cmd.v
     (Cmd.info "coordinate"
@@ -979,56 +956,18 @@ let report_cmd =
   let json_arg =
     Arg.(value & flag & info [ "json" ] ~doc:"Emit the report as JSON instead of text.")
   in
-  (* The flight dump is machine-written JSON with one record per line in
-     its spans/transitions/metrics arrays — extract fields line-wise
-     rather than pulling in a JSON parser for one tool. *)
-  let field line key =
-    let marker = "\"" ^ key ^ "\":" in
-    let rec find from =
-      match String.index_from_opt line from '"' with
-      | None -> None
-      | Some i ->
-          if
-            i + String.length marker <= String.length line
-            && String.sub line i (String.length marker) = marker
-          then Some (i + String.length marker)
-          else find (i + 1)
-    in
-    match find 0 with
-    | None -> None
-    | Some start ->
-        let stop = ref start in
-        let depth = ref 0 in
-        let in_str = ref false in
-        (try
-           while !stop < String.length line do
-             (match line.[!stop] with
-             | '"' when !stop = start || line.[!stop - 1] <> '\\' ->
-                 in_str := not !in_str
-             | ('{' | '[') when not !in_str -> incr depth
-             | ('}' | ']') when not !in_str ->
-                 if !depth = 0 then raise Exit else decr depth
-             | ',' when (not !in_str) && !depth = 0 -> raise Exit
-             | _ -> ());
-             incr stop
-           done
-         with Exit -> ());
-        Some (String.sub line start (!stop - start))
-  in
-  let strip_quotes s =
-    if String.length s >= 2 && s.[0] = '"' && s.[String.length s - 1] = '"' then
-      String.sub s 1 (String.length s - 2)
-    else s
-  in
-  let str_field line key = Option.map strip_quotes (field line key) in
-  let float_field line key = Option.bind (field line key) float_of_string_opt in
-  (* A spans/transitions/metrics line, shorn of indentation and its
-     trailing record separator — a reusable JSON object literal. *)
-  let clean_record l =
-    let s = String.trim l in
-    if String.length s > 0 && s.[String.length s - 1] = ',' then
-      String.sub s 0 (String.length s - 1)
-    else s
+  let metric_json (r : Lbr_obs.Metrics.row) =
+    let num v = if Float.is_finite v then Printf.sprintf "%.6g" v else "null" in
+    let esc = Lbr_obs.Trace.json_escape in
+    match r with
+    | Counter_row { name; value } ->
+        Printf.sprintf {|{"kind":"counter","name":"%s","value":%d}|} (esc name) value
+    | Gauge_row { name; value } ->
+        Printf.sprintf {|{"kind":"gauge","name":"%s","value":%s}|} (esc name) (num value)
+    | Histogram_row { name; count; sum; p50; p90; p99 } ->
+        Printf.sprintf
+          {|{"kind":"histogram","name":"%s","count":%d,"sum":%s,"p50":%s,"p90":%s,"p99":%s}|}
+          (esc name) count (num sum) (num p50) (num p90) (num p99)
   in
   let run dir json =
     if not (Sys.file_exists dir && Sys.is_directory dir) then begin
@@ -1038,7 +977,7 @@ let report_cmd =
     let flights =
       Sys.readdir dir |> Array.to_list
       |> List.filter (fun f ->
-             String.starts_with ~prefix:"flight-" f && Filename.check_suffix f ".json")
+             String.starts_with ~prefix:"flight-" f && Filename.check_suffix f ".tdump")
       |> List.sort compare
     in
     (* Per-job verdict counts and latency quantiles, from the journal's
@@ -1069,59 +1008,39 @@ let report_cmd =
     in
     let verdict_count = Lbr_obs.Metrics.Histogram.count latency in
     let fail_count = List.fold_left (fun n (_, _, fails, _) -> n + fails) 0 per_job in
-    (* Each flight dump: header + span/transition lines. *)
-    let parse_dump file =
-      let path = Filename.concat dir file in
-      let ic = open_in path in
-      let lines =
-        Fun.protect
-          ~finally:(fun () -> close_in_noerr ic)
-          (fun () ->
-            let rec go acc =
-              match input_line ic with
-              | line -> go (line :: acc)
-              | exception End_of_file -> List.rev acc
-            in
-            go [])
-      in
-      let node = ref "?" and reason = ref "?" and time = ref 0. in
-      let spans = ref [] and transitions = ref [] and metric_lines = ref [] in
-      let section = ref `Header in
-      List.iter
-        (fun line ->
-          (match str_field line "node" with
-          | Some n when !section = `Header -> node := n
-          | _ -> ());
-          (match str_field line "reason" with
-          | Some r when !section = `Header -> reason := r
-          | _ -> ());
-          (match float_field line "time" with
-          | Some t when !section = `Header -> time := t
-          | _ -> ());
-          if String.length line >= 9 && String.sub line 0 9 = "\"spans\":[" then
-            section := `Spans
-          else if
-            String.length line >= 15 && String.sub line 0 15 = "\"transitions\":["
-          then section := `Transitions
-          else if String.length line >= 11 && String.sub line 0 11 = "\"metrics\":["
-          then section := `Metrics
-          else
-            match !section with
-            | `Spans ->
-                if String.trim line <> "]," && String.trim line <> "" then
-                  spans := line :: !spans
-            | `Transitions ->
-                if String.trim line <> "]," && String.trim line <> "" then
-                  transitions := line :: !transitions
-            | `Metrics ->
-                if String.trim line <> "]}" && String.trim line <> "" then
-                  metric_lines := line :: !metric_lines
-            | `Header -> ())
-        lines;
-      (file, !node, !reason, !time, List.rev !spans, List.rev !transitions,
-       List.rev !metric_lines)
+    (* Each flight dump, decoded: the span ring (timestamps made absolute
+       again), the job.state history, the dump's reason and time, and the
+       metric dump beside it.  An unreadable dump is named and skipped. *)
+    let decode file =
+      match Lbr_obs.Flight.read (Filename.concat dir file) with
+      | Error m ->
+          prerr_endline ("lbr-reduce report: unreadable flight dump " ^ file ^ ": " ^ m);
+          None
+      | Ok (d, metrics) ->
+          let str = Lbr_obs.Trace.str_arg in
+          let named n = List.filter (fun (e : Lbr_obs.Trace.event) -> e.ev_name = n) d.nd_events in
+          let reason =
+            Option.value ~default:"?"
+              (List.find_map (fun e -> str e "reason") (named "flight.dump"))
+          in
+          let transitions =
+            List.filter_map
+              (fun (e : Lbr_obs.Trace.event) ->
+                match (str e "job", str e "state") with
+                | Some job, Some state -> Some (d.nd_epoch +. (e.ev_ts /. 1e6), job, state)
+                | _ -> None)
+              (named "job.state")
+          in
+          let spans =
+            List.filter_map
+              (fun (e : Lbr_obs.Trace.event) ->
+                if e.ev_name = "job.state" || e.ev_name = "flight.dump" then None
+                else Some { e with ev_ts = e.ev_ts +. (d.nd_epoch *. 1e6) })
+              d.nd_events
+          in
+          Some (file, d.nd_node, reason, d.nd_server_now, spans, transitions, metrics)
     in
-    let dumps = List.map parse_dump flights in
+    let dumps = List.filter_map decode flights in
     let q hist p =
       let v = Lbr_obs.Metrics.Histogram.quantile hist p in
       if Float.is_finite v then v else 0.
@@ -1144,7 +1063,7 @@ let report_cmd =
               per_job));
       Printf.printf "\"flights\":[";
       List.iteri
-        (fun i (file, node, reason, time, spans, transitions, metric_lines) ->
+        (fun i (file, node, reason, time, spans, transitions, metrics) ->
           if i > 0 then print_char ',';
           Printf.printf
             "{\"file\":\"%s\",\"node\":\"%s\",\"reason\":\"%s\",\"time\":%.6f,\"spans\":[%s],\"transitions\":[%s],\"metrics\":[%s]}"
@@ -1152,9 +1071,15 @@ let report_cmd =
             (Lbr_obs.Trace.json_escape node)
             (Lbr_obs.Trace.json_escape reason)
             time
-            (String.concat "," (List.map clean_record spans))
-            (String.concat "," (List.map clean_record transitions))
-            (String.concat "," (List.map clean_record metric_lines)))
+            (String.concat "," (List.map (fun e -> Lbr_obs.Trace.event_json_string e) spans))
+            (String.concat ","
+               (List.map
+                  (fun (ts, job, state) ->
+                    Printf.sprintf {|{"ts":%.6f,"job":"%s","state":"%s"}|} ts
+                      (Lbr_obs.Trace.json_escape job) (Lbr_obs.Trace.json_escape state))
+                  transitions))
+            (String.concat ","
+               (List.map metric_json (Lbr_obs.Metrics.rows_of_dump metrics))))
         dumps;
       print_string "]}\n"
     end
@@ -1177,18 +1102,15 @@ let report_cmd =
       if dumps = [] then print_endline "no flight-recorder dumps found"
       else
         List.iter
-          (fun (file, node, reason, time, spans, transitions, metric_lines) ->
+          (fun (file, node, reason, time, spans, transitions, metrics) ->
             Printf.printf "\nflight %s: node %s, reason %s, at %.3f\n" file node reason
               time;
-            (* Verdict counts and cache effectiveness straight from the recorded
-               metric rows. *)
+            (* Verdict counts and cache effectiveness straight from the
+               recorded metric dump. *)
             let counter name =
-              List.find_map
-                (fun l ->
-                  match (str_field l "name", field l "value") with
-                  | Some n, Some v when n = name -> float_of_string_opt v
-                  | _ -> None)
-                metric_lines
+              match Lbr_obs.Metrics.find_in_dump metrics name with
+              | Some (D_counter n) -> Some (float_of_int n)
+              | _ -> None
             in
             (match verdict_counts counter with
             | fresh, replayed when fresh +. replayed > 0. ->
@@ -1203,47 +1125,34 @@ let report_cmd =
             let by_job = Hashtbl.create 8 in
             let job_order = ref [] in
             List.iter
-              (fun l ->
-                match (str_field l "job", str_field l "state", float_field l "ts") with
-                | Some job, Some state, Some ts ->
-                    if not (Hashtbl.mem by_job job) then job_order := job :: !job_order;
-                    Hashtbl.replace by_job job
-                      ((ts, state) :: (try Hashtbl.find by_job job with Not_found -> []))
-                | _ -> ())
+              (fun (_, job, state) ->
+                if not (Hashtbl.mem by_job job) then job_order := job :: !job_order;
+                Hashtbl.replace by_job job
+                  (state :: Option.value ~default:[] (Hashtbl.find_opt by_job job)))
               transitions;
             List.iter
               (fun job ->
-                let hist = List.rev (Hashtbl.find by_job job) in
                 Printf.printf "  %-16s %s\n" job
-                  (String.concat " -> "
-                     (List.map (fun (_, s) -> s) hist)))
+                  (String.concat " -> " (List.rev (Hashtbl.find by_job job))))
               (List.rev !job_order);
             (* The span tree: roots are spans with no ctx.parent (or whose
                parent is not a recorded span id here); children indent
                under the job they name. *)
-            let span_info l =
-              match (str_field l "name", float_field l "ts") with
-              | Some name, Some ts ->
-                  let dur = Option.value ~default:0. (float_field l "dur") in
-                  let job = str_field l "job" in
-                  let parent = str_field l "ctx.parent" in
-                  Some (name, ts, dur, job, parent)
-              | _ -> None
-            in
-            let spans = List.filter_map span_info spans in
+            let job e = Lbr_obs.Trace.str_arg e "job" in
             let parented, roots =
-              List.partition (fun (_, _, _, _, parent) -> parent <> None) spans
+              List.partition (fun e -> Lbr_obs.Trace.str_arg e "ctx.parent" <> None) spans
             in
-            let print_span indent (name, ts, dur, job, _) =
-              Printf.printf "  %s%-28s %12.3fus  %10.0fus%s\n" indent name ts dur
-                (match job with Some j -> "  " ^ j | None -> "")
+            let print_span indent (e : Lbr_obs.Trace.event) =
+              Printf.printf "  %s%-28s %12.3fus  %10.0fus%s\n" indent e.ev_name e.ev_ts
+                e.ev_dur
+                (match job e with Some j -> "  " ^ j | None -> "")
             in
             List.iter
-              (fun ((_, _, _, job, _) as root) ->
+              (fun root ->
                 print_span "" root;
                 List.iter
-                  (fun ((_, _, _, cjob, _) as child) ->
-                    if cjob = job || job = None then print_span "  " child)
+                  (fun child ->
+                    if job child = job root || job root = None then print_span "  " child)
                   parented)
               (if roots = [] then parented else roots))
           dumps

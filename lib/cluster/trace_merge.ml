@@ -18,15 +18,7 @@
 module Wire = Lbr_server.Wire
 module Client = Lbr_server.Client
 module Trace = Lbr_obs.Trace
-
-type node_dump = {
-  nd_node : string;  (* lane label *)
-  nd_epoch : float;  (* node-clock second its ts = 0 maps to *)
-  nd_server_now : float;  (* node clock at dump time *)
-  nd_client_mid : float;  (* dumper clock at (roughly) the same instant *)
-  nd_dropped : int;
-  nd_events : Trace.event list;
-}
+include Lbr_obs.Tdump
 
 let skew d = d.nd_client_mid -. d.nd_server_now
 
@@ -54,58 +46,7 @@ let fetch addr =
         result
 
 (* ------------------------------------------------------------------ *)
-(* .tdump files — pre-kill victim captures                             *)
-
-let magic = "LBRTD1"
-
-let to_string d =
-  let open Lbr_codec.Codec in
-  let b = Buffer.create 4096 in
-  Buffer.add_string b magic;
-  w_str16 b d.nd_node;
-  w_f64 b d.nd_epoch;
-  w_f64 b d.nd_server_now;
-  w_f64 b d.nd_client_mid;
-  w_u32 b d.nd_dropped;
-  Wire.w_trace_events b d.nd_events;
-  Buffer.contents b
-
-let of_string data =
-  let open Lbr_codec.Codec in
-  read data (fun r ->
-      r_magic r magic;
-      let nd_node = r_str16 r in
-      let nd_epoch = r_f64 r in
-      let nd_server_now = r_f64 r in
-      let nd_client_mid = r_f64 r in
-      let nd_dropped = r_u32 r in
-      let nd_events = Wire.r_trace_events r in
-      { nd_node; nd_epoch; nd_server_now; nd_client_mid; nd_dropped; nd_events })
-
-let write_file path d =
-  let oc = open_out_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_out_noerr oc)
-    (fun () -> output_string oc (to_string d))
-
-let read_file path =
-  match
-    let ic = open_in_bin path in
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  with
-  | data -> of_string data
-  | exception Sys_error m -> Error m
-  | exception End_of_file -> Error (path ^ ": truncated")
-
-(* ------------------------------------------------------------------ *)
 (* Merge                                                               *)
-
-let str_arg ev key =
-  List.find_map
-    (function k, Trace.Str v when k = key -> Some v | _ -> None)
-    ev.Trace.ev_args
 
 (* Same-lane dedup key: the raw (pre-correction) event identity.  Two
    dumps of the same process share an epoch, so identical events collide
@@ -179,7 +120,7 @@ let merge dumps =
         List.filter_map
           (fun e ->
             if e.Trace.ev_name = "coordinator.job" then
-              Option.map (fun id -> (id, pid, e)) (str_arg e "span_id")
+              Option.map (fun id -> (id, pid, e)) (Trace.str_arg e "span_id")
             else None)
           events)
       shifted
@@ -214,7 +155,7 @@ let merge dumps =
         (fun (pid, _, _, events) ->
           if pid <> coord_pid && not (Hashtbl.mem linked pid) then
             match
-              List.find_opt (fun e -> str_arg e "ctx.parent" = Some span_id) events
+              List.find_opt (fun e -> Trace.str_arg e "ctx.parent" = Some span_id) events
             with
             | None -> ()
             | Some target ->

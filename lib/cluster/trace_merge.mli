@@ -9,20 +9,18 @@
     span id as [ctx.parent].
 
     Dumps can come from two sources: {!fetch} pulls a live daemon over
-    [Trace_dump_request], and {!read_file} loads a [.tdump]
-    capture written earlier by {!write_file} (the e2e harness dumps each
+    [Trace_dump_request], and {!read_file} loads a [.tdump] capture —
+    one written earlier by [trace-dump] (the e2e harness dumps each
     worker {e before} killing one, so the victim's spans survive into
-    the merged trace).  Dumps sharing a node name collapse into one
-    deduplicated lane. *)
+    the merged trace) or a {!Lbr_obs.Flight} recorder's crash or drain
+    capture.  Dumps sharing a node name collapse into one deduplicated
+    lane. *)
 
-type node_dump = {
-  nd_node : string;  (** lane label (the daemon's bound address) *)
-  nd_epoch : float;  (** node-clock second its [ts = 0] maps to *)
-  nd_server_now : float;  (** node clock at dump time *)
-  nd_client_mid : float;  (** dumper clock at (roughly) the same instant *)
-  nd_dropped : int;
-  nd_events : Lbr_obs.Trace.event list;
-}
+include module type of struct
+  include Lbr_obs.Tdump
+end
+(** The [.tdump] capture codec and its [node_dump] record, re-exported
+    from {!Lbr_obs.Tdump}. *)
 
 val fetch : string -> (node_dump, string) result
 (** Pull a live daemon's span rings; the address string is parsed by
@@ -30,16 +28,6 @@ val fetch : string -> (node_dump, string) result
 
 val skew : node_dump -> float
 (** Estimated clock offset: add to node-clock times to get dumper time. *)
-
-val to_string : node_dump -> string
-(** Binary [.tdump] form: "LBRTD1" magic, a header in
-    {!Lbr_codec.Codec} primitives, then the events in the wire encoding. *)
-
-val of_string : string -> (node_dump, string) result
-(** Total: [Ok] or [Error], never an exception. *)
-
-val write_file : string -> node_dump -> unit
-val read_file : string -> (node_dump, string) result
 
 val merge : node_dump list -> string
 (** The merged Chrome trace JSON ([traceEvents] + [epochSeconds]). *)

@@ -70,8 +70,6 @@ let merge rows =
   Hashtbl.fold (fun _ r acc -> r :: acc) m []
   |> List.sort (fun a b -> String.compare a.name b.name)
 
-let snapshot_local () = merge (rows_of_table (Domain.DLS.get table_key))
-
 let aggregate () =
   Mutex.lock registry_mutex;
   let tables = !registry in
@@ -109,12 +107,3 @@ let report rows =
            r.minor_words))
     rows;
   Buffer.contents b
-
-(* One phase per line, space-separated: grep/awk-friendly and stable, for
-   the serve journal. *)
-let serialize rows =
-  String.concat ""
-    (List.map
-       (fun (r : row) ->
-         Printf.sprintf "%s %d %.6f %.0f\n" r.name r.calls r.seconds r.minor_words)
-       rows)

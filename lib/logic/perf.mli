@@ -5,8 +5,7 @@
     domain-local tables so instrumented hot paths never contend on a lock.
     The reduction core tags its phases ([sat.engine-create],
     [sat.engine-propagate], [sat.engine-narrow], [sat.engine-add-clause],
-    [core.predicate]); {!report} and {!serialize} surface the totals in the bench output and
-    the serve journal.
+    [core.predicate]); {!report} surfaces the totals in the bench output.
 
     Phases are assumed non-overlapping: nesting {!time} calls double-counts
     the inner phase's seconds in the outer one. *)
@@ -28,11 +27,6 @@ val add : string -> int -> unit
     batches (watch-list visits, arena reuse hits).  Such rows report zero
     seconds and zero minor words. *)
 
-val snapshot_local : unit -> row list
-(** The calling domain's counters, sorted by name.  Pair two snapshots with
-    {!since} for an exact per-task delta — exact because each domain owns
-    its table. *)
-
 val aggregate : unit -> row list
 (** Process-wide totals: the sum over every domain's table (including
     domains that have terminated), sorted by name.  Only meaningful at a
@@ -50,7 +44,3 @@ val reset : unit -> unit
 val report : row list -> string
 (** Human-readable table (phase, calls, seconds, minor words), for the
     bench output. *)
-
-val serialize : row list -> string
-(** One [name calls seconds minor_words] line per phase, for the serve
-    journal's per-job [counters] file. *)

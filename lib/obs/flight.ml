@@ -2,153 +2,128 @@
    spans plus the last K job state transitions, dumped to the journal
    directory when the process dies badly (SIGSEGV, uncaught exception)
    or is asked to stop (the daemons call [dump] from their SIGTERM drain
-   hook).  `lbr-reduce report` renders the dump post-mortem.
+   hook).  A dump is a .tdump capture plus a metric dump, so `lbr-reduce
+   report` and `trace-merge` read it with the codecs they already use.
 
    Span capture rides {!Trace.set_flight_hook}: while armed, every span
-   and instant is mirrored here with absolute wall-clock timestamps even
-   when classic tracing is off — so a crash of an untraced production
-   daemon still leaves the last window of evidence.  The hook path is a
-   mutex + two array stores; the rings are small by design (the point is
-   the last few hundred events, not a full trace). *)
+   and instant is mirrored here, timed from the arm instant, even when
+   classic tracing is off — so a crash of an untraced production daemon
+   still leaves the last window of evidence.  The hook path is a mutex +
+   two array stores; the rings are small by design (the point is the
+   last few hundred events, not a full trace). *)
 
-type transition = { tr_ts : float; tr_job : string; tr_state : string }
+type ring = {
+  buf : Trace.event array;
+  mutable first : int;
+  mutable count : int;
+  mutable dropped : int;  (* events overwritten because the ring was full *)
+}
 
 type t = {
   mutex : Mutex.t;
   node : string;
   dir : string;
-  spans : Trace.event array;  (* ev_ts/ev_dur in absolute microseconds *)
-  mutable s_first : int;
-  mutable s_count : int;
-  trans : transition array;
-  mutable t_first : int;
-  mutable t_count : int;
-  mutable dumped : string list;  (* paths written, latest first *)
+  epoch : float;  (* arm time: the capture's ts = 0 *)
+  spans : ring;
+  transitions : ring;  (* job.state instants *)
 }
-
-let none_transition = { tr_ts = 0.; tr_job = ""; tr_state = "" }
 
 (* Single armed recorder per process, like the metrics registry. *)
 let current : t option ref = ref None
 let armed () = !current <> None
 
-let push_ring buf first count v =
-  let cap = Array.length buf in
-  if count = cap then begin
-    buf.(first) <- v;
-    ((first + 1) mod cap, count)
+let push t ring ev =
+  Mutex.lock t.mutex;
+  let cap = Array.length ring.buf in
+  if ring.count = cap then begin
+    ring.buf.(ring.first) <- ev;
+    ring.first <- (ring.first + 1) mod cap;
+    ring.dropped <- ring.dropped + 1
   end
   else begin
-    buf.((first + count) mod cap) <- v;
-    (first, count + 1)
-  end
-
-let note_span t ~name ~ph ~t0 ~t1 ~args =
-  Mutex.lock t.mutex;
-  let first, count =
-    push_ring t.spans t.s_first t.s_count
-      {
-        Trace.ev_name = name;
-        ev_ph = ph;
-        ev_ts = t0 *. 1e6;
-        ev_dur = (t1 -. t0) *. 1e6;
-        ev_tid = (Domain.self () :> int);
-        ev_args = args;
-      }
-  in
-  t.s_first <- first;
-  t.s_count <- count;
+    ring.buf.((ring.first + ring.count) mod cap) <- ev;
+    ring.count <- ring.count + 1
+  end;
   Mutex.unlock t.mutex
+
+let contents ring =
+  List.init ring.count (fun i -> ring.buf.((ring.first + i) mod Array.length ring.buf))
+
+let event t ~name ~ph ~t0 ~t1 ~args =
+  {
+    Trace.ev_name = name;
+    ev_ph = ph;
+    ev_ts = (t0 -. t.epoch) *. 1e6;
+    ev_dur = (t1 -. t0) *. 1e6;
+    ev_tid = (Domain.self () :> int);
+    ev_args = args;
+  }
+
+let instant t name ~at args = event t ~name ~ph:'i' ~t0:at ~t1:at ~args
 
 let transition ~job ~state =
   match !current with
   | None -> ()
   | Some t ->
-      Mutex.lock t.mutex;
-      let first, count =
-        push_ring t.trans t.t_first t.t_count
-          { tr_ts = Unix.gettimeofday (); tr_job = job; tr_state = state }
-      in
-      t.t_first <- first;
-      t.t_count <- count;
-      Mutex.unlock t.mutex
+      push t t.transitions
+        (instant t "job.state" ~at:(Unix.gettimeofday ())
+           [ ("job", Trace.Str job); ("state", Trace.Str state) ])
 
-let ring_to_list buf first count =
-  List.init count (fun i -> buf.((first + i) mod Array.length buf))
+let capture t ~reason =
+  let now = Unix.gettimeofday () in
+  Mutex.lock t.mutex;
+  let spans = contents t.spans and transitions = contents t.transitions in
+  let dropped = t.spans.dropped + t.transitions.dropped in
+  Mutex.unlock t.mutex;
+  {
+    Tdump.nd_node = t.node;
+    nd_epoch = t.epoch;
+    nd_server_now = now;
+    nd_client_mid = now;
+    nd_dropped = dropped;
+    nd_events =
+      spans @ transitions
+      @ [
+          instant t "flight.dump" ~at:now
+            [ ("reason", Trace.Str reason); ("pid", Trace.Int (Unix.getpid ())) ];
+        ];
+  }
 
-let render_rows buf rows =
-  List.iteri
-    (fun i r ->
-      if i > 0 then Buffer.add_string buf ",\n";
-      match r with
-      | Metrics.Counter_row { name; value } ->
-          Buffer.add_string buf
-            (Printf.sprintf "    {\"kind\":\"counter\",\"name\":\"%s\",\"value\":%d}"
-               (Trace.json_escape name) value)
-      | Metrics.Gauge_row { name; value } ->
-          Buffer.add_string buf
-            (Printf.sprintf "    {\"kind\":\"gauge\",\"name\":\"%s\",\"value\":%s}"
-               (Trace.json_escape name)
-               (if Float.is_finite value then Printf.sprintf "%.6g" value else "null"))
-      | Metrics.Histogram_row { name; count; sum; p50; p90; p99 } ->
-          let n v = if Float.is_finite v then Printf.sprintf "%.6g" v else "null" in
-          Buffer.add_string buf
-            (Printf.sprintf
-               "    {\"kind\":\"histogram\",\"name\":\"%s\",\"count\":%d,\"sum\":%s,\"p50\":%s,\"p90\":%s,\"p99\":%s}"
-               (Trace.json_escape name) count (n sum) (n p50) (n p90) (n p99)))
-    rows
+let metrics_file path = Filename.remove_extension path ^ ".metrics"
 
-let render t ~reason =
-  let spans, trans =
-    Mutex.lock t.mutex;
-    let s = ring_to_list t.spans t.s_first t.s_count in
-    let tr = ring_to_list t.trans t.t_first t.t_count in
-    Mutex.unlock t.mutex;
-    (s, tr)
-  in
-  let buf = Buffer.create 4096 in
-  Buffer.add_string buf
-    (Printf.sprintf
-       "{\"flightRecorder\":1,\n\"node\":\"%s\",\n\"pid\":%d,\n\"reason\":\"%s\",\n\"time\":%.6f,\n"
-       (Trace.json_escape t.node) (Unix.getpid ()) (Trace.json_escape reason)
-       (Unix.gettimeofday ()));
-  Buffer.add_string buf "\"spans\":[\n";
-  List.iteri
-    (fun i ev ->
-      if i > 0 then Buffer.add_string buf ",\n";
-      Buffer.add_string buf ("    " ^ Trace.event_json_string ev))
-    spans;
-  Buffer.add_string buf "\n],\n\"transitions\":[\n";
-  List.iteri
-    (fun i { tr_ts; tr_job; tr_state } ->
-      if i > 0 then Buffer.add_string buf ",\n";
-      Buffer.add_string buf
-        (Printf.sprintf "    {\"ts\":%.6f,\"job\":\"%s\",\"state\":\"%s\"}" tr_ts
-           (Trace.json_escape tr_job) (Trace.json_escape tr_state)))
-    trans;
-  Buffer.add_string buf "\n],\n\"metrics\":[\n";
-  render_rows buf (Metrics.rows ());
-  Buffer.add_string buf "\n]}\n";
-  Buffer.contents buf
+(* tmp + rename: a process killed mid-dump leaves no torn file. *)
+let write_atomic path data =
+  let tmp = path ^ ".tmp" in
+  let oc = open_out_bin tmp in
+  Fun.protect
+    ~finally:(fun () -> close_out_noerr oc)
+    (fun () ->
+      output_string oc data;
+      close_out oc);
+  Sys.rename tmp path
 
+(* The metric dump lands first, so a .tdump never names a missing one. *)
 let dump_t t ~reason =
   let path =
-    Filename.concat t.dir (Printf.sprintf "flight-%d-%s.json" (Unix.getpid ()) reason)
+    Filename.concat t.dir (Printf.sprintf "flight-%d-%s.tdump" (Unix.getpid ()) reason)
   in
-  let body = render t ~reason in
-  let oc = open_out path in
-  Fun.protect
-    (fun () -> output_string oc body)
-    ~finally:(fun () -> close_out oc);
-  Mutex.lock t.mutex;
-  t.dumped <- path :: t.dumped;
-  Mutex.unlock t.mutex;
+  write_atomic (metrics_file path) (Metrics.encode_dump (Metrics.dump ()));
+  write_atomic path (Tdump.to_string (capture t ~reason));
   path
 
 let dump ~reason =
   match !current with
   | None -> None
   | Some t -> ( try Some (dump_t t ~reason) with _ -> None)
+
+let read path =
+  Result.bind (Tdump.read_file path) (fun capture ->
+      match In_channel.with_open_bin (metrics_file path) In_channel.input_all with
+      | exception Sys_error m -> Error m
+      | data -> (
+          match Metrics.decode_dump data with
+          | Ok metrics -> Ok (capture, metrics)
+          | Error m -> Error ("metric dump: " ^ m)))
 
 let install_crash_handlers () =
   (* SIGSEGV delivery after real memory corruption may not survive long
@@ -172,46 +147,31 @@ let arm ?(node = Printf.sprintf "pid-%d" (Unix.getpid ())) ?(spans = 512)
   | true -> ()
   | false -> invalid_arg (Printf.sprintf "Flight.arm: %s is not a directory" dir)
   | exception Sys_error _ -> Unix.mkdir dir 0o755);
+  let ring capacity =
+    {
+      buf =
+        Array.make capacity
+          Trace.{ ev_name = ""; ev_ph = 'i'; ev_ts = 0.; ev_dur = 0.; ev_tid = 0; ev_args = [] };
+      first = 0;
+      count = 0;
+      dropped = 0;
+    }
+  in
   let t =
     {
       mutex = Mutex.create ();
       node;
       dir;
-      spans = Array.make spans Trace.{ ev_name = ""; ev_ph = 'i'; ev_ts = 0.; ev_dur = 0.; ev_tid = 0; ev_args = [] };
-      s_first = 0;
-      s_count = 0;
-      trans = Array.make transitions none_transition;
-      t_first = 0;
-      t_count = 0;
-      dumped = [];
+      epoch = Unix.gettimeofday ();
+      spans = ring spans;
+      transitions = ring transitions;
     }
   in
   current := Some t;
   Trace.set_flight_hook
-    (Some (fun ~name ~ph ~t0 ~t1 ~args -> note_span t ~name ~ph ~t0 ~t1 ~args));
+    (Some (fun ~name ~ph ~t0 ~t1 ~args -> push t t.spans (event t ~name ~ph ~t0 ~t1 ~args)));
   install_crash_handlers ()
 
 let disarm () =
   Trace.set_flight_hook None;
   current := None
-
-let render_current ~reason =
-  match !current with None -> None | Some t -> Some (render t ~reason)
-
-let span_count () =
-  match !current with
-  | None -> 0
-  | Some t ->
-      Mutex.lock t.mutex;
-      let n = t.s_count in
-      Mutex.unlock t.mutex;
-      n
-
-let transition_count () =
-  match !current with
-  | None -> 0
-  | Some t ->
-      Mutex.lock t.mutex;
-      let n = t.t_count in
-      Mutex.unlock t.mutex;
-      n

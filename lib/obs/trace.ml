@@ -267,6 +267,9 @@ let event_json ?(pid = 1) buf ev =
       Buffer.add_char buf '}');
   Buffer.add_char buf '}'
 
+let str_arg ev key =
+  List.find_map (function k, Str v when k = key -> Some v | _ -> None) ev.ev_args
+
 let event_json_string ?pid ev =
   let buf = Buffer.create 128 in
   event_json ?pid buf ev;

@@ -111,6 +111,9 @@ val event_json_string : ?pid:int -> event -> string
 
 val json_escape : string -> string
 
+(** The value of an event's [Str] arg named [key], if any. *)
+val str_arg : event -> string -> string option
+
 (** {!Flight}'s tap: while set, every span/instant is also delivered to
     the hook with {e absolute} wall-clock seconds, even when classic
     tracing is off.  The hook must not raise (exceptions are swallowed).

@@ -86,15 +86,6 @@ let mark t ~id ~marker ~contents =
       mkdir_p (job_dir t id);
       write_file_atomic (Filename.concat (job_dir t id) marker) contents)
 
-(* Not a terminal marker — [mark] closes the preds log, this must not. *)
-let record_counters t ~id ~contents =
-  Mutex.lock t.mutex;
-  Fun.protect
-    ~finally:(fun () -> Mutex.unlock t.mutex)
-    (fun () ->
-      mkdir_p (job_dir t id);
-      write_file_atomic (Filename.concat (job_dir t id) "counters") contents)
-
 let mark_done t ~id = mark t ~id ~marker:"done" ~contents:""
 let mark_cancelled t ~id = mark t ~id ~marker:"cancelled" ~contents:""
 let mark_failed t ~id ~reason = mark t ~id ~marker:"failed" ~contents:(reason ^ "\n")

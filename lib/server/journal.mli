@@ -16,13 +16,15 @@
                                   one: a daemon's runner.  A coordinator
                                   keeps the verdicts its workers stream
                                   in its verdict cache instead.
-    <root>/<job-id>/counters    — phase timing counters of the run
-                                  (one "name calls seconds minor_words"
-                                  line per phase), written at completion
-                                  when the run timed any phase
     <root>/<job-id>/done        — terminal marker (empty)
     <root>/<job-id>/cancelled   — terminal marker (empty)
     <root>/<job-id>/failed      — terminal marker (first line: reason)
+    <root>/flight-<pid>-<reason>.tdump
+    <root>/flight-<pid>-<reason>.metrics
+                                — a flight recorder dump
+                                  ({!Lbr_obs.Flight}), written by the
+                                  daemon beside the jobs, not by this
+                                  module
     v}
 
     A daemon killed mid-reduction leaves a job directory with a [spec]
@@ -52,11 +54,6 @@ val append_pred :
     attempts — and flush it to the OS: after this returns, a [kill -9]
     cannot lose the entry.  [lbr-reduce report --journal] rebuilds
     latency histograms from these lines post-mortem. *)
-
-val record_counters : t -> id:string -> contents:string -> unit
-(** Write the job's [counters] file (atomic tmp+rename): the per-job phase
-    timing delta ({!Lbr_logic.Perf.serialize} lines), written when the
-    job finishes running, before its terminal marker. *)
 
 val mark_done : t -> id:string -> unit
 val mark_cancelled : t -> id:string -> unit

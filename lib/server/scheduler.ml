@@ -196,11 +196,6 @@ let run_job t job =
           with _ -> ());
     }
   in
-  (* A job runs as one pool task on one domain, so the domain-local counter
-     delta is exactly this job's phase timing.  (Jobs on [~threads:true]
-     share a domain, but that runner — the coordinator's — times no
-     phases, and an empty delta writes no file.) *)
-  let counters_before = Lbr_logic.Perf.snapshot_local () in
   let status =
     (* The job's trace context is installed for the whole run: every span
        the runner (and anything it calls — oracle, frontends, speculative
@@ -216,16 +211,6 @@ let run_job t job =
     | exception Lbr_frontend.Run.Cancelled -> Cancelled
     | exception exn -> Failed (Printexc.to_string exn)
   in
-  (match t.journal with
-  | None -> ()
-  | Some j ->
-      let rows =
-        Lbr_logic.Perf.since ~before:counters_before
-          ~after:(Lbr_logic.Perf.snapshot_local ())
-      in
-      if rows <> [] then
-        Journal.record_counters j ~id:job.id
-          ~contents:(Lbr_logic.Perf.serialize rows));
   finalize t job status
 
 (* One dispatch token is pool-submitted per admission; each token claims

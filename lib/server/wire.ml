@@ -270,64 +270,6 @@ let r_seeds r =
       (key, ok))
 
 (* ------------------------------------------------------------------ *)
-(* Trace events — the Trace_dump_reply payload                        *)
-
-let w_trace_arg b : Lbr_obs.Trace.arg -> unit = function
-  | Str s ->
-      w_u8 b 0;
-      w_str16 b s
-  | Int i ->
-      w_u8 b 1;
-      w_i64 b i
-  | Float f ->
-      w_u8 b 2;
-      w_f64 b f
-  | Bool v ->
-      w_u8 b 3;
-      w_bool b v
-
-let r_trace_arg r : Lbr_obs.Trace.arg =
-  match r_u8 r with
-  | 0 -> Str (r_str16 r)
-  | 1 -> Int (r_i64 r)
-  | 2 -> Float (r_f64 r)
-  | 3 -> Bool (r_bool r)
-  | t -> fail "bad trace arg tag %d" t
-
-let w_trace_event b (e : Lbr_obs.Trace.event) =
-  w_str16 b e.ev_name;
-  w_u8 b (Char.code e.ev_ph);
-  w_f64 b e.ev_ts;
-  w_f64 b e.ev_dur;
-  w_u32 b e.ev_tid;
-  w_u16 b (List.length e.ev_args);
-  List.iter
-    (fun (k, v) ->
-      w_str16 b k;
-      w_trace_arg b v)
-    e.ev_args
-
-let r_trace_event r : Lbr_obs.Trace.event =
-  let ev_name = r_str16 r in
-  let ev_ph = Char.chr (r_u8 r) in
-  let ev_ts = r_f64 r in
-  let ev_dur = r_f64 r in
-  let ev_tid = r_u32 r in
-  let n_args = r_u16 r in
-  let ev_args =
-    List.init n_args (fun _ ->
-        let k = r_str16 r in
-        (k, r_trace_arg r))
-  in
-  { ev_name; ev_ph; ev_ts; ev_dur; ev_tid; ev_args }
-
-let w_trace_events b events =
-  w_u32 b (List.length events);
-  List.iter (w_trace_event b) events
-
-let r_trace_events r = List.init (r_count r (r_u32 r)) (fun _ -> r_trace_event r)
-
-(* ------------------------------------------------------------------ *)
 (* Messages                                                            *)
 
 let kind_of = function
@@ -393,7 +335,7 @@ let encode_payload msg =
       w_f64 b d.epoch;
       w_f64 b d.server_now;
       w_u32 b d.dropped;
-      w_trace_events b d.events
+      Lbr_obs.Tdump.w_trace_events b d.events
   | Metrics_dump_request -> ()
   | Metrics_dump_reply { node; dump } ->
       w_str16 b node;
@@ -450,7 +392,7 @@ let decode_payload data =
           let epoch = r_f64 r in
           let server_now = r_f64 r in
           let dropped = r_u32 r in
-          let events = r_trace_events r in
+          let events = Lbr_obs.Tdump.r_trace_events r in
           Trace_dump_reply { node; epoch; server_now; dropped; events }
       | 0x07 -> Metrics_dump_request
       | 0x8C ->

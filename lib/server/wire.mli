@@ -107,7 +107,7 @@ type trace_dump = {
       (** its wall clock when the dump was taken — the merger pairs this
           with its own request/reply timestamps to estimate clock skew *)
   dropped : int;
-  events : Lbr_obs.Trace.event list;
+  events : Lbr_obs.Trace.event list;  (** encoded by {!Lbr_obs.Tdump.w_trace_events} *)
 }
 
 type message =
@@ -178,10 +178,3 @@ val spec_to_string : spec -> string
     reused by the journal to persist accepted jobs. *)
 
 val spec_of_string : string -> (spec, string) result
-
-val w_trace_events : Buffer.t -> Lbr_obs.Trace.event list -> unit
-(** The events section of a [Trace_dump_reply] payload, on its own.
-    Reused by [trace-merge]'s .tdump capture files. *)
-
-val r_trace_events : Lbr_codec.Codec.reader -> Lbr_obs.Trace.event list
-(** Reads what {!w_trace_events} wrote, inside a {!Lbr_codec.Codec.read}. *)

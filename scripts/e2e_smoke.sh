@@ -19,7 +19,8 @@
 #   9. check the result is byte-identical to a sequential run, that `top`
 #      reports cluster health, that the surviving worker replayed the
 #      verdicts the coordinator seeded it with, and that the coordinator
-#      drains cleanly.
+#      drains cleanly, leaving a flight dump that `report` renders and
+#      `trace-merge` takes as a lane.
 #
 # Usage: scripts/e2e_smoke.sh  (after `dune build`; override BIN to point
 # at the lbr_reduce executable if it lives elsewhere, TRACE_OUT to keep
@@ -314,7 +315,7 @@ echo "OK: coordinator drained and exited cleanly on SIGTERM"
 
 # The drain must have dropped a flight-recorder dump into the journal
 # directory, and `report` must render a post-mortem from it.
-ls "$COORD_JOURNAL"/flight-*-drain.json > /dev/null 2>&1 \
+ls "$COORD_JOURNAL"/flight-*-drain.tdump > /dev/null 2>&1 \
   || { echo "coordinator drain left no flight-recorder dump"; ls "$COORD_JOURNAL"; exit 1; }
 "$BIN" report --journal "$COORD_JOURNAL" > "$WORK/report.out"
 grep -q 'flight' "$WORK/report.out" || { echo "report ignored the flight dump"; cat "$WORK/report.out"; exit 1; }
@@ -324,6 +325,20 @@ if command -v jq >/dev/null 2>&1; then
   jq -e . "$WORK/report.json" > /dev/null || { echo "report --json is not valid JSON"; exit 1; }
 fi
 echo "OK: flight recorder dumped on drain and report renders the post-mortem"
+
+# The flight dump is a .tdump capture: trace-merge takes it as a lane,
+# and the coordinator's job.state history for job-000001 shows in it.
+FLIGHT_TRACE="$WORK/flight-trace.json"
+"$BIN" trace-merge -o "$FLIGHT_TRACE" "$COORD_JOURNAL"/flight-*-drain.tdump > /dev/null
+if command -v jq >/dev/null 2>&1; then
+  jq -e '[.traceEvents[] | select(.name == "job.state" and .args.job == "job-000001")] | length > 0' \
+    "$FLIGHT_TRACE" > /dev/null \
+    || { echo "merged flight dump lacks job-000001's job.state"; exit 1; }
+else
+  grep -q '"name":"job.state".*"job":"job-000001"' "$FLIGHT_TRACE" \
+    || { echo "merged flight dump lacks job-000001's job.state"; exit 1; }
+fi
+echo "OK: trace-merge reads the flight dump as a lane with the job's state history"
 
 # Keep the coordinator journal (e.g. as a CI artifact) when asked to.
 if [ -n "${CLUSTER_JOURNAL_OUT:-}" ]; then

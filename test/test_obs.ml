@@ -169,58 +169,165 @@ let fresh_dir prefix =
   Unix.mkdir d 0o755;
   d
 
-let test_flight_rings_bounded () =
+(* Arm a recorder in a fresh directory, run [f], dump with reason "test"
+   and decode the dump back: every flight assertion is on typed values. *)
+let with_flight ?spans ?transitions ~node f =
   let dir = fresh_dir "lbr-flight" in
-  Lbr_obs.Flight.arm ~node:"test-node" ~spans:16 ~transitions:8 ~dir ();
+  Lbr_obs.Flight.arm ~node ?spans ?transitions ~dir ();
   Fun.protect
     ~finally:(fun () -> Lbr_obs.Flight.disarm ())
     (fun () ->
-      (* classic tracing is OFF: the hook alone must capture spans *)
-      Alcotest.(check bool) "tracing off" false (Trace.enabled ());
-      for i = 1 to 100 do
-        Trace.instant (Printf.sprintf "ev%d" i);
-        Lbr_obs.Flight.transition ~job:(Printf.sprintf "job-%d" i) ~state:"queued"
-      done;
-      Alcotest.(check int) "span ring bounded" 16 (Lbr_obs.Flight.span_count ());
-      Alcotest.(check int) "transition ring bounded" 8
-        (Lbr_obs.Flight.transition_count ());
-      match Lbr_obs.Flight.render_current ~reason:"test" with
-      | None -> Alcotest.fail "armed recorder must render"
-      | Some body ->
-          Alcotest.(check bool) "has node" true (contains ~affix:{|"node":"test-node"|} body);
-          Alcotest.(check bool) "has reason" true (contains ~affix:{|"reason":"test"|} body);
-          (* newest window survives: ev100 present, ev1 evicted *)
-          Alcotest.(check bool) "newest span kept" true (contains ~affix:{|"ev100"|} body);
-          Alcotest.(check bool) "oldest span evicted" false (contains ~affix:{|"ev1"|} body);
-          Alcotest.(check bool) "newest transition kept" true
-            (contains ~affix:{|"job-100"|} body))
+      f ();
+      match Lbr_obs.Flight.dump ~reason:"test" with
+      | None -> Alcotest.fail "armed recorder must dump"
+      | Some path -> (
+          Alcotest.(check bool) "in the journal dir" true (String.starts_with ~prefix:dir path);
+          match Lbr_obs.Flight.read path with
+          | Ok (capture, metrics) -> (path, capture, metrics)
+          | Error m -> Alcotest.fail ("dump must read back: " ^ m)))
+
+let named name (d : Lbr_obs.Tdump.node_dump) =
+  List.filter (fun (e : Trace.event) -> e.ev_name = name) d.nd_events
+
+let spans_of (d : Lbr_obs.Tdump.node_dump) =
+  List.filter
+    (fun (e : Trace.event) -> e.ev_name <> "job.state" && e.ev_name <> "flight.dump")
+    d.nd_events
+
+let test_flight_rings_bounded () =
+  let _, capture, _ =
+    with_flight ~node:"test-node" ~spans:16 ~transitions:8 (fun () ->
+        (* classic tracing is OFF: the hook alone must capture spans *)
+        Alcotest.(check bool) "tracing off" false (Trace.enabled ());
+        for i = 1 to 100 do
+          Trace.instant (Printf.sprintf "ev%d" i);
+          Lbr_obs.Flight.transition ~job:(Printf.sprintf "job-%d" i) ~state:"queued"
+        done)
+  in
+  let names = List.map (fun (e : Trace.event) -> e.ev_name) (spans_of capture) in
+  let jobs = List.filter_map (fun e -> Trace.str_arg e "job") (named "job.state" capture) in
+  Alcotest.(check string) "node" "test-node" capture.nd_node;
+  Alcotest.(check (list (option string))) "reason" [ Some "test" ]
+    (List.map (fun e -> Trace.str_arg e "reason") (named "flight.dump" capture));
+  Alcotest.(check bool) "pid" true
+    (List.for_all
+       (fun (e : Trace.event) -> List.assoc_opt "pid" e.ev_args = Some (Trace.Int (Unix.getpid ())))
+       (named "flight.dump" capture));
+  Alcotest.(check int) "span ring bounded" 16 (List.length names);
+  Alcotest.(check int) "transition ring bounded" 8 (List.length jobs);
+  Alcotest.(check int) "evictions counted" ((100 - 16) + (100 - 8)) capture.nd_dropped;
+  (* newest window survives: ev100 present, ev1 evicted *)
+  Alcotest.(check bool) "newest span kept" true (List.mem "ev100" names);
+  Alcotest.(check bool) "oldest span evicted" false (List.mem "ev1" names);
+  Alcotest.(check bool) "newest transition kept" true (List.mem "job-100" jobs)
 
 let test_flight_dump_writes_file () =
-  let dir = fresh_dir "lbr-flight-dump" in
-  Lbr_obs.Flight.arm ~node:"dumper" ~dir ();
-  Fun.protect
-    ~finally:(fun () -> Lbr_obs.Flight.disarm ())
-    (fun () ->
-      Trace.instant "pre-crash";
-      Lbr_obs.Flight.transition ~job:"job-1" ~state:"running";
-      match Lbr_obs.Flight.dump ~reason:"drain" with
-      | None -> Alcotest.fail "dump should succeed"
-      | Some path ->
-          Alcotest.(check bool) "file exists" true (Sys.file_exists path);
-          Alcotest.(check bool) "in the journal dir" true
-            (String.starts_with ~prefix:dir path);
-          let ic = open_in path in
-          let body = really_input_string ic (in_channel_length ic) in
-          close_in ic;
-          Alcotest.(check bool) "is a flight dump" true
-            (contains ~affix:{|"flightRecorder":1|} body);
-          Alcotest.(check bool) "span present" true (contains ~affix:{|"pre-crash"|} body))
+  let path, capture, _ =
+    with_flight ~node:"dumper" (fun () ->
+        Trace.instant "pre-crash";
+        Lbr_obs.Flight.transition ~job:"job-1" ~state:"running")
+  in
+  Alcotest.(check bool) "capture file" true (Filename.check_suffix path ".tdump");
+  Alcotest.(check bool) "metric dump beside it" true
+    (Sys.file_exists (Filename.remove_extension path ^ ".metrics"));
+  Alcotest.(check bool) "no temporary left" false (Sys.file_exists (path ^ ".tmp"));
+  Alcotest.(check bool) "span present" true
+    (List.exists (fun (e : Trace.event) -> e.ev_name = "pre-crash") (spans_of capture))
 
 let test_flight_disarmed_noop () =
   Lbr_obs.Flight.disarm ();
   Lbr_obs.Flight.transition ~job:"job-x" ~state:"running";
   Alcotest.(check bool) "not armed" false (Lbr_obs.Flight.armed ());
   Alcotest.(check (option string)) "no dump" None (Lbr_obs.Flight.dump ~reason:"x")
+
+let test_flight_round_trip () =
+  let hits = Metrics.counter "test_obs_flight_hits_total" in
+  let recorded = ref Metrics.(dump ()) in
+  let _, capture, metrics =
+    with_flight ~node:"round-trip" (fun () ->
+        Trace.with_span "outer"
+          ~args:(fun () -> [ ("job", Trace.Str "job-7"); ("n", Trace.Int 3) ])
+          (fun () -> Trace.instant "inner" ~args:(fun () -> [ ("ok", Trace.Bool true) ]));
+        Lbr_obs.Flight.transition ~job:"job-7" ~state:"queued";
+        Lbr_obs.Flight.transition ~job:"job-7" ~state:"running";
+        Metrics.add hits 5;
+        recorded := Metrics.dump ())
+  in
+  let shape (e : Trace.event) = (e.ev_name, e.ev_ph, e.ev_args) in
+  Alcotest.(check bool) "spans: inner, then outer (recorded at span end)" true
+    (List.map shape (spans_of capture)
+    = [
+        ("inner", 'i', [ ("ok", Trace.Bool true) ]);
+        ("outer", 'X', [ ("job", Trace.Str "job-7"); ("n", Trace.Int 3) ]);
+      ]);
+  Alcotest.(check (list (pair (option string) (option string))))
+    "job.state instants" [ (Some "job-7", Some "queued"); (Some "job-7", Some "running") ]
+    (List.map
+       (fun e -> (Trace.str_arg e "job", Trace.str_arg e "state"))
+       (named "job.state" capture));
+  Alcotest.(check bool) "timestamps relative to the arm time, in order" true
+    (let ts = List.map (fun (e : Trace.event) -> e.ev_ts) capture.nd_events in
+     List.for_all (fun t -> t >= 0.) ts
+     && capture.nd_server_now = capture.nd_client_mid
+     && capture.nd_epoch <= capture.nd_server_now);
+  Alcotest.(check bool) "metric dump equals the registry at dump time" true
+    (metrics = !recorded);
+  Alcotest.(check bool) "counter readable by name" true
+    (Metrics.find_in_dump metrics "test_obs_flight_hits_total" = Some (Metrics.D_counter 5))
+
+(* A damaged capture is an [Error] from the one reader, never an
+   exception: every strict prefix, every single-byte flip, and two
+   flips that must be refused (the magic, and an event count larger
+   than the bytes left). *)
+let test_flight_damaged_capture () =
+  let path, capture, _ =
+    with_flight ~node:"damaged" (fun () ->
+        Trace.instant "a";
+        Lbr_obs.Flight.transition ~job:"job-1" ~state:"done")
+  in
+  let bytes = In_channel.with_open_bin path In_channel.input_all in
+  let read_back data =
+    Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc data);
+    Lbr_obs.Flight.read path
+  in
+  let flip i = String.mapi (fun j c -> if j = i then Char.chr (Char.code c lxor 0x80) else c) bytes in
+  let is_error = function Error _ -> true | Ok _ -> false in
+  Alcotest.(check bool) "truncated is Error" true
+    (List.for_all (fun n -> is_error (read_back (String.sub bytes 0 n)))
+       (List.init (String.length bytes) Fun.id));
+  Alcotest.(check bool) "flipped magic is Error" true (is_error (read_back (flip 0)));
+  let count_at = 6 + 2 + String.length capture.nd_node + 24 + 4 in
+  Alcotest.(check bool) "flipped event count is Error" true
+    (is_error (read_back (flip count_at)));
+  Alcotest.(check bool) "every flip reads as Ok or Error" true
+    (List.for_all
+       (fun i -> match read_back (flip i) with Ok _ | Error _ -> true)
+       (List.init (String.length bytes) Fun.id));
+  let metrics_path = Filename.remove_extension path ^ ".metrics" in
+  ignore (read_back bytes);
+  let m = In_channel.with_open_bin metrics_path In_channel.input_all in
+  Out_channel.with_open_bin metrics_path (fun oc ->
+      Out_channel.output_string oc (String.sub m 0 (String.length m - 1)));
+  Alcotest.(check bool) "truncated metric dump is Error" true
+    (is_error (Lbr_obs.Flight.read path))
+
+let test_flight_trace_merge () =
+  let path, _, _ =
+    with_flight ~node:"flight-node" (fun () ->
+        Trace.instant "work";
+        Lbr_obs.Flight.transition ~job:"job-000001" ~state:"running")
+  in
+  match Lbr_cluster.Trace_merge.read_file path with
+  | Error m -> Alcotest.fail m
+  | Ok d ->
+      let json = Lbr_cluster.Trace_merge.merge [ d ] in
+      Alcotest.(check bool) "lane named by node" true
+        (contains ~affix:{|"name":"process_name","pid":1,"args":{"name":"flight-node"}|} json);
+      Alcotest.(check bool) "job.state instant on the lane" true
+        (contains
+           ~affix:{|"args":{"job":"job-000001","state":"running"}|}
+           json
+        && contains ~affix:{|{"name":"job.state","cat":"lbr","ph":"i","pid":1,|} json)
 
 (* ------------------------------------------------------------------ *)
 (* Metrics registry                                                    *)
@@ -557,6 +664,12 @@ let () =
           Alcotest.test_case "dump writes a readable file" `Quick
             test_flight_dump_writes_file;
           Alcotest.test_case "disarmed recorder is inert" `Quick test_flight_disarmed_noop;
+          Alcotest.test_case "spans, job.state and metrics round-trip" `Quick
+            test_flight_round_trip;
+          Alcotest.test_case "a damaged capture reads as Error" `Quick
+            test_flight_damaged_capture;
+          Alcotest.test_case "trace-merge takes a flight capture as a lane" `Quick
+            test_flight_trace_merge;
         ] );
       ( "metrics",
         [
