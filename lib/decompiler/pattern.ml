@@ -287,27 +287,33 @@ let inner_annot =
   }
 
 (* Pattern: a static call that resolves through a superclass is decompiled
-   as an instance call. *)
-let rec has_super_static pool = function
+   as an instance call.  [hx] is the pool's one hierarchy context, built on
+   the first call that needs a resolution. *)
+let rec has_super_static pool hx = function
   | [] -> false
   | Invoke_static { owner; meth } :: rest -> (
       (match Classpool.find pool owner with
       | Some oc -> (
           match Classfile.find_method oc meth with
           | Some _ -> false (* defined directly: decompiles fine *)
-          | None -> Hierarchy.method_candidates pool ~owner ~meth ~static:true <> [])
+          | None ->
+              let hx = Lazy.force hx in
+              Hierarchy.Ctx.method_candidates hx ~owner:(Hierarchy.Ctx.id hx owner) ~meth
+                ~static:true
+              <> [])
       | None -> false)
-      || has_super_static pool rest)
-  | _ :: rest -> has_super_static pool rest
+      || has_super_static pool hx rest)
+  | _ :: rest -> has_super_static pool hx rest
 
 let static_through_super =
   {
     name = "static-super";
     detect =
       (fun pool ->
+        let hx = lazy (Hierarchy.Ctx.create pool) in
         fold_gated_bodies pool "static-super" 5
           (fun acc _c code_item loc body ->
-              if has_super_static pool body then
+              if has_super_static pool hx body then
                 mk "static-super"
                   ("error: non-static method referenced from static context (in " ^ where_of loc ^ ")")
                   [ code_item ]

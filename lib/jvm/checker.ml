@@ -9,7 +9,10 @@ let check pool =
   let report where fmt =
     Format.kasprintf (fun what -> violations := { where; what } :: !violations) fmt
   in
-  (match Hierarchy.check_acyclic pool with
+  (* One hierarchy context serves every resolution query of the check. *)
+  let hx = Hierarchy.Ctx.create pool in
+  let id = Hierarchy.Ctx.id hx in
+  (match Hierarchy.Ctx.check_acyclic hx with
   | Ok () -> ()
   | Error message -> report "hierarchy" "%s" message);
   if !violations <> [] then List.rev !violations
@@ -30,8 +33,9 @@ let check pool =
       match insn with
       | Invoke_virtual { owner; meth } | Invoke_static { owner; meth } -> (
           check_type_exists where owner;
-          match Hierarchy.method_candidates pool ~owner ~meth
-                  ~static:(match insn with Invoke_static _ -> true | _ -> false)
+          match
+            Hierarchy.Ctx.method_candidates hx ~owner:(id owner) ~meth
+              ~static:(match insn with Invoke_static _ -> true | _ -> false)
           with
           | [] -> report where "unresolved method %s.%s" owner meth
           | _ :: _ -> ())
@@ -41,7 +45,7 @@ let check pool =
           | Some c when not c.is_interface ->
               report where "invokeinterface on class %s" owner
           | Some _ | None -> ());
-          match Hierarchy.method_candidates pool ~owner ~meth ~static:false with
+          match Hierarchy.Ctx.method_candidates hx ~owner:(id owner) ~meth ~static:false with
           | [] -> report where "unresolved interface method %s.%s" owner meth
           | _ :: _ -> ())
       | New_instance { cls; ctor } -> (
@@ -55,7 +59,7 @@ let check pool =
                 report where "missing constructor #%d of %s" ctor cls)
       | Get_field { owner; field } | Put_field { owner; field } -> (
           check_type_exists where owner;
-          match Hierarchy.field_candidates pool ~owner ~field with
+          match Hierarchy.Ctx.field_candidates hx ~owner:(id owner) ~field with
           | [] -> report where "unresolved field %s.%s" owner field
           | _ :: _ -> ())
       | Check_cast t | Instance_of t | Load_const_class t -> check_type_exists where t
@@ -67,7 +71,7 @@ let check pool =
             && (not (Classfile.is_external from_))
             && not (Classfile.is_external to_ && to_ = object_name)
           then begin
-            match Hierarchy.subtype_paths pool ~sub:from_ ~sup:to_ with
+            match Hierarchy.Ctx.subtype_paths hx ~sub:(id from_) ~sup:(id to_) with
             | [] -> report where "%s is not a subtype of %s" from_ to_
             | _ :: _ -> ()
           end
@@ -104,20 +108,18 @@ let check pool =
         c.methods;
       if (not c.is_abstract) && not c.is_interface then
         List.iter
-          (fun (t, m) ->
+          (fun (t, i) ->
+            let m = (List.nth (Hierarchy.Ctx.cls hx t).methods i).m_name in
             let concrete =
-              Hierarchy.method_candidates pool ~owner:c.name ~meth:m ~static:false
-              |> List.exists (fun (d, _) ->
-                     match Classpool.find pool d with
-                     | None -> d = "" (* external resolution: assume ok *)
-                     | Some dc -> (
-                         match Classfile.find_method dc m with
-                         | Some dm -> not dm.m_abstract
-                         | None -> false))
+              Hierarchy.Ctx.method_candidates hx ~owner:(id c.name) ~meth:m ~static:false
+              |> List.exists (fun { Hierarchy.def; member; _ } ->
+                     def < 0 (* external resolution: assume ok *)
+                     || not (List.nth (Hierarchy.Ctx.cls hx def).methods member).m_abstract)
             in
             if not concrete then
-              report where_c "missing implementation of %s declared by %s" m t)
-          (Hierarchy.abstract_obligations pool c);
+              report where_c "missing implementation of %s declared by %s" m
+                (Hierarchy.Ctx.name hx t))
+          (Hierarchy.Ctx.abstract_obligations hx (id c.name));
       (* Member shapes and bodies. *)
       List.iter (fun (f : field) -> check_type_ref (where_c ^ "#" ^ f.f_name) f.f_type) c.fields;
       List.iter

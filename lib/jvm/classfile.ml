@@ -42,7 +42,16 @@ type cls = {
 let object_name = "java/lang/Object"
 let string_name = "java/lang/String"
 
-let is_external name = String.length name >= 5 && String.sub name 0 5 = "java/"
+(* Asked for nearly every class reference during constraint generation:
+   five byte tests, no allocation. *)
+let is_external name =
+  String.length name >= 5
+  && String.unsafe_get name 0 = 'j'
+  && String.unsafe_get name 1 = 'a'
+  && String.unsafe_get name 2 = 'v'
+  && String.unsafe_get name 3 = 'a'
+  && String.unsafe_get name 4 = '/'
+
 
 let find_method cls name = List.find_opt (fun (m : meth) -> m.m_name = name) cls.methods
 

@@ -15,13 +15,7 @@
 open Lbr_logic
 
 val generate : Jvars.t -> Classpool.t -> Cnf.t
-(** The dependency model of the pool.  The pool must be valid
-    ({!Checker.is_valid}); resolution failures raise [Invalid_argument]. *)
-
-val path_formula : Jvars.t -> Hierarchy.path -> Formula.t
-(** Conjunction of the relation variables along a hierarchy path. *)
-
-val subtype_formula :
-  Jvars.t -> Hierarchy.Ctx.t -> sub:string -> sup:string -> Formula.t
-(** Disjunction over all relation paths witnessing [sub ≤ sup]; [⊤] when
-    trivial, [⊥] when the relation does not hold in the original pool. *)
+(** The dependency model of the pool, emitted directly as clauses.  The
+    pool must be valid ({!Checker.is_valid}); references to missing classes
+    raise [Invalid_argument].  Timed as the [jvm.constraints] {!Perf}
+    phase. *)

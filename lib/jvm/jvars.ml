@@ -1,79 +1,121 @@
 open Lbr_logic
 
-let items_of_class (c : Classfile.cls) =
+type class_vars = {
+  cls : Var.t;
+  ext : Var.t;
+  ifaces : Var.t array;
+  fields : Var.t array;
+  meths : Var.t array;
+  codes : Var.t array;
+  ctors : Var.t array;
+  ctor_codes : Var.t array;
+  annotations : Var.t array;
+  inners : Var.t array;
+}
+
+(* The one walk that fixes the inventory order: [fresh] is called on each
+   item of the class in that order, and its results are recorded by
+   position.  Every [let] below is sequenced, and [Array.map] runs left to
+   right, so the call order is the order written. *)
+let walk_class fresh (c : Classfile.cls) =
   let name = c.name in
-  let class_item = [ Item.Class name ] in
-  let extends =
-    if c.is_interface || Classfile.is_external c.super then []
-    else [ Item.Extends name ]
+  let each xs f = Array.map f (Array.of_list xs) in
+  let eachi xs f = Array.mapi f (Array.of_list xs) in
+  let cls = fresh (Item.Class name) in
+  let ext =
+    if c.is_interface || Classfile.is_external c.super then -1 else fresh (Item.Extends name)
   in
-  let relations =
-    List.map
-      (fun i ->
-        if c.is_interface then Item.Iface_extends { iface = name; super = i }
-        else Item.Implements { cls = name; iface = i })
-      c.interfaces
+  let ifaces =
+    each c.interfaces (fun i ->
+        fresh
+          (if c.is_interface then Item.Iface_extends { iface = name; super = i }
+           else Item.Implements { cls = name; iface = i }))
   in
-  let fields = List.map (fun (f : Classfile.field) -> Item.Field { cls = name; field = f.f_name }) c.fields in
-  let methods =
-    List.concat_map
-      (fun (m : Classfile.meth) ->
-        let head = Item.Method { cls = name; meth = m.m_name } in
-        if m.m_abstract then [ head ] else [ head; Item.Code { cls = name; meth = m.m_name } ])
-      c.methods
+  let fields =
+    each c.fields (fun (f : Classfile.field) -> fresh (Item.Field { cls = name; field = f.f_name }))
   in
-  let ctors =
-    List.concat (List.mapi
-      (fun index (_ : Classfile.ctor) ->
-        [ Item.Ctor { cls = name; index }; Item.Ctor_code { cls = name; index } ])
-      c.ctors)
+  let meths_codes =
+    each c.methods (fun (m : Classfile.meth) ->
+        let mv = fresh (Item.Method { cls = name; meth = m.m_name }) in
+        let cv = if m.m_abstract then -1 else fresh (Item.Code { cls = name; meth = m.m_name }) in
+        (mv, cv))
   in
-  let annotations = List.mapi (fun index _ -> Item.Annotation { cls = name; index }) c.annotations in
-  let inner = List.mapi (fun index _ -> Item.Inner_class { cls = name; index }) c.inner_classes in
-  class_item @ extends @ relations @ fields @ methods @ ctors @ annotations @ inner
+  let ctors_codes =
+    eachi c.ctors (fun index _ ->
+        let kv = fresh (Item.Ctor { cls = name; index }) in
+        let cv = fresh (Item.Ctor_code { cls = name; index }) in
+        (kv, cv))
+  in
+  let annotations = eachi c.annotations (fun index _ -> fresh (Item.Annotation { cls = name; index })) in
+  let inners = eachi c.inner_classes (fun index _ -> fresh (Item.Inner_class { cls = name; index })) in
+  {
+    cls;
+    ext;
+    ifaces;
+    fields;
+    meths = Array.map fst meths_codes;
+    codes = Array.map snd meths_codes;
+    ctors = Array.map fst ctors_codes;
+    ctor_codes = Array.map snd ctors_codes;
+    annotations;
+    inners;
+  }
 
-let items_of_pool pool = List.concat_map items_of_class (Classpool.classes pool)
+let items_of_pool pool =
+  let items = ref [] in
+  List.iter
+    (fun c -> ignore (walk_class (fun item -> items := item :: !items; 0) c))
+    (Classpool.classes pool);
+  List.rev !items
 
+(* Only the inventory order and the per-class arrays are needed on the
+   reduction path; the item-to-variable table is built on first use. *)
 type t = {
-  item_list : Item.t list;
-  vars_of_items : (Item.t, Var.t) Hashtbl.t;
-  items_of_vars : (Var.t, Item.t) Hashtbl.t;
+  items : Item.t array;  (* by variable, from [first] on *)
+  first : Var.t;
+  classes : class_vars array;
   all : Assignment.t;
+  mutable by_item : (Item.t, Var.t) Hashtbl.t option;
 }
 
 let derive pool_vars pool =
-  let item_list = items_of_pool pool in
-  let vars_of_items = Hashtbl.create 256 in
-  let items_of_vars = Hashtbl.create 256 in
-  let all =
-    List.map
-      (fun item ->
-        let v = Var.Pool.fresh pool_vars (Item.to_string item) in
-        Hashtbl.add vars_of_items item v;
-        Hashtbl.add items_of_vars v item;
-        v)
-      item_list
-    |> Assignment.of_list
+  let items = ref [] in
+  let fresh item =
+    items := item :: !items;
+    Var.Pool.fresh pool_vars (Item.to_string item)
   in
-  { item_list; vars_of_items; items_of_vars; all }
+  let first = Var.Pool.size pool_vars in
+  let classes = Array.map (walk_class fresh) (Array.of_list (Classpool.classes pool)) in
+  let items = Array.of_list (List.rev !items) in
+  {
+    items;
+    first;
+    classes;
+    all = Assignment.of_list (List.init (Array.length items) (fun i -> first + i));
+    by_item = None;
+  }
 
 let all t = t.all
 
-let items t = t.item_list
+let items t = Array.to_list t.items
 
-let var_opt t item = Hashtbl.find_opt t.vars_of_items item
+let class_vars t i = t.classes.(i)
+
+let var_opt t item =
+  let table =
+    match t.by_item with
+    | Some table -> table
+    | None ->
+        let table = Hashtbl.create (Array.length t.items) in
+        Array.iteri (fun i item -> Hashtbl.replace table item (t.first + i)) t.items;
+        t.by_item <- Some table;
+        table
+  in
+  Hashtbl.find_opt table item
 
 let var t item =
   match var_opt t item with Some v -> v | None -> raise Not_found
 
-let formula t item =
-  match var_opt t item with
-  | Some v -> Formula.var v
-  | None ->
-      (* Items on external classes are permanent. *)
-      if Classfile.is_external (Item.owner item) then Formula.True
-      else raise Not_found
+let mem t v = v >= t.first && v < t.first + Array.length t.items
 
-let item_of t v = Hashtbl.find t.items_of_vars v
-
-let mem t v = Hashtbl.mem t.items_of_vars v
+let item_of t v = if mem t v then t.items.(v - t.first) else raise Not_found

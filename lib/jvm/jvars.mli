@@ -15,6 +15,29 @@ val derive : Var.Pool.t -> Classpool.t -> t
 (** Register one variable per item in the pool (creation order = inventory
     order, the default reduction order [<]). *)
 
+(** One class's variables by position: [ifaces.(i)] is the relation to the
+    class's [i]-th listed interface, [fields.(i)] its [i]-th field, and so
+    on.  [-1] marks an item that does not exist: [ext] when the class is an
+    interface or its superclass is external, [codes.(i)] for an abstract
+    method. *)
+type class_vars = {
+  cls : Var.t;
+  ext : Var.t;
+  ifaces : Var.t array;
+  fields : Var.t array;
+  meths : Var.t array;
+  codes : Var.t array;
+  ctors : Var.t array;
+  ctor_codes : Var.t array;
+  annotations : Var.t array;
+  inners : Var.t array;
+}
+
+val class_vars : t -> int -> class_vars
+(** The variables of the [i]-th class of [Classpool.classes pool] (name
+    order, the order {!Hierarchy.Ctx} numbers a pool's classes in), for
+    the pool [t] was derived from. *)
+
 val all : t -> Assignment.t
 val items : t -> Item.t list
 val var : t -> Item.t -> Var.t
@@ -22,9 +45,5 @@ val var : t -> Item.t -> Var.t
     external class). *)
 
 val var_opt : t -> Item.t -> Var.t option
-
-val formula : t -> Item.t -> Formula.t
-(** Like {!var} but [⊤] when the item belongs to an external class. *)
-
 val item_of : t -> Var.t -> Item.t
 val mem : t -> Var.t -> bool

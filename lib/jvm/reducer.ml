@@ -2,11 +2,10 @@ open Lbr_logic
 open Classfile
 
 (* One reduction instance applies thousands of candidate assignments to the
-   same pool, so the item → variable resolution (string-keyed hash lookups
-   on freshly built items) is hoisted into a prepared pass: every item's
-   variable id is resolved once, and each application is then pure integer
-   membership tests on the assignment.  [-1] marks itemless (permanent)
-   positions, e.g. extends of an external super. *)
+   same pool, so each member's variable is read once, by position, from
+   {!Jvars.class_vars} in a prepared pass, and each application is then
+   pure integer membership tests on the assignment.  [-1] marks itemless
+   (permanent) positions, e.g. extends of an external super. *)
 
 type prep_class = {
   pc : cls;
@@ -97,7 +96,6 @@ let sweep_sig cache phi =
     (Array.length cache.sig_words) cache.seen
 
 let prepare jv pool =
-  let var_of item = match Jvars.var_opt jv item with Some v -> v | None -> -1 in
   (* Only [New_instance] sites on pool classes are ever renumbered; bodies
      without one can be shared untouched between the original and every
      sub-pool, which skips the per-application body rebuild entirely. *)
@@ -106,16 +104,18 @@ let prepare jv pool =
       (function New_instance { cls; _ } -> Classpool.mem pool cls | _ -> false)
       body
   in
+  let index = ref 0 in
   let prep =
     Classpool.fold
       (fun (c : cls) acc ->
-        let name = c.name in
+        (* [fold] visits classes in name order, the order [Jvars] numbers
+           them in. *)
+        let cv = Jvars.class_vars jv !index in
+        incr index;
         {
           pc = c;
-          cls_var = var_of (Item.Class name);
-          ext_var =
-            (if c.is_interface || Classfile.is_external c.super then -1
-             else var_of (Item.Extends name));
+          cls_var = cv.cls;
+          ext_var = cv.ext;
           base_bytes = Size.class_header_bytes c;
           full_bytes =
             (* The all-members-kept size, so an application that keeps the
@@ -133,22 +133,14 @@ let prepare jv pool =
           ctors_bytes = List.fold_left (fun s k -> s + Size.ctor_bytes k) 0 c.ctors;
           annots_bytes = List.length c.annotations * Size.annotation_bytes;
           inners_bytes = List.length c.inner_classes * Size.inner_bytes;
-          iface_vars =
-            List.map
-              (fun i ->
-                ( i,
-                  var_of
-                    (if c.is_interface then Item.Iface_extends { iface = name; super = i }
-                     else Item.Implements { cls = name; iface = i }) ))
-              c.interfaces;
-          field_vars =
-            List.map (fun (f : field) -> (f, var_of (Item.Field { cls = name; field = f.f_name }))) c.fields;
+          iface_vars = List.mapi (fun i iface -> (iface, cv.ifaces.(i))) c.interfaces;
+          field_vars = List.mapi (fun i f -> (f, cv.fields.(i))) c.fields;
           meth_vars =
-            List.map
-              (fun (m : meth) ->
+            List.mapi
+              (fun i (m : meth) ->
                 ( m,
-                  var_of (Item.Method { cls = name; meth = m.m_name }),
-                  (if m.m_abstract then -1 else var_of (Item.Code { cls = name; meth = m.m_name })),
+                  cv.meths.(i),
+                  cv.codes.(i),
                   Size.meth_bytes m,
                   (* remapping preserves per-instruction sizes, so the kept
                      and stubbed byte counts can both be fixed in advance *)
@@ -159,17 +151,16 @@ let prepare jv pool =
           ctor_vars =
             Array.of_list
               (List.mapi
-                 (fun index k ->
+                 (fun i k ->
                    ( k,
-                     var_of (Item.Ctor { cls = name; index }),
-                     var_of (Item.Ctor_code { cls = name; index }),
+                     cv.ctors.(i),
+                     cv.ctor_codes.(i),
                      Size.ctor_bytes k,
                      Size.ctor_bytes { k with k_body = [ Return_insn ] },
                      references_pool_ctor k.k_body ))
                  c.ctors);
-          annot_vars = List.mapi (fun index a -> (a, var_of (Item.Annotation { cls = name; index }))) c.annotations;
-          inner_vars =
-            List.mapi (fun index i -> (i, var_of (Item.Inner_class { cls = name; index }))) c.inner_classes;
+          annot_vars = List.mapi (fun i a -> (a, cv.annotations.(i))) c.annotations;
+          inner_vars = List.mapi (fun i inner -> (inner, cv.inners.(i))) c.inner_classes;
         }
         :: acc)
       pool []
