@@ -170,31 +170,61 @@ let run_corpus options =
      (baseline error computation, sanity reductions), so the counter window
      for the strategy tables opens here, after the corpus is built. *)
   let counters_before = Perf.aggregate () in
+  (* The wall time a strategy row reports is normalised by the host-speed
+     factor of the e2e benchmark's reference kernel ([Speed], the same
+     file): on a shared host the CPU's speed drifts by tens of percent, and
+     a raw wall figure then fails any fixed band for every tree alike.  As
+     in the e2e benchmark, the kernel is sampled before each instance
+     (sequential sweeps; a parallel sweep is sampled around the whole
+     run), and the sweep's wall time, sampling excluded, is divided by the
+     median.  Speedups stay ratios of raw times. *)
   let outcomes =
     List.map
       (fun strategy ->
+        let speed = Speed.create () in
         let t1 = Unix.gettimeofday () in
         let c1 = cpu_seconds () in
-        let outcomes = Experiment.run_corpus ~jobs:options.jobs strategy instances in
-        let wall = Unix.gettimeofday () -. t1 in
+        let sampling = ref 0.0 in
+        let sample () = sampling := !sampling +. Speed.sample speed in
+        let outcomes =
+          if options.jobs = 1 then
+            List.concat_map
+              (fun instance ->
+                sample ();
+                Experiment.run_corpus strategy [ instance ])
+              instances
+          else begin
+            sample ();
+            let os = Experiment.run_corpus ~jobs:options.jobs strategy instances in
+            sample ();
+            os
+          end
+        in
+        let wall = Unix.gettimeofday () -. t1 -. !sampling in
         let speedup =
           if speedup_measurable options.jobs && wall > 0.0 then
             (cpu_seconds () -. c1) /. wall
           else nan
         in
+        let factor = Speed.factor speed in
+        let norm_wall = wall /. factor in
         if options.jobs = 1 then
-          Printf.printf "[run] %-12s done in %.1fs wall\n%!"
+          Printf.printf "[run] %-12s done in %.1fs wall (%.3fs normalised, host x%.2f)\n%!"
             (Experiment.strategy_name strategy)
-            wall
+            wall norm_wall factor
         else if Float.is_nan speedup then
-          Printf.printf "[run] %-12s done in %.1fs wall (jobs=%d, speedup n/a on 1 core)\n%!"
+          Printf.printf
+            "[run] %-12s done in %.1fs wall (%.3fs normalised, host x%.2f; jobs=%d, speedup \
+             n/a on 1 core)\n%!"
             (Experiment.strategy_name strategy)
-            wall options.jobs
+            wall norm_wall factor options.jobs
         else
-          Printf.printf "[run] %-12s done in %.1fs wall (jobs=%d, speedup x%.1f)\n%!"
+          Printf.printf
+            "[run] %-12s done in %.1fs wall (%.3fs normalised, host x%.2f; jobs=%d, speedup \
+             x%.1f)\n%!"
             (Experiment.strategy_name strategy)
-            wall options.jobs speedup;
-        (strategy, (wall, speedup, outcomes)))
+            wall norm_wall factor options.jobs speedup;
+        (strategy, (norm_wall, speedup, outcomes)))
       Experiment.all_strategies
   in
   (* Intra-instance speedup: the same GBR sweep run sequentially and with
@@ -543,6 +573,12 @@ let micro () =
   let cnf40 = Lbr_jvm.Constraints.generate jv pool40 in
   let order40 = Lbr_sat.Order.by_creation vpool in
   let universe40 = Lbr_jvm.Jvars.all jv in
+  (* The e2e benchmark's pool size: constraint generation at the scale its
+     ledger row measures. *)
+  let pool150 =
+    Lbr_workload.Generator.generate ~seed:7 (Lbr_workload.Generator.njr_profile ~classes:150)
+  in
+  let jv150 = Lbr_jvm.Jvars.derive (Var.Pool.create ()) pool150 in
   let instance40 =
     let benchmarks = Corpus.build ~seed:7 ~programs:1 ~mean_classes:40 in
     List.nth_opt (Corpus.instances benchmarks) 0
@@ -567,6 +603,8 @@ let micro () =
              Lbr.Gbr.reduce problem ~order:(Lbr_sat.Order.by_creation model.pool)));
       Test.make ~name:"jvm:constraint-gen-40cls"
         (Staged.stage (fun () -> Lbr_jvm.Constraints.generate jv pool40));
+      Test.make ~name:"jvm:constraint-gen-150cls"
+        (Staged.stage (fun () -> Lbr_jvm.Constraints.generate jv150 pool150));
       Test.make ~name:"sat:msa-closure-40cls"
         (Staged.stage (fun () ->
              Lbr_sat.Msa.compute cnf40 ~order:order40 ~universe:universe40

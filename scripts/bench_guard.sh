@@ -48,8 +48,8 @@ extract_alloc() {
     sed -E 's/.*"name": "([^"]+)", "calls": ([0-9]+), "seconds": [^,]+, "minor_words": ([^ }]+).*/\1 \2 \3/'
 }
 
-# Per-strategy wall-clock seconds — the only timing the guard looks at,
-# and only through a wide ±25% band (see below).
+# Per-strategy wall-clock seconds, host-speed normalised — the only timing
+# the guard looks at, and only through a wide ±25% band (see below).
 extract_wall() {
   grep '"geo_sim_time_seconds"' "$1" |
     sed -E 's/.*"name": "([^"]+)", "frontend": "[^"]*", "wall_seconds": ([^,]+),.*/\1 \2/'
@@ -110,11 +110,13 @@ else
 fi
 
 # Wall-clock gate: per-strategy wall seconds within ±25% of the committed
-# baseline.  Deliberately the loosest of the gates — wall time moves with
-# the host and with unrelated code — but a strategy suddenly taking 2x
-# (a lost fast path, an accidental O(n^2)) fails here even when the
-# deterministic counters above are untouched.  Regenerate on a quiet
-# machine with --update when a shift is intended.
+# baseline.  bench/main.ml reports them normalised by the e2e benchmark's
+# host-speed kernel (bench/e2e/speed.ml), so host drift does not move
+# them.  Deliberately the loosest of the gates — wall time moves with
+# unrelated code — but a strategy suddenly taking 2x (a lost fast path, an
+# accidental O(n^2)) fails here even when the deterministic counters above
+# are untouched.  Regenerate on a quiet machine with --update when a shift
+# is intended.
 if [ -f "$wall_baseline" ]; then
   if extract_wall "$json" | awk -v tol=0.25 '
       NR == FNR { base[$1] = $2; next }
