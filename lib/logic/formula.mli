@@ -1,10 +1,11 @@
 (** Propositional formulas and their translation to CNF.
 
-    This is the OCaml counterpart of the paper's Haskell eDSL: constraint
-    generators (the FJI type rules, the bytecode model) build formulas with
-    the combinators below and then lower them to {!Cnf.t} once.  The formula
-    shapes produced by the models are shallow — implications whose premise is
-    a conjunction of variables and whose conclusion is a small disjunction or
+    This is the OCaml counterpart of the paper's Haskell eDSL: the FJI
+    constraint generator ([Lbr_fji.Typecheck]) builds formulas with the
+    combinators below and then lowers them to {!Cnf.t} once.  (The bytecode
+    model emits its clauses directly; see [Lbr_jvm.Constraints].)  The
+    formula shapes are shallow — implications whose premise is a
+    conjunction of variables and whose conclusion is a small disjunction or
     conjunction — so the naive distribution performed by {!to_cnf} never
     explodes in practice. *)
 
