@@ -39,6 +39,21 @@ let test_clause_holds () =
   Alcotest.(check bool) "head true" true (holds [ 0; 1; 2 ]);
   Alcotest.(check bool) "violated" false (holds [ 0; 1 ])
 
+let test_clause_of_sorted () =
+  let neg = [| 1 |] and pos = [| 2; 5 |] in
+  (match Clause.of_sorted ~neg ~pos with
+  | None -> Alcotest.fail "disjoint sides refused"
+  | Some c ->
+      Alcotest.(check bool) "same clause as make" true
+        (Clause.equal c (Clause.make_exn ~neg:[ 1 ] ~pos:[ 5; 2 ]));
+      pos.(0) <- 3;
+      Alcotest.(check (array int)) "literals copied" [| 2; 5 |] c.pos);
+  Alcotest.(check bool) "tautology dropped" true
+    (Clause.of_sorted ~neg:[| 1; 4 |] ~pos:[| 4 |] = None);
+  Alcotest.check_raises "unsorted literals"
+    (Invalid_argument "Clause.of_sorted: literals not strictly increasing") (fun () ->
+      ignore (Clause.of_sorted ~neg:[||] ~pos:[| 2; 2 |]))
+
 (* ------------------------------------------------------------------ *)
 (* CNF                                                                 *)
 
@@ -408,6 +423,7 @@ let () =
           Alcotest.test_case "dedup" `Quick test_clause_dedup;
           Alcotest.test_case "kinds" `Quick test_clause_kinds;
           Alcotest.test_case "holds" `Quick test_clause_holds;
+          Alcotest.test_case "of_sorted" `Quick test_clause_of_sorted;
         ] );
       ( "cnf",
         [
