@@ -925,7 +925,7 @@ let () =
   (match options.prometheus_path with
   | Some path ->
       let oc = open_out path in
-      output_string oc (Lbr_obs.Metrics.render_prometheus ());
+      output_string oc (Lbr_obs.Metrics.render_views [ ("", Lbr_obs.Metrics.dump ()) ]);
       close_out oc;
       Printf.printf "[prometheus] wrote %s\n" path
   | None -> ());

@@ -425,7 +425,6 @@ let socket_arg =
    node is up. *)
 type daemon = {
   server : Lbr_server.Server.t;
-  metrics_text : unit -> string;  (* what --prometheus-listen serves *)
   details : string;  (* the listening line after the bound address *)
   resumed : int;  (* journaled jobs picked up again at startup *)
   close : unit -> unit;  (* drain step after the server stops *)
@@ -455,7 +454,10 @@ let run_daemon ~name ~journal_dir ~trace ~prometheus ~metrics_label ~resumed_ver
   let exporter =
     Option.map
       (fun port ->
-        match Lbr_obs.Exporter.start ~port d.metrics_text with
+        match
+          Lbr_obs.Exporter.start ~port (fun () ->
+              Lbr_obs.Metrics.render_views (Lbr_server.Server.metrics d.server))
+        with
         | e ->
             Printf.printf "%s: %s on http://127.0.0.1:%d/metrics\n%!" prefix metrics_label
               (Lbr_obs.Exporter.port e);
@@ -514,7 +516,6 @@ let serve_cmd =
         in
         {
           server;
-          metrics_text = Lbr_obs.Metrics.render_prometheus;
           details =
             Printf.sprintf " (%d worker%s, queue depth %d%s)" jobs
               (if jobs = 1 then "" else "s")
@@ -605,12 +606,12 @@ let coordinate_cmd =
               poll_interval;
             }
         in
-        let metrics_text () = Lbr_cluster.Coordinator.metrics_text coordinator in
         {
           server =
-            Lbr_server.Server.serve ~metrics_text ~listen
+            Lbr_server.Server.serve
+              ~metrics:(fun () -> Lbr_cluster.Coordinator.metrics coordinator)
+              ~listen
               (Lbr_cluster.Coordinator.scheduler coordinator);
-          metrics_text;
           details =
             Printf.sprintf ", %d worker%s (%s)" (List.length workers)
               (if List.length workers = 1 then "" else "s")
@@ -726,12 +727,20 @@ let submit_cmd =
 (* ------------------------------------------------------------------ *)
 (* Live (and post-mortem) daemon introspection                          *)
 
+(* A counter's or gauge's value in a metric dump — the one way [top] and
+   [report] read a daemon's metrics. *)
+let metric_in dump name =
+  match Lbr_obs.Metrics.find_in_dump dump name with
+  | Some (D_counter n) -> Some (float_of_int n)
+  | Some (D_gauge v) -> Some v
+  | Some (D_hist _) | None -> None
+
 (* How a daemon's predicate verdicts were paid for, from its counters:
    fresh ones are oracle executions that were not retries (the
    coordinator's cache-miss formula), replayed ones came from a job's
-   replay table.  [counter] reads a counter by name. *)
-let verdict_counts counter =
-  let count name = Option.value ~default:0. (counter name) in
+   replay table. *)
+let verdict_counts dump =
+  let count name = Option.value ~default:0. (metric_in dump name) in
   ( count "lbr_oracle_executions_total" -. count "lbr_oracle_retries_total",
     count "lbr_replayed_verdicts_total" )
 
@@ -741,28 +750,11 @@ let top_cmd =
       value & flag
       & info [ "metrics" ] ~doc:"Also print the daemon's full Prometheus metrics snapshot.")
   in
-  let prom_samples text =
-    let sample line =
-      if line = "" || line.[0] = '#' then None
-      else
-        match String.index_opt line ' ' with
-        | None -> None
-        | Some i ->
-            let name = String.sub line 0 i in
-            let v =
-              float_of_string_opt
-                (String.sub line (i + 1) (String.length line - i - 1))
-            in
-            Option.map (fun v -> (name, v)) v
-    in
-    List.filter_map sample (String.split_on_char '\n' text)
-  in
-  (* Cluster health lives in the Prometheus text (live workers, the
+  (* Cluster health lives in the node's own registry (live workers, the
      scheduler's queue depth, cache hit/miss counters); surface it
      without requiring --metrics when the daemon is a coordinator. *)
-  let cluster_section text =
-    let samples = prom_samples text in
-    let value name = List.assoc_opt name samples in
+  let cluster_section own =
+    let value = metric_in own in
     (match value "lbr_cluster_workers_alive" with
     | None -> ()
     | Some alive ->
@@ -777,16 +769,6 @@ let top_cmd =
           (int_of_float hits) (int_of_float misses)
           (if total = 0. then 0. else 100. *. hits /. total)
     | _ -> ()
-  in
-  (* Verdict counters: local on a worker, under the federated
-     [worker="cluster"] label on a coordinator — prefer the cluster view
-     when both exist. *)
-  let counter_view text =
-    let samples = prom_samples text in
-    fun name ->
-      match List.assoc_opt (name ^ "{worker=\"cluster\"}") samples with
-      | Some _ as v -> v
-      | None -> List.assoc_opt name samples
   in
   let online socket metrics =
     match Lbr_server.Client.connect (Lbr_server.Addr.to_string socket) with
@@ -803,10 +785,15 @@ let top_cmd =
         | Ok (s : Lbr_server.Wire.daemon_stats) ->
             Printf.printf "daemon: up %.0fs   queued: %d   running: %d\n" s.uptime
               s.queued_jobs s.running_jobs;
-            let counter = counter_view s.metrics_text in
-            let fresh, replayed = verdict_counts counter in
+            let own = Option.value ~default:[] (List.assoc_opt "" s.metrics) in
+            (* Verdicts: the merged view on a coordinator, the node's own
+               registry on a worker. *)
+            let fresh, replayed =
+              verdict_counts
+                (Option.value ~default:own (List.assoc_opt "cluster" s.metrics))
+            in
             Printf.printf "verdicts: %.0f fresh, %.0f replayed\n" fresh replayed;
-            cluster_section s.metrics_text;
+            cluster_section own;
             (match s.job_stats with
             | [] -> print_endline "no jobs in flight"
             | jobs ->
@@ -821,7 +808,7 @@ let top_cmd =
                   jobs);
             if metrics then (
               print_newline ();
-              print_string s.metrics_text))
+              print_string (Lbr_obs.Metrics.render_views s.metrics)))
   in
   Cmd.v
     (Cmd.info "top"
@@ -1107,12 +1094,8 @@ let report_cmd =
               time;
             (* Verdict counts and cache effectiveness straight from the
                recorded metric dump. *)
-            let counter name =
-              match Lbr_obs.Metrics.find_in_dump metrics name with
-              | Some (D_counter n) -> Some (float_of_int n)
-              | _ -> None
-            in
-            (match verdict_counts counter with
+            let counter = metric_in metrics in
+            (match verdict_counts metrics with
             | fresh, replayed when fresh +. replayed > 0. ->
                 Printf.printf "  verdicts: %.0f fresh, %.0f replayed\n" fresh replayed
             | _ -> ());

@@ -241,34 +241,23 @@ let runner f (ctx : Scheduler.runner_ctx) (spec : Wire.spec) =
 
 let worker_label w = Printf.sprintf "w%d" w.w_id
 
-(* Per-worker dumps (workers that have been polled at least once) plus
-   the exact merge of the coordinator's own registry with all of them —
-   the "cluster" view.  Merge semantics are {!Metrics.merge_dumps}:
-   counters and gauges sum, histograms merge bucket-wise. *)
-let federated t =
+(* The coordinator's own registry first, then each polled worker's
+   last-pulled dump under its ["wN"] label, then ["cluster"]: the exact
+   merge of all of them ({!Metrics.merge_dumps} — counters and gauges
+   sum, histograms merge bucket-wise). *)
+let metrics t =
+  let own = Metrics.dump () in
   let per_worker =
     Mutex.protect t.fed_mutex (fun () ->
         Array.to_list t.fleet.workers
         |> List.filter_map (fun w ->
                Option.map (fun d -> (worker_label w, d)) t.fed_dumps.(w.w_id)))
   in
-  let merged = Metrics.merge_dumps (Metrics.dump () :: List.map snd per_worker) in
-  (per_worker, merged)
+  (("", own) :: per_worker)
+  @ [ ("cluster", Metrics.merge_dumps (own :: List.map snd per_worker)) ]
 
-(* Local registry first, then each worker's last-pulled dump under a
-   [worker="wN"] label, then the exact merge of all of them as
-   [worker="cluster"] — one text payload, three views. *)
-let metrics_text t =
-  let per_worker, merged = federated t in
-  String.concat ""
-    ((Metrics.render_prometheus ()
-     :: List.map
-          (fun (lbl, d) -> Metrics.render_prometheus_dump ~label:("worker", lbl) d)
-          per_worker)
-    @ [ Metrics.render_prometheus_dump ~label:("worker", "cluster") merged ])
-
-(* One federation sweep: pull every live worker's registry over
-   [Metrics_dump_request] and refresh heartbeat-age gauges.  All
+(* One federation sweep: pull every live worker's own registry view
+   from a [Stats_request] and refresh heartbeat-age gauges.  All
    network I/O happens outside the lock; a failed pull leaves the
    previous dump in place (and the heartbeat age growing). *)
 let poll_workers t =

@@ -64,9 +64,8 @@
     [lbr_cluster_cache_entries].  A federation thread additionally pulls
     each worker's whole registry every [poll_interval] seconds,
     maintaining [lbr_cluster_w<i>_heartbeat_age_seconds] gauges;
-    {!metrics_text} concatenates the local registry, each worker's dump
-    under a [worker="wN"] label, and the exact merge under
-    [worker="cluster"]. *)
+    {!metrics} lists the local registry, each worker's dump and their
+    exact merge as labelled views. *)
 
 type config = {
   workers : Lbr_server.Addr.t list;  (** at least one; pinged at {!create} *)
@@ -94,9 +93,13 @@ val scheduler : t -> Lbr_server.Scheduler.t
 (** Submit, cancel and inspect jobs here, or serve it with
     {!Lbr_server.Server.serve}. *)
 
-val metrics_text : t -> string
-(** The federated Prometheus text described above — what [Stats_reply]
-    and the [--prometheus-listen] endpoint carry. *)
+val metrics : t -> (string * Lbr_obs.Metrics.dump) list
+(** The coordinator's labelled registry views, in order: [""] (its own
+    registry), one ["wN"] per worker polled at least once (its
+    last-pulled dump), then ["cluster"] (the exact
+    {!Lbr_obs.Metrics.merge_dumps} of all the others).  What
+    [Stats_reply] carries and, through {!Lbr_obs.Metrics.render_views},
+    what the [--prometheus-listen] endpoint serves. *)
 
 val close : t -> unit
 (** {!Lbr_server.Scheduler.shutdown} (every admitted job reaches a
@@ -113,7 +116,3 @@ val poll_workers : t -> unit
     registry and refresh heartbeat-age gauges.  Exposed so tests and
     one-shot tools get a deterministic view without sleeping. *)
 
-val federated : t -> (string * Lbr_obs.Metrics.dump) list * Lbr_obs.Metrics.dump
-(** [(per_worker, merged)]: each worker's last-pulled registry dump under
-    its ["wN"] label, and the exact {!Lbr_obs.Metrics.merge_dumps} of the
-    coordinator's own registry with all of them. *)

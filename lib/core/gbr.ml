@@ -65,14 +65,12 @@ let binary_search predicate prefixes ~lo ~hi =
   in
   go lo hi
 
-(* A speculatively prepared next iteration: the entries the winning
-   boundary's build would produce, plus the branch engine (forked, learned
-   clause added, narrowed, progression built) to adopt as the main engine.
-   [pb_engine = None] means the fork met a conflict and the entries come
-   from the rebuild fallback — adopting it retires the main engine, exactly
-   as the sequential conflict path would.  [pb_sorted] is the filtered
-   order-sorted universe the build used, to install in the sort cache on
-   adoption. *)
+(* One engine-advance step's outcome: the next iteration's entries, the
+   engine that survives the step ([None] when it met a conflict and the
+   entries come from the rebuild fallback, which retires it), and the
+   filtered order-sorted universe the incremental build used ([None] on
+   the fallback), to install in the sort cache.  A speculative boundary
+   build caches one of these until its iteration adopts it. *)
 type prebuilt = {
   pb_entries : Assignment.t list;
   pb_engine : Msa.Engine.t option;
@@ -113,58 +111,58 @@ let reduce ?(check_invariants = false) ?(incremental = true) ?arena ?speculate
   in
   (* The current search space in [order]-ascending order, maintained by
      filtering the previous iteration's array — the shrunk universe is a
-     subsequence of it, so re-sorting per iteration is redundant. *)
+     subsequence of it, so re-sorting per iteration is redundant.  The
+     array lands in [sorted_cache] when its iteration adopts its build. *)
   let sorted_cache = ref None in
-  let sorted_universe j =
-    let sorted =
-      match !sorted_cache with
-      | Some prev ->
-          let out = Array.make (Assignment.cardinal j) 0 in
-          let k = ref 0 in
-          Array.iter
-            (fun v ->
-              if Assignment.mem v j then begin
-                out.(!k) <- v;
-                incr k
-              end)
-            prev;
-          out
-      | None -> Assignment.to_list j |> Order.sort order |> Array.of_list
-    in
-    sorted_cache := Some sorted;
-    sorted
+  let sorted_within j =
+    match !sorted_cache with
+    | Some prev ->
+        let out = Array.make (Assignment.cardinal j) 0 in
+        let k = ref 0 in
+        Array.iter
+          (fun v ->
+            if Assignment.mem v j then begin
+              out.(!k) <- v;
+              incr k
+            end)
+          prev;
+        out
+    | None -> Assignment.to_list j |> Order.sort order |> Array.of_list
   in
-  let build_entries ~fresh learned j =
+  (* The one engine-advance step, on the main engine or a fork of it:
+     append the just-learned set [fresh] (none on the first iteration,
+     whose engine is freshly created), shrink the search space to [j] —
+     the whole inter-iteration update, replacing the full-CNF copy and
+     re-index — and build the progression incrementally.  A conflict
+     anywhere releases the engine and falls back to the rebuild. *)
+  let advance engine ~fresh ~learned j =
     let fallback () =
-      Progression.build ~cnf:problem.constraints ~order ~learned ~universe:j
+      Result.map
+        (fun es -> { pb_entries = es; pb_engine = None; pb_sorted = None })
+        (Progression.build ~cnf:problem.constraints ~order ~learned ~universe:j)
     in
-    match !engine with
+    match engine with
     | None -> fallback ()
     | Some e -> (
         let prepared =
           match fresh with
-          | None -> Ok ()  (* first iteration: the engine is freshly created *)
-          | Some l -> (
-              (* Append the just-learned set, then shrink the search space —
-                 the whole inter-iteration update, replacing the full-CNF
-                 copy and re-index. *)
-              match Msa.Engine.add_clause e ~pos:(Assignment.to_list l) with
-              | Error `Conflict -> Error `Conflict
-              | Ok () -> Msa.Engine.narrow e ~keep:j)
+          | None -> Ok ()
+          | Some l ->
+              Result.bind (Msa.Engine.add_clause e ~pos:(Assignment.to_list l)) (fun () ->
+                  Msa.Engine.narrow e ~keep:j)
         in
-        match prepared with
+        let built =
+          Result.bind prepared (fun () ->
+              let sorted = sorted_within j in
+              Result.map
+                (fun es -> { pb_entries = es; pb_engine = Some e; pb_sorted = Some sorted })
+                (Progression.build_incremental ~sorted ~engine:e ~order ~universe:j ()))
+        in
+        match built with
+        | Ok pb -> Ok pb
         | Error `Conflict ->
-            retire_engine ();
-            fallback ()
-        | Ok () -> (
-            match
-              Progression.build_incremental ~sorted:(sorted_universe j) ~engine:e
-                ~order ~universe:j ()
-            with
-            | Ok entries -> Ok entries
-            | Error `Conflict ->
-                retire_engine ();
-                fallback ()))
+            Msa.Arena.release arena e;
+            fallback ())
   in
   (* --- Speculation ------------------------------------------------------
      With a {!Speculate} table, the sequential loop above stays the
@@ -200,60 +198,20 @@ let reduce ?(check_invariants = false) ?(incremental = true) ?arena ?speculate
   in
   (* Build iteration [k+1]'s progression under the assumption that the
      current search lands on [r] — on a fork, leaving the main engine and
-     the sort cache untouched.  Mirrors [build_entries] branch for branch
-     so the adopted state is exactly what the inline path would compute. *)
+     the sort cache untouched.  [advance] is the step the inline path
+     takes too, so the adopted state is exactly what it would compute. *)
   let build_boundary entries prefixes learned r =
     let entry = entries.(r) in
-    let j' = Progression.Prefixes.get prefixes r in
-    let learned' = entry :: learned in
-    let fallback () =
-      match
-        Progression.build ~cnf:problem.constraints ~order ~learned:learned'
-          ~universe:j'
-      with
-      | Error `Unsat ->
-          (* Don't cache: the demand path reproduces the [`Unsat] inline. *)
-          None
-      | Ok es -> Some { pb_entries = es; pb_engine = None; pb_sorted = None }
-    in
-    match !engine with
-    | None -> fallback ()
-    | Some e -> (
-        let f = Msa.Engine.fork ~arena e in
-        let prepared =
-          match Msa.Engine.add_clause f ~pos:(Assignment.to_list entry) with
-          | Error `Conflict -> Error `Conflict
-          | Ok () -> Msa.Engine.narrow f ~keep:j'
-        in
-        match prepared with
-        | Error `Conflict ->
-            Msa.Arena.release arena f;
-            fallback ()
-        | Ok () -> (
-            let sorted' =
-              match !sorted_cache with
-              | Some prev ->
-                  let out = Array.make (Assignment.cardinal j') 0 in
-                  let k = ref 0 in
-                  Array.iter
-                    (fun v ->
-                      if Assignment.mem v j' then begin
-                        out.(!k) <- v;
-                        incr k
-                      end)
-                    prev;
-                  out
-              | None -> Assignment.to_list j' |> Order.sort order |> Array.of_list
-            in
-            match
-              Progression.build_incremental ~sorted:sorted' ~engine:f ~order
-                ~universe:j' ()
-            with
-            | Ok es ->
-                Some { pb_entries = es; pb_engine = Some f; pb_sorted = Some sorted' }
-            | Error `Conflict ->
-                Msa.Arena.release arena f;
-                fallback ()))
+    match
+      advance
+        (Option.map (Msa.Engine.fork ~arena) !engine)
+        ~fresh:(Some entry) ~learned:(entry :: learned)
+        (Progression.Prefixes.get prefixes r)
+    with
+    | Ok pb -> Some pb
+    | Error `Unsat ->
+        (* Don't cache: the demand path reproduces the [`Unsat] inline. *)
+        None
   in
   (* The next demand inside the half-open search interval (lo, hi]: a probe
      while the interval is wide, the next iteration's head once it pins
@@ -327,24 +285,22 @@ let reduce ?(check_invariants = false) ?(incremental = true) ?arena ?speculate
   let iterate ~fresh ~prebuilt learned j iterations prog_lengths =
       let built =
         match prebuilt with
-        | Some pb ->
-            (* Adopt the branch state wholesale: the fork (or the fallback's
-               [None]) replaces the main engine, and the filtered sorted
-               universe lands in the cache exactly as [sorted_universe]
-               would have left it. *)
-            (match !engine with
-            | Some e -> Msa.Arena.release arena e
-            | None -> ());
-            engine := pb.pb_engine;
-            (match pb.pb_sorted with
-            | Some sorted -> sorted_cache := Some sorted
-            | None -> ());
-            Ok pb.pb_entries
-        | None -> build_entries ~fresh learned j
+        | Some pb -> Ok pb
+        | None ->
+            (* The inline step advances the main engine itself. *)
+            let e = !engine in
+            engine := None;
+            advance e ~fresh ~learned j
       in
       match built with
       | Error `Unsat -> `Done (Error `Unsat)
-      | Ok entries -> (
+      | Ok { pb_entries = entries; pb_engine; pb_sorted } -> (
+          (* Adopt the step's state wholesale: its engine (or the
+             fallback's [None]) replaces the main one — a speculative
+             fork retires it — and its sorted universe fills the cache. *)
+          Option.iter (Msa.Arena.release arena) !engine;
+          engine := pb_engine;
+          Option.iter (fun sorted -> sorted_cache := Some sorted) pb_sorted;
           (* Prefix snapshots are materialized lazily: each iteration reads
              only the head plus the O(log n) probes of the binary search. *)
           let prefixes = Progression.Prefixes.of_entries entries in

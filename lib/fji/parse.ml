@@ -252,13 +252,3 @@ let program_of_string text =
   with
   | program -> Ok program
   | exception Parse_error m -> Error m
-
-let program_of_file path =
-  match
-    let ic = open_in_bin path in
-    let text = really_input_string ic (in_channel_length ic) in
-    close_in ic;
-    text
-  with
-  | text -> program_of_string text
-  | exception Sys_error m -> Error m

@@ -12,6 +12,3 @@
     message, never an exception. *)
 
 val program_of_string : string -> (Syntax.program, string) result
-
-val program_of_file : string -> (Syntax.program, string) result
-(** [Error] also covers unreadable files ([Sys_error] text). *)

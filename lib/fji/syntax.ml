@@ -60,16 +60,6 @@ let find_iface program name =
       (function Interface i when i.i_name = name -> Some i | Class _ | Interface _ -> None)
       program.decls
 
-let class_names program =
-  List.filter_map
-    (function Class c -> Some c.c_name | Interface _ -> None)
-    program.decls
-
-let iface_names program =
-  List.filter_map
-    (function Interface i -> Some i.i_name | Class _ -> None)
-    program.decls
-
 let find_method cls name = List.find_opt (fun m -> m.m_name = name) cls.c_methods
 
 let find_signature iface name = List.find_opt (fun s -> s.s_name = name) iface.i_sigs

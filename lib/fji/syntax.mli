@@ -60,9 +60,6 @@ val find_iface : program -> type_name -> iface option
 
 val decl_name : decl -> type_name
 
-val class_names : program -> type_name list
-val iface_names : program -> type_name list
-
 val find_method : cls -> string -> meth option
 val find_signature : iface -> string -> signature option
 

@@ -61,5 +61,3 @@ let meth t ~c ~m = lookup t (meth_name c m)
 let code t ~c ~m = lookup t (code_name c m)
 
 let sig_ t ~i ~m = lookup t (sig_name i m)
-
-let name_of t v = Var.Pool.name t.pool v

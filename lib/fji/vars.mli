@@ -37,5 +37,3 @@ val impl_opt : t -> c:Syntax.type_name -> Var.t option
 val meth : t -> c:Syntax.type_name -> m:string -> Var.t
 val code : t -> c:Syntax.type_name -> m:string -> Var.t
 val sig_ : t -> i:Syntax.type_name -> m:string -> Var.t
-
-val name_of : t -> Var.t -> string

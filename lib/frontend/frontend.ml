@@ -23,5 +23,4 @@ end
 type packed = Packed : (module S with type input = 'i and type ctx = 'c) -> packed
 
 let id_of (Packed (module F)) = F.id
-let doc_of (Packed (module F)) = F.doc
 let extensions_of (Packed (module F)) = F.extensions

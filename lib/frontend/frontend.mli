@@ -95,5 +95,4 @@ type packed = Packed : (module S with type input = 'i and type ctx = 'c) -> pack
 (** Existentially packed frontend, for registries and dispatch on ids. *)
 
 val id_of : packed -> string
-val doc_of : packed -> string
 val extensions_of : packed -> string list

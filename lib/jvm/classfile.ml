@@ -54,20 +54,3 @@ let is_external name =
 
 
 let find_method cls name = List.find_opt (fun (m : meth) -> m.m_name = name) cls.methods
-
-let find_field cls name = List.find_opt (fun (f : field) -> f.f_name = name) cls.fields
-
-let pp_insn ppf = function
-  | Invoke_virtual { owner; meth } -> Format.fprintf ppf "invokevirtual %s.%s" owner meth
-  | Invoke_interface { owner; meth } -> Format.fprintf ppf "invokeinterface %s.%s" owner meth
-  | Invoke_static { owner; meth } -> Format.fprintf ppf "invokestatic %s.%s" owner meth
-  | New_instance { cls; ctor } -> Format.fprintf ppf "new %s.<init>#%d" cls ctor
-  | Get_field { owner; field } -> Format.fprintf ppf "getfield %s.%s" owner field
-  | Put_field { owner; field } -> Format.fprintf ppf "putfield %s.%s" owner field
-  | Check_cast t -> Format.fprintf ppf "checkcast %s" t
-  | Instance_of t -> Format.fprintf ppf "instanceof %s" t
-  | Upcast { from_; to_ } -> Format.fprintf ppf "upcast %s -> %s" from_ to_
-  | Load_const_class c -> Format.fprintf ppf "ldc %s.class" c
-  | Arith -> Format.pp_print_string ppf "arith"
-  | Load_store -> Format.pp_print_string ppf "loadstore"
-  | Return_insn -> Format.pp_print_string ppf "return"

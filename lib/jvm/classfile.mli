@@ -64,6 +64,3 @@ val is_external : string -> bool
     preserve: [Object], [String] and anything prefixed ["java/"]. *)
 
 val find_method : cls -> string -> meth option
-val find_field : cls -> string -> field option
-
-val pp_insn : Format.formatter -> insn -> unit

@@ -241,11 +241,6 @@ let r_class r =
 (* ------------------------------------------------------------------ *)
 (* Entry points                                                        *)
 
-let class_to_bytes c =
-  let b = Buffer.create 512 in
-  w_class b c;
-  Buffer.contents b
-
 let class_of_bytes data = read data r_class
 
 let to_bytes pool =

@@ -22,8 +22,6 @@
     codec's own checks, a string index must be inside its class's table,
     array types nest at most 64 deep, and class names are unique. *)
 
-val class_to_bytes : Classfile.cls -> string
-
 val class_of_bytes : string -> (Classfile.cls, string) result
 (** One class body, which must fill the whole input. *)
 

@@ -244,17 +244,6 @@ let filter p s =
   iter (fun v -> if p v then a.(word v) <- a.(word v) lor (1 lsl bit v)) s;
   trim a
 
-let choose_opt s =
-  if is_empty s then None
-  else begin
-    let i = ref 0 in
-    while s.(!i) = 0 do
-      incr i
-    done;
-    let low = s.(!i) land -s.(!i) in
-    Some ((!i * bits) + ntz_pow2 low)
-  end
-
 let min_by ~order s =
   fold
     (fun v best ->

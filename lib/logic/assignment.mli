@@ -64,7 +64,6 @@ val iter : (Var.t -> unit) -> t -> unit
 val exists : (Var.t -> bool) -> t -> bool
 val for_all : (Var.t -> bool) -> t -> bool
 val filter : (Var.t -> bool) -> t -> t
-val choose_opt : t -> Var.t option
 
 val min_by : order:(Var.t -> int) -> t -> Var.t option
 (** [min_by ~order s] is the element of [s] minimising [order], i.e. the

@@ -5,8 +5,6 @@ let make clauses =
   if unsat then { clauses = []; count = 0; unsat = true }
   else { clauses; count = List.length clauses; unsat = false }
 
-let of_clauses = make
-
 let top = { clauses = []; count = 0; unsat = false }
 
 let clauses t = t.clauses

@@ -9,8 +9,6 @@
 type t
 
 val make : Clause.t list -> t
-val of_clauses : Clause.t list -> t
-(** Alias of {!make}. *)
 
 val top : t
 (** The empty conjunction (always true). *)

@@ -16,8 +16,6 @@ let disj = function [] -> False | [ f ] -> f | fs -> Or fs
 
 let imply a b = Implies (a, b)
 
-let imply_all premises conclusion = Implies (conj premises, conclusion)
-
 let rec eval f m =
   match f with
   | True -> true

@@ -23,8 +23,6 @@ val var : Var.t -> t
 val conj : t list -> t
 val disj : t list -> t
 val imply : t -> t -> t
-val imply_all : t list -> t -> t
-(** [imply_all premises conclusion] is [(⋀ premises) ⇒ conclusion]. *)
 
 val to_cnf : t -> Cnf.t
 (** Lower to CNF by negation normal form followed by distribution.  The

@@ -74,11 +74,6 @@ module Histogram = struct
       else t.le.(i)
     end
 
-  let reset t =
-    Array.fill t.counts 0 (Array.length t.counts) 0;
-    t.sum <- 0.;
-    t.count <- 0
-
   let copy t =
     { t with le = Array.copy t.le; counts = Array.copy t.counts }
 end
@@ -188,16 +183,6 @@ let prom_float v =
   if v = infinity then "+Inf"
   else if v = neg_infinity then "-Inf"
   else Printf.sprintf "%g" v
-
-let reset_all () =
-  let entries = sorted_entries () in
-  List.iter
-    (fun (_, _, m) ->
-      match m with
-      | Counter c -> locked c.c_mutex (fun () -> c.c_value <- 0)
-      | Gauge g -> locked g.g_mutex (fun () -> g.g_value <- 0.)
-      | Hist h -> locked h.h_mutex (fun () -> Histogram.reset h.h_state))
-    entries
 
 (* ------------------------------------------------------------------ *)
 (* Registry dumps: a value snapshot of every metric, serializable so a
@@ -352,16 +337,13 @@ let rows_of_dump d =
 let find_in_dump d name =
   List.find_map (fun (n, _, v) -> if n = name then Some v else None) d
 
-let render_prometheus_dump ?label d =
-  let lbl =
-    match label with
-    | None -> ""
-    | Some (k, v) -> Printf.sprintf "{%s=\"%s\"}" k v
-  in
+(* One view's Prometheus text: the [""] view unlabelled, any other
+   under [worker="<label>"], composing with histogram [le] labels. *)
+let render_view (label, d) =
+  let lbl = if label = "" then "" else Printf.sprintf "{worker=\"%s\"}" label in
   let lbl_with extra =
-    match label with
-    | None -> Printf.sprintf "{%s}" extra
-    | Some (k, v) -> Printf.sprintf "{%s=\"%s\",%s}" k v extra
+    if label = "" then Printf.sprintf "{%s}" extra
+    else Printf.sprintf "{worker=\"%s\",%s}" label extra
   in
   let buf = Buffer.create 1024 in
   List.iter
@@ -394,7 +376,8 @@ let render_prometheus_dump ?label d =
     d;
   Buffer.contents buf
 
-(* The live registry renders through its own dump: one renderer, and the
-   histogram rebuilt from a dump has the live one's buckets. *)
+let render_views views = String.concat "" (List.map render_view views)
+
+(* The live registry reads through its own dump: the histogram rebuilt
+   from a dump has the live one's buckets. *)
 let rows () = rows_of_dump (dump ())
-let render_prometheus () = render_prometheus_dump (dump ())

@@ -51,7 +51,6 @@ module Histogram : sig
       bound. *)
   val quantile : t -> float -> float
 
-  val reset : t -> unit
   val copy : t -> t
 end
 
@@ -98,20 +97,12 @@ type row =
 (** [rows_of_dump (dump ())]. *)
 val rows : unit -> row list
 
-(** Prometheus text exposition format (counters, gauges, histograms with
-    cumulative [le] buckets, [_sum], [_count]):
-    [render_prometheus_dump (dump ())]. *)
-val render_prometheus : unit -> string
-
-(** Zero every registered metric (registrations survive).  Test helper. *)
-val reset_all : unit -> unit
-
 (** {2 Registry dumps — metrics federation}
 
     A [dump] is a value snapshot of a whole registry: one
     [(name, help, value)] triple per metric, sorted by name.  Dumps are
-    what a cluster coordinator pulls from each worker over the
-    [Metrics_dump] wire request; {!merge_dumps} combines them {e exactly}
+    what a daemon's [Stats_reply] carries, so what a cluster coordinator
+    pulls from each worker; {!merge_dumps} combines them {e exactly}
     — counters and gauges by addition, histograms bucket-by-bucket under
     the same layout check {!Histogram.merge} enforces (a kind or layout
     mismatch keeps the first value rather than raising: federation
@@ -145,6 +136,10 @@ val rows_of_dump : dump -> row list
 
 val find_in_dump : dump -> string -> dumped option
 
-(** Prometheus text for a dump; [label] (e.g. [("worker", "w0")]) is
-    attached to every sample, composing with histogram [le] labels. *)
-val render_prometheus_dump : ?label:string * string -> dump -> string
+(** Prometheus text exposition format (counters, gauges, histograms with
+    cumulative [le] buckets, [_sum], [_count]) for labelled views, in
+    list order: the [""] view unlabelled, every other view with
+    [worker="<label>"] on each sample, composing with histogram [le]
+    labels.  The one text producer: the [--prometheus-listen] exporter
+    and [top --metrics] both print it, and nothing parses it back. *)
+val render_views : (string * dump) list -> string

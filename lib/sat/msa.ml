@@ -82,7 +82,7 @@ module Engine = struct
      place, reallocating only the arrays whose capacity no longer fits, so
      per-iteration engine churn costs array fills instead of fresh solver
      state. *)
-  type arena = { mutable pool : t list; mutable reused : int; mutable fresh : int }
+  type arena = { mutable pool : t list }
 
   (* Snapshots capture the four monotone cursors; a rollback that only moves
      [s_trail] is the cheap trail unwind, one that moves the structural
@@ -327,12 +327,9 @@ module Engine = struct
           match a.pool with
           | e :: rest ->
               a.pool <- rest;
-              a.reused <- a.reused + 1;
               Perf.add "sat.arena-reuse" 1;
               e
-          | [] ->
-              a.fresh <- a.fresh + 1;
-              fresh_shell order)
+          | [] -> fresh_shell order)
       | None -> fresh_shell order
     in
     t.order <- order;
@@ -752,13 +749,11 @@ end
 module Arena = struct
   type t = Engine.arena
 
-  let create () : t = { Engine.pool = []; reused = 0; fresh = 0 }
+  let create () : t = { Engine.pool = [] }
 
   let release (a : t) (e : Engine.t) =
     Engine.flush_counters e;
     a.Engine.pool <- e :: a.Engine.pool
-
-  let reuse_hits (a : t) = a.Engine.reused
 
   let key = Domain.DLS.new_key create
   let default () : t = Domain.DLS.get key

@@ -133,10 +133,6 @@ module Arena : sig
   val release : t -> Engine.t -> unit
   (** Return an engine to the pool.  The engine must not be used afterwards
       — the next {!Engine.create} on this arena may recycle its storage. *)
-
-  val reuse_hits : t -> int
-  (** How many {!Engine.create} calls were served by resetting a pooled
-      engine instead of allocating. *)
 end
 
 val compute :

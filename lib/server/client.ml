@@ -113,10 +113,12 @@ let trace_dump t =
     | Wire.Trace_dump_reply d -> Some d
     | _ -> None)
 
+(* The answering node's own view is the [""] one, always first. *)
 let metrics_dump t =
-  request t Wire.Metrics_dump_request (function
-    | Wire.Metrics_dump_reply { node; dump } -> Some (node, dump)
-    | _ -> None)
+  Result.bind (stats t) (fun (s : Wire.daemon_stats) ->
+      match List.assoc_opt "" s.metrics with
+      | Some dump -> Ok (s.node, dump)
+      | None -> Error "stats reply lacks the node's own metrics view")
 
 let cancel t job_id =
   request t (Wire.Cancel job_id) (function

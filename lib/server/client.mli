@@ -58,7 +58,7 @@ val cancel : t -> string -> (bool, string) result
 
 val stats : t -> (Wire.daemon_stats, string) result
 (** One live introspection snapshot (queue depth, per-job best-so-far,
-    Prometheus metrics text). *)
+    the node's label and its labelled metric views). *)
 
 val trace_dump : t -> (Wire.trace_dump, string) result
 (** Pull the daemon's span rings ([Trace_dump_request]).  Capture
@@ -66,7 +66,8 @@ val trace_dump : t -> (Wire.trace_dump, string) result
     [server_now] to estimate clock skew. *)
 
 val metrics_dump : t -> (string * Lbr_obs.Metrics.dump, string) result
-(** Pull the daemon's metric registry ([Metrics_dump_request]) —
-    [(node, dump)], mergeable with {!Lbr_obs.Metrics.merge_dumps}. *)
+(** The daemon's own metric registry, from one {!stats} snapshot —
+    [(node, dump)] where [dump] is its [""] view, mergeable with
+    {!Lbr_obs.Metrics.merge_dumps}. *)
 
 val close : t -> unit

@@ -2,7 +2,7 @@
    (lbr-reduce serve) with the local runner, or the cluster coordinator's
    (lbr-reduce coordinate) with its remote one.  The accept loop,
    per-connection protocol and lifecycle are identical for both; only the
-   Prometheus text in [Stats_reply] differs, and the caller renders it. *)
+   metric views in [Stats_reply] differ, and the caller supplies them. *)
 
 type config = {
   listen : Addr.t;
@@ -20,7 +20,7 @@ type conn = {
 type t = {
   listen_addr : Addr.t;
   scheduler : Scheduler.t;
-  metrics_text : unit -> string;
+  metrics : unit -> (string * Lbr_obs.Metrics.dump) list;
   journal : Journal.t option;  (* owned: closed by [stop] *)
   listen_fd : Unix.file_descr;
   recovered : int;
@@ -34,6 +34,7 @@ type t = {
 
 let scheduler t = t.scheduler
 let recovered t = t.recovered
+let metrics t = t.metrics ()
 
 (* The address the kernel actually bound — differs from the configured
    one only for TCP port 0, where it carries the chosen port. *)
@@ -43,7 +44,7 @@ let bound_addr t =
   | Addr.Tcp (host, _) -> Addr.Tcp (host, Addr.bound_port t.listen_fd)
 
 (* One consistent introspection snapshot: scheduler view under its lock
-   and the metric text.  Built entirely from state the event stream
+   and the metric views.  Built entirely from state the event stream
    already maintains — nothing reaches into running jobs. *)
 let stats t =
   let jobs = Scheduler.snapshot t.scheduler in
@@ -56,7 +57,8 @@ let stats t =
           { Wire.js_id = j.info_id; js_running = j.info_running; js_best = j.info_best })
         jobs;
     uptime = Unix.gettimeofday () -. t.started_at;
-    metrics_text = t.metrics_text ();
+    node = Addr.to_string (bound_addr t);
+    metrics = metrics t;
   }
 
 (* ------------------------------------------------------------------ *)
@@ -178,14 +180,6 @@ let handle_connection t c =
                    events = Lbr_obs.Trace.events ();
                  });
             loop ()
-        | Ok Wire.Metrics_dump_request ->
-            send
-              (Wire.Metrics_dump_reply
-                 {
-                   node = Addr.to_string (bound_addr t);
-                   dump = Lbr_obs.Metrics.dump ();
-                 });
-            loop ()
         | Ok (Wire.Hello _) -> fatal "duplicate hello"
         | Ok _ -> fatal "unexpected server-side message kind"
       in
@@ -225,8 +219,8 @@ let accept_loop t =
 
 (* ------------------------------------------------------------------ *)
 
-let listen_on ?journal ?(recovered = 0) ?(metrics_text = Lbr_obs.Metrics.render_prometheus)
-    ~listen scheduler =
+let listen_on ?journal ?(recovered = 0)
+    ?(metrics = fun () -> [ ("", Lbr_obs.Metrics.dump ()) ]) ~listen scheduler =
   (* A client closing mid-write must not kill the daemon. *)
   (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore
    with Invalid_argument _ | Sys_error _ -> ());
@@ -235,7 +229,7 @@ let listen_on ?journal ?(recovered = 0) ?(metrics_text = Lbr_obs.Metrics.render_
     {
       listen_addr = listen;
       scheduler;
-      metrics_text;
+      metrics;
       journal;
       listen_fd;
       recovered;
@@ -250,7 +244,7 @@ let listen_on ?journal ?(recovered = 0) ?(metrics_text = Lbr_obs.Metrics.render_
   t.accept_thread <- Some (Thread.create (fun () -> accept_loop t) ());
   t
 
-let serve ?metrics_text ~listen scheduler = listen_on ?metrics_text ~listen scheduler
+let serve ?metrics ~listen scheduler = listen_on ?metrics ~listen scheduler
 
 let start config =
   let journal = Option.map Journal.open_dir config.journal_dir in

@@ -37,16 +37,25 @@ val start : config -> t
     a probe connect and replaced; a TCP port in use is never "replaced" —
     see {!Addr.listen}). *)
 
-val serve : ?metrics_text:(unit -> string) -> listen:Addr.t -> Scheduler.t -> t
-(** Serve an already-built scheduler (the coordinator's).
-    [metrics_text] renders the Prometheus text of [Stats_reply]
-    (default: this process's registry).  {!stop} drains the scheduler
-    but closes nothing the caller opened. *)
+val serve :
+  ?metrics:(unit -> (string * Lbr_obs.Metrics.dump) list) ->
+  listen:Addr.t ->
+  Scheduler.t ->
+  t
+(** Serve an already-built scheduler (the coordinator's).  [metrics]
+    gives the labelled registry views of [Stats_reply] (default:
+    [[("", Lbr_obs.Metrics.dump ())]], this process's registry).
+    {!stop} drains the scheduler but closes nothing the caller
+    opened. *)
 
 val recovered : t -> int
 (** How many journaled in-flight jobs {!start} resumed. *)
 
 val scheduler : t -> Scheduler.t
+
+val metrics : t -> (string * Lbr_obs.Metrics.dump) list
+(** The labelled registry views a [Stats_reply] carries now — what the
+    [--prometheus-listen] exporter renders. *)
 
 val bound_addr : t -> Addr.t
 (** The listening address with the kernel-chosen port filled in — what to

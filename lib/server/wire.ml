@@ -3,7 +3,7 @@
    handshake refuses a peer on any other version. *)
 open Lbr_codec.Codec
 
-let protocol_version = 7
+let protocol_version = 8
 let max_frame = 64 * 1024 * 1024
 
 type priority = Normal | High
@@ -45,7 +45,8 @@ type daemon_stats = {
   running_jobs : int;
   job_stats : job_stat list;
   uptime : float;
-  metrics_text : string;
+  node : string;
+  metrics : (string * Lbr_obs.Metrics.dump) list;
 }
 
 type trace_dump = {
@@ -79,8 +80,6 @@ type message =
     }
   | Trace_dump_request
   | Trace_dump_reply of trace_dump
-  | Metrics_dump_request
-  | Metrics_dump_reply of { node : string; dump : Lbr_obs.Metrics.dump }
 
 (* ------------------------------------------------------------------ *)
 (* Enums                                                               *)
@@ -241,7 +240,13 @@ let w_daemon_stats b s =
   w_u16 b (List.length s.job_stats);
   List.iter (w_job_stat b) s.job_stats;
   w_f64 b s.uptime;
-  w_bytes32 b s.metrics_text
+  w_str16 b s.node;
+  w_u16 b (List.length s.metrics);
+  List.iter
+    (fun (label, dump) ->
+      w_str16 b label;
+      w_bytes32 b (Lbr_obs.Metrics.encode_dump dump))
+    s.metrics
 
 let r_daemon_stats r =
   let queued_jobs = r_u32 r in
@@ -249,8 +254,15 @@ let r_daemon_stats r =
   let n = r_u16 r in
   let job_stats = List.init n (fun _ -> r_job_stat r) in
   let uptime = r_f64 r in
-  let metrics_text = r_bytes32 r in
-  { queued_jobs; running_jobs; job_stats; uptime; metrics_text }
+  let node = r_str16 r in
+  let metrics =
+    List.init (r_u16 r) (fun _ ->
+        let label = r_str16 r in
+        match Lbr_obs.Metrics.decode_dump (r_bytes32 r) with
+        | Ok dump -> (label, dump)
+        | Error m -> fail "bad metrics dump %S: %s" label m)
+  in
+  { queued_jobs; running_jobs; job_stats; uptime; node; metrics }
 
 (* ------------------------------------------------------------------ *)
 (* Seed tables — pre-paid verdicts shipped with a submission           *)
@@ -290,8 +302,6 @@ let kind_of = function
   | Verdict _ -> 0x8A
   | Trace_dump_request -> 0x06
   | Trace_dump_reply _ -> 0x8B
-  | Metrics_dump_request -> 0x07
-  | Metrics_dump_reply _ -> 0x8C
 
 let encode_payload msg =
   let b = Buffer.create 64 in
@@ -335,11 +345,7 @@ let encode_payload msg =
       w_f64 b d.epoch;
       w_f64 b d.server_now;
       w_u32 b d.dropped;
-      Lbr_obs.Tdump.w_trace_events b d.events
-  | Metrics_dump_request -> ()
-  | Metrics_dump_reply { node; dump } ->
-      w_str16 b node;
-      w_bytes32 b (Lbr_obs.Metrics.encode_dump dump));
+      Lbr_obs.Tdump.w_trace_events b d.events);
   Buffer.contents b
 
 let encode msg =
@@ -394,15 +400,6 @@ let decode_payload data =
           let dropped = r_u32 r in
           let events = Lbr_obs.Tdump.r_trace_events r in
           Trace_dump_reply { node; epoch; server_now; dropped; events }
-      | 0x07 -> Metrics_dump_request
-      | 0x8C ->
-          let node = r_str16 r in
-          let dump =
-            match Lbr_obs.Metrics.decode_dump (r_bytes32 r) with
-            | Ok d -> d
-            | Error m -> fail "bad metrics dump: %s" m
-          in
-          Metrics_dump_reply { node; dump }
       | k -> fail "unknown message kind 0x%02x" k)
 
 (* ------------------------------------------------------------------ *)

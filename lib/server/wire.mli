@@ -14,6 +14,11 @@
               | 1(u8) trace_id:str16 parent_span:str16
     spec     := tool:str16 strategy:u8 priority:u8 crash_policy:u8
                 retries:u16 pool:bytes32 frontend:str16 trace_ctx:ctx
+    job_stat := id:str16 running:bool best:bool sim_time:f64 classes:u32
+                bytes:u32                         — best = false: zeros
+    stats    := queued:u32 running:u32 n:u16 job_stat{n} uptime:f64
+                node:str16 m:u16 (label:str16 dump:bytes32){m}
+                                                  — dump = LBRM1
     v}
 
     Every field of every frame is always written: a payload decodes by
@@ -34,7 +39,7 @@
     {!Lbr_codec.Codec.read}. *)
 
 val protocol_version : int
-(** Currently [7].  Both ends of a connection must speak exactly this
+(** Currently [8].  Both ends of a connection must speak exactly this
     version. *)
 
 val max_frame : int
@@ -97,7 +102,15 @@ type daemon_stats = {
   running_jobs : int;
   job_stats : job_stat list;  (** every non-terminal job, id order *)
   uptime : float;  (** seconds since the daemon started *)
-  metrics_text : string;  (** Prometheus text-format metric snapshot *)
+  node : string;  (** the daemon's lane label (its bound address) *)
+  metrics : (string * Lbr_obs.Metrics.dump) list;
+      (** labelled registry views, each an LBRM1 dump
+          ({!Lbr_obs.Metrics.encode_dump}): [""] is the answering node's
+          own registry and comes first; a coordinator then adds one
+          ["wN"] view per polled worker and ["cluster"], their exact
+          {!Lbr_obs.Metrics.merge_dumps} with its own.
+          {!Lbr_obs.Metrics.render_views} turns them into Prometheus
+          text. *)
 }
 
 type trace_dump = {
@@ -146,11 +159,6 @@ type message =
           attribute the evaluation to the right distributed trace. *)
   | Trace_dump_request  (** client → server: ask for the node's span rings. *)
   | Trace_dump_reply of trace_dump
-  | Metrics_dump_request
-      (** client → server: ask for the node's metric registry. *)
-  | Metrics_dump_reply of { node : string; dump : Lbr_obs.Metrics.dump }
-      (** The registry snapshot the coordinator's federation loop merges
-          ({!Lbr_obs.Metrics.merge_dumps}). *)
 
 (* ------------------------------------------------------------------ *)
 

@@ -350,7 +350,7 @@ let test_cluster_wedged_worker () =
       | other -> Alcotest.failf "%s: unexpected terminal state %s" id (status_name other))
     (blocked :: fast);
   (* the scheduler's queue-depth gauge and cluster health are rendered *)
-  let prom = Lbr_obs.Metrics.render_prometheus () in
+  let prom = Lbr_obs.Metrics.render_views [ ("", Lbr_obs.Metrics.dump ()) ] in
   let contains s sub =
     let n = String.length s and m = String.length sub in
     let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
@@ -924,9 +924,11 @@ let test_cluster_federated_metrics_sum () =
   await_done ~timeout:30. col 2;
   (* poll_interval 0 disables the background loop; pull synchronously *)
   Coordinator.poll_workers coordinator;
-  let local = Lbr_obs.Metrics.dump () in
-  let per_worker, merged = Coordinator.federated coordinator in
-  Alcotest.(check int) "one dump per live worker" 2 (List.length per_worker);
+  let views = Coordinator.metrics coordinator in
+  let local = List.assoc "" views and merged = List.assoc "cluster" views in
+  let per_worker = List.filter (fun (l, _) -> l <> "" && l <> "cluster") views in
+  Alcotest.(check (list string)) "views: own, one per live worker, cluster"
+    [ ""; "w0"; "w1"; "cluster" ] (List.map fst views);
   let counter_in dump name =
     match Lbr_obs.Metrics.find_in_dump dump name with
     | Some (Lbr_obs.Metrics.D_counter n) -> n
@@ -948,9 +950,8 @@ let test_cluster_federated_metrics_sum () =
     merged;
   Alcotest.(check bool) "counters were compared" true (!checked > 0);
   Alcotest.(check bool) "some counter is non-zero" true (!nonzero > 0);
-  (* per-worker heartbeat gauges got refreshed by the poll *)
   Alcotest.(check bool) "federated prometheus text has worker labels" true
-    (let s = Coordinator.metrics_text coordinator in
+    (let s = Lbr_obs.Metrics.render_views views in
      let n = String.length s and m = String.length "{worker=\"cluster\"}" in
      let sub = "{worker=\"cluster\"}" in
      let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in

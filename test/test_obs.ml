@@ -369,7 +369,7 @@ let test_prometheus_pinned () =
       "test_obs_pin_latency_seconds"
   in
   List.iter (Metrics.observe h) [ 0.125; 0.5; 2.0; 8.0 ];
-  let rendered = Metrics.render_prometheus () in
+  let rendered = Metrics.render_views [ ("", Metrics.dump ()) ] in
   let ours =
     String.split_on_char '\n' rendered
     |> List.filter (contains ~affix:"test_obs_pin_")
@@ -545,7 +545,7 @@ let prop_dump_decode_total =
         match Metrics.decode_dump s with
         | Ok d ->
             ignore (Metrics.rows_of_dump d);
-            ignore (Metrics.render_prometheus_dump d);
+            ignore (Metrics.render_views [ ("w0", d) ]);
             true
         | Error _ -> true
       in
@@ -603,6 +603,87 @@ let test_merge_dumps_pin () =
   match get "mismatch" with
   | Some (D_counter 1) -> ()
   | _ -> Alcotest.fail "kind mismatch keeps the first value, never raises"
+
+(* A coordinator's views rendered by [render_views] are byte for byte
+   the federated text protocol 7 carried in [Stats_reply]: the local
+   registry unlabelled, then each [worker="wN"] dump, then the
+   [worker="cluster"] merge.  The expected text was rendered by that
+   protocol's coordinator code from these dumps. *)
+let test_render_views_pin () =
+  let open Metrics in
+  let hist counts sum = D_hist { d_lo = 0.5; d_growth = 4.0; d_counts = counts; d_sum = sum } in
+  let own =
+    [
+      ("lbr_cluster_workers_alive", "live workers", D_gauge 2.);
+      ("lbr_jobs_total", "jobs admitted", D_counter 3);
+      ("lbr_verdict_seconds", "verdict latency", hist [| 1; 0; 2 |] 9.25);
+    ]
+  in
+  let w0 =
+    [
+      ("lbr_jobs_total", "jobs admitted", D_counter 2);
+      ("lbr_oracle_executions_total", "", D_counter 40);
+      ("lbr_verdict_seconds", "verdict latency", hist [| 0; 3; 1 |] 12.5);
+    ]
+  in
+  let w1 = [ ("lbr_jobs_total", "jobs admitted", D_counter 1); ("lbr_queue_depth", "", D_gauge 0.75) ] in
+  let views =
+    [ ("", own); ("w0", w0); ("w1", w1); ("cluster", merge_dumps [ own; w0; w1 ]) ]
+  in
+  let expected =
+    String.concat "\n"
+      [
+        "# HELP lbr_cluster_workers_alive live workers";
+        "# TYPE lbr_cluster_workers_alive gauge";
+        "lbr_cluster_workers_alive 2";
+        "# HELP lbr_jobs_total jobs admitted";
+        "# TYPE lbr_jobs_total counter";
+        "lbr_jobs_total 3";
+        "# HELP lbr_verdict_seconds verdict latency";
+        "# TYPE lbr_verdict_seconds histogram";
+        {|lbr_verdict_seconds_bucket{le="0.5"} 1|};
+        {|lbr_verdict_seconds_bucket{le="2"} 1|};
+        {|lbr_verdict_seconds_bucket{le="+Inf"} 3|};
+        "lbr_verdict_seconds_sum 9.25";
+        "lbr_verdict_seconds_count 3";
+        "# HELP lbr_jobs_total jobs admitted";
+        "# TYPE lbr_jobs_total counter";
+        {|lbr_jobs_total{worker="w0"} 2|};
+        "# TYPE lbr_oracle_executions_total counter";
+        {|lbr_oracle_executions_total{worker="w0"} 40|};
+        "# HELP lbr_verdict_seconds verdict latency";
+        "# TYPE lbr_verdict_seconds histogram";
+        {|lbr_verdict_seconds_bucket{worker="w0",le="0.5"} 0|};
+        {|lbr_verdict_seconds_bucket{worker="w0",le="2"} 3|};
+        {|lbr_verdict_seconds_bucket{worker="w0",le="+Inf"} 4|};
+        {|lbr_verdict_seconds_sum{worker="w0"} 12.5|};
+        {|lbr_verdict_seconds_count{worker="w0"} 4|};
+        "# HELP lbr_jobs_total jobs admitted";
+        "# TYPE lbr_jobs_total counter";
+        {|lbr_jobs_total{worker="w1"} 1|};
+        "# TYPE lbr_queue_depth gauge";
+        {|lbr_queue_depth{worker="w1"} 0.75|};
+        "# HELP lbr_cluster_workers_alive live workers";
+        "# TYPE lbr_cluster_workers_alive gauge";
+        {|lbr_cluster_workers_alive{worker="cluster"} 2|};
+        "# HELP lbr_jobs_total jobs admitted";
+        "# TYPE lbr_jobs_total counter";
+        {|lbr_jobs_total{worker="cluster"} 6|};
+        "# TYPE lbr_oracle_executions_total counter";
+        {|lbr_oracle_executions_total{worker="cluster"} 40|};
+        "# TYPE lbr_queue_depth gauge";
+        {|lbr_queue_depth{worker="cluster"} 0.75|};
+        "# HELP lbr_verdict_seconds verdict latency";
+        "# TYPE lbr_verdict_seconds histogram";
+        {|lbr_verdict_seconds_bucket{worker="cluster",le="0.5"} 1|};
+        {|lbr_verdict_seconds_bucket{worker="cluster",le="2"} 4|};
+        {|lbr_verdict_seconds_bucket{worker="cluster",le="+Inf"} 7|};
+        {|lbr_verdict_seconds_sum{worker="cluster"} 21.75|};
+        {|lbr_verdict_seconds_count{worker="cluster"} 7|};
+      ]
+    ^ "\n"
+  in
+  Alcotest.(check string) "federated text" expected (render_views views)
 
 let test_exporter_http () =
   let ex =
@@ -690,6 +771,8 @@ let () =
       ( "federation",
         Alcotest.test_case "merge_dumps is an exact sum (pinned)" `Quick
           test_merge_dumps_pin
+        :: Alcotest.test_case "render_views is the coordinator's federated text (pinned)"
+             `Quick test_render_views_pin
         :: Alcotest.test_case "prometheus exporter serves over HTTP" `Quick
              test_exporter_http
         :: Alcotest.test_case "decode_dump rejects an invalid histogram layout" `Quick

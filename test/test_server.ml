@@ -144,20 +144,6 @@ let sample_messages =
             };
           ];
       };
-    Wire.Metrics_dump_request;
-    Wire.Metrics_dump_reply
-      {
-        node = "127.0.0.1:7421";
-        dump =
-          [
-            ("lbr_jobs_total", "jobs", Lbr_obs.Metrics.D_counter 42);
-            ("lbr_queue_depth", "", Lbr_obs.Metrics.D_gauge 2.5);
-            ( "lbr_latency_seconds",
-              "verdict latency",
-              Lbr_obs.Metrics.D_hist
-                { d_lo = 0.001; d_growth = 2.0; d_counts = [| 1; 0; 3 |]; d_sum = 0.75 } );
-          ];
-      };
     Wire.Accepted "job-000042";
     Wire.Rejected { reason = "queue full"; retry_after = 2.5 };
     Wire.Cancel "job-000042";
@@ -177,7 +163,21 @@ let sample_messages =
             { Wire.js_id = "job-000002"; js_running = false; js_best = None };
           ];
         uptime = 98.5;
-        metrics_text = "# TYPE lbr_replayed_verdicts_total counter\nlbr_replayed_verdicts_total 45\n";
+        node = "127.0.0.1:7421";
+        metrics =
+          [
+            ( "",
+              [
+                ("lbr_jobs_total", "jobs", Lbr_obs.Metrics.D_counter 42);
+                ("lbr_queue_depth", "", Lbr_obs.Metrics.D_gauge 2.5);
+                ( "lbr_latency_seconds",
+                  "verdict latency",
+                  Lbr_obs.Metrics.D_hist
+                    { d_lo = 0.001; d_growth = 2.0; d_counts = [| 1; 0; 3 |]; d_sum = 0.75 } );
+              ] );
+            ("w0", [ ("lbr_replayed_verdicts_total", "", Lbr_obs.Metrics.D_counter 45) ]);
+            ("cluster", []);
+          ];
       };
   ]
 
@@ -338,18 +338,16 @@ let test_formats_pinned () =
       ("Wire.encode sample 8", "a090adcb9c6c8d96ad60277c0bce9e4b");
       ("Wire.encode sample 9", "e7d2211a96a4f0dd34b102d5c25afd44");
       ("Wire.encode sample 10", "acb96efd9e53c80c69169dcdf4b9e85b");
-      ("Wire.encode sample 11", "5bd6c5407dac22df5c620bd4c3f79eb6");
-      ("Wire.encode sample 12", "9a4bce6482fa065d2206e663f688c01b");
-      ("Wire.encode sample 13", "301859b261518e8fcd3522fec8163c1c");
-      ("Wire.encode sample 14", "86c03c037bfbd602c4a82d7b5482ef83");
-      ("Wire.encode sample 15", "3d0b3e6016c032807a7bd41220cc4e98");
-      ("Wire.encode sample 16", "28083ae72a752d0d668582bbc5cc7284");
-      ("Wire.encode sample 17", "9e853fd6b863deb3cab9c7e60fbe52af");
-      ("Wire.encode sample 18", "477104f5b4928b1d05f835ce9e0468d7");
-      ("Wire.encode sample 19", "04951bf33a2d1ffa5eb6d1acbe01b011");
-      ("Wire.encode sample 20", "388fa592fa59461a201dd8014e9c7fba");
-      ("Wire.encode sample 21", "051293ae44cefb561b4c63a2370c0f0b");
-      ("Wire.encode sample 22", "a14dabc5c4c523e1d13a1150634e8c83");
+      ("Wire.encode sample 11", "301859b261518e8fcd3522fec8163c1c");
+      ("Wire.encode sample 12", "86c03c037bfbd602c4a82d7b5482ef83");
+      ("Wire.encode sample 13", "3d0b3e6016c032807a7bd41220cc4e98");
+      ("Wire.encode sample 14", "28083ae72a752d0d668582bbc5cc7284");
+      ("Wire.encode sample 15", "9e853fd6b863deb3cab9c7e60fbe52af");
+      ("Wire.encode sample 16", "477104f5b4928b1d05f835ce9e0468d7");
+      ("Wire.encode sample 17", "04951bf33a2d1ffa5eb6d1acbe01b011");
+      ("Wire.encode sample 18", "388fa592fa59461a201dd8014e9c7fba");
+      ("Wire.encode sample 19", "051293ae44cefb561b4c63a2370c0f0b");
+      ("Wire.encode sample 20", "dc79a9c3764349dfdbcf8e4af14198c7");
       ("Wire.spec_to_string", "8175a01082a09a7e0ba08eb8730e50ec");
       ("Metrics.encode_dump", "34a61edd5a2a0337f82c6e614c9baaa5");
       ("Trace_merge.to_string", "ba3e92e5d0f5800c850e92a5c2c1f3f7");
@@ -425,6 +423,46 @@ let prop_wire_ctx_roundtrip =
           { job_id = "job-1"; key = String.make 32 'k'; ok = true; ctx = spec.Wire.trace_ctx };
       ]
       |> List.for_all (fun msg -> Wire.decode_payload (payload_of msg) = Ok msg))
+
+(* A Stats_reply with random labelled registry views — the shape a
+   coordinator sends: any labels, any mix of counters, gauges and valid
+   histogram layouts, in any order. *)
+let views_gen =
+  let open QCheck.Gen in
+  let dumped =
+    oneof
+      [
+        map (fun n -> Lbr_obs.Metrics.D_counter n) (int_bound 1_000_000);
+        map (fun g -> Lbr_obs.Metrics.D_gauge g) (float_range (-1e6) 1e6);
+        map3
+          (fun lo counts sum ->
+            Lbr_obs.Metrics.D_hist
+              { d_lo = lo; d_growth = 2.0; d_counts = Array.of_list counts; d_sum = sum })
+          (float_range 1e-6 1.) (list_size (int_range 2 8) (int_bound 1000)) (float_range 0. 1e3);
+      ]
+  in
+  let entry =
+    triple (map (Printf.sprintf "m_%d") (int_bound 50)) (string_size ~gen:printable (int_bound 8)) dumped
+  in
+  let label = oneof [ oneofl [ ""; "cluster" ]; map (Printf.sprintf "w%d") (int_bound 9) ] in
+  list_size (int_bound 5) (pair label (list_size (int_bound 6) entry))
+
+let prop_wire_stats_reply_roundtrip =
+  QCheck.Test.make ~count:200 ~name:"Stats_reply round-trips random labelled views"
+    (QCheck.make QCheck.Gen.(pair views_gen (int_bound 20)))
+    (fun (metrics, queued_jobs) ->
+      let msg =
+        Wire.Stats_reply
+          {
+            Wire.queued_jobs;
+            running_jobs = 1;
+            job_stats = [];
+            uptime = 3.5;
+            node = "127.0.0.1:7421";
+            metrics;
+          }
+      in
+      Wire.decode_payload (payload_of msg) = Ok msg)
 
 let test_spec_string_roundtrip () =
   let spec = spec_of_seed ~classes:10 ~priority:Wire.High 3 in
@@ -883,15 +921,11 @@ let with_server ?(jobs = 2) ?(queue_depth = 8) ?journal_dir label f =
   in
   Fun.protect ~finally:(fun () -> Server.stop server) (fun () -> f socket_path server)
 
-(* A counter's value in a daemon's Prometheus snapshot; 0 when absent. *)
-let counter_in metrics_text name =
-  List.find_map
-    (fun line ->
-      match String.split_on_char ' ' line with
-      | [ n; v ] when n = name -> int_of_string_opt v
-      | _ -> None)
-    (String.split_on_char '\n' metrics_text)
-  |> Option.value ~default:0
+(* A counter's value in a daemon's own metric view; 0 when absent. *)
+let own_counter (s : Wire.daemon_stats) name =
+  match Lbr_obs.Metrics.find_in_dump (List.assoc "" s.metrics) name with
+  | Some (Lbr_obs.Metrics.D_counter n) -> n
+  | _ -> 0
 
 let test_journal_replay_resumes_with_fewer_executions () =
   (* Cold run, journaled. *)
@@ -957,7 +991,7 @@ let test_journal_replay_resumes_with_fewer_executions () =
           | Ok s ->
               Alcotest.(check int) "daemon reports the job's replayed verdicts"
                 warm_stats.Wire.replayed_runs
-                (counter_in s.Wire.metrics_text "lbr_replayed_verdicts_total" - replayed0)));
+                (own_counter s "lbr_replayed_verdicts_total" - replayed0)));
   Alcotest.(check bool) "resumed run reaches done" true
     (Sys.file_exists (Filename.concat (Filename.concat dir2 id1) "done"))
 
@@ -1296,9 +1330,9 @@ let test_server_top_stats () =
           | None -> Alcotest.fail "jobs still in flight after results delivered"
           | Some s ->
               Alcotest.(check bool) "fresh verdicts counted" true
-                (counter_in s.Wire.metrics_text "lbr_oracle_executions_total" > 0);
-              Alcotest.(check bool) "prometheus snapshot present" true
-                (String.length s.Wire.metrics_text > 0);
+                (own_counter s "lbr_oracle_executions_total" > 0);
+              Alcotest.(check bool) "metric snapshot present" true
+                (List.assoc "" s.Wire.metrics <> []);
               Alcotest.(check bool) "uptime positive" true (s.Wire.uptime > 0.));
           Client.close stats_client);
       Array.iter
@@ -1560,7 +1594,8 @@ let () =
       qsuite "wire-prop"
         [ prop_wire_decode_never_raises; prop_wire_truncation_rejected;
           prop_wire_bitflip_never_raises; prop_wire_tcp_truncation_rejected;
-          prop_wire_tcp_bitflip_never_raises; prop_wire_ctx_roundtrip ];
+          prop_wire_tcp_bitflip_never_raises; prop_wire_ctx_roundtrip;
+          prop_wire_stats_reply_roundtrip ];
       qsuite "append-log-prop" [ prop_append_log_torn_tail ];
       ( "journal",
         [
