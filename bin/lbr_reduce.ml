@@ -252,7 +252,8 @@ let prometheus_arg =
         ~doc:
           "Serve the metric registry as a Prometheus text endpoint on 127.0.0.1:PORT (0 lets \
            the kernel pick; the chosen port is printed).  On a coordinator the payload is the \
-           federated view: local registry, per-worker dumps and the merged cluster totals.")
+           federated view: local registry, per-worker dumps pulled at scrape time and the \
+           merged cluster totals.")
 
 let output_arg =
   Arg.(
@@ -262,6 +263,13 @@ let output_arg =
         ~doc:
           "Write the reduced workload in readable form to FILE: the decompiled source for \
            jvm, the frontend's own text otherwise.")
+
+let output_pool_arg =
+  Arg.(
+    value
+    & opt (some writable_file) None
+    & info [ "output-pool" ] ~docv:"FILE"
+        ~doc:"Write the reduced workload in its input format (LBRC binary for jvm) to FILE.")
 
 (* A [--jobs 0] or [--jobs -3] should die in argument parsing with a
    cmdliner-formatted error, not reach the domain pool. *)
@@ -377,14 +385,6 @@ let reduce_cmd =
             print_string (readable ~frontend_id printed)
         | None -> ());
         write_trace trace
-  in
-  let output_pool_arg =
-    Arg.(
-      value
-      & opt (some writable_file) None
-      & info [ "output-pool" ] ~docv:"FILE"
-          ~doc:
-            "Write the reduced workload in its input format (LBRC binary for jvm) to FILE.")
   in
   Cmd.v
     (Cmd.info "reduce"
@@ -582,16 +582,7 @@ let coordinate_cmd =
                 coordinator resubmits unfinished jobs seeded with their paid verdicts from \
                 the cache.")
   in
-  let poll_interval_arg =
-    Arg.(
-      value & opt float 2.0
-      & info [ "poll-interval" ] ~docv:"SECONDS"
-          ~doc:
-            "How often the federation thread pulls each worker's metric registry (heartbeat \
-             ages, cluster totals).  0 disables polling.")
-  in
-  let run listen workers lanes queue_depth cache_path journal_dir poll_interval trace
-      prometheus =
+  let run listen workers lanes queue_depth cache_path journal_dir trace prometheus =
     run_daemon ~name:"coordinate" ~journal_dir ~trace ~prometheus
       ~metrics_label:"federated metrics" ~resumed_verb:"resubmitted" ~draining:"delegated"
       (fun () ->
@@ -603,7 +594,6 @@ let coordinate_cmd =
               queue_depth;
               cache_path;
               journal_dir;
-              poll_interval;
             }
         in
         {
@@ -626,10 +616,12 @@ let coordinate_cmd =
          "Run the cluster coordinator: front N `lbr-reduce serve' worker daemons behind one \
           service address, dispatching submitted jobs in priority order to whichever worker \
           has a free lane, sharing a content-addressed verdict cache, and failing jobs over \
-          (seeded with their paid verdicts) when a worker dies.")
+          (seeded with their paid verdicts) when a worker dies.  Worker metric registries \
+          are pulled when asked for: each `top' request or --prometheus-listen scrape pulls \
+          every live worker's registry before answering.")
     Term.(
       const run $ listen_arg $ workers_arg $ lanes_arg $ queue_depth_arg $ cache_arg
-      $ journal_arg $ poll_interval_arg $ trace_arg $ prometheus_arg)
+      $ journal_arg $ trace_arg $ prometheus_arg)
 
 let submit_cmd =
   let priority_arg =
@@ -704,14 +696,6 @@ let submit_cmd =
                 write_file file (readable ~frontend_id reduced_bytes);
                 Printf.printf "reduced %s workload (readable) written to %s\n" frontend_id
                   file)
-  in
-  let output_pool_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "output-pool" ] ~docv:"FILE"
-          ~doc:
-            "Write the reduced workload in its input format (LBRC binary for jvm) to FILE.")
   in
   Cmd.v
     (Cmd.info "submit"

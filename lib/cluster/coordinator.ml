@@ -12,9 +12,6 @@ type config = {
   queue_depth : int;
   cache_path : string option;
   journal_dir : string option;
-  poll_interval : float;
-      (* seconds between federation sweeps over the workers; <= 0 disables
-         the background thread (tests call [poll_workers] directly) *)
 }
 
 type worker = {
@@ -22,8 +19,9 @@ type worker = {
   w_addr : Addr.t;
   mutable w_alive : bool;  (* under [fleet.mutex] *)
   mutable w_inflight : int;  (* delegated jobs, at most [fleet.lanes]; under [fleet.mutex] *)
-  w_hb_gauge : Metrics.gauge;  (* seconds since the last successful poll *)
-  mutable w_last_poll : float;
+  w_hb_gauge : Metrics.gauge;  (* seconds since the last successful pull *)
+  mutable w_pulled : float;  (* when [w_dump] was pulled; under [t.pull_mutex] *)
+  mutable w_dump : Metrics.dump option;  (* its last good [""] view; under [t.pull_mutex] *)
 }
 
 (* What the remote runner needs: the workers and their lanes, and the
@@ -46,11 +44,7 @@ type t = {
   scheduler : Scheduler.t;
   journal : Journal.t option;
   recovered : int;
-  poll_interval : float;
-  fed_mutex : Mutex.t;  (* guards fed_dumps and w_last_poll *)
-  fed_dumps : Metrics.dump option array;  (* last pull, indexed by worker id *)
-  fed_stop : bool Atomic.t;
-  mutable fed_thread : Thread.t option;
+  pull_mutex : Mutex.t;  (* one federation pull at a time *)
 }
 
 let scheduler t = t.scheduler
@@ -241,57 +235,39 @@ let runner f (ctx : Scheduler.runner_ctx) (spec : Wire.spec) =
 
 let worker_label w = Printf.sprintf "w%d" w.w_id
 
-(* The coordinator's own registry first, then each polled worker's
-   last-pulled dump under its ["wN"] label, then ["cluster"]: the exact
-   merge of all of them ({!Metrics.merge_dumps} — counters and gauges
-   sum, histograms merge bucket-wise). *)
+(* Pull worker [w]'s own registry view.  A failed pull keeps the last
+   good dump (and lets the heartbeat age grow): dropping it would send
+   the merged counters backwards. *)
+let pull w =
+  match Client.connect (Addr.to_string w.w_addr) with
+  | Error _ -> ()
+  | Ok c ->
+      (match Client.metrics_dump c with
+      | Ok (_node, dump) ->
+          w.w_dump <- Some dump;
+          w.w_pulled <- Unix.gettimeofday ()
+      | Error _ -> ());
+      Client.close c
+
+(* Pull every live worker on the calling thread, refresh the
+   heartbeat-age gauges, then list the coordinator's own registry, each
+   pulled worker's last good dump under its ["wN"] label, and
+   ["cluster"]: the exact merge of all of them ({!Metrics.merge_dumps} —
+   counters and gauges sum, histograms merge bucket-wise).  Pulls are
+   serialized, so each worker's stored dump only moves forward. *)
 let metrics t =
-  let own = Metrics.dump () in
   let per_worker =
-    Mutex.protect t.fed_mutex (fun () ->
+    Mutex.protect t.pull_mutex (fun () ->
+        Array.iter (fun w -> if w.w_alive then pull w) t.fleet.workers;
+        let now = Unix.gettimeofday () in
         Array.to_list t.fleet.workers
         |> List.filter_map (fun w ->
-               Option.map (fun d -> (worker_label w, d)) t.fed_dumps.(w.w_id)))
+               Metrics.set_gauge w.w_hb_gauge (now -. w.w_pulled);
+               Option.map (fun d -> (worker_label w, d)) w.w_dump))
   in
+  let own = Metrics.dump () in
   (("", own) :: per_worker)
   @ [ ("cluster", Metrics.merge_dumps (own :: List.map snd per_worker)) ]
-
-(* One federation sweep: pull every live worker's own registry view
-   from a [Stats_request] and refresh heartbeat-age gauges.  All
-   network I/O happens outside the lock; a failed pull leaves the
-   previous dump in place (and the heartbeat age growing). *)
-let poll_workers t =
-  Array.iter
-    (fun w ->
-      if w.w_alive then
-        match Client.connect (Addr.to_string w.w_addr) with
-        | Error _ -> ()
-        | Ok c ->
-            (match Client.metrics_dump c with
-            | Ok (_node, dump) ->
-                Mutex.protect t.fed_mutex (fun () ->
-                    t.fed_dumps.(w.w_id) <- Some dump;
-                    w.w_last_poll <- Unix.gettimeofday ())
-            | Error _ -> ());
-            Client.close c)
-    t.fleet.workers;
-  let now = Unix.gettimeofday () in
-  Array.iter
-    (fun w -> Metrics.set_gauge w.w_hb_gauge (now -. w.w_last_poll))
-    t.fleet.workers
-
-let fed_loop t () =
-  while not (Atomic.get t.fed_stop) do
-    poll_workers t;
-    (* Sleep in slices so close never waits out a full interval. *)
-    let rec sleep remaining =
-      if remaining > 0. && not (Atomic.get t.fed_stop) then begin
-        Thread.delay (Float.min 0.1 remaining);
-        sleep (remaining -. 0.1)
-      end
-    in
-    sleep t.poll_interval
-  done
 
 (* ------------------------------------------------------------------ *)
 
@@ -319,7 +295,8 @@ let create (config : config) =
                    (Printf.sprintf
                       "seconds since worker %d's registry was last pulled" i)
                  (Printf.sprintf "lbr_cluster_w%d_heartbeat_age_seconds" i);
-             w_last_poll = Unix.gettimeofday ();
+             w_pulled = Unix.gettimeofday ();
+             w_dump = None;
            })
   in
   let journal = Option.map Journal.open_dir config.journal_dir in
@@ -356,27 +333,15 @@ let create (config : config) =
       ~jobs:(config.lanes * Array.length workers)
       ~queue_depth:(max 1 config.queue_depth) ?journal ()
   in
-  let t =
-    {
-      fleet;
-      scheduler;
-      journal;
-      recovered = Scheduler.recover scheduler;
-      poll_interval = config.poll_interval;
-      fed_mutex = Mutex.create ();
-      fed_dumps = Array.make (Array.length workers) None;
-      fed_stop = Atomic.make false;
-      fed_thread = None;
-    }
-  in
-  if config.poll_interval > 0. then
-    t.fed_thread <- Some (Thread.create (fed_loop t) ());
-  t
+  {
+    fleet;
+    scheduler;
+    journal;
+    recovered = Scheduler.recover scheduler;
+    pull_mutex = Mutex.create ();
+  }
 
 let close t =
   Scheduler.shutdown t.scheduler;
-  Atomic.set t.fed_stop true;
-  Option.iter Thread.join t.fed_thread;
-  t.fed_thread <- None;
   Cache.close t.fleet.vcache;
   Option.iter Journal.close t.journal

@@ -60,12 +60,14 @@
 
     Besides the scheduler's [lbr_jobs_*] and [lbr_queue_depth], the
     process Metrics registry carries [lbr_cluster_cache_{hits,misses}_total],
-    [lbr_cluster_failovers_total], [lbr_cluster_workers_alive] and
-    [lbr_cluster_cache_entries].  A federation thread additionally pulls
-    each worker's whole registry every [poll_interval] seconds,
-    maintaining [lbr_cluster_w<i>_heartbeat_age_seconds] gauges;
-    {!metrics} lists the local registry, each worker's dump and their
-    exact merge as labelled views. *)
+    [lbr_cluster_failovers_total], [lbr_cluster_workers_alive],
+    [lbr_cluster_cache_entries] and one
+    [lbr_cluster_w<i>_heartbeat_age_seconds] gauge per worker.  Worker
+    registries are pulled only when asked for: {!metrics} pulls each
+    live worker's whole registry on the calling thread and lists the
+    local registry, each worker's dump and their exact merge as labelled
+    views.  The coordinator starts no thread of its own; its lanes run
+    on the scheduler's pool. *)
 
 type config = {
   workers : Lbr_server.Addr.t list;  (** at least one; pinged at {!create} *)
@@ -75,9 +77,6 @@ type config = {
       (** persist the verdict cache here; [None] with a [journal_dir]
           means [<journal_dir>/verdicts.cache] *)
   journal_dir : string option;  (** coordinator WAL + restart recovery *)
-  poll_interval : float;
-      (** seconds between federation sweeps; [<= 0] disables the
-          background thread (call {!poll_workers} manually) *)
 }
 
 type t
@@ -86,33 +85,35 @@ val create : config -> t
 (** Registers (pings) every worker — raises [Failure] if one is
     unreachable or refuses the handshake — builds the scheduler and
     recovers its journal ({!Lbr_server.Scheduler.recover}: a journaled
-    spec that no longer decodes is marked failed), and starts the
-    federation thread. *)
+    spec that no longer decodes is marked failed).  Starts no thread
+    beyond the scheduler's lanes. *)
 
 val scheduler : t -> Lbr_server.Scheduler.t
 (** Submit, cancel and inspect jobs here, or serve it with
     {!Lbr_server.Server.serve}. *)
 
 val metrics : t -> (string * Lbr_obs.Metrics.dump) list
-(** The coordinator's labelled registry views, in order: [""] (its own
-    registry), one ["wN"] per worker polled at least once (its
-    last-pulled dump), then ["cluster"] (the exact
+(** Pull each live worker's own ([""]) registry view on the calling
+    thread, refresh every [lbr_cluster_w<i>_heartbeat_age_seconds]
+    gauge (seconds since that worker's registry was last pulled), then
+    list the coordinator's labelled registry views, in order: [""] (its
+    own registry), one ["wN"] per worker pulled at least once (its last
+    good dump — a failed pull keeps the previous one, so merged counters
+    never go backwards), then ["cluster"] (the exact
     {!Lbr_obs.Metrics.merge_dumps} of all the others).  What
     [Stats_reply] carries and, through {!Lbr_obs.Metrics.render_views},
-    what the [--prometheus-listen] endpoint serves. *)
+    what the [--prometheus-listen] endpoint serves.
+
+    Concurrent calls pull one at a time.  No timeout is applied: a
+    worker that accepts a connection but never answers stalls the
+    callers that pull it, never the lanes or {!close}.  A flight dump's
+    heartbeat ages are those the last call left behind. *)
 
 val close : t -> unit
 (** {!Lbr_server.Scheduler.shutdown} (every admitted job reaches a
-    terminal state), then stop the federation thread and close the cache
-    and journal.  Call once, after the front end (if any) has stopped. *)
+    terminal state), then close the cache and journal.  Call once, after
+    the front end (if any) has stopped. *)
 
 val recovered : t -> int
 (** Journaled in-flight jobs {!create} re-admitted (their already-paid
     verdicts are in the persisted cache, and seed them when they run). *)
-
-val poll_workers : t -> unit
-(** One synchronous federation sweep (what the background thread runs
-    every [poll_interval] seconds) — pull each live worker's metric
-    registry and refresh heartbeat-age gauges.  Exposed so tests and
-    one-shot tools get a deterministic view without sleeping. *)
-

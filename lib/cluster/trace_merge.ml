@@ -15,7 +15,6 @@
    one lane, deduplicating byte-identical events — the surviving-worker
    case, where the pre-kill capture is a prefix of the final dump. *)
 
-module Wire = Lbr_server.Wire
 module Client = Lbr_server.Client
 module Trace = Lbr_obs.Trace
 include Lbr_obs.Tdump
@@ -29,21 +28,9 @@ let fetch addr =
   match Client.connect addr with
   | Error m -> Error m
   | Ok c ->
-      let t0 = Unix.gettimeofday () in
       let result = Client.trace_dump c in
-      let t1 = Unix.gettimeofday () in
       Client.close c;
-      Result.map
-        (fun (d : Wire.trace_dump) ->
-          {
-            nd_node = d.node;
-            nd_epoch = d.epoch;
-            nd_server_now = d.server_now;
-            nd_client_mid = (t0 +. t1) /. 2.;
-            nd_dropped = d.dropped;
-            nd_events = d.events;
-          })
-        result
+      result
 
 (* ------------------------------------------------------------------ *)
 (* Merge                                                               *)

@@ -108,10 +108,19 @@ let request t msg reply =
 let stats t =
   request t Wire.Stats_request (function Wire.Stats_reply s -> Some s | _ -> None)
 
+(* The midpoint of the request on this side's clock: with the reply's
+   [nd_server_now], the half-RTT estimate of the node's clock skew. *)
 let trace_dump t =
-  request t Wire.Trace_dump_request (function
-    | Wire.Trace_dump_reply d -> Some d
-    | _ -> None)
+  let sent = Unix.gettimeofday () in
+  let reply =
+    request t Wire.Trace_dump_request (function
+      | Wire.Trace_dump_reply d -> Some d
+      | _ -> None)
+  in
+  let received = Unix.gettimeofday () in
+  Result.map
+    (fun (d : Lbr_obs.Tdump.node_dump) -> { d with nd_client_mid = (sent +. received) /. 2. })
+    reply
 
 (* The answering node's own view is the [""] one, always first. *)
 let metrics_dump t =

@@ -60,10 +60,10 @@ val stats : t -> (Wire.daemon_stats, string) result
 (** One live introspection snapshot (queue depth, per-job best-so-far,
     the node's label and its labelled metric views). *)
 
-val trace_dump : t -> (Wire.trace_dump, string) result
-(** Pull the daemon's span rings ([Trace_dump_request]).  Capture
-    wall-clock timestamps around the call and compare them with
-    [server_now] to estimate clock skew. *)
+val trace_dump : t -> (Lbr_obs.Tdump.node_dump, string) result
+(** Pull the daemon's span rings ([Trace_dump_request]).  [nd_client_mid]
+    is this side's wall clock at the midpoint of the request; with
+    [nd_server_now] it estimates the node's clock skew. *)
 
 val metrics_dump : t -> (string * Lbr_obs.Metrics.dump, string) result
 (** The daemon's own metric registry, from one {!stats} snapshot —

@@ -1,17 +1,13 @@
 module Pool = Lbr_runtime.Pool
 
-type status =
-  | Queued
-  | Running
-  | Done of Wire.stats * string
-  | Failed of string
-  | Cancelled
+type outcome = Done of Wire.stats * string | Failed of string | Cancelled
+type status = Queued | Running | Ended of outcome
 
 type event =
   | Started
   | Progress of { sim_time : float; classes : int; bytes : int }
   | Evaluated of { key : string; ok : bool; ctx : Lbr_obs.Trace.Context.t option }
-  | Finished of status
+  | Finished of outcome
 
 type runner_ctx = {
   job_id : string;
@@ -31,7 +27,7 @@ type job = {
   replay_table : (string, bool) Hashtbl.t;
   cancel_requested : bool Atomic.t;
   submitted_at : float;
-  mutable state : status;
+  mutable running : bool;  (* [false] = queued; ended jobs leave [table] *)
   (* Latest improvement reported through the progress event stream —
      (sim_time, classes, bytes) — mirrored here (under the scheduler
      lock) so a Stats snapshot never has to ask the job itself. *)
@@ -55,7 +51,7 @@ type t = {
   high : job Queue.t;
   normal : job Queue.t;
   table : (string, job) Hashtbl.t;  (* queued and running jobs *)
-  finished : (string, status) Hashtbl.t;
+  finished : (string, outcome) Hashtbl.t;
       (* terminal states, for [status]/[await]: a finished job's spec,
          replay table and event handler are garbage *)
   mutable next_id : int;
@@ -127,32 +123,24 @@ let locked t f =
    means every Result/Job_failed frame has already been handed to its
    connection.  The event runs outside the scheduler lock (handlers write
    to sockets) and its exceptions are contained. *)
-let finalize t job status =
+let finalize t job outcome =
   (match t.journal with
   | None -> ()
   | Some j -> (
-      match status with
+      match outcome with
       | Done _ -> Journal.mark_done j ~id:job.id
       | Cancelled -> Journal.mark_cancelled j ~id:job.id
-      | Failed reason -> Journal.mark_failed j ~id:job.id ~reason
-      | Queued | Running -> ()));
+      | Failed reason -> Journal.mark_failed j ~id:job.id ~reason));
   Lbr_obs.Flight.transition ~job:job.id
-    ~state:
-      (match status with
-      | Done _ -> "done"
-      | Failed _ -> "failed"
-      | Cancelled -> "cancelled"
-      | Queued -> "queued"
-      | Running -> "running");
-  (try job.on_event (Finished status) with _ -> ());
-  (match status with
+    ~state:(match outcome with Done _ -> "done" | Failed _ -> "failed" | Cancelled -> "cancelled");
+  (try job.on_event (Finished outcome) with _ -> ());
+  (match outcome with
   | Done _ -> Lbr_obs.Metrics.incr t.m_done
   | Failed _ -> Lbr_obs.Metrics.incr t.m_failed
-  | Cancelled -> Lbr_obs.Metrics.incr t.m_cancelled
-  | Queued | Running -> ());
+  | Cancelled -> Lbr_obs.Metrics.incr t.m_cancelled);
   locked t (fun () ->
       Hashtbl.remove t.table job.id;
-      Hashtbl.replace t.finished job.id status;
+      Hashtbl.replace t.finished job.id outcome;
       t.running_count <- t.running_count - 1;
       Lbr_obs.Metrics.set_gauge t.m_running (float_of_int t.running_count);
       Condition.broadcast t.cond)
@@ -196,7 +184,7 @@ let run_job t job =
           with _ -> ());
     }
   in
-  let status =
+  let outcome =
     (* The job's trace context is installed for the whole run: every span
        the runner (and anything it calls — oracle, frontends, speculative
        workers) records on this domain carries the job's trace id and the
@@ -211,7 +199,7 @@ let run_job t job =
     | exception Lbr_frontend.Run.Cancelled -> Cancelled
     | exception exn -> Failed (Printexc.to_string exn)
   in
-  finalize t job status
+  finalize t job outcome
 
 (* One dispatch token is pool-submitted per admission; each token claims
    the best-priority job waiting at execution time.  Jobs cancelled while
@@ -235,7 +223,7 @@ let rec dispatch t () =
         Lbr_obs.Metrics.set_gauge t.m_running (float_of_int t.running_count);
         if Atomic.get job.cancel_requested then Some (job, `Discard)
         else begin
-          job.state <- Running;
+          job.running <- true;
           Some (job, `Run)
         end
   in
@@ -258,6 +246,20 @@ let enqueue_locked t job =
   Queue.push job (match job.spec.Wire.priority with High -> t.high | Normal -> t.normal);
   t.queued_count <- t.queued_count + 1;
   Lbr_obs.Metrics.set_gauge t.m_queue_depth (float_of_int t.queued_count)
+
+(* A queued job; [replay_table] holds the verdicts it starts with. *)
+let new_job ~id ~on_event ~replay_table spec =
+  {
+    id;
+    spec;
+    on_event;
+    replay_table;
+    cancel_requested = Atomic.make false;
+    submitted_at = Lbr_obs.Trace.now ();
+    running = false;
+    best = None;
+    cancel_hook = ignore;
+  }
 
 let retry_after t = 1.0 +. (float_of_int t.queued_count /. float_of_int (Pool.jobs t.pool))
 
@@ -285,19 +287,7 @@ let submit t ?(on_event = fun (_ : string) (_ : event) -> ()) ?(seeds = []) spec
              cluster-cache one, which is exactly the point. *)
           let replay_table = Hashtbl.create (max 16 (List.length seeds)) in
           List.iter (fun (key, ok) -> Hashtbl.replace replay_table key ok) seeds;
-          let job =
-            {
-              id;
-              spec;
-              on_event = (fun ev -> on_event id ev);
-              replay_table;
-              cancel_requested = Atomic.make false;
-              submitted_at = Lbr_obs.Trace.now ();
-              state = Queued;
-              best = None;
-              cancel_hook = ignore;
-            }
-          in
+          let job = new_job ~id ~on_event:(on_event id) ~replay_table spec in
           Lbr_obs.Metrics.incr t.m_submitted;
           Lbr_obs.Metrics.observe t.m_job_bytes
             (float_of_int (String.length spec.Wire.pool_bytes));
@@ -335,8 +325,8 @@ let cancel t id =
 let status t id =
   locked t (fun () ->
       match Hashtbl.find_opt t.table id with
-      | Some job -> Some job.state
-      | None -> Hashtbl.find_opt t.finished id)
+      | Some job -> Some (if job.running then Running else Queued)
+      | None -> Option.map (fun o -> Ended o) (Hashtbl.find_opt t.finished id))
 
 let await t id =
   Mutex.lock t.mutex;
@@ -366,21 +356,7 @@ let recover t =
                 Journal.mark_failed j ~id ~reason:("corrupt journaled spec: " ^ reason);
                 None
             | Ok spec ->
-                let replay_table = Journal.replay j ~id in
-                let job =
-                  {
-                    id;
-                    spec;
-                    on_event = (fun _ -> ());
-                    replay_table;
-                    cancel_requested = Atomic.make false;
-                    submitted_at = Lbr_obs.Trace.now ();
-                    state = Queued;
-                    best = None;
-                    cancel_hook = ignore;
-                  }
-                in
-                Some job)
+                Some (new_job ~id ~on_event:ignore ~replay_table:(Journal.replay j ~id) spec))
           (Journal.pending j)
       in
       locked t (fun () -> List.iter (enqueue_locked t) resumed);
@@ -396,7 +372,7 @@ let snapshot t =
   locked t (fun () ->
       Hashtbl.fold
         (fun _ job acc ->
-          { info_id = job.id; info_running = job.state = Running; info_best = job.best } :: acc)
+          { info_id = job.id; info_running = job.running; info_best = job.best } :: acc)
         t.table [])
   |> List.sort (fun a b -> String.compare a.info_id b.info_id)
 

@@ -19,12 +19,13 @@
     terminal state, handing the runner their replay table so already-paid
     predicate executions are not paid again. *)
 
-type status =
-  | Queued
-  | Running
+(** How a job ended. *)
+type outcome =
   | Done of Wire.stats * string  (** stats + reduced LBRC pool bytes *)
   | Failed of string
   | Cancelled
+
+type status = Queued | Running | Ended of outcome
 
 type event =
   | Started
@@ -35,7 +36,7 @@ type event =
           verdict cache.  Replayed verdicts do not re-emit.  [ctx] is the
           job's trace context (minted at admission when tracing is live),
           echoed so the wire layer can stamp [Verdict] frames. *)
-  | Finished of status
+  | Finished of outcome
 
 type runner_ctx = {
   job_id : string;
@@ -107,8 +108,8 @@ val cancel : t -> string -> bool
     it registered one) runs on the calling thread. *)
 
 val status : t -> string -> status option
-val await : t -> string -> status
-(** Block until the job reaches a terminal state. *)
+val await : t -> string -> outcome
+(** Block until the job ends. *)
 
 val recover : t -> int
 (** Re-admit journaled jobs with no terminal marker (in admission order,

@@ -116,7 +116,6 @@ let handle_connection t c =
             send (Wire.Job_failed { job_id; reason })
         | Scheduler.Finished Scheduler.Cancelled ->
             send (Wire.Job_failed { job_id; reason = "cancelled" })
-        | Scheduler.Finished (Scheduler.Queued | Scheduler.Running) -> ()
       in
       let admit spec seeds =
         (* The admission reply must reach the wire before any event
@@ -171,13 +170,15 @@ let handle_connection t c =
             loop ()
         | Ok Wire.Trace_dump_request ->
             send
-              (Wire.Trace_dump_reply
+              (let now = Unix.gettimeofday () in
+               Wire.Trace_dump_reply
                  {
-                   Wire.node = Addr.to_string (bound_addr t);
-                   epoch = Lbr_obs.Trace.epoch_seconds ();
-                   server_now = Unix.gettimeofday ();
-                   dropped = Lbr_obs.Trace.dropped ();
-                   events = Lbr_obs.Trace.events ();
+                   Lbr_obs.Tdump.nd_node = Addr.to_string (bound_addr t);
+                   nd_epoch = Lbr_obs.Trace.epoch_seconds ();
+                   nd_server_now = now;
+                   nd_client_mid = now;
+                   nd_dropped = Lbr_obs.Trace.dropped ();
+                   nd_events = Lbr_obs.Trace.events ();
                  });
             loop ()
         | Ok (Wire.Hello _) -> fatal "duplicate hello"

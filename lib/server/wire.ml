@@ -49,14 +49,6 @@ type daemon_stats = {
   metrics : (string * Lbr_obs.Metrics.dump) list;
 }
 
-type trace_dump = {
-  node : string;
-  epoch : float;
-  server_now : float;
-  dropped : int;
-  events : Lbr_obs.Trace.event list;
-}
-
 type message =
   | Hello of int
   | Hello_ok of int
@@ -79,7 +71,7 @@ type message =
       ctx : Lbr_obs.Trace.Context.t option;
     }
   | Trace_dump_request
-  | Trace_dump_reply of trace_dump
+  | Trace_dump_reply of Lbr_obs.Tdump.node_dump
 
 (* ------------------------------------------------------------------ *)
 (* Enums                                                               *)
@@ -341,11 +333,12 @@ let encode_payload msg =
   | Stats_reply s -> w_daemon_stats b s
   | Trace_dump_request -> ()
   | Trace_dump_reply d ->
-      w_str16 b d.node;
-      w_f64 b d.epoch;
-      w_f64 b d.server_now;
-      w_u32 b d.dropped;
-      Lbr_obs.Tdump.w_trace_events b d.events);
+      (* [nd_client_mid] is the requester's to stamp: never sent. *)
+      w_str16 b d.nd_node;
+      w_f64 b d.nd_epoch;
+      w_f64 b d.nd_server_now;
+      w_u32 b d.nd_dropped;
+      Lbr_obs.Tdump.w_trace_events b d.nd_events);
   Buffer.contents b
 
 let encode msg =
@@ -394,12 +387,20 @@ let decode_payload data =
           Verdict { job_id; key; ok; ctx = r_ctx r }
       | 0x06 -> Trace_dump_request
       | 0x8B ->
-          let node = r_str16 r in
-          let epoch = r_f64 r in
-          let server_now = r_f64 r in
-          let dropped = r_u32 r in
-          let events = Lbr_obs.Tdump.r_trace_events r in
-          Trace_dump_reply { node; epoch; server_now; dropped; events }
+          let nd_node = r_str16 r in
+          let nd_epoch = r_f64 r in
+          let nd_server_now = r_f64 r in
+          let nd_dropped = r_u32 r in
+          let nd_events = Lbr_obs.Tdump.r_trace_events r in
+          Trace_dump_reply
+            {
+              nd_node;
+              nd_epoch;
+              nd_server_now;
+              nd_client_mid = nd_server_now;
+              nd_dropped;
+              nd_events;
+            }
       | k -> fail "unknown message kind 0x%02x" k)
 
 (* ------------------------------------------------------------------ *)

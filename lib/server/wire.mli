@@ -113,16 +113,6 @@ type daemon_stats = {
           text. *)
 }
 
-type trace_dump = {
-  node : string;  (** the daemon's lane label (its bound address) *)
-  epoch : float;  (** absolute second its trace [ts = 0] maps to *)
-  server_now : float;
-      (** its wall clock when the dump was taken — the merger pairs this
-          with its own request/reply timestamps to estimate clock skew *)
-  dropped : int;
-  events : Lbr_obs.Trace.event list;  (** encoded by {!Lbr_obs.Tdump.w_trace_events} *)
-}
-
 type message =
   | Hello of int  (** client → server: the client's protocol version *)
   | Hello_ok of int  (** server → client: the same version, accepted *)
@@ -158,7 +148,12 @@ type message =
           [ctx] echoes the job's trace context so the receiver can
           attribute the evaluation to the right distributed trace. *)
   | Trace_dump_request  (** client → server: ask for the node's span rings. *)
-  | Trace_dump_reply of trace_dump
+  | Trace_dump_reply of Lbr_obs.Tdump.node_dump
+      (** server → client: the node's label, trace epoch, wall clock at
+          dump time, dropped-event count and events (encoded by
+          {!Lbr_obs.Tdump.w_trace_events}).  [nd_client_mid] is not
+          sent: the decoder sets it to [nd_server_now], and
+          {!Client.trace_dump} stamps the requester's own midpoint. *)
 
 (* ------------------------------------------------------------------ *)
 

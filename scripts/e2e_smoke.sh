@@ -55,6 +55,16 @@ TRACE_OUT=${TRACE_OUT:-$WORK/reduce-trace.json}
 cmp "$WORK/socket.lbrc" "$WORK/inproc.lbrc"
 echo "OK: socket result is byte-identical to the in-process (traced) run"
 
+# --output-pool is checked when the arguments are parsed, before any
+# connection: a missing directory is a CLI error (cmdliner's 124), not a
+# connect failure (1) or a write error after the remote job finished.
+STATUS=0
+"$BIN" submit --socket "$WORK/no-daemon.sock" --seed 1 --classes 30 \
+  --output-pool "$WORK/missing/x.lbrc" > /dev/null 2>&1 || STATUS=$?
+[ "$STATUS" -eq 124 ] \
+  || { echo "submit --output-pool into a missing directory exited $STATUS, not 124"; exit 1; }
+echo "OK: submit rejects an --output-pool in a missing directory at parse time"
+
 # The traced run must have produced a loadable Chrome trace with at least
 # one GBR iteration span.  jq where available, grep as the fallback.
 if command -v jq >/dev/null 2>&1; then
@@ -182,7 +192,7 @@ COORD_SOCK="$WORK/coord.sock"
 COORD_JOURNAL="$WORK/coordjournal"
 "$BIN" coordinate --listen "$COORD_SOCK" --worker "$W1_ADDR" --worker "$W2_ADDR" \
   --journal "$COORD_JOURNAL" --cache "$WORK/verdicts.cache" \
-  --trace "$WORK/coord-trace.json" --poll-interval 0.5 --prometheus-listen 0 \
+  --trace "$WORK/coord-trace.json" --prometheus-listen 0 \
   > "$WORK/coord.log" 2>&1 &
 COORD_PID=$!
 
@@ -221,8 +231,8 @@ echo "OK: captured pre-kill trace dumps of both workers"
 # coordinator's lane choice, not something this script should assume,
 # but the pre-kill trace dumps tell us: only the busy worker's span ring
 # carries ctx.parent-annotated job spans.  (Sniffing coordinator TCP
-# connections does not work: the metrics-federation poller dials every
-# worker twice a second.)
+# connections does not work: every metrics request the coordinator
+# answers dials every live worker.)
 W1_CTX=$(grep -ac 'ctx.parent' "$WORK/w1.tdump" || true)
 W2_CTX=$(grep -ac 'ctx.parent' "$WORK/w2.tdump" || true)
 if [ "$W1_CTX" -eq "$W2_CTX" ]; then

@@ -200,7 +200,7 @@ let prop_cache_survives_restart =
 type collector = {
   c_mutex : Mutex.t;
   c_cond : Condition.t;
-  c_done : (string, Scheduler.status) Hashtbl.t;
+  c_done : (string, Scheduler.outcome) Hashtbl.t;
   c_verdicts : int Atomic.t;
   c_progress : int Atomic.t;
 }
@@ -218,8 +218,7 @@ let collect col id (ev : Scheduler.event) =
   match ev with
   | Scheduler.Evaluated _ -> Atomic.incr col.c_verdicts
   | Scheduler.Progress _ -> Atomic.incr col.c_progress
-  | Scheduler.Finished ((Scheduler.Done _ | Scheduler.Failed _ | Scheduler.Cancelled) as st)
-    ->
+  | Scheduler.Finished st ->
       Mutex.lock col.c_mutex;
       Hashtbl.replace col.c_done id st;
       Condition.broadcast col.c_cond;
@@ -256,14 +255,12 @@ let submit_ok coordinator col spec =
 
 let coordinator ?(lanes = 1) ?(queue_depth = 8) ?journal_dir ?cache_path workers =
   Coordinator.create
-    { Coordinator.workers; lanes; queue_depth; cache_path; journal_dir; poll_interval = 0. }
+    { Coordinator.workers; lanes; queue_depth; cache_path; journal_dir }
 
 let status_name = function
   | Some (Scheduler.Done _) -> "done"
   | Some (Scheduler.Failed m) -> "failed: " ^ m
   | Some Scheduler.Cancelled -> "cancelled"
-  | Some Scheduler.Queued -> "queued"
-  | Some Scheduler.Running -> "running"
   | None -> "missing"
 
 let start_worker () =
@@ -706,8 +703,8 @@ let test_cluster_cancel_running ~hold_accepted () =
   if not hold_accepted then
     (* the stub's first Progress frame follows its Accepted *)
     wait_until "the coordinator relays progress" (fun () -> Atomic.get col.c_progress > 0);
-  Alcotest.(check string) "the coordinator's job is running" "running"
-    (status_name (Scheduler.status sched id));
+  Alcotest.(check bool) "the coordinator's job is running" true
+    (Scheduler.status sched id = Some Scheduler.Running);
   Alcotest.(check bool) "cancel finds the running job" true (Scheduler.cancel sched id);
   Atomic.set hold false;
   await_done ~timeout:30. col 1;
@@ -922,8 +919,6 @@ let test_cluster_federated_metrics_sum () =
   let col = collector () in
   let _ids = List.init 2 (fun i -> submit_ok coordinator col (spec_of_seed ~classes:6 (1 + i))) in
   await_done ~timeout:30. col 2;
-  (* poll_interval 0 disables the background loop; pull synchronously *)
-  Coordinator.poll_workers coordinator;
   let views = Coordinator.metrics coordinator in
   let local = List.assoc "" views and merged = List.assoc "cluster" views in
   let per_worker = List.filter (fun (l, _) -> l <> "" && l <> "cluster") views in
@@ -959,6 +954,64 @@ let test_cluster_federated_metrics_sum () =
   Coordinator.close coordinator;
   Server.stop w0;
   Server.stop w1
+
+(* Worker registries are pulled when asked for: the very first
+   [metrics] call after [create] already lists every worker. *)
+let test_cluster_metrics_first_call () =
+  let gate = Atomic.make true in
+  let w0, _ = stub_worker gate and w1, _ = stub_worker gate in
+  let coordinator = coordinator [ Server.bound_addr w0; Server.bound_addr w1 ] in
+  Alcotest.(check (list string)) "views on the first call" [ ""; "w0"; "w1"; "cluster" ]
+    (List.map fst (Coordinator.metrics coordinator));
+  Coordinator.close coordinator;
+  Server.stop w0;
+  Server.stop w1
+
+(* A worker that stops answering keeps its last good view: the merged
+   counters never go backwards, and its heartbeat age keeps growing. *)
+let test_cluster_stopped_worker_keeps_last_view () =
+  let gate = Atomic.make true in
+  let w0, _ = stub_worker gate and w1, _ = stub_worker gate in
+  let coordinator = coordinator [ Server.bound_addr w0; Server.bound_addr w1 ] in
+  let col = collector () in
+  let _ids = List.init 2 (fun i -> submit_ok coordinator col (spec_of_seed ~classes:6 (1 + i))) in
+  await_done ~timeout:30. col 2;
+  let before = Coordinator.metrics coordinator in
+  Server.stop w1;
+  let first = Coordinator.metrics coordinator in
+  Thread.delay 0.01;
+  let second = Coordinator.metrics coordinator in
+  let value views label name =
+    match Lbr_obs.Metrics.find_in_dump (List.assoc label views) name with
+    | Some (Lbr_obs.Metrics.D_counter n) -> float_of_int n
+    | Some (Lbr_obs.Metrics.D_gauge g) -> g
+    | _ -> Alcotest.failf "%s has no %s" label name
+  in
+  List.iter
+    (fun views ->
+      Alcotest.(check (list string)) "the stopped worker is still listed"
+        [ ""; "w0"; "w1"; "cluster" ] (List.map fst views);
+      Alcotest.(check bool) "its view is the last one pulled" true
+        (List.assoc "w1" views = List.assoc "w1" before))
+    [ first; second ];
+  let age views = value views "" "lbr_cluster_w1_heartbeat_age_seconds" in
+  Alcotest.(check bool) "its heartbeat age grows" true (age second > age first);
+  let nonzero = ref 0 in
+  List.iter
+    (fun (name, _, v) ->
+      match v with
+      | Lbr_obs.Metrics.D_counter n ->
+          if n > 0 then incr nonzero;
+          List.iter
+            (fun (later, views) ->
+              let m = int_of_float (value views "cluster" name) in
+              if m < n then Alcotest.failf "cluster %s dropped from %d to %d (%s)" name n m later)
+            [ ("first call", first); ("second call", second) ]
+      | _ -> ())
+    (List.assoc "cluster" before);
+  Alcotest.(check bool) "some cluster counter is non-zero" true (!nonzero > 0);
+  Coordinator.close coordinator;
+  Server.stop w0
 
 (* ------------------------------------------------------------------ *)
 
@@ -1005,5 +1058,9 @@ let () =
             test_cluster_no_live_workers_fails_cleanly;
           Alcotest.test_case "federated metrics merge to the exact sum" `Quick
             test_cluster_federated_metrics_sum;
+          Alcotest.test_case "metrics list every worker on the first call" `Quick
+            test_cluster_metrics_first_call;
+          Alcotest.test_case "a stopped worker keeps its last view" `Quick
+            test_cluster_stopped_worker_keeps_last_view;
         ] );
     ]

@@ -119,11 +119,12 @@ let sample_messages =
     Wire.Trace_dump_request;
     Wire.Trace_dump_reply
       {
-        node = "127.0.0.1:7421";
-        epoch = 1754700000.125;
-        server_now = 1754700012.5;
-        dropped = 3;
-        events =
+        Lbr_obs.Tdump.nd_node = "127.0.0.1:7421";
+        nd_epoch = 1754700000.125;
+        nd_server_now = 1754700012.5;
+        nd_client_mid = 1754700012.5;
+        nd_dropped = 3;
+        nd_events =
           [
             {
               Lbr_obs.Trace.ev_name = "coordinator.job";
@@ -708,7 +709,6 @@ let await_done sched id =
   | Scheduler.Done (stats, bytes) -> (stats, bytes)
   | Scheduler.Failed m -> Alcotest.failf "job failed: %s" m
   | Scheduler.Cancelled -> Alcotest.fail "job cancelled"
-  | Scheduler.Queued | Scheduler.Running -> assert false
 
 let trivial_stats =
   {
@@ -1442,15 +1442,57 @@ let test_server_observability_dumps () =
               | Error m -> Alcotest.failf "trace_dump: %s" m
               | Ok d ->
                   Alcotest.(check bool) "node label present" true
-                    (String.length d.Wire.node > 0);
-                  Alcotest.(check bool) "epoch is set" true (d.Wire.epoch > 0.);
-                  Alcotest.(check bool) "job spans recorded" true (d.Wire.events <> []));
+                    (String.length d.Lbr_obs.Tdump.nd_node > 0);
+                  Alcotest.(check bool) "epoch is set" true (d.Lbr_obs.Tdump.nd_epoch > 0.);
+                  Alcotest.(check bool) "job spans recorded" true
+                    (d.Lbr_obs.Tdump.nd_events <> []));
               (match Client.metrics_dump client with
               | Error m -> Alcotest.failf "metrics_dump: %s" m
               | Ok (node, dump) ->
                   Alcotest.(check bool) "node label present" true (String.length node > 0);
                   Alcotest.(check bool) "registry snapshot non-empty" true (dump <> []));
               Client.close client))
+
+(* [Client.trace_dump] stamps [nd_client_mid] with its own clock: against
+   a node whose clock reads an old [nd_server_now], the midpoint still
+   falls inside the request. *)
+let test_client_trace_dump_stamps_midpoint () =
+  let srv = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Unix.bind srv (Unix.ADDR_INET (Unix.inet_addr_loopback, 0));
+  Unix.listen srv 1;
+  let port = match Unix.getsockname srv with Unix.ADDR_INET (_, p) -> p | _ -> assert false in
+  let reply = List.find (function Wire.Trace_dump_reply _ -> true | _ -> false) sample_messages in
+  let node =
+    Thread.create
+      (fun () ->
+        let fd, _ = Unix.accept srv in
+        let rec serve () =
+          match Wire.read_message fd with
+          | Ok (Wire.Hello v) ->
+              Wire.write_message fd (Wire.Hello_ok v);
+              serve ()
+          | Ok Wire.Trace_dump_request ->
+              Wire.write_message fd reply;
+              serve ()
+          | _ -> Unix.close fd
+        in
+        serve ())
+      ()
+  in
+  (match Client.connect (Printf.sprintf "127.0.0.1:%d" port) with
+  | Error m -> Alcotest.failf "connect: %s" m
+  | Ok client ->
+      let sent = Unix.gettimeofday () in
+      (match Client.trace_dump client with
+      | Error m -> Alcotest.failf "trace_dump: %s" m
+      | Ok d ->
+          Alcotest.(check (float 0.)) "the node's clock is kept" 1754700012.5
+            d.Lbr_obs.Tdump.nd_server_now;
+          Alcotest.(check bool) "the midpoint is on the requester's clock" true
+            (sent <= d.nd_client_mid && d.nd_client_mid <= Unix.gettimeofday ()));
+      Client.close client);
+  Thread.join node;
+  Unix.close srv
 
 (* A job outlives the connection that submitted it.  Its late Result
    must be dropped, not written to whatever socket has reused the closed
@@ -1489,7 +1531,7 @@ let test_server_late_events_stay_off_new_connections () =
   Thread.delay 0.2;
   let fd2 = open_conn () in
   Atomic.set gate true;
-  ignore (Scheduler.await sched id : Scheduler.status);
+  ignore (Scheduler.await sched id : Scheduler.outcome);
   Wire.write_message fd2 Wire.Stats_request;
   (match Wire.read_message fd2 with
   | Ok (Wire.Stats_reply _) -> ()
@@ -1656,6 +1698,8 @@ let () =
             test_server_verdict_stream;
           Alcotest.test_case "v5 trace + metrics dumps over the socket" `Slow
             test_server_observability_dumps;
+          Alcotest.test_case "trace_dump stamps the requester's midpoint" `Quick
+            test_client_trace_dump_stamps_midpoint;
           Alcotest.test_case "cancel over the socket" `Slow test_server_cancel_over_socket;
           Alcotest.test_case "late job events stay off new connections" `Quick
             test_server_late_events_stay_off_new_connections;
