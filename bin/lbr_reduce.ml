@@ -888,20 +888,16 @@ let trace_merge_cmd =
         prerr_endline "lbr-reduce trace-merge: no sources could be loaded";
         exit 1
     | dumps ->
-        let json = Lbr_cluster.Trace_merge.merge dumps in
+        let merged = Lbr_cluster.Trace_merge.merge dumps in
         let oc = open_out out in
         Fun.protect
-          (fun () -> output_string oc json)
+          (fun () -> output_string oc merged.json)
           ~finally:(fun () -> close_out oc);
+        let lanes = merged.lanes in
         Printf.printf "trace-merge: %d lane%s (%s), %d events -> %s\n"
-          (List.length dumps)
-          (if List.length dumps = 1 then "" else "s")
-          (String.concat ", "
-             (List.map (fun d -> d.Lbr_cluster.Trace_merge.nd_node) dumps))
-          (List.fold_left
-             (fun n d -> n + List.length d.Lbr_cluster.Trace_merge.nd_events)
-             0 dumps)
-          out;
+          (List.length lanes)
+          (if List.length lanes = 1 then "" else "s")
+          (String.concat ", " lanes) merged.events out;
         if errors <> [] then exit 1
   in
   Cmd.v

@@ -46,6 +46,8 @@ let event_key (e : Trace.event) =
    with a [pid] lane (plus a [process_name] metadata record) per node
    and a flow arrow from every [coordinator.job] span to the first
    worker-side event that names it as [ctx.parent]. *)
+type merged = { json : string; lanes : string list; events : int }
+
 let merge dumps =
   (* Lane order = first appearance; later same-name dumps fold in. *)
   let lanes = ref [] in
@@ -160,4 +162,8 @@ let merge dumps =
         shifted)
     job_spans;
   Buffer.add_string buf "]}";
-  Buffer.contents buf
+  {
+    json = Buffer.contents buf;
+    lanes = List.map (fun (_, node, _, _) -> node) shifted;
+    events = List.fold_left (fun n (_, _, _, events) -> n + List.length events) 0 shifted;
+  }

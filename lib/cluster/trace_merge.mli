@@ -29,5 +29,13 @@ val fetch : string -> (node_dump, string) result
 val skew : node_dump -> float
 (** Estimated clock offset: add to node-clock times to get dumper time. *)
 
-val merge : node_dump list -> string
-(** The merged Chrome trace JSON ([traceEvents] + [epochSeconds]). *)
+type merged = {
+  json : string;  (** the Chrome trace JSON ([traceEvents] + [epochSeconds]) *)
+  lanes : string list;  (** the node name of each lane, in [pid] order *)
+  events : int;
+      (** node events written, after same-lane dedup; the lane-name and
+          flow-arrow records are not counted *)
+}
+
+val merge : node_dump list -> merged
+(** The merged Chrome trace, with what it holds. *)

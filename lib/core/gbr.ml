@@ -12,19 +12,18 @@ type stats = {
 type error = [ `Unsat | `Predicate_inconsistent | `Invariant_violation of string ]
 
 (* Lemma 4.3's checkable invariants for a freshly built progression. *)
-let progression_violation ~cnf ~learned ~universe entries prefixes =
-  let n = Array.length prefixes in
+let progression_violation ~cnf ~learned ~universe prog =
+  let n = Progression.length prog in
   if n = 0 then Some "empty progression"
-  else if not (Assignment.equal prefixes.(n - 1) universe) then
+  else if not (Assignment.equal (Progression.prefix prog (n - 1)) universe) then
     Some "prefix union does not cover the search space"
   else begin
-    let entries = Array.of_list entries in
-    let ne = Array.length entries in
+    let entries = Array.init n (Progression.entry prog) in
     (* Early-exit on the first overlapping pair instead of scanning the
        rest of the O(n²) pair space. *)
     let rec overlap i j =
-      if i >= ne then None
-      else if j >= ne then overlap (i + 1) (i + 2)
+      if i >= n then None
+      else if j >= n then overlap (i + 1) (i + 2)
       else if not (Assignment.disjoint entries.(i) entries.(j)) then
         Some (Printf.sprintf "entries %d and %d overlap" i j)
       else overlap i (j + 1)
@@ -47,32 +46,32 @@ let progression_violation ~cnf ~learned ~universe entries prefixes =
                         Some
                           (Printf.sprintf "prefix %d misses learned set %d (INV-PRO)" r k))
                   learned)
-          prefixes;
+          (Array.init n (Progression.prefix prog));
         !bad
   end
 
 (* Smallest r in (lo, hi] such that P(prefix.(r)), given ¬P(prefix.(lo)) and
    P(prefix.(hi)) — the latter by INV-PRO: the full prefix union equals the
    current search space J, which satisfied the predicate. *)
-let binary_search predicate prefixes ~lo ~hi =
+let binary_search predicate prog ~lo ~hi =
   let rec go lo hi =
     if hi - lo <= 1 then hi
     else
       let mid = (lo + hi) / 2 in
-      if Predicate.run predicate (Progression.Prefixes.get prefixes mid) then
+      if Predicate.run predicate (Progression.prefix prog mid) then
         go lo mid
       else go mid hi
   in
   go lo hi
 
-(* One engine-advance step's outcome: the next iteration's entries, the
+(* One engine-advance step's outcome: the next iteration's progression, the
    engine that survives the step ([None] when it met a conflict and the
    entries come from the rebuild fallback, which retires it), and the
    filtered order-sorted universe the incremental build used ([None] on
    the fallback), to install in the sort cache.  A speculative boundary
    build caches one of these until its iteration adopts it. *)
 type prebuilt = {
-  pb_entries : Assignment.t list;
+  pb_prog : Progression.t;
   pb_engine : Msa.Engine.t option;
   pb_sorted : Var.t array option;
 }
@@ -138,8 +137,8 @@ let reduce ?(check_invariants = false) ?(incremental = true) ?arena ?speculate
   let advance engine ~fresh ~learned j =
     let fallback () =
       Result.map
-        (fun es -> { pb_entries = es; pb_engine = None; pb_sorted = None })
-        (Progression.build ~cnf:problem.constraints ~order ~learned ~universe:j)
+        (fun p -> { pb_prog = p; pb_engine = None; pb_sorted = None })
+        (Progression.make ~cnf:problem.constraints ~order ~learned ~universe:j)
     in
     match engine with
     | None -> fallback ()
@@ -155,7 +154,7 @@ let reduce ?(check_invariants = false) ?(incremental = true) ?arena ?speculate
           Result.bind prepared (fun () ->
               let sorted = sorted_within j in
               Result.map
-                (fun es -> { pb_entries = es; pb_engine = Some e; pb_sorted = Some sorted })
+                (fun p -> { pb_prog = p; pb_engine = Some e; pb_sorted = Some sorted })
                 (Progression.build_incremental ~sorted ~engine:e ~order ~universe:j ()))
         in
         match built with
@@ -200,13 +199,13 @@ let reduce ?(check_invariants = false) ?(incremental = true) ?arena ?speculate
      current search lands on [r] — on a fork, leaving the main engine and
      the sort cache untouched.  [advance] is the step the inline path
      takes too, so the adopted state is exactly what it would compute. *)
-  let build_boundary entries prefixes learned r =
-    let entry = entries.(r) in
+  let build_boundary prog learned r =
+    let entry = Progression.entry prog r in
     match
       advance
         (Option.map (Msa.Engine.fork ~arena) !engine)
         ~fresh:(Some entry) ~learned:(entry :: learned)
-        (Progression.Prefixes.get prefixes r)
+        (Progression.prefix prog r)
     with
     | Ok pb -> Some pb
     | Error `Unsat ->
@@ -217,30 +216,30 @@ let reduce ?(check_invariants = false) ?(incremental = true) ?arena ?speculate
      while the interval is wide, the next iteration's head once it pins
      [r = hi].  Prefetching a boundary also builds and caches its
      progression (see above). *)
-  let next_branch sp entries prefixes learned ~lo ~hi =
+  let next_branch sp prog learned ~lo ~hi =
     if hi - lo <= 1 then begin
       if not (List.mem_assoc hi !boundaries) then begin
-        match build_boundary entries prefixes learned hi with
+        match build_boundary prog learned hi with
         | Some pb ->
             boundaries := (hi, pb) :: !boundaries;
-            Speculate.prefetch sp (List.hd pb.pb_entries)
+            Speculate.prefetch sp (Progression.prefix pb.pb_prog 0)
         | None -> ()
       end;
       `Boundary hi
     end
     else begin
       let mid = (lo + hi) / 2 in
-      Speculate.prefetch sp (Progression.Prefixes.get prefixes mid);
+      Speculate.prefetch sp (Progression.prefix prog mid);
       `Probe mid
     end
   in
-  let cancel_branch sp prefixes = function
-    | `Probe mid -> Speculate.cancel sp (Progression.Prefixes.get prefixes mid)
+  let cancel_branch sp prog = function
+    | `Probe mid -> Speculate.cancel sp (Progression.prefix prog mid)
     | `Boundary r -> (
         match List.assoc_opt r !boundaries with
         | Some pb ->
             boundaries := List.remove_assoc r !boundaries;
-            Speculate.cancel sp (List.hd pb.pb_entries);
+            Speculate.cancel sp (Progression.prefix pb.pb_prog 0);
             release_prebuilt pb
         | None -> ())
   in
@@ -250,27 +249,27 @@ let reduce ?(check_invariants = false) ?(incremental = true) ?arena ?speculate
      this probe) prunes the prefetch to the branch that will be taken;
      the hint is advisory — the authoritative verdict still comes from
      [Predicate.run], and a wrong hint only forfeits a prefetch. *)
-  let search_speculative sp entries prefixes learned ~lo ~hi =
+  let search_speculative sp prog learned ~lo ~hi =
     let rec go lo hi =
       if hi - lo <= 1 then hi
       else begin
         let mid = (lo + hi) / 2 in
-        let phi = Progression.Prefixes.get prefixes mid in
+        let phi = Progression.prefix prog mid in
         let h = Speculate.hint sp phi in
         let on_pass =
           if h = Some false then None
-          else Some (next_branch sp entries prefixes learned ~lo ~hi:mid)
+          else Some (next_branch sp prog learned ~lo ~hi:mid)
         in
         let on_fail =
           if h = Some true then None
-          else Some (next_branch sp entries prefixes learned ~lo:mid ~hi)
+          else Some (next_branch sp prog learned ~lo:mid ~hi)
         in
         if Predicate.run predicate phi then begin
-          Option.iter (cancel_branch sp prefixes) on_fail;
+          Option.iter (cancel_branch sp prog) on_fail;
           go lo mid
         end
         else begin
-          Option.iter (cancel_branch sp prefixes) on_pass;
+          Option.iter (cancel_branch sp prog) on_pass;
           go mid hi
         end
       end
@@ -294,28 +293,26 @@ let reduce ?(check_invariants = false) ?(incremental = true) ?arena ?speculate
       in
       match built with
       | Error `Unsat -> `Done (Error `Unsat)
-      | Ok { pb_entries = entries; pb_engine; pb_sorted } -> (
+      | Ok { pb_prog = prog; pb_engine; pb_sorted } -> (
           (* Adopt the step's state wholesale: its engine (or the
              fallback's [None]) replaces the main one — a speculative
              fork retires it — and its sorted universe fills the cache. *)
           Option.iter (Msa.Arena.release arena) !engine;
           engine := pb_engine;
           Option.iter (fun sorted -> sorted_cache := Some sorted) pb_sorted;
-          (* Prefix snapshots are materialized lazily: each iteration reads
-             only the head plus the O(log n) probes of the binary search. *)
-          let prefixes = Progression.Prefixes.of_entries entries in
+          (* Sets are built from the progression's trail on demand: each
+             iteration reads only the head, the O(log n) probes of the
+             binary search and the learned entry. *)
           match
             if check_invariants then
-              progression_violation ~cnf:problem.constraints ~learned ~universe:j entries
-                (Progression.Prefixes.to_array prefixes)
+              progression_violation ~cnf:problem.constraints ~learned ~universe:j prog
             else None
           with
           | Some message -> `Done (Error (`Invariant_violation message))
           | None ->
-          let n = Progression.Prefixes.length prefixes in
+          let n = Progression.length prog in
           let prog_lengths = n :: prog_lengths in
-          let entries = Array.of_list entries in
-          let head = Progression.Prefixes.get prefixes 0 in
+          let head = Progression.prefix prog 0 in
           (* The head verdict's fail branch opens the search over
              (0, n-1]: start it before the head runs.  A passing head ends
              the reduction, so that branch has nothing to prefetch — and a
@@ -323,12 +320,12 @@ let reduce ?(check_invariants = false) ?(incremental = true) ?arena ?speculate
           let head_fail =
             match speculate with
             | Some sp when n > 1 && Speculate.hint sp head <> Some true ->
-                Some (next_branch sp entries prefixes learned ~lo:0 ~hi:(n - 1))
+                Some (next_branch sp prog learned ~lo:0 ~hi:(n - 1))
             | _ -> None
           in
           if Predicate.run predicate head then begin
             (match (speculate, head_fail) with
-            | Some sp, Some branch -> cancel_branch sp prefixes branch
+            | Some sp, Some branch -> cancel_branch sp prog branch
             | _ -> ());
             let stats =
               {
@@ -350,13 +347,13 @@ let reduce ?(check_invariants = false) ?(incremental = true) ?arena ?speculate
             let r =
               match speculate with
               | Some sp ->
-                  search_speculative sp entries prefixes learned ~lo:0 ~hi:(n - 1)
-              | None -> binary_search predicate prefixes ~lo:0 ~hi:(n - 1)
+                  search_speculative sp prog learned ~lo:0 ~hi:(n - 1)
+              | None -> binary_search predicate prog ~lo:0 ~hi:(n - 1)
             in
             let prebuilt = flush_boundaries ~keep:r () in
-            let learned = entries.(r) :: learned in
+            let entry = Progression.entry prog r in
             `Continue
-              (entries.(r), learned, Progression.Prefixes.get prefixes r,
+              (entry, entry :: learned, Progression.prefix prog r,
                iterations + 1, prog_lengths, prebuilt)
           end)
   in

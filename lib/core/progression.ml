@@ -5,16 +5,55 @@ let r_plus cnf learned =
   Cnf.add_clauses cnf
     (List.map (fun l -> Clause.of_disjunction ~pos:(Assignment.to_list l)) learned)
 
+(* A progression stored once: the variables of the entries in entry order
+   ([trail]) and where each entry ends ([ends.(r)] is one past entry [r]'s
+   last variable), so entry [r] is the segment from [ends.(r - 1)] (0 for
+   the first) and prefix union [r] the segment from 0.  Built from the
+   engine, [trail] is its propagation trail verbatim.  Sets are built
+   only when asked for: GBR reads the head, the O(log n) probes of its
+   binary search and the one learned entry. *)
+type t = { trail : Var.t array; ends : int array; length : int }
+
+let length p = p.length
+
+let check p r name =
+  if r < 0 || r >= p.length then invalid_arg ("Progression." ^ name ^ ": out of range")
+
+let entry p r =
+  check p r "entry";
+  let lo = if r = 0 then 0 else p.ends.(r - 1) in
+  Assignment.of_slice p.trail ~pos:lo ~len:(p.ends.(r) - lo)
+
+let prefix p r =
+  check p r "prefix";
+  Assignment.of_slice p.trail ~pos:0 ~len:p.ends.(r)
+
+let entries p = List.init p.length (entry p)
+
+let of_entries es =
+  let trail = Array.make (List.fold_left (fun n e -> n + Assignment.cardinal e) 0 es) 0 in
+  let ends = Array.make (List.length es) 0 in
+  let pos = ref 0 in
+  List.iteri
+    (fun r e ->
+      Assignment.iter
+        (fun v ->
+          trail.(!pos) <- v;
+          incr pos)
+        e;
+      ends.(r) <- !pos)
+    es;
+  { trail; ends; length = Array.length ends }
+
 (* Entry construction over a prepared engine (fresh from [create], or a
    persistent engine after [add_clause] + [narrow]); each variable of the
    universe is propagated at most once in total.  The next excluded variable
    is found by a pointer scan over the [<]-sorted universe — the covered set
    only grows, so the pointer never moves back and the whole scan is
-   O(|universe|) across all entries, where recomputing [universe \ covered]
-   and its minimum per entry was quadratic.  Entries come from the
-   propagation trail ([delta_since]) instead of diffing two closure copies,
-   cutting the per-entry allocation from two universe-sized sets and a diff
-   to one delta-sized set. *)
+   O(|universe|) across all entries.  Every true variable is on the engine
+   trail, in the order it turned true, so D₀ is the trail before the first
+   assumption and each later entry the trail segment its assumption added:
+   the progression is one trail copy plus one mark per entry. *)
 let entries_on_engine ?sorted engine ~order ~universe =
   Lbr_obs.Trace.with_span "sat.engine-propagate"
     ~args:(fun () -> [ ("universe", Lbr_obs.Trace.Int (Assignment.cardinal universe)) ])
@@ -26,18 +65,26 @@ let entries_on_engine ?sorted engine ~order ~universe =
     | None -> Assignment.to_list universe |> Order.sort order |> Array.of_list
   in
   let n = Array.length sorted in
-  let rec entries acc i =
-    if i >= n then Ok (List.rev acc)
-    else if Msa.Engine.is_true engine sorted.(i) then entries acc (i + 1)
-    else
-      let m = Msa.Engine.mark engine in
-      match Msa.Engine.assume engine sorted.(i) with
-      | Error `Conflict -> Error `Conflict
-      | Ok () -> entries (Msa.Engine.delta_since engine m :: acc) (i + 1)
-  in
+  (* D₀, then at most one entry per universe variable. *)
+  let ends = Array.make (n + 1) 0 in
   (* D₀ may be empty when nothing is required; the progression is still
      well-defined (its first prefix is the empty, valid sub-input). *)
-  let result = entries [ Msa.Engine.true_set engine ] 0 in
+  ends.(0) <- Msa.Engine.mark engine;
+  let rec go len i =
+    if i >= n then Ok len
+    else if Msa.Engine.is_true engine sorted.(i) then go len (i + 1)
+    else
+      match Msa.Engine.assume engine sorted.(i) with
+      | Error `Conflict -> Error `Conflict
+      | Ok () ->
+          ends.(len) <- Msa.Engine.mark engine;
+          go (len + 1) (i + 1)
+  in
+  let result =
+    Result.map
+      (fun length -> { trail = Msa.Engine.trail engine; ends; length })
+      (go 1 0)
+  in
   Msa.Engine.flush_counters engine;
   result
 
@@ -109,11 +156,14 @@ let build_slow ~cnf ~order ~universe =
   (match engine with Some (e, _) -> Msa.Arena.release arena e | None -> ());
   result
 
-let build ~cnf ~order ~learned ~universe =
+let make ~cnf ~order ~learned ~universe =
   let cnf = r_plus cnf learned in
   match build_fast ~cnf ~order ~universe with
-  | Ok entries -> Ok entries
-  | Error `Conflict -> build_slow ~cnf ~order ~universe
+  | Ok p -> Ok p
+  | Error `Conflict -> Result.map of_entries (build_slow ~cnf ~order ~universe)
+
+let build ~cnf ~order ~learned ~universe =
+  Result.map entries (make ~cnf ~order ~learned ~universe)
 
 let build_incremental ?sorted ~engine ~order ~universe () =
   entries_on_engine ?sorted engine ~order ~universe
@@ -122,7 +172,7 @@ let prefix_unions entries =
   let arr = Array.of_list entries in
   let n = Array.length arr in
   let width =
-    Array.fold_left (fun w d -> max w (Assignment.word_width d)) 0 arr
+    Array.fold_left (fun w d -> Int.max w (Assignment.word_width d)) 0 arr
   in
   (* One scratch buffer accumulates the running union; each prefix is a
      single snapshot of it, instead of a fresh union re-reading the previous
@@ -135,60 +185,3 @@ let prefix_unions entries =
       unions.(i) <- Assignment.of_words scratch)
     arr;
   unions
-
-(* Lazy counterpart of [prefix_unions]: GBR's binary search reads only
-   O(log n) of the n prefixes per iteration (plus the head), so snapshotting
-   all of them is mostly wasted allocation.  The view materializes a prefix
-   on first access by advancing a running-union scratch buffer, memoizes it,
-   and restarts from the nearest memoized prefix when asked for an earlier
-   index.  Materialized values are exactly [prefix_unions]'s. *)
-module Prefixes = struct
-  type t = {
-    entries : Assignment.t array;
-    memo : Assignment.t option array;
-    scratch : int array;
-    mutable cursor : int;  (* scratch = union of entries.(0 .. cursor) *)
-  }
-
-  let of_entries entries =
-    let entries = Array.of_list entries in
-    let width =
-      Array.fold_left (fun w d -> max w (Assignment.word_width d)) 0 entries
-    in
-    {
-      entries;
-      memo = Array.make (max (Array.length entries) 1) None;
-      scratch = Array.make (max width 1) 0;
-      cursor = -1;
-    }
-
-  let length t = Array.length t.entries
-
-  let get t r =
-    match t.memo.(r) with
-    | Some p -> p
-    | None ->
-        if r < t.cursor then begin
-          (* Rewind: restart the scratch union from the nearest memoized
-             prefix at or below r (or from empty). *)
-          let j = ref r in
-          while !j >= 0 && (match t.memo.(!j) with None -> true | Some _ -> false) do
-            decr j
-          done;
-          Array.fill t.scratch 0 (Array.length t.scratch) 0;
-          (if !j >= 0 then
-             match t.memo.(!j) with
-             | Some p -> Assignment.or_into p t.scratch
-             | None -> assert false);
-          t.cursor <- !j
-        end;
-        for i = t.cursor + 1 to r do
-          Assignment.or_into t.entries.(i) t.scratch
-        done;
-        t.cursor <- r;
-        let p = Assignment.of_words t.scratch in
-        t.memo.(r) <- Some p;
-        p
-
-  let to_array t = Array.init (length t) (get t)
-end

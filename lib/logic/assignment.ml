@@ -58,7 +58,7 @@ let add v s =
   check v;
   if mem v s then s
   else begin
-    let len = max (Array.length s) (word v + 1) in
+    let len = Int.max (Array.length s) (word v + 1) in
     let a = Array.make len 0 in
     Array.blit s 0 a 0 (Array.length s);
     a.(word v) <- a.(word v) lor (1 lsl bit v);
@@ -77,12 +77,28 @@ let of_list vs =
   match vs with
   | [] -> empty
   | _ ->
-      let m = List.fold_left (fun acc v -> check v; max acc v) 0 vs in
+      let m = List.fold_left (fun acc v -> check v; Int.max acc v) 0 vs in
       let a = Array.make (word m + 1) 0 in
       List.iter (fun v -> a.(word v) <- a.(word v) lor (1 lsl bit v)) vs;
       a
 
 let of_words w = trim (Array.copy w)
+
+let of_slice a ~pos ~len =
+  if len = 0 then empty
+  else begin
+    let m = ref 0 in
+    for i = pos to pos + len - 1 do
+      check a.(i);
+      m := Int.max !m a.(i)
+    done;
+    let s = Array.make (word !m + 1) 0 in
+    for i = pos to pos + len - 1 do
+      let v = a.(i) in
+      s.(word v) <- s.(word v) lor (1 lsl bit v)
+    done;
+    s
+  end
 
 let word_width s = Array.length s
 
@@ -135,7 +151,7 @@ let union a b =
   end
 
 let inter a b =
-  let l = min (Array.length a) (Array.length b) in
+  let l = Int.min (Array.length a) (Array.length b) in
   if l = 0 then empty
   else begin
     let r = Array.make l 0 in
@@ -150,7 +166,7 @@ let diff a b =
   if la = 0 then empty
   else begin
     let r = Array.copy a in
-    let l = min la (Array.length b) in
+    let l = Int.min la (Array.length b) in
     for i = 0 to l - 1 do
       r.(i) <- r.(i) land lnot b.(i)
     done;
@@ -167,7 +183,7 @@ let subset a b =
   go 0
 
 let disjoint a b =
-  let l = min (Array.length a) (Array.length b) in
+  let l = Int.min (Array.length a) (Array.length b) in
   let rec go i = i >= l || (a.(i) land b.(i) = 0 && go (i + 1)) in
   go 0
 
@@ -187,7 +203,7 @@ let equal a b =
    candidate orderings — and thus reduction traces — bit-for-bit stable. *)
 let compare a b =
   let la = Array.length a and lb = Array.length b in
-  let l = min la lb in
+  let l = Int.min la lb in
   let rec go i =
     if i >= l then Int.compare la lb
     else if a.(i) = b.(i) then go (i + 1)

@@ -21,6 +21,11 @@ val of_words : int array -> t
     library's bitsets) to hand over a set without an element-by-element
     rebuild. *)
 
+val of_slice : Var.t array -> pos:int -> len:int -> t
+(** The set of [a.(pos) .. a.(pos + len - 1)], built in one word array
+    sized by its largest element — a segment of a propagation trail read
+    as a set, with no intermediate list. *)
+
 val word_width : t -> int
 (** Number of words in the canonical representation — the minimum buffer
     length {!or_into} accepts. *)

@@ -108,10 +108,6 @@ let holds c ~true_set =
 
 let equal a b = a.neg = b.neg && a.pos = b.pos
 
-let compare a b =
-  let c = compare a.neg b.neg in
-  if c <> 0 then c else compare a.pos b.pos
-
 let pp pool ppf c =
   let pv = Var.pp pool in
   let plist sep ppf arr =

@@ -58,5 +58,4 @@ val holds : t -> true_set:(Var.t -> bool) -> bool
     exactly the variables satisfying [true_set] to true. *)
 
 val equal : t -> t -> bool
-val compare : t -> t -> int
 val pp : Var.Pool.t -> Format.formatter -> t -> unit

@@ -27,8 +27,8 @@ let num_clauses t = t.count
 let max_var t =
   List.fold_left
     (fun acc (c : Clause.t) ->
-      let acc = Array.fold_left max acc c.neg in
-      Array.fold_left max acc c.pos)
+      let acc = Array.fold_left Int.max acc c.neg in
+      Array.fold_left Int.max acc c.pos)
     (-1) t.clauses
 
 let vars t =

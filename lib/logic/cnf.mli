@@ -28,6 +28,10 @@ val add_clauses : t -> Clause.t list -> t
 val vars : t -> Assignment.t
 (** All variables occurring in the formula. *)
 
+val max_var : t -> Var.t
+(** The largest variable occurring in the formula, [-1] when there is
+    none — what {!vars} would give the maximum of, without building it. *)
+
 val num_clauses : t -> int
 
 val holds : t -> Assignment.t -> bool

@@ -1,5 +1,3 @@
-let max_var cnf =
-  Assignment.fold (fun v acc -> max v acc) (Cnf.vars cnf) (-1)
 
 let to_string ?num_vars cnf =
   let buf = Buffer.create 1024 in
@@ -8,7 +6,7 @@ let to_string ?num_vars cnf =
     Buffer.contents buf
   end
   else begin
-    let nv = match num_vars with Some n -> n | None -> max_var cnf + 1 in
+    let nv = match num_vars with Some n -> n | None -> Cnf.max_var cnf + 1 in
     let clauses = Cnf.clauses cnf in
     Buffer.add_string buf (Printf.sprintf "p cnf %d %d\n" nv (List.length clauses));
     List.iter

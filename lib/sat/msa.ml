@@ -43,6 +43,12 @@ module Engine = struct
        order (CSR); used only to re-derive satisfied flags on rollback. *)
     mutable occh_off : int array;
     mutable occh_data : int array;
+    (* var -> original clauses whose one premise it is, in decreasing
+       clause order (CSR).  Such a clause completes exactly when that
+       premise drains, so it needs no watch: [drain] reads this static
+       list instead. *)
+    mutable sp_off : int array;
+    mutable sp_data : int array;
     (* Learned clauses (premise-free, appended past [original_nclauses]):
        clause [original_nclauses + j]'s heads live at
        [lhead_data.(lhead_off.(j)) .. lhead_data.(lhead_off.(j+1) - 1)]. *)
@@ -50,8 +56,8 @@ module Engine = struct
     mutable lhead_data : Var.t array;
     mutable satisfied : bool array;  (* original + learned, indexed by clause *)
     mutable extra_occurs_head : int list array;  (* var -> learned clauses, newest first *)
-    (* Watched-premise lists.  Each original clause with at least one
-       premise watches exactly one premise that is not yet drained; the
+    (* Watched-premise lists.  Each original clause with at least two
+       premises watches exactly one premise that is not yet drained; the
        per-variable watcher lists are singly linked through the clauses:
        [watch_head.(v)] is the first watching clause (or -1) and
        [watch_next.(ci)] the next one.  [watch_slot.(ci)] indexes
@@ -95,10 +101,7 @@ module Engine = struct
   }
 
   let max_var cnf universe =
-    let m = ref (-1) in
-    Assignment.iter (fun v -> if v > !m then m := v) (Cnf.vars cnf);
-    Assignment.iter (fun v -> if v > !m then m := v) universe;
-    !m
+    Assignment.fold (fun v m -> Int.max v m) universe (Cnf.max_var cnf)
 
   let is_true t v =
     v < t.nvars && t.truth.(v / bits) land (1 lsl (v mod bits)) <> 0
@@ -107,23 +110,7 @@ module Engine = struct
 
   let mark t = t.trail_len
 
-  let delta_since t m =
-    (* The variables turned true since [m] are exactly the trail suffix;
-       building the set from it allocates entry-sized words instead of two
-       universe-sized closure copies and a diff. *)
-    if m >= t.trail_len then Assignment.empty
-    else begin
-      let hi = ref 0 in
-      for i = m to t.trail_len - 1 do
-        if t.trail.(i) > !hi then hi := t.trail.(i)
-      done;
-      let words = Array.make ((!hi / bits) + 1) 0 in
-      for i = m to t.trail_len - 1 do
-        let v = t.trail.(i) in
-        words.(v / bits) <- words.(v / bits) lor (1 lsl (v mod bits))
-      done;
-      Assignment.of_words words
-    end
+  let trail t = Array.sub t.trail 0 t.trail_len
 
   let flush_counters t =
     if t.watch_visits > 0 then begin
@@ -140,24 +127,39 @@ module Engine = struct
       t.trail_len <- t.trail_len + 1
     end
 
-  (* The heads of clause [ci]: [(data, lo, hi)] with the heads at
-     [data.(lo) .. data.(hi - 1)]. *)
-  let head_range t ci =
-    if ci < t.original_nclauses then
-      (t.head_data, t.head_off.(ci), t.head_off.(ci + 1))
-    else
-      let j = ci - t.original_nclauses in
-      (t.lhead_data, t.lhead_off.(j), t.lhead_off.(j + 1))
-
-  let exists_true_head t ci =
-    let data, lo, hi = head_range t ci in
-    let found = ref false in
+  (* Clause [ci]'s heads are [data.(lo) .. data.(hi - 1)] with [data] the
+     original or the learned head array; the scans below take the three
+     apart so no tuple is built per clause. *)
+  let exists_true_in t data lo hi =
     let i = ref lo in
-    while (not !found) && !i < hi do
-      if is_true t data.(!i) then found := true;
+    while !i < hi && not (is_true t data.(!i)) do
       incr i
     done;
-    !found
+    !i < hi
+
+  let exists_true_head t ci =
+    if ci < t.original_nclauses then
+      exists_true_in t t.head_data t.head_off.(ci) t.head_off.(ci + 1)
+    else
+      let j = ci - t.original_nclauses in
+      exists_true_in t t.lhead_data t.lhead_off.(j) t.lhead_off.(j + 1)
+
+  (* The [<]-smallest in-universe head, or -1.  First strictly-smaller rank
+     wins, matching the order the heads were stored in (ascending variable
+     id within the clause). *)
+  let best_head_in t data lo hi =
+    let best = ref (-1) and best_rank = ref 0 in
+    for i = lo to hi - 1 do
+      let h = data.(i) in
+      if t.in_universe.(h) then begin
+        let r = Order.rank t.order h in
+        if !best < 0 || r < !best_rank then begin
+          best := h;
+          best_rank := r
+        end
+      end
+    done;
+    !best
 
   (* A clause whose premises are all drained and whose satisfied flag is
      unset: choose the [<]-smallest head, or conflict when there is none.
@@ -170,24 +172,17 @@ module Engine = struct
     if not t.satisfied.(ci) then begin
       if exists_true_head t ci then t.satisfied.(ci) <- true
       else begin
-        let data, lo, hi = head_range t ci in
-        (* First strictly-smaller rank wins, matching the order the heads
-           were stored in (ascending variable id within the clause). *)
-        let best = ref (-1) and best_rank = ref 0 in
-        for i = lo to hi - 1 do
-          let h = data.(i) in
-          if t.in_universe.(h) then begin
-            let r = Order.rank t.order h in
-            if !best < 0 || r < !best_rank then begin
-              best := h;
-              best_rank := r
-            end
-          end
-        done;
-        if !best < 0 then t.conflicted <- true
+        let best =
+          if ci < t.original_nclauses then
+            best_head_in t t.head_data t.head_off.(ci) t.head_off.(ci + 1)
+          else
+            let j = ci - t.original_nclauses in
+            best_head_in t t.lhead_data t.lhead_off.(j) t.lhead_off.(j + 1)
+        in
+        if best < 0 then t.conflicted <- true
         else begin
           t.satisfied.(ci) <- true;
-          set_true t !best
+          set_true t best
         end
       end
     end
@@ -209,13 +204,16 @@ module Engine = struct
     done
 
   (* Propagate the pending trail suffix.  Draining a variable visits only
-     the clauses watching it: each either moves its watch to another
-     undrained premise (false, or true but still pending) or has every
-     premise drained and fires.  A completed clause keeps watching the
-     variable that completed it — after any rollback that variable is false
-     again, so the watch invariant (every watch rests on an undrained
-     premise) survives rollbacks with no undo log: watches only ever move
-     onto variables that are unwound with them. *)
+     the multi-premise clauses watching it: each either moves its watch to
+     another undrained premise (false, or true but still pending) or has
+     every premise drained and completes.  A completed clause keeps
+     watching the variable that completed it — after any rollback that
+     variable is false again, so the watch invariant (every watch rests on
+     an undrained premise) survives rollbacks with no undo log: watches
+     only ever move onto variables that are unwound with them.  The
+     variable's single-premise clauses complete with it; both lists are in
+     decreasing clause order, and merging them fires the whole batch in
+     that order, as the one occurrence scan did. *)
   let drain t =
     while (not t.conflicted) && t.drained < t.trail_len do
       let v = t.trail.(t.drained) in
@@ -259,19 +257,28 @@ module Engine = struct
           end;
           c := next
         done;
-        sort_desc t.fire_buf !fire_len;
-        (* Fire the whole batch even through a conflict, exactly as the
-           occurrence scan kept decrementing and triggering to the end of
-           the drained variable's clause list. *)
-        for k = 0 to !fire_len - 1 do
-          trigger t t.fire_buf.(k)
-        done
-      end
+        sort_desc t.fire_buf !fire_len
+      end;
+      (* Fire the whole merged batch even through a conflict, exactly as
+         the occurrence scan kept decrementing and triggering to the end of
+         the drained variable's clause list. *)
+      let i = ref 0 and k = ref t.sp_off.(v) in
+      let sp_end = t.sp_off.(v + 1) in
+      while !i < !fire_len || !k < sp_end do
+        if !k >= sp_end || (!i < !fire_len && t.fire_buf.(!i) > t.sp_data.(!k)) then begin
+          trigger t t.fire_buf.(!i);
+          incr i
+        end
+        else begin
+          trigger t t.sp_data.(!k);
+          incr k
+        end
+      done
     done
 
   let push_op t op =
     if t.op_len >= Array.length t.ops then begin
-      let a = Array.make (max 16 (2 * Array.length t.ops)) 0 in
+      let a = Array.make (Int.max 16 (2 * Array.length t.ops)) 0 in
       Array.blit t.ops 0 a 0 t.op_len;
       t.ops <- a
     end;
@@ -293,6 +300,8 @@ module Engine = struct
       head_data = [||];
       occh_off = [| 0 |];
       occh_data = [||];
+      sp_off = [| 0 |];
+      sp_data = [||];
       lhead_off = [| 0 |];
       lhead_data = [||];
       satisfied = [||];
@@ -351,19 +360,25 @@ module Engine = struct
     else Array.fill t.extra_occurs_head 0 n [];
     t.occh_off <- grab_int t.occh_off (n + 1);
     Array.fill t.occh_off 0 (n + 1) 0;
+    t.sp_off <- grab_int t.sp_off (n + 1);
+    Array.fill t.sp_off 0 (n + 1) 0;
     t.nvars <- n;
     (* Pass 1: count.  Clauses with any premise outside the universe are
        pre-satisfied by the restriction (that premise is fixed false) and
        dropped; heads are filtered to the universe.  Head-occurrence counts
-       accumulate in [occh_off]. *)
+       accumulate in [occh_off], single-premise counts in [sp_off]. *)
     let clauses = Cnf.clauses cnf in
     let keep (c : Clause.t) = Array.for_all (fun v -> t.in_universe.(v)) c.neg in
-    let nc = ref 0 and tot_prem = ref 0 and tot_head = ref 0 in
+    let nc = ref 0 and tot_prem = ref 0 and tot_head = ref 0 and tot_sp = ref 0 in
     List.iter
       (fun (c : Clause.t) ->
         if keep c then begin
           incr nc;
           tot_prem := !tot_prem + Array.length c.neg;
+          if Array.length c.neg = 1 then begin
+            incr tot_sp;
+            t.sp_off.(c.neg.(0)) <- t.sp_off.(c.neg.(0)) + 1
+          end;
           Array.iter
             (fun h ->
               if t.in_universe.(h) then begin
@@ -383,6 +398,7 @@ module Engine = struct
     t.prem_data <- grab_int t.prem_data !tot_prem;
     t.head_data <- grab_int t.head_data !tot_head;
     t.occh_data <- grab_int t.occh_data !tot_head;
+    t.sp_data <- grab_int t.sp_data !tot_sp;
     t.lhead_off <- grab_int t.lhead_off 1;
     t.lhead_off.(0) <- 0;
     (* Prefix-sum head-occurrence counts to bucket ends; pass 2 fills each
@@ -391,12 +407,17 @@ module Engine = struct
        the closure construction (and thus the head choices recorded in
        reduction traces) is sensitive to — and [occh_off.(v)] lands on the
        bucket start. *)
-    let sum = ref 0 in
-    for v = 0 to n - 1 do
-      sum := !sum + t.occh_off.(v);
-      t.occh_off.(v) <- !sum
-    done;
-    t.occh_off.(n) <- !sum;
+    let bucket_ends off =
+      let sum = ref 0 in
+      for v = 0 to n - 1 do
+        sum := !sum + off.(v);
+        off.(v) <- !sum
+      done;
+      off.(n) <- !sum
+    in
+    bucket_ends t.occh_off;
+    (* The single-premise buckets likewise. *)
+    bucket_ends t.sp_off;
     (* Pass 2: fill the CSRs. *)
     let ci = ref 0 and pcur = ref 0 and hcur = ref 0 in
     List.iter
@@ -409,6 +430,11 @@ module Engine = struct
               t.prem_data.(!pcur) <- v;
               incr pcur)
             c.neg;
+          if Array.length c.neg = 1 then begin
+            let p = c.neg.(0) in
+            t.sp_off.(p) <- t.sp_off.(p) - 1;
+            t.sp_data.(t.sp_off.(p)) <- i
+          end;
           t.head_off.(i) <- !hcur;
           Array.iter
             (fun h ->
@@ -427,10 +453,10 @@ module Engine = struct
     t.head_off.(nc) <- !hcur;
     t.original_nclauses <- nc;
     t.nclauses <- nc;
-    (* Initial watches: the first premise — every variable is false, so any
-       premise is undrained. *)
+    (* Initial watches, for clauses of two or more premises: the first
+       premise — every variable is false, so any premise is undrained. *)
     for i = 0 to nc - 1 do
-      if t.prem_off.(i + 1) > t.prem_off.(i) then begin
+      if t.prem_off.(i + 1) - t.prem_off.(i) > 1 then begin
         let slot = t.prem_off.(i) in
         let v = t.prem_data.(slot) in
         t.watch_slot.(i) <- slot;
@@ -485,14 +511,14 @@ module Engine = struct
     else begin
       let j = t.nclauses - t.original_nclauses in
       if j + 2 > Array.length t.lhead_off then begin
-        let a = Array.make (max 8 (2 * Array.length t.lhead_off)) 0 in
+        let a = Array.make (Int.max 8 (2 * Array.length t.lhead_off)) 0 in
         Array.blit t.lhead_off 0 a 0 (j + 1);
         t.lhead_off <- a
       end;
       let base = t.lhead_off.(j) in
       let cap_needed = base + List.length pos in
       if cap_needed > Array.length t.lhead_data then begin
-        let a = Array.make (max 16 (max cap_needed (2 * Array.length t.lhead_data))) 0 in
+        let a = Array.make (Int.max 16 (Int.max cap_needed (2 * Array.length t.lhead_data))) 0 in
         Array.blit t.lhead_data 0 a 0 base;
         t.lhead_data <- a
       end;
@@ -510,7 +536,7 @@ module Engine = struct
       let ci = t.nclauses in
       t.nclauses <- ci + 1;
       if ci >= Array.length t.satisfied then begin
-        let a = Array.make (max 8 (2 * Array.length t.satisfied)) false in
+        let a = Array.make (Int.max 8 (2 * Array.length t.satisfied)) false in
         Array.blit t.satisfied 0 a 0 ci;
         t.satisfied <- a
       end;
@@ -559,19 +585,22 @@ module Engine = struct
     (* A satisfied flag is only ever set with a currently-true head as
        witness, and every true variable is on the trail — so sweeping the
        unwound variables' head occurrences and re-deriving each flag from
-       the remaining truths clears every flag whose witness went away.
+       the remaining truths clears every flag whose witness went away.  At
+       trail 0 (every [narrow]) nothing is true, so every flag is false.
        Watches need no repair: watch moves since the snapshot only landed
        on variables drained after it (unwound here) or still false. *)
-    for i = s to t.trail_len - 1 do
-      let v = t.trail.(i) in
-      for k = t.occh_off.(v) to t.occh_off.(v + 1) - 1 do
-        let ci = t.occh_data.(k) in
-        t.satisfied.(ci) <- exists_true_head t ci
+    if s = 0 then Array.fill t.satisfied 0 t.nclauses false
+    else
+      for i = s to t.trail_len - 1 do
+        let v = t.trail.(i) in
+        for k = t.occh_off.(v) to t.occh_off.(v + 1) - 1 do
+          let ci = t.occh_data.(k) in
+          t.satisfied.(ci) <- exists_true_head t ci
+        done;
+        List.iter
+          (fun ci -> t.satisfied.(ci) <- exists_true_head t ci)
+          t.extra_occurs_head.(v)
       done;
-      List.iter
-        (fun ci -> t.satisfied.(ci) <- exists_true_head t ci)
-        t.extra_occurs_head.(v)
-    done;
     t.trail_len <- s;
     t.drained <- s;
     t.conflicted <- false
@@ -718,6 +747,8 @@ module Engine = struct
     f.head_data <- copy_int f.head_data t.head_data t.head_off.(onc);
     f.occh_off <- copy_int f.occh_off t.occh_off (n + 1);
     f.occh_data <- copy_int f.occh_data t.occh_data t.occh_off.(n);
+    f.sp_off <- copy_int f.sp_off t.sp_off (n + 1);
+    f.sp_data <- copy_int f.sp_data t.sp_data t.sp_off.(n);
     f.lhead_off <- copy_int f.lhead_off t.lhead_off (j + 1);
     f.lhead_data <- copy_int f.lhead_data t.lhead_data t.lhead_off.(j);
     f.satisfied <- copy_bool f.satisfied t.satisfied t.nclauses;

@@ -41,7 +41,11 @@ module Engine : sig
     universe:Assignment.t ->
     (t, [ `Conflict ]) result
   (** Index the formula restricted to [universe] (variables outside it are
-      fixed to false) and propagate all zero-premise clauses.  [`Conflict]
+      fixed to false) and propagate all zero-premise clauses.  A clause of
+      two or more premises is watched on one undrained premise; a clause of
+      one premise sits on that premise's static list instead, and both
+      kinds fire in decreasing clause order when the premise that
+      completes them drains.  [`Conflict]
       when a clause has all premises inside the initial closure but no head
       inside the universe (on conflict an arena-backed shell returns to the
       pool immediately). *)
@@ -80,11 +84,11 @@ module Engine : sig
   (** The current propagation-trail position.  Only meaningful on a
       quiescent engine (like {!snapshot}). *)
 
-  val delta_since : t -> int -> Assignment.t
-  (** [delta_since t m] is the set of variables turned true since the
-      {!mark} [m] — equal to [diff (true_set t) (true-set at m)] but built
-      from the trail suffix, allocating delta-sized instead of
-      universe-sized. *)
+  val trail : t -> Var.t array
+  (** A copy of the propagation trail: every true variable, in the order
+      it turned true, so the variables turned true since a {!mark} [m] are
+      the suffix from [m].  A progression is this array plus the mark
+      after each entry (the core library's [Progression.t]). *)
 
   type snapshot
 

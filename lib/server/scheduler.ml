@@ -24,6 +24,11 @@ type job = {
   id : string;
   spec : Wire.spec;
   on_event : event -> unit;
+  keeps_bytes : bool;
+      (* no [on_event] handler (a recovered job, or a caller that will
+         [await]): the reduced bytes reach nobody unless [finished] keeps
+         them *)
+  mutable waiters : int;  (* callers blocked in [await]; under the lock *)
   replay_table : (string, bool) Hashtbl.t;
   cancel_requested : bool Atomic.t;
   submitted_at : float;
@@ -53,7 +58,9 @@ type t = {
   table : (string, job) Hashtbl.t;  (* queued and running jobs *)
   finished : (string, outcome) Hashtbl.t;
       (* terminal states, for [status]/[await]: a finished job's spec,
-         replay table and event handler are garbage *)
+         replay table and event handler are garbage, and so are its
+         reduced bytes once its handler and every blocked waiter have
+         them ([stats_only]) *)
   mutable next_id : int;
   mutable queued_count : int;
   mutable running_count : int;  (* includes jobs being finalized *)
@@ -117,6 +124,10 @@ let locked t f =
   Mutex.lock t.mutex;
   Fun.protect ~finally:(fun () -> Mutex.unlock t.mutex) f
 
+(* What [finished] keeps of an outcome nobody can still collect the bytes
+   of: a daemon lives for thousands of jobs. *)
+let stats_only = function Done (stats, _) -> Done (stats, "") | o -> o
+
 (* Journal marker, terminal event, then state change + wake-up.  The
    event is delivered while the job still counts as running and before
    [await]/[drain] can observe the terminal state — so a drain returning
@@ -140,7 +151,8 @@ let finalize t job outcome =
   | Cancelled -> Lbr_obs.Metrics.incr t.m_cancelled);
   locked t (fun () ->
       Hashtbl.remove t.table job.id;
-      Hashtbl.replace t.finished job.id outcome;
+      Hashtbl.replace t.finished job.id
+        (if job.keeps_bytes || job.waiters > 0 then outcome else stats_only outcome);
       t.running_count <- t.running_count - 1;
       Lbr_obs.Metrics.set_gauge t.m_running (float_of_int t.running_count);
       Condition.broadcast t.cond)
@@ -252,7 +264,9 @@ let new_job ~id ~on_event ~replay_table spec =
   {
     id;
     spec;
-    on_event;
+    on_event = Option.value on_event ~default:ignore;
+    keeps_bytes = Option.is_none on_event;
+    waiters = 0;
     replay_table;
     cancel_requested = Atomic.make false;
     submitted_at = Lbr_obs.Trace.now ();
@@ -263,7 +277,7 @@ let new_job ~id ~on_event ~replay_table spec =
 
 let retry_after t = 1.0 +. (float_of_int t.queued_count /. float_of_int (Pool.jobs t.pool))
 
-let submit t ?(on_event = fun (_ : string) (_ : event) -> ()) ?(seeds = []) spec =
+let submit t ?on_event ?(seeds = []) spec =
   (* First admitting node mints the job's trace context (the coordinator
      did it already for delegated jobs).  Only when tracing is live: an
      untraced job records no spans for a context to parent. *)
@@ -287,7 +301,9 @@ let submit t ?(on_event = fun (_ : string) (_ : event) -> ()) ?(seeds = []) spec
              cluster-cache one, which is exactly the point. *)
           let replay_table = Hashtbl.create (max 16 (List.length seeds)) in
           List.iter (fun (key, ok) -> Hashtbl.replace replay_table key ok) seeds;
-          let job = new_job ~id ~on_event:(on_event id) ~replay_table spec in
+          let job =
+            new_job ~id ~on_event:(Option.map (fun f -> f id) on_event) ~replay_table spec
+          in
           Lbr_obs.Metrics.incr t.m_submitted;
           Lbr_obs.Metrics.observe t.m_job_bytes
             (float_of_int (String.length spec.Wire.pool_bytes));
@@ -329,20 +345,27 @@ let status t id =
       | None -> Option.map (fun o -> Ended o) (Hashtbl.find_opt t.finished id))
 
 let await t id =
-  Mutex.lock t.mutex;
-  Fun.protect
-    ~finally:(fun () -> Mutex.unlock t.mutex)
-    (fun () ->
-      let rec loop () =
-        match Hashtbl.find_opt t.finished id with
-        | Some s -> s
-        | None ->
-            if not (Hashtbl.mem t.table id) then
-              invalid_arg ("Scheduler.await: unknown job " ^ id);
-            Condition.wait t.cond t.mutex;
-            loop ()
-      in
-      loop ())
+  locked t (fun () ->
+      match Hashtbl.find_opt t.finished id with
+      | Some o -> o
+      | None -> (
+          match Hashtbl.find_opt t.table id with
+          | None -> invalid_arg ("Scheduler.await: unknown job " ^ id)
+          | Some job ->
+              job.waiters <- job.waiters + 1;
+              let rec loop () =
+                match Hashtbl.find_opt t.finished id with
+                | Some o -> o
+                | None ->
+                    Condition.wait t.cond t.mutex;
+                    loop ()
+              in
+              let o = loop () in
+              job.waiters <- job.waiters - 1;
+              (* The last waiter out drops the bytes the handler has too. *)
+              if job.waiters = 0 && not job.keeps_bytes then
+                Hashtbl.replace t.finished id (stats_only o);
+              o))
 
 let recover t =
   match t.journal with
@@ -356,7 +379,7 @@ let recover t =
                 Journal.mark_failed j ~id ~reason:("corrupt journaled spec: " ^ reason);
                 None
             | Ok spec ->
-                Some (new_job ~id ~on_event:ignore ~replay_table:(Journal.replay j ~id) spec))
+                Some (new_job ~id ~on_event:None ~replay_table:(Journal.replay j ~id) spec))
           (Journal.pending j)
       in
       locked t (fun () -> List.iter (enqueue_locked t) resumed);

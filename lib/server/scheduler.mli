@@ -109,7 +109,12 @@ val cancel : t -> string -> bool
 
 val status : t -> string -> status option
 val await : t -> string -> outcome
-(** Block until the job ends. *)
+(** Block until the job ends.  A job submitted without [on_event] (and
+    every recovered job) keeps its reduced bytes for [status]/[await] for
+    the scheduler's life.  A job with a handler hands them to its
+    [Finished] event and to the callers already blocked in [await] when
+    it ends; after that, [status]/[await] read [Done (stats, "")], so a
+    long-lived daemon does not hold every result it ever produced. *)
 
 val recover : t -> int
 (** Re-admit journaled jobs with no terminal marker (in admission order,

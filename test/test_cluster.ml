@@ -885,7 +885,7 @@ let test_trace_merge_flow_arrows () =
         [ ev "core.predicate" 'X' [ ("ctx.parent", Lbr_obs.Trace.Str "feedc0de00000001") ] ];
     }
   in
-  let json = Trace_merge.merge [ coord; worker ] in
+  let json = (Trace_merge.merge [ coord; worker ]).json in
   let contains sub =
     let n = String.length json and m = String.length sub in
     let rec go i = i + m <= n && (String.sub json i m = sub || go (i + 1)) in
@@ -900,6 +900,40 @@ let test_trace_merge_flow_arrows () =
   (* worker skew: epoch 1000.5 + (client_mid - server_now) = 1000.0 — same
      corrected timeline as the coordinator, so both lanes share ts 10.0 *)
   Alcotest.(check bool) "skew corrected" true (contains {|"ts":10.0|} || contains {|"ts":10.000|})
+
+(* A live pull and an earlier capture of the same daemon share a lane
+   label; the pre-kill capture's events repeat in the later dump.  The
+   summary counts what the merged trace holds — one lane per label,
+   each event once — not the dumps that went in. *)
+let test_trace_merge_summary_counts_written () =
+  let ev name ts =
+    { Lbr_obs.Trace.ev_name = name; ev_ph = 'X'; ev_ts = ts; ev_dur = 1.; ev_tid = 1; ev_args = [] }
+  in
+  let dump node events =
+    {
+      Trace_merge.nd_node = node;
+      nd_epoch = 1000.;
+      nd_server_now = 1010.;
+      nd_client_mid = 1010.;
+      nd_dropped = 0;
+      nd_events = events;
+    }
+  in
+  let early = dump "w1" [ ev "a" 1.; ev "b" 2. ] in
+  let late = dump "w1" [ ev "a" 1.; ev "b" 2.; ev "c" 3. ] in
+  let coord = dump "coord" [ ev "coordinator.job" 0.5 ] in
+  let merged = Trace_merge.merge [ early; coord; late ] in
+  Alcotest.(check (list string)) "one lane per label, first appearance first"
+    [ "w1"; "coord" ] merged.lanes;
+  Alcotest.(check int) "duplicate events counted once" 4 merged.events;
+  let count sub =
+    let n = String.length merged.json and m = String.length sub in
+    let rec go i acc =
+      if i + m > n then acc else go (i + 1) (if String.sub merged.json i m = sub then acc + 1 else acc)
+    in
+    go 0 0
+  in
+  Alcotest.(check int) "the JSON holds exactly the counted events" 4 (count {|"ph":"X"|})
 
 (* ------------------------------------------------------------------ *)
 (* Metrics federation: the coordinator's merged view is an exact sum    *)
@@ -1033,6 +1067,8 @@ let () =
         [
           Alcotest.test_case "lanes, flow arrows, skew correction" `Quick
             test_trace_merge_flow_arrows;
+          Alcotest.test_case "trace-merge summary counts what it wrote" `Quick
+            test_trace_merge_summary_counts_written;
         ] );
       ( "coordinator",
         [

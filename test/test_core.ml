@@ -65,6 +65,27 @@ let prop_progression_invariants =
                       learned)
                prefixes)
 
+(* The stored form reads back as the list form: entries and prefix unions
+   of [make] equal [prefix_unions] of its entries, and [of_entries] (the
+   fallback solver's way in) round-trips. *)
+let prop_progression_stored_form =
+  QCheck.Test.make ~count:300 ~name:"progression: trail form = list form"
+    (QCheck.make QCheck.Gen.(pair (implication_cnf_gen 7) (learned_gen 7)))
+    (fun (cnf, learned_raw) ->
+      let learned = List.map Assignment.of_list learned_raw in
+      match Lbr.Progression.make ~cnf ~order:(order_n 7) ~learned ~universe:(universe_n 7) with
+      | Error `Unsat -> true
+      | Ok p ->
+          let entries = Lbr.Progression.entries p in
+          let unions = Lbr.Progression.prefix_unions entries in
+          let same q =
+            Lbr.Progression.length q = Array.length unions
+            && List.equal Assignment.equal (Lbr.Progression.entries q) entries
+            && Array.for_all Fun.id
+                 (Array.mapi (fun r u -> Assignment.equal (Lbr.Progression.prefix q r) u) unions)
+          in
+          same p && same (Lbr.Progression.of_entries entries))
+
 (* ------------------------------------------------------------------ *)
 (* GBR                                                                 *)
 
@@ -571,7 +592,7 @@ let () =
         [
           Alcotest.test_case "memoization" `Quick test_predicate_memoization;
         ] );
-      qsuite "progression" [ prop_progression_invariants ];
+      qsuite "progression" [ prop_progression_invariants; prop_progression_stored_form ];
       qsuite "gbr-prop"
         [
           prop_gbr_graph_constraints;

@@ -320,7 +320,7 @@ let test_flight_trace_merge () =
   match Lbr_cluster.Trace_merge.read_file path with
   | Error m -> Alcotest.fail m
   | Ok d ->
-      let json = Lbr_cluster.Trace_merge.merge [ d ] in
+      let json = (Lbr_cluster.Trace_merge.merge [ d ]).json in
       Alcotest.(check bool) "lane named by node" true
         (contains ~affix:{|"name":"process_name","pid":1,"args":{"name":"flight-node"}|} json);
       Alcotest.(check bool) "job.state instant on the lane" true

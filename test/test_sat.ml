@@ -574,6 +574,118 @@ let prop_watched_equals_scan_narrowed_universe =
       watched_equals_scan cnf ~order:order6 ~universe:(Assignment.of_list uni) assumes)
 
 (* ------------------------------------------------------------------ *)
+(* Progressions stored as trail segments, against the counter-scan
+   engine: the same progression loop (assume the [<]-smallest uncovered
+   variable, record what it adds) run on [Scan] gives the reference
+   entries as trail deltas.  The engine-backed progression must equal
+   them entry by entry and prefix by prefix — fresh, after a learned
+   clause and a narrow, and on a fork. *)
+
+(* Clauses of 0–3 premises (one premise: the engine's static lists; more:
+   its watch lists) and 0–3 heads (multi-head choices, and purely
+   negative clauses that can conflict). *)
+let mixed_cnf_gen n =
+  let open QCheck.Gen in
+  let vars size = list_size size (int_bound (n - 1)) in
+  let clause =
+    map2
+      (fun neg pos -> Clause.make ~neg ~pos)
+      (vars (frequency [ (1, return 0); (4, return 1); (2, return 2); (1, return 3) ]))
+      (vars (frequency [ (1, return 0); (4, return 1); (3, int_range 2 3) ]))
+  in
+  map (fun cs -> Cnf.make (List.filter_map Fun.id cs)) (list_size (int_range 0 14) clause)
+
+(* [None] when the scan engine conflicts on the way. *)
+let scan_progression cnf ~order ~universe =
+  match Scan.create cnf ~order ~universe with
+  | Error `Conflict -> None
+  | Ok s ->
+      let segment lo hi = Assignment.of_list (List.init (hi - lo) (fun i -> s.trail.(lo + i))) in
+      let rec go acc = function
+        | [] -> Some (List.rev acc)
+        | v :: rest when s.truth.(v) -> go acc rest
+        | v :: rest -> (
+            let m = s.trail_len in
+            match Scan.assume s v with
+            | Error `Conflict -> None
+            | Ok () -> go (segment m s.trail_len :: acc) rest)
+      in
+      go [ segment 0 s.trail_len ] (Assignment.to_list universe |> Order.sort order)
+
+let progression_equals_scan prog reference =
+  match prog, reference with
+  | Error `Conflict, None -> true
+  | Ok p, Some entries ->
+      Lbr.Progression.length p = List.length entries
+      &&
+      let rec go r union = function
+        | [] -> true
+        | e :: rest ->
+            let union = Assignment.union union e in
+            Assignment.equal (Lbr.Progression.entry p r) e
+            && Assignment.equal (Lbr.Progression.prefix p r) union
+            && go (r + 1) union rest
+      in
+      go 0 Assignment.empty entries
+  | Ok _, None | Error `Conflict, Some _ -> false
+
+let prop_trail_progression_equals_scan =
+  let n = 8 in
+  let print (cnf, ranking, pos, keep) =
+    let ints l = String.concat " " (List.map string_of_int l) in
+    Printf.sprintf "%sorder: %s\nlearned: %s\nkeep: %s" (Dimacs.to_string cnf) (ints ranking)
+      (ints pos) (ints keep)
+  in
+  QCheck.Test.make ~count:1500 ~name:"trail-segment progression = counter-scan deltas"
+    (QCheck.make ~print
+       QCheck.Gen.(
+         quad (mixed_cnf_gen n)
+           (shuffle_l (List.init n Fun.id))
+           (list_size (int_range 1 3) (int_bound (n - 1)))
+           (list_size (int_bound n) (int_bound (n - 1)))))
+    (fun (cnf, ranking, pos, keep_list) ->
+      let order = Order.of_list ranking in
+      let universe = Assignment.of_list (List.init n Fun.id) in
+      let pos = List.sort_uniq Int.compare pos and keep = Assignment.of_list keep_list in
+      let build engine ~universe =
+        Lbr.Progression.build_incremental ~engine ~order ~universe ()
+      in
+      match Msa.Engine.create cnf ~order ~universe, Scan.create cnf ~order ~universe with
+      | Error `Conflict, Error `Conflict -> true
+      | Error `Conflict, Ok _ | Ok _, Error `Conflict -> false
+      | Ok fresh, Ok _ -> (
+          progression_equals_scan (build fresh ~universe)
+            (scan_progression cnf ~order ~universe)
+          &&
+          (* The inter-iteration update, against a scan of the rebuilt
+             formula (the learned clause prepended) on the shrunk
+             universe. *)
+          let rebuilt = Cnf.add_clause cnf (Clause.of_disjunction ~pos) in
+          let reference = scan_progression rebuilt ~order ~universe:keep in
+          match Msa.Engine.create cnf ~order ~universe with
+          | Error `Conflict -> false
+          | Ok e -> (
+              match Msa.Engine.add_clause e ~pos with
+              | Error `Conflict ->
+                  (* Integrated over the old universe, the clause can
+                     conflict where the rebuild on [keep] does not; GBR
+                     falls back to the rebuild there. *)
+                  true
+              | Ok () -> (
+                  match Msa.Engine.narrow e ~keep with
+                  | Error `Conflict -> reference = None
+                  | Ok () ->
+                      let f = Msa.Engine.fork e in
+                      progression_equals_scan (build e ~universe:keep) reference
+                      &&
+                      (* Recycling the original's storage for another
+                         formula must leave the fork intact. *)
+                      let arena = Msa.Arena.create () in
+                      Msa.Arena.release arena e;
+                      ignore (Msa.Engine.create ~arena rebuilt ~order ~universe:keep);
+                      progression_equals_scan (build f ~universe:keep) reference))))
+
+(* ------------------------------------------------------------------ *)
 (* Pinned values on a realistic workload: any change to MSA head choice,
    clause indexing order, or the engine's undo discipline shows up here. *)
 
@@ -649,6 +761,7 @@ let () =
           prop_watched_equals_scan_implications;
           prop_watched_equals_scan_general;
           prop_watched_equals_scan_narrowed_universe;
+          prop_trail_progression_equals_scan;
         ];
       ( "msa",
         [

@@ -896,6 +896,66 @@ let test_scheduler_events_in_order () =
   | evs -> Alcotest.failf "unexpected event sequence (%d events)" (List.length evs));
   Scheduler.shutdown sched
 
+(* A finished job's reduced bytes stay in the scheduler only while
+   someone can still collect them: without a handler, [await] is the one
+   consumer and keeps them; with one, the Finished event and any caller
+   already blocked in [await] get them, and later reads see only the
+   stats. *)
+let test_scheduler_drops_delivered_bytes () =
+  let gate = Atomic.make false in
+  let started = Atomic.make 0 in
+  let sched =
+    Scheduler.create ~runner:(gated_runner gate started) ~jobs:1 ~queue_depth:4 ()
+  in
+  let bytes_of = function
+    | Some (Scheduler.Ended (Scheduler.Done (_, b))) -> b
+    | _ -> Alcotest.fail "job not done"
+  in
+  let submit ?on_event () =
+    match Scheduler.submit sched ?on_event (Lazy.force tiny_spec) with
+    | Ok id -> id
+    | Error _ -> Alcotest.fail "submission rejected"
+  in
+  Atomic.set gate true;
+  (* No handler: the bytes stay for any later reader. *)
+  let plain = submit () in
+  ignore (await_done sched plain);
+  Alcotest.(check string) "handler-less job keeps its bytes" plain
+    (bytes_of (Scheduler.status sched plain));
+  (* A handler that took the bytes: nothing left to keep. *)
+  let delivered = Atomic.make "" in
+  let on_event _ = function
+    | Scheduler.Finished (Scheduler.Done (_, b)) -> Atomic.set delivered b
+    | _ -> ()
+  in
+  let handled = submit ~on_event () in
+  ignore (await_done sched handled);
+  Alcotest.(check string) "the handler got the bytes" handled (Atomic.get delivered);
+  Alcotest.(check string) "the table dropped them" ""
+    (bytes_of (Scheduler.status sched handled));
+  (* A caller blocked in [await] when the job ends still gets them. *)
+  Atomic.set gate false;
+  let waiting = submit ~on_event () in
+  let entered = Atomic.make false in
+  let got = ref "" in
+  let waiter =
+    Thread.create
+      (fun () ->
+        Atomic.set entered true;
+        got := snd (await_done sched waiting))
+      ()
+  in
+  while not (Atomic.get entered) do
+    Thread.delay 0.002
+  done;
+  Thread.delay 0.2;
+  Atomic.set gate true;
+  Thread.join waiter;
+  Alcotest.(check string) "a blocked waiter gets the bytes" waiting !got;
+  Alcotest.(check string) "then the table drops them" ""
+    (bytes_of (Scheduler.status sched waiting));
+  Scheduler.shutdown sched
+
 (* ------------------------------------------------------------------ *)
 (* Journal replay with the real runner                                 *)
 
@@ -1660,6 +1720,8 @@ let () =
             test_scheduler_priority_order;
           Alcotest.test_case "draining rejects" `Quick test_scheduler_drain_rejects;
           Alcotest.test_case "events stream in order" `Quick test_scheduler_events_in_order;
+          Alcotest.test_case "delivered bytes are not kept" `Quick
+            test_scheduler_drops_delivered_bytes;
         ] );
       ( "replay",
         [
