@@ -484,9 +484,10 @@ let table_e6 instances =
         let universe = Lbr_jvm.Jvars.all jv in
         let baseline = instance.baseline_errors in
         let sub_pool_of = Lbr_jvm.Reducer.prepare jv pool in
+        let errors_of = Lbr_decompiler.Tool.prepare instance.tool pool in
         let predicate =
           Lbr.Predicate.make (fun phi ->
-              let errors = Lbr_decompiler.Tool.errors instance.tool (sub_pool_of phi) in
+              let errors = errors_of (sub_pool_of phi) in
               List.for_all (fun m -> List.mem m errors) baseline)
         in
         let problem = Lbr.Problem.make ~pool:vpool ~universe ~constraints:cnf ~predicate in
@@ -514,6 +515,7 @@ let table_e6 instances =
       let pool = instance.benchmark.pool in
       let names = Lbr_jvm.Classpool.names pool in
       let baseline = instance.baseline_errors in
+      let errors_of = Lbr_decompiler.Tool.prepare instance.tool pool in
       let tests = ref 0 in
       let test subset =
         incr tests;
@@ -525,7 +527,7 @@ let table_e6 instances =
         in
         if not (Lbr_jvm.Checker.is_valid sub) then Lbr_baselines.Ddmin.Unresolved
         else
-          let errors = Lbr_decompiler.Tool.errors instance.tool sub in
+          let errors = errors_of sub in
           if List.for_all (fun m -> List.mem m errors) baseline then Lbr_baselines.Ddmin.Fail
           else Lbr_baselines.Ddmin.Pass
       in
@@ -539,9 +541,10 @@ let table_e6 instances =
 
 (* Direct GBR on one corpus instance, bypassing the experiment wrapper, to
    contrast the incremental and rebuild reduction cores head to head.  The
-   model derivation runs once (setup); each timed run gets a fresh
-   predicate and a fresh prepared applier so no memoization — predicate
-   or reducer-cache — can leak between runs. *)
+   model derivation and the tool's immutable gate index are built once
+   (setup); each timed run gets a fresh predicate and a fresh prepared
+   applier so no memoization — predicate or reducer-cache — can leak
+   between runs. *)
 let gbr_direct_setup (instance : Corpus.instance) =
   let pool = instance.benchmark.pool in
   let vpool = Var.Pool.create () in
@@ -549,11 +552,12 @@ let gbr_direct_setup (instance : Corpus.instance) =
   let cnf = Lbr_jvm.Constraints.generate jv pool in
   let universe = Lbr_jvm.Jvars.all jv in
   let order = Lbr_sat.Order.by_creation vpool in
+  let errors_of = Lbr_decompiler.Tool.prepare instance.tool pool in
   fun ~incremental ->
     let sub_pool_of = Lbr_jvm.Reducer.prepare jv pool in
     let predicate =
       Lbr.Predicate.make (fun phi ->
-          let errors = Lbr_decompiler.Tool.errors instance.tool (sub_pool_of phi) in
+          let errors = errors_of (sub_pool_of phi) in
           List.for_all (fun m -> List.mem m errors) instance.baseline_errors)
     in
     let problem = Lbr.Problem.make ~pool:vpool ~universe ~constraints:cnf ~predicate in

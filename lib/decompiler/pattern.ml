@@ -9,10 +9,11 @@ type instance = {
 
 type t = {
   name : string;
-  detect : Classpool.t -> instance list;
+  prepare : Classpool.t -> Classpool.t -> instance list;
 }
 
-let mk pattern message requires = { pattern; message; requires }
+(* A detector's verdict on one location: [Some] instance when it fires. *)
+let mk pattern message requires = Some { pattern; message; requires }
 
 (* Real decompiler bugs fire on specific code shapes, not on every
    occurrence of a feature, and the triggering idiom tends to cluster in a
@@ -27,143 +28,147 @@ let package_of where =
 
 let package_modulus = 4
 
-(* A location is kept structured so the pretty [where] string — used in
-   error messages — is only built for the rare bodies that actually fire. *)
-type loc = Cls of string | Meth of string * string | Ctor of string * int
-
-let where_of = function
-  | Cls name -> name
-  | Meth (cls, meth) -> cls ^ "." ^ meth
-  | Ctor (cls, index) -> cls ^ ".<init>#" ^ string_of_int index
-
-(* The gate value: depends only on the pattern and the location — never on
-   the pool — so each decision is shared across the thousands of sub-pools
-   a reduction probes the tool with. *)
-let gate_value pattern loc modulus =
-  let where = where_of loc in
+(* The gate value of a location: the class name for class-level patterns,
+   ["cls.meth"] or ["cls.<init>#k"] for bodies.  It depends only on the
+   pattern and the location — never on the pool — so each pattern resolves
+   its gates once per input, against the original pool, and every sub-pool
+   probe visits only the locations that pass. *)
+let gate_value pattern where modulus =
   Hashtbl.hash (pattern ^ "@" ^ package_of where) mod package_modulus = 0
   && Hashtbl.hash (pattern ^ "/" ^ where) mod modulus = 0
 
-(* Gate memos.  They sit on the hot path of every predicate run: one
-   lookup per (class × pattern) plus one per surviving member, so the
-   tables are nested by class name — the probe key is always a string (or
-   int) the caller already holds, never a freshly built tuple, and the
-   hit path allocates nothing.  A parallel corpus run probes tools from
-   several domains at once and Hashtbl is not safe under concurrent
-   mutation, so each domain gets its own tables via [Domain.DLS] — no
-   locking, at the cost of each domain re-deriving the (pure,
-   deterministic) gate values it needs. *)
-type gates = {
-  g_pkg : (string, bool) Hashtbl.t;  (* class-level package prefilter *)
-  g_cls : (string, bool) Hashtbl.t;  (* full gate for [Cls] locations *)
-  g_meth : (string, (string, bool) Hashtbl.t) Hashtbl.t;  (* cls -> meth *)
-  g_ctor : (string, (int, bool) Hashtbl.t) Hashtbl.t;  (* cls -> ctor index *)
-}
-
-let gates_key : (string, gates) Hashtbl.t Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> Hashtbl.create 16)
-
-let gates_for pattern =
-  let tbl = Domain.DLS.get gates_key in
-  try Hashtbl.find tbl pattern
-  with Not_found ->
-    let g =
-      {
-        g_pkg = Hashtbl.create 1024;
-        g_cls = Hashtbl.create 1024;
-        g_meth = Hashtbl.create 1024;
-        g_ctor = Hashtbl.create 64;
-      }
-    in
-    Hashtbl.add tbl pattern g;
-    g
-
-(* Class-level prefilter.  When the class name carries a package prefix
-   (always, for generated pools), every member location shares the class's
-   package, so a failed package gate rules out the whole class — one memo
-   lookup instead of one per body. *)
-let class_may_fire g pattern cls_name =
-  try Hashtbl.find g.g_pkg cls_name
-  with Not_found ->
-    let v =
-      match String.index_opt cls_name '/' with
-      | None -> true (* no package: member wheres hash independently *)
-      | Some i ->
-          Hashtbl.hash (pattern ^ "@" ^ String.sub cls_name 0 i) mod package_modulus = 0
-    in
-    Hashtbl.add g.g_pkg cls_name v;
-    v
-
-let cls_gate g pattern cls_name modulus =
-  try Hashtbl.find g.g_cls cls_name
-  with Not_found ->
-    let v = gate_value pattern (Cls cls_name) modulus in
-    Hashtbl.add g.g_cls cls_name v;
-    v
-
-let inner_table outer cls_name create =
-  try Hashtbl.find outer cls_name
-  with Not_found ->
-    let t = Hashtbl.create create in
-    Hashtbl.add outer cls_name t;
-    t
-
-let meth_gate g pattern cls_name meth_name modulus =
-  let mg = inner_table g.g_meth cls_name 8 in
-  try Hashtbl.find mg meth_name
-  with Not_found ->
-    let v = gate_value pattern (Meth (cls_name, meth_name)) modulus in
-    Hashtbl.add mg meth_name v;
-    v
-
-let ctor_gate g pattern cls_name index modulus =
-  let cg = inner_table g.g_ctor cls_name 4 in
-  try Hashtbl.find cg index
-  with Not_found ->
-    let v = gate_value pattern (Ctor (cls_name, index)) modulus in
-    Hashtbl.add cg index v;
-    v
-
-(* Iterate over every gated (class, method-or-ctor context, body): [f] only
-   sees bodies whose location passes the [gate_value pattern _ modulus]
-   gate. *)
-let fold_gated_bodies pool pattern modulus f acc =
-  let g = gates_for pattern in
-  Classpool.fold
-    (fun (c : cls) acc ->
-      if not (class_may_fire g pattern c.name) then acc
-      else
-        let rec meths acc = function
-          | [] -> acc
-          | (m : meth) :: rest ->
-              let acc =
-                if m.m_abstract || not (meth_gate g pattern c.name m.m_name modulus) then acc
-                else
-                  f acc c
-                    (Item.Code { cls = c.name; meth = m.m_name })
-                    (Meth (c.name, m.m_name))
-                    m.m_body
-              in
-              meths acc rest
+(* [gate_value] for one class at a time, classes in name order: [gate cls]
+   is [None] when no location of the class passes, else the test of the
+   location [cls ^ sep ^ member].  Under a package prefix every location of
+   a class has the class's package, so the package half is hashed once per
+   package (consecutive classes share it) and the location half only in
+   passing packages.  Without a prefix each location is its own package. *)
+let location_gate pattern modulus =
+  let last = ref None in
+  fun cls ->
+    match String.index_opt cls '/' with
+    | None -> Some (fun sep member -> gate_value pattern (cls ^ sep ^ member) modulus)
+    | Some i ->
+        let pkg = String.sub cls 0 i in
+        let ok =
+          match !last with
+          | Some (p, ok) when String.equal p pkg -> ok
+          | Some _ | None ->
+              let ok = Hashtbl.hash (pattern ^ "@" ^ pkg) mod package_modulus = 0 in
+              last := Some (pkg, ok);
+              ok
         in
-        let rec ctors acc index = function
-          | [] -> acc
-          | (k : ctor) :: rest ->
-              let acc =
-                if not (ctor_gate g pattern c.name index modulus) then acc
-                else
-                  f acc c
-                    (Item.Ctor_code { cls = c.name; index })
-                    (Ctor (c.name, index))
-                    k.k_body
-              in
-              ctors acc (index + 1) rest
-        in
-        ctors (meths acc c.methods) 0 c.ctors)
-    pool acc
+        if not ok then None
+        else
+          let prefix = pattern ^ "/" ^ cls in
+          Some (fun sep member -> Hashtbl.hash (prefix ^ sep ^ member) mod modulus = 0)
 
-(* Class-level gate for patterns that fire on the class itself. *)
-let selective pattern cls_name modulus = cls_gate (gates_for pattern) pattern cls_name modulus
+(* A class-level pattern.  Its index holds the names, in name order, of
+   the classes that [keep] admits — on what no reduction changes — and
+   whose own location passes; a probe runs [fire pool] on each of them
+   still in the pool. *)
+let class_pattern name modulus keep fire =
+  let prepare original =
+    let gate = location_gate name modulus in
+    let index =
+      Classpool.fold
+        (fun (c : cls) acc ->
+          if not (keep c) then acc
+          else match gate c.name with Some pass when pass "" "" -> c.name :: acc | _ -> acc)
+        original []
+      |> List.rev
+    in
+    fun pool ->
+      let fire = fire pool in
+      List.fold_left
+        (fun acc cls ->
+          match Option.bind (Classpool.find pool cls) fire with Some i -> i :: acc | None -> acc)
+        [] index
+  in
+  { name; prepare }
+
+(* A body location is kept structured so the pretty [where] string — used
+   in error messages — is only built for the rare bodies that actually
+   fire. *)
+type loc = Meth of string * string | Ctor of string * int
+
+let where_of = function
+  | Meth (cls, meth) -> cls ^ "." ^ meth
+  | Ctor (cls, index) -> cls ^ ".<init>#" ^ string_of_int index
+
+let item_of = function
+  | Meth (cls, meth) -> Item.Code { cls; meth }
+  | Ctor (cls, index) -> Item.Ctor_code { cls; index }
+
+(* A body pattern, firing only on bodies with an instruction that [uses]
+   admits.  Its index holds, per class in name order, the gated methods by
+   name and the gated constructors by position, each with its location.
+   Positions, not constructors: the reducer renumbers the constructors it
+   keeps, so position k of a sub-pool class is gated iff position k of the
+   original is.  A reduction stubs bodies and renumbers constructor calls
+   but never adds an instruction, so only methods with a used instruction
+   (abstract ones have none) are indexed, and constructor positions from
+   which on some constructor has one.  A probe runs [fire pool] on each
+   indexed body still in the pool, methods before constructors. *)
+let body_pattern name modulus ~uses fire =
+  let prepare original =
+    let gate = location_gate name modulus in
+    let gated (c : cls) pass =
+      let meths =
+        List.filter_map
+          (fun (m : meth) ->
+            if List.exists uses m.m_body && pass "." m.m_name then
+              Some (m.m_name, Meth (c.name, m.m_name))
+            else None)
+          c.methods
+      in
+      let rec ctors index = function
+        | [] -> ([], false)
+        | (k : ctor) :: rest ->
+            let gated, later = ctors (index + 1) rest in
+            let used = later || List.exists uses k.k_body in
+            if used && pass ".<init>#" (string_of_int index) then
+              ((index, Ctor (c.name, index)) :: gated, used)
+            else (gated, used)
+      in
+      (meths, fst (ctors 0 c.ctors))
+    in
+    let index =
+      Classpool.fold
+        (fun (c : cls) acc ->
+          match Option.map (gated c) (gate c.name) with
+          | None | Some ([], []) -> acc
+          | Some (meths, ctors) -> (c.name, meths, ctors) :: acc)
+        original []
+      |> List.rev
+    in
+    fun pool ->
+      let fire = fire pool in
+      let hit acc loc body = match fire loc body with Some i -> i :: acc | None -> acc in
+      let rec ctors acc index ks gated =
+        match (ks, gated) with
+        | [], _ | _, [] -> acc
+        | (k : ctor) :: ks, (p, loc) :: rest ->
+            if index = p then ctors (hit acc loc k.k_body) (index + 1) ks rest
+            else ctors acc (index + 1) ks gated
+      in
+      List.fold_left
+        (fun acc (cls, meths, gated_ctors) ->
+          match Classpool.find pool cls with
+          | None -> acc
+          | Some c ->
+              let acc =
+                List.fold_left
+                  (fun acc (meth, loc) ->
+                    match Classfile.find_method c meth with
+                    | Some m -> hit acc loc m.m_body
+                    | None -> acc)
+                  acc meths
+              in
+              ctors acc 0 c.ctors gated_ctors)
+        [] index
+  in
+  { name; prepare }
 
 let is_internal_interface pool name =
   match Classpool.find pool name with Some c -> c.is_interface | None -> false
@@ -176,23 +181,17 @@ let rec first_iface_cast pool = function
   | _ :: rest -> first_iface_cast pool rest
 
 let iface_cast =
-  {
-    name = "iface-cast";
-    detect =
-      (fun pool ->
-        fold_gated_bodies pool "iface-cast" 6
-          (fun acc _c code_item loc body ->
-              (* Only the first hit matters, so stop at it instead of
-                 collecting every occurrence. *)
-              match first_iface_cast pool body with
-              | None -> acc
-              | Some t ->
-                  mk "iface-cast"
-                    ("error: incompatible types: required " ^ t ^ " (in " ^ where_of loc ^ ")")
-                    [ code_item; Item.Class t ]
-                  :: acc)
-          []);
-  }
+  body_pattern "iface-cast" 6
+    ~uses:(function Check_cast _ -> true | _ -> false)
+    (fun pool loc body ->
+      (* Only the first hit matters, so stop at it instead of collecting
+         every occurrence. *)
+      match first_iface_cast pool body with
+      | None -> None
+      | Some t ->
+          mk "iface-cast"
+            ("error: incompatible types: required " ^ t ^ " (in " ^ where_of loc ^ ")")
+            [ item_of loc; Item.Class t ])
 
 (* Pattern: reflective class constants are decompiled into raw types that
    no longer compile. *)
@@ -202,21 +201,15 @@ let rec first_pool_ldc pool = function
   | _ :: rest -> first_pool_ldc pool rest
 
 let reflective_ldc =
-  {
-    name = "reflective-ldc";
-    detect =
-      (fun pool ->
-        fold_gated_bodies pool "reflective-ldc" 3
-          (fun acc _c code_item loc body ->
-              match first_pool_ldc pool body with
-              | None -> acc
-              | Some t ->
-                  mk "reflective-ldc"
-                    ("error: unchecked class literal " ^ t ^ ".class (in " ^ where_of loc ^ ")")
-                    [ code_item; Item.Class t ]
-                  :: acc)
-          []);
-  }
+  body_pattern "reflective-ldc" 3
+    ~uses:(function Load_const_class _ -> true | _ -> false)
+    (fun pool loc body ->
+      match first_pool_ldc pool body with
+      | None -> None
+      | Some t ->
+          mk "reflective-ldc"
+            ("error: unchecked class literal " ^ t ^ ".class (in " ^ where_of loc ^ ")")
+            [ item_of loc; Item.Class t ])
 
 (* Pattern: a class implementing two or more interfaces while one of its
    bodies makes an interface call — the decompiler picks the wrong bound. *)
@@ -240,55 +233,40 @@ let rec first_two_internal pool = function
         in
         second rest)
 
+(* Class-level: one instance per class that keeps >= 2 interfaces while
+   any of its bodies makes an interface call. *)
 let diamond =
-  {
-    name = "diamond";
-    detect =
-      (fun pool ->
-        (* Class-level: one instance per class that keeps >= 2 interfaces
-           while any of its bodies makes an interface call. *)
-        Classpool.fold
-          (fun (c : cls) acc ->
-            if c.is_interface || not (selective "diamond" c.name 2) then acc
-            else
-              match first_two_internal pool c.interfaces with
-              | Some (i1, i2) when has_icall c.methods ->
-                  mk "diamond"
-                    ("error: ambiguous supertype bound (class " ^ c.name ^ ")")
-                    [
-                      Item.Implements { cls = c.name; iface = i1 };
-                      Item.Implements { cls = c.name; iface = i2 };
-                    ]
-                  :: acc
-              | Some _ | None -> acc)
-          pool []);
-  }
+  class_pattern "diamond" 2
+    (fun c -> not c.is_interface)
+    (fun pool c ->
+      match first_two_internal pool c.interfaces with
+      | Some (i1, i2) when has_icall c.methods ->
+          mk "diamond"
+            ("error: ambiguous supertype bound (class " ^ c.name ^ ")")
+            [
+              Item.Implements { cls = c.name; iface = i1 };
+              Item.Implements { cls = c.name; iface = i2 };
+            ]
+      | Some _ | None -> None)
 
 (* Pattern: the InnerClasses attribute together with an annotation makes the
    decompiler emit a malformed nested declaration. *)
+let has_annot_and_inner (c : cls) = c.annotations <> [] && c.inner_classes <> []
+
 let inner_annot =
-  {
-    name = "inner-annot";
-    detect =
-      (fun pool ->
-        Classpool.fold
-          (fun (c : cls) acc ->
-            if c.annotations <> [] && c.inner_classes <> [] && selective "inner-annot" c.name 2
-            then
-              mk "inner-annot"
-                ("error: illegal start of type (class " ^ c.name ^ ")")
-                [
-                  Item.Annotation { cls = c.name; index = 0 };
-                  Item.Inner_class { cls = c.name; index = 0 };
-                ]
-              :: acc
-            else acc)
-          pool []);
-  }
+  class_pattern "inner-annot" 2 has_annot_and_inner (fun _pool c ->
+      if not (has_annot_and_inner c) then None
+      else
+        mk "inner-annot"
+          ("error: illegal start of type (class " ^ c.name ^ ")")
+          [
+            Item.Annotation { cls = c.name; index = 0 };
+            Item.Inner_class { cls = c.name; index = 0 };
+          ])
 
 (* Pattern: a static call that resolves through a superclass is decompiled
-   as an instance call.  [hx] is the pool's one hierarchy context, built on
-   the first call that needs a resolution. *)
+   as an instance call.  [hx] is the probed pool's one hierarchy context,
+   built on the first call that needs a resolution. *)
 let rec has_super_static pool hx = function
   | [] -> false
   | Invoke_static { owner; meth } :: rest -> (
@@ -306,44 +284,29 @@ let rec has_super_static pool hx = function
   | _ :: rest -> has_super_static pool hx rest
 
 let static_through_super =
-  {
-    name = "static-super";
-    detect =
-      (fun pool ->
-        let hx = lazy (Hierarchy.Ctx.create pool) in
-        fold_gated_bodies pool "static-super" 5
-          (fun acc _c code_item loc body ->
-              if has_super_static pool hx body then
-                mk "static-super"
-                  ("error: non-static method referenced from static context (in " ^ where_of loc ^ ")")
-                  [ code_item ]
-                :: acc
-              else acc)
-          []);
-  }
+  body_pattern "static-super" 5
+    ~uses:(function Invoke_static _ -> true | _ -> false)
+    (fun pool ->
+      let hx = lazy (Hierarchy.Ctx.create pool) in
+      fun loc body ->
+        if not (has_super_static pool hx body) then None
+        else
+          mk "static-super"
+            ("error: non-static method referenced from static context (in " ^ where_of loc ^ ")")
+            [ item_of loc ])
 
 (* Pattern: a concrete class extending an internal abstract class — the
    decompiler drops the concrete override's covariance. *)
 let abstract_super =
-  {
-    name = "abstract-super";
-    detect =
-      (fun pool ->
-        Classpool.fold
-          (fun (c : cls) acc ->
-            if c.is_interface || c.is_abstract then acc
-            else
-              match Classpool.find pool c.super with
-              | Some s
-                when s.is_abstract && (not s.is_interface)
-                     && selective "abstract-super" c.name 3 ->
-                  mk "abstract-super"
-                    ("error: " ^ c.name ^ " is not abstract and does not override (" ^ c.super ^ ")")
-                    [ Item.Extends c.name; Item.Class c.super ]
-                  :: acc
-              | Some _ | None -> acc)
-          pool []);
-  }
+  class_pattern "abstract-super" 3
+    (fun c -> not (c.is_interface || c.is_abstract))
+    (fun pool c ->
+      match Classpool.find pool c.super with
+      | Some s when s.is_abstract && not s.is_interface ->
+          mk "abstract-super"
+            ("error: " ^ c.name ^ " is not abstract and does not override (" ^ c.super ^ ")")
+            [ Item.Extends c.name; Item.Class c.super ]
+      | Some _ | None -> None)
 
 (* Pattern: an upcast whose target is an interface — the decompiler inserts
    a spurious cast that breaks generics inference. *)
@@ -353,21 +316,15 @@ let rec first_upcast_iface pool = function
   | _ :: rest -> first_upcast_iface pool rest
 
 let upcast_iface =
-  {
-    name = "upcast-iface";
-    detect =
-      (fun pool ->
-        fold_gated_bodies pool "upcast-iface" 8
-          (fun acc _c code_item loc body ->
-              match first_upcast_iface pool body with
-              | None -> acc
-              | Some t ->
-                  mk "upcast-iface"
-                    ("error: inference variable " ^ t ^ " has incompatible bounds (in " ^ where_of loc ^ ")")
-                    [ code_item; Item.Class t ]
-                  :: acc)
-          []);
-  }
+  body_pattern "upcast-iface" 8
+    ~uses:(function Upcast _ -> true | _ -> false)
+    (fun pool loc body ->
+      match first_upcast_iface pool body with
+      | None -> None
+      | Some t ->
+          mk "upcast-iface"
+            ("error: inference variable " ^ t ^ " has incompatible bounds (in " ^ where_of loc ^ ")")
+            [ item_of loc; Item.Class t ])
 
 (* Pattern: use of a non-zero-argument constructor overload. *)
 let rec first_ctor_overload pool = function
@@ -376,21 +333,15 @@ let rec first_ctor_overload pool = function
   | _ :: rest -> first_ctor_overload pool rest
 
 let ctor_overload =
-  {
-    name = "ctor-overload";
-    detect =
-      (fun pool ->
-        fold_gated_bodies pool "ctor-overload" 8
-          (fun acc _c code_item loc body ->
-              match first_ctor_overload pool body with
-              | None -> acc
-              | Some (cls, ctor) ->
-                  mk "ctor-overload"
-                    ("error: constructor " ^ cls ^ " cannot be applied (in " ^ where_of loc ^ ")")
-                    [ code_item; Item.Ctor { cls; index = ctor } ]
-                  :: acc)
-          []);
-  }
+  body_pattern "ctor-overload" 8
+    ~uses:(function New_instance _ -> true | _ -> false)
+    (fun pool loc body ->
+      match first_ctor_overload pool body with
+      | None -> None
+      | Some (cls, ctor) ->
+          mk "ctor-overload"
+            ("error: constructor " ^ cls ^ " cannot be applied (in " ^ where_of loc ^ ")")
+            [ item_of loc; Item.Ctor { cls; index = ctor } ])
 
 let all =
   [

@@ -21,7 +21,10 @@ type instance = {
 
 type t = {
   name : string;
-  detect : Classpool.t -> instance list;
+  prepare : Classpool.t -> Classpool.t -> instance list;
+      (** [prepare original] resolves the location gates once; the result
+          detects on any pool whose classes are reductions of [original]
+          exactly what [prepare pool pool] does (see {!Tool.prepare}). *)
 }
 
 val all : t list

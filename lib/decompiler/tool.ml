@@ -103,13 +103,18 @@ let all = [ cfr_sim; fernflower_sim; procyon_sim ]
 
 let with_faults faults t = { t with faults = Some faults }
 
-let instances t pool = List.concat_map (fun (p : Pattern.t) -> p.detect pool) t.patterns
+let instances t pool =
+  List.concat_map (fun (p : Pattern.t) -> p.prepare pool pool) t.patterns
 
-let errors t pool =
-  (match t.faults with None -> () | Some faults -> Faults.draw faults t.name);
-  Lbr_logic.Perf.time "tool.errors" (fun () ->
-      instances t pool
-      |> List.map (fun (i : Pattern.instance) -> i.message)
-      |> List.sort_uniq String.compare)
+let prepare t original =
+  let detectors = List.map (fun (p : Pattern.t) -> p.prepare original) t.patterns in
+  fun pool ->
+    (match t.faults with None -> () | Some faults -> Faults.draw faults t.name);
+    Lbr_logic.Perf.time "tool.errors" (fun () ->
+        List.concat_map (fun detect -> detect pool) detectors
+        |> List.map (fun (i : Pattern.instance) -> i.message)
+        |> List.sort_uniq String.compare)
+
+let errors t pool = prepare t pool pool
 
 let is_buggy_on t pool = errors t pool <> []

@@ -20,7 +20,7 @@ exception Transient_failure of string
 exception Tool_crash of string
 (** A hard crash of this invocation. *)
 
-(** Seeded fault injection.  Each {!val:errors} call on a faulty tool first
+(** Seeded fault injection.  Each run of a faulty tool first
     draws from a seeded RNG: with probability [crash_rate] it raises
     {!Tool_crash}, with probability [flaky_rate] it raises
     {!Transient_failure}, otherwise the run proceeds normally.  Draws are
@@ -36,7 +36,7 @@ module Faults : sig
       negative or they sum above [1.]. *)
 
   val draws : t -> int
-  (** Total fault-schedule draws (one per {!val:errors} call). *)
+  (** Total fault-schedule draws (one per run). *)
 
   val injected_flaky : t -> int
 
@@ -55,10 +55,21 @@ val all : t list
 val with_faults : Faults.t -> t -> t
 (** A copy of the tool that consults the fault schedule on every run. *)
 
+val prepare : t -> Classpool.t -> Classpool.t -> string list
+(** [prepare t original] resolves every pattern's location gates once
+    against [original]; the returned run gives exactly [errors t pool] for
+    any [pool] whose classes are reductions of [original] — sub-pools as
+    {!Lbr_jvm.Reducer.apply} builds them, with classes, members and
+    constructors dropped and bodies stubbed — while visiting only the
+    gated locations.  Each run draws from the fault schedule and times one
+    ["tool.errors"] phase, as {!errors} does; building the index does
+    neither.  The index is immutable: one prepared run may be called from
+    several domains at once. *)
+
 val errors : t -> Classpool.t -> string list
-(** Sorted, deduplicated error messages from decompile-and-recompile.
-    On a tool built by {!with_faults}, may raise {!Transient_failure} or
-    {!Tool_crash} according to the schedule. *)
+(** Sorted, deduplicated error messages from decompile-and-recompile:
+    [prepare t pool pool].  On a tool built by {!with_faults}, may raise
+    {!Transient_failure} or {!Tool_crash} according to the schedule. *)
 
 val instances : t -> Classpool.t -> Pattern.instance list
 

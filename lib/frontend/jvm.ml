@@ -36,29 +36,35 @@ let rec includes_sorted ~baseline messages =
       else if c > 0 then includes_sorted ~baseline ms
       else false
 
+(* The tool is prepared once per input; its first run on the input itself
+   is the baseline, and every check reuses the prepared index. *)
 let tool_predicate pool ~spec =
-  let tool =
+  let run tool =
+    let check = Lbr_decompiler.Tool.prepare tool pool in
+    (tool, check, check pool)
+  in
+  let found =
     match spec with
     | "" -> (
         match
-          List.find_opt (fun t -> Lbr_decompiler.Tool.is_buggy_on t pool) Lbr_decompiler.Tool.all
+          List.find_map
+            (fun t -> match run t with _, _, [] -> None | r -> Some r)
+            Lbr_decompiler.Tool.all
         with
-        | Some t -> Ok t
+        | Some r -> Ok r
         | None -> Error "no tool is buggy on this pool")
     | name -> (
         match
           List.find_opt (fun (t : Lbr_decompiler.Tool.t) -> t.name = name)
             Lbr_decompiler.Tool.all
         with
-        | Some t -> Ok t
+        | Some t -> Ok (run t)
         | None -> Error (Printf.sprintf "unknown tool %S" name))
   in
-  match tool with
+  match found with
   | Error _ as e -> e
-  | Ok tool -> (
-      match Lbr_decompiler.Tool.errors tool pool with
-      | [] -> Error (Printf.sprintf "tool %s is not buggy on this pool" tool.Lbr_decompiler.Tool.name)
-      | baseline ->
-          Ok (fun sub -> includes_sorted ~baseline (Lbr_decompiler.Tool.errors tool sub)))
+  | Ok (tool, _, []) ->
+      Error (Printf.sprintf "tool %s is not buggy on this pool" tool.Lbr_decompiler.Tool.name)
+  | Ok (_, check, baseline) -> Ok (fun sub -> includes_sorted ~baseline (check sub))
 
 let predicate (_ : ctx) = tool_predicate

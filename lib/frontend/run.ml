@@ -89,8 +89,8 @@ let drive (type i c) ~hooks ~strategy ~speculate
                 | `Gbr (Some p) ->
                     (* Workers get their own prepared applier — [F.prepare]'s
                        result is domain-local state for the JVM frontend.
-                       The check closure from [F.predicate] is pure, so
-                       sharing it is fine. *)
+                       The check closure from [F.predicate] only reads an
+                       immutable index, so sharing it is fine. *)
                     let applier = Domain.DLS.new_key (fun () -> F.prepare ctx input) in
                     let compute phi =
                       let sub = (Domain.DLS.get applier) phi in

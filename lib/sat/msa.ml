@@ -324,6 +324,10 @@ module Engine = struct
   let grab_int a len = if Array.length a < len then Array.make len 0 else a
   let grab_bool a len = if Array.length a < len then Array.make len false else a
 
+  (* Whether every variable of [vs] from index [i] on is in the universe. *)
+  let rec all_in in_universe (vs : int array) i =
+    i >= Array.length vs || (in_universe.(vs.(i)) && all_in in_universe vs (i + 1))
+
   let create ?arena cnf ~order ~universe =
     Lbr_obs.Trace.with_span "sat.engine-create"
       ~args:(fun () ->
@@ -368,24 +372,24 @@ module Engine = struct
        dropped; heads are filtered to the universe.  Head-occurrence counts
        accumulate in [occh_off], single-premise counts in [sp_off]. *)
     let clauses = Cnf.clauses cnf in
-    let keep (c : Clause.t) = Array.for_all (fun v -> t.in_universe.(v)) c.neg in
+    let in_universe = t.in_universe and occh_off = t.occh_off and sp_off = t.sp_off in
     let nc = ref 0 and tot_prem = ref 0 and tot_head = ref 0 and tot_sp = ref 0 in
     List.iter
       (fun (c : Clause.t) ->
-        if keep c then begin
+        if all_in in_universe c.neg 0 then begin
           incr nc;
           tot_prem := !tot_prem + Array.length c.neg;
           if Array.length c.neg = 1 then begin
             incr tot_sp;
-            t.sp_off.(c.neg.(0)) <- t.sp_off.(c.neg.(0)) + 1
+            sp_off.(c.neg.(0)) <- sp_off.(c.neg.(0)) + 1
           end;
-          Array.iter
-            (fun h ->
-              if t.in_universe.(h) then begin
-                incr tot_head;
-                t.occh_off.(h) <- t.occh_off.(h) + 1
-              end)
-            c.pos
+          for j = 0 to Array.length c.pos - 1 do
+            let h = c.pos.(j) in
+            if in_universe.(h) then begin
+              incr tot_head;
+              occh_off.(h) <- occh_off.(h) + 1
+            end
+          done
         end)
       clauses;
     let nc = !nc in
@@ -419,33 +423,33 @@ module Engine = struct
     (* The single-premise buckets likewise. *)
     bucket_ends t.sp_off;
     (* Pass 2: fill the CSRs. *)
+    let prem_off = t.prem_off and prem_data = t.prem_data and sp_data = t.sp_data in
+    let head_off = t.head_off and head_data = t.head_data and occh_data = t.occh_data in
+    let satisfied = t.satisfied in
     let ci = ref 0 and pcur = ref 0 and hcur = ref 0 in
     List.iter
       (fun (c : Clause.t) ->
-        if keep c then begin
+        if all_in in_universe c.neg 0 then begin
           let i = !ci in
-          t.prem_off.(i) <- !pcur;
-          Array.iter
-            (fun v ->
-              t.prem_data.(!pcur) <- v;
-              incr pcur)
-            c.neg;
+          prem_off.(i) <- !pcur;
+          Array.blit c.neg 0 prem_data !pcur (Array.length c.neg);
+          pcur := !pcur + Array.length c.neg;
           if Array.length c.neg = 1 then begin
             let p = c.neg.(0) in
-            t.sp_off.(p) <- t.sp_off.(p) - 1;
-            t.sp_data.(t.sp_off.(p)) <- i
+            sp_off.(p) <- sp_off.(p) - 1;
+            sp_data.(sp_off.(p)) <- i
           end;
-          t.head_off.(i) <- !hcur;
-          Array.iter
-            (fun h ->
-              if t.in_universe.(h) then begin
-                t.head_data.(!hcur) <- h;
-                incr hcur;
-                t.occh_off.(h) <- t.occh_off.(h) - 1;
-                t.occh_data.(t.occh_off.(h)) <- i
-              end)
-            c.pos;
-          t.satisfied.(i) <- false;
+          head_off.(i) <- !hcur;
+          for j = 0 to Array.length c.pos - 1 do
+            let h = c.pos.(j) in
+            if in_universe.(h) then begin
+              head_data.(!hcur) <- h;
+              incr hcur;
+              occh_off.(h) <- occh_off.(h) - 1;
+              occh_data.(occh_off.(h)) <- i
+            end
+          done;
+          satisfied.(i) <- false;
           incr ci
         end)
       clauses;

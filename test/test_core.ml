@@ -278,9 +278,10 @@ let test_gbr_incremental_on_workload () =
         let jv = Lbr_jvm.Jvars.derive vpool pool in
         let cnf = Lbr_jvm.Constraints.generate jv pool in
         let sub_pool_of = Lbr_jvm.Reducer.prepare jv pool in
+        let errors_of = Lbr_decompiler.Tool.prepare instance.tool pool in
         let predicate =
           Lbr.Predicate.make ~name:"gbr" (fun phi ->
-              let errors = Lbr_decompiler.Tool.errors instance.tool (sub_pool_of phi) in
+              let errors = errors_of (sub_pool_of phi) in
               List.for_all (fun b -> List.mem b errors) instance.baseline_errors)
         in
         let problem =
@@ -461,10 +462,13 @@ let test_gbr_speculative_on_workload () =
         let vpool = Var.Pool.create () in
         let jv = Lbr_jvm.Jvars.derive vpool jpool in
         let cnf = Lbr_jvm.Constraints.generate jv jpool in
-        let check tool sub_pool_of phi =
-          let errors = Lbr_decompiler.Tool.errors tool (sub_pool_of phi) in
+        (* Each tool is prepared once per run; all speculative workers
+           share the workers' prepared tool. *)
+        let check errors_of sub_pool_of phi =
+          let errors = errors_of (sub_pool_of phi) in
           List.for_all (fun b -> List.mem b errors) instance.baseline_errors
         in
+        let prepare tool = Lbr_decompiler.Tool.prepare tool jpool in
         let speculation =
           match mode with
           | `Sequential -> None
@@ -477,6 +481,7 @@ let test_gbr_speculative_on_workload () =
                       instance.tool
                 | _ -> instance.tool
               in
+              let worker_errors = prepare worker_tool in
               (* Workers need their own prepared applier: [Reducer.prepare]
                  returns domain-local mutable state. *)
               let applier =
@@ -487,14 +492,15 @@ let test_gbr_speculative_on_workload () =
                    ~spawn:(fun job ->
                      ignore
                        (Lbr_runtime.Pool.submit pool job : unit Lbr_runtime.Pool.future))
-                   (fun phi -> check worker_tool (Domain.DLS.get applier) phi))
+                   (fun phi -> check worker_errors (Domain.DLS.get applier) phi))
         in
         let inline_applier = Lbr_jvm.Reducer.prepare jv jpool in
+        let inline_errors = prepare instance.tool in
         let predicate =
           Lbr.Predicate.make ~name:"gbr" (fun phi ->
               match Option.bind speculation (fun sp -> Lbr.Speculate.demand sp phi) with
               | Some ok -> ok
-              | None -> check instance.tool inline_applier phi)
+              | None -> check inline_errors inline_applier phi)
         in
         let problem =
           Lbr.Problem.make ~pool:vpool ~universe:(Lbr_jvm.Jvars.all jv) ~constraints:cnf
