@@ -616,23 +616,6 @@ let micro () =
       Test.make ~name:"core:progression-40cls"
         (Staged.stage (fun () ->
              Lbr.Progression.build ~cnf:cnf40 ~order:order40 ~learned:[] ~universe:universe40));
-      (Test.make ~name:"sat:engine-add-clause"
-         (* One learned-set append + structural rollback on a warm engine:
-            the per-iteration cost add_clause replaces r_plus with. *)
-         (let engine =
-            match Lbr_sat.Msa.Engine.create cnf40 ~order:order40 ~universe:universe40 with
-            | Ok e -> e
-            | Error `Conflict -> failwith "sat:engine-add-clause: unexpected conflict"
-          in
-          let disj =
-            Assignment.to_list universe40 |> List.filteri (fun i _ -> i mod 50 = 0)
-          in
-          Staged.stage (fun () ->
-              let snap = Lbr_sat.Msa.Engine.snapshot engine in
-              (match Lbr_sat.Msa.Engine.add_clause engine ~pos:disj with
-              | Ok () -> ()
-              | Error `Conflict -> failwith "sat:engine-add-clause: conflict");
-              Lbr_sat.Msa.Engine.rollback engine snap)));
       (Test.make ~name:"sat:propagate-watched-40cls"
          (* Pure watched propagation on a warm engine: assume a spread of
             universe variables under a snapshot, roll back.  No engine

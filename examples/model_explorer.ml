@@ -10,16 +10,17 @@
 open Lbr_logic
 open Lbr_sat
 
-let show pool set =
-  "{"
-  ^ String.concat ", " (List.map (Var.Pool.name pool) (Assignment.to_list set))
-  ^ "}"
+(* Variables are bare ids; the example keeps their names itself. *)
+let names = [| "a"; "b"; "c" |]
+
+let show set =
+  "{" ^ String.concat ", " (List.map (Array.get names) (Assignment.to_list set)) ^ "}"
 
 let () =
   let pool = Var.Pool.create () in
-  let a = Var.Pool.fresh pool "a"
-  and b = Var.Pool.fresh pool "b"
-  and c = Var.Pool.fresh pool "c" in
+  let a = Var.Pool.fresh pool in
+  let b = Var.Pool.fresh pool in
+  let c = Var.Pool.fresh pool in
   let cnf =
     Cnf.make [ Clause.make_exn ~neg:[ a; b ] ~pos:[ c ]; Clause.edge c b ]
   in
@@ -33,7 +34,7 @@ let () =
   List.iter
     (fun (label, order) ->
       match Msa.compute cnf ~order ~universe ~required:(Assignment.singleton b) () with
-      | Some m -> Printf.printf "MSA with b required, order %-9s = %s\n" label (show pool m)
+      | Some m -> Printf.printf "MSA with b required, order %-9s = %s\n" label (show m)
       | None -> print_endline "unsat")
     [ ("(a,b,c)", Order.of_list [ a; b; c ]); ("(c,b,a)", Order.of_list [ c; b; a ]) ];
 
@@ -44,11 +45,11 @@ let () =
   (match Lbr.Gbr.reduce problem ~order:(Order.of_list [ c; b; a ]) with
   | Ok (result, _) ->
       Printf.printf "GBR with order (c,b,a): %s   (suboptimal: {b} is smaller)\n"
-        (show pool result)
+        (show result)
   | Error _ -> print_endline "GBR failed");
   (match Lbr.Gbr.reduce problem ~order:(Order.of_list [ b; c; a ]) with
   | Ok (result, _) ->
-      Printf.printf "GBR with order (b,c,a): %s\n" (show pool result)
+      Printf.printf "GBR with order (b,c,a): %s\n" (show result)
   | Error _ -> print_endline "GBR failed");
 
   (* Progressions: the valid-prefix decomposition GBR searches over. *)
@@ -57,7 +58,7 @@ let () =
      Lbr.Progression.build ~cnf ~order:(Order.of_list [ a; b; c ]) ~learned:[] ~universe
    with
   | Ok entries ->
-      List.iteri (fun i d -> Printf.printf "  D%d = %s\n" i (show pool d)) entries
+      List.iteri (fun i d -> Printf.printf "  D%d = %s\n" i (show d)) entries
   | Error `Unsat -> print_endline "unsat");
 
   (* Lossy encodings strengthen non-graph clauses into edges. *)
@@ -69,7 +70,7 @@ let () =
       Printf.printf "  %-12s edges: %s\n" label
         (String.concat ", "
            (List.map
-              (fun (x, y) -> Var.Pool.name pool x ^ " ⇒ " ^ Var.Pool.name pool y)
+              (fun (x, y) -> names.(x) ^ " ⇒ " ^ names.(y))
               (List.sort compare edges))))
     [ ("first-first", Lbr.Lossy.First_first); ("last-last", Lbr.Lossy.Last_last) ];
 

@@ -59,7 +59,7 @@ let () =
         stats.predicate_runs stats.iterations;
       print_endline "kept items:";
       Assignment.iter
-        (fun v -> Printf.printf "  [%s]\n" (Var.Pool.name model.pool v))
+        (fun v -> Printf.printf "  [%s]\n" (Lbr_fji.Vars.name model.vars v))
         solution;
       print_endline "\n=== reduced program (Figure 1b) ===";
       let reduced = Lbr_fji.Reduce.reduce model.vars model.program solution in

@@ -8,7 +8,7 @@
 open Lbr_logic
 
 type t = {
-  pool : Var.Pool.t;  (** names for diagnostics *)
+  pool : Var.Pool.t;  (** the pool [I]'s variables were allocated from *)
   universe : Assignment.t;  (** the variable set [I] *)
   constraints : Cnf.t;  (** the validity formula [R_I] *)
   predicate : Predicate.t;  (** the black box [𝒫] *)

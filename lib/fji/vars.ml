@@ -1,6 +1,14 @@
 open Lbr_logic
 
-type t = { pool : Var.Pool.t; all : Assignment.t; impls : (string, Var.t) Hashtbl.t }
+(* The variables' names live here, not in the pool: this is the one
+   frontend that looks its variables up by name. *)
+type t = {
+  first : Var.t;
+  names : string array;  (* by variable, from [first] on *)
+  index : (string, Var.t) Hashtbl.t;
+  all : Assignment.t;
+  impls : (string, Var.t) Hashtbl.t;
+}
 
 let cls_name c = c
 let impl_name c i = Printf.sprintf "%s<%s" c i
@@ -9,11 +17,16 @@ let code_name c m = Printf.sprintf "%s.%s()!code" c m
 let sig_name i m = Printf.sprintf "%s.%s()" i m
 
 let derive pool (program : Syntax.program) =
-  let vars = ref [] in
+  let first = Var.Pool.size pool in
+  let names = ref [] in
+  let index = Hashtbl.create 64 in
   let impls = Hashtbl.create 16 in
   let register name =
-    let v = Var.Pool.fresh pool name in
-    vars := v :: !vars;
+    if Hashtbl.mem index name then
+      invalid_arg (Printf.sprintf "Vars.derive: duplicate name %S" name);
+    let v = Var.Pool.fresh pool in
+    Hashtbl.add index name v;
+    names := name :: !names;
     v
   in
   List.iter
@@ -34,16 +47,15 @@ let derive pool (program : Syntax.program) =
             (fun (s : Syntax.signature) -> ignore (register (sig_name i.i_name s.s_name)))
             i.i_sigs)
     program.decls;
-  { pool; all = Assignment.of_list !vars; impls }
-
-let pool t = t.pool
+  let names = Array.of_list (List.rev !names) in
+  let all = Assignment.of_list (List.init (Array.length names) (fun i -> first + i)) in
+  { first; names; index; all; impls }
 
 let all t = t.all
 
-let lookup t name =
-  match Var.Pool.find t.pool name with
-  | Some v -> v
-  | None -> raise Not_found
+let name t v = t.names.(v - t.first)
+
+let lookup t name = Hashtbl.find t.index name
 
 let cls t name =
   if Syntax.is_builtin name then raise Not_found else lookup t (cls_name name)

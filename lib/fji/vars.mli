@@ -11,12 +11,17 @@ open Lbr_logic
 type t
 
 val derive : Var.Pool.t -> Syntax.program -> t
-(** Register all of V(P) in the pool, in the program's declaration order
+(** Allocate all of V(P) from the pool, in the program's declaration order
     (class, then its implements relation, then per method the method and its
     code; interfaces then their signatures).  This creation order is the
-    default variable order [<] for reduction. *)
+    default variable order [<] for reduction.  Raises [Invalid_argument] when
+    two items get one name (a class repeating a method, an interface
+    repeating a signature). *)
 
-val pool : t -> Var.Pool.t
+val name : t -> Var.t -> string
+(** The paper's name of a variable: [C], [C<I] (for [C ◁ I]), [C.m()],
+    [C.m()!code] or [I.m()].  Raises [Invalid_argument] for a variable not
+    derived here. *)
 
 val all : t -> Assignment.t
 (** The full variable set — the universe [I] of the reduction problem. *)

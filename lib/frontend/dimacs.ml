@@ -168,7 +168,7 @@ let bytes t =
 type ctx = Var.t array
 
 let derive vpool t =
-  Ok (Array.init (Array.length t.clauses) (fun i -> Var.Pool.fresh vpool (Printf.sprintf "clause#%d" (i + 1))))
+  Ok (Array.init (Array.length t.clauses) (fun _ -> Var.Pool.fresh vpool))
 
 let universe (ctx : ctx) = Assignment.of_list (Array.to_list ctx)
 

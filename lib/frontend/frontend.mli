@@ -68,8 +68,10 @@ module type S = sig
       simulated-cost model [1 + 4e-4 × bytes]. *)
 
   val derive : Var.Pool.t -> input -> (ctx, string) result
-  (** Register one variable per item (creation order = the default
-      reduction order [<]) and return the inventory. *)
+  (** Allocate one variable per item (creation order = the default
+      reduction order [<]) and return the inventory.  Variables carry no
+      names: a frontend that needs them keeps them in its [ctx].  [Error]
+      when the input names one item twice. *)
 
   val universe : ctx -> Assignment.t
   (** The full variable set [I]. *)

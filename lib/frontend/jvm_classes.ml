@@ -55,7 +55,7 @@ let bytes = Jvm.bytes
 
 let derive vpool pool =
   let names = Array.of_list (Classpool.names pool) in
-  Array.iter (fun n -> ignore (Var.Pool.fresh vpool n : Var.t)) names;
+  Array.iter (fun _ -> ignore (Var.Pool.fresh vpool : Var.t)) names;
   Ok names
 
 let universe names = Assignment.of_list (List.init (Array.length names) Fun.id)

@@ -11,9 +11,6 @@ type t =
   | Annotation of { cls : string; index : int }
   | Inner_class of { cls : string; index : int }
 
-(* Direct concatenation: [to_string] runs once per item on every variable
-   derivation, and format interpretation costs several times the append
-   itself. *)
 let to_string = function
   | Class c -> c
   | Extends c -> c ^ "!extends"

@@ -17,7 +17,8 @@ type t =
   | Inner_class of { cls : string; index : int }
 
 val to_string : t -> string
-(** A unique, stable, human-readable name, used as the variable name. *)
+(** A unique, stable, human-readable name, for diagnostics (variables
+    carry no names; {!Jvars} maps items to variables directly). *)
 
 val owner : t -> string
 (** The class the item belongs to. *)

@@ -78,14 +78,38 @@ type t = {
   mutable by_item : (Item.t, Var.t) Hashtbl.t option;
 }
 
+(* Two members of one kind under one name would be one item twice; the
+   pool already refuses a repeated class, so a per-class check of the
+   sorted member names covers every repeat. *)
+let check_members (c : Classfile.cls) =
+  let check kind names =
+    let rec go = function
+      | a :: (b :: _ as rest) ->
+          if String.equal a b then
+            invalid_arg (Printf.sprintf "Jvars.derive: class %s repeats %s %s" c.name kind a);
+          go rest
+      | [] | [ _ ] -> ()
+    in
+    go (List.sort String.compare names)
+  in
+  check "interface" c.interfaces;
+  check "field" (List.map (fun (f : Classfile.field) -> f.f_name) c.fields);
+  check "method" (List.map (fun (m : Classfile.meth) -> m.m_name) c.methods)
+
 let derive pool_vars pool =
   let items = ref [] in
   let fresh item =
     items := item :: !items;
-    Var.Pool.fresh pool_vars (Item.to_string item)
+    Var.Pool.fresh pool_vars
   in
   let first = Var.Pool.size pool_vars in
-  let classes = Array.map (walk_class fresh) (Array.of_list (Classpool.classes pool)) in
+  let classes =
+    Array.map
+      (fun c ->
+        check_members c;
+        walk_class fresh c)
+      (Array.of_list (Classpool.classes pool))
+  in
   let items = Array.of_list (List.rev !items) in
   {
     items;

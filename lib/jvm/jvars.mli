@@ -12,8 +12,10 @@ val items_of_pool : Classpool.t -> Item.t list
 type t
 
 val derive : Var.Pool.t -> Classpool.t -> t
-(** Register one variable per item in the pool (creation order = inventory
-    order, the default reduction order [<]). *)
+(** Allocate one variable per item of the class pool (creation order =
+    inventory order, the default reduction order [<]).  Raises
+    [Invalid_argument] when a class repeats an interface, a field or a
+    method name. *)
 
 (** One class's variables by position: [ifaces.(i)] is the relation to the
     class's [i]-th listed interface, [fields.(i)] its [i]-th field, and so

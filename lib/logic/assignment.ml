@@ -269,10 +269,3 @@ let min_by ~order s =
     s None
 
 let union_all sets = List.fold_left union empty sets
-
-let pp pool ppf s =
-  Format.fprintf ppf "{%a}"
-    (Format.pp_print_list
-       ~pp_sep:(fun ppf () -> Format.fprintf ppf ", ")
-       (Var.pp pool))
-    (to_list s)

@@ -75,5 +75,3 @@ val min_by : order:(Var.t -> int) -> t -> Var.t option
     [<]-smallest variable; [None] on the empty set. *)
 
 val union_all : t list -> t
-
-val pp : Var.Pool.t -> Format.formatter -> t -> unit

@@ -107,15 +107,3 @@ let holds c ~true_set =
   Array.exists true_set c.pos || Array.exists (fun v -> not (true_set v)) c.neg
 
 let equal a b = a.neg = b.neg && a.pos = b.pos
-
-let pp pool ppf c =
-  let pv = Var.pp pool in
-  let plist sep ppf arr =
-    Format.pp_print_list ~pp_sep:(fun ppf () -> Format.fprintf ppf " %s " sep) pv ppf
-      (Array.to_list arr)
-  in
-  match Array.length c.neg, Array.length c.pos with
-  | 0, 0 -> Format.pp_print_string ppf "false"
-  | 0, _ -> plist "∨" ppf c.pos
-  | _, 0 -> Format.fprintf ppf "¬(%a)" (plist "∧") c.neg
-  | _, _ -> Format.fprintf ppf "%a ⇒ %a" (plist "∧") c.neg (plist "∨") c.pos

@@ -58,4 +58,3 @@ val holds : t -> true_set:(Var.t -> bool) -> bool
     exactly the variables satisfying [true_set] to true. *)
 
 val equal : t -> t -> bool
-val pp : Var.Pool.t -> Format.formatter -> t -> unit

@@ -111,13 +111,6 @@ let graph_fraction t =
   if s.total = 0 then 1.0
   else float_of_int (s.unit_pos + s.edges) /. float_of_int s.total
 
-let pp pool ppf t =
-  if t.unsat then Format.pp_print_string ppf "⊥"
-  else
-    Format.fprintf ppf "@[<v>%a@]"
-      (Format.pp_print_list ~pp_sep:Format.pp_print_cut (Clause.pp pool))
-      t.clauses
-
 (* ================================================================== *)
 (* Packed representation: one literal array per clause and one occurrence
    array per literal.  Conditioning assigns a variable and updates

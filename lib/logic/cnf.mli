@@ -65,8 +65,6 @@ val graph_fraction : t -> float
 (** Fraction of clauses representable as graph constraints (unit-positive or
     edge); [1.0] on the empty formula. *)
 
-val pp : Var.Pool.t -> Format.formatter -> t -> unit
-
 (** Packed, mutable view of a formula for search-heavy algorithms.
 
     Each clause is an int array of literals, with an occurrence array per

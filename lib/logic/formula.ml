@@ -163,26 +163,3 @@ let to_cnf f =
         List.filter_map (fun p -> Clause.make ~neg:p.pneg ~pos:p.ppos) protos
       in
       Cnf.make clauses
-
-let rec pp pool ppf f =
-  let pv = Var.pp pool in
-  match f with
-  | True -> Format.pp_print_string ppf "⊤"
-  | False -> Format.pp_print_string ppf "⊥"
-  | Var v -> pv ppf v
-  | Not g -> Format.fprintf ppf "¬%a" (pp_atom pool) g
-  | And fs ->
-      Format.pp_print_list
-        ~pp_sep:(fun ppf () -> Format.fprintf ppf " ∧ ")
-        (pp_atom pool) ppf fs
-  | Or fs ->
-      Format.pp_print_list
-        ~pp_sep:(fun ppf () -> Format.fprintf ppf " ∨ ")
-        (pp_atom pool) ppf fs
-  | Implies (a, b) -> Format.fprintf ppf "%a ⇒ %a" (pp_atom pool) a (pp_atom pool) b
-  | Iff (a, b) -> Format.fprintf ppf "%a ⇔ %a" (pp_atom pool) a (pp_atom pool) b
-
-and pp_atom pool ppf f =
-  match f with
-  | True | False | Var _ | Not _ -> pp pool ppf f
-  | And _ | Or _ | Implies _ | Iff _ -> Format.fprintf ppf "(%a)" (pp pool) f

@@ -36,5 +36,3 @@ val vars : t -> Assignment.t
 
 val size : t -> int
 (** Number of connectives and atoms, for diagnostics. *)
-
-val pp : Var.Pool.t -> Format.formatter -> t -> unit

@@ -2,46 +2,14 @@ type t = int
 
 module Pool = struct
   type var = t
+  type t = { mutable size : int }
 
-  type t = {
-    mutable names : string array;  (* id -> name, first [size] slots used *)
-    mutable size : int;
-    index : (string, var) Hashtbl.t;
-  }
+  let create () = { size = 0 }
 
-  let create () = { names = Array.make 64 ""; size = 0; index = Hashtbl.create 64 }
-
-  let grow pool =
-    let cap = Array.length pool.names in
-    if pool.size = cap then begin
-      let names = Array.make (2 * cap) "" in
-      Array.blit pool.names 0 names 0 cap;
-      pool.names <- names
-    end
-
-  let fresh pool name =
-    if Hashtbl.mem pool.index name then
-      invalid_arg (Printf.sprintf "Var.Pool.fresh: duplicate name %S" name);
-    grow pool;
+  let fresh pool =
     let v = pool.size in
-    pool.names.(v) <- name;
-    pool.size <- pool.size + 1;
-    Hashtbl.add pool.index name v;
+    pool.size <- v + 1;
     v
 
-  let find pool name = Hashtbl.find_opt pool.index name
-
-  let intern pool name =
-    match find pool name with Some v -> v | None -> fresh pool name
-
-  let name pool v =
-    if v < 0 || v >= pool.size then
-      invalid_arg (Printf.sprintf "Var.Pool.name: unknown variable %d" v);
-    pool.names.(v)
-
   let size pool = pool.size
-
-  let all pool = List.init pool.size (fun i -> i)
 end
-
-let pp pool ppf v = Format.fprintf ppf "[%s]" (Pool.name pool v)

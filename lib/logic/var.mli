@@ -1,10 +1,10 @@
-(** Boolean variables with interned, human-readable names.
+(** Boolean variables: dense integer identifiers.
 
-    A {!pool} owns the bijection between dense integer identifiers and the
-    item names they stand for (e.g. ["A.m()!code"]).  All other structures in
-    the library ({!Clause}, {!Cnf}, assignments) operate on the dense integer
-    identifiers, which keeps the solver hot paths allocation-free; the pool is
-    only consulted when printing or when building models from named items. *)
+    A variable stands for one item of the input, but nothing on the
+    reduction path looks an item up by its variable's name, so a variable
+    has none: a {!Pool} only hands out fresh identifiers.  A frontend that
+    needs names for its variables keeps its own table (the FJI frontend's
+    [Vars] does). *)
 
 type t = int
 (** A variable identifier, dense in [0 .. Pool.size - 1] for its pool. *)
@@ -13,32 +13,15 @@ module Pool : sig
   type var = t
 
   type t
-  (** A mutable registry of variables. *)
+  (** A counter of allocated variables. *)
 
   val create : unit -> t
 
-  val fresh : t -> string -> var
-  (** [fresh pool name] registers a new variable.  Names must be unique within
-      the pool; reusing a name raises [Invalid_argument]. *)
-
-  val intern : t -> string -> var
-  (** [intern pool name] returns the existing variable called [name], or
-      registers a fresh one. *)
-
-  val find : t -> string -> var option
-  (** Lookup by name. *)
-
-  val name : t -> var -> string
-  (** [name pool v] is the registered name of [v].  Raises [Invalid_argument]
-      if [v] was not created by [pool]. *)
+  val fresh : t -> var
+  (** [fresh pool] allocates the next identifier, [size pool]; creation
+      order is the default total order [<] used by the MSA procedure and
+      GBR. *)
 
   val size : t -> int
-  (** Number of registered variables. *)
-
-  val all : t -> var list
-  (** All variables in creation order — the default total order [<] used by
-      the MSA procedure and GBR. *)
+  (** Number of allocated variables. *)
 end
-
-val pp : Pool.t -> Format.formatter -> t -> unit
-(** Pretty-print a variable as [\[name\]], the notation used in the paper. *)

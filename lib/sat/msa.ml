@@ -3,23 +3,6 @@ open Lbr_logic
 module Engine = struct
   let bits = Sys.int_size
 
-  (* Operations recorded since the last structural reset ([create] or
-     [narrow]), for replay by structural rollbacks: a non-negative entry is
-     an assumed variable, a negative entry [-(ci+1)] is the integration of
-     learned clause [ci]. *)
-  let op_add ci = -ci - 1
-  let op_ci op = -op - 1
-
-  (* A narrow is undone by restoring the variables it removed and — because
-     it reset the operation log — the log it discarded.  [nclauses_at]
-     remembers which learned clauses were part of its canonical base
-     propagation (later ones replay at their recorded log position). *)
-  type narrow_record = {
-    removed : Var.t list;
-    nclauses_at : int;
-    saved_ops : int array;
-  }
-
   (* Everything is a flat array over variable or clause indices, and every
      field is mutable so an {!arena} can reset an engine in place: arrays
      are capacity-sized (length >= the logical bound, [nvars] or
@@ -76,11 +59,7 @@ module Engine = struct
     mutable trail_len : int;
     mutable drained : int;
     mutable conflicted : bool;
-    (* Structural history. *)
-    mutable narrows : narrow_record list;  (* newest first *)
-    mutable narrow_count : int;
-    mutable ops : int array;  (* growable operation log since the last narrow *)
-    mutable op_len : int;
+    mutable generation : int;  (* structural changes ([add_clause], [narrow]) so far *)
     mutable watch_visits : int;  (* watcher-list nodes visited since the last flush *)
   }
 
@@ -90,15 +69,9 @@ module Engine = struct
      state. *)
   type arena = { mutable pool : t list }
 
-  (* Snapshots capture the four monotone cursors; a rollback that only moves
-     [s_trail] is the cheap trail unwind, one that moves the structural
-     cursors rebuilds by replay. *)
-  type snapshot = {
-    s_trail : int;
-    s_clauses : int;
-    s_narrows : int;
-    s_ops : int;
-  }
+  (* A snapshot is a trail position within one structure: rollback is the
+     trail unwind, and refuses a snapshot from an earlier generation. *)
+  type snapshot = { s_trail : int; s_generation : int }
 
   let max_var cnf universe =
     Assignment.fold (fun v m -> Int.max v m) universe (Cnf.max_var cnf)
@@ -276,15 +249,6 @@ module Engine = struct
       done
     done
 
-  let push_op t op =
-    if t.op_len >= Array.length t.ops then begin
-      let a = Array.make (Int.max 16 (2 * Array.length t.ops)) 0 in
-      Array.blit t.ops 0 a 0 t.op_len;
-      t.ops <- a
-    end;
-    t.ops.(t.op_len) <- op;
-    t.op_len <- t.op_len + 1
-
   let fresh_shell order =
     {
       order;
@@ -314,10 +278,7 @@ module Engine = struct
       trail_len = 0;
       drained = 0;
       conflicted = false;
-      narrows = [];
-      narrow_count = 0;
-      ops = [||];
-      op_len = 0;
+      generation = 0;
       watch_visits = 0;
     }
 
@@ -471,9 +432,7 @@ module Engine = struct
     t.trail_len <- 0;
     t.drained <- 0;
     t.conflicted <- Cnf.is_unsat cnf;
-    t.narrows <- [];
-    t.narrow_count <- 0;
-    t.op_len <- 0;
+    t.generation <- 0;
     t.watch_visits <- 0;
     (* Zero-premise clauses fire immediately. *)
     for i = 0 to nc - 1 do
@@ -494,11 +453,7 @@ module Engine = struct
     else begin
       set_true t v;
       drain t;
-      if t.conflicted then Error `Conflict
-      else begin
-        push_op t v;
-        Ok ()
-      end
+      if t.conflicted then Error `Conflict else Ok ()
     end
 
   let assume_all t vs =
@@ -539,6 +494,7 @@ module Engine = struct
       t.lhead_off.(j + 1) <- !cursor;
       let ci = t.nclauses in
       t.nclauses <- ci + 1;
+      t.generation <- t.generation + 1;
       if ci >= Array.length t.satisfied then begin
         let a = Array.make (Int.max 8 (2 * Array.length t.satisfied)) false in
         Array.blit t.satisfied 0 a 0 ci;
@@ -553,18 +509,8 @@ module Engine = struct
       trigger t ci;
       drain t;
       flush_counters t;
-      if t.conflicted then Error `Conflict
-      else begin
-        push_op t (op_add ci);
-        Ok ()
-      end
+      if t.conflicted then Error `Conflict else Ok ()
     end
-
-  (* Clause count at the current virgin base: learned clauses up to the most
-     recent narrow belong to its canonical base propagation; later ones
-     replay at their recorded log position. *)
-  let base_clauses t =
-    match t.narrows with [] -> t.original_nclauses | r :: _ -> r.nclauses_at
 
   (* Propagate the virgin state in the canonical rebuild order.  [r_plus]
      prepends learned clauses oldest-first, so a fresh [create] on the
@@ -573,7 +519,7 @@ module Engine = struct
      order, and replicating it keeps narrow-then-build byte-identical to the
      rebuild oracle. *)
   let reinit t =
-    for ci = t.original_nclauses to base_clauses t - 1 do
+    for ci = t.original_nclauses to t.nclauses - 1 do
       trigger t ci
     done;
     for ci = 0 to t.original_nclauses - 1 do
@@ -616,17 +562,11 @@ module Engine = struct
     Perf.time "sat.engine-narrow" @@ fun () ->
     if t.conflicted then Error `Conflict
     else begin
-      let removed = ref [] in
-      for v = t.nvars - 1 downto 0 do
-        if t.in_universe.(v) && not (Assignment.mem v keep) then removed := v :: !removed
-      done;
-      let saved_ops = Array.sub t.ops 0 t.op_len in
       rollback_trail t 0;
-      List.iter (fun v -> t.in_universe.(v) <- false) !removed;
-      t.narrows <-
-        { removed = !removed; nclauses_at = t.nclauses; saved_ops } :: t.narrows;
-      t.narrow_count <- t.narrow_count + 1;
-      t.op_len <- 0;
+      for v = 0 to t.nvars - 1 do
+        if t.in_universe.(v) && not (Assignment.mem v keep) then t.in_universe.(v) <- false
+      done;
+      t.generation <- t.generation + 1;
       reinit t;
       flush_counters t;
       if t.conflicted then Error `Conflict else Ok ()
@@ -634,82 +574,21 @@ module Engine = struct
 
   (* Snapshots are only meaningful at quiescent points (pending suffix
      empty): [create] and every successful operation drain fully, and
-     [rollback] re-establishes quiescence, so the four cursors are the
-     entire state. *)
+     [rollback] re-establishes quiescence. *)
   let snapshot t =
     assert (t.drained = t.trail_len);
-    {
-      s_trail = t.trail_len;
-      s_clauses = t.nclauses;
-      s_narrows = t.narrow_count;
-      s_ops = t.op_len;
-    }
-
-  let remove_learned t ~down_to =
-    (* Popping from the newest clause down keeps each variable's extra
-       occurrence list aligned: the clause being removed is always at the
-       head of its heads' lists. *)
-    for ci = t.nclauses - 1 downto down_to do
-      let j = ci - t.original_nclauses in
-      for i = t.lhead_off.(j) to t.lhead_off.(j + 1) - 1 do
-        let h = t.lhead_data.(i) in
-        match t.extra_occurs_head.(h) with
-        | c :: rest when c = ci -> t.extra_occurs_head.(h) <- rest
-        | _ -> ()
-      done
-    done;
-    t.nclauses <- down_to
-
-  let replay t =
-    for i = 0 to t.op_len - 1 do
-      let op = t.ops.(i) in
-      if op >= 0 then set_true t op else trigger t (op_ci op);
-      drain t
-    done
+    { s_trail = t.trail_len; s_generation = t.generation }
 
   let rollback t s =
-    if s.s_clauses = t.nclauses && s.s_narrows = t.narrow_count then begin
-      (* Structure unchanged: the cheap trail unwind. *)
-      rollback_trail t s.s_trail;
-      t.op_len <- s.s_ops
-    end
-    else begin
-      (* Structure changed: drop the clauses and narrows taken since, then
-         rebuild the snapshot state from the virgin base by replaying the
-         recorded operation prefix.  Each replayed op previously succeeded
-         in this exact structural context, so the replay is deterministic
-         and conflict-free. *)
-      rollback_trail t 0;
-      if s.s_clauses < t.nclauses then remove_learned t ~down_to:s.s_clauses;
-      if s.s_narrows < t.narrow_count then begin
-        let rec undo n narrows =
-          if n = s.s_narrows then narrows
-          else
-            match narrows with
-            | [] -> narrows
-            | r :: rest ->
-                List.iter (fun v -> t.in_universe.(v) <- true) r.removed;
-                (* The op log at the snapshot is a prefix of the log saved
-                   by the first narrow that followed it. *)
-                if n - 1 = s.s_narrows then t.ops <- Array.copy r.saved_ops;
-                undo (n - 1) rest
-        in
-        t.narrows <- undo t.narrow_count t.narrows;
-        t.narrow_count <- s.s_narrows
-      end;
-      t.op_len <- s.s_ops;
-      reinit t;
-      replay t
-    end
+    if s.s_generation <> t.generation then
+      invalid_arg "Msa.Engine.rollback: add_clause or narrow since the snapshot";
+    rollback_trail t s.s_trail
 
   (* An independent copy of a quiescent engine: every mutable array is
      blitted at its logical length into a pooled (or fresh) shell, so the
      branch and the original never alias state that either side resets or
-     grows in place.  Immutable structure is shared: the order, the narrow
-     records (their [saved_ops] are only ever replaced wholesale, via
-     [Array.copy], never mutated) and the tails of the learned-occurrence
-     lists ([add_clause] conses, [remove_learned] pops — cells themselves
-     are never rewritten).  [fire_buf] is per-drain scratch, so the fork
+     grows in place.  Immutable structure is shared: the order and the
+     learned-occurrence lists ([add_clause] only ever conses onto them).  [fire_buf] is per-drain scratch, so the fork
      only needs capacity.  O(state size), no propagation. *)
   let fork ?arena t =
     assert (t.drained = t.trail_len && not t.conflicted);
@@ -767,16 +646,13 @@ module Engine = struct
     f.watch_slot <- copy_int f.watch_slot t.watch_slot onc;
     f.fire_buf <- grab_int f.fire_buf onc;
     f.trail <- copy_int f.trail t.trail n;
-    f.ops <- copy_int f.ops t.ops t.op_len;
     f.nvars <- n;
     f.original_nclauses <- onc;
     f.nclauses <- t.nclauses;
     f.trail_len <- t.trail_len;
     f.drained <- t.drained;
     f.conflicted <- false;
-    f.narrows <- t.narrows;
-    f.narrow_count <- t.narrow_count;
-    f.op_len <- t.op_len;
+    f.generation <- t.generation;
     f.watch_visits <- 0;
     f
 end

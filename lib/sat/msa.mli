@@ -63,7 +63,7 @@ module Engine : sig
       integrate it into the current fixpoint: if no listed variable is
       already true, the [<]-smallest one inside the universe turns true and
       propagates.  [`Conflict] when the clause has no head inside the
-      universe (the engine must then be rolled back or discarded). *)
+      universe (the engine must then be discarded). *)
 
   val narrow : t -> keep:Assignment.t -> (unit, [ `Conflict ]) result
   (** Shrink the universe to [universe ∩ keep], discard every assumption,
@@ -72,7 +72,7 @@ module Engine : sig
       propagation order of a fresh {!create} on [r_plus], so a
       narrow-then-build is byte-identical to the per-iteration rebuild it
       replaces.  [`Conflict] exactly when that fresh [create] would
-      conflict. *)
+      conflict (the engine must then be discarded). *)
 
   val is_true : t -> Var.t -> bool
 
@@ -93,20 +93,17 @@ module Engine : sig
   type snapshot
 
   val snapshot : t -> snapshot
-  (** Capture the current state.  Only valid on a quiescent engine (after
-      [create] or a successful operation); cheap — four cursor positions. *)
+  (** Capture the current trail position.  Only valid on a quiescent engine
+      (after [create] or a successful operation); cheap — two integers. *)
 
   val rollback : t -> snapshot -> unit
-  (** Undo everything done since the snapshot, including clearing a
-      conflict.  When only assumptions were made, this is the cheap trail
-      unwind, proportional to the number of variables turned true since —
-      which makes one engine reusable across the entries of a whole
-      progression.  When the structure changed ({!add_clause} / {!narrow}),
-      the added clauses are dropped, the removed variables restored, and the
-      snapshot state rebuilt by replaying the recorded operation log from
-      the base closure — every replayed operation already succeeded in the
-      same structural context, so the replay is deterministic and restores
-      the state exactly. *)
+  (** Undo the assumptions made since the snapshot, including clearing a
+      conflict: the trail unwind, proportional to the number of variables
+      turned true since — which makes one engine reusable across the
+      entries of a whole progression.  Structure is never rolled back: a
+      snapshot taken before an {!add_clause} or a {!narrow} raises
+      [Invalid_argument] and leaves the engine as it was.  To explore a
+      structural change and keep the original, {!fork} first. *)
 
   val flush_counters : t -> unit
   (** Flush the engine's internally-batched event counters (watch-list
@@ -117,7 +114,8 @@ module Engine : sig
 
   val fork : ?arena:arena -> t -> t
   (** An independent copy of a quiescent, conflict-free engine, suitable
-      for exploring a speculative branch: mutating either copy (assume,
+      for exploring a speculative branch (GBR's boundary builds run on
+      forks): mutating either copy (assume,
       add_clause, narrow, rollback) never affects the other, and identical
       operation sequences on the two produce identical results.  Storage
       comes from the arena when given (release the fork back when the

@@ -11,7 +11,7 @@ open Lbr_logic
 type t
 
 val by_creation : Var.Pool.t -> t
-(** Variables in the order they were registered — the default order used
+(** Variables in the order they were allocated — the default order used
     throughout the paper's examples. *)
 
 val of_list : Var.t list -> t

@@ -113,8 +113,8 @@ let closure_of cnf set =
 
 let run_gbr cnf target n =
   let pool = Var.Pool.create () in
-  for i = 0 to n - 1 do
-    ignore (Var.Pool.fresh pool (Printf.sprintf "v%d" i))
+  for _ = 0 to n - 1 do
+    ignore (Var.Pool.fresh pool)
   done;
   let predicate = Lbr.Predicate.make (fun s -> Assignment.subset target s) in
   let problem =
@@ -124,8 +124,8 @@ let run_gbr cnf target n =
 
 let run_gbr_ordered cnf target n ~order =
   let pool = Var.Pool.create () in
-  for i = 0 to n - 1 do
-    ignore (Var.Pool.fresh pool (Printf.sprintf "v%d" i))
+  for _ = 0 to n - 1 do
+    ignore (Var.Pool.fresh pool)
   done;
   let predicate = Lbr.Predicate.make (fun s -> Assignment.subset target s) in
   let problem = Lbr.Problem.make ~pool ~universe:(universe_n n) ~constraints:cnf ~predicate in
@@ -186,7 +186,7 @@ let test_gbr_suboptimal_example () =
   let a = 2 and b = 1 and c = 0 in
   let cnf = Cnf.make [ Clause.make_exn ~neg:[ a; b ] ~pos:[ c ]; Clause.edge c b ] in
   let pool = Var.Pool.create () in
-  List.iter (fun n -> ignore (Var.Pool.fresh pool n)) [ "c"; "b"; "a" ];
+  List.iter (fun _ -> ignore (Var.Pool.fresh pool)) [ "c"; "b"; "a" ];
   let predicate = Lbr.Predicate.make (fun s -> Assignment.mem b s) in
   let problem =
     Lbr.Problem.make ~pool ~universe:(Assignment.of_list [ a; b; c ]) ~constraints:cnf
@@ -210,8 +210,8 @@ let prop_gbr_invariants_hold =
       | None -> true
       | Some target ->
           let pool = Var.Pool.create () in
-          for i = 0 to 6 do
-            ignore (Var.Pool.fresh pool (Printf.sprintf "v%d" i))
+          for _ = 0 to 6 do
+            ignore (Var.Pool.fresh pool)
           done;
           let predicate = Lbr.Predicate.make (fun s -> Assignment.subset target s) in
           let problem = Lbr.Problem.make ~pool ~universe ~constraints:cnf ~predicate in
@@ -227,8 +227,8 @@ let prop_gbr_invariants_hold =
 
 let run_gbr_mode cnf target n ~incremental =
   let pool = Var.Pool.create () in
-  for i = 0 to n - 1 do
-    ignore (Var.Pool.fresh pool (Printf.sprintf "v%d" i))
+  for _ = 0 to n - 1 do
+    ignore (Var.Pool.fresh pool)
   done;
   let predicate = Lbr.Predicate.make (fun s -> Assignment.subset target s) in
   let problem =
@@ -402,8 +402,8 @@ let test_speculate_gate_and_poison () =
 let run_gbr_speculative cnf target n ~jobs =
   Lbr_runtime.Pool.with_pool ~jobs @@ fun pool ->
   let vpool = Var.Pool.create () in
-  for i = 0 to n - 1 do
-    ignore (Var.Pool.fresh vpool (Printf.sprintf "v%d" i))
+  for _ = 0 to n - 1 do
+    ignore (Var.Pool.fresh vpool)
   done;
   let check phi = Assignment.subset target phi in
   let sp =

@@ -401,9 +401,11 @@ let test_jvm_constraints_equivalent () =
   List.iter2
     (fun a b ->
       if not (Clause.equal a b) then
-        Alcotest.failf "clause mismatch: %s vs %s"
-          (Format.asprintf "%a" (Clause.pp vpool_a) a)
-          (Format.asprintf "%a" (Clause.pp vpool_b) b))
+        let show (c : Clause.t) =
+          let ids vs = String.concat " " (Array.to_list (Array.map string_of_int vs)) in
+          Printf.sprintf "[%s] => [%s]" (ids c.neg) (ids c.pos)
+        in
+        Alcotest.failf "clause mismatch: %s vs %s" (show a) (show b))
     (Cnf.clauses cnf_a) (Cnf.clauses cnf_b)
 
 (* Full-GBR byte identity: the refactored harness (which routes item
@@ -478,6 +480,65 @@ let test_jvm_predicate_bridge () =
   (* spec "" resolves to the first buggy tool, like the server *)
   let default_check = ok_exn "default spec" (Lbr_frontend.Jvm.predicate ctx pool ~spec:"") in
   Alcotest.(check bool) "default spec reproduces on full pool" true (default_check pool)
+
+(* ------------------------------------------------------------------ *)
+(* Outside input that names one member twice is refused before any
+   reduction starts, and the message names the class and the member.    *)
+
+let expect_duplicate fe ~text ~spec ~owner ~member =
+  let packed = ok_exn "find" (Registry.find fe) in
+  let contains m needle =
+    let n = String.length needle in
+    let rec go i = i + n <= String.length m && (String.sub m i n = needle || go (i + 1)) in
+    go 0
+  in
+  match Run.reduce_text packed ~text ~spec with
+  | Ok _ -> Alcotest.failf "%s: input repeating %s in %s accepted" fe member owner
+  | Error m ->
+      if not (contains m owner && contains m member) then
+        Alcotest.failf "%s: error %S does not name %s in %s" fe m member owner
+
+let test_jvm_duplicate_members () =
+  let pool, tool, _ = pinned_instance () in
+  let first p =
+    match List.find_opt p (Lbr_jvm.Classpool.classes pool) with
+    | Some c -> c
+    | None -> Alcotest.fail "no class of the wanted shape in the pinned pool"
+  in
+  let repeat (c : Lbr_jvm.Classfile.cls) edit member =
+    let text = Lbr_jvm.Serialize.to_bytes (Lbr_jvm.Classpool.set pool (edit c)) in
+    expect_duplicate "jvm" ~text ~spec:tool.Lbr_decompiler.Tool.name ~owner:c.name ~member
+  in
+  let c = first (fun c -> c.methods <> []) in
+  let m = List.hd c.methods in
+  repeat c (fun c -> { c with methods = c.methods @ [ m ] }) m.m_name;
+  let c = first (fun c -> c.fields <> []) in
+  let f = List.hd c.fields in
+  repeat c (fun c -> { c with fields = c.fields @ [ f ] }) f.f_name;
+  let c = first (fun c -> c.interfaces <> []) in
+  let i = List.hd c.interfaces in
+  repeat c (fun c -> { c with interfaces = c.interfaces @ [ i ] }) i
+
+let test_fj_duplicate_members () =
+  expect_duplicate "fj" ~spec:"" ~owner:"Dup" ~member:"twice"
+    ~text:
+      "class Dup {\n\
+      \  String twice() { return new String(); }\n\
+      \  String twice() { return new String(); }\n\
+       }\n\
+       // main\n\
+       new Dup().twice()\n";
+  expect_duplicate "fj" ~spec:"" ~owner:"Sig" ~member:"twice"
+    ~text:
+      "class A implements Sig {\n\
+      \  String twice() { return new String(); }\n\
+       }\n\
+       interface Sig {\n\
+      \  String twice();\n\
+      \  String twice();\n\
+       }\n\
+       // main\n\
+       new A().twice()\n"
 
 (* ------------------------------------------------------------------ *)
 (* Speculative reduction: --speculate must be byte-identical to the
@@ -639,6 +700,12 @@ let () =
           Alcotest.test_case "harness refuses a variant tool" `Quick
             test_jvm_rejects_variant_tool;
           Alcotest.test_case "predicate bridge" `Quick test_jvm_predicate_bridge;
+        ] );
+      ( "duplicates",
+        [
+          Alcotest.test_case "jvm class repeats a member" `Quick test_jvm_duplicate_members;
+          Alcotest.test_case "fj repeats a method or signature" `Quick
+            test_fj_duplicate_members;
         ] );
       ( "speculate",
         [

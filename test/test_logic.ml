@@ -5,7 +5,7 @@ open Lbr_logic
 
 let mkpool n =
   let pool = Var.Pool.create () in
-  let vars = List.init n (fun i -> Var.Pool.fresh pool (Printf.sprintf "v%d" i)) in
+  let vars = List.init n (fun _ -> Var.Pool.fresh pool) in
   (pool, Array.of_list vars)
 
 (* ------------------------------------------------------------------ *)

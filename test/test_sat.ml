@@ -235,22 +235,11 @@ let prop_engine_rollback_replay =
           && Option.equal Assignment.equal r2 (fresh second))
 
 (* ------------------------------------------------------------------ *)
-(* Structural operations (add_clause, narrow) composing with
-   snapshot/rollback: rolling back across a structural change must restore
-   the engine exactly — same closure now, same behavior on every subsequent
-   operation as a fresh engine brought to the snapshot point. *)
+(* Structural operations (add_clause, narrow) are never rolled back: a
+   rollback across one is refused, and the refusal leaves the engine as
+   it was. *)
 
 let universe6 = Assignment.of_list (List.init 6 Fun.id)
-
-(* A fresh engine advanced to the same assumptions — the reference the
-   rolled-back engine must be indistinguishable from. *)
-let twin_at cnf assumed =
-  match Msa.Engine.create cnf ~order:order6 ~universe:universe6 with
-  | Error `Conflict -> None
-  | Ok e -> (
-      match Msa.Engine.assume_all e assumed with
-      | Ok () -> Some e
-      | Error `Conflict -> None)
 
 (* Same visible state now, and the same result + state after every probe
    assumption (out-of-universe and conflicting assumes included). *)
@@ -264,8 +253,27 @@ let behaves_like e f probes =
 
 let probes6 = List.init 6 Fun.id
 
+(* Take a snapshot after assuming [pre], run [structural] and then [post]
+   (when the structural step succeeded), and roll back to the snapshot:
+   the rollback must raise [Invalid_argument] and change nothing. *)
+let rollback_across_refused cnf pre structural post =
+  match Msa.Engine.create cnf ~order:order6 ~universe:universe6 with
+  | Error `Conflict -> true
+  | Ok e -> (
+      match Msa.Engine.assume_all e pre with
+      | Error `Conflict -> true
+      | Ok () -> (
+          let snap = Msa.Engine.snapshot e in
+          (match structural e with
+          | Ok () -> ( match Msa.Engine.assume_all e post with Ok () | Error `Conflict -> ())
+          | Error `Conflict -> ());
+          let before = Msa.Engine.true_set e in
+          match Msa.Engine.rollback e snap with
+          | () -> false
+          | exception Invalid_argument _ -> Assignment.equal (Msa.Engine.true_set e) before))
+
 let prop_add_clause_rollback =
-  QCheck.Test.make ~count:300 ~name:"add_clause + rollback restores the engine exactly"
+  QCheck.Test.make ~count:300 ~name:"rollback across add_clause raises"
     (QCheck.make
        QCheck.Gen.(
          quad (implication_cnf_gen 6)
@@ -273,27 +281,12 @@ let prop_add_clause_rollback =
            (list_size (int_range 1 3) (int_bound 5))
            (list_size (int_bound 3) (int_bound 5))))
     (fun (cnf, pre, pos, post) ->
-      match Msa.Engine.create cnf ~order:order6 ~universe:universe6 with
-      | Error `Conflict -> true
-      | Ok e -> (
-          match Msa.Engine.assume_all e pre with
-          | Error `Conflict -> true
-          | Ok () -> (
-              let snap = Msa.Engine.snapshot e in
-              let before = Msa.Engine.true_set e in
-              match Msa.Engine.add_clause e ~pos:(List.sort_uniq compare pos) with
-              | Error `Conflict -> true
-              | Ok () ->
-                  (match Msa.Engine.assume_all e post with
-                  | Ok () | Error `Conflict -> ());
-                  Msa.Engine.rollback e snap;
-                  Assignment.equal (Msa.Engine.true_set e) before
-                  && (match twin_at cnf pre with
-                     | None -> false
-                     | Some f -> behaves_like e f probes6))))
+      rollback_across_refused cnf pre
+        (fun e -> Msa.Engine.add_clause e ~pos:(List.sort_uniq compare pos))
+        post)
 
 let prop_narrow_rollback =
-  QCheck.Test.make ~count:300 ~name:"narrow + rollback restores the engine exactly"
+  QCheck.Test.make ~count:300 ~name:"rollback across narrow raises"
     (QCheck.make
        QCheck.Gen.(
          quad (implication_cnf_gen 6)
@@ -301,30 +294,10 @@ let prop_narrow_rollback =
            (list_size (int_bound 5) (int_bound 5))
            (list_size (int_bound 3) (int_bound 5))))
     (fun (cnf, pre, keep_list, post) ->
-      match Msa.Engine.create cnf ~order:order6 ~universe:universe6 with
-      | Error `Conflict -> true
-      | Ok e -> (
-          match Msa.Engine.assume_all e pre with
-          | Error `Conflict -> true
-          | Ok () ->
-              let snap = Msa.Engine.snapshot e in
-              let before = Msa.Engine.true_set e in
-              let keep = Assignment.of_list keep_list in
-              (* A conflicting narrow leaves the engine unusable until rolled
-                 back — the rollback must restore it either way. *)
-              (match Msa.Engine.narrow e ~keep with
-              | Ok () -> (
-                  match
-                    Msa.Engine.assume_all e
-                      (List.filter (fun v -> Assignment.mem v keep) post)
-                  with
-                  | Ok () | Error `Conflict -> ())
-              | Error `Conflict -> ());
-              Msa.Engine.rollback e snap;
-              Assignment.equal (Msa.Engine.true_set e) before
-              && (match twin_at cnf pre with
-                 | None -> false
-                 | Some f -> behaves_like e f probes6)))
+      let keep = Assignment.of_list keep_list in
+      rollback_across_refused cnf pre
+        (fun e -> Msa.Engine.narrow e ~keep)
+        (List.filter (fun v -> Assignment.mem v keep) post))
 
 (* The inter-iteration update of the incremental GBR core: appending a
    learned disjunction and narrowing must be indistinguishable from a fresh
