@@ -214,13 +214,58 @@ let prepare (ctx : ctx) t =
 (* ------------------------------------------------------------------ *)
 (* Predicate: the selected clauses still form an unsatisfiable formula.
    Monotone by construction — adding clauses to an unsatisfiable formula
-   keeps it unsatisfiable. *)
+   keeps it unsatisfiable.
 
-let satisfiable t = Cnf.Packed.satisfiable (Cnf.Packed.of_dimacs t.clauses)
+   The check is prepared once per input: one incremental solver over the
+   input's clauses answers every probe.  [prepare] builds a sub-input from
+   the input's own clause arrays, in input order, so walking both clause
+   lists with physical equality recovers the probe's selection; any other
+   input gets a fresh solver. *)
+
+let selection solver (t : t) (sub : t) =
+  let sel = Lbr_sat.Cdcl.selection solver in
+  let n = Array.length t.clauses and m = Array.length sub.clauses in
+  let rec walk i j =
+    j = m
+    || i < n
+       &&
+       if sub.clauses.(j) == t.clauses.(i) then begin
+         Lbr_sat.Cdcl.select sel i;
+         walk (i + 1) (j + 1)
+       end
+       else walk (i + 1) j
+  in
+  if walk 0 0 then Some sel else None
 
 let predicate (_ : ctx) t ~spec =
   if spec <> "" then
     Error (Printf.sprintf "the dimacs frontend takes no predicate spec (got %S)" spec)
-  else if satisfiable t then
-    Error "input formula is satisfiable; the dimacs predicate preserves unsatisfiability"
-  else Ok (fun sub -> not (satisfiable sub))
+  else
+    let first = Lbr_sat.Cdcl.create t.clauses in
+    if Lbr_sat.Cdcl.satisfiable first (Option.get (selection first t t)) then
+      Error "input formula is satisfiable; the dimacs predicate preserves unsatisfiability"
+    else
+      (* A solver is mutable, and speculative workers share this closure:
+         each call takes an idle solver, or makes one.  Every solver gives
+         exact verdicts, so which one answers is not observable. *)
+      let idle = ref [ first ] and lock = Mutex.create () in
+      let take () =
+        Mutex.protect lock (fun () ->
+            match !idle with
+            | s :: rest ->
+                idle := rest;
+                Some s
+            | [] -> None)
+      in
+      Ok
+        (fun sub ->
+          let solver =
+            match take () with Some s -> s | None -> Lbr_sat.Cdcl.create t.clauses
+          in
+          let sat =
+            match selection solver t sub with
+            | Some sel -> Lbr_sat.Cdcl.satisfiable solver sel
+            | None -> Lbr_sat.Cdcl.all_satisfiable sub.clauses
+          in
+          Mutex.protect lock (fun () -> idle := solver :: !idle);
+          not sat)

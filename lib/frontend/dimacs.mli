@@ -12,6 +12,15 @@
     c lbr implies 4 7     -- keeping clause 4 requires keeping clause 7
     v}
 
+    The check is prepared once per input: {!S.predicate} builds one
+    incremental solver over the input's clauses ({!Lbr_sat.Cdcl}), and
+    every probe is a query to it.  {!S.prepare} builds each sub-input from
+    the input's own clause arrays, in input order, and the check recovers
+    a probe's clauses by physical equality with them; it answers any other
+    input (a parsed file, a test fixture) with a fresh solver.  The check
+    may be called from several domains at once: each call takes an idle
+    solver, or makes one.
+
     The parser/printer round-trips: {!S.parse} of {!S.print} returns the
     same value, including directives and the literal order inside clauses.
     Malformed input — bad headers, literals out of range, numbers that are

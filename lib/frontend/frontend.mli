@@ -90,7 +90,9 @@ module type S = sig
       name for [jvm] ([""] = first buggy), a required substring of the
       printed artifact for [fj], unused for [dimacs].  [Error] when the
       full input does not satisfy the predicate (nothing to reduce) or
-      [spec] is invalid. *)
+      [spec] is invalid.  The check may be called from several domains
+      at once (speculative workers share it), and must answer the same
+      whichever calls it. *)
 end
 
 type packed = Packed : (module S with type input = 'i and type ctx = 'c) -> packed

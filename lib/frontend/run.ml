@@ -33,7 +33,6 @@ type outcome = {
   items1 : int;
   bytes0 : int;
   bytes1 : int;
-  timeline : (float * int * int) list;
 }
 
 (* Everything the demand path charges and journals about one predicate run,
@@ -89,8 +88,9 @@ let drive (type i c) ~hooks ~strategy ~speculate
                 | `Gbr (Some p) ->
                     (* Workers get their own prepared applier — [F.prepare]'s
                        result is domain-local state for the JVM frontend.
-                       The check closure from [F.predicate] only reads an
-                       immutable index, so sharing it is fine. *)
+                       The check closure from [F.predicate] is shared: a
+                       frontend's check is safe to call from any domain
+                       (the DIMACS one hands each call an idle solver). *)
                     let applier = Domain.DLS.new_key (fun () -> F.prepare ctx input) in
                     let compute phi =
                       let sub = (Domain.DLS.get applier) phi in
@@ -139,11 +139,10 @@ let drive (type i c) ~hooks ~strategy ~speculate
                     | Error `Predicate_inconsistent -> None)
               in
               (* The instrumented black box: a simulated clock charged per
-                 run, an improvement timeline on (bytes, items), and the
-                 scheduler's hook surface. *)
+                 run, improvements on (bytes, items), and the scheduler's
+                 hook surface. *)
               let clock = ref 0.0 in
               let best = ref (max_int, max_int) in
-              let improvements = ref [] in
               let replayed = ref 0 in
               (* All observable accounting happens here, on the demand
                  path, whether the verdict came from a speculative worker
@@ -170,7 +169,6 @@ let drive (type i c) ~hooks ~strategy ~speculate
                   let bc, bb = !best in
                   if bytes < bb || (bytes = bb && c < bc) then begin
                     best := (min bc c, min bb bytes);
-                    improvements := (!clock, c, bytes) :: !improvements;
                     match hooks.on_improvement with Some f -> f !clock c bytes | None -> ()
                   end
                 end;
@@ -222,7 +220,6 @@ let drive (type i c) ~hooks ~strategy ~speculate
                         items1 = F.items final;
                         bytes0 = F.bytes input;
                         bytes1 = F.bytes final;
-                        timeline = List.rev !improvements;
                       },
                       final )))
 

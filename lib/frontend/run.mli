@@ -3,8 +3,9 @@
     This is the only code that instruments a predicate: every {!strategy}
     — GBR, J-Reduce and the two lossy baselines — runs against the same
     black box, on every frontend.  It charges a
-    simulated clock [1 + 4e-4 × bytes] seconds per predicate run, records
-    an improvement timeline on (bytes, items), and speaks the hook surface
+    simulated clock [1 + 4e-4 × bytes] seconds per predicate run, reports
+    each improvement on (bytes, items) to [hooks.on_improvement], and
+    speaks the hook surface
     the server's scheduler uses — so journal replay, verdict streaming and
     cancellation work unchanged for every frontend and strategy.
 
@@ -22,8 +23,9 @@
 
 type hooks = {
   on_improvement : (float -> int -> int -> unit) option;
-      (** (simulated time, items, bytes) at each improvement — how the
-          server streams progress *)
+      (** (simulated time, items, bytes) at each improvement, oldest
+          first; the validation run reports the first — how the server
+          streams progress, and how a caller records a timeline *)
   should_stop : (unit -> bool) option;
       (** polled before every predicate run; [true] raises {!Cancelled} *)
   replay : (key:string -> bool option) option;
@@ -78,9 +80,6 @@ type outcome = {
   items1 : int;
   bytes0 : int;
   bytes1 : int;
-  timeline : (float * int * int) list;
-      (** (simulated time, items, bytes) at each improvement, oldest first;
-          the validation run records the first point *)
 }
 
 val reduce_input :
@@ -104,9 +103,10 @@ val reduce_input :
     predicate verdict is pending, the assignments GBR would demand next on
     either branch are computed on idle workers, and the loser is
     cancelled when the verdict lands.  Results, statistics, the simulated
-    clock and the improvement timeline are byte-identical to the
+    clock and the improvements reported are byte-identical to the
     sequential run; only wall-clock changes.  Requires the predicate check
-    to be pure (every built-in frontend's is). *)
+    to be pure and safe to call from several domains at once (every
+    built-in frontend's is). *)
 
 val reduce_text :
   ?hooks:hooks ->

@@ -42,10 +42,19 @@ let run_with ?hooks ?speculate strategy (instance : Corpus.instance) =
       ("Experiment.run_with: " ^ instance.tool.name ^ " is not one of Tool.all");
   let pool = instance.benchmark.pool in
   let spec = instance.tool.name in
+  (* The timeline is recorded here, from the improvements the driver
+     reports, ahead of any hook the caller passes. *)
+  let timeline = ref [] in
+  let hooks = Option.value hooks ~default:Run.default_hooks in
+  let on_improvement sim classes bytes =
+    timeline := (sim, classes, bytes) :: !timeline;
+    Option.iter (fun f -> f sim classes bytes) hooks.on_improvement
+  in
+  let hooks = { hooks with on_improvement = Some on_improvement } in
   let reduced =
     match strategy with
-    | Jreduce -> Run.reduce_input ?hooks ~strategy (module Lbr_frontend.Jvm_classes) pool ~spec
-    | _ -> Run.reduce_input ?hooks ~strategy ?speculate (module Lbr_frontend.Jvm) pool ~spec
+    | Jreduce -> Run.reduce_input ~hooks ~strategy (module Lbr_frontend.Jvm_classes) pool ~spec
+    | _ -> Run.reduce_input ~hooks ~strategy ?speculate (module Lbr_frontend.Jvm) pool ~spec
   in
   match reduced with
   | Error m -> invalid_arg ("Experiment.run_with: " ^ m)
@@ -66,7 +75,7 @@ let run_with ?hooks ?speculate strategy (instance : Corpus.instance) =
           items1 = Size.items final;
           lines0 = Lbr_decompiler.Source.line_count pool;
           lines1 = Lbr_decompiler.Source.line_count final;
-          timeline = o.timeline;
+          timeline = List.rev !timeline;
         },
         final )
 

@@ -81,16 +81,6 @@ module Packed : sig
   val make : cnf -> t
   (** Build the packed index.  O(total literals). *)
 
-  val of_dimacs : int array array -> t
-  (** Pack clauses given as DIMACS literal arrays (variable [v] written
-      [v + 1], negated [-(v + 1)]; no [0]) without building a {!cnf}.  The
-      arrays are used in place, not copied: do not mutate them while the
-      result is in use.  Repeated literals and clauses holding [x] and
-      [¬x] are kept as written; satisfiability is that of the normalised
-      formula.  An empty clause packs as a root conflict.  Per-variable
-      state is sized by the largest variable that occurs.  Raises
-      [Invalid_argument] on a [0] literal. *)
-
   val num_vars : t -> int
   (** One past the largest variable occurring in the formula.  Variables
       [>= num_vars t] are unconstrained. *)
@@ -130,12 +120,6 @@ module Packed : sig
       [true] the satisfying assignments remain on the trail (read them via
       {!value} or {!model}, then {!undo_to}); on [false] the state is left
       partially wound and the caller must {!undo_to} its mark. *)
-
-  val satisfiable : t -> bool
-  (** Whether the formula is satisfiable under the current assignment; the
-      state is restored before returning.  Only the verdict is observable,
-      so the search branches on a shortest active clause instead of
-      {!search}'s first one. *)
 
   val model : t -> Assignment.t
   (** The set of variables currently assigned true. *)

@@ -4,7 +4,12 @@ let solve cnf =
   let p = Cnf.Packed.make cnf in
   Cnf.Packed.solve p ~assume_true:[] ~assume_false:[]
 
-let satisfiable cnf = Cnf.Packed.satisfiable (Cnf.Packed.make cnf)
+let satisfiable cnf =
+  let dimacs ({ neg; pos } : Clause.t) =
+    Array.append (Array.map (fun v -> -(v + 1)) neg) (Array.map (fun v -> v + 1) pos)
+  in
+  (not (Cnf.is_unsat cnf))
+  && Cdcl.all_satisfiable (Array.of_list (List.map dimacs (Cnf.clauses cnf)))
 
 let solve_with cnf ~required =
   let p = Cnf.Packed.make cnf in

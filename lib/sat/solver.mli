@@ -1,4 +1,4 @@
-(** A DPLL satisfiability solver.
+(** A DPLL satisfiability solver, and a satisfiability verdict.
 
     This is the general-purpose fallback used when the polynomial MSA engine
     meets a formula outside the fragment produced by the dependency models
@@ -12,8 +12,8 @@ val solve : Cnf.t -> Assignment.t option
     variables; unmentioned variables are false), or [None] if unsatisfiable. *)
 
 val satisfiable : Cnf.t -> bool
-(** [Option.is_some (solve cnf)], without a model: the search branches on a
-    shortest active clause instead (see {!Cnf.Packed.satisfiable}). *)
+(** [Option.is_some (solve cnf)], decided by the clause-learning solver
+    ({!Cdcl.all_satisfiable}) instead of the DPLL search. *)
 
 val solve_with : Cnf.t -> required:Assignment.t -> Assignment.t option
 (** A model that sets all of [required] to true, or [None]. *)
