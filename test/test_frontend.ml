@@ -245,10 +245,16 @@ let test_dimacs_reduce () =
      satisfiable tail can go *)
   Alcotest.(check int) "reduced to the core" 9 (Array.length reduced.Dimacs.clauses)
 
+(* Words allocated so far.  [Gc.minor_words] counts the minor heap
+   exactly ([Gc.counters] lags it on OCaml 5); words allocated straight
+   into the major heap, as an array sized by a DIMACS header would be,
+   are major words less promoted ones. *)
+let allocated_words () =
+  let q = Gc.quick_stat () in
+  Gc.minor_words () +. q.major_words -. q.promoted_words
+
 (* Per-variable state is sized by the variables that occur, not by the
-   header: a check of this input allocates a few dozen words.  Words are
-   counted with [Gc.counters] because an array sized by the header would
-   be allocated in the major heap, which [Gc.minor_words] does not see. *)
+   header: a check of this input allocates a few hundred words. *)
 let test_dimacs_oversized_header () =
   let text = "p cnf 100000000 2\n1 0\n-1 0\n" in
   let packed = ok_exn "find" (Registry.find "dimacs") in
@@ -257,13 +263,9 @@ let test_dimacs_oversized_header () =
   Alcotest.(check string) "both clauses are the core" text printed;
   let t = ok_exn "parse" (Dimacs.parse text) in
   let check = Lazy.force dimacs_check in
-  let allocated () =
-    let minor, promoted, major = Gc.counters () in
-    minor +. major -. promoted
-  in
-  let before = allocated () in
+  let before = allocated_words () in
   let unsat = check t in
-  let words = allocated () -. before in
+  let words = allocated_words () -. before in
   Alcotest.(check bool) "unsatisfiable" true unsat;
   if words > 500. then Alcotest.failf "one check allocated %.0f words" words
 
@@ -280,17 +282,11 @@ let test_dimacs_sparse_variables () =
     "the two units are the core" "p cnf 1000000000 2\n1000000000 0\n-1000000000 0\n" printed;
   let t = ok_exn "parse" (Dimacs.parse text) in
   let ctx = ok_exn "derive" (Dimacs.derive (Var.Pool.create ()) t) in
-  (* [Gc.minor_words] counts the minor heap exactly; words allocated
-     straight into the major heap are major words less promoted ones. *)
-  let allocated () =
-    let q = Gc.quick_stat () in
-    Gc.minor_words () +. q.major_words -. q.promoted_words
-  in
   let fallback = Lazy.force dimacs_check in
-  let before = allocated () in
+  let before = allocated_words () in
   let check = ok_exn "predicate" (Dimacs.predicate ctx t ~spec:"") in
   let unsat = check t && fallback t in
-  let words = allocated () -. before in
+  let words = allocated_words () -. before in
   Alcotest.(check bool) "unsatisfiable" true unsat;
   if words > 2000. then Alcotest.failf "prepare and two checks allocated %.0f words" words
 
