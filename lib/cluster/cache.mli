@@ -20,6 +20,12 @@
     but no explicit path keeps this log at [<journal>/verdicts.cache]:
     it is the only place a coordinator records verdicts.
 
+    In memory a verdict is packed: per job content digest, one buffer
+    of 17-byte entries (binary assignment digest and verdict byte) in
+    first-store order, and an open-addressing [int array] index over
+    them — about 4.5 words per verdict.  There is no bound: every paid
+    verdict is kept.
+
     Thread-safe; every operation takes the cache's internal lock. *)
 
 type t
@@ -39,11 +45,15 @@ val find : t -> job:string -> key:string -> bool option
 val store : t -> job:string -> key:string -> bool -> unit
 (** Idempotent: re-storing an existing entry neither rewrites the log nor
     changes the value (first write wins — verdicts are deterministic, so
-    a disagreement would mean a faulty tool; the original is kept). *)
+    a disagreement would mean a faulty tool; the original is kept).  A
+    [job] or [key] that is not 32 lowercase hex — the rule [create]
+    applies to the log's lines — is skipped: the wire admits any string
+    there, and such an entry changes neither the cache nor the log. *)
 
 val seeds : t -> job:string -> (string * bool) list
-(** Every cached (assignment digest, verdict) for a job content digest —
-    what the coordinator ships as [Submit_seeded] seeds. *)
+(** Every cached (assignment digest, verdict) for a job content digest,
+    in first-store order — what the coordinator ships as
+    [Submit_seeded] seeds. *)
 
 val entries : t -> int
 val close : t -> unit
