@@ -10,10 +10,10 @@ type t = {
 let make ~pool ~universe ~constraints ~predicate =
   { pool; universe; constraints; predicate }
 
+(* The first two checks read the formula's stored variable set and packed
+   clauses: they allocate nothing. *)
 let validate t =
-  let inside v = Assignment.mem v t.universe in
-  let clause_inside (c : Clause.t) = Array.for_all inside c.neg && Array.for_all inside c.pos in
-  if not (List.for_all clause_inside (Cnf.clauses t.constraints)) then
+  if not (Assignment.subset (Cnf.vars t.constraints) t.universe) then
     Error "constraints mention variables outside the universe I"
   else if not (Cnf.holds t.constraints t.universe) then
     Error "R_I(I) does not hold: the original input is not valid"

@@ -63,10 +63,16 @@ let location_gate pattern modulus =
           let prefix = pattern ^ "/" ^ cls in
           Some (fun sep member -> Hashtbl.hash (prefix ^ sep ^ member) mod modulus = 0)
 
+(* The class a probed pool has under an indexed name.  The index keeps
+   each name's slot in the original pool, which every sub-pool the reducer
+   makes shares; a pool over another name index is probed by name. *)
+let find_indexed pool ~by_slot name slot =
+  if by_slot then Classpool.find_slot pool slot else Classpool.find pool name
+
 (* A class-level pattern.  Its index holds the names, in name order, of
    the classes that [keep] admits — on what no reduction changes — and
-   whose own location passes; a probe runs [fire pool] on each of them
-   still in the pool. *)
+   whose own location passes, each with its slot; a probe runs [fire pool]
+   on each of them still in the pool. *)
 let class_pattern name modulus keep fire =
   let prepare original =
     let gate = location_gate name modulus in
@@ -74,15 +80,21 @@ let class_pattern name modulus keep fire =
       Classpool.fold
         (fun (c : cls) acc ->
           if not (keep c) then acc
-          else match gate c.name with Some pass when pass "" "" -> c.name :: acc | _ -> acc)
+          else
+            match gate c.name with
+            | Some pass when pass "" "" -> (c.name, Classpool.slot original c.name) :: acc
+            | _ -> acc)
         original []
       |> List.rev
     in
     fun pool ->
       let fire = fire pool in
+      let by_slot = Classpool.same_index pool original in
       List.fold_left
-        (fun acc cls ->
-          match Option.bind (Classpool.find pool cls) fire with Some i -> i :: acc | None -> acc)
+        (fun acc (cls, slot) ->
+          match Option.bind (find_indexed pool ~by_slot cls slot) fire with
+          | Some i -> i :: acc
+          | None -> acc)
         [] index
   in
   { name; prepare }
@@ -108,8 +120,9 @@ let item_of = function
    original is.  A reduction stubs bodies and renumbers constructor calls
    but never adds an instruction, so only methods with a used instruction
    (abstract ones have none) are indexed, and constructor positions from
-   which on some constructor has one.  A probe runs [fire pool] on each
-   indexed body still in the pool, methods before constructors. *)
+   which on some constructor has one.  Classes are indexed with their
+   slots, as in [class_pattern].  A probe runs [fire pool] on each indexed
+   body still in the pool, methods before constructors. *)
 let body_pattern name modulus ~uses fire =
   let prepare original =
     let gate = location_gate name modulus in
@@ -138,12 +151,13 @@ let body_pattern name modulus ~uses fire =
         (fun (c : cls) acc ->
           match Option.map (gated c) (gate c.name) with
           | None | Some ([], []) -> acc
-          | Some (meths, ctors) -> (c.name, meths, ctors) :: acc)
+          | Some (meths, ctors) -> (c.name, Classpool.slot original c.name, meths, ctors) :: acc)
         original []
       |> List.rev
     in
     fun pool ->
       let fire = fire pool in
+      let by_slot = Classpool.same_index pool original in
       let hit acc loc body = match fire loc body with Some i -> i :: acc | None -> acc in
       let rec ctors acc index ks gated =
         match (ks, gated) with
@@ -153,8 +167,8 @@ let body_pattern name modulus ~uses fire =
             else ctors acc (index + 1) ks gated
       in
       List.fold_left
-        (fun acc (cls, meths, gated_ctors) ->
-          match Classpool.find pool cls with
+        (fun acc (cls, slot, meths, gated_ctors) ->
+          match find_indexed pool ~by_slot cls slot with
           | None -> acc
           | Some c ->
               let acc =

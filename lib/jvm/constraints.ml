@@ -12,7 +12,8 @@ open Classfile
    pools by digest.  Writing L(f) for the clause list of f:
    - the model is rev(L(f1) @ ... @ L(fn)) over the emitted implications in
      emission order (just L(f1) when n = 1), which is what consing every
-     clause onto one accumulator, in order, builds;
+     clause onto one accumulator, in order, builds, and what the builder
+     finished in reverse gives;
    - L(⊤) = [], L(v) = [[v]], a one-element conjunction is its element, and
      a longer conjunction of g1 .. gk is rev(L(g1) @ ... @ L(gk));
    - a disjunction is the cross product of its disjuncts' lists, the first
@@ -25,8 +26,8 @@ open Classfile
 
    A conclusion is kept as its positive clauses in L order ([Some]), or
    [None] for ⊥.  Each distinct instruction's conclusion is computed once
-   and its literal arrays are shared by every body using it; a clause
-   copies them ({!Clause.of_sorted}). *)
+   and its literal arrays are shared by every body using it; the model's
+   {!Cnf.Builder} copies each clause's literals into its packed store. *)
 
 (* Disjunctions of conjunctions explode multiplicatively when lowered to CNF
    without auxiliary variables (k disjuncts of m conjuncts give m^k
@@ -117,12 +118,11 @@ let generate jv pool =
     | Jtype.Array t -> type_ref_var t
     | Jtype.Int | Jtype.Long | Jtype.Double | Jtype.Bool | Jtype.Void -> -1
   in
-  (* The model, in final order (see the top of this file). *)
-  let clauses = ref [] in
+  (* The model, emitted in order and finished reversed (see the top of this
+     file). *)
+  let model = Cnf.Builder.create () in
   let formulas = ref 0 in
-  let push neg pos =
-    match Clause.of_sorted ~neg ~pos with Some c -> clauses := c :: !clauses | None -> ()
-  in
+  let push neg pos = Cnf.Builder.add model ~neg ~pos in
   (* P ⇒ C for a conclusion given as its clause list. *)
   let imply neg = function
     | None -> incr formulas; push neg [||]
@@ -383,6 +383,6 @@ let generate jv pool =
                  paths)
   in
   List.iteri gen_class (Classpool.classes pool);
-  let cnf = Cnf.make (if !formulas = 1 then List.rev !clauses else !clauses) in
+  let cnf = Cnf.Builder.finish ~rev:(!formulas <> 1) model in
   if Cnf.is_unsat cnf then invalid_arg "Constraints.generate: unsatisfiable model (invalid pool?)";
   cnf

@@ -9,13 +9,18 @@ val items_of_pool : Classpool.t -> Item.t list
     (each method followed by its code when present), constructors (likewise),
     annotations, inner-class attributes. *)
 
+val count_items : Classpool.t -> int
+(** [List.length (items_of_pool pool)], counted from the classes without
+    building the items. *)
+
 type t
 
 val derive : Var.Pool.t -> Classpool.t -> t
 (** Allocate one variable per item of the class pool (creation order =
     inventory order, the default reduction order [<]).  Raises
     [Invalid_argument] when a class repeats an interface, a field or a
-    method name. *)
+    method name.  Builds no {!Item.t}: {!items}, {!var} and {!item_of}
+    build the inventory on their first call. *)
 
 (** One class's variables by position: [ifaces.(i)] is the relation to the
     class's [i]-th listed interface, [fields.(i)] its [i]-th field, and so

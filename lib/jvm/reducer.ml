@@ -9,8 +9,8 @@ open Classfile
 
 type prep_class = {
   pc : cls;
-  cls_var : int;
-  ext_var : int;
+  slot : int;  (* [pc]'s slot in the pool's name index *)
+  cv : Jvars.class_vars;  (* member variables, by position in [pc]'s lists *)
   base_bytes : int;  (* class header + name, per {!Size.class_bytes} *)
   full_bytes : int;  (* byte size with every member kept *)
   (* Per-member-list all-kept byte sums, so a rebuild that leaves one list
@@ -21,16 +21,17 @@ type prep_class = {
   ctors_bytes : int;
   annots_bytes : int;
   inners_bytes : int;
-  iface_vars : (string * int) list;
-  field_vars : (field * int) list;
-  meth_vars : (meth * int * int * int * int * bool) list;
-      (* method item, code item, bytes if body kept, bytes if stubbed,
-         body instantiates a pool class (may need ctor-index remapping) *)
-  ctor_vars : (ctor * int * int * int * int * bool) array;
-      (* ctor item, ctor-code item, bytes if body kept, bytes if stubbed,
-         body instantiates a pool class *)
-  annot_vars : (string * int) list;
-  inner_vars : (string * int) list;
+  (* Methods and constructors by position: the member, its bytes with its
+     body kept and stubbed, and whether its body instantiates a pool class
+     (and so may need constructor renumbering). *)
+  meths : meth array;
+  meth_full : int array;
+  meth_stub : int array;
+  meth_remap : bool array;
+  ctors : ctor array;
+  ctor_full : int array;
+  ctor_stub : int array;
+  ctor_remap : bool array;
 }
 
 (* Last-application memory for one prepared class: which phi-bits its
@@ -112,59 +113,46 @@ let prepare jv pool =
            them in. *)
         let cv = Jvars.class_vars jv !index in
         incr index;
+        let meths = Array.of_list c.methods and ctors = Array.of_list c.ctors in
+        let meth_full = Array.map Size.meth_bytes meths in
+        let ctor_full = Array.map Size.ctor_bytes ctors in
+        let ifaces_bytes = List.length c.interfaces * Size.iface_bytes in
+        let fields_bytes = List.length c.fields * Size.field_bytes in
+        let meths_bytes = Array.fold_left ( + ) 0 meth_full in
+        let ctors_bytes = Array.fold_left ( + ) 0 ctor_full in
+        let annots_bytes = List.length c.annotations * Size.annotation_bytes in
+        let inners_bytes = List.length c.inner_classes * Size.inner_bytes in
         {
           pc = c;
-          cls_var = cv.cls;
-          ext_var = cv.ext;
+          slot = Classpool.slot pool c.name;
+          cv;
           base_bytes = Size.class_header_bytes c;
+          (* The all-members-kept size, so an application that keeps the
+             class whole never re-accumulates it. *)
           full_bytes =
-            (* The all-members-kept size, so an application that keeps the
-               class whole never re-accumulates it. *)
-            Size.class_header_bytes c
-            + (List.length c.interfaces * Size.iface_bytes)
-            + (List.length c.fields * Size.field_bytes)
-            + List.fold_left (fun s m -> s + Size.meth_bytes m) 0 c.methods
-            + List.fold_left (fun s k -> s + Size.ctor_bytes k) 0 c.ctors
-            + (List.length c.annotations * Size.annotation_bytes)
-            + (List.length c.inner_classes * Size.inner_bytes);
-          ifaces_bytes = List.length c.interfaces * Size.iface_bytes;
-          fields_bytes = List.length c.fields * Size.field_bytes;
-          meths_bytes = List.fold_left (fun s m -> s + Size.meth_bytes m) 0 c.methods;
-          ctors_bytes = List.fold_left (fun s k -> s + Size.ctor_bytes k) 0 c.ctors;
-          annots_bytes = List.length c.annotations * Size.annotation_bytes;
-          inners_bytes = List.length c.inner_classes * Size.inner_bytes;
-          iface_vars = List.mapi (fun i iface -> (iface, cv.ifaces.(i))) c.interfaces;
-          field_vars = List.mapi (fun i f -> (f, cv.fields.(i))) c.fields;
-          meth_vars =
-            List.mapi
-              (fun i (m : meth) ->
-                ( m,
-                  cv.meths.(i),
-                  cv.codes.(i),
-                  Size.meth_bytes m,
-                  (* remapping preserves per-instruction sizes, so the kept
-                     and stubbed byte counts can both be fixed in advance *)
-                  (if m.m_abstract then Size.meth_bytes m
-                   else Size.meth_bytes { m with m_body = [ Return_insn ] }),
-                  references_pool_ctor m.m_body ))
-              c.methods;
-          ctor_vars =
-            Array.of_list
-              (List.mapi
-                 (fun i k ->
-                   ( k,
-                     cv.ctors.(i),
-                     cv.ctor_codes.(i),
-                     Size.ctor_bytes k,
-                     Size.ctor_bytes { k with k_body = [ Return_insn ] },
-                     references_pool_ctor k.k_body ))
-                 c.ctors);
-          annot_vars = List.mapi (fun i a -> (a, cv.annotations.(i))) c.annotations;
-          inner_vars = List.mapi (fun i inner -> (inner, cv.inners.(i))) c.inner_classes;
+            Size.class_header_bytes c + ifaces_bytes + fields_bytes + meths_bytes + ctors_bytes
+            + annots_bytes + inners_bytes;
+          ifaces_bytes;
+          fields_bytes;
+          meths_bytes;
+          ctors_bytes;
+          annots_bytes;
+          inners_bytes;
+          meths;
+          meth_full;
+          (* remapping preserves per-instruction sizes, so the kept and
+             stubbed byte counts can both be fixed in advance *)
+          meth_stub = Array.map Size.meth_stub_bytes meths;
+          meth_remap = Array.map (fun (m : meth) -> references_pool_ctor m.m_body) meths;
+          ctors;
+          ctor_full;
+          ctor_stub = Array.map Size.ctor_stub_bytes ctors;
+          ctor_remap = Array.map (fun (k : ctor) -> references_pool_ctor k.k_body) ctors;
         }
         :: acc)
       pool []
   in
+  (* In reverse name order. *)
   let preps = Array.of_list prep in
   let prep_tbl = Hashtbl.create (Array.length preps) in
   Array.iter (fun p -> Hashtbl.add prep_tbl p.pc.name p) preps;
@@ -173,38 +161,38 @@ let prepare jv pool =
      pool class its bodies instantiate (their kept-set drives New_instance
      renumbering).  [sig_bits] remembers the bits of the previous
      application; while they are unchanged the cached class — including its
-     byte count and its entry in the incrementally maintained pool map — is
-     reused without touching a single member list. *)
+     byte count and its slot in the sub-pool — is reused without touching a
+     single member list. *)
   let caches =
     Array.map
       (fun p ->
+        let cv = p.cv in
         let vars = ref [] in
         let add v = if v >= 0 then vars := v :: !vars in
-        add p.cls_var;
-        add p.ext_var;
-        List.iter (fun (_, v) -> add v) p.iface_vars;
-        List.iter (fun (_, v) -> add v) p.field_vars;
-        List.iter (fun (_, mv, cv, _, _, _) -> add mv; add cv) p.meth_vars;
-        Array.iter (fun (_, kv, cv, _, _, _) -> add kv; add cv) p.ctor_vars;
-        List.iter (fun (_, v) -> add v) p.annot_vars;
-        List.iter (fun (_, v) -> add v) p.inner_vars;
+        let add_all = Array.iter add in
+        add cv.cls;
+        add cv.ext;
+        add_all cv.ifaces;
+        add_all cv.fields;
+        add_all cv.meths;
+        add_all cv.codes;
+        add_all cv.ctors;
+        add_all cv.ctor_codes;
+        add_all cv.annotations;
+        add_all cv.inners;
         let add_refs body =
           List.iter
             (function
               | New_instance { cls; _ } -> (
                   match Hashtbl.find_opt prep_tbl cls with
-                  | Some b -> Array.iter (fun (_, kv, _, _, _, _) -> add kv) b.ctor_vars
+                  | Some b -> add_all b.cv.ctors
                   | None -> ())
               | _ -> ())
             body
         in
-        List.iter
-          (fun ((m : meth), _, _, _, _, may_remap) -> if may_remap then add_refs m.m_body)
-          p.meth_vars;
-        Array.iter
-          (fun ((k : ctor), _, _, _, _, may_remap) -> if may_remap then add_refs k.k_body)
-          p.ctor_vars;
-        let sig_words, sig_masks = Assignment.masks_of (List.filter (fun v -> v >= 0) !vars) in
+        Array.iteri (fun i (m : meth) -> if p.meth_remap.(i) then add_refs m.m_body) p.meths;
+        Array.iteri (fun i (k : ctor) -> if p.ctor_remap.(i) then add_refs k.k_body) p.ctors;
+        let sig_words, sig_masks = Assignment.masks_of !vars in
         {
           sig_words;
           sig_masks;
@@ -222,7 +210,11 @@ let prepare jv pool =
      only.  [Some mapping] iff dropping constructors shifts a kept index —
      an absent or [None] entry is the identity, exactly as before. *)
   let mapping_memo : (string, int array option) Hashtbl.t = Hashtbl.create 8 in
-  let last_pool = ref Classpool.empty in
+  (* The classes of the previous application by slot, and its pool and
+     byte total.  Each application that changes a class fills one fresh
+     slot array from [current]. *)
+  let current = Array.make (Classpool.slot_count pool) Classpool.vacant in
+  let last_pool = ref (Classpool.of_slots pool (Array.copy current)) in
   let last_total = ref 0 in
   fun phi ->
     let keep v = v < 0 || Assignment.mem v phi in
@@ -235,26 +227,27 @@ let prepare jv pool =
             match Hashtbl.find_opt prep_tbl name with
             | None -> None
             | Some b ->
+                let kvs = b.cv.ctors in
                 let shifted = ref false in
                 let next = ref 0 in
                 Array.iteri
-                  (fun i (_, kv, _, _, _, _) ->
+                  (fun i kv ->
                     if keep kv then begin
                       if !next <> i then shifted := true;
                       incr next
                     end)
-                  b.ctor_vars;
+                  kvs;
                 if not !shifted then None
                 else begin
-                  let mapping = Array.make (Array.length b.ctor_vars) (-1) in
+                  let mapping = Array.make (Array.length kvs) (-1) in
                   let next = ref 0 in
                   Array.iteri
-                    (fun i (_, kv, _, _, _, _) ->
+                    (fun i kv ->
                       if keep kv then begin
                         mapping.(i) <- !next;
                         incr next
                       end)
-                    b.ctor_vars;
+                    kvs;
                   Some mapping
                 end
           in
@@ -294,6 +287,18 @@ let prepare jv pool =
     let body_unchanged ~may_remap body =
       (not may_remap) || not (List.exists insn_changes body)
     in
+    (* The members of a list whose variables [vars] (by position) are kept,
+       adding [weight] to [bytes] per member. *)
+    let kept vars weight bytes xs =
+      List.filteri
+        (fun i _ ->
+          keep vars.(i)
+          && begin
+               bytes := !bytes + weight;
+               true
+             end)
+        xs
+    in
     (* The byte size of the sub-pool is accumulated arithmetically during
        filtering — member weights were fixed at preparation time — so the
        driver's cost function never has to re-walk the bodies.  Each member
@@ -301,97 +306,102 @@ let prepare jv pool =
        into the rebuilt class (its all-kept weight was fixed at preparation
        time), and a class with every list untouched is shared whole. *)
     let rebuild p =
-      let c = p.pc in
-      if not (keep p.cls_var) then None
+      let c = p.pc and cv = p.cv in
+      if not (keep cv.cls) then None
       else begin
-        let ifaces_ok = List.for_all (fun (_, v) -> keep v) p.iface_vars in
-        let fields_ok = List.for_all (fun (_, v) -> keep v) p.field_vars in
-        let meths_ok =
-          List.for_all
-            (fun ((m : meth), mv, cv, _, _, may_remap) ->
-              keep mv
-              && (m.m_abstract || (keep cv && body_unchanged ~may_remap m.m_body)))
-            p.meth_vars
-        in
-        let ctors_ok =
-          Array.for_all
-            (fun ((k : ctor), kv, cv, _, _, may_remap) ->
-              keep kv && keep cv && body_unchanged ~may_remap k.k_body)
-            p.ctor_vars
-        in
-        let annots_ok = List.for_all (fun (_, v) -> keep v) p.annot_vars in
-        let inners_ok = List.for_all (fun (_, v) -> keep v) p.inner_vars in
+        let ifaces_ok = Array.for_all keep cv.ifaces in
+        let fields_ok = Array.for_all keep cv.fields in
+        let meths_ok = ref true in
+        Array.iteri
+          (fun i (m : meth) ->
+            if
+              not
+                (keep cv.meths.(i)
+                && (m.m_abstract
+                   || (keep cv.codes.(i) && body_unchanged ~may_remap:p.meth_remap.(i) m.m_body)))
+            then meths_ok := false)
+          p.meths;
+        let ctors_ok = ref true in
+        Array.iteri
+          (fun i (k : ctor) ->
+            if
+              not
+                (keep cv.ctors.(i) && keep cv.ctor_codes.(i)
+                && body_unchanged ~may_remap:p.ctor_remap.(i) k.k_body)
+            then ctors_ok := false)
+          p.ctors;
+        let annots_ok = Array.for_all keep cv.annotations in
+        let inners_ok = Array.for_all keep cv.inners in
         if
-          keep p.ext_var && ifaces_ok && fields_ok && meths_ok && ctors_ok && annots_ok
+          keep cv.ext && ifaces_ok && fields_ok && !meths_ok && !ctors_ok && annots_ok
           && inners_ok
         then Some (c, p.full_bytes)
         else begin
           let bytes = ref p.base_bytes in
-          let super = if keep p.ext_var then c.super else object_name in
+          let super = if keep cv.ext then c.super else object_name in
           let interfaces =
             if ifaces_ok then begin bytes := !bytes + p.ifaces_bytes; c.interfaces end
-            else
-              List.filter_map
-                (fun (i, v) ->
-                  if keep v then begin bytes := !bytes + Size.iface_bytes; Some i end else None)
-                p.iface_vars
+            else kept cv.ifaces Size.iface_bytes bytes c.interfaces
           in
           let fields =
             if fields_ok then begin bytes := !bytes + p.fields_bytes; c.fields end
-            else
-              List.filter_map
-                (fun (f, v) ->
-                  if keep v then begin bytes := !bytes + Size.field_bytes; Some f end else None)
-                p.field_vars
+            else kept cv.fields Size.field_bytes bytes c.fields
           in
           let methods =
-            if meths_ok then begin bytes := !bytes + p.meths_bytes; c.methods end
-            else
-              List.filter_map
-                (fun ((m : meth), mv, cv, full, stub, may_remap) ->
-                  if not (keep mv) then None
-                  else if m.m_abstract then begin bytes := !bytes + full; Some m end
-                  else if keep cv then begin
-                    bytes := !bytes + full;
-                    let body = remap_body ~may_remap m.m_body in
-                    Some (if body == m.m_body then m else { m with m_body = body })
+            if !meths_ok then begin bytes := !bytes + p.meths_bytes; c.methods end
+            else begin
+              let acc = ref [] in
+              for i = Array.length p.meths - 1 downto 0 do
+                let m = p.meths.(i) in
+                if keep cv.meths.(i) then
+                  if m.m_abstract then begin
+                    bytes := !bytes + p.meth_full.(i);
+                    acc := m :: !acc
                   end
-                  else begin bytes := !bytes + stub; Some { m with m_body = [ Return_insn ] } end)
-                p.meth_vars
+                  else if keep cv.codes.(i) then begin
+                    bytes := !bytes + p.meth_full.(i);
+                    let body = remap_body ~may_remap:p.meth_remap.(i) m.m_body in
+                    acc := (if body == m.m_body then m else { m with m_body = body }) :: !acc
+                  end
+                  else begin
+                    bytes := !bytes + p.meth_stub.(i);
+                    acc := { m with m_body = [ Return_insn ] } :: !acc
+                  end
+              done;
+              !acc
+            end
           in
           (* Indices shift after filtering: stub removed bodies first, then
              drop removed constructors.  New_instance sites referencing a
              removed constructor are ruled out by the constraints; sites
              referencing kept ones are renumbered. *)
           let ctors =
-            if ctors_ok then begin bytes := !bytes + p.ctors_bytes; c.ctors end
-            else
-              Array.to_list p.ctor_vars
-              |> List.filter_map (fun ((k : ctor), kv, cv, full, stub, may_remap) ->
-                     if not (keep kv) then None
-                     else if keep cv then begin
-                       bytes := !bytes + full;
-                       let body = remap_body ~may_remap k.k_body in
-                       Some (if body == k.k_body then k else { k with k_body = body })
-                     end
-                     else begin bytes := !bytes + stub; Some { k with k_body = [ Return_insn ] } end)
+            if !ctors_ok then begin bytes := !bytes + p.ctors_bytes; c.ctors end
+            else begin
+              let acc = ref [] in
+              for i = Array.length p.ctors - 1 downto 0 do
+                let k = p.ctors.(i) in
+                if keep cv.ctors.(i) then
+                  if keep cv.ctor_codes.(i) then begin
+                    bytes := !bytes + p.ctor_full.(i);
+                    let body = remap_body ~may_remap:p.ctor_remap.(i) k.k_body in
+                    acc := (if body == k.k_body then k else { k with k_body = body }) :: !acc
+                  end
+                  else begin
+                    bytes := !bytes + p.ctor_stub.(i);
+                    acc := { k with k_body = [ Return_insn ] } :: !acc
+                  end
+              done;
+              !acc
+            end
           in
           let annotations =
             if annots_ok then begin bytes := !bytes + p.annots_bytes; c.annotations end
-            else
-              List.filter_map
-                (fun (a, v) ->
-                  if keep v then begin bytes := !bytes + Size.annotation_bytes; Some a end
-                  else None)
-                p.annot_vars
+            else kept cv.annotations Size.annotation_bytes bytes c.annotations
           in
           let inner_classes =
             if inners_ok then begin bytes := !bytes + p.inners_bytes; c.inner_classes end
-            else
-              List.filter_map
-                (fun (i, v) ->
-                  if keep v then begin bytes := !bytes + Size.inner_bytes; Some i end else None)
-                p.inner_vars
+            else kept cv.inners Size.inner_bytes bytes c.inner_classes
           in
           Some
             ( { c with super; interfaces; fields; methods; ctors; annotations; inner_classes },
@@ -399,7 +409,7 @@ let prepare jv pool =
         end
       end
     in
-    let pool_acc = ref !last_pool in
+    let changed = ref false in
     let total = ref !last_total in
     Array.iteri
       (fun idx p ->
@@ -431,20 +441,23 @@ let prepare jv pool =
           cache.cbytes <- entry.e_bytes;
           if not entry.e_present then begin
             if old_present then begin
-              pool_acc := Classpool.unset !pool_acc p.pc.name;
+              current.(p.slot) <- Classpool.vacant;
+              changed := true;
               total := !total - old_bytes
             end
           end
           else begin
-            if (not old_present) || not (entry.e_cls == old_cls) then
-              pool_acc := Classpool.set !pool_acc entry.e_cls;
+            if (not old_present) || not (entry.e_cls == old_cls) then begin
+              current.(p.slot) <- entry.e_cls;
+              changed := true
+            end;
             total := !total + entry.e_bytes - (if old_present then old_bytes else 0)
           end
         end)
       preps;
-    last_pool := !pool_acc;
+    if !changed then last_pool := Classpool.of_slots pool (Array.copy current);
     last_total := !total;
-    Classpool.with_bytes !pool_acc !total
+    Classpool.with_bytes !last_pool !total
 
 let prepare jv pool =
   let app = prepare jv pool in

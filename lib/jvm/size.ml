@@ -13,14 +13,21 @@ let insn_bytes = function
   | Load_store -> 2
   | Return_insn -> 1
 
-let meth_bytes (m : meth) =
-  (* method_info + name/descriptor constants + Code attribute header *)
-  48 + (8 * List.length m.m_params)
-  + if m.m_abstract then 0 else 24 + List.fold_left (fun a i -> a + insn_bytes i) 0 m.m_body
+let code_bytes body = 24 + List.fold_left (fun a i -> a + insn_bytes i) 0 body
 
-let ctor_bytes (k : ctor) =
-  48 + (8 * List.length k.k_params) + 24
-  + List.fold_left (fun a i -> a + insn_bytes i) 0 k.k_body
+(* method_info + name/descriptor constants + Code attribute header *)
+let meth_bytes (m : meth) =
+  48 + (8 * List.length m.m_params) + if m.m_abstract then 0 else code_bytes m.m_body
+
+let ctor_bytes (k : ctor) = 48 + (8 * List.length k.k_params) + code_bytes k.k_body
+
+(* A stub body is a lone [Return_insn]. *)
+let stub_code_bytes = code_bytes [ Return_insn ]
+
+let meth_stub_bytes (m : meth) =
+  48 + (8 * List.length m.m_params) + if m.m_abstract then 0 else stub_code_bytes
+
+let ctor_stub_bytes (k : ctor) = 48 + (8 * List.length k.k_params) + stub_code_bytes
 
 let class_header_bytes (c : cls) =
   200 (* header, constant pool base, this/super entries *)
@@ -43,4 +50,4 @@ let class_bytes (c : cls) =
 let bytes pool =
   Classpool.memo_bytes pool (fun p -> Classpool.fold (fun c acc -> acc + class_bytes c) p 0)
 
-let items pool = List.length (Jvars.items_of_pool pool)
+let items pool = Jvars.count_items pool

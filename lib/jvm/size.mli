@@ -10,7 +10,7 @@ val bytes : Classpool.t -> int
 
 val items : Classpool.t -> int
 (** Number of reducible items (the paper's "2.9k reducible items"
-    statistic). *)
+    statistic), counted from the classes without building the items. *)
 
 (** The cost model, exposed so {!Reducer} can compute a sub-pool's byte size
     arithmetically while filtering (instead of re-walking every body per
@@ -25,3 +25,9 @@ val inner_bytes : int
 
 val meth_bytes : Classfile.meth -> int
 val ctor_bytes : Classfile.ctor -> int
+
+val meth_stub_bytes : Classfile.meth -> int
+(** [meth_bytes] of the method with its body replaced by a stub (a lone
+    return), as {!Reducer} stubs it; an abstract method's own size. *)
+
+val ctor_stub_bytes : Classfile.ctor -> int

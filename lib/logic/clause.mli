@@ -15,10 +15,7 @@ val make : neg:Var.t list -> pos:Var.t list -> t option
 val of_sorted : neg:Var.t array -> pos:Var.t array -> t option
 (** Like {!make} for literals already sorted: both arrays must be strictly
     increasing (else [Invalid_argument]).  The clause gets its own copies,
-    so a caller may pass one array for many clauses; the copies also keep
-    each clause's literals next to it in memory (with shared arrays, the
-    reduction that followed constraint generation ran slower in traced
-    benchmark runs). *)
+    so a caller may pass one array for many clauses. *)
 
 val make_exn : neg:Var.t list -> pos:Var.t list -> t
 (** Like {!make} but raises [Invalid_argument] on tautologies. *)

@@ -1,72 +1,305 @@
-type t = { clauses : Clause.t list; count : int; unsat : bool }
+(* The formula is one packed clause store: every clause's literals live in
+   one [lits] array, premises (negated variables) first and then heads,
+   each side strictly increasing.  Clause [ci] spans
+   [start.(ci) .. start.(ci + 1) - 1] and its heads begin at [head.(ci)].
+   A formula is immutable once built; [occurs] is the set of variables that
+   occur, so [vars] and [max_var] read it instead of the literals.  An
+   unsatisfiable formula keeps no clauses. *)
+type t = {
+  lits : Var.t array;
+  start : int array;  (* one per clause, plus the end of the last *)
+  head : int array;  (* one per clause *)
+  occurs : Assignment.t;
+  max_var : Var.t;
+  unsat : bool;
+}
 
-let make clauses =
-  let unsat = List.exists Clause.is_empty clauses in
-  if unsat then { clauses = []; count = 0; unsat = true }
-  else { clauses; count = List.length clauses; unsat = false }
+let unsat_formula =
+  { lits = [||]; start = [| 0 |]; head = [||]; occurs = Assignment.empty; max_var = -1; unsat = true }
 
-let top = { clauses = []; count = 0; unsat = false }
+let top = { unsat_formula with unsat = false }
 
-let clauses t = t.clauses
-
+let lits t = t.lits
+let starts t = t.start
+let heads t = t.head
+let num_clauses t = Array.length t.head
 let is_unsat t = t.unsat
+let vars t = t.occurs
+let max_var t = t.max_var
 
-let conj a b =
-  if a.unsat || b.unsat then { clauses = []; count = 0; unsat = true }
-  else { clauses = a.clauses @ b.clauses; count = a.count + b.count; unsat = false }
+(* Growing buffers for a formula under construction.  [finish] copies the
+   clauses out in exact-size arrays, so the buffers are reused: one set per
+   domain, taken by a builder and handed back when it finishes (a builder
+   that finds the set taken, by a builder still open in the same domain,
+   makes its own). *)
+type scratch = {
+  mutable s_lits : Var.t array;
+  mutable s_nlits : int;
+  mutable s_start : int array;  (* clause starts, one per closed clause *)
+  mutable s_head : int array;
+  mutable s_nclauses : int;
+  mutable s_unsat : bool;
+}
 
-let add_clause t c =
-  if t.unsat then t
-  else if Clause.is_empty c then { clauses = []; count = 0; unsat = true }
-  else { t with clauses = c :: t.clauses; count = t.count + 1 }
+let new_scratch () =
+  {
+    s_lits = Array.make 64 0;
+    s_nlits = 0;
+    s_start = Array.make 16 0;
+    s_head = Array.make 16 0;
+    s_nclauses = 0;
+    s_unsat = false;
+  }
 
-let add_clauses t cs = List.fold_left add_clause t cs
+let scratch_key : scratch option ref Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> ref (Some (new_scratch ())))
 
-let num_clauses t = t.count
+let take_scratch () =
+  let cell = Domain.DLS.get scratch_key in
+  match !cell with
+  | Some s ->
+      cell := None;
+      s.s_nlits <- 0;
+      s.s_nclauses <- 0;
+      s.s_unsat <- false;
+      s
+  | None -> new_scratch ()
 
-let max_var t =
-  List.fold_left
-    (fun acc (c : Clause.t) ->
-      let acc = Array.fold_left Int.max acc c.neg in
-      Array.fold_left Int.max acc c.pos)
-    (-1) t.clauses
+let give_back s = (Domain.DLS.get scratch_key) := Some s
 
-let vars t =
-  let n = max_var t + 1 in
-  if n = 0 then Assignment.empty
-  else begin
-    let bits = Sys.int_size in
-    let words = Array.make ((n + bits - 1) / bits) 0 in
-    let set v = words.(v / bits) <- words.(v / bits) lor (1 lsl (v mod bits)) in
-    List.iter
-      (fun (c : Clause.t) ->
-        Array.iter set c.neg;
-        Array.iter set c.pos)
-      t.clauses;
-    Assignment.of_words words
+(* Room for [k] more literals. *)
+let reserve s k =
+  if s.s_nlits + k > Array.length s.s_lits then begin
+    let grown = Array.make (Int.max (2 * Array.length s.s_lits) (s.s_nlits + k)) 0 in
+    Array.blit s.s_lits 0 grown 0 s.s_nlits;
+    s.s_lits <- grown
   end
 
+(* After [reserve]. *)
+let push s v =
+  Array.unsafe_set s.s_lits s.s_nlits v;
+  s.s_nlits <- s.s_nlits + 1
+
+(* A clause is written as: [open_clause], its premises, [open_heads], its
+   heads, [close_clause]; an empty one makes the formula unsatisfiable. *)
+let open_clause s =
+  let n = s.s_nclauses in
+  if n = Array.length s.s_start then begin
+    let grow a =
+      let g = Array.make (2 * n) 0 in
+      Array.blit a 0 g 0 n;
+      g
+    in
+    s.s_start <- grow s.s_start;
+    s.s_head <- grow s.s_head
+  end;
+  s.s_start.(n) <- s.s_nlits
+
+let open_heads s = s.s_head.(s.s_nclauses) <- s.s_nlits
+
+let close_clause s =
+  if s.s_nlits = s.s_start.(s.s_nclauses) then s.s_unsat <- true
+  else s.s_nclauses <- s.s_nclauses + 1
+
+(* The formula of the scratch's clauses, in order or, with [rev], last
+   clause first. *)
+let of_scratch ~rev s =
+  if s.s_unsat then unsat_formula
+  else begin
+    let n = s.s_nclauses and nlits = s.s_nlits in
+    let src = s.s_lits in
+    let lits = Array.make nlits 0 in
+    let start = Array.make (n + 1) nlits in
+    let head = Array.make n 0 in
+    let at = ref 0 and max_var = ref (-1) in
+    for k = 0 to n - 1 do
+      let ci = if rev then n - 1 - k else k in
+      let lo = s.s_start.(ci) in
+      let hi = if ci + 1 < n then s.s_start.(ci + 1) else nlits in
+      start.(k) <- !at;
+      head.(k) <- !at + (s.s_head.(ci) - lo);
+      for i = lo to hi - 1 do
+        let v = Array.unsafe_get src i in
+        Array.unsafe_set lits !at v;
+        incr at;
+        if v > !max_var then max_var := v
+      done
+    done;
+    let bits = Sys.int_size in
+    let words = Array.make ((!max_var / bits) + 1) 0 in
+    for i = 0 to nlits - 1 do
+      let v = Array.unsafe_get lits i in
+      words.(v / bits) <- words.(v / bits) lor (1 lsl (v mod bits))
+    done;
+    { lits; start; head; occurs = Assignment.of_words words; max_var = !max_var; unsat = false }
+  end
+
+let finish ~rev s =
+  let t = of_scratch ~rev s in
+  give_back s;
+  t
+
+let rec increasing_from (a : Var.t array) i =
+  i >= Array.length a || (a.(i - 1) < a.(i) && increasing_from a (i + 1))
+
+let rec disjoint_from (a : Var.t array) (b : Var.t array) i j =
+  i >= Array.length a
+  || j >= Array.length b
+  ||
+  let x = a.(i) and y = b.(j) in
+  x <> y && if x < y then disjoint_from a b (i + 1) j else disjoint_from a b i (j + 1)
+
+let add_sorted s ~neg ~pos =
+  if not s.s_unsat then begin
+    reserve s (Array.length neg + Array.length pos);
+    open_clause s;
+    for i = 0 to Array.length neg - 1 do
+      push s (Array.unsafe_get neg i)
+    done;
+    open_heads s;
+    for i = 0 to Array.length pos - 1 do
+      push s (Array.unsafe_get pos i)
+    done;
+    close_clause s
+  end
+
+(* Clauses [lo .. hi - 1] of [t], in order. *)
+let copy_clauses s t lo hi =
+  reserve s (t.start.(hi) - t.start.(lo));
+  for ci = lo to hi - 1 do
+    open_clause s;
+    for i = t.start.(ci) to t.head.(ci) - 1 do
+      push s t.lits.(i)
+    done;
+    open_heads s;
+    for i = t.head.(ci) to t.start.(ci + 1) - 1 do
+      push s t.lits.(i)
+    done;
+    close_clause s
+  done
+
+module Builder = struct
+  type cnf = t
+  type t = scratch
+
+  let create = take_scratch
+
+  let add b ~neg ~pos =
+    if not (increasing_from neg 1 && increasing_from pos 1) then
+      invalid_arg "Cnf.Builder.add: literals not strictly increasing";
+    if disjoint_from neg pos 0 0 then add_sorted b ~neg ~pos
+
+  let finish ?(rev = false) b : cnf = finish ~rev b
+end
+
+let make clauses =
+  let s = take_scratch () in
+  List.iter (fun (c : Clause.t) -> add_sorted s ~neg:c.neg ~pos:c.pos) clauses;
+  finish ~rev:false s
+
+let clauses t =
+  let acc = ref [] in
+  for ci = num_clauses t - 1 downto 0 do
+    let lo = t.start.(ci) and h = t.head.(ci) and hi = t.start.(ci + 1) in
+    match
+      Clause.of_sorted ~neg:(Array.sub t.lits lo (h - lo)) ~pos:(Array.sub t.lits h (hi - h))
+    with
+    | Some c -> acc := c :: !acc
+    | None -> assert false (* stored clauses are never tautologies *)
+  done;
+  !acc
+
+let conj a b =
+  if a.unsat || b.unsat then unsat_formula
+  else begin
+    let s = take_scratch () in
+    copy_clauses s a 0 (num_clauses a);
+    copy_clauses s b 0 (num_clauses b);
+    finish ~rev:false s
+  end
+
+(* [add_clause] puts the new clause first, so [add_clauses t cs] lists
+   [cs] reversed, then [t]'s clauses. *)
+let add_clauses t cs =
+  if t.unsat then t
+  else begin
+    let s = take_scratch () in
+    List.iter (fun (c : Clause.t) -> add_sorted s ~neg:c.neg ~pos:c.pos) (List.rev cs);
+    copy_clauses s t 0 (num_clauses t);
+    finish ~rev:false s
+  end
+
+let add_clause t c = add_clauses t [ c ]
+
+(* When every variable that occurs is true, a clause holds exactly when it
+   has a head: the check reads the offsets alone. *)
 let holds t m =
   (not t.unsat)
-  && List.for_all (fun c -> Clause.holds c ~true_set:(fun v -> Assignment.mem v m)) t.clauses
+  &&
+  let n = num_clauses t in
+  if Assignment.subset t.occurs m then begin
+    let ci = ref 0 in
+    while !ci < n && t.head.(!ci) < t.start.(!ci + 1) do
+      incr ci
+    done;
+    !ci = n
+  end
+  else begin
+    let ok = ref true and ci = ref 0 in
+    while !ok && !ci < n do
+      let c = !ci in
+      let h = t.head.(c) and hi = t.start.(c + 1) in
+      let sat = ref false and i = ref t.start.(c) in
+      while (not !sat) && !i < h do
+        if not (Assignment.mem t.lits.(!i) m) then sat := true;
+        incr i
+      done;
+      i := h;
+      while (not !sat) && !i < hi do
+        if Assignment.mem t.lits.(!i) m then sat := true;
+        incr i
+      done;
+      ok := !sat;
+      incr ci
+    done;
+    !ok
+  end
 
-(* Shared worker for conditioning.  [sat_lit] decides whether a literal is
-   made true by the substitution (satisfying the whole clause); [drop_lit]
-   whether it is made false (and disappears from the clause). *)
+(* Shared worker for conditioning: [sat_neg]/[sat_pos] decide whether a
+   premise/head literal is made true by the substitution (satisfying the
+   whole clause), [drop_neg]/[drop_pos] whether it is made false (and
+   disappears from the clause).  The result lists the surviving clauses
+   last first, as consing them onto a list in clause order does. *)
 let condition t ~sat_neg ~drop_neg ~sat_pos ~drop_pos =
   if t.unsat then t
-  else
-    let rec go acc count = function
-      | [] -> { clauses = acc; count; unsat = false }
-      | (c : Clause.t) :: rest ->
-          if Array.exists sat_neg c.neg || Array.exists sat_pos c.pos then go acc count rest
-          else
-            let neg = Array.to_list c.neg |> List.filter (fun v -> not (drop_neg v)) in
-            let pos = Array.to_list c.pos |> List.filter (fun v -> not (drop_pos v)) in
-            if neg = [] && pos = [] then { clauses = []; count = 0; unsat = true }
-            else go (Clause.make_exn ~neg ~pos :: acc) (count + 1) rest
-    in
-    go [] 0 t.clauses
+  else begin
+    let s = take_scratch () in
+    let ci = ref 0 in
+    let n = num_clauses t in
+    while (not s.s_unsat) && !ci < n do
+      let c = !ci in
+      let lo = t.start.(c) and h = t.head.(c) and hi = t.start.(c + 1) in
+      let satisfied = ref false in
+      for i = lo to hi - 1 do
+        let v = t.lits.(i) in
+        if (i < h && sat_neg v) || (i >= h && sat_pos v) then satisfied := true
+      done;
+      if not !satisfied then begin
+        reserve s (hi - lo);
+        open_clause s;
+        for i = lo to h - 1 do
+          if not (drop_neg t.lits.(i)) then push s t.lits.(i)
+        done;
+        open_heads s;
+        for i = h to hi - 1 do
+          if not (drop_pos t.lits.(i)) then push s t.lits.(i)
+        done;
+        close_clause s
+      end;
+      incr ci
+    done;
+    finish ~rev:true s
+  end
 
 let condition_true t x =
   let in_x v = Assignment.mem v x in
@@ -94,17 +327,20 @@ type stats = {
 }
 
 let stats t =
-  List.fold_left
-    (fun s c ->
-      let s = { s with total = s.total + 1 } in
-      match Clause.kind c with
-      | Clause.Unit_pos -> { s with unit_pos = s.unit_pos + 1 }
-      | Clause.Unit_neg -> { s with unit_neg = s.unit_neg + 1 }
-      | Clause.Edge -> { s with edges = s.edges + 1 }
-      | Clause.Horn -> { s with horn = s.horn + 1 }
-      | Clause.General -> { s with general = s.general + 1 })
-    { total = 0; unit_pos = 0; unit_neg = 0; edges = 0; horn = 0; general = 0 }
-    t.clauses
+  let s = ref { total = 0; unit_pos = 0; unit_neg = 0; edges = 0; horn = 0; general = 0 } in
+  for ci = 0 to num_clauses t - 1 do
+    let s0 = { !s with total = !s.total + 1 } in
+    let nneg = t.head.(ci) - t.start.(ci) and npos = t.start.(ci + 1) - t.head.(ci) in
+    (* The kinds of {!Clause.kind}. *)
+    s :=
+      match (nneg, npos) with
+      | 0, 1 -> { s0 with unit_pos = s0.unit_pos + 1 }
+      | 1, 0 -> { s0 with unit_neg = s0.unit_neg + 1 }
+      | 1, 1 -> { s0 with edges = s0.edges + 1 }
+      | _, 1 -> { s0 with horn = s0.horn + 1 }
+      | _, _ -> { s0 with general = s0.general + 1 }
+  done;
+  !s
 
 let graph_fraction t =
   let s = stats t in
@@ -174,14 +410,13 @@ module Packed = struct
      largest variable that occurs.  Every array is per clause, per literal
      or per variable, so a small formula is packed in the minor heap. *)
   let make cnf =
-    let pack ({ neg; pos } : Clause.t) =
-      let nn = Array.length neg in
-      let lits = Array.make (nn + Array.length pos) 0 in
-      Array.iteri (fun j v -> lits.(j) <- -(v + 1)) neg;
-      Array.iteri (fun j v -> lits.(nn + j) <- v + 1) pos;
-      lits
+    let pack ci =
+      let lo = cnf.start.(ci) and h = cnf.head.(ci) in
+      Array.init (cnf.start.(ci + 1) - lo) (fun j ->
+          let v = cnf.lits.(lo + j) in
+          if lo + j < h then -(v + 1) else v + 1)
     in
-    let clauses = Array.of_list (List.map pack cnf.clauses) in
+    let clauses = Array.init (Array.length cnf.head) pack in
     let nclauses = Array.length clauses in
     let nvars =
       Array.fold_left (Array.fold_left (fun n l -> Int.max n (var l + 1))) 0 clauses

@@ -285,9 +285,9 @@ module Engine = struct
   let grab_int a len = if Array.length a < len then Array.make len 0 else a
   let grab_bool a len = if Array.length a < len then Array.make len false else a
 
-  (* Whether every variable of [vs] from index [i] on is in the universe. *)
-  let rec all_in in_universe (vs : int array) i =
-    i >= Array.length vs || (in_universe.(vs.(i)) && all_in in_universe vs (i + 1))
+  (* Whether every variable of [vs.(i) .. vs.(hi - 1)] is in the universe. *)
+  let rec all_in in_universe (vs : int array) i hi =
+    i >= hi || (in_universe.(vs.(i)) && all_in in_universe vs (i + 1) hi)
 
   let create ?arena cnf ~order ~universe =
     Lbr_obs.Trace.with_span "sat.engine-create"
@@ -332,27 +332,27 @@ module Engine = struct
        pre-satisfied by the restriction (that premise is fixed false) and
        dropped; heads are filtered to the universe.  Head-occurrence counts
        accumulate in [occh_off], single-premise counts in [sp_off]. *)
-    let clauses = Cnf.clauses cnf in
+    let lits = Cnf.lits cnf and starts = Cnf.starts cnf and heads = Cnf.heads cnf in
     let in_universe = t.in_universe and occh_off = t.occh_off and sp_off = t.sp_off in
     let nc = ref 0 and tot_prem = ref 0 and tot_head = ref 0 and tot_sp = ref 0 in
-    List.iter
-      (fun (c : Clause.t) ->
-        if all_in in_universe c.neg 0 then begin
-          incr nc;
-          tot_prem := !tot_prem + Array.length c.neg;
-          if Array.length c.neg = 1 then begin
-            incr tot_sp;
-            sp_off.(c.neg.(0)) <- sp_off.(c.neg.(0)) + 1
-          end;
-          for j = 0 to Array.length c.pos - 1 do
-            let h = c.pos.(j) in
-            if in_universe.(h) then begin
-              incr tot_head;
-              occh_off.(h) <- occh_off.(h) + 1
-            end
-          done
-        end)
-      clauses;
+    for c = 0 to Array.length heads - 1 do
+      let lo = starts.(c) and h = heads.(c) in
+      if all_in in_universe lits lo h then begin
+        incr nc;
+        tot_prem := !tot_prem + (h - lo);
+        if h - lo = 1 then begin
+          incr tot_sp;
+          sp_off.(lits.(lo)) <- sp_off.(lits.(lo)) + 1
+        end;
+        for j = h to starts.(c + 1) - 1 do
+          let v = lits.(j) in
+          if in_universe.(v) then begin
+            incr tot_head;
+            occh_off.(v) <- occh_off.(v) + 1
+          end
+        done
+      end
+    done;
     let nc = !nc in
     t.prem_off <- grab_int t.prem_off (nc + 1);
     t.head_off <- grab_int t.head_off (nc + 1);
@@ -388,32 +388,32 @@ module Engine = struct
     let head_off = t.head_off and head_data = t.head_data and occh_data = t.occh_data in
     let satisfied = t.satisfied in
     let ci = ref 0 and pcur = ref 0 and hcur = ref 0 in
-    List.iter
-      (fun (c : Clause.t) ->
-        if all_in in_universe c.neg 0 then begin
-          let i = !ci in
-          prem_off.(i) <- !pcur;
-          Array.blit c.neg 0 prem_data !pcur (Array.length c.neg);
-          pcur := !pcur + Array.length c.neg;
-          if Array.length c.neg = 1 then begin
-            let p = c.neg.(0) in
-            sp_off.(p) <- sp_off.(p) - 1;
-            sp_data.(sp_off.(p)) <- i
-          end;
-          head_off.(i) <- !hcur;
-          for j = 0 to Array.length c.pos - 1 do
-            let h = c.pos.(j) in
-            if in_universe.(h) then begin
-              head_data.(!hcur) <- h;
-              incr hcur;
-              occh_off.(h) <- occh_off.(h) - 1;
-              occh_data.(occh_off.(h)) <- i
-            end
-          done;
-          satisfied.(i) <- false;
-          incr ci
-        end)
-      clauses;
+    for c = 0 to Array.length heads - 1 do
+      let lo = starts.(c) and h = heads.(c) in
+      if all_in in_universe lits lo h then begin
+        let i = !ci in
+        prem_off.(i) <- !pcur;
+        Array.blit lits lo prem_data !pcur (h - lo);
+        pcur := !pcur + (h - lo);
+        if h - lo = 1 then begin
+          let p = lits.(lo) in
+          sp_off.(p) <- sp_off.(p) - 1;
+          sp_data.(sp_off.(p)) <- i
+        end;
+        head_off.(i) <- !hcur;
+        for j = h to starts.(c + 1) - 1 do
+          let v = lits.(j) in
+          if in_universe.(v) then begin
+            head_data.(!hcur) <- v;
+            incr hcur;
+            occh_off.(v) <- occh_off.(v) - 1;
+            occh_data.(occh_off.(v)) <- i
+          end
+        done;
+        satisfied.(i) <- false;
+        incr ci
+      end
+    done;
     t.prem_off.(nc) <- !pcur;
     t.head_off.(nc) <- !hcur;
     t.original_nclauses <- nc;
