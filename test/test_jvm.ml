@@ -473,6 +473,174 @@ let test_serialized_size_shrinks () =
   Alcotest.(check bool) "empty pool serializes smaller" true
     (Serialize.serialized_size reduced < Serialize.serialized_size pool)
 
+(* ------------------------------------------------------------------ *)
+(* Item counts and memory budgets                                      *)
+
+let generated_pools () =
+  List.map
+    (fun seed ->
+      Lbr_workload.Generator.generate ~seed (Lbr_workload.Generator.njr_profile ~classes:150))
+    [ 1; 2; 42; 1000 ]
+
+let test_size_items_counts_inventory () =
+  List.iter
+    (fun pool ->
+      Alcotest.(check int) "Size.items = inventory length"
+        (List.length (Jvars.items_of_pool pool))
+        (Size.items pool))
+    (sample_pool ()
+    :: List.map
+         (fun seed ->
+           Lbr_workload.Generator.generate ~seed
+             { Lbr_workload.Generator.default_profile with classes = 18 })
+         [ 1; 5; 9; 33 ]
+    @ generated_pools ())
+
+(* Words allocated so far: [Gc.minor_words] counts the minor heap exactly,
+   and words allocated straight into the major heap are major words less
+   promoted ones. *)
+let allocated_words () =
+  let q = Gc.quick_stat () in
+  Gc.minor_words () +. q.major_words -. q.promoted_words
+
+(* Deriving numbers the variables without building the inventory: a few
+   words per item for the per-class position arrays.  The minor heap is
+   emptied first, so no collection falls inside the count. *)
+let test_derive_words_per_item () =
+  List.iter
+    (fun pool ->
+      Gc.minor ();
+      let before = allocated_words () in
+      let jv = Jvars.derive (Var.Pool.create ()) pool in
+      let words = allocated_words () -. before in
+      let per_item = words /. float_of_int (Assignment.cardinal (Jvars.all jv)) in
+      Alcotest.(check bool)
+        (Printf.sprintf "%.2f words per item <= 16" per_item)
+        true (per_item <= 16.))
+    (generated_pools ())
+
+(* The model is one packed clause store: about a word per literal, plus
+   two offsets per clause. *)
+let test_cnf_words_per_literal () =
+  List.iter
+    (fun pool ->
+      let _, _, cnf = context pool in
+      let literals = Array.length (Cnf.lits cnf) in
+      Alcotest.(check bool) "at least 10,000 literals" true (literals >= 10_000);
+      let words =
+        float_of_int (Obj.reachable_words (Obj.repr cnf)) /. float_of_int literals
+      in
+      Alcotest.(check bool)
+        (Printf.sprintf "%.2f words per literal <= 2.5" words)
+        true (words <= 2.5))
+    (generated_pools ())
+
+(* ------------------------------------------------------------------ *)
+(* Class pools against a map model                                     *)
+
+module SMap = Map.Make (String)
+
+let pool_name i = Printf.sprintf "p/C%02d" i
+
+(* A class whose version is told by its annotation list. *)
+let versioned i version =
+  { name = pool_name i; super = object_name; interfaces = []; is_interface = false;
+    is_abstract = false; fields = []; methods = []; ctors = [];
+    annotations = [ Printf.sprintf "v%d" version ]; inner_classes = [] }
+
+type pool_op = Set of int * int | Unset of int | Sub of int
+
+let show_op = function
+  | Set (i, v) -> Printf.sprintf "set %d v%d" i v
+  | Unset i -> Printf.sprintf "unset %d" i
+  | Sub seed -> Printf.sprintf "sub %d" seed
+
+(* The pool starts with some of names 0-9; random operations touch names
+   0-10, and one [set] of name 11, which no pool has yet, sits among
+   them. *)
+let pool_ops_gen =
+  let open QCheck.Gen in
+  let op =
+    frequency
+      [
+        (3, map2 (fun i v -> Set (i, v)) (int_bound 10) (int_bound 3));
+        (2, map (fun i -> Unset i) (int_bound 10));
+        (2, map (fun s -> Sub s) (int_bound 1000));
+      ]
+  in
+  map3
+    (fun initial (before, after) v -> (initial, before @ [ Set (11, v) ] @ after))
+    (list_size (int_bound 10) (int_bound 9))
+    (pair (list_size (int_bound 8) op) (list_size (int_bound 8) op))
+    (int_bound 3)
+
+let matches_model pool model =
+  let bindings = SMap.bindings model in
+  List.for_all
+    (fun i ->
+      let n = pool_name i in
+      let s = Classpool.slot pool n in
+      Classpool.find pool n = SMap.find_opt n model
+      && Classpool.mem pool n = SMap.mem n model
+      && (s >= 0 || not (SMap.mem n model))
+      && (s < 0 || Classpool.find_slot pool s = SMap.find_opt n model))
+    (List.init 12 Fun.id)
+  && Classpool.classes pool = List.map snd bindings
+  && Classpool.names pool = List.map fst bindings
+  && Classpool.size pool = SMap.cardinal model
+  && Classpool.fold (fun c acc -> c :: acc) pool [] = SMap.fold (fun _ c acc -> c :: acc) model []
+
+let prop_classpool_matches_map =
+  QCheck.Test.make ~count:300 ~name:"set, unset and slot sub-pools match a Map model"
+    (QCheck.make
+       ~print:(fun (initial, ops) ->
+         String.concat "," (List.map string_of_int initial)
+         ^ " / " ^ String.concat "; " (List.map show_op ops))
+       pool_ops_gen)
+    (fun (initial, ops) ->
+      let initial = List.sort_uniq Int.compare initial in
+      let classes = List.rev_map (fun i -> versioned i 0) initial in
+      let pool = Classpool.of_classes classes in
+      let model =
+        List.fold_left (fun m (c : cls) -> SMap.add c.name c m) SMap.empty classes
+      in
+      let step (pool, model, ok) op =
+        let pool', model', shared =
+          match op with
+          | Set (i, v) ->
+              let c = versioned i v in
+              (Classpool.set pool c, SMap.add c.name c model, true)
+          | Unset i ->
+              (Classpool.unset pool (pool_name i), SMap.remove (pool_name i) model, true)
+          | Sub seed ->
+              let kept (c : cls) = Hashtbl.hash (seed, c.name) land 1 = 0 in
+              let slots =
+                Array.init (Classpool.slot_count pool) (fun s ->
+                    match Classpool.find_slot pool s with
+                    | Some c when kept c -> c
+                    | Some _ | None -> Classpool.vacant)
+              in
+              let sub = Classpool.of_slots pool slots in
+              (sub, SMap.filter (fun _ c -> kept c) model, Classpool.same_index sub pool)
+        in
+        (pool', model', ok && shared && matches_model pool' model')
+      in
+      let _, _, ok = List.fold_left step (pool, model, matches_model pool model) ops in
+      ok)
+
+let test_classpool_of_slots_checks () =
+  let pool = Classpool.of_classes [ versioned 1 0; versioned 2 0 ] in
+  Alcotest.check_raises "short slot array"
+    (Invalid_argument "Classpool.of_slots: not one slot per indexed name") (fun () ->
+      ignore (Classpool.of_slots pool [| versioned 1 0 |]));
+  Alcotest.check_raises "class in another name's slot"
+    (Invalid_argument "Classpool.of_slots: class in the slot of another name: p/C02") (fun () ->
+      ignore (Classpool.of_slots pool [| versioned 2 0; Classpool.vacant |]));
+  (* The first class, in list order, whose name came before. *)
+  Alcotest.check_raises "duplicate class"
+    (Invalid_argument "Classpool.of_classes: duplicate class p/C02") (fun () ->
+      ignore (Classpool.of_classes [ versioned 2 0; versioned 1 0; versioned 2 1; versioned 1 1 ]))
+
 let qsuite name tests = (name, List.map (QCheck_alcotest.to_alcotest ~long:false) tests)
 
 let () =
@@ -500,11 +668,20 @@ let () =
         [
           Alcotest.test_case "inventory" `Quick test_item_inventory;
           Alcotest.test_case "jvars roundtrip" `Quick test_jvars_roundtrip;
+          Alcotest.test_case "Size.items counts the inventory" `Quick
+            test_size_items_counts_inventory;
+          Alcotest.test_case "derive allocates at most 16 words per item" `Quick
+            test_derive_words_per_item;
         ] );
+      ( "classpool",
+        [ Alcotest.test_case "of_slots and of_classes refuse bad input" `Quick
+            test_classpool_of_slots_checks ] );
+      qsuite "classpool-prop" [ prop_classpool_matches_map ];
       ( "constraints",
         [
           Alcotest.test_case "full assignment satisfies" `Quick test_full_assignment_satisfies;
           Alcotest.test_case "clause list pinned" `Quick test_cnf_pinned;
+          Alcotest.test_case "at most 2.5 words per literal" `Quick test_cnf_words_per_literal;
         ] );
       qsuite "constraints-prop" [ prop_constraint_soundness ];
       ( "serialize",

@@ -412,6 +412,150 @@ let prop_assignment_matches_set =
       && agrees (ISet.remove 63 sa) (Assignment.remove 63 a)
       && agrees (ISet.filter (fun v -> v mod 3 = 0) sa) (Assignment.filter (fun v -> v mod 3 = 0) a))
 
+(* ------------------------------------------------------------------ *)
+(* The packed clause store against the list definitions               *)
+
+(* Clause sides over 10 variables, tautologies among them. *)
+let clause_sides_gen =
+  let open QCheck.Gen in
+  let side = list_size (int_bound 3) (int_bound 9) in
+  list_size (int_range 0 12) (pair side side)
+
+let clause_of_sides (neg, pos) = Clause.make ~neg ~pos
+
+(* Clause lists; one in four keeps the empty clauses it draws, so is
+   mostly unsatisfiable. *)
+let clauses_gen =
+  QCheck.Gen.map2
+    (fun keep_empty sides ->
+      List.filter_map
+        (fun (neg, pos) ->
+          if neg = [] && pos = [] && not keep_empty then None else clause_of_sides (neg, pos))
+        sides)
+    (QCheck.Gen.frequencyl [ (3, false); (1, true) ])
+    clause_sides_gen
+
+let print_clauses cs =
+  String.concat "; "
+    (List.map
+       (fun (c : Clause.t) ->
+         let side a = String.concat "," (Array.to_list (Array.map string_of_int a)) in
+         side c.neg ^ " => " ^ side c.pos)
+       cs)
+
+let arb_clauses = QCheck.make ~print:print_clauses clauses_gen
+
+(* The formula a clause list denotes: [None] when a clause is empty. *)
+let listed cs = if List.exists Clause.is_empty cs then None else Some cs
+
+let same_clauses a b = List.length a = List.length b && List.for_all2 Clause.equal a b
+
+(* [Cnf] against its list definition: clauses, status and every reader. *)
+let agrees cnf = function
+  | None ->
+      Cnf.is_unsat cnf && Cnf.clauses cnf = [] && Cnf.num_clauses cnf = 0
+      && Assignment.is_empty (Cnf.vars cnf) && Cnf.max_var cnf = -1
+  | Some cs ->
+      let vars = List.concat_map (fun (c : Clause.t) -> Array.to_list c.neg @ Array.to_list c.pos) cs in
+      (not (Cnf.is_unsat cnf))
+      && same_clauses (Cnf.clauses cnf) cs
+      && Cnf.num_clauses cnf = List.length cs
+      && Assignment.equal (Cnf.vars cnf) (Assignment.of_list vars)
+      && Cnf.max_var cnf = List.fold_left Int.max (-1) vars
+
+(* Every subset of the 10 variables that [m] draws from. *)
+let assignments_gen = QCheck.Gen.(list_size (int_range 1 8) (map Assignment.of_list (list (int_bound 9))))
+
+let list_holds cs m =
+  match listed cs with
+  | None -> false
+  | Some cs -> List.for_all (fun c -> Clause.holds c ~true_set:(fun v -> Assignment.mem v m)) cs
+
+(* The conditioning rule on lists: satisfied clauses go, falsified literals
+   are dropped, an emptied clause makes the formula unsatisfiable, and the
+   survivors come out last first. *)
+let list_condition cs ~sat_neg ~drop_neg ~sat_pos ~drop_pos =
+  match listed cs with
+  | None -> None
+  | Some cs ->
+      let rec go acc = function
+        | [] -> Some acc
+        | (c : Clause.t) :: rest ->
+            if Array.exists sat_neg c.neg || Array.exists sat_pos c.pos then go acc rest
+            else
+              let neg = List.filter (fun v -> not (drop_neg v)) (Array.to_list c.neg) in
+              let pos = List.filter (fun v -> not (drop_pos v)) (Array.to_list c.pos) in
+              if neg = [] && pos = [] then None else go (Clause.make_exn ~neg ~pos :: acc) rest
+      in
+      go [] cs
+
+let prop_packed_cnf_readers =
+  QCheck.Test.make ~count:500 ~name:"make, clauses and the readers match the list definitions"
+    QCheck.(pair arb_clauses (make assignments_gen))
+    (fun (cs, ms) ->
+      let cnf = Cnf.make cs in
+      agrees cnf (listed cs)
+      && List.for_all (fun m -> Cnf.holds cnf m = list_holds cs m) (Cnf.vars cnf :: ms))
+
+let prop_packed_cnf_conditioning =
+  QCheck.Test.make ~count:500 ~name:"conditioning matches the list rule"
+    QCheck.(pair arb_clauses (make assignments_gen))
+    (fun (cs, ms) ->
+      let cnf = Cnf.make cs in
+      let never _ = false in
+      List.for_all
+        (fun x ->
+          let in_x v = Assignment.mem v x in
+          agrees (Cnf.condition_true cnf x)
+            (list_condition cs ~sat_neg:never ~drop_neg:in_x ~sat_pos:in_x ~drop_pos:never)
+          && agrees (Cnf.condition_false cnf x)
+               (list_condition cs ~sat_neg:in_x ~drop_neg:never ~sat_pos:never ~drop_pos:in_x)
+          &&
+          let out v = not (in_x v) in
+          agrees (Cnf.restrict cnf ~keep:x)
+            (list_condition cs ~sat_neg:out ~drop_neg:never ~sat_pos:never ~drop_pos:out))
+        ms)
+
+let prop_packed_cnf_combinators =
+  QCheck.Test.make ~count:500 ~name:"conj and add_clauses match the list definitions"
+    QCheck.(pair arb_clauses arb_clauses)
+    (fun (a, b) ->
+      let ca = Cnf.make a and cb = Cnf.make b in
+      agrees (Cnf.conj ca cb) (Option.bind (listed a) (fun a -> Option.map (( @ ) a) (listed b)))
+      && agrees (Cnf.add_clauses ca b)
+           (Option.bind (listed a) (fun a ->
+                Option.map (fun b -> List.rev_append b a) (listed b)))
+      && List.for_all
+           (fun c ->
+             agrees (Cnf.add_clause ca c) (Option.bind (listed a) (fun a -> listed (c :: a))))
+           b)
+
+(* The builder takes sorted literal arrays, drops tautologies and, finished
+   in reverse, gives what consing each clause onto a list gives. *)
+let prop_packed_cnf_builder =
+  QCheck.Test.make ~count:500 ~name:"Builder order: forward, and reversed = cons-and-reverse rule"
+    (QCheck.make clause_sides_gen)
+    (fun sides ->
+      let sorted xs = Array.of_list (List.sort_uniq Int.compare xs) in
+      let build rev =
+        let b = Cnf.Builder.create () in
+        List.iter (fun (neg, pos) -> Cnf.Builder.add b ~neg:(sorted neg) ~pos:(sorted pos)) sides;
+        Cnf.Builder.finish ~rev b
+      in
+      let consed = ref [] in
+      List.iter
+        (fun s -> match clause_of_sides s with Some c -> consed := c :: !consed | None -> ())
+        sides;
+      agrees (build true) (listed !consed) && agrees (build false) (listed (List.rev !consed)))
+
+let test_packed_cnf_builder_rejects_unsorted () =
+  let b = Cnf.Builder.create () in
+  Alcotest.check_raises "unsorted literals"
+    (Invalid_argument "Cnf.Builder.add: literals not strictly increasing") (fun () ->
+      Cnf.Builder.add b ~neg:[| 3; 1 |] ~pos:[||]);
+  Cnf.Builder.add b ~neg:[| 1 |] ~pos:[| 2 |];
+  Alcotest.(check int) "the builder still works" 1 (Cnf.num_clauses (Cnf.Builder.finish b))
+
 let qsuite name tests = (name, List.map (QCheck_alcotest.to_alcotest ~long:false) tests)
 
 let () =
@@ -458,4 +602,13 @@ let () =
       qsuite "packed-prop"
         [ prop_packed_solve_matches_enumeration; prop_packed_condition_equivalence ];
       qsuite "assignment-prop" [ prop_assignment_matches_set ];
+      qsuite "packed-cnf"
+        [
+          prop_packed_cnf_readers;
+          prop_packed_cnf_conditioning;
+          prop_packed_cnf_combinators;
+          prop_packed_cnf_builder;
+        ];
+      ( "builder",
+        [ Alcotest.test_case "rejects unsorted literals" `Quick test_packed_cnf_builder_rejects_unsorted ] );
     ]
