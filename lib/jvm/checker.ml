@@ -109,12 +109,12 @@ let check pool =
       if (not c.is_abstract) && not c.is_interface then
         List.iter
           (fun (t, i) ->
-            let m = (List.nth (Hierarchy.Ctx.cls hx t).methods i).m_name in
+            let m = (Hierarchy.Ctx.methods hx t).(i).m_name in
             let concrete =
               Hierarchy.Ctx.method_candidates hx ~owner:(id c.name) ~meth:m ~static:false
               |> List.exists (fun { Hierarchy.def; member; _ } ->
                      def < 0 (* external resolution: assume ok *)
-                     || not (List.nth (Hierarchy.Ctx.cls hx def).methods member).m_abstract)
+                     || not (Hierarchy.Ctx.methods hx def).(member).m_abstract)
             in
             if not concrete then
               report where_c "missing implementation of %s declared by %s" m

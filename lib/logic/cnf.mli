@@ -33,6 +33,13 @@ module Builder : sig
       tautology (a variable on both sides) is dropped; an empty clause
       makes the formula unsatisfiable. *)
 
+  val add_sub : t -> Var.t array -> int -> int -> Var.t array -> int -> int -> unit
+  (** [add_sub b neg nlo nhi pos plo phi] is {!add} of the premises
+      [neg.(nlo) .. neg.(nhi - 1)] and the heads [pos.(plo) .. pos.(phi - 1)],
+      read in place: a caller keeping clauses in shared arrays adds them
+      without copying each out.  Slices out of bounds raise
+      [Invalid_argument]. *)
+
   val finish : ?rev:bool -> t -> cnf
   (** The formula of the added clauses, in the order added or, with
       [~rev:true], last added first — the order of a list each clause was

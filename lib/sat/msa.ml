@@ -50,6 +50,10 @@ module Engine = struct
     mutable watch_next : int array;
     mutable watch_slot : int array;
     mutable fire_buf : int array;  (* scratch: clauses completed by one drain step *)
+    (* The original clauses without premises, ascending: [zero_prem.(0) ..
+       zero_prem.(nzero - 1)]. *)
+    mutable zero_prem : int array;
+    mutable nzero : int;
     (* Propagation trail: variables in the order they were made true.  The
        pending queue is the suffix [trail.(drained) .. trail.(trail_len - 1)]
        — a variable enters the trail exactly when it turns true, and [drain]
@@ -274,6 +278,8 @@ module Engine = struct
       watch_next = [||];
       watch_slot = [||];
       fire_buf = [||];
+      zero_prem = [||];
+      nzero = 0;
       trail = [||];
       trail_len = 0;
       drained = 0;
@@ -419,14 +425,26 @@ module Engine = struct
     t.original_nclauses <- nc;
     t.nclauses <- nc;
     (* Initial watches, for clauses of two or more premises: the first
-       premise — every variable is false, so any premise is undrained. *)
+       premise — every variable is false, so any premise is undrained.
+       Clauses without premises are listed instead. *)
+    t.nzero <- 0;
     for i = 0 to nc - 1 do
-      if t.prem_off.(i + 1) - t.prem_off.(i) > 1 then begin
+      let premises = t.prem_off.(i + 1) - t.prem_off.(i) in
+      if premises > 1 then begin
         let slot = t.prem_off.(i) in
         let v = t.prem_data.(slot) in
         t.watch_slot.(i) <- slot;
         t.watch_next.(i) <- t.watch_head.(v);
         t.watch_head.(v) <- i
+      end
+      else if premises = 0 then begin
+        if t.nzero = Array.length t.zero_prem then begin
+          let grown = Array.make (Int.max 16 (2 * t.nzero)) 0 in
+          Array.blit t.zero_prem 0 grown 0 t.nzero;
+          t.zero_prem <- grown
+        end;
+        t.zero_prem.(t.nzero) <- i;
+        t.nzero <- t.nzero + 1
       end
     done;
     t.trail_len <- 0;
@@ -435,8 +453,8 @@ module Engine = struct
     t.generation <- 0;
     t.watch_visits <- 0;
     (* Zero-premise clauses fire immediately. *)
-    for i = 0 to nc - 1 do
-      if t.prem_off.(i + 1) = t.prem_off.(i) then trigger t i
+    for k = 0 to t.nzero - 1 do
+      trigger t t.zero_prem.(k)
     done;
     drain t;
     flush_counters t;
@@ -522,8 +540,8 @@ module Engine = struct
     for ci = t.original_nclauses to t.nclauses - 1 do
       trigger t ci
     done;
-    for ci = 0 to t.original_nclauses - 1 do
-      if t.prem_off.(ci + 1) = t.prem_off.(ci) then trigger t ci
+    for k = 0 to t.nzero - 1 do
+      trigger t t.zero_prem.(k)
     done;
     drain t
 
@@ -645,6 +663,8 @@ module Engine = struct
     f.watch_next <- copy_int f.watch_next t.watch_next onc;
     f.watch_slot <- copy_int f.watch_slot t.watch_slot onc;
     f.fire_buf <- grab_int f.fire_buf onc;
+    f.zero_prem <- copy_int f.zero_prem t.zero_prem t.nzero;
+    f.nzero <- t.nzero;
     f.trail <- copy_int f.trail t.trail n;
     f.nvars <- n;
     f.original_nclauses <- onc;
