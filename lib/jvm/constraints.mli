@@ -18,4 +18,12 @@ val generate : Jvars.t -> Classpool.t -> Cnf.t
 (** The dependency model of the pool, emitted directly as clauses.  The
     pool must be valid ({!Checker.is_valid}); references to missing classes
     raise [Invalid_argument].  Timed as the [jvm.constraints] {!Perf}
-    phase. *)
+    phase.
+
+    Each distinct member reference — (class, instruction kind, member) —
+    is resolved once per call into a packed conclusion, which every body
+    using it emits by index; conclusions, premises and disjunctions are
+    built in scratch buffers that each domain reuses from call to call,
+    so generations on different domains do not share state.  Besides the
+    returned formula (about 1.8 words per literal) a call allocates a few
+    words per literal. *)
