@@ -563,6 +563,34 @@ let gbr_direct_setup (instance : Corpus.instance) =
     let problem = Lbr.Problem.make ~pool:vpool ~universe ~constraints:cnf ~predicate in
     Lbr.Gbr.reduce problem ~order ~incremental
 
+(* GBR's own loop on one instance with the decompiler taken out: setup
+   runs the reduction once with the real predicate and records every
+   verdict; each timed run reduces with a fresh predicate that answers
+   from that table, so the time is GBR's — progressions, probes, engine
+   updates — and not the simulated tool's. *)
+let gbr_replay_setup (instance : Corpus.instance) =
+  let pool = instance.benchmark.pool in
+  let vpool = Var.Pool.create () in
+  let jv = Lbr_jvm.Jvars.derive vpool pool in
+  let constraints = Lbr_jvm.Constraints.generate jv pool in
+  let universe = Lbr_jvm.Jvars.all jv in
+  let order = Lbr_sat.Order.by_creation vpool in
+  let errors_of = Lbr_decompiler.Tool.prepare instance.tool pool in
+  let sub_pool_of = Lbr_jvm.Reducer.prepare jv pool in
+  let verdicts = Hashtbl.create 256 in
+  let record phi =
+    let errors = errors_of (sub_pool_of phi) in
+    let verdict = List.for_all (fun m -> List.mem m errors) instance.baseline_errors in
+    Hashtbl.replace verdicts phi verdict;
+    verdict
+  in
+  let reduce black_box =
+    let predicate = Lbr.Predicate.make black_box in
+    Lbr.Gbr.reduce (Lbr.Problem.make ~pool:vpool ~universe ~constraints ~predicate) ~order
+  in
+  ignore (reduce record);
+  fun () -> reduce (Hashtbl.find verdicts)
+
 let micro () =
   header "Micro-benchmarks (Bechamel; ns per run)";
   let open Bechamel in
@@ -583,6 +611,11 @@ let micro () =
     Lbr_workload.Generator.generate ~seed:7 (Lbr_workload.Generator.njr_profile ~classes:150)
   in
   let jv150 = Lbr_jvm.Jvars.derive (Var.Pool.create ()) pool150 in
+  let instance150 =
+    List.nth_opt
+      (Corpus.instances [ { Corpus.bench_id = "micro150"; seed = 7; pool = pool150 } ])
+      0
+  in
   let instance40 =
     let benchmarks = Corpus.build ~seed:7 ~programs:1 ~mean_classes:40 in
     List.nth_opt (Corpus.instances benchmarks) 0
@@ -660,6 +693,13 @@ let micro () =
              Lbr_graph.Scc.all_closures
                (Lbr_graph.Digraph.make ~n:(Var.Pool.size vpool) ~edges)));
     ]
+    @ (match instance150 with
+      | None -> []
+      | Some instance ->
+          [
+            Test.make ~name:"core:gbr-replay-150cls"
+              (Staged.stage (gbr_replay_setup instance));
+          ])
     @
     match instance40 with
     | None -> []
