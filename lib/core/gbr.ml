@@ -64,17 +64,12 @@ let binary_search predicate prog ~lo ~hi =
   in
   go lo hi
 
-(* One engine-advance step's outcome: the next iteration's progression, the
-   engine that survives the step ([None] when it met a conflict and the
-   entries come from the rebuild fallback, which retires it), and the
-   filtered order-sorted universe the incremental build used ([None] on
-   the fallback), to install in the sort cache.  A speculative boundary
-   build caches one of these until its iteration adopts it. *)
-type prebuilt = {
-  pb_prog : Progression.t;
-  pb_engine : Msa.Engine.t option;
-  pb_sorted : Var.t array option;
-}
+(* One engine-advance step's outcome: the next iteration's progression and
+   the engine that survives the step ([None] when it met a conflict and the
+   entries come from the rebuild fallback, which retires it).  The
+   progression borrows that engine's trail.  A speculative boundary build
+   caches one of these until its iteration adopts it. *)
+type prebuilt = { pb_prog : Progression.t; pb_engine : Msa.Engine.t option }
 
 let reduce ?(check_invariants = false) ?(incremental = true) ?arena ?speculate
     (problem : Problem.t) ~order =
@@ -108,36 +103,17 @@ let reduce ?(check_invariants = false) ?(incremental = true) ?arena ?speculate
         Msa.Arena.release arena e
     | None -> ()
   in
-  (* The current search space in [order]-ascending order, maintained by
-     filtering the previous iteration's array — the shrunk universe is a
-     subsequence of it, so re-sorting per iteration is redundant.  The
-     array lands in [sorted_cache] when its iteration adopts its build. *)
-  let sorted_cache = ref None in
-  let sorted_within j =
-    match !sorted_cache with
-    | Some prev ->
-        let out = Array.make (Assignment.cardinal j) 0 in
-        let k = ref 0 in
-        Array.iter
-          (fun v ->
-            if Assignment.mem v j then begin
-              out.(!k) <- v;
-              incr k
-            end)
-          prev;
-        out
-    | None -> Assignment.to_list j |> Order.sort order |> Array.of_list
-  in
   (* The one engine-advance step, on the main engine or a fork of it:
-     append the just-learned set [fresh] (none on the first iteration,
-     whose engine is freshly created), shrink the search space to [j] —
-     the whole inter-iteration update, replacing the full-CNF copy and
-     re-index — and build the progression incrementally.  A conflict
-     anywhere releases the engine and falls back to the rebuild. *)
+     append the just-learned set — entry [r] of the previous progression
+     [prev], read from its trail; none on the first iteration, whose engine
+     is freshly created — shrink the search space to [j] — the whole
+     inter-iteration update, replacing the full-CNF copy and re-index —
+     and build the progression incrementally.  A conflict anywhere
+     releases the engine and falls back to the rebuild. *)
   let advance engine ~fresh ~learned j =
     let fallback () =
       Result.map
-        (fun p -> { pb_prog = p; pb_engine = None; pb_sorted = None })
+        (fun p -> { pb_prog = p; pb_engine = None })
         (Progression.make ~cnf:problem.constraints ~order ~learned ~universe:j)
     in
     match engine with
@@ -146,16 +122,14 @@ let reduce ?(check_invariants = false) ?(incremental = true) ?arena ?speculate
         let prepared =
           match fresh with
           | None -> Ok ()
-          | Some l ->
-              Result.bind (Msa.Engine.add_clause e ~pos:(Assignment.to_list l)) (fun () ->
-                  Msa.Engine.narrow e ~keep:j)
+          | Some (prev, r) ->
+              Result.bind (Progression.learn e prev r) (fun () -> Msa.Engine.narrow e ~keep:j)
         in
         let built =
           Result.bind prepared (fun () ->
-              let sorted = sorted_within j in
               Result.map
-                (fun p -> { pb_prog = p; pb_engine = Some e; pb_sorted = Some sorted })
-                (Progression.build_incremental ~sorted ~engine:e ~order ~universe:j ()))
+                (fun p -> { pb_prog = p; pb_engine = Some e })
+                (Progression.build_incremental ~engine:e ~order ~universe:j ()))
         in
         match built with
         | Ok pb -> Ok pb
@@ -196,15 +170,16 @@ let reduce ?(check_invariants = false) ?(incremental = true) ?arena ?speculate
     !kept
   in
   (* Build iteration [k+1]'s progression under the assumption that the
-     current search lands on [r] — on a fork, leaving the main engine and
-     the sort cache untouched.  [advance] is the step the inline path
-     takes too, so the adopted state is exactly what it would compute. *)
+     current search lands on [r] — on a fork, leaving the main engine, and
+     so [prog], which borrows its trail, untouched.  [advance] is the step
+     the inline path takes too, so the adopted state is exactly what it
+     would compute. *)
   let build_boundary prog learned r =
-    let entry = Progression.entry prog r in
     match
       advance
         (Option.map (Msa.Engine.fork ~arena) !engine)
-        ~fresh:(Some entry) ~learned:(entry :: learned)
+        ~fresh:(Some (prog, r))
+        ~learned:(Progression.entry prog r :: learned)
         (Progression.prefix prog r)
     with
     | Ok pb -> Some pb
@@ -293,13 +268,12 @@ let reduce ?(check_invariants = false) ?(incremental = true) ?arena ?speculate
       in
       match built with
       | Error `Unsat -> `Done (Error `Unsat)
-      | Ok { pb_prog = prog; pb_engine; pb_sorted } -> (
+      | Ok { pb_prog = prog; pb_engine } -> (
           (* Adopt the step's state wholesale: its engine (or the
              fallback's [None]) replaces the main one — a speculative
-             fork retires it — and its sorted universe fills the cache. *)
+             fork retires it. *)
           Option.iter (Msa.Arena.release arena) !engine;
           engine := pb_engine;
-          Option.iter (fun sorted -> sorted_cache := Some sorted) pb_sorted;
           (* Sets are built from the progression's trail on demand: each
              iteration reads only the head, the O(log n) probes of the
              binary search and the learned entry. *)
@@ -351,9 +325,8 @@ let reduce ?(check_invariants = false) ?(incremental = true) ?arena ?speculate
               | None -> binary_search predicate prog ~lo:0 ~hi:(n - 1)
             in
             let prebuilt = flush_boundaries ~keep:r () in
-            let entry = Progression.entry prog r in
             `Continue
-              (entry, entry :: learned, Progression.prefix prog r,
+              ((prog, r), Progression.entry prog r :: learned, Progression.prefix prog r,
                iterations + 1, prog_lengths, prebuilt)
           end)
   in
@@ -375,8 +348,8 @@ let reduce ?(check_invariants = false) ?(incremental = true) ?arena ?speculate
       in
       match step with
       | `Done result -> result
-      | `Continue (entry, learned, j, iterations, prog_lengths, prebuilt) ->
-          loop ~fresh:(Some entry) ~prebuilt learned j iterations prog_lengths
+      | `Continue (fresh, learned, j, iterations, prog_lengths, prebuilt) ->
+          loop ~fresh:(Some fresh) ~prebuilt learned j iterations prog_lengths
   in
   let result = loop ~fresh:None ~prebuilt:None [] problem.universe 1 [] in
   ignore (flush_boundaries () : prebuilt option);

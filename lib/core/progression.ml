@@ -8,27 +8,79 @@ let r_plus cnf learned =
 (* A progression stored once: the variables of the entries in entry order
    ([trail]) and where each entry ends ([ends.(r)] is one past entry [r]'s
    last variable), so entry [r] is the segment from [ends.(r - 1)] (0 for
-   the first) and prefix union [r] the segment from 0.  Built from the
-   engine, [trail] is its propagation trail verbatim.  Sets are built
-   only when asked for: GBR reads the head, the O(log n) probes of its
-   binary search and the one learned entry. *)
-type t = { trail : Var.t array; ends : int array; length : int }
+   the first) and prefix union [r] the segment from 0.  Built on a
+   persistent engine, the two arrays are the engine's own live buffers,
+   borrowed while [owner]'s epoch is still [epoch]; every other
+   progression owns its arrays.  Sets are built only when asked for: GBR
+   reads the head, the O(log n) probes of its binary search and the one
+   learned entry.  Prefix reads share a cursor: [bits] is the union of
+   [trail.(0) .. trail.(at - 1)], and a read moves it to its target by
+   setting or clearing only the segment in between, so a binary search
+   costs O(n) bit operations in all instead of O(n) per probe. *)
+type t = {
+  trail : Var.t array;
+  ends : int array;
+  length : int;
+  owner : Msa.Engine.t option;
+  epoch : int;
+  mutable bits : int array;
+  mutable at : int;
+}
 
-let length p = p.length
+let owned trail ends length = { trail; ends; length; owner = None; epoch = 0; bits = [||]; at = 0 }
+
+let valid p name =
+  match p.owner with
+  | Some e when Msa.Engine.epoch e <> p.epoch ->
+      invalid_arg ("Progression." ^ name ^ ": the engine was rolled back since the build")
+  | _ -> ()
+
+let length p =
+  valid p "length";
+  p.length
 
 let check p r name =
+  valid p name;
   if r < 0 || r >= p.length then invalid_arg ("Progression." ^ name ^ ": out of range")
+
+let start p r = if r = 0 then 0 else p.ends.(r - 1)
 
 let entry p r =
   check p r "entry";
-  let lo = if r = 0 then 0 else p.ends.(r - 1) in
+  let lo = start p r in
   Assignment.of_slice p.trail ~pos:lo ~len:(p.ends.(r) - lo)
+
+let word_bits = Sys.int_size
 
 let prefix p r =
   check p r "prefix";
-  Assignment.of_slice p.trail ~pos:0 ~len:p.ends.(r)
+  let target = p.ends.(r) in
+  if Array.length p.bits = 0 then begin
+    let top = ref 0 in
+    for i = 0 to p.ends.(p.length - 1) - 1 do
+      top := Int.max !top p.trail.(i)
+    done;
+    p.bits <- Array.make ((!top / word_bits) + 1) 0
+  end;
+  let bits = p.bits and trail = p.trail in
+  if target > p.at then
+    for i = p.at to target - 1 do
+      let v = trail.(i) in
+      bits.(v / word_bits) <- bits.(v / word_bits) lor (1 lsl (v mod word_bits))
+    done
+  else
+    for i = target to p.at - 1 do
+      let v = trail.(i) in
+      bits.(v / word_bits) <- bits.(v / word_bits) land lnot (1 lsl (v mod word_bits))
+    done;
+  p.at <- target;
+  Assignment.of_words bits
 
-let entries p = List.init p.length (entry p)
+let entries p = List.init (length p) (entry p)
+
+let learn engine p r =
+  check p r "learn";
+  Msa.Engine.add_clause_sub engine p.trail (start p r) p.ends.(r)
 
 let of_entries es =
   let trail = Array.make (List.fold_left (fun n e -> n + Assignment.cardinal e) 0 es) 0 in
@@ -43,58 +95,47 @@ let of_entries es =
         e;
       ends.(r) <- !pos)
     es;
-  { trail; ends; length = Array.length ends }
+  owned trail ends (Array.length ends)
 
 (* Entry construction over a prepared engine (fresh from [create], or a
-   persistent engine after [add_clause] + [narrow]); each variable of the
-   universe is propagated at most once in total.  The next excluded variable
-   is found by a pointer scan over the [<]-sorted universe — the covered set
-   only grows, so the pointer never moves back and the whole scan is
-   O(|universe|) across all entries.  Every true variable is on the engine
-   trail, in the order it turned true, so D₀ is the trail before the first
-   assumption and each later entry the trail segment its assumption added:
-   the progression is one trail copy plus one mark per entry. *)
-let entries_on_engine ?sorted engine ~order ~universe =
+   persistent engine after [add_clause] + [narrow]): the engine's [sweep]
+   propagates each variable of the universe at most once in total.  Every
+   true variable is on the engine trail, in the order it turned true, so
+   D₀ is the trail before the first assumption and each later entry the
+   trail segment its assumption added: the progression is the trail and
+   the sweep's marks, read in place. *)
+let on_engine engine ~universe =
   Lbr_obs.Trace.with_span "sat.engine-propagate"
     ~args:(fun () -> [ ("universe", Lbr_obs.Trace.Int (Assignment.cardinal universe)) ])
   @@ fun () ->
   Perf.time "sat.engine-propagate" @@ fun () ->
-  let sorted =
-    match sorted with
-    | Some s -> s
-    | None -> Assignment.to_list universe |> Order.sort order |> Array.of_list
-  in
-  let n = Array.length sorted in
-  (* D₀, then at most one entry per universe variable. *)
-  let ends = Array.make (n + 1) 0 in
-  (* D₀ may be empty when nothing is required; the progression is still
-     well-defined (its first prefix is the empty, valid sub-input). *)
-  ends.(0) <- Msa.Engine.mark engine;
-  let rec go len i =
-    if i >= n then Ok len
-    else if Msa.Engine.is_true engine sorted.(i) then go len (i + 1)
-    else
-      match Msa.Engine.assume engine sorted.(i) with
-      | Error `Conflict -> Error `Conflict
-      | Ok () ->
-          ends.(len) <- Msa.Engine.mark engine;
-          go (len + 1) (i + 1)
-  in
-  let result =
-    Result.map
-      (fun length -> { trail = Msa.Engine.trail engine; ends; length })
-      (go 1 0)
-  in
-  Msa.Engine.flush_counters engine;
-  result
+  Result.map
+    (fun length ->
+      {
+        trail = Msa.Engine.trail engine;
+        ends = Msa.Engine.ends engine;
+        length;
+        owner = Some engine;
+        epoch = Msa.Engine.epoch engine;
+        bits = [||];
+        at = 0;
+      })
+    (Msa.Engine.sweep engine)
 
-(* Fast path: an arena-recycled engine per progression. *)
+(* Fast path: an arena-recycled engine per progression, whose buffers are
+   copied out before it goes back to the arena. *)
 let build_fast ~cnf ~order ~universe =
   let arena = Msa.Arena.default () in
   match Msa.Engine.create ~arena cnf ~order ~universe with
   | Error `Conflict -> Error `Conflict
   | Ok engine ->
-      let result = entries_on_engine engine ~order ~universe in
+      let result =
+        Result.map
+          (fun p ->
+            owned (Array.sub p.trail 0 p.ends.(p.length - 1)) (Array.sub p.ends 0 p.length)
+              p.length)
+          (on_engine engine ~universe)
+      in
       Msa.Arena.release arena engine;
       result
 
@@ -165,8 +206,7 @@ let make ~cnf ~order ~learned ~universe =
 let build ~cnf ~order ~learned ~universe =
   Result.map entries (make ~cnf ~order ~learned ~universe)
 
-let build_incremental ?sorted ~engine ~order ~universe () =
-  entries_on_engine ?sorted engine ~order ~universe
+let build_incremental ~engine ~order:_ ~universe () = on_engine engine ~universe
 
 let prefix_unions entries =
   let arr = Array.of_list entries in

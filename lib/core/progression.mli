@@ -16,10 +16,17 @@ open Lbr_sat
 
 type t
 (** A progression stored once, as one array of variables in entry order
-    plus the end offset of each entry.  Built from the MSA engine, the
-    array is a copy of the engine's propagation trail and each end is the
-    trail mark after the entry's assumption.  Entries and prefix unions
-    are built as sets only when asked for. *)
+    plus the end offset of each entry: the MSA engine's propagation trail
+    and the trail mark after each entry's assumption.  Entries and prefix
+    unions are built as sets only when asked for.
+
+    Borrowing rule: a progression from {!build_incremental} reads the
+    engine's live trail and marks in place instead of copying them, so it
+    is valid only until that engine's trail is next rolled back — the
+    next {!Msa.Engine.narrow} or {!Msa.Engine.rollback}, or a reset of
+    its storage by the arena ({!Msa.Engine.epoch} tells).  Every read of
+    a stale progression raises [Invalid_argument].  {!make}, {!build} and
+    {!of_entries} return progressions that own their arrays. *)
 
 val length : t -> int
 (** The number of entries, at least 1 for a built progression. *)
@@ -28,11 +35,21 @@ val entry : t -> int -> Assignment.t
 (** [entry p r] is [D_r]; [Invalid_argument] outside [0 .. length p - 1]. *)
 
 val prefix : t -> int -> Assignment.t
-(** [prefix p r] is [D^∪_r = D₀ ∪ … ∪ D_r], built from the first
-    [r + 1] segments; [Invalid_argument] outside [0 .. length p - 1]. *)
+(** [prefix p r] is [D^∪_r = D₀ ∪ … ∪ D_r]; [Invalid_argument] outside
+    [0 .. length p - 1].  The reads of one progression share a cursor: a
+    running bitset of some prefix, moved to [r] by setting or clearing
+    only the segments in between and then copied out, so the probes of a
+    binary search cost O(n) bit operations in all.  Not safe for
+    concurrent reads of one progression from several domains. *)
 
 val entries : t -> Assignment.t list
 (** Every entry, in order. *)
+
+val learn : Msa.Engine.t -> t -> int -> (unit, [ `Conflict ]) result
+(** [learn engine p r] appends [entry p r] to [engine] as a learned
+    disjunction ({!Msa.Engine.add_clause_sub}), read in place from the
+    trail: GBR's inter-iteration update, on the engine that built [p] or
+    on a fork of it. *)
 
 val of_entries : Assignment.t list -> t
 (** The same form for entries computed as sets (the fallback solver's):
@@ -60,7 +77,6 @@ val build :
 (** {!entries} of {!make}. *)
 
 val build_incremental :
-  ?sorted:Var.t array ->
   engine:Msa.Engine.t ->
   order:Order.t ->
   universe:Assignment.t ->
@@ -69,11 +85,10 @@ val build_incremental :
 (** The progression over a persistent engine the caller has already brought
     up to date (fresh from {!Msa.Engine.create}, or after
     {!Msa.Engine.add_clause} of the newly learned set and
-    {!Msa.Engine.narrow} to [universe]) — no [r_plus] copy, no re-indexing.
-    [sorted], when given, must be exactly [universe] in [order]-ascending
-    order; the caller can maintain it across iterations by filtering the
-    previous iteration's array (the shrunk universe is a subsequence), which
-    replaces the per-iteration sort.
+    {!Msa.Engine.narrow} to [universe]) — no [r_plus] copy, no re-indexing,
+    no sort: [order] and [universe] must be the engine's, which keeps the
+    universe sorted itself ({!Msa.Engine.sweep}).  The result borrows the
+    engine's buffers (see {!t}).
     Produces entries equal to {!make}'s on the rebuilt formula;
     [`Conflict] exactly when {!make}'s engine would conflict (the caller
     falls back to {!make}, whose fallback solver handles formulas outside

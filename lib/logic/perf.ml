@@ -36,14 +36,25 @@ let add name n =
   let c = totals_for (Domain.DLS.get table_key) name in
   c.calls <- c.calls + n
 
+let charge (c : totals) t0 w0 =
+  c.calls <- c.calls + 1;
+  c.seconds <- c.seconds +. (Unix.gettimeofday () -. t0);
+  c.minor_words <- c.minor_words +. (Gc.minor_words () -. w0)
+
+(* No [Fun.protect]: its closures and handler cost more than the phases
+   timed here; a raising [f] is still charged. *)
 let time name f =
   let c = totals_for (Domain.DLS.get table_key) name in
   let t0 = Unix.gettimeofday () in
   let w0 = Gc.minor_words () in
-  Fun.protect f ~finally:(fun () ->
-      c.calls <- c.calls + 1;
-      c.seconds <- c.seconds +. (Unix.gettimeofday () -. t0);
-      c.minor_words <- c.minor_words +. (Gc.minor_words () -. w0))
+  match f () with
+  | v ->
+      charge c t0 w0;
+      v
+  | exception e ->
+      let bt = Printexc.get_raw_backtrace () in
+      charge c t0 w0;
+      Printexc.raise_with_backtrace e bt
 
 let rows_of_table table =
   Hashtbl.fold
