@@ -57,13 +57,14 @@ extract_wall() {
 }
 
 # One run is too noisy for the wall gate's band, so both the recorded
-# baseline and the check use each strategy's median over five runs, in the
-# order the strategies are reported.  The first run is the one already in
-# $json; the other four overwrite it, so call this after every other
-# extraction from $json.
+# baseline and the check use each strategy's median over nine runs, in the
+# order the strategies are reported (five-run medians of one tree moved by
+# 12 %, half the band).  The first run is the one already in $json; the
+# other eight overwrite it, so call this after every other extraction from
+# $json.
 median_walls() {
   extract_wall "$json" >"$walls"
-  for _ in 2 3 4 5; do
+  for _ in 2 3 4 5 6 7 8 9; do
     dune exec bench/main.exe -- --programs 5 --skip-micro --json "$json" >/dev/null
     extract_wall "$json" >>"$walls"
   done
@@ -136,14 +137,14 @@ else
   echo "bench_guard: NOTE — no allocation baseline ($alloc_baseline); run --update to create it"
 fi
 
-# Wall-clock gate: per-strategy median wall seconds (five runs, as
+# Wall-clock gate: per-strategy median wall seconds (nine runs, as
 # recorded) within ±25% of the committed baseline.  bench/main.ml reports them normalised by the e2e benchmark's
 # host-speed kernel (bench/e2e/speed.ml), so host drift does not move
 # them.  Deliberately the loosest of the gates — wall time moves with
 # unrelated code — but a strategy suddenly taking 2x (a lost fast path, an
 # accidental O(n^2)) fails here even when the deterministic counters above
 # are untouched.  Regenerate on a quiet machine with --update (which records
-# the median of five runs) when a shift is intended.
+# the median of nine runs) when a shift is intended.
 if [ -f "$wall_baseline" ]; then
   if median_walls | awk -v tol=0.25 '
       NR == FNR { base[$1] = $2; next }
