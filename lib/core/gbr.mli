@@ -64,9 +64,14 @@ val reduce :
 
     [~incremental:true] (the default) threads one persistent
     {!Msa.Engine} through every iteration — learned sets are appended with
-    {!Msa.Engine.add_clause} and the search space shrunk with
+    {!Msa.Engine.add_clause_sub} and the search space shrunk with
     {!Msa.Engine.narrow}, eliminating the per-iteration [r_plus] formula
-    copy and engine re-index.  [~incremental:false] rebuilds from scratch
+    copy and engine re-index.  Each iteration's progression borrows the
+    engine's trail ({!Progression.build_incremental}), so GBR reads it —
+    the head, the probes, the learned entry and the next search space —
+    before that engine's next [narrow]; a speculative boundary build
+    runs on a {!Msa.Engine.fork}, whose buffers are its own, and leaves
+    the current progression valid.  [~incremental:false] rebuilds from scratch
     every iteration (the reference oracle); both paths produce byte-identical
     results and statistics — on any engine conflict (formulas outside the
     implication fragment) the incremental path permanently falls back to the
