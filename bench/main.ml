@@ -591,6 +591,44 @@ let gbr_replay_setup (instance : Corpus.instance) =
   ignore (reduce record);
   fun () -> reduce (Hashtbl.find verdicts)
 
+(* A generated non-Horn formula on which the MSA engine conflicts, so
+   [Msa.compute] takes the general fallback (solve, then greedy
+   minimization).  Variable 0 is required; each of [gadgets] gadgets has
+   [0 ⇒ a ∨ b], [0 ⇒ c] and [¬a ∨ ¬c], so the engine's [<]-smallest head
+   [a] meets the negative clause while [b] satisfies it.  Each [b] then
+   implies a random pair of tail variables, and random edges link the
+   tail, so minimization has choices to make.  Setting every tail
+   variable true satisfies the tail: the formula is satisfiable. *)
+let msa_fallback_setup ~gadgets ~tail =
+  let rng = Random.State.make [| 42 |] in
+  let nvars = 1 + (3 * gadgets) + tail in
+  let tail_var () = 1 + (3 * gadgets) + Random.State.int rng tail in
+  let clauses =
+    List.concat
+      (List.init gadgets (fun g ->
+           let a = 1 + (3 * g) and b = 2 + (3 * g) and c = 3 + (3 * g) in
+           [
+             Clause.make ~neg:[ 0 ] ~pos:[ a; b ];
+             Clause.make ~neg:[ 0 ] ~pos:[ c ];
+             Clause.make ~neg:[ a; c ] ~pos:[];
+             Clause.make ~neg:[ b ] ~pos:[ tail_var (); tail_var () ];
+             Clause.make ~neg:[ tail_var () ] ~pos:[ tail_var () ];
+           ]))
+    |> List.filter_map Fun.id
+  in
+  let cnf = Cnf.make clauses in
+  let order = Lbr_sat.Order.of_list (List.init nvars Fun.id) in
+  let universe = Assignment.of_list (List.init nvars Fun.id) in
+  let required = Assignment.singleton 0 in
+  (match Lbr_sat.Msa.Engine.create cnf ~order ~universe with
+  | Ok e when Lbr_sat.Msa.Engine.assume_all e [ 0 ] = Ok () ->
+      failwith "sat:msa-fallback: the engine does not conflict"
+  | Ok _ | Error `Conflict -> ());
+  fun () ->
+    match Lbr_sat.Msa.compute cnf ~order ~universe ~required () with
+    | Some m -> m
+    | None -> failwith "sat:msa-fallback: unexpectedly unsatisfiable"
+
 let micro () =
   header "Micro-benchmarks (Bechamel; ns per run)";
   let open Bechamel in
@@ -646,6 +684,8 @@ let micro () =
         (Staged.stage (fun () ->
              Lbr_sat.Msa.compute cnf40 ~order:order40 ~universe:universe40
                ~required:Assignment.empty ()));
+      Test.make ~name:"sat:msa-fallback"
+        (Staged.stage (msa_fallback_setup ~gadgets:24 ~tail:24));
       Test.make ~name:"core:progression-40cls"
         (Staged.stage (fun () ->
              Lbr.Progression.build ~cnf:cnf40 ~order:order40 ~learned:[] ~universe:universe40));

@@ -20,10 +20,6 @@ let make ?(name = "predicate") black_box =
 
 let name t = t.name
 
-let locked t f =
-  Mutex.lock t.mutex;
-  Fun.protect ~finally:(fun () -> Mutex.unlock t.mutex) f
-
 (* Registered eagerly: domains racing to force a lazy would raise
    [Lazy.Undefined] in the loser. *)
 let latency_hist =
@@ -31,30 +27,41 @@ let latency_hist =
     "lbr_predicate_latency_seconds"
 
 (* The black box runs outside the lock: holding it would serialize every
-   concurrent caller on the slowest predicate execution. *)
+   concurrent caller on the slowest predicate execution.  A black box that
+   raises is still timed. *)
 let execute t input =
-  locked t (fun () -> t.runs <- t.runs + 1);
   let t0 = Lbr_obs.Trace.now () in
-  Fun.protect
-    ~finally:(fun () ->
-      let t1 = Lbr_obs.Trace.now () in
-      Lbr_obs.Trace.span_between "core.predicate" ~start:t0 ~finish:t1;
-      Lbr_obs.Metrics.observe latency_hist (t1 -. t0))
-    (fun () -> Perf.time "core.predicate" (fun () -> t.black_box input))
+  let finish () =
+    let t1 = Lbr_obs.Trace.now () in
+    Lbr_obs.Trace.span_between "core.predicate" ~start:t0 ~finish:t1;
+    Lbr_obs.Metrics.observe latency_hist (t1 -. t0)
+  in
+  match Perf.time "core.predicate" (fun () -> t.black_box input) with
+  | outcome ->
+      finish ();
+      outcome
+  | exception e ->
+      let bt = Printexc.get_raw_backtrace () in
+      finish ();
+      Printexc.raise_with_backtrace e bt
 
+(* A miss counts its run in the same critical section as its query, so a
+   hit takes the lock once and an execution twice. *)
 let run t input =
   let cached =
-    locked t (fun () ->
+    Mutex.protect t.mutex (fun () ->
         t.queries <- t.queries + 1;
-        AMap.find_opt input t.memo)
+        let found = AMap.find_opt input t.memo in
+        if Option.is_none found then t.runs <- t.runs + 1;
+        found)
   in
   match cached with
   | Some outcome -> outcome
   | None ->
       let outcome = execute t input in
-      locked t (fun () -> t.memo <- AMap.add input outcome t.memo);
+      Mutex.protect t.mutex (fun () -> t.memo <- AMap.add input outcome t.memo);
       outcome
 
-let runs t = locked t (fun () -> t.runs)
+let runs t = Mutex.protect t.mutex (fun () -> t.runs)
 
-let queries t = locked t (fun () -> t.queries)
+let queries t = Mutex.protect t.mutex (fun () -> t.queries)

@@ -144,7 +144,7 @@ let build_fast ~cnf ~order ~universe =
    re-assumes [covered ∪ {x}] in ascending order and rolls back, which
    reproduces a fresh engine run on the same required set (same state, same
    closure, same conflicts) without re-indexing the formula per entry.
-   Entries whose fixpoint conflicts fall back to DPLL search plus greedy
+   Entries whose fixpoint conflicts fall back to a solved model plus greedy
    minimization, exactly as {!Msa.compute} would. *)
 let build_slow ~cnf ~order ~universe =
   let restricted = lazy (Cnf.restrict cnf ~keep:universe) in

@@ -4,7 +4,10 @@
     example (6,766 of the 2²⁰ subsets).  This module provides an exact DPLL
     counter with unit propagation and connected-component decomposition —
     the two techniques that make sharpSAT-style counters fast — sufficient
-    for the model sizes that appear in reduction problems' diagnostics. *)
+    for the model sizes that appear in reduction problems' diagnostics.  It
+    branches on a component's most frequent variable and reads the
+    formula's own clause arrays, with a value array and an undo trail of
+    its own; a clause's status is found by scanning its literals. *)
 
 val count : Cnf.t -> over:Var.t list -> int
 (** [count r ~over] is the number of assignments to the variables [over]

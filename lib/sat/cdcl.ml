@@ -2,7 +2,9 @@
    false, so [l lxor 1] negates.  Variables [0 .. nf - 1] are the
    formula's: variable [u] is DIMACS variable [vars.(u)], the [u]-th
    smallest that occurs.  Variable [nf + i] is clause [i]'s selector
-   [s_i], and [2 (nf + i)] the assumption that selects it. *)
+   [s_i], and [2 (nf + i)] the assumption that selects it.  A query's
+   assumptions are the selectors of its clauses, then its assumed
+   formula literals. *)
 
 let bits = Sys.int_size
 
@@ -25,7 +27,7 @@ type t = {
   trail : int array;  (* literals made true, in order *)
   mutable trail_len : int;
   mutable qhead : int;  (* trail literals before this are propagated *)
-  lim : int array;  (* per decision level: the trail length it started at *)
+  mutable lim : int array;  (* per decision level: the trail length it started at *)
   mutable nlevels : int;
   (* Clause store: the normal input clauses, then every learned clause.
      Positions 0 and 1 of a clause are its watched literals, and a
@@ -46,7 +48,7 @@ type t = {
   seen : Bytes.t;  (* per variable *)
   learnt : int array;
   mutable nlearnt : int;
-  assumps : int array;
+  mutable assumps : int array;
   mutable nassumps : int;
   (* Stored results, newest first: each model with the clauses it
      falsifies, and each core. *)
@@ -327,19 +329,22 @@ let analyze t confl =
   end;
   !back
 
-(* The final conflict: assumption [a] (a selector) is false.  Walk the
-   implication graph back from it; the assumptions it reaches, with [a],
+(* The final conflict: assumption [a] is false.  Walk the implication
+   graph back from it; the selectors it reaches, with [a] if it is one,
    are the core.  Every decision on the trail is an assumption here:
-   formula variables are branched on only once all assumptions hold. *)
+   formula variables are branched on only once all assumptions hold.  An
+   assumed formula literal is reached as a decision too, and joins no
+   core. *)
 let final_core t a =
   let core = selection t in
-  select core ((a lsr 1) - t.nf);
+  let add x = if x >= t.nf then select core (x - t.nf) in
+  add (a lsr 1);
   Bytes.unsafe_set t.seen (a lsr 1) '\001';
   for k = t.trail_len - 1 downto if t.nlevels = 0 then t.trail_len else t.lim.(0) do
     let x = t.trail.(k) lsr 1 in
     if Bytes.unsafe_get t.seen x = '\001' then begin
       (match t.reason.(x) with
-      | -1 -> select core (x - t.nf)
+      | -1 -> add x
       | r ->
           let c = t.db.(r) in
           for j = 1 to Array.length c - 1 do
@@ -420,9 +425,36 @@ let record_model t =
   t.models <- (m, falsified) :: t.models;
   t.last_model <- m
 
-let satisfiable t sel =
+(* The number of DIMACS variable [v], or -1 when it does not occur. *)
+let number (vars : int array) v =
+  let rec find lo hi =
+    if lo > hi then -1
+    else
+      let mid = (lo + hi) / 2 in
+      if vars.(mid) = v then mid else if vars.(mid) < v then find (mid + 1) hi else find lo (mid - 1)
+  in
+  find 0 (Array.length vars - 1)
+
+(* A stored model answers a query with assumed literals only if it agrees
+   with each of them; a core found under them is a core of the clauses and
+   those literals together, so it is not stored. *)
+let satisfiable ?(assuming = []) t sel =
   if Array.length sel <> t.words then invalid_arg "Cdcl.satisfiable: selection of the wrong length";
-  match List.find_opt (fun (_, falsified) -> disjoint falsified sel) t.models with
+  let lits =
+    List.filter_map
+      (fun l ->
+        if l = 0 then invalid_arg "Cdcl.satisfiable: literal 0";
+        let u = number t.vars (abs l) in
+        if u < 0 then None else Some ((2 * u) lor if l > 0 then 0 else 1))
+      assuming
+  in
+  let answers (m, falsified) =
+    disjoint falsified sel
+    && List.for_all
+         (fun l -> Bytes.unsafe_get m (l lsr 1) = if l land 1 = 0 then '\001' else '\002')
+         lits
+  in
+  match List.find_opt answers t.models with
   | Some (m, _) ->
       t.last_model <- m;
       true
@@ -433,29 +465,28 @@ let satisfiable t sel =
           false
       | None ->
           t.nassumps <- 0;
+          if lits <> [] then begin
+            (* One level per assumption, then one per formula variable;
+               doubled, as a minimization's commitments grow one by one. *)
+            let n = t.nclauses + List.length lits in
+            if Array.length t.assumps < n then t.assumps <- Array.make (2 * n) 0;
+            if Array.length t.lim < n + t.nf + 1 then t.lim <- Array.make ((2 * n) + t.nf + 1) 0
+          end;
+          let assume a =
+            t.assumps.(t.nassumps) <- a;
+            t.nassumps <- t.nassumps + 1
+          in
           for i = 0 to t.nclauses - 1 do
-            if mem sel i && Bytes.unsafe_get t.kind i = normal then begin
-              t.assumps.(t.nassumps) <- 2 * (t.nf + i);
-              t.nassumps <- t.nassumps + 1
-            end
+            if mem sel i && Bytes.unsafe_get t.kind i = normal then assume (2 * (t.nf + i))
           done;
+          List.iter assume lits;
           let sat = search t in
-          if sat then record_model t else t.cores <- t.last_core :: t.cores;
+          if sat then record_model t else if lits = [] then t.cores <- t.last_core :: t.cores;
           cancel_until t 0;
           sat)
 
 let core t =
   List.filter (mem t.last_core) (List.init t.nclauses Fun.id)
-
-(* The number of DIMACS variable [v], or -1 when it does not occur. *)
-let number vars v =
-  let rec find lo hi =
-    if lo > hi then -1
-    else
-      let mid = (lo + hi) / 2 in
-      if vars.(mid) = v then mid else if vars.(mid) < v then find (mid + 1) hi else find lo (mid - 1)
-  in
-  find 0 (Array.length vars - 1)
 
 let value t v =
   let u = number t.vars v in

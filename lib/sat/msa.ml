@@ -791,7 +791,7 @@ let compute cnf ~order ?universe ?(required = Assignment.empty) () =
     match fast with
     | Some _ as result -> result
     | None ->
-        (* Fallback: DPLL search, then greedy minimization.  Reached only for
+        (* Fallback: a solved model, then greedy minimization.  Reached only for
            formulas outside the implication fragment. *)
         let restricted = Cnf.restrict cnf ~keep:universe in
         (match Solver.solve_with restricted ~required with

@@ -173,7 +173,7 @@ val compute :
   Assignment.t option
 (** [compute r ~order ~universe ~required ()] is an approximate MSA of
     [(r | required = 1)] restricted to [universe] (default: the formula's
-    variables together with [required]).  Falls back to DPLL search plus
-    greedy minimization when the fixpoint meets a conflict (possible only
-    outside the implication fragment, e.g. purely negative clauses).  [None]
-    when unsatisfiable. *)
+    variables together with [required]).  Falls back to a solved model
+    ({!Solver}) plus greedy minimization when the fixpoint meets a conflict
+    (possible only outside the implication fragment, e.g. purely negative
+    clauses).  [None] when unsatisfiable. *)

@@ -4,15 +4,17 @@ type t = { rank_of : Var.t -> int }
 
 let by_creation _pool = { rank_of = (fun v -> v) }
 
+(* Ranks in an array indexed by variable, [-1] for an unlisted one. *)
 let of_list vars =
-  let tbl = Hashtbl.create (List.length vars) in
+  let n = List.length vars in
+  let rank = Array.make (List.fold_left (fun m v -> Int.max m (v + 1)) 0 vars) (-1) in
   List.iteri
     (fun i v ->
-      if Hashtbl.mem tbl v then invalid_arg "Order.of_list: duplicate variable";
-      Hashtbl.add tbl v i)
+      if rank.(v) >= 0 then invalid_arg "Order.of_list: duplicate variable";
+      rank.(v) <- i)
     vars;
-  let n = List.length vars in
-  { rank_of = (fun v -> match Hashtbl.find_opt tbl v with Some r -> r | None -> n + v) }
+  let listed v = 0 <= v && v < Array.length rank && rank.(v) >= 0 in
+  { rank_of = (fun v -> if listed v then rank.(v) else n + v) }
 
 let reversed t = { rank_of = (fun v -> -t.rank_of v) }
 

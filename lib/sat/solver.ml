@@ -1,70 +1,62 @@
 open Lbr_logic
 
-let solve cnf =
-  let p = Cnf.Packed.make cnf in
-  Cnf.Packed.solve p ~assume_true:[] ~assume_false:[]
-
-let satisfiable cnf =
-  let dimacs ({ neg; pos } : Clause.t) =
-    Array.append (Array.map (fun v -> -(v + 1)) neg) (Array.map (fun v -> v + 1) pos)
+(* One solver over every clause of [cnf], read from its packed arrays
+   (variable [v] is DIMACS variable [v + 1]), and the selection of them
+   all. *)
+let cdcl cnf =
+  let lits = Cnf.lits cnf and starts = Cnf.starts cnf and heads = Cnf.heads cnf in
+  let t =
+    Cdcl.create
+      (Array.init (Cnf.num_clauses cnf) (fun ci ->
+           Array.init (starts.(ci + 1) - starts.(ci)) (fun j ->
+               let k = starts.(ci) + j in
+               if k < heads.(ci) then -(lits.(k) + 1) else lits.(k) + 1)))
   in
-  (not (Cnf.is_unsat cnf))
-  && Cdcl.all_satisfiable (Array.of_list (List.map dimacs (Cnf.clauses cnf)))
+  let sel = Cdcl.selection t in
+  for ci = 0 to Cnf.num_clauses cnf - 1 do
+    Cdcl.select sel ci
+  done;
+  (t, sel)
+
+(* The variables [vs], true, as DIMACS literals. *)
+let assumed vs = List.map (fun v -> v + 1) (Assignment.to_list vs)
 
 let solve_with cnf ~required =
-  let p = Cnf.Packed.make cnf in
-  Cnf.Packed.solve p ~assume_true:(Assignment.to_list required) ~assume_false:[]
-  |> Option.map (Assignment.union required)
+  if Cnf.is_unsat cnf then None
+  else
+    let t, sel = cdcl cnf in
+    if Cdcl.satisfiable t sel ~assuming:(assumed required) then
+      let model = Assignment.filter (fun v -> Cdcl.value t (v + 1)) (Cnf.vars cnf) in
+      Some (Assignment.union required model)
+    else None
 
+let solve cnf = solve_with cnf ~required:Assignment.empty
+
+let satisfiable cnf = Option.is_some (solve cnf)
+
+(* The commitments grow as assumed literals on one solver, so clauses
+   learned for one candidate serve the next, and a model found for one
+   candidate answers each later one it agrees with. *)
 let minimize cnf ~order ~required ~model =
   assert (Cnf.holds cnf model);
   assert (Assignment.subset required model);
   (* Work inside the model's universe so satisfiability checks cannot cheat
      by turning on variables outside [model]. *)
-  let p = Cnf.Packed.make (Cnf.restrict cnf ~keep:model) in
-  let nvars = Cnf.Packed.num_vars p in
-  (* Decisions are committed onto the packed state permanently (assign and
-     propagate); each satisfiability probe for "can this candidate be false?"
-     then only has to search — and undo — the still-undecided variables,
-     instead of re-conditioning the formula from scratch per candidate.
-     Propagation-forced values are logically implied by the commitments, so
-     committing them early answers those candidates' probes for free. *)
-  let commit v b =
-    (match Cnf.Packed.value p v with
-    | `Unassigned -> Cnf.Packed.assign p v b
-    | `True -> assert b
-    | `False -> assert (not b));
-    let ok = Cnf.Packed.propagate p in
-    assert ok
-  in
-  Assignment.iter (fun v -> if v < nvars then commit v true) required;
+  let t, sel = cdcl (Cnf.restrict cnf ~keep:model) in
   (* Visit candidates largest-[<] first so the surviving set prefers
-     [<]-small variables, matching the MSA tie-breaking discipline. *)
+     [<]-small variables, matching the MSA tie-breaking discipline.  A
+     candidate is dropped iff the formula stays satisfiable with the
+     commitments and the candidate false. *)
   let candidates =
     Assignment.diff model required |> Assignment.to_list |> Order.sort order |> List.rev
   in
-  let keep =
+  let _, keep =
     List.fold_left
-      (fun keep v ->
-        if v >= nvars then keep (* unconstrained: always droppable *)
-        else
-          match Cnf.Packed.value p v with
-          | `False -> keep
-          | `True -> Assignment.add v keep
-          | `Unassigned ->
-              let m = Cnf.Packed.mark p in
-              Cnf.Packed.assign p v false;
-              let sat = Cnf.Packed.search p in
-              Cnf.Packed.undo_to p m;
-              if sat then begin
-                commit v false;
-                keep
-              end
-              else begin
-                commit v true;
-                Assignment.add v keep
-              end)
-      required candidates
+      (fun (commitments, keep) v ->
+        let off = -(v + 1) :: commitments in
+        if Cdcl.satisfiable t sel ~assuming:off then (off, keep)
+        else ((v + 1) :: commitments, Assignment.add v keep))
+      (assumed required, required) candidates
   in
   assert (Cnf.holds cnf keep);
   keep

@@ -115,67 +115,6 @@ let test_graph_encoding () =
   Alcotest.(check bool) "closure of 1 present" true
     (List.exists (fun c -> Assignment.to_list c = [ 1; 2 ]) closures)
 
-(* ------------------------------------------------------------------ *)
-(* HDD                                                                 *)
-
-open Lbr_baselines
-
-(* A file-system-ish tree where the failure needs nodes 'a' and 'b'. *)
-let hdd_tree () =
-  Hdd.Node
-    ( "root",
-      [
-        Hdd.Node ("d1", [ Hdd.Node ("a", []); Hdd.Node ("x", []) ]);
-        Hdd.Node ("d2", [ Hdd.Node ("y", [ Hdd.Node ("b", []) ]) ]);
-        Hdd.Node ("d3", [ Hdd.Node ("z", []) ]);
-      ] )
-
-let hdd_test needles tree =
-  let kept = Hdd.labels tree in
-  if List.for_all (fun n -> List.mem n kept) needles then Hdd.Fail else Hdd.Pass
-
-let test_hdd_keeps_needles () =
-  let result, stats = Hdd.run (hdd_tree ()) ~test:(hdd_test [ "a"; "b" ]) in
-  let kept = Hdd.labels result in
-  Alcotest.(check bool) "a kept" true (List.mem "a" kept);
-  Alcotest.(check bool) "b kept" true (List.mem "b" kept);
-  Alcotest.(check bool) "z removed" false (List.mem "z" kept);
-  Alcotest.(check bool) "d3 removed" false (List.mem "d3" kept);
-  Alcotest.(check bool) "x removed" false (List.mem "x" kept);
-  Alcotest.(check bool) "several levels visited" true (stats.levels >= 2)
-
-let test_hdd_prunes_whole_subtrees () =
-  (* Failure needs nothing: HDD shrinks hard, but ddmin (by construction)
-     never returns the empty level, so one spine survives. *)
-  let result, _ = Hdd.run (hdd_tree ()) ~test:(hdd_test []) in
-  Alcotest.(check bool) "at most a single spine remains" true (Hdd.size result <= 3);
-  let kept = Hdd.labels result in
-  Alcotest.(check bool) "root kept" true (List.mem "root" kept);
-  Alcotest.(check bool) "most subtrees gone" true (not (List.mem "z" kept && List.mem "x" kept))
-
-let prop_hdd_contract =
-  QCheck.Test.make ~count:100 ~name:"HDD result fails and is a subtree"
-    QCheck.(make Gen.(list_size (int_range 0 3) (int_bound 7)))
-    (fun needle_ids ->
-      (* a fixed 8-leaf two-level tree; needles among the leaves *)
-      let leaves = List.init 8 (fun i -> Printf.sprintf "leaf%d" i) in
-      let tree =
-        Hdd.Node
-          ( "root",
-            List.init 4 (fun g ->
-                Hdd.Node
-                  ( Printf.sprintf "group%d" g,
-                    [
-                      Hdd.Node (List.nth leaves (2 * g), []);
-                      Hdd.Node (List.nth leaves ((2 * g) + 1), []);
-                    ] )) )
-      in
-      let needles = List.map (fun i -> Printf.sprintf "leaf%d" i) needle_ids in
-      let result, _ = Hdd.run tree ~test:(hdd_test needles) in
-      let kept = Hdd.labels result in
-      List.for_all (fun n -> List.mem n kept) needles
-      && List.for_all (fun l -> List.mem l (Hdd.labels tree)) kept)
-
 let qsuite name tests = (name, List.map (QCheck_alcotest.to_alcotest ~long:false) tests)
 
 let () =
@@ -196,10 +135,4 @@ let () =
           Alcotest.test_case "graph encoding" `Quick test_graph_encoding;
         ] );
       qsuite "binary-reduction-prop" [ prop_binary_reduction_covers ];
-      ( "hdd",
-        [
-          Alcotest.test_case "keeps needles, prunes the rest" `Quick test_hdd_keeps_needles;
-          Alcotest.test_case "prunes whole subtrees" `Quick test_hdd_prunes_whole_subtrees;
-        ] );
-      qsuite "hdd-prop" [ prop_hdd_contract ];
     ]

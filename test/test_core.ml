@@ -20,6 +20,17 @@ let test_predicate_memoization () =
   Alcotest.(check int) "one execution" 1 (Lbr.Predicate.runs p);
   Alcotest.(check int) "two queries" 2 (Lbr.Predicate.queries p)
 
+(* A black box that raises counts its run and query, and caches nothing. *)
+let test_predicate_raising () =
+  let p = Lbr.Predicate.make (fun _ -> failwith "tool crashed") in
+  let a = Assignment.singleton 0 in
+  for _ = 1 to 2 do
+    Alcotest.check_raises "re-raised" (Failure "tool crashed") (fun () ->
+        ignore (Lbr.Predicate.run p a : bool))
+  done;
+  Alcotest.(check int) "two executions" 2 (Lbr.Predicate.runs p);
+  Alcotest.(check int) "two queries" 2 (Lbr.Predicate.queries p)
+
 (* ------------------------------------------------------------------ *)
 (* Progression: INV-PRO and the shape guarantees                       *)
 
@@ -677,6 +688,7 @@ let () =
       ( "predicate",
         [
           Alcotest.test_case "memoization" `Quick test_predicate_memoization;
+          Alcotest.test_case "a raising black box still counts" `Quick test_predicate_raising;
         ] );
       ( "progression",
         List.map

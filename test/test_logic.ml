@@ -260,117 +260,6 @@ let test_dimacs_comments_and_unsat () =
   | Ok cnf -> Alcotest.(check bool) "unsat round-trips" true (Cnf.is_unsat cnf)
   | Error m -> Alcotest.failf "unsat round-trip failed: %s" m
 
-(* ------------------------------------------------------------------ *)
-(* Packed CNF                                                          *)
-
-let prop_packed_solve_matches_enumeration =
-  QCheck.Test.make ~count:300 ~name:"Packed.solve under assumptions = enumeration"
-    (QCheck.make
-       QCheck.Gen.(
-         triple (random_cnf_gen 6)
-           (list_size (int_bound 3) (int_bound 5))
-           (list_size (int_bound 3) (int_bound 5))))
-    (fun (cnf, assume_true, assume_false) ->
-      let p = Cnf.Packed.make cnf in
-      let nv = Cnf.Packed.num_vars p in
-      (* [solve] documents that assumptions on vars >= num_vars are ignored. *)
-      let at = List.filter (fun v -> v < nv) assume_true in
-      let af = List.filter (fun v -> v < nv) assume_false in
-      let admissible m =
-        Cnf.holds cnf m
-        && List.for_all (fun v -> Assignment.mem v m) at
-        && List.for_all (fun v -> not (Assignment.mem v m)) af
-      in
-      let exists_model = ref false in
-      for mask = 0 to 63 do
-        if admissible (assignment_of_mask 6 mask) then exists_model := true
-      done;
-      let first = Cnf.Packed.solve p ~assume_true ~assume_false in
-      (* A second identical query checks that [solve] restored its state. *)
-      let second = Cnf.Packed.solve p ~assume_true ~assume_false in
-      Cnf.Packed.mark p = 0
-      && Option.equal Assignment.equal first second
-      &&
-      match first with
-      | Some m -> !exists_model && admissible m
-      | None -> not !exists_model)
-
-let prop_packed_condition_equivalence =
-  (* assign + propagate on the packed state answers the same satisfiability
-     question as rebuilding the conditioned immutable formula. *)
-  QCheck.Test.make ~count:300 ~name:"Packed assumptions = Cnf.condition_*"
-    (QCheck.make QCheck.Gen.(triple (random_cnf_gen 6) (int_bound 5) (int_bound 5)))
-    (fun (cnf, vt, vf) ->
-      QCheck.assume (vt <> vf);
-      let p = Cnf.Packed.make cnf in
-      let packed = Cnf.Packed.solve p ~assume_true:[ vt ] ~assume_false:[ vf ] in
-      let conditioned =
-        Cnf.condition_false (Cnf.condition_true cnf (Assignment.singleton vt))
-          (Assignment.singleton vf)
-      in
-      let rebuilt =
-        Cnf.Packed.solve (Cnf.Packed.make conditioned) ~assume_true:[] ~assume_false:[]
-      in
-      Option.is_some packed = Option.is_some rebuilt)
-
-let test_packed_counters () =
-  let cnf = Cnf.make [ Clause.edge 0 1; Clause.edge 1 2; Clause.unit_pos 3 ] in
-  let p = Cnf.Packed.make cnf in
-  Alcotest.(check int) "num_clauses" 3 (Cnf.Packed.num_clauses p);
-  Alcotest.(check int) "all active" 3 (Cnf.Packed.active_count p);
-  let m = Cnf.Packed.mark p in
-  Cnf.Packed.assign p 1 true;
-  Alcotest.(check int) "0=>1 satisfied" 2 (Cnf.Packed.active_count p);
-  Alcotest.(check bool) "1=>2 still active" true (Cnf.Packed.clause_is_active p 1);
-  Alcotest.(check (list int)) "unassigned of 1=>2" [ 2 ] (Cnf.Packed.clause_unassigned_vars p 1);
-  Alcotest.(check bool) "unit 2 propagates" true (Cnf.Packed.propagate p);
-  Alcotest.(check bool) "2 forced true" true (Cnf.Packed.value p 2 = `True);
-  Cnf.Packed.undo_to p m;
-  Alcotest.(check int) "undo restores active" 3 (Cnf.Packed.active_count p);
-  Alcotest.(check bool) "undo restores value" true (Cnf.Packed.value p 1 = `Unassigned)
-
-let test_packed_unsat_formula () =
-  let unsat = Cnf.make [ Clause.make_exn ~neg:[] ~pos:[] ] in
-  let p = Cnf.Packed.make unsat in
-  Alcotest.(check bool) "first solve: unsat" true
-    (Cnf.Packed.solve p ~assume_true:[] ~assume_false:[] = None);
-  (* the unsat flag must survive the state restoration of a solve *)
-  Alcotest.(check bool) "second solve: still unsat" true
-    (Cnf.Packed.solve p ~assume_true:[] ~assume_false:[] = None)
-
-(* Found by packed-prop under QCHECK_SEED=880563440: after the first
-   solve's [undo_to], the input unit clause [-6] must still propagate, or
-   the second solve branches on variable 5 as if it were free and returns
-   a different model. *)
-let test_packed_units_survive_solve () =
-  match Dimacs.of_string "p cnf 6 5\n-3 -6 0\n-1 5 0\n5 6 0\n2 3 0\n-6 0\n" with
-  | Error m -> Alcotest.failf "dimacs: %s" m
-  | Ok cnf ->
-      let p = Cnf.Packed.make cnf in
-      let solve () = Cnf.Packed.solve p ~assume_true:[] ~assume_false:[] in
-      let first = solve () in
-      let second = solve () in
-      let model = function
-        | Some m -> Assignment.to_list m
-        | None -> Alcotest.fail "satisfiable formula reported unsat"
-      in
-      Alcotest.(check (list int)) "second solve, same model" (model first) (model second);
-      Alcotest.(check bool) "model satisfies the formula" true
-        (Cnf.holds cnf (Option.get second))
-
-(* Both ways an input unit can be pending across an undo: never popped
-   (unit 0, still queued from [make]) and falsified then unassigned
-   (unit 1). *)
-let test_packed_units_survive_undo () =
-  let p = Cnf.Packed.make (Cnf.make [ Clause.unit_pos 0; Clause.unit_pos 1 ]) in
-  let m = Cnf.Packed.mark p in
-  Cnf.Packed.assign p 1 false;
-  Alcotest.(check bool) "falsified unit conflicts" true (Cnf.Packed.conflicted p);
-  Cnf.Packed.undo_to p m;
-  Alcotest.(check bool) "propagates after undo" true (Cnf.Packed.propagate p);
-  Alcotest.(check bool) "queued unit applied" true (Cnf.Packed.value p 0 = `True);
-  Alcotest.(check bool) "falsified unit re-queued" true (Cnf.Packed.value p 1 = `True)
-
 let test_cnf_num_clauses_cached () =
   let a = Cnf.make [ Clause.edge 0 1; Clause.unit_pos 2 ] in
   let b = Cnf.add_clause a (Clause.edge 2 3) in
@@ -575,6 +464,7 @@ let () =
           Alcotest.test_case "conditioning false to unsat" `Quick test_cnf_condition_false_unsat;
           Alcotest.test_case "restrict" `Quick test_cnf_restrict;
           Alcotest.test_case "stats" `Quick test_cnf_stats;
+          Alcotest.test_case "num_clauses cached" `Quick test_cnf_num_clauses_cached;
         ] );
       qsuite "formula" [ prop_to_cnf_preserves_semantics ];
       ( "model-count",
@@ -591,16 +481,6 @@ let () =
           Alcotest.test_case "comments and unsat" `Quick test_dimacs_comments_and_unsat;
         ] );
       qsuite "dimacs-prop" [ prop_dimacs_roundtrip ];
-      ( "packed",
-        [
-          Alcotest.test_case "counters and undo" `Quick test_packed_counters;
-          Alcotest.test_case "unsat survives restore" `Quick test_packed_unsat_formula;
-          Alcotest.test_case "input units survive solve" `Quick test_packed_units_survive_solve;
-          Alcotest.test_case "input units survive undo" `Quick test_packed_units_survive_undo;
-          Alcotest.test_case "num_clauses cached" `Quick test_cnf_num_clauses_cached;
-        ] );
-      qsuite "packed-prop"
-        [ prop_packed_solve_matches_enumeration; prop_packed_condition_equivalence ];
       qsuite "assignment-prop" [ prop_assignment_matches_set ];
       qsuite "packed-cnf"
         [

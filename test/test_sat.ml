@@ -1,4 +1,4 @@
-(* Tests for the DPLL solver, the incremental CDCL solver and the
+(* Tests for the solver front end, the incremental CDCL solver and the
    order-driven MSA engine. *)
 
 open Lbr_logic
@@ -82,6 +82,64 @@ let prop_minimize_subset =
           let small = Solver.minimize cnf ~order ~required:Assignment.empty ~model in
           Assignment.subset small model && Cnf.holds cnf small)
 
+(* The greedy rule by enumeration: visiting the candidates largest-[<]
+   first, drop each one iff some model inside [model] sets every
+   commitment and the candidate false. *)
+let greedy_reference cnf ~order ~required ~model =
+  let inside = Assignment.to_list model in
+  let subsets =
+    List.init
+      (1 lsl List.length inside)
+      (fun mask -> Assignment.of_list (List.filteri (fun i _ -> mask land (1 lsl i) <> 0) inside))
+    |> List.filter (Cnf.holds cnf)
+  in
+  let candidates =
+    Assignment.diff model required |> Assignment.to_list |> Order.sort order |> List.rev
+  in
+  let _, _, keep =
+    List.fold_left
+      (fun (on, off, keep) v ->
+        let off' = Assignment.add v off in
+        if List.exists (fun m -> Assignment.subset on m && Assignment.disjoint off' m) subsets then
+          (on, off', keep)
+        else (Assignment.add v on, off, Assignment.add v keep))
+      (required, Assignment.empty, required) candidates
+  in
+  keep
+
+let prop_minimize_greedy =
+  let n = 7 in
+  QCheck.Test.make ~count:300 ~name:"Solver.minimize = greedy by enumeration"
+    (QCheck.make
+       QCheck.Gen.(
+         triple (random_cnf_gen n)
+           (shuffle_l (List.init n Fun.id))
+           (list_size (int_bound 3) (int_bound (n - 1)))))
+    (fun (cnf, ranking, req) ->
+      let order = Order.of_list ranking in
+      let required = Assignment.of_list req in
+      match Solver.solve_with cnf ~required with
+      | None -> true
+      | Some model ->
+          Assignment.equal
+            (Solver.minimize cnf ~order ~required ~model)
+            (greedy_reference cnf ~order ~required ~model))
+
+(* A unit clause must hold on every solve of the same formula, not only
+   the first. *)
+let test_solve_repeat_stable () =
+  match Dimacs.of_string "p cnf 6 5\n-3 -6 0\n-1 5 0\n5 6 0\n2 3 0\n-6 0\n" with
+  | Error m -> Alcotest.failf "dimacs: %s" m
+  | Ok cnf ->
+      let model = function
+        | Some m -> Assignment.to_list m
+        | None -> Alcotest.fail "satisfiable formula reported unsat"
+      in
+      let first = Solver.solve cnf in
+      let second = Solver.solve cnf in
+      Alcotest.(check (list int)) "second solve, same model" (model first) (model second);
+      Alcotest.(check bool) "model satisfies the formula" true (Cnf.holds cnf (Option.get second))
+
 (* ------------------------------------------------------------------ *)
 (* MSA                                                                 *)
 
@@ -153,7 +211,7 @@ let test_msa_engine_incremental () =
         (Assignment.to_list (Msa.Engine.true_set engine))
 
 let test_msa_conflict_fallback () =
-  (* Purely negative clause: engine conflicts, fallback DPLL path answers. *)
+  (* Purely negative clause: engine conflicts, the solver fallback answers. *)
   let cnf = Cnf.make [ Clause.make_exn ~neg:[ 0; 1 ] ~pos:[]; Clause.edge 0 1 ] in
   let universe = Assignment.of_list [ 0; 1 ] in
   let order = Order.of_list [ 0; 1 ] in
@@ -796,19 +854,102 @@ let prop_cdcl_incremental =
             && ((not (brute_sat core)) || QCheck.Test.fail_report "a core is satisfiable"))
         (cdcl_probes ~seed m))
 
+(* Literal assumptions on one solver: each probe assumes a random partial
+   assignment (no variable twice) on a random selection, and is followed
+   by the same selection without it, so a query that is unsatisfiable
+   only because of an assumed literal is followed by one that must not be
+   answered from it. *)
+let prop_cdcl_assumptions =
+  QCheck.Test.make ~count:300 ~name:"literal assumptions = brute force, interleaved"
+    (QCheck.make ~print:print_cdcl_case cdcl_case_gen)
+    (fun (n, clauses, seed) ->
+      let m = Array.length clauses in
+      let rng = Random.State.make [| seed |] in
+      let holds value c = Array.exists (fun l -> value (abs l) = (l > 0)) c in
+      let occurs v = Array.exists (Array.exists (fun l -> abs l = v)) clauses in
+      let brute_sat probe assuming =
+        List.exists
+          (fun mask ->
+            let value v = mask land (1 lsl (v - 1)) <> 0 in
+            List.for_all (fun l -> value (abs l) = (l > 0)) assuming
+            && List.for_all (fun i -> holds value clauses.(i)) probe)
+          (List.init (1 lsl n) Fun.id)
+      in
+      let solver = Lbr_sat.Cdcl.create clauses in
+      let query probe assuming =
+        let sel = Lbr_sat.Cdcl.selection solver in
+        List.iter (Lbr_sat.Cdcl.select sel) probe;
+        let sat = Lbr_sat.Cdcl.satisfiable solver sel ~assuming in
+        let show l = String.concat " " (List.map string_of_int l) in
+        if sat <> brute_sat probe assuming then
+          QCheck.Test.fail_reportf "probe [%s] assuming [%s]: verdict %b" (show probe)
+            (show assuming) sat
+        else if sat then
+          (List.for_all (fun i -> holds (Lbr_sat.Cdcl.value solver) clauses.(i)) probe
+          || QCheck.Test.fail_report "a model falsifies a selected clause")
+          && (List.for_all
+                (fun l -> (not (occurs (abs l))) || Lbr_sat.Cdcl.value solver (abs l) = (l > 0))
+                assuming
+             || QCheck.Test.fail_report "a model disagrees with an assumed literal")
+        else
+          let core = Lbr_sat.Cdcl.core solver in
+          (List.for_all (fun i -> List.mem i probe) core
+          || QCheck.Test.fail_report "a core leaves the selection")
+          && ((not (brute_sat core assuming))
+             || QCheck.Test.fail_report "a core is satisfiable under the assumptions")
+      in
+      List.for_all
+        (fun probe ->
+          let assuming =
+            List.filter_map
+              (fun v ->
+                match Random.State.int rng 3 with
+                | 0 -> Some v
+                | 1 -> Some (-v)
+                | _ -> None)
+              (List.init n (fun i -> i + 1))
+          in
+          query probe assuming && query probe [])
+        (cdcl_probes ~seed m))
+
+(* [1 ∨ 2] and [¬1] force 2: assuming [¬2] is unsatisfiable, yet the
+   clauses alone are not, so that answer must not be stored as a core. *)
+let test_cdcl_assumption_core_not_stored () =
+  let solver = Lbr_sat.Cdcl.create [| [| 1; 2 |]; [| -1 |] |] in
+  let sel = Lbr_sat.Cdcl.selection solver in
+  Lbr_sat.Cdcl.select sel 0;
+  Lbr_sat.Cdcl.select sel 1;
+  Alcotest.(check bool) "unsat assuming -2" false
+    (Lbr_sat.Cdcl.satisfiable solver sel ~assuming:[ -2 ]);
+  Alcotest.(check bool) "sat without it" true (Lbr_sat.Cdcl.satisfiable solver sel);
+  Alcotest.(check bool) "2 is true" true (Lbr_sat.Cdcl.value solver 2);
+  Alcotest.(check bool) "a stored model does not answer against its values" false
+    (Lbr_sat.Cdcl.satisfiable solver sel ~assuming:[ -2 ]);
+  Alcotest.(check bool) "an assumption on an absent variable is ignored" true
+    (Lbr_sat.Cdcl.satisfiable solver sel ~assuming:[ 2; 9 ])
+
 let qsuite name tests = (name, List.map (QCheck_alcotest.to_alcotest ~long:false) tests)
 
 let () =
   Alcotest.run "lbr_sat"
     [
-      qsuite "solver"
-        [
-          prop_solver_agrees_with_naive;
-          prop_satisfiable_agrees_with_solve;
-          prop_solve_with_required;
-          prop_minimize_subset;
-        ];
-      qsuite "cdcl" [ prop_cdcl_incremental ];
+      ( "solver",
+        List.map (QCheck_alcotest.to_alcotest ~long:false)
+          [
+            prop_solver_agrees_with_naive;
+            prop_satisfiable_agrees_with_solve;
+            prop_solve_with_required;
+            prop_minimize_subset;
+            prop_minimize_greedy;
+          ]
+        @ [ Alcotest.test_case "input units survive solve" `Quick test_solve_repeat_stable ] );
+      ( "cdcl",
+        List.map (QCheck_alcotest.to_alcotest ~long:false)
+          [ prop_cdcl_incremental; prop_cdcl_assumptions ]
+        @ [
+            Alcotest.test_case "assumption-only unsat is not a stored core" `Quick
+              test_cdcl_assumption_core_not_stored;
+          ] );
       qsuite "msa-prop"
         [
           prop_msa_satisfies;
