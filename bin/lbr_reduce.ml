@@ -1,13 +1,18 @@
 (* lbr-reduce: command-line front end for logical bytecode reduction.
 
    Subcommands:
-     example   — run the paper's Figure 1 example end to end
-     reduce    — reduce a workload file (or a generated pool) in-process
-     serve     — reduction-as-a-service daemon on a Unix socket
-     submit    — send a workload to a running daemon and collect the result
-     stats     — corpus statistics (the §5 'Statistics' table)
-     export    — dump a benchmark's pool (binary), model (DIMACS) and source
-     tools     — list the simulated decompilers and their bug patterns *)
+     example     — run the paper's Figure 1 example end to end
+     reduce      — reduce a workload file (or a generated pool) in-process
+     serve       — reduction-as-a-service daemon on a Unix socket
+     coordinate  — cluster coordinator in front of several serve daemons
+     submit      — send a workload to a running daemon and collect the result
+     top         — queue, running jobs and metrics of a live daemon
+     trace-dump  — capture a live daemon's span rings into a .tdump file
+     trace-merge — merge nodes' traces into one skew-corrected Chrome trace
+     report      — post-mortem report from a daemon's journal directory
+     stats       — corpus statistics (the §5 'Statistics' table)
+     export      — dump a benchmark's pool (binary), model (DIMACS) and source
+     tools       — list the simulated decompilers and their bug patterns *)
 
 open Cmdliner
 open Lbr_logic

@@ -50,33 +50,12 @@ let progression_violation ~cnf ~learned ~universe prog =
         !bad
   end
 
-(* Smallest r in (lo, hi] such that P(prefix.(r)), given ¬P(prefix.(lo)) and
-   P(prefix.(hi)) — the latter by INV-PRO: the full prefix union equals the
-   current search space J, which satisfied the predicate. *)
-let binary_search predicate prog ~lo ~hi =
-  let rec go lo hi =
-    if hi - lo <= 1 then hi
-    else
-      let mid = (lo + hi) / 2 in
-      if Predicate.run predicate (Progression.prefix prog mid) then
-        go lo mid
-      else go mid hi
-  in
-  go lo hi
-
-(* One engine-advance step's outcome: the next iteration's progression and
-   the engine that survives the step ([None] when it met a conflict and the
-   entries come from the rebuild fallback, which retires it).  The
-   progression borrows that engine's trail.  A speculative boundary build
-   caches one of these until its iteration adopts it. *)
-type prebuilt = { pb_prog : Progression.t; pb_engine : Msa.Engine.t option }
-
-let reduce ?(check_invariants = false) ?(incremental = true) ?arena ?speculate
+let reduce ?(check_invariants = false) ?(incremental = true) ?speculate
     (problem : Problem.t) ~order =
   let predicate = problem.predicate in
   let runs0 = Predicate.runs predicate and queries0 = Predicate.queries predicate in
   let max_iterations = Assignment.cardinal problem.universe + 1 in
-  let arena = match arena with Some a -> a | None -> Msa.Arena.default () in
+  let arena = Msa.Arena.default () in
   (* The persistent engine threaded through every iteration.  [None] means
      the per-iteration rebuild path (r_plus + Engine.create) — by request
      ([~incremental:false], the reference oracle), or permanently after any
@@ -103,20 +82,18 @@ let reduce ?(check_invariants = false) ?(incremental = true) ?arena ?speculate
         Msa.Arena.release arena e
     | None -> ()
   in
-  (* The one engine-advance step, on the main engine or a fork of it:
-     append the just-learned set — entry [r] of the previous progression
-     [prev], read from its trail; none on the first iteration, whose engine
-     is freshly created — shrink the search space to [j] — the whole
-     inter-iteration update, replacing the full-CNF copy and re-index —
-     and build the progression incrementally.  A conflict anywhere
-     releases the engine and falls back to the rebuild. *)
-  let advance engine ~fresh ~learned j =
+  (* The one engine-advance step: append the just-learned set — entry [r]
+     of the previous progression [prev], read from its trail; none on the
+     first iteration, whose engine is freshly created — shrink the search
+     space to [j] — the whole inter-iteration update, replacing the
+     full-CNF copy and re-index — and build the progression incrementally.
+     A conflict anywhere retires the engine and falls back to the
+     rebuild. *)
+  let advance ~fresh ~learned j =
     let fallback () =
-      Result.map
-        (fun p -> { pb_prog = p; pb_engine = None })
-        (Progression.make ~cnf:problem.constraints ~order ~learned ~universe:j)
+      Progression.make ~cnf:problem.constraints ~order ~learned ~universe:j
     in
-    match engine with
+    match !engine with
     | None -> fallback ()
     | Some e -> (
         let prepared =
@@ -125,126 +102,61 @@ let reduce ?(check_invariants = false) ?(incremental = true) ?arena ?speculate
           | Some (prev, r) ->
               Result.bind (Progression.learn e prev r) (fun () -> Msa.Engine.narrow e ~keep:j)
         in
-        let built =
-          Result.bind prepared (fun () ->
-              Result.map
-                (fun p -> { pb_prog = p; pb_engine = Some e })
-                (Progression.build_incremental ~engine:e ~order ~universe:j ()))
-        in
-        match built with
-        | Ok pb -> Ok pb
+        match
+          Result.bind prepared (fun () -> Progression.build_incremental ~engine:e ~universe:j)
+        with
+        | Ok prog -> Ok prog
         | Error `Conflict ->
-            Msa.Arena.release arena e;
+            retire_engine ();
             fallback ())
   in
   (* --- Speculation ------------------------------------------------------
-     With a {!Speculate} table, the sequential loop above stays the
-     authority for every verdict; speculation only prepares work the loop
-     is about to demand.  Two kinds of preparation:
-
-     - probe prefetch: before running the probe at [mid], hand both
-       branches' next probes to idle workers, and cancel the loser once
-       the real verdict lands;
-     - boundary builds: when a branch pins the search result [r], fork the
-       engine, apply the learned clause and narrow, and build the next
-       iteration's progression now — the winning build is adopted wholesale
-       (the fork becomes the main engine), the losing one is released.
-
-     Both are pure with respect to the loop's observable state: builds run
-     on forks, never the main engine, and every predicate verdict is still
-     consumed on the demand path in the sequential order. *)
-  let boundaries = ref [] in
-  let release_prebuilt pb =
-    match pb.pb_engine with
-    | Some f -> Msa.Arena.release arena f
-    | None -> ()
+     With a {!Speculate} table the sequential loop stays the authority for
+     every verdict; speculation only prefetches verdicts the loop is about
+     to demand.  Before the probe at [mid] runs, both branches' next
+     probes go to idle workers, and the loser is cancelled once the real
+     verdict lands.  A verdict hint (a replay journal that already knows
+     the probe) prunes the prefetch to the branch that will be taken; it
+     is advisory — the verdict still comes from [Predicate.run], in the
+     sequential order, and a wrong hint only forfeits a prefetch. *)
+  let hint phi =
+    match speculate with Some sp -> Speculate.hint sp phi | None -> None
   in
-  (* Release every cached boundary except [keep]'s, returning that one. *)
-  let flush_boundaries ?keep () =
-    let kept = ref None in
-    List.iter
-      (fun (r, pb) ->
-        if keep = Some r then kept := Some pb else release_prebuilt pb)
-      !boundaries;
-    boundaries := [];
-    !kept
+  (* Prefetch the probe of the half-open search interval (lo, hi], when it
+     has one, and return it for [cancel]: once the interval pins
+     [r = hi], the next demand is the next iteration's head. *)
+  let prefetch_probe prog ~lo ~hi =
+    match speculate with
+    | Some sp when hi - lo > 1 ->
+        let phi = Progression.prefix prog ((lo + hi) / 2) in
+        Speculate.prefetch sp phi;
+        Some phi
+    | _ -> None
   in
-  (* Build iteration [k+1]'s progression under the assumption that the
-     current search lands on [r] — on a fork, leaving the main engine, and
-     so [prog], which borrows its trail, untouched.  [advance] is the step
-     the inline path takes too, so the adopted state is exactly what it
-     would compute. *)
-  let build_boundary prog learned r =
-    match
-      advance
-        (Option.map (Msa.Engine.fork ~arena) !engine)
-        ~fresh:(Some (prog, r))
-        ~learned:(Progression.entry prog r :: learned)
-        (Progression.prefix prog r)
-    with
-    | Ok pb -> Some pb
-    | Error `Unsat ->
-        (* Don't cache: the demand path reproduces the [`Unsat] inline. *)
-        None
+  let cancel probe =
+    match (speculate, probe) with
+    | Some sp, Some phi -> Speculate.cancel sp phi
+    | _ -> ()
   in
-  (* The next demand inside the half-open search interval (lo, hi]: a probe
-     while the interval is wide, the next iteration's head once it pins
-     [r = hi].  Prefetching a boundary also builds and caches its
-     progression (see above). *)
-  let next_branch sp prog learned ~lo ~hi =
-    if hi - lo <= 1 then begin
-      if not (List.mem_assoc hi !boundaries) then begin
-        match build_boundary prog learned hi with
-        | Some pb ->
-            boundaries := (hi, pb) :: !boundaries;
-            Speculate.prefetch sp (Progression.prefix pb.pb_prog 0)
-        | None -> ()
-      end;
-      `Boundary hi
-    end
-    else begin
-      let mid = (lo + hi) / 2 in
-      Speculate.prefetch sp (Progression.prefix prog mid);
-      `Probe mid
-    end
-  in
-  let cancel_branch sp prog = function
-    | `Probe mid -> Speculate.cancel sp (Progression.prefix prog mid)
-    | `Boundary r -> (
-        match List.assoc_opt r !boundaries with
-        | Some pb ->
-            boundaries := List.remove_assoc r !boundaries;
-            Speculate.cancel sp (Progression.prefix pb.pb_prog 0);
-            release_prebuilt pb
-        | None -> ())
-  in
-  (* [binary_search] with branch prefetching: same probes in the same
-     order, but before each verdict both possible next demands are already
-     on their way.  A verdict hint (a replay journal that already knows
-     this probe) prunes the prefetch to the branch that will be taken;
-     the hint is advisory — the authoritative verdict still comes from
-     [Predicate.run], and a wrong hint only forfeits a prefetch. *)
-  let search_speculative sp prog learned ~lo ~hi =
+  (* Smallest r in (lo, hi] such that P(prefix r), given ¬P(prefix lo) and
+     P(prefix hi) — the latter by INV-PRO: the full prefix union equals the
+     current search space J, which satisfied the predicate. *)
+  let binary_search prog ~lo ~hi =
     let rec go lo hi =
       if hi - lo <= 1 then hi
       else begin
         let mid = (lo + hi) / 2 in
         let phi = Progression.prefix prog mid in
-        let h = Speculate.hint sp phi in
-        let on_pass =
-          if h = Some false then None
-          else Some (next_branch sp prog learned ~lo ~hi:mid)
-        in
-        let on_fail =
-          if h = Some true then None
-          else Some (next_branch sp prog learned ~lo:mid ~hi)
-        in
+        (* Consulted only when some branch has a probe to prefetch. *)
+        let h = if hi - lo > 2 then hint phi else None in
+        let on_pass = if h = Some false then None else prefetch_probe prog ~lo ~hi:mid in
+        let on_fail = if h = Some true then None else prefetch_probe prog ~lo:mid ~hi in
         if Predicate.run predicate phi then begin
-          Option.iter (cancel_branch sp prog) on_fail;
+          cancel on_fail;
           go lo mid
         end
         else begin
-          Option.iter (cancel_branch sp prog) on_pass;
+          cancel on_pass;
           go mid hi
         end
       end
@@ -253,88 +165,60 @@ let reduce ?(check_invariants = false) ?(incremental = true) ?arena ?speculate
   in
   (* One iteration, factored out of [loop] so the [gbr.iteration] trace
      span covers exactly this iteration's work — recursing inside the span
-     would nest every later iteration under the first.  [prebuilt] is the
-     adopted speculative build for this iteration, when the previous
-     search's winning boundary had one. *)
-  let iterate ~fresh ~prebuilt learned j iterations prog_lengths =
-      let built =
-        match prebuilt with
-        | Some pb -> Ok pb
+     would nest every later iteration under the first. *)
+  let iterate ~fresh learned j iterations prog_lengths =
+    match advance ~fresh ~learned j with
+    | Error `Unsat -> `Done (Error `Unsat)
+    | Ok prog -> (
+        (* Sets are built from the progression's trail on demand: each
+           iteration reads only the head, the O(log n) probes of the
+           binary search and the learned entry. *)
+        match
+          if check_invariants then
+            progression_violation ~cnf:problem.constraints ~learned ~universe:j prog
+          else None
+        with
+        | Some message -> `Done (Error (`Invariant_violation message))
         | None ->
-            (* The inline step advances the main engine itself. *)
-            let e = !engine in
-            engine := None;
-            advance e ~fresh ~learned j
-      in
-      match built with
-      | Error `Unsat -> `Done (Error `Unsat)
-      | Ok { pb_prog = prog; pb_engine } -> (
-          (* Adopt the step's state wholesale: its engine (or the
-             fallback's [None]) replaces the main one — a speculative
-             fork retires it. *)
-          Option.iter (Msa.Arena.release arena) !engine;
-          engine := pb_engine;
-          (* Sets are built from the progression's trail on demand: each
-             iteration reads only the head, the O(log n) probes of the
-             binary search and the learned entry. *)
-          match
-            if check_invariants then
-              progression_violation ~cnf:problem.constraints ~learned ~universe:j prog
-            else None
-          with
-          | Some message -> `Done (Error (`Invariant_violation message))
-          | None ->
-          let n = Progression.length prog in
-          let prog_lengths = n :: prog_lengths in
-          let head = Progression.prefix prog 0 in
-          (* The head verdict's fail branch opens the search over
-             (0, n-1]: start it before the head runs.  A passing head ends
-             the reduction, so that branch has nothing to prefetch — and a
-             hint that the head passes prunes the fail prefetch too. *)
-          let head_fail =
-            match speculate with
-            | Some sp when n > 1 && Speculate.hint sp head <> Some true ->
-                Some (next_branch sp prog learned ~lo:0 ~hi:(n - 1))
-            | _ -> None
-          in
-          if Predicate.run predicate head then begin
-            (match (speculate, head_fail) with
-            | Some sp, Some branch -> cancel_branch sp prog branch
-            | _ -> ());
-            let stats =
-              {
-                iterations;
-                predicate_runs = Predicate.runs predicate - runs0;
-                predicate_queries = Predicate.queries predicate - queries0;
-                learned = List.rev learned;
-                progression_lengths = List.rev prog_lengths;
-              }
+            let n = Progression.length prog in
+            let prog_lengths = n :: prog_lengths in
+            let head = Progression.prefix prog 0 in
+            (* The head verdict's fail branch opens the search over
+               (0, n-1]: start its first probe before the head runs.  A
+               passing head ends the reduction, so that branch has nothing
+               to prefetch — and a hint that the head passes prunes the
+               fail prefetch too. *)
+            let head_fail =
+              if n > 2 && hint head <> Some true then prefetch_probe prog ~lo:0 ~hi:(n - 1)
+              else None
             in
-            `Done (Ok (head, stats))
-          end
-          else if n = 1 then
-            (* The head is the whole search space J, which satisfied the
-               predicate when it became the search space: the predicate is
-               not behaving like a function of its input. *)
-            `Done (Error `Predicate_inconsistent)
-          else begin
-            let r =
-              match speculate with
-              | Some sp ->
-                  search_speculative sp prog learned ~lo:0 ~hi:(n - 1)
-              | None -> binary_search predicate prog ~lo:0 ~hi:(n - 1)
-            in
-            let prebuilt = flush_boundaries ~keep:r () in
-            `Continue
-              ((prog, r), Progression.entry prog r :: learned, Progression.prefix prog r,
-               iterations + 1, prog_lengths, prebuilt)
-          end)
+            if Predicate.run predicate head then begin
+              cancel head_fail;
+              let stats =
+                {
+                  iterations;
+                  predicate_runs = Predicate.runs predicate - runs0;
+                  predicate_queries = Predicate.queries predicate - queries0;
+                  learned = List.rev learned;
+                  progression_lengths = List.rev prog_lengths;
+                }
+              in
+              `Done (Ok (head, stats))
+            end
+            else if n = 1 then
+              (* The head is the whole search space J, which satisfied the
+                 predicate when it became the search space: the predicate
+                 is not behaving like a function of its input. *)
+              `Done (Error `Predicate_inconsistent)
+            else begin
+              let r = binary_search prog ~lo:0 ~hi:(n - 1) in
+              `Continue
+                ((prog, r), Progression.entry prog r :: learned, Progression.prefix prog r,
+                 iterations + 1, prog_lengths)
+            end)
   in
-  let rec loop ~fresh ~prebuilt learned j iterations prog_lengths =
-    if iterations > max_iterations then begin
-      (match prebuilt with Some pb -> release_prebuilt pb | None -> ());
-      Error `Predicate_inconsistent
-    end
+  let rec loop ~fresh learned j iterations prog_lengths =
+    if iterations > max_iterations then Error `Predicate_inconsistent
     else
       let step =
         Lbr_obs.Trace.with_span "gbr.iteration"
@@ -344,14 +228,13 @@ let reduce ?(check_invariants = false) ?(incremental = true) ?arena ?speculate
               ("universe", Lbr_obs.Trace.Int (Assignment.cardinal j));
               ("learned", Lbr_obs.Trace.Int (List.length learned));
             ])
-          (fun () -> iterate ~fresh ~prebuilt learned j iterations prog_lengths)
+          (fun () -> iterate ~fresh learned j iterations prog_lengths)
       in
       match step with
       | `Done result -> result
-      | `Continue (fresh, learned, j, iterations, prog_lengths, prebuilt) ->
-          loop ~fresh:(Some fresh) ~prebuilt learned j iterations prog_lengths
+      | `Continue (fresh, learned, j, iterations, prog_lengths) ->
+          loop ~fresh:(Some fresh) learned j iterations prog_lengths
   in
-  let result = loop ~fresh:None ~prebuilt:None [] problem.universe 1 [] in
-  ignore (flush_boundaries () : prebuilt option);
+  let result = loop ~fresh:None [] problem.universe 1 [] in
   retire_engine ();
   result

@@ -36,7 +36,6 @@ type error =
 val reduce :
   ?check_invariants:bool ->
   ?incremental:bool ->
-  ?arena:Msa.Arena.t ->
   ?speculate:'a Speculate.t ->
   Problem.t ->
   order:Order.t ->
@@ -47,35 +46,28 @@ val reduce :
     predicate.
 
     [~speculate] pipelines the otherwise-sequential loop: before each
-    predicate verdict lands, the assignments both branches would demand
-    next are {!Speculate.prefetch}ed onto idle workers (and the next
-    iteration's progression pre-built on an {!Msa.Engine.fork} when a
-    branch pins the search result), with the losing branch cancelled once
-    the real verdict arrives.  The demand sequence, results and statistics
-    are byte-identical to the sequential run — speculation only moves pure
-    predicate computation off-thread; the caller's predicate is expected
-    to consult the same table via {!Speculate.demand} (see
-    [Lbr_frontend.Run]).
-
-    [~arena] (default: the domain's shared {!Msa.Arena.default}) supplies
-    recycled engine storage; the persistent engine is acquired from it and
-    released back when the reduction finishes or falls back, so reducing
-    many instances in sequence reallocates no solver state.
+    predicate verdict lands, the probes both branches would demand next
+    are {!Speculate.prefetch}ed onto idle workers, and the losing
+    branch's probe is cancelled once the real verdict arrives.  The
+    demand sequence, results and statistics are byte-identical to the
+    sequential run — speculation only moves pure predicate computation
+    off-thread; the caller's predicate is expected to consult the same
+    table via {!Speculate.demand} (see [Lbr_frontend.Run]).
 
     [~incremental:true] (the default) threads one persistent
-    {!Msa.Engine} through every iteration — learned sets are appended with
-    {!Msa.Engine.add_clause_sub} and the search space shrunk with
-    {!Msa.Engine.narrow}, eliminating the per-iteration [r_plus] formula
-    copy and engine re-index.  Each iteration's progression borrows the
-    engine's trail ({!Progression.build_incremental}), so GBR reads it —
-    the head, the probes, the learned entry and the next search space —
-    before that engine's next [narrow]; a speculative boundary build
-    runs on a {!Msa.Engine.fork}, whose buffers are its own, and leaves
-    the current progression valid.  [~incremental:false] rebuilds from scratch
-    every iteration (the reference oracle); both paths produce byte-identical
-    results and statistics — on any engine conflict (formulas outside the
-    implication fragment) the incremental path permanently falls back to the
-    rebuild path, which meets the same conflict and dispatches to the slow
+    {!Msa.Engine}, taken from the domain's {!Msa.Arena.default} and
+    returned to it at the end, through every iteration — learned sets are
+    appended with {!Msa.Engine.add_clause_sub} and the search space shrunk
+    with {!Msa.Engine.narrow}, eliminating the per-iteration [r_plus]
+    formula copy and engine re-index.  Each iteration's progression
+    borrows the engine's trail ({!Progression.build_incremental}), so GBR
+    reads it — the head, the probes, the learned entry and the next
+    search space — before that engine's next [narrow].
+    [~incremental:false] rebuilds from scratch every iteration (the
+    reference oracle); both paths produce byte-identical results and
+    statistics — on any engine conflict (formulas outside the implication
+    fragment) the incremental path permanently falls back to the rebuild
+    path, which meets the same conflict and dispatches to the slow
     progression.
 
     [~check_invariants:true] (default [false]) validates Lemma 4.3's

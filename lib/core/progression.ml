@@ -206,7 +206,7 @@ let make ~cnf ~order ~learned ~universe =
 let build ~cnf ~order ~learned ~universe =
   Result.map entries (make ~cnf ~order ~learned ~universe)
 
-let build_incremental ~engine ~order:_ ~universe () = on_engine engine ~universe
+let build_incremental ~engine ~universe = on_engine engine ~universe
 
 let prefix_unions entries =
   let arr = Array.of_list entries in

@@ -48,8 +48,7 @@ val entries : t -> Assignment.t list
 val learn : Msa.Engine.t -> t -> int -> (unit, [ `Conflict ]) result
 (** [learn engine p r] appends [entry p r] to [engine] as a learned
     disjunction ({!Msa.Engine.add_clause_sub}), read in place from the
-    trail: GBR's inter-iteration update, on the engine that built [p] or
-    on a fork of it. *)
+    trail: GBR's inter-iteration update, on the engine that built [p]. *)
 
 val of_entries : Assignment.t list -> t
 (** The same form for entries computed as sets (the fallback solver's):
@@ -78,17 +77,15 @@ val build :
 
 val build_incremental :
   engine:Msa.Engine.t ->
-  order:Order.t ->
   universe:Assignment.t ->
-  unit ->
   (t, [ `Conflict ]) result
 (** The progression over a persistent engine the caller has already brought
     up to date (fresh from {!Msa.Engine.create}, or after
     {!Msa.Engine.add_clause} of the newly learned set and
     {!Msa.Engine.narrow} to [universe]) — no [r_plus] copy, no re-indexing,
-    no sort: [order] and [universe] must be the engine's, which keeps the
-    universe sorted itself ({!Msa.Engine.sweep}).  The result borrows the
-    engine's buffers (see {!t}).
+    no sort: the order is the engine's own, and [universe] must be the
+    engine's, which keeps it sorted itself ({!Msa.Engine.sweep}).  The
+    result borrows the engine's buffers (see {!t}).
     Produces entries equal to {!make}'s on the rebuilt formula;
     [`Conflict] exactly when {!make}'s engine would conflict (the caller
     falls back to {!make}, whose fallback solver handles formulas outside

@@ -77,7 +77,7 @@ module Engine = struct
        after each one. *)
     mutable ends : int array;
     (* Bumped whenever [trail] or [ends] may next be overwritten in place —
-       a rollback, a reset by [create] or [fork], a [sweep] — so a reader
+       a rollback, a reset by [create], a [sweep] — so a reader
        of the live buffers can tell whether what it read is still there. *)
     mutable epoch : int;
     mutable conflicted : bool;
@@ -671,87 +671,6 @@ module Engine = struct
     if s.s_generation <> t.generation then
       invalid_arg "Msa.Engine.rollback: add_clause or narrow since the snapshot";
     rollback_trail t s.s_trail
-
-  (* An independent copy of a quiescent engine: every mutable array is
-     blitted at its logical length into a pooled (or fresh) shell, so the
-     branch and the original never alias state that either side resets or
-     grows in place.  Immutable structure is shared: the order, the
-     formula's packed arrays and the learned-occurrence lists
-     ([add_clause] only ever conses onto them); the head-occurrence index
-     is rebuilt if the fork ever needs it.
-     [fire_buf] is per-drain scratch and [ends] is rewritten by the fork's
-     own [sweep], so the fork only needs their capacity; the fork's epoch
-     moves on, since its recycled shell may have lent out its buffers.
-     O(state size), no propagation. *)
-  let fork ?arena t =
-    assert (t.drained = t.trail_len && not t.conflicted);
-    Perf.time "sat.engine-fork" @@ fun () ->
-    let f =
-      match arena with
-      | Some a -> (
-          match a.pool with
-          | e :: rest ->
-              a.pool <- rest;
-              e
-          | [] -> fresh_shell t.order)
-      | None -> fresh_shell t.order
-    in
-    f.order <- t.order;
-    let n = t.nvars in
-    let words = (n + bits - 1) / bits in
-    let onc = t.original_nclauses in
-    let j = t.nclauses - onc in
-    let copy_int dst src len =
-      let dst = grab_int dst len in
-      Array.blit src 0 dst 0 len;
-      dst
-    in
-    let copy_bool dst src len =
-      let dst = grab_bool dst len in
-      Array.blit src 0 dst 0 len;
-      dst
-    in
-    f.truth <- copy_int f.truth t.truth words;
-    (* Same invariant as [create]: an oversized recycled shell keeps stale
-       truth bits past [words] that [true_set]'s physical read would see. *)
-    Array.fill f.truth words (Array.length f.truth - words) 0;
-    f.pos_in_trail <- copy_int f.pos_in_trail t.pos_in_trail n;
-    f.in_universe <- copy_bool f.in_universe t.in_universe n;
-    f.sorted <- copy_int f.sorted t.sorted t.nsorted;
-    f.nsorted <- t.nsorted;
-    f.ends <- grab_int f.ends (t.nsorted + 1);
-    f.epoch <- f.epoch + 1;
-    f.lits <- t.lits;
-    f.starts <- t.starts;
-    f.heads <- t.heads;
-    f.occh_built <- false;
-    f.sp_off <- copy_int f.sp_off t.sp_off (n + 1);
-    f.sp_data <- copy_int f.sp_data t.sp_data t.sp_off.(n);
-    f.lhead_off <- copy_int f.lhead_off t.lhead_off (j + 1);
-    f.lhead_data <- copy_int f.lhead_data t.lhead_data t.lhead_off.(j);
-    f.satisfied <- copy_bool f.satisfied t.satisfied t.nclauses;
-    (let eoh =
-       if Array.length f.extra_occurs_head < n then Array.make n []
-       else f.extra_occurs_head
-     in
-     Array.blit t.extra_occurs_head 0 eoh 0 n;
-     f.extra_occurs_head <- eoh);
-    f.watch_head <- copy_int f.watch_head t.watch_head n;
-    f.watch_next <- copy_int f.watch_next t.watch_next onc;
-    f.watch_slot <- copy_int f.watch_slot t.watch_slot onc;
-    f.fire_buf <- grab_int f.fire_buf onc;
-    f.zero_prem <- copy_int f.zero_prem t.zero_prem t.nzero;
-    f.nzero <- t.nzero;
-    f.trail <- copy_int f.trail t.trail n;
-    f.nvars <- n;
-    f.original_nclauses <- onc;
-    f.nclauses <- t.nclauses;
-    f.trail_len <- t.trail_len;
-    f.drained <- t.drained;
-    f.conflicted <- false;
-    f.generation <- t.generation;
-    f.watch_visits <- 0;
-    f
 end
 
 module Arena = struct

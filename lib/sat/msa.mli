@@ -93,7 +93,7 @@ module Engine : sig
       not yet true, closing under the fixpoint after each, until the whole
       universe is true: the entry construction of a progression.  The
       universe is kept sorted by the engine — sorted once by {!create},
-      compacted by {!narrow}, copied by {!fork} — so no sweep sorts.
+      compacted by {!narrow} — so no sweep sorts.
       [Ok k] records [k] marks in {!ends}: the trail position before the
       first assumption and after each one.  [`Conflict] as for {!assume}. *)
 
@@ -114,8 +114,8 @@ module Engine : sig
   (** A counter that moves whenever {!trail} or {!ends} may next be
       overwritten in place: every rollback (so every {!rollback} and
       {!narrow}), every {!sweep}, and every reset of the engine's storage
-      by {!create} or as a {!fork} target.  A borrowed view is valid
-      exactly while the epoch it was taken at is current. *)
+      by {!create}.  A borrowed view is valid exactly while the epoch it
+      was taken at is current. *)
 
   type snapshot
 
@@ -129,8 +129,7 @@ module Engine : sig
       turned true since — which makes one engine reusable across the
       entries of a whole progression.  Structure is never rolled back: a
       snapshot taken before an {!add_clause} or a {!narrow} raises
-      [Invalid_argument] and leaves the engine as it was.  To explore a
-      structural change and keep the original, {!fork} first. *)
+      [Invalid_argument] and leaves the engine as it was. *)
 
   val flush_counters : t -> unit
   (** Flush the engine's internally-batched event counters (watch-list
@@ -138,16 +137,6 @@ module Engine : sig
       automatically by the structural operations and by {!Arena.release};
       call it after a burst of {!assume}s when exact counter attribution
       matters. *)
-
-  val fork : ?arena:arena -> t -> t
-  (** An independent copy of a quiescent, conflict-free engine, suitable
-      for exploring a speculative branch (GBR's boundary builds run on
-      forks): mutating either copy (assume,
-      add_clause, narrow, rollback) never affects the other, and identical
-      operation sequences on the two produce identical results.  Storage
-      comes from the arena when given (release the fork back when the
-      branch is abandoned or adopted over).  Cost is proportional to the
-      engine's state size — no propagation is redone. *)
 end
 
 module Arena : sig

@@ -111,17 +111,21 @@ echo "OK: FJ daemon reduction is byte-identical to the one-shot run, smaller, ma
 # ---------------------------------------------------------------------
 # Speculative predicate pipelining: the same one-shot reductions with
 # --speculate --jobs 2 must be byte-identical to their sequential runs,
-# on every frontend (jvm, dimacs, fj).
+# on every frontend (jvm, dimacs, fj); the JVM input also at --jobs 4,
+# whose wider in-flight budget cancels more concurrent prefetches.
 
 "$BIN" reduce --seed 1 --classes 30 --speculate --jobs 2 \
   --output-pool "$WORK/inproc.spec.lbrc" > /dev/null 2>&1
 cmp "$WORK/inproc.spec.lbrc" "$WORK/inproc.lbrc"
+"$BIN" reduce --seed 1 --classes 30 --speculate --jobs 4 \
+  --output-pool "$WORK/inproc.spec4.lbrc" > /dev/null 2>&1
+cmp "$WORK/inproc.spec4.lbrc" "$WORK/inproc.lbrc"
 "$BIN" reduce "$CNF_IN" --speculate --jobs 2 --output "$WORK/php.spec.cnf" > /dev/null
 cmp "$WORK/php.spec.cnf" "$WORK/php.oneshot.cnf"
 "$BIN" reduce "$FJ_IN" --require "class A" --speculate --jobs 2 \
   --output "$WORK/figure1.spec.fj" > /dev/null
 cmp "$WORK/figure1.spec.fj" "$WORK/figure1.oneshot.fj"
-echo "OK: --speculate --jobs 2 is byte-identical to sequential on jvm, dimacs and fj"
+echo "OK: --speculate --jobs 2 is byte-identical to sequential on jvm, dimacs and fj (jvm also at --jobs 4)"
 
 # ---------------------------------------------------------------------
 # JVM is an ordinary frontend: an exported pool is an INPUT like any

@@ -142,7 +142,7 @@ let prop_progression_prefix_reads =
       match Msa.Engine.create cnf ~order ~universe with
       | Error `Conflict -> true
       | Ok engine -> (
-          match Lbr.Progression.build_incremental ~engine ~order ~universe () with
+          match Lbr.Progression.build_incremental ~engine ~universe with
           | Error `Conflict -> true
           | Ok p -> reads_match p))
 
@@ -157,7 +157,7 @@ let test_progression_borrow_goes_stale () =
     | Error `Conflict -> Alcotest.fail "unexpected conflict"
   in
   let p =
-    match Lbr.Progression.build_incremental ~engine ~order ~universe () with
+    match Lbr.Progression.build_incremental ~engine ~universe with
     | Ok p -> p
     | Error `Conflict -> Alcotest.fail "unexpected conflict"
   in
@@ -487,55 +487,120 @@ let test_speculate_gate_and_poison () =
 
 (* ------------------------------------------------------------------ *)
 (* Speculative GBR must be byte-identical to sequential GBR: same
-   result, same predicate work, same learned sets, same progression
-   shapes — with verdicts actually computed on pool workers.           *)
+   result or error, same predicate work, same learned sets, same
+   progression shapes and the same demands in the same order — with
+   verdicts actually computed on pool workers.                         *)
 
-let run_gbr_speculative cnf target n ~jobs =
-  Lbr_runtime.Pool.with_pool ~jobs @@ fun pool ->
+(* Clauses of 0–3 premises and 0–3 heads: multi-head clauses leave the
+   implication fragment and purely negative ones can conflict, so GBR
+   meets engine conflicts in a progression's sweep, the rebuild fallback
+   and [`Unsat]. *)
+let mixed_cnf_gen n =
+  let open QCheck.Gen in
+  let vars size = list_size size (int_bound (n - 1)) in
+  let clause =
+    map2
+      (fun neg pos -> Clause.make ~neg ~pos)
+      (vars (frequency [ (1, return 0); (4, return 1); (2, return 2); (1, return 3) ]))
+      (vars (frequency [ (1, return 0); (4, return 1); (3, int_range 2 3) ]))
+  in
+  map (fun cs -> Cnf.make (List.filter_map Fun.id cs)) (list_size (int_range 0 10) clause)
+
+(* One GBR run over [check], sequential or with [check] prefetched on a
+   pool of [jobs] workers under the advisory [hint]; also returns the
+   assignments the demand path ran, in order. *)
+let run_gbr_demands cnf check n ~speculative =
   let vpool = Var.Pool.create () in
   for _ = 0 to n - 1 do
     ignore (Var.Pool.fresh vpool)
   done;
-  let check phi = Assignment.subset target phi in
-  let sp =
-    Lbr.Speculate.create
-      ~spawn:(fun job ->
-        ignore (Lbr_runtime.Pool.submit pool job : unit Lbr_runtime.Pool.future))
-      ~max_inflight:(2 * jobs)
-      check
+  let demands = ref [] in
+  let run ?speculate verdict =
+    let predicate =
+      Lbr.Predicate.make (fun phi ->
+          demands := phi :: !demands;
+          verdict phi)
+    in
+    let problem =
+      Lbr.Problem.make ~pool:vpool ~universe:(universe_n n) ~constraints:cnf ~predicate
+    in
+    let result = Lbr.Gbr.reduce ?speculate problem ~order:(order_n n) in
+    (result, List.rev !demands)
   in
-  let predicate =
-    Lbr.Predicate.make (fun phi ->
-        match Lbr.Speculate.demand sp phi with Some ok -> ok | None -> check phi)
-  in
-  let problem =
-    Lbr.Problem.make ~pool:vpool ~universe:(universe_n n) ~constraints:cnf ~predicate
-  in
-  Fun.protect ~finally:(fun () -> Lbr.Speculate.drain sp) @@ fun () ->
-  Lbr.Gbr.reduce ~speculate:sp problem ~order:(order_n n)
+  match speculative with
+  | None -> run check
+  | Some (jobs, hint) ->
+      Lbr_runtime.Pool.with_pool ~jobs @@ fun pool ->
+      let sp =
+        Lbr.Speculate.create
+          ~spawn:(fun job ->
+            ignore (Lbr_runtime.Pool.submit pool job : unit Lbr_runtime.Pool.future))
+          ?verdict_hint:hint ~max_inflight:(2 * jobs) check
+      in
+      Fun.protect ~finally:(fun () -> Lbr.Speculate.drain sp) @@ fun () ->
+      run ~speculate:sp (fun phi ->
+          match Lbr.Speculate.demand sp phi with Some ok -> ok | None -> check phi)
+
+(* A deterministic pseudo-random bit of [phi] under [salt]. *)
+let coin salt phi k = Hashtbl.hash (salt, Assignment.to_list phi) mod k = 0
 
 let prop_gbr_speculative_equals_sequential =
-  QCheck.Test.make ~count:60
+  let n = 7 in
+  let print (cnf, target, salt, bound, hint, jobs) =
+    let ints l = String.concat " " (List.map string_of_int l) in
+    Printf.sprintf "%starget: %s\nsalt: %d\nbound: %s\nhint: %s\njobs: %d"
+      (Dimacs.to_string cnf) (ints target) salt
+      (Option.fold ~none:"none (monotone)" ~some:string_of_int bound)
+      hint jobs
+  in
+  QCheck.Test.make ~count:150
     ~name:"GBR speculative = sequential (result, work, learned, progressions)"
-    (QCheck.make
+    (QCheck.make ~print
        QCheck.Gen.(
-         triple (implication_cnf_gen 7)
-           (list_size (int_bound 3) (int_bound 6))
-           (oneofl [ 2; 4 ])))
-    (fun (cnf, target_seed, jobs) ->
-      let universe = universe_n 7 in
-      match
-        Msa.compute cnf ~order:(order_n 7) ~universe
-          ~required:(Assignment.of_list target_seed) ()
-      with
-      | None -> true
-      | Some target -> (
-          match
-            (run_gbr_speculative cnf target 7 ~jobs, run_gbr cnf target 7 |> fst)
-          with
-          | Ok (m1, s1), Ok (m2, s2) -> Assignment.equal m1 m2 && stats_equal s1 s2
-          | Error e1, Error e2 -> e1 = e2
-          | Ok _, Error _ | Error _, Ok _ -> false))
+         let* cnf = oneof [ implication_cnf_gen n; mixed_cnf_gen n ] in
+         let* target = list_size (int_bound 3) (int_bound (n - 1)) in
+         let* salt = int in
+         let* bound = opt (int_bound n) in
+         let* hint = oneofl [ "none"; "right"; "wrong"; "random" ] in
+         let* jobs = oneofl [ 2; 4 ] in
+         return (cnf, target, salt, bound, hint, jobs)))
+    (fun (cnf, target_seed, salt, bound, hint, jobs) ->
+      let target =
+        match
+          Msa.compute cnf ~order:(order_n n) ~universe:(universe_n n)
+            ~required:(Assignment.of_list target_seed) ()
+        with
+        | Some target -> target
+        | None -> Assignment.of_list target_seed
+      in
+      (* With a [bound], the predicate is not monotone: it also rejects
+         every superset of [target] larger than [bound] and a third of the
+         rest, so GBR meets [`Predicate_inconsistent] too. *)
+      let check phi =
+        Assignment.subset target phi
+        &&
+        match bound with
+        | None -> true
+        | Some b -> Assignment.cardinal phi <= b && not (coin salt phi 3)
+      in
+      let hint =
+        match hint with
+        | "right" -> Some (fun phi -> Some (check phi))
+        | "wrong" -> Some (fun phi -> Some (not (check phi)))
+        | "random" ->
+            Some (fun phi -> if coin (salt + 1) phi 3 then None else Some (coin (salt + 2) phi 2))
+        | _ -> None
+      in
+      let (r1, d1), (r2, d2) =
+        ( run_gbr_demands cnf check n ~speculative:(Some (jobs, hint)),
+          run_gbr_demands cnf check n ~speculative:None )
+      in
+      List.equal Assignment.equal d1 d2
+      &&
+      match (r1, r2) with
+      | Ok (m1, s1), Ok (m2, s2) -> Assignment.equal m1 m2 && stats_equal s1 s2
+      | Error e1, Error e2 -> e1 = e2
+      | Ok _, Error _ | Error _, Ok _ -> false)
 
 (* The same equivalence on the pinned seeded workload, with the real
    decompiler-simulator predicate — once with healthy workers, once with

@@ -398,43 +398,6 @@ let prop_add_narrow_equals_rebuild =
           | Some e, Some f -> behaves_like e f probes6
           | None, Some _ | Some _, None -> false))
 
-(* Fork must produce a fully independent twin of a quiescent engine: one
-   fork behaves exactly like the original on every subsequent probe, and
-   driving a second fork through assumes and a narrow never moves the
-   original.  Arena-backed forks must behave the same after a
-   release/refork cycle (the arena resets recycled shells in place). *)
-let prop_fork_independent =
-  QCheck.Test.make ~count:300 ~name:"fork = independent twin"
-    (QCheck.make
-       QCheck.Gen.(
-         quad (implication_cnf_gen 6)
-           (list_size (int_bound 3) (int_bound 5))
-           (list_size (int_range 1 3) (int_bound 5))
-           (list_size (int_bound 4) (int_bound 5))))
-    (fun (cnf, pre, pos, post) ->
-      match Msa.Engine.create cnf ~order:order6 ~universe:universe6 with
-      | Error `Conflict -> true
-      | Ok e -> (
-          match Msa.Engine.assume_all e pre with
-          | Error `Conflict -> true
-          | Ok () -> (
-              match Msa.Engine.add_clause e ~pos:(List.sort_uniq compare pos) with
-              | Error `Conflict -> true
-              | Ok () ->
-                  let before = Msa.Engine.true_set e in
-                  let arena = Msa.Arena.create () in
-                  let scratch = Msa.Engine.fork ~arena e in
-                  (match Msa.Engine.assume_all scratch post with
-                  | Ok () -> (
-                      match Msa.Engine.narrow scratch ~keep:(Assignment.of_list post) with
-                      | Ok () | Error `Conflict -> ())
-                  | Error `Conflict -> ());
-                  Msa.Arena.release arena scratch;
-                  (* A recycled shell must fork just as cleanly as a fresh one. *)
-                  let twin = Msa.Engine.fork ~arena e in
-                  Assignment.equal (Msa.Engine.true_set e) before
-                  && behaves_like e twin probes6)))
-
 (* ------------------------------------------------------------------ *)
 (* Watched-premise propagation vs the counter-based scan scheme it
    replaced.  [Scan] is a direct reimplementation of the pre-watched
@@ -610,8 +573,8 @@ let prop_watched_equals_scan_narrowed_universe =
    engine: the same progression loop (assume the [<]-smallest uncovered
    variable, record what it adds) run on [Scan] gives the reference
    entries as trail deltas.  The engine-backed progression must equal
-   them entry by entry and prefix by prefix — fresh, after a learned
-   clause and a narrow, and on a fork. *)
+   them entry by entry and prefix by prefix — fresh, and after a learned
+   clause and a narrow. *)
 
 (* Clauses of 0–3 premises (one premise: the engine's static lists; more:
    its watch lists) and 0–3 heads (multi-head choices, and purely
@@ -680,7 +643,7 @@ let prop_trail_progression_equals_scan =
       let universe = Assignment.of_list (List.init n Fun.id) in
       let pos = List.sort_uniq Int.compare pos and keep = Assignment.of_list keep_list in
       let build engine ~universe =
-        Lbr.Progression.build_incremental ~engine ~order ~universe ()
+        Lbr.Progression.build_incremental ~engine ~universe
       in
       match Msa.Engine.create cnf ~order ~universe, Scan.create cnf ~order ~universe with
       | Error `Conflict, Error `Conflict -> true
@@ -706,16 +669,7 @@ let prop_trail_progression_equals_scan =
               | Ok () -> (
                   match Msa.Engine.narrow e ~keep with
                   | Error `Conflict -> reference = None
-                  | Ok () ->
-                      let f = Msa.Engine.fork e in
-                      progression_equals_scan (build e ~universe:keep) reference
-                      &&
-                      (* Recycling the original's storage for another
-                         formula must leave the fork intact. *)
-                      let arena = Msa.Arena.create () in
-                      Msa.Arena.release arena e;
-                      ignore (Msa.Engine.create ~arena rebuilt ~order ~universe:keep);
-                      progression_equals_scan (build f ~universe:keep) reference))))
+                  | Ok () -> progression_equals_scan (build e ~universe:keep) reference))))
 
 (* ------------------------------------------------------------------ *)
 (* Pinned values on a realistic workload: any change to MSA head choice,
@@ -960,7 +914,6 @@ let () =
           prop_add_clause_rollback;
           prop_narrow_rollback;
           prop_add_narrow_equals_rebuild;
-          prop_fork_independent;
           prop_watched_equals_scan_implications;
           prop_watched_equals_scan_general;
           prop_watched_equals_scan_narrowed_universe;
