@@ -688,12 +688,13 @@ let micro () =
         (Staged.stage (msa_fallback_setup ~gadgets:24 ~tail:24));
       Test.make ~name:"core:progression-40cls"
         (Staged.stage (fun () ->
-             Lbr.Progression.build ~cnf:cnf40 ~order:order40 ~learned:[] ~universe:universe40));
+             Lbr.Progression.make ~cnf:cnf40 ~order:order40 ~learned:[] ~universe:universe40));
       (Test.make ~name:"sat:propagate-watched-40cls"
-         (* Pure watched propagation on a warm engine: assume a spread of
-            universe variables under a snapshot, roll back.  No engine
-            construction in the timed loop — this isolates the per-drain
-            watcher-list walk. *)
+         (* Watched propagation on a warm engine: assume a spread of
+            universe variables, then reset with [narrow] to the same
+            universe.  No engine construction in the timed loop, but the
+            reset recomputes the base closure, so each run times that
+            closure as well as the assumptions' watcher-list walks. *)
          (let engine =
             match Lbr_sat.Msa.Engine.create cnf40 ~order:order40 ~universe:universe40 with
             | Ok e -> e
@@ -703,10 +704,12 @@ let micro () =
             Assignment.to_list universe40 |> List.filteri (fun i _ -> i mod 7 = 0)
           in
           Staged.stage (fun () ->
-              let snap = Lbr_sat.Msa.Engine.snapshot engine in
-              (match Lbr_sat.Msa.Engine.assume_all engine vars with
-              | Ok () | Error `Conflict -> ());
-              Lbr_sat.Msa.Engine.rollback engine snap)));
+              match Lbr_sat.Msa.Engine.assume_all engine vars with
+              | Ok () -> (
+                  match Lbr_sat.Msa.Engine.narrow engine ~keep:universe40 with
+                  | Ok () -> ()
+                  | Error `Conflict -> failwith "sat:propagate-watched-40cls: narrow conflicts")
+              | Error `Conflict -> failwith "sat:propagate-watched-40cls: unexpected conflict")));
       (Test.make ~name:"sat:engine-reset"
          (* One create-or-reset + release cycle against a private arena:
             the amortized cost of engine acquisition once the pool is

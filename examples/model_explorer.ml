@@ -55,10 +55,12 @@ let () =
   (* Progressions: the valid-prefix decomposition GBR searches over. *)
   print_endline "\nprogression for the model (no learned sets):";
   (match
-     Lbr.Progression.build ~cnf ~order:(Order.of_list [ a; b; c ]) ~learned:[] ~universe
+     Lbr.Progression.make ~cnf ~order:(Order.of_list [ a; b; c ]) ~learned:[] ~universe
    with
-  | Ok entries ->
-      List.iteri (fun i d -> Printf.printf "  D%d = %s\n" i (show d)) entries
+  | Ok p ->
+      List.iteri
+        (fun i d -> Printf.printf "  D%d = %s\n" i (show d))
+        (Lbr.Progression.entries p)
   | Error `Unsat -> print_endline "unsat");
 
   (* Lossy encodings strengthen non-graph clauses into edges. *)

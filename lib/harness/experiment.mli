@@ -60,10 +60,11 @@ val run_with :
     built-in tool of the same name.
 
     [~speculate] (GBR only; the baselines ignore it) pipelines the
-    reduction loop over the given worker pool via {!Lbr.Speculate}: probes
-    and next-iteration builds for both branches of each pending verdict
-    run speculatively, with the losing branch cancelled when the verdict
-    lands.  Every outcome field except [wall_time] is byte-identical to
+    reduction loop over the given worker pool via {!Lbr.Speculate}: the
+    predicate verdicts that both branches of each pending verdict would
+    demand next are prefetched, with the losing branch's cancelled when
+    the verdict lands.  Progressions are built on the demand path
+    only.  Every outcome field except [wall_time] is byte-identical to
     the sequential run. *)
 
 val run_corpus : ?jobs:int -> strategy -> Corpus.instance list -> outcome list

@@ -31,12 +31,6 @@ module Engine = struct
     mutable lits : Var.t array;
     mutable starts : int array;
     mutable heads : int array;
-    (* var -> original clauses where it is a head (CSR); used only to
-       re-derive satisfied flags on a rollback to a non-zero position, and
-       built on the first one ([occh_built]). *)
-    mutable occh_off : int array;
-    mutable occh_data : int array;
-    mutable occh_built : bool;
     (* var -> original clauses whose one premise it is, in decreasing
        clause order (CSR).  Such a clause completes exactly when that
        premise drains, so it needs no watch: [drain] reads this static
@@ -49,7 +43,6 @@ module Engine = struct
     mutable lhead_off : int array;
     mutable lhead_data : Var.t array;
     mutable satisfied : bool array;  (* original + learned, indexed by clause *)
-    mutable extra_occurs_head : int list array;  (* var -> learned clauses, newest first *)
     (* Watched-premise lists.  Each original clause with at least two
        premises watches exactly one premise that is not yet drained; the
        per-variable watcher lists are singly linked through the clauses:
@@ -68,8 +61,7 @@ module Engine = struct
     (* Propagation trail: variables in the order they were made true.  The
        pending queue is the suffix [trail.(drained) .. trail.(trail_len - 1)]
        — a variable enters the trail exactly when it turns true, and [drain]
-       consumes in FIFO order, so no separate queue is needed.  This makes
-       {!rollback} a walk down the trail. *)
+       consumes in FIFO order, so no separate queue is needed. *)
     mutable trail : Var.t array;
     mutable trail_len : int;
     mutable drained : int;
@@ -77,11 +69,10 @@ module Engine = struct
        after each one. *)
     mutable ends : int array;
     (* Bumped whenever [trail] or [ends] may next be overwritten in place —
-       a rollback, a reset by [create], a [sweep] — so a reader
+       a [narrow], a reset by [create], a [sweep] — so a reader
        of the live buffers can tell whether what it read is still there. *)
     mutable epoch : int;
     mutable conflicted : bool;
-    mutable generation : int;  (* structural changes ([add_clause], [narrow]) so far *)
     mutable watch_visits : int;  (* watcher-list nodes visited since the last flush *)
   }
 
@@ -90,10 +81,6 @@ module Engine = struct
      per-iteration engine churn costs array fills instead of fresh solver
      state. *)
   type arena = { mutable pool : t list }
-
-  (* A snapshot is a trail position within one structure: rollback is the
-     trail unwind, and refuses a snapshot from an earlier generation. *)
-  type snapshot = { s_trail : int; s_generation : int }
 
   let max_var cnf universe =
     Assignment.fold (fun v m -> Int.max v m) universe (Cnf.max_var cnf)
@@ -202,10 +189,9 @@ module Engine = struct
      the multi-premise clauses watching it: each either moves its watch to
      another undrained premise (false, or true but still pending) or has
      every premise drained and completes.  A completed clause keeps
-     watching the variable that completed it — after any rollback that
-     variable is false again, so the watch invariant (every watch rests on
-     an undrained premise) survives rollbacks with no undo log: watches
-     only ever move onto variables that are unwound with them.  The
+     watching the variable that completed it: [narrow] turns every
+     variable false again, so the watch invariant (every watch rests on
+     an undrained premise) holds again after it with no repair.  The
      variable's single-premise clauses complete with it; both lists are in
      decreasing clause order, and merging them fires the whole batch in
      that order, as the one occurrence scan did. *)
@@ -285,15 +271,11 @@ module Engine = struct
       lits = [||];
       starts = [| 0 |];
       heads = [||];
-      occh_off = [| 0 |];
-      occh_data = [||];
-      occh_built = false;
       sp_off = [| 0 |];
       sp_data = [||];
       lhead_off = [| 0 |];
       lhead_data = [||];
       satisfied = [||];
-      extra_occurs_head = [||];
       watch_head = [||];
       watch_next = [||];
       watch_slot = [||];
@@ -306,7 +288,6 @@ module Engine = struct
       ends = [||];
       epoch = 0;
       conflicted = false;
-      generation = 0;
       watch_visits = 0;
     }
 
@@ -340,29 +321,6 @@ module Engine = struct
       off.(v) <- !sum
     done;
     off.(n) <- !sum
-
-  (* The head-occurrence CSR over every original clause: built only when a
-     rollback first needs it, since GBR rolls back only to position 0. *)
-  let build_occh t =
-    let n = t.nvars and lits = t.lits and starts = t.starts and heads = t.heads in
-    t.occh_off <- grab_int t.occh_off (n + 1);
-    let off = t.occh_off in
-    Array.fill off 0 (n + 1) 0;
-    for c = 0 to t.original_nclauses - 1 do
-      for j = heads.(c) to starts.(c + 1) - 1 do
-        off.(lits.(j)) <- off.(lits.(j)) + 1
-      done
-    done;
-    bucket_ends off n;
-    t.occh_data <- grab_int t.occh_data off.(n);
-    for c = 0 to t.original_nclauses - 1 do
-      for j = heads.(c) to starts.(c + 1) - 1 do
-        let v = lits.(j) in
-        off.(v) <- off.(v) - 1;
-        t.occh_data.(off.(v)) <- c
-      done
-    done;
-    t.occh_built <- true
 
   (* Whether every variable of [vs.(i) .. vs.(hi - 1)] is in the universe. *)
   let rec all_in in_universe (vs : int array) i hi =
@@ -410,8 +368,6 @@ module Engine = struct
     t.epoch <- t.epoch + 1;
     t.watch_head <- grab_int t.watch_head n;
     Array.fill t.watch_head 0 n (-1);
-    if Array.length t.extra_occurs_head < n then t.extra_occurs_head <- Array.make n []
-    else Array.fill t.extra_occurs_head 0 n [];
     t.sp_off <- grab_int t.sp_off (n + 1);
     Array.fill t.sp_off 0 (n + 1) 0;
     t.nvars <- n;
@@ -420,7 +376,6 @@ module Engine = struct
     t.lits <- lits;
     t.starts <- starts;
     t.heads <- heads;
-    t.occh_built <- false;
     t.original_nclauses <- nc;
     t.nclauses <- nc;
     t.satisfied <- grab_bool t.satisfied nc;
@@ -484,7 +439,6 @@ module Engine = struct
     t.trail_len <- 0;
     t.drained <- 0;
     t.conflicted <- Cnf.is_unsat cnf;
-    t.generation <- 0;
     t.watch_visits <- 0;
     (* Zero-premise clauses fire immediately. *)
     for k = 0 to t.nzero - 1 do
@@ -568,17 +522,12 @@ module Engine = struct
       t.lhead_off.(j + 1) <- !cursor;
       let ci = t.nclauses in
       t.nclauses <- ci + 1;
-      t.generation <- t.generation + 1;
       if ci >= Array.length t.satisfied then begin
         let a = Array.make (Int.max 8 (2 * Array.length t.satisfied)) false in
         Array.blit t.satisfied 0 a 0 ci;
         t.satisfied <- a
       end;
       t.satisfied.(ci) <- false;
-      for i = base to !cursor - 1 do
-        let h = t.lhead_data.(i) in
-        t.extra_occurs_head.(h) <- ci :: t.extra_occurs_head.(h)
-      done;
       (* Integrate into the current fixpoint. *)
       trigger t ci;
       drain t;
@@ -605,36 +554,19 @@ module Engine = struct
     done;
     drain t
 
-  let rollback_trail t s =
-    for i = s to t.trail_len - 1 do
+  (* Turn every variable false again.  A satisfied flag is only ever set
+     with a true head as witness, so with nothing true every flag clears.
+     Watches need no repair: every watch rests on a variable that is now
+     false, hence undrained. *)
+  let reset_trail t =
+    for i = 0 to t.trail_len - 1 do
       let v = t.trail.(i) in
       t.truth.(v / bits) <- t.truth.(v / bits) land lnot (1 lsl (v mod bits))
     done;
-    (* A satisfied flag is only ever set with a currently-true head as
-       witness, and every true variable is on the trail — so sweeping the
-       unwound variables' head occurrences and re-deriving each flag from
-       the remaining truths clears every flag whose witness went away.  At
-       trail 0 (every [narrow]) nothing is true, so every flag is false.
-       Watches need no repair: watch moves since the snapshot only landed
-       on variables drained after it (unwound here) or still false. *)
-    if s = 0 then Array.fill t.satisfied 0 t.nclauses false
-    else begin
-      if not t.occh_built then build_occh t;
-      for i = s to t.trail_len - 1 do
-        let v = t.trail.(i) in
-        for k = t.occh_off.(v) to t.occh_off.(v + 1) - 1 do
-          let ci = t.occh_data.(k) in
-          t.satisfied.(ci) <- exists_true_head t ci
-        done;
-        List.iter
-          (fun ci -> t.satisfied.(ci) <- exists_true_head t ci)
-          t.extra_occurs_head.(v)
-      done
-    end;
-    t.trail_len <- s;
-    t.drained <- s;
-    t.epoch <- t.epoch + 1;
-    t.conflicted <- false
+    Array.fill t.satisfied 0 t.nclauses false;
+    t.trail_len <- 0;
+    t.drained <- 0;
+    t.epoch <- t.epoch + 1
 
   let narrow t ~keep =
     Lbr_obs.Trace.with_span "sat.engine-narrow"
@@ -643,7 +575,7 @@ module Engine = struct
     Perf.time "sat.engine-narrow" @@ fun () ->
     if t.conflicted then Error `Conflict
     else begin
-      rollback_trail t 0;
+      reset_trail t;
       let k = ref 0 in
       for i = 0 to t.nsorted - 1 do
         let v = t.sorted.(i) in
@@ -654,23 +586,10 @@ module Engine = struct
         else t.in_universe.(v) <- false
       done;
       t.nsorted <- !k;
-      t.generation <- t.generation + 1;
       reinit t;
       flush_counters t;
       if t.conflicted then Error `Conflict else Ok ()
     end
-
-  (* Snapshots are only meaningful at quiescent points (pending suffix
-     empty): [create] and every successful operation drain fully, and
-     [rollback] re-establishes quiescence. *)
-  let snapshot t =
-    assert (t.drained = t.trail_len);
-    { s_trail = t.trail_len; s_generation = t.generation }
-
-  let rollback t s =
-    if s.s_generation <> t.generation then
-      invalid_arg "Msa.Engine.rollback: add_clause or narrow since the snapshot";
-    rollback_trail t s.s_trail
 end
 
 module Arena = struct

@@ -47,15 +47,16 @@ module Engine : sig
       two or more premises is watched on one undrained premise; a clause of
       one premise sits on that premise's static list instead, and both
       kinds fire in decreasing clause order when the premise that
-      completes them drains.  [`Conflict]
-      when a clause has all premises inside the initial closure but no head
-      inside the universe (on conflict an arena-backed shell returns to the
-      pool immediately). *)
+      completes them drains.  An engine popped from an arena is reset in
+      place, which moves its {!epoch}.
+      [`Conflict] when a clause has all premises inside the initial
+      closure but no head inside the universe (on conflict an
+      arena-backed shell returns to the pool immediately). *)
 
   val assume : t -> Var.t -> (unit, [ `Conflict ]) result
   (** Set a variable to true and close under the fixpoint.  The engine is
       monotone: assumptions accumulate.  After a [`Conflict] the engine must
-      be rolled back or discarded. *)
+      be discarded. *)
 
   val assume_all : t -> Var.t list -> (unit, [ `Conflict ]) result
 
@@ -81,8 +82,6 @@ module Engine : sig
       narrow-then-build is byte-identical to the per-iteration rebuild it
       replaces.  [`Conflict] exactly when that fresh [create] would
       conflict (the engine must then be discarded). *)
-
-  val is_true : t -> Var.t -> bool
 
   val true_set : t -> Assignment.t
   (** The current closure (the MSA of the formula conditioned on everything
@@ -112,31 +111,9 @@ module Engine : sig
 
   val epoch : t -> int
   (** A counter that moves whenever {!trail} or {!ends} may next be
-      overwritten in place: every rollback (so every {!rollback} and
-      {!narrow}), every {!sweep}, and every reset of the engine's storage
-      by {!create}.  A borrowed view is valid exactly while the epoch it
-      was taken at is current. *)
-
-  type snapshot
-
-  val snapshot : t -> snapshot
-  (** Capture the current trail position.  Only valid on a quiescent engine
-      (after [create] or a successful operation); cheap — two integers. *)
-
-  val rollback : t -> snapshot -> unit
-  (** Undo the assumptions made since the snapshot, including clearing a
-      conflict: the trail unwind, proportional to the number of variables
-      turned true since — which makes one engine reusable across the
-      entries of a whole progression.  Structure is never rolled back: a
-      snapshot taken before an {!add_clause} or a {!narrow} raises
-      [Invalid_argument] and leaves the engine as it was. *)
-
-  val flush_counters : t -> unit
-  (** Flush the engine's internally-batched event counters (watch-list
-      visits) into the calling domain's {!Lbr_logic.Perf} table.  Called
-      automatically by the structural operations and by {!Arena.release};
-      call it after a burst of {!assume}s when exact counter attribution
-      matters. *)
+      overwritten in place: every {!narrow}, every {!sweep}, and every
+      reset of the engine's storage by {!create}.  A borrowed view is
+      valid exactly while the epoch it was taken at is current. *)
 end
 
 module Arena : sig

@@ -255,48 +255,8 @@ let prop_engine_monotone =
           in
           go (Msa.Engine.true_set engine) to_assume)
 
-(* Snapshot/rollback must make one engine behave exactly like a family of
-   fresh engines — the contract Progression.build_slow relies on when it
-   reuses one engine across all entries. *)
-let prop_engine_rollback_replay =
-  QCheck.Test.make ~count:200 ~name:"rollback + replay = fresh engine"
-    (QCheck.make
-       QCheck.Gen.(
-         triple (implication_cnf_gen 6)
-           (list_size (int_bound 4) (int_bound 5))
-           (list_size (int_bound 4) (int_bound 5))))
-    (fun (cnf, first, second) ->
-      let universe = Assignment.of_list (List.init 6 Fun.id) in
-      let fresh vars =
-        match Msa.Engine.create cnf ~order:order6 ~universe with
-        | Error `Conflict -> None
-        | Ok e -> (
-            match Msa.Engine.assume_all e vars with
-            | Ok () -> Some (Msa.Engine.true_set e)
-            | Error `Conflict -> None)
-      in
-      match Msa.Engine.create cnf ~order:order6 ~universe with
-      | Error `Conflict -> true
-      | Ok engine ->
-          let base = Msa.Engine.snapshot engine in
-          let run vars =
-            match Msa.Engine.assume_all engine vars with
-            | Ok () -> Some (Msa.Engine.true_set engine)
-            | Error `Conflict -> None
-          in
-          let r1 = run first in
-          Msa.Engine.rollback engine base;
-          let r2 = run second in
-          Msa.Engine.rollback engine base;
-          let r1' = run first in
-          Option.equal Assignment.equal r1 r1'
-          && Option.equal Assignment.equal r1 (fresh first)
-          && Option.equal Assignment.equal r2 (fresh second))
-
 (* ------------------------------------------------------------------ *)
-(* Structural operations (add_clause, narrow) are never rolled back: a
-   rollback across one is refused, and the refusal leaves the engine as
-   it was. *)
+(* Structural operations (add_clause, narrow)                          *)
 
 let universe6 = Assignment.of_list (List.init 6 Fun.id)
 
@@ -311,52 +271,6 @@ let behaves_like e f probes =
        probes
 
 let probes6 = List.init 6 Fun.id
-
-(* Take a snapshot after assuming [pre], run [structural] and then [post]
-   (when the structural step succeeded), and roll back to the snapshot:
-   the rollback must raise [Invalid_argument] and change nothing. *)
-let rollback_across_refused cnf pre structural post =
-  match Msa.Engine.create cnf ~order:order6 ~universe:universe6 with
-  | Error `Conflict -> true
-  | Ok e -> (
-      match Msa.Engine.assume_all e pre with
-      | Error `Conflict -> true
-      | Ok () -> (
-          let snap = Msa.Engine.snapshot e in
-          (match structural e with
-          | Ok () -> ( match Msa.Engine.assume_all e post with Ok () | Error `Conflict -> ())
-          | Error `Conflict -> ());
-          let before = Msa.Engine.true_set e in
-          match Msa.Engine.rollback e snap with
-          | () -> false
-          | exception Invalid_argument _ -> Assignment.equal (Msa.Engine.true_set e) before))
-
-let prop_add_clause_rollback =
-  QCheck.Test.make ~count:300 ~name:"rollback across add_clause raises"
-    (QCheck.make
-       QCheck.Gen.(
-         quad (implication_cnf_gen 6)
-           (list_size (int_bound 3) (int_bound 5))
-           (list_size (int_range 1 3) (int_bound 5))
-           (list_size (int_bound 3) (int_bound 5))))
-    (fun (cnf, pre, pos, post) ->
-      rollback_across_refused cnf pre
-        (fun e -> Msa.Engine.add_clause e ~pos:(List.sort_uniq compare pos))
-        post)
-
-let prop_narrow_rollback =
-  QCheck.Test.make ~count:300 ~name:"rollback across narrow raises"
-    (QCheck.make
-       QCheck.Gen.(
-         quad (implication_cnf_gen 6)
-           (list_size (int_bound 3) (int_bound 5))
-           (list_size (int_bound 5) (int_bound 5))
-           (list_size (int_bound 3) (int_bound 5))))
-    (fun (cnf, pre, keep_list, post) ->
-      let keep = Assignment.of_list keep_list in
-      rollback_across_refused cnf pre
-        (fun e -> Msa.Engine.narrow e ~keep)
-        (List.filter (fun v -> Assignment.mem v keep) post))
 
 (* The inter-iteration update of the incremental GBR core: appending a
    learned disjunction and narrowing must be indistinguishable from a fresh
@@ -713,9 +627,10 @@ let test_msa_pinned_workload () =
         true
         (watched_equals_scan cnf ~order ~universe req))
     [ []; [ 0 ]; [ 17 ]; [ 123 ]; [ 500 ]; [ 17; 123; 500 ]; [ 1111 ] ];
-  match Lbr.Progression.build ~cnf ~order ~learned:[] ~universe with
+  match Lbr.Progression.make ~cnf ~order ~learned:[] ~universe with
   | Error `Unsat -> Alcotest.fail "progression unexpectedly unsat"
-  | Ok entries ->
+  | Ok p ->
+      let entries = Lbr.Progression.entries p in
       Alcotest.(check int) "progression entries" 448 (List.length entries);
       let unions = Lbr.Progression.prefix_unions entries in
       Alcotest.(check int) "last prefix union covers the universe" 587
@@ -910,9 +825,6 @@ let () =
           prop_msa_least_model_on_graphs;
           prop_msa_respects_universe;
           prop_engine_monotone;
-          prop_engine_rollback_replay;
-          prop_add_clause_rollback;
-          prop_narrow_rollback;
           prop_add_narrow_equals_rebuild;
           prop_watched_equals_scan_implications;
           prop_watched_equals_scan_general;
