@@ -59,8 +59,7 @@ let reduce ?(check_invariants = false) ?(incremental = true) ?speculate
   (* The persistent engine threaded through every iteration.  [None] means
      the per-iteration rebuild path (r_plus + Engine.create) — by request
      ([~incremental:false], the reference oracle), or permanently after any
-     conflict: the rebuild's fast path meets the same conflict and hands
-     over to the slow path for formulas outside the implication fragment,
+     conflict: the rebuild meets the same conflict and returns [`Unsat],
      so the fallback is byte-identical to never having had an engine. *)
   let engine =
     ref
