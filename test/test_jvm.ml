@@ -430,6 +430,58 @@ let test_reducer_ctor_renumbering () =
       Alcotest.(check bool) "New_instance renumbered" true has_renumbered;
       Alcotest.(check bool) "still valid" true (Checker.is_valid reduced)
 
+(* One prepared applier, fed a sequence of assignments, against a fresh
+   [Reducer.apply] of each.  The sequence mixes what GBR feeds it — prefix
+   unions of one order, in binary-search hops — with arbitrary subsets
+   (which drop constructors under classes that instantiate them), the empty
+   and the full set, and revisits of earlier assignments. *)
+let prop_reducer_applier_is_fresh_apply =
+  QCheck.Test.make ~count:60 ~name:"a prepared applier's sequence = fresh applications"
+    QCheck.(make Gen.(pair (int_range 1 1000) (int_bound 100_000)))
+    (fun (pool_seed, seq_seed) ->
+      let profile = { Lbr_workload.Generator.default_profile with classes = 16 } in
+      let pool = Lbr_workload.Generator.generate ~seed:pool_seed profile in
+      let _, jv, _ = context pool in
+      let rng = Random.State.make [| seq_seed |] in
+      let vars = Array.of_list (Assignment.to_list (Jvars.all jv)) in
+      let n = Array.length vars in
+      let order = Array.copy vars in
+      for i = n - 1 downto 1 do
+        let j = Random.State.int rng (i + 1) in
+        let t = order.(i) in
+        order.(i) <- order.(j);
+        order.(j) <- t
+      done;
+      let prefix k = Assignment.of_list (Array.to_list (Array.sub order 0 k)) in
+      let subset () =
+        let p = Random.State.float rng 1.0 in
+        Assignment.of_list
+          (List.filter (fun _ -> Random.State.float rng 1.0 < p) (Array.to_list vars))
+      in
+      let seen = ref [] in
+      let next () =
+        let phi =
+          match Random.State.int rng 10 with
+          | 0 -> Assignment.empty
+          | 1 -> Jvars.all jv
+          | 2 | 3 when !seen <> [] -> List.nth !seen (Random.State.int rng (List.length !seen))
+          | 4 | 5 | 6 -> prefix (Random.State.int rng (n + 1))
+          | _ -> subset ()
+        in
+        seen := phi :: !seen;
+        phi
+      in
+      let applier = Reducer.prepare jv pool in
+      let agrees phi =
+        let sub = applier phi and fresh = Reducer.apply jv pool phi in
+        let unmemoized = Size.bytes (Classpool.of_classes (Classpool.classes sub)) in
+        String.equal (Serialize.to_bytes sub) (Serialize.to_bytes fresh)
+        && Size.bytes sub = unmemoized
+        && Size.bytes fresh = unmemoized
+        && Size.classes sub = Size.classes fresh
+      in
+      List.for_all agrees (List.init 40 (fun _ -> next ())))
+
 (* ------------------------------------------------------------------ *)
 (* Serialization                                                       *)
 
@@ -828,4 +880,5 @@ let () =
           Alcotest.test_case "extends reparenting" `Quick test_reducer_extends_reparent;
           Alcotest.test_case "ctor renumbering" `Quick test_reducer_ctor_renumbering;
         ] );
+      qsuite "reducer-prop" [ prop_reducer_applier_is_fresh_apply ];
     ]
