@@ -591,6 +591,36 @@ let gbr_replay_setup (instance : Corpus.instance) =
   ignore (reduce record);
   fun () -> reduce (Hashtbl.find verdicts)
 
+(* The JVM reducer on one instance's probes: setup runs the reduction once
+   with the real predicate and records every assignment the applier is
+   given, in order; each timed run prepares a fresh applier and replays
+   that sequence through it, so the time is one input's [prepare] and
+   applies — GBR's prefix-union probes, where consecutive assignments
+   differ in a few items. *)
+let reducer_replay_setup (instance : Corpus.instance) =
+  let pool = instance.benchmark.pool in
+  let vpool = Var.Pool.create () in
+  let jv = Lbr_jvm.Jvars.derive vpool pool in
+  let constraints = Lbr_jvm.Constraints.generate jv pool in
+  let universe = Lbr_jvm.Jvars.all jv in
+  let errors_of = Lbr_decompiler.Tool.prepare instance.tool pool in
+  let sub_pool_of = Lbr_jvm.Reducer.prepare jv pool in
+  let probes = ref [] in
+  let predicate =
+    Lbr.Predicate.make (fun phi ->
+        probes := phi :: !probes;
+        let errors = errors_of (sub_pool_of phi) in
+        List.for_all (fun m -> List.mem m errors) instance.baseline_errors)
+  in
+  ignore
+    (Lbr.Gbr.reduce
+       (Lbr.Problem.make ~pool:vpool ~universe ~constraints ~predicate)
+       ~order:(Lbr_sat.Order.by_creation vpool));
+  let probes = Array.of_list (List.rev !probes) in
+  fun () ->
+    let apply = Lbr_jvm.Reducer.prepare jv pool in
+    Array.iter (fun phi -> ignore (Sys.opaque_identity (apply phi))) probes
+
 (* A generated non-Horn formula on which the MSA engine conflicts, so
    [Msa.compute] takes the general fallback (solve, then greedy
    minimization).  Variable 0 is required; each of [gadgets] gadgets has
@@ -742,6 +772,8 @@ let micro () =
           [
             Test.make ~name:"core:gbr-replay-150cls"
               (Staged.stage (gbr_replay_setup instance));
+            Test.make ~name:"jvm:reducer-apply-150cls"
+              (Staged.stage (reducer_replay_setup instance));
           ])
     @
     match instance40 with

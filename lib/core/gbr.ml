@@ -56,45 +56,43 @@ let reduce ?(check_invariants = false) ?(incremental = true) ?speculate
   let runs0 = Predicate.runs predicate and queries0 = Predicate.queries predicate in
   let max_iterations = Assignment.cardinal problem.universe + 1 in
   let arena = Msa.Arena.default () in
-  (* The persistent engine threaded through every iteration.  [None] means
-     the per-iteration rebuild path (r_plus + Engine.create) — by request
-     ([~incremental:false], the reference oracle), or permanently after any
-     conflict: the rebuild meets the same conflict and returns [`Unsat],
-     so the fallback is byte-identical to never having had an engine. *)
+  (* The persistent engine threaded through every iteration, or the
+     per-iteration rebuild path (r_plus + Engine.create) when
+     [~incremental:false] asks for the reference oracle.  An engine
+     conflicts only when the search space violates [R⁺] (see
+     {!Progression.make}), so a conflict, at create or in a later step,
+     answers [`Unsat] itself: a rebuild would meet the same conflict. *)
   let engine =
     ref
-      (if incremental then
+      (if not incremental then `Rebuild
+       else
          match
            Msa.Engine.create ~arena problem.constraints ~order
              ~universe:problem.universe
          with
-         | Ok e -> Some e
-         | Error `Conflict -> None
-       else None)
+         | Ok e -> `Live e
+         | Error `Conflict -> `Retired)
   in
-  (* Retiring the engine — permanently (conflict fallback) or at the end —
-     returns its storage to the arena for the next reduction. *)
+  (* Retiring the engine — on a conflict or at the end — returns its
+     storage to the arena for the next reduction. *)
   let retire_engine () =
     match !engine with
-    | Some e ->
-        engine := None;
+    | `Live e ->
+        engine := `Retired;
         Msa.Arena.release arena e
-    | None -> ()
+    | `Rebuild | `Retired -> ()
   in
   (* The one engine-advance step: append the just-learned set — entry [r]
      of the previous progression [prev], read from its trail; none on the
      first iteration, whose engine is freshly created — shrink the search
      space to [j] — the whole inter-iteration update, replacing the
      full-CNF copy and re-index — and build the progression incrementally.
-     A conflict anywhere retires the engine and falls back to the
-     rebuild. *)
+     A conflict anywhere retires the engine and answers [`Unsat]. *)
   let advance ~fresh ~learned j =
-    let fallback () =
-      Progression.make ~cnf:problem.constraints ~order ~learned ~universe:j
-    in
     match !engine with
-    | None -> fallback ()
-    | Some e -> (
+    | `Rebuild -> Progression.make ~cnf:problem.constraints ~order ~learned ~universe:j
+    | `Retired -> Error `Unsat
+    | `Live e -> (
         let prepared =
           match fresh with
           | None -> Ok ()
@@ -107,7 +105,7 @@ let reduce ?(check_invariants = false) ?(incremental = true) ?speculate
         | Ok prog -> Ok prog
         | Error `Conflict ->
             retire_engine ();
-            fallback ())
+            Error `Unsat)
   in
   (* --- Speculation ------------------------------------------------------
      With a {!Speculate} table the sequential loop stays the authority for

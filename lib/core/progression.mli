@@ -76,9 +76,9 @@ val build_incremental :
     engine's, which keeps it sorted itself ({!Msa.Engine.sweep}).  The
     result borrows the engine's buffers (see {!t}).
     Produces entries equal to {!make}'s on the rebuilt formula;
-    [`Conflict] exactly when {!make}'s engine would conflict (the caller
-    falls back to {!make}, which then returns [`Unsat]).  The engine is
-    left unusable on [`Conflict]. *)
+    [`Conflict] exactly when {!make}'s engine would conflict, so the
+    caller answers [`Unsat] as {!make} would.  The engine is left unusable
+    on [`Conflict]. *)
 
 val prefix_unions : Assignment.t list -> Assignment.t array
 (** [prefix_unions d] is the array [D^∪] with

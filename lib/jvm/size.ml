@@ -13,21 +13,20 @@ let insn_bytes = function
   | Load_store -> 2
   | Return_insn -> 1
 
-let code_bytes body = 24 + List.fold_left (fun a i -> a + insn_bytes i) 0 body
+let body_insn_bytes body = List.fold_left (fun a i -> a + insn_bytes i) 0 body
 
 (* method_info + name/descriptor constants + Code attribute header *)
-let meth_bytes (m : meth) =
-  48 + (8 * List.length m.m_params) + if m.m_abstract then 0 else code_bytes m.m_body
+let meth_bytes_with (m : meth) ~insns =
+  48 + (8 * List.length m.m_params) + if m.m_abstract then 0 else 24 + insns
 
-let ctor_bytes (k : ctor) = 48 + (8 * List.length k.k_params) + code_bytes k.k_body
+let ctor_bytes_with (k : ctor) ~insns = 48 + (8 * List.length k.k_params) + 24 + insns
+
+let meth_bytes (m : meth) = meth_bytes_with m ~insns:(body_insn_bytes m.m_body)
+let ctor_bytes (k : ctor) = ctor_bytes_with k ~insns:(body_insn_bytes k.k_body)
 
 (* A stub body is a lone [Return_insn]. *)
-let stub_code_bytes = code_bytes [ Return_insn ]
-
-let meth_stub_bytes (m : meth) =
-  48 + (8 * List.length m.m_params) + if m.m_abstract then 0 else stub_code_bytes
-
-let ctor_stub_bytes (k : ctor) = 48 + (8 * List.length k.k_params) + stub_code_bytes
+let meth_stub_bytes (m : meth) = meth_bytes_with m ~insns:(insn_bytes Return_insn)
+let ctor_stub_bytes (k : ctor) = ctor_bytes_with k ~insns:(insn_bytes Return_insn)
 
 let class_header_bytes (c : cls) =
   200 (* header, constant pool base, this/super entries *)

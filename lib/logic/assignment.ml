@@ -115,21 +115,6 @@ let digest_hex s =
 
 let word_at s i = if i < Array.length s then Array.unsafe_get s i else 0
 
-let masks_of vs =
-  let vs = List.sort_uniq Int.compare vs in
-  let idxs = ref [] and masks = ref [] in
-  List.iter
-    (fun v ->
-      if v < 0 then invalid_arg "Assignment.masks_of: negative variable";
-      let w = word v and b = bit v in
-      match (!idxs, !masks) with
-      | i :: _, m :: rest when i = w -> masks := m lor (1 lsl b) :: rest
-      | _ ->
-          idxs := w :: !idxs;
-          masks := 1 lsl b :: !masks)
-    vs;
-  (Array.of_list (List.rev !idxs), Array.of_list (List.rev !masks))
-
 let or_into s buf =
   if Array.length buf < Array.length s then
     invalid_arg "Assignment.or_into: buffer too short";

@@ -39,12 +39,6 @@ val word_at : t -> int -> int
 (** The [i]-th representation word, [0] beyond {!word_width} — for readers
     that compare membership of a fixed variable set word-at-a-time. *)
 
-val masks_of : Var.t list -> int array * int array
-(** [masks_of vs] is [(words, masks)]: the distinct representation-word
-    indices covering [vs] (ascending) and, per index, the bit mask of the
-    variables of [vs] that live in it.  [word_at s words.(i) land masks.(i)]
-    then reads the membership bits of those variables in one operation. *)
-
 val or_into : t -> int array -> unit
 (** [or_into s buf] ors [s]'s words into [buf] in place: the scratch-buffer
     companion to {!of_words}, letting running unions (prefix unions of a
